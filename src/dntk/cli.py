@@ -237,13 +237,11 @@ def cmd_evaluate(args) -> int:
     recon = np.empty(c)
     condition = np.empty(c)
     min_eig = np.empty(c)
-    factor = kernel.scale_factor(model.scale_kind, model.width)
     for ci in range(c):
         v = metrics.orthonormal_rows_basis(model.basis[:, :, ci])
         coverage[ci] = metrics.subspace_coverage(train_feats.per_class[ci], v)
         recon[ci] = metrics.reconstruction_error(train_feats.per_class[ci], v)
-        gram = factor * (model.basis[:, :, ci] @ model.basis[:, :, ci].T)
-        condition[ci], min_eig[ci] = kernel.conditioning(0.5 * (gram + gram.T))
+        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
     row = ReportRow(
         method=args.method,
         seed=cfg.seed,

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import METHODS as BASELINE_METHODS
 from .distill import CoverageReport, DistilledGradients
 from .errors import (
     DimMismatch,
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .krr import KrrModel
 from .sketch import SketchOperator, sample_orthonormal
-from .tangent import GradientFeatures, LabeledDataset, MlpParams, RAW_PARAMS
+from .tangent import ACTIVATIONS, GradientFeatures, LabeledDataset, MlpParams, RAW_PARAMS
 
 MAGIC = b"DNTK1\0"
 VERSION = 1
@@ -37,6 +40,8 @@ _DTYPE_F64 = 0
 _LABELS_SOFT = 0
 # magic + version + m + D + C + dtype byte + labels byte
 _HEADER = struct.Struct("<6sIIIIBB")
+
+_METHODS = ("distill", "full") + BASELINE_METHODS
 
 REPORT_COLUMNS = (
     "method",
@@ -223,33 +228,85 @@ class RunConfig:
         return int(self.layer_sizes[0])
 
     def validate(self) -> "RunConfig":
-        if len(self.layer_sizes) < 2 or any(int(s) < 1 for s in self.layer_sizes):
+        """Check the type and range of every field; raise InputError if one is off.
+
+        Integer fields take integers only (no bools, floats or strings);
+        real fields take any finite integer or float.
+        """
+        _check_int("seed", self.seed)
+        _check_list("layer_sizes", self.layer_sizes, _check_int, low=1)
+        if len(self.layer_sizes) < 2:
             raise InputError(f"bad layer_sizes {self.layer_sizes}")
         if self.class_count < 2:
             raise InputError("need at least 2 output classes")
+        _check_choice("activation", self.activation, ACTIVATIONS)
         for name in ("n_train", "n_test"):
             val = getattr(self, name)
-            if val < self.class_count or val % self.class_count:
+            _check_int(name, val, low=self.class_count)
+            if val % self.class_count:
                 raise InputError(f"{name}={val} must be a positive multiple of the class count")
-        if not (0.0 < self.tau_v <= 1.0):
-            raise InputError(f"tau_v={self.tau_v} outside (0, 1]")
-        if not (0.0 <= self.tau_g <= 1.0):
-            raise InputError(f"tau_g={self.tau_g} outside [0, 1]")
-        if not (0.0 < self.eps_qr < 1.0):
-            raise InputError(f"eps_qr={self.eps_qr} outside (0, 1)")
-        if not (0.0 < self.eps_jl < 1.0):
-            raise InputError(f"eps_jl={self.eps_jl} outside (0, 1)")
-        if self.lambda_reg < 0.0:
-            raise InputError(f"lambda_reg={self.lambda_reg} negative")
-        if self.scale_kind not in ("none", "inv_k"):
-            raise InputError(f"unknown scale_kind {self.scale_kind!r}")
-        if self.h < 1:
-            raise InputError(f"h={self.h} must be >= 1")
-        known = {"distill", "full", "random", "leverage", "fps", "kmeans"}
-        bad = [m for m in self.methods if m not in known]
-        if bad:
-            raise InputError(f"unknown methods {bad}")
+        _check_real("spread", self.spread, low=0.0)
+        _check_real("train_lr", self.train_lr, low=0.0, low_open=True)
+        _check_int("train_epochs", self.train_epochs, low=0)
+        _check_int("train_batch", self.train_batch, low=1)
+        if self.k_sketch is not None:
+            _check_int("k_sketch", self.k_sketch, low=1)
+        _check_real("eps_jl", self.eps_jl, low=0.0, high=1.0, low_open=True, high_open=True)
+        _check_int("h", self.h, low=1)
+        _check_real("tau_v", self.tau_v, low=0.0, high=1.0, low_open=True)
+        _check_real("tau_g", self.tau_g, low=0.0, high=1.0)
+        _check_real("eps_qr", self.eps_qr, low=0.0, high=1.0, low_open=True, high_open=True)
+        _check_real("lambda_reg", self.lambda_reg, low=0.0)
+        _check_choice("scale_kind", self.scale_kind, ("none", "inv_k"))
+        _check_list("methods", self.methods, _check_choice, choices=_METHODS)
+        if self.budgets is not None:
+            _check_list("budgets", self.budgets, _check_int, low=1)
+        _check_list("sweep_h", self.sweep_h, _check_int, low=1)
+        _check_list("sweep_tau_v", self.sweep_tau_v, _check_real,
+                    low=0.0, high=1.0, low_open=True)
+        _check_list("sweep_tau_g", self.sweep_tau_g, _check_real, low=0.0, high=1.0)
+        _check_list("sweep_seeds", self.sweep_seeds, _check_int)
+        if not isinstance(self.out_dir, str):
+            raise InputError(f"out_dir={self.out_dir!r}: expected a path string")
         return self
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name}={value!r}: expected an integer")
+    if low is not None and value < low:
+        raise InputError(f"{name}={value!r}: expected an integer >= {low}")
+
+
+def _check_real(
+    name: str,
+    value,
+    low: float,
+    high: float = math.inf,
+    low_open: bool = False,
+    high_open: bool = False,
+) -> None:
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if isinstance(value, bool) or not finite:
+        raise InputError(f"{name}={value!r}: expected a finite number")
+    if value < low or value > high or (low_open and value == low) or (high_open and value == high):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+        raise InputError(f"{name}={value!r} outside {interval}")
+
+
+def _check_choice(name: str, value, choices) -> None:
+    if not isinstance(value, str) or value not in choices:
+        raise InputError(f"{name}={value!r}: expected one of {list(choices)}")
+
+
+def _check_list(name: str, value, check, **limits) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{name}={value!r}: expected a list")
+    for i, item in enumerate(value):
+        check(f"{name}[{i}]", item, **limits)
 
 
 def read_config(path) -> RunConfig:

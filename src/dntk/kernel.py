@@ -102,17 +102,27 @@ def truncation_rank(eigvals, eps: float) -> int:
 
 def spectral_summary(kernel_matrix, eps: float = 0.05, ridge: float = 0.0) -> SpectralSummary:
     eig = sym_eig(kernel_matrix)
-    rank = truncation_rank(eig.values, eps)
-    shifted = eig.values + ridge
-    positive = shifted[shifted > 0.0]
-    condition = float(shifted.max() / positive.min()) if positive.size else float("inf")
+    condition, min_eig = spectrum_conditioning(eig.values, ridge)
     return SpectralSummary(
         eig=eig,
-        trunc_rank=rank,
+        trunc_rank=truncation_rank(eig.values, eps),
         trace=float(eig.values.sum()),
         condition=condition,
-        min_eig=float(eig.values.min()),
+        min_eig=min_eig,
     )
+
+
+def spectrum_conditioning(eigvals, ridge: float = 0.0) -> tuple[float, float]:
+    """(condition number of K + ridge I, raw minimum eigenvalue of K) from K's spectrum.
+
+    The condition number is the largest shifted eigenvalue over the smallest
+    positive one, inf when none is positive.
+    """
+    vals = np.asarray(eigvals, dtype=np.float64)
+    shifted = vals + ridge
+    positive = shifted[shifted > 0.0]
+    condition = float(shifted.max() / positive.min()) if positive.size else float("inf")
+    return condition, float(vals.min())
 
 
 def conditioning(kernel_matrix, ridge: float = 0.0) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, distill, kernel, krr, metrics, theory
-from .errors import InputError
+from .errors import DimMismatch, InputError
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, jl_dimension, sample_orthonormal
 from .tangent import (
@@ -24,11 +24,10 @@ from .tangent import (
     LabeledDataset,
     MlpParams,
     SKETCHED,
-    batch_logit_jacobian,
-    forward_batch,
+    _sample_set,
+    _sketched_logit_jacobian,
     gen_gaussian_mixture,
     init_params,
-    one_hot,
     train_sgd,
 )
 
@@ -80,19 +79,21 @@ def sketched_features(
     """Extract per-logit gradients and sketch them batch by batch.
 
     Equivalent to extract_features followed by project_features but never
-    materializes the (C, n, P) raw tensor, which matters once P is in the
-    tens of thousands.
+    materializes a raw gradient row: the sketch is contracted layer by
+    layer inside the backward pass, so the cost per sample has no C * P
+    factor, which matters once P is in the tens of thousands.
     """
-    xb = np.asarray(inputs, dtype=np.float64)
+    xb, soft, logits = _sample_set(params, inputs, labels)
+    if op.source_dim != params.param_count:
+        raise DimMismatch(
+            f"sketch expects width {op.source_dim}, model has {params.param_count} parameters"
+        )
     n = xb.shape[0]
-    c = params.class_count
-    out = np.empty((c, n, op.target_dim))
+    out = np.empty((params.class_count, n, op.target_dim))
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        jac = batch_logit_jacobian(params, xb[start:stop])  # (b, C, P)
-        out[:, start:stop, :] = (op.scale * (jac @ op.q)).transpose(1, 0, 2)
-    logits = forward_batch(params, xb)
-    soft = one_hot(np.asarray(labels), c) if np.asarray(labels).ndim == 1 else np.asarray(labels)
+        sk = _sketched_logit_jacobian(params, xb[start:stop], op.q)  # (b, C, k)
+        out[:, start:stop, :] = (op.scale * sk).transpose(1, 0, 2)
     return GradientFeatures(
         per_class=out, labels=soft, dim_kind=SKETCHED, model_logits=logits
     )
@@ -161,14 +162,12 @@ def evaluate_gradient_set(
     recon = np.empty(c)
     condition = np.empty(c)
     min_eig = np.empty(c)
-    factor = kernel.scale_factor(cfg.scale_kind, model.width)
     for ci in range(c):
         v = metrics.orthonormal_rows_basis(basis[:, :, ci])
         phi = task.train_feats.per_class[ci]
         coverage[ci] = metrics.subspace_coverage(phi, v)
         recon[ci] = metrics.reconstruction_error(phi, v)
-        gram = factor * (basis[:, :, ci] @ basis[:, :, ci].T)
-        condition[ci], min_eig[ci] = kernel.conditioning(0.5 * (gram + gram.T))
+        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
     s = basis.shape[0]
     return ReportRow(
         method=method,

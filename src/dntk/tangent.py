@@ -201,33 +201,66 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     return jac[0]
 
 
+def _logit_backprop(params: MlpParams, xb: np.ndarray):
+    """Backpropagate the C x C identity through the network, last layer first.
+
+    Yields (pos, dz, a) per layer: pos is the offset of the layer's weight
+    block in theta (its bias block follows), dz (n, C, fan_out) holds the
+    logit gradients with respect to the layer's pre-activations and a
+    (n, fan_in) its inputs. The per-logit weight gradient is the outer
+    product dz[:, c] x a and the bias gradient is dz[:, c], so callers can
+    assemble or contract the gradient rows layer by layer. dz is read-only.
+    """
+    layers, acts, pres = _forward_trace(params, xb)
+    n = xb.shape[0]
+    c = params.class_count
+    dz = np.broadcast_to(np.eye(c), (n, c, c)).copy()
+    pos = params.param_count
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        fan_out, fan_in = w.shape
+        pos -= fan_out * fan_in + fan_out
+        yield pos, dz, acts[i]
+        if i > 0:
+            dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
+
+
 def batch_logit_jacobian(params: MlpParams, x_batch) -> np.ndarray:
     """Per-logit gradients for a batch, shape (n, C, P)."""
     xb = np.asarray(x_batch, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != params.input_dim:
         raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
-    layers, acts, pres = _forward_trace(params, xb)
     n = xb.shape[0]
     c = params.class_count
     grads = np.empty((n, c, params.param_count))
-
-    # dz: (n, C, width of current layer), seeded with the identity at the top
-    dz = np.broadcast_to(np.eye(c), (n, c, c)).copy()
-    pos = params.param_count
-    for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
-        fan_out, fan_in = w.shape
-        pos -= fan_out
-        grads[:, :, pos : pos + fan_out] = dz
-        pos -= fan_out * fan_in
+    for pos, dz, a in _logit_backprop(params, xb):
+        fan_out, fan_in = dz.shape[2], a.shape[1]
+        w_end = pos + fan_out * fan_in
         # dW[c, o, i] = dz[c, o] * a[i]
-        gw = dz[:, :, :, None] * acts[i][:, None, None, :]
-        grads[:, :, pos : pos + fan_out * fan_in] = gw.reshape(n, c, fan_out * fan_in)
-        if i > 0:
-            da = dz @ w  # (n, C, fan_in)
-            dz = da * _act_grad(pres[i - 1], params.activation)[:, None, :]
-    assert pos == 0
+        gw = dz[:, :, :, None] * a[:, None, None, :]
+        grads[:, :, pos:w_end] = gw.reshape(n, c, fan_out * fan_in)
+        grads[:, :, w_end : w_end + fan_out] = dz
     return grads
+
+
+def _sketched_logit_jacobian(params: MlpParams, xb: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """batch_logit_jacobian(params, xb) @ q, shape (n, C, k), contracted per layer.
+
+    The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
+    and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q).
+    T is computed once per sample with no class factor, so a sample costs
+    about 2 (P + C * sum(fan_out)) k flops instead of the 2 C P k of
+    multiplying its (C, P) Jacobian by q, and no P-wide row is built.
+    """
+    k = q.shape[1]
+    out = np.zeros((xb.shape[0], params.class_count, k))
+    for pos, dz, a in _logit_backprop(params, xb):
+        fan_out, fan_in = dz.shape[2], a.shape[1]
+        w_end = pos + fan_out * fan_in
+        t = a @ q[pos:w_end].reshape(fan_out, fan_in, k)  # (fan_out, n, k)
+        t += q[w_end : w_end + fan_out, None, :]
+        out += dz @ t.transpose(1, 0, 2)
+    return out
 
 
 # ------------------------------------------------------------------ losses
@@ -409,8 +442,8 @@ def _sgd_step(model: MlpParams, xb: np.ndarray, yb: np.ndarray, lr: float) -> No
 
 # ------------------------------------------------------------- extraction
 
-def extract_features(params: MlpParams, inputs, labels=None, batch: int = 64) -> GradientFeatures:
-    """Per-logit gradients, soft labels, and model logits for a sample set.
+def _sample_set(params: MlpParams, inputs, labels):
+    """Checked inputs, (n, C) targets and model logits of a sample set.
 
     labels may be integer class ids (converted to one-hot), an (n, C) soft
     target matrix, or None (falls back to the model logits as targets).
@@ -418,26 +451,36 @@ def extract_features(params: MlpParams, inputs, labels=None, batch: int = 64) ->
     xb = np.asarray(inputs, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != params.input_dim:
         raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
-    if xb.shape[0] == 0:
-        raise EmptyInput("need at least one sample")
     n = xb.shape[0]
+    if n == 0:
+        raise EmptyInput("need at least one sample")
     c = params.class_count
-    per_class = np.empty((c, n, params.param_count))
+    logits = forward_batch(params, xb)
+    if labels is None:
+        return xb, logits.copy(), logits
+    lab = np.asarray(labels)
+    if lab.shape == (n,):
+        soft = one_hot(lab, c)
+    elif lab.shape == (n, c):
+        soft = lab.astype(np.float64)
+    else:
+        raise ShapeMismatch(f"labels must be ({n},) ids or ({n}, {c}) matrix, got {lab.shape}")
+    return xb, soft, logits
+
+
+def extract_features(params: MlpParams, inputs, labels=None, batch: int = 64) -> GradientFeatures:
+    """Per-logit gradients, soft labels, and model logits for a sample set.
+
+    labels may be integer class ids (converted to one-hot), an (n, C) soft
+    target matrix, or None (falls back to the model logits as targets).
+    """
+    xb, soft, logits = _sample_set(params, inputs, labels)
+    n = xb.shape[0]
+    per_class = np.empty((params.class_count, n, params.param_count))
     for start in range(0, n, batch):
         stop = min(start + batch, n)
         jac = batch_logit_jacobian(params, xb[start:stop])
         per_class[:, start:stop, :] = jac.transpose(1, 0, 2)
-    logits = forward_batch(params, xb)
-    if labels is None:
-        soft = logits.copy()
-    else:
-        lab = np.asarray(labels)
-        if lab.ndim == 1:
-            soft = one_hot(lab, c)
-        elif lab.shape == (n, c):
-            soft = lab.astype(np.float64)
-        else:
-            raise ShapeMismatch(f"labels must be (n,) ids or (n, {c}) matrix")
     return GradientFeatures(
         per_class=per_class, labels=soft, dim_kind=RAW_PARAMS, model_logits=logits
     )

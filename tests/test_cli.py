@@ -206,11 +206,14 @@ class TestErrorPaths:
         assert "error_code=UnknownField" in captured.err
 
     def test_invalid_config_value_exits_1(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "cfg.json", tmp_path / "o", tau_v=1.5)
-        rc = main(["gen-data", "--config", cfg])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "error_code=" in captured.err
+        bad = ({"tau_v": 1.5}, {"h": "5"}, {"lambda_reg": "x"},
+               {"k_sketch": -3}, {"train_epochs": 2.5})
+        for override in bad:
+            cfg = write_cfg(tmp_path / "cfg.json", tmp_path / "o", **override)
+            rc = main(["gen-data", "--config", cfg])
+            captured = capsys.readouterr()
+            assert rc == 1, override
+            assert "error_code=" in captured.err, override
 
     def test_singular_system_exits_2(self, tmp_path, capsys):
         # 24 sketched rows of width 16 make a rank-deficient gram, so an

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from helpers import feats_from_blocks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dntk import io as dio
 from dntk.distill import distill
 from dntk.errors import (
+    InputError,
     ParseError,
     TruncatedFile,
     UnknownField,
@@ -158,6 +162,30 @@ class TestRunConfig:
         with pytest.raises(Exception):
             dio.config_from_dict({"n_train": -5}).validate()
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"h": "5"},
+            {"lambda_reg": "x"},
+            {"k_sketch": -3},
+            {"train_epochs": 2.5},
+            {"train_batch": True},
+            {"layer_sizes": 16},
+            {"layer_sizes": [16, 64.0, 10]},
+            {"activation": "gelu"},
+            {"spread": float("nan")},
+            {"train_lr": 0},
+            {"budgets": [5, 0]},
+            {"sweep_tau_g": [0.5, 1.5]},
+            {"sweep_seeds": ["0"]},
+            {"methods": [["distill"]]},
+            {"out_dir": 3},
+        ],
+    )
+    def test_validation_checks_type_and_range(self, override):
+        with pytest.raises(InputError):
+            dio.config_from_dict(override)
+
     def test_write_read_roundtrip(self, tmp_path):
         cfg = dio.RunConfig(seed=7, layer_sizes=[4, 9, 3], n_train=12, n_test=6)
         path = tmp_path / "c.json"
@@ -219,3 +247,28 @@ class TestNpzRoundtrips:
         assert back.rank == 4
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=40),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["tanh", "relu", "inv_k", "none", "distill", "kmeans", "", "5"]),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {}, optional={f.name: _VALUES for f in dataclasses.fields(dio.RunConfig)}
+    )
+)
+def test_config_from_dict_validates_or_raises_input_error(data):
+    try:
+        cfg = dio.config_from_dict(data)
+    except InputError:
+        return
+    assert cfg.n_train % cfg.class_count == 0

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dntk import pipeline
-from dntk.errors import InputError
+from dntk import kernel, pipeline
+from dntk.baselines import select_random
+from dntk.errors import DimMismatch, EmptyInput, InputError, ShapeMismatch
 from dntk.io import RunConfig
-from dntk.sketch import project_features
-from dntk.tangent import extract_features
+from dntk.sketch import project_features, sample_orthonormal
+from dntk.tangent import extract_features, init_params
 
 
 def tiny_cfg(**overrides):
@@ -103,6 +104,57 @@ class TestPrepareTask:
         assert_allclose(task.train_feats.per_class, two_step.per_class, atol=1e-12)
         assert_allclose(task.train_feats.model_logits, two_step.model_logits, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "sizes, activation, n, batch",
+        [
+            ([4, 10, 3], "tanh", 18, 32),  # one batch, smaller than batch
+            ([5, 9, 7, 6, 4], "relu", 23, 5),  # 4 weight layers, partial last batch
+            ([3, 8, 6, 5], "tanh", 10, 4),  # 3 weight layers, partial last batch
+        ],
+    )
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_fused_sketch_matches_two_step_per_layer(self, sizes, activation, n, batch, soft):
+        rng = np.random.default_rng(len(sizes) + n)
+        params = init_params(sizes, seed=n, activation=activation)
+        # nonzero biases so relu units sit on both sides of the kink
+        params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
+        x = rng.normal(size=(n, sizes[0]))
+        c = sizes[-1]
+        labels = rng.dirichlet(np.ones(c), size=n) if soft else rng.integers(0, c, size=n)
+        op = sample_orthonormal(params.param_count, 9, seed=n)
+        fused = pipeline.sketched_features(params, x, labels, op, batch=batch)
+        two_step = project_features(extract_features(params, x, labels), op)
+        gap = np.linalg.norm(fused.per_class - two_step.per_class)
+        assert gap <= 1e-12 * np.linalg.norm(two_step.per_class)
+        assert fused.dim_kind == two_step.dim_kind
+        assert_array_equal(fused.labels, two_step.labels)
+        assert_array_equal(fused.model_logits, two_step.model_logits)
+
+    @pytest.mark.parametrize("path", ["fused", "raw"])
+    def test_both_paths_reject_bad_samples(self, path):
+        params = init_params([4, 6, 3], seed=1)
+        op = sample_orthonormal(params.param_count, 5, seed=2)
+
+        def run(x, labels):
+            if path == "fused":
+                return pipeline.sketched_features(params, x, labels, op)
+            return extract_features(params, x, labels)
+
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        with pytest.raises(ShapeMismatch):
+            run(x, np.full((5, 4), 0.25))  # soft labels for 4 classes, net has 3
+        with pytest.raises(ShapeMismatch):
+            run(x, np.zeros(4, dtype=int))  # one label short
+        with pytest.raises(EmptyInput):
+            run(np.empty((0, 4)), np.empty(0, dtype=int))
+
+    def test_fused_sketch_rejects_foreign_operator(self):
+        params = init_params([4, 6, 3], seed=1)
+        op = sample_orthonormal(params.param_count + 1, 5, seed=2)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        with pytest.raises(DimMismatch):
+            pipeline.sketched_features(params, x, np.zeros(5, dtype=int), op)
+
     def test_deterministic(self):
         cfg = tiny_cfg()
         a = pipeline.prepare_task(cfg, root_seed=5)
@@ -153,6 +205,18 @@ class TestRunMethod:
     def test_label_override(self, task):
         row = pipeline.run_method(task, "random", seed=0, budget=4, label="rnd[tag]")
         assert row.method == "rnd[tag]"
+
+    def test_condition_columns_match_gram_spectrum(self, task):
+        # the row reuses the fit's spectra; decomposing each Gram again must
+        # agree (s <= k keeps the Grams full rank, so the ratio is stable)
+        for budget in (5, 10):
+            row = pipeline.run_method(task, "random", seed=2, budget=budget)
+            sel = select_random(task.train_feats.size, budget, 2)
+            basis = task.train_feats.per_class[:, sel.indices]
+            factor = kernel.scale_factor(task.cfg.scale_kind, basis.shape[2])
+            pairs = [kernel.conditioning(factor * (phi @ phi.T)) for phi in basis]
+            assert row.condition == pytest.approx(np.mean([p[0] for p in pairs]), rel=1e-9)
+            assert row.min_eig == pytest.approx(min(p[1] for p in pairs), rel=1e-9)
 
     def test_all_selection_methods_produce_rows(self, task):
         for method in ("random", "leverage", "fps", "kmeans"):
