@@ -99,17 +99,27 @@ def select_fps(rows, s: int, seed: int = 0) -> SelectionResult:
 
 def select_kmeans(rows, s: int, seed: int) -> SelectionResult:
     """Nearest real row to each k-means centroid, duplicates pushed to the
-    next-nearest unused row."""
+    next-nearest unused row.
+
+    Clustering and the nearest-row picks only see pairwise distances, so
+    they run on the isometric coordinates R^T of a QR factorization
+    x^T = QR, which are at most min(m, D) wide. A centroid can be equally
+    near two rows (a two-member cluster's mean is), so among unused rows
+    within 1e-9 times the largest squared row norm of the nearest one the
+    lowest index wins.
+    """
     x = as_matrix(rows, "rows")
     m = x.shape[0]
     _check_budget(m, s)
-    _, centroids, _ = kmeans_fit(x, s, seed)
+    coords = np.linalg.qr(x.T, mode="r").T
+    _, centroids, _ = kmeans_fit(coords, s, seed)
+    tol = 1e-9 * (coords * coords).sum(axis=1).max()
     taken: list[int] = []
     used = np.zeros(m, dtype=bool)
     for j in range(s):
-        d2 = ((x - centroids[j]) ** 2).sum(axis=1)
+        d2 = ((coords - centroids[j]) ** 2).sum(axis=1)
         d2[used] = np.inf
-        pick = int(np.argmin(d2))
+        pick = int(np.flatnonzero(d2 <= d2.min() + tol)[0])
         taken.append(pick)
         used[pick] = True
     return SelectionResult(indices=np.array(taken, dtype=np.intp), method="kmeans", seed=seed)

@@ -23,6 +23,8 @@ from .numerics import as_matrix, sym_eig
 
 KMEANS_RESTARTS = 20
 KMEANS_ITERS = 100
+# relative size of the norm-expansion roundoff cleared in _sq_dists_to
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,29 @@ def _partition_from_assignments(assignments: np.ndarray, h: int) -> ClusterParti
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
     n = points.shape[0]
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[int(rng.integers(n))]
-    closest = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    sq = (points * points).sum(axis=1)
+    picks = [int(rng.integers(n))]
+    closest = _sq_dists_to(points, sq, picks[0])
+    for _ in range(1, k):
         total = closest.sum()
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=closest / total))
-        centroids[j] = points[idx]
-        closest = np.minimum(closest, ((points - centroids[j]) ** 2).sum(axis=1))
-    return centroids
+        picks.append(idx)
+        closest = np.minimum(closest, _sq_dists_to(points, sq, idx))
+    return points[picks]
+
+
+def _sq_dists_to(points: np.ndarray, sq: np.ndarray, idx: int) -> np.ndarray:
+    """Squared distances of every row to row idx: one matvec on the
+    precomputed squared norms. Values within roundoff of zero become exactly
+    zero (row idx itself always), so picked rows and their exact duplicates
+    carry no k-means++ mass."""
+    d2 = sq + sq[idx] - 2.0 * (points @ points[idx])
+    d2[d2 <= _ROUNDOFF * (sq + sq[idx])] = 0.0
+    d2[idx] = 0.0
+    return d2
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

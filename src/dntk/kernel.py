@@ -116,11 +116,15 @@ def spectrum_conditioning(eigvals, ridge: float = 0.0) -> tuple[float, float]:
     """(condition number of K + ridge I, raw minimum eigenvalue of K) from K's spectrum.
 
     The condition number is the largest shifted eigenvalue over the smallest
-    positive one, inf when none is positive.
+    positive one, inf when none is positive. A shifted eigenvalue counts as
+    positive only above len(vals) * eps * max |shifted| (numpy's matrix_rank
+    tolerance), so on a rank-deficient K the roundoff eigenvalues of its null
+    space do not set the ratio.
     """
     vals = np.asarray(eigvals, dtype=np.float64)
     shifted = vals + ridge
-    positive = shifted[shifted > 0.0]
+    tol = shifted.size * np.finfo(np.float64).eps * np.abs(shifted).max()
+    positive = shifted[shifted > tol]
     condition = float(shifted.max() / positive.min()) if positive.size else float("inf")
     return condition, float(vals.min())
 

@@ -9,8 +9,6 @@ plus an alignment gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -21,18 +19,6 @@ from .errors import (
     ZeroTrace,
 )
 from .numerics import as_matrix, thin_svd
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    fidelity: float
-    accuracy: float
-    mse: float
-    coverage: float
-    recon_error: float
-    condition: float
-    min_eig: float
-    compression: float
 
 
 def _pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:

@@ -146,6 +146,30 @@ class TestKmeansSelect:
         r = select_kmeans(rows, 3, seed=1)
         check_valid(r, 5, 3)
 
+    @pytest.mark.parametrize("m,d", [(30, 80), (40, 6)])
+    def test_invariant_under_rotation(self, m, d):
+        # only pairwise distances matter, so rotated rows select the same set
+        rng = np.random.default_rng(m + d)
+        rows = rng.normal(size=(m, d))
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        for s in (3, 7, 12):
+            np.testing.assert_array_equal(select_kmeans(rows @ q, s, seed=s).indices,
+                                          select_kmeans(rows, s, seed=s).indices)
+
+    def test_two_member_tie_picks_lower_index(self):
+        # pairs c ± v: each centroid is equidistant from both members, up to
+        # roundoff, which must not decide the pick
+        rng = np.random.default_rng(21)
+        pairs = 8
+        centers = 100.0 * rng.normal(size=(pairs, 5))
+        offsets = rng.uniform(0.5, 2.0, size=(pairs, 5))
+        rows = np.concatenate([centers + offsets, centers - offsets])
+        perm = rng.permutation(2 * pairs)
+        rows, pair_of = rows[perm], perm % pairs
+        lowest = {int(np.flatnonzero(pair_of == p)[0]) for p in range(pairs)}
+        r = select_kmeans(rows, pairs, seed=4)
+        assert set(r.indices.tolist()) == lowest
+
 
 class TestFlattenRows:
     def test_concatenates_class_slices(self):

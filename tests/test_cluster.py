@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange
-from dntk.cluster import ClusterPartition, kmeans_fit, restrict_kernel, spectral_cluster
+from dntk.cluster import (
+    ClusterPartition,
+    _kmeans_pp_init,
+    kmeans_fit,
+    restrict_kernel,
+    spectral_cluster,
+)
 
 
 def block_kernel(sizes, value=1.0, seed=None):
@@ -51,6 +57,37 @@ class TestKmeansFit:
         assign, _, _ = kmeans_fit(pts, 2, seed=3)
         assert len(set(assign[:3].tolist())) == 1
         assert len(set(assign[3:].tolist())) == 1
+
+
+def subtraction_pp_picks(points, k, rng):
+    """k-means++ seeding with each distance formed as a difference of rows."""
+    n = points.shape[0]
+    picks = [int(rng.integers(n))]
+    closest = ((points - points[picks[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        picks.append(idx)
+        closest = np.minimum(closest, ((points - points[idx]) ** 2).sum(axis=1))
+    return picks
+
+
+class TestKmeansPlusPlusInit:
+    def test_matches_subtraction_form_on_duplicates(self):
+        # 3 distinct rows, 4 copies each: once all 3 are picked no mass is
+        # left, so the remaining picks take the uniform fallback
+        rng = np.random.default_rng(8)
+        distinct = rng.normal(size=(3, 7)) * np.array([[0.3], [1.0], [40.0]])
+        pts = distinct[rng.permutation(np.repeat(np.arange(3), 4))]
+        for seed in range(20):
+            picks = subtraction_pp_picks(pts, 6, np.random.default_rng(seed))
+            assert len({tuple(pts[i]) for i in picks[:3]}) == 3
+            np.testing.assert_array_equal(
+                _kmeans_pp_init(pts, 6, np.random.default_rng(seed)), pts[picks]
+            )
 
 
 class TestSpectralCluster:

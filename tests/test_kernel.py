@@ -135,6 +135,17 @@ class TestSpectralSummary:
         eig = sym_eig(k + lam * np.eye(8))
         assert cond == pytest.approx(eig.values[0] / eig.values[-1], rel=1e-9)
 
+    def test_rank_deficient_condition_is_stable(self):
+        # a rank-3 Gram of 12 rows: the 9 null eigenvalues are roundoff and
+        # must not set the ratio, so a rotation of the rows leaves it alone
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(12, 3)) @ np.diag([5.0, 1.0, 0.2])
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        cond, _ = conditioning(rows @ rows.T)
+        cond_rot, _ = conditioning((rows @ q) @ (rows @ q).T)
+        assert np.isfinite(cond) and cond < 1e4
+        assert cond_rot == pytest.approx(cond, rel=1e-6)
+
     def test_trace_matches(self):
         rng = np.random.default_rng(4)
         b = rng.normal(size=(6, 4))
