@@ -114,6 +114,7 @@ def cmd_extract_grads(args) -> int:
         data = read_dataset(_p(out, split))
         feats = extract_features(model, data.inputs, data.labels)
         write_gradients(feats, _p(out, key))
+        del data, feats  # hold one split's raw rows at a time
     print(f"wrote raw gradient features to {out}")
     return 0
 
@@ -121,17 +122,18 @@ def cmd_extract_grads(args) -> int:
 def cmd_project(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    raw_train = read_gradients(_p(out, "grads_train"))
+    raw = read_gradients(_p(out, "grads_train"))
     op = sample_orthonormal(
-        raw_train.width,
-        pipeline.sketch_width(cfg, raw_train.width),
+        raw.width,
+        pipeline.sketch_width(cfg, raw.width),
         pipeline.derive_seed(cfg.seed, "sketch"),
     )
     write_sketch_meta(op, _p(out, "sketch_meta"))
-    write_gradients(project_features(raw_train, op), _p(out, "sketched_train"))
-    raw_test = read_gradients(_p(out, "grads_test"))
-    write_gradients(project_features(raw_test, op), _p(out, "sketched_test"))
-    print(f"sketched {raw_train.width} -> {op.target_dim} dimensions")
+    write_gradients(project_features(raw, op), _p(out, "sketched_train"))
+    del raw  # hold one split's raw rows at a time
+    raw = read_gradients(_p(out, "grads_test"))
+    write_gradients(project_features(raw, op), _p(out, "sketched_test"))
+    print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
     return 0
 
 
@@ -239,8 +241,7 @@ def cmd_evaluate(args) -> int:
     min_eig = np.empty(c)
     for ci in range(c):
         v = metrics.orthonormal_rows_basis(model.basis[:, :, ci])
-        coverage[ci] = metrics.subspace_coverage(train_feats.per_class[ci], v)
-        recon[ci] = metrics.reconstruction_error(train_feats.per_class[ci], v)
+        coverage[ci], recon[ci] = metrics.subspace_scores(train_feats.per_class[ci], v)
         condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
     row = ReportRow(
         method=args.method,

@@ -76,18 +76,20 @@ def _sq_dists_to(points: np.ndarray, sq: np.ndarray, idx: int) -> np.ndarray:
     return d2
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # expansion form keeps memory at (n, k) instead of (n, k, d)
-    d2 = (points * points).sum(axis=1)[:, None] \
+def _sq_dists(points: np.ndarray, sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # expansion form keeps memory at (n, k) instead of (n, k, d); sq holds
+    # the rows' squared norms, which stay fixed across Lloyd iterations
+    d2 = sq[:, None] \
         - 2.0 * (points @ centroids.T) \
         + (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
 def _lloyd(points: np.ndarray, centroids: np.ndarray, iters: int):
+    sq = (points * points).sum(axis=1)
     assign = None
     for _ in range(iters):
-        d2 = _sq_dists(points, centroids)
+        d2 = _sq_dists(points, sq, centroids)
         new_assign = d2.argmin(axis=1)  # ties resolve to the lowest centroid
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -96,7 +98,7 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, iters: int):
             members = assign == j
             if members.any():
                 centroids[j] = points[members].mean(axis=0)
-    d2 = _sq_dists(points, centroids)
+    d2 = _sq_dists(points, sq, centroids)
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(points.shape[0]), assign].sum())
     return assign, centroids, inertia

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -67,9 +68,9 @@ def write_gradients(feats: GradientFeatures, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, _DTYPE_F64, _LABELS_SOFT))
             for ci in range(c):
-                fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(feats.labels, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").data)
+            fh.write(np.ascontiguousarray(feats.labels, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -78,42 +79,46 @@ def read_gradients(path, dim_kind: str = RAW_PARAMS) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
     The format does not record whether rows are raw or sketched, so the
-    caller states it; staged CLI runs know which file is which.
+    caller states it; staged CLI runs know which file is which. The header
+    and file size are checked first, then the payload is read straight into
+    the returned arrays, so reading holds one copy of it.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise TruncatedFile(f"{path}: {size} bytes is shorter than the header")
+            magic, version, m, d, c, dtype, labels_kind = _HEADER.unpack(fh.read(_HEADER.size))
+            if magic != MAGIC:
+                raise ParseError(f"{path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise VersionMismatch(f"{path}: version {version}, expected {VERSION}")
+            if dtype != _DTYPE_F64 or labels_kind != _LABELS_SOFT:
+                raise ParseError(
+                    f"{path}: unsupported dtype/labels tags ({dtype}, {labels_kind})"
+                )
+            if min(m, d, c) < 1:
+                raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
+            expected = _HEADER.size + 8 * (c * m * d + 2 * m * c)
+            if size != expected:
+                raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
+            per_class = _read_f8(fh, (c, m, d), path)
+            labels = _read_f8(fh, (m, c), path)
+            logits = _read_f8(fh, (m, c), path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes is shorter than the header")
-    magic, version, m, d, c, dtype, labels_kind = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {VERSION}")
-    if dtype != _DTYPE_F64 or labels_kind != _LABELS_SOFT:
-        raise ParseError(f"{path}: unsupported dtype/labels tags ({dtype}, {labels_kind})")
-    if min(m, d, c) < 1:
-        raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
-    expected = _HEADER.size + 8 * (c * m * d + 2 * m * c)
-    if len(raw) != expected:
-        raise TruncatedFile(f"{path}: {len(raw)} bytes, expected {expected}")
-    pos = _HEADER.size
-    per_class = np.empty((c, m, d))
-    for ci in range(c):
-        block = np.frombuffer(raw, dtype="<f8", count=m * d, offset=pos)
-        per_class[ci] = block.reshape(m, d)
-        pos += 8 * m * d
-    labels = np.frombuffer(raw, dtype="<f8", count=m * c, offset=pos).reshape(m, c)
-    pos += 8 * m * c
-    logits = np.frombuffer(raw, dtype="<f8", count=m * c, offset=pos).reshape(m, c)
     return GradientFeatures(
-        per_class=per_class,
-        labels=labels.copy(),
-        dim_kind=dim_kind,
-        model_logits=logits.copy(),
+        per_class=per_class, labels=labels, dim_kind=dim_kind, model_logits=logits
     )
+
+
+def _read_f8(fh, shape, path) -> np.ndarray:
+    """Fill a new little-endian float64 array of this shape from fh."""
+    out = np.empty(shape, dtype="<f8")
+    got = fh.readinto(out.data)
+    if got != out.nbytes:  # the file shrank after its size was checked
+        raise TruncatedFile(f"{path}: payload ended {out.nbytes - got} bytes early")
+    return out
 
 
 # ----------------------------------------------------------------- reports

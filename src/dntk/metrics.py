@@ -64,6 +64,15 @@ def _check_basis(v: np.ndarray) -> None:
         raise NonOrthonormalBasis("basis columns are not orthonormal within 1e-8")
 
 
+def _centered_pair(phi, basis, center: bool) -> tuple[np.ndarray, np.ndarray]:
+    p = _center(as_matrix(phi, "phi"), center)
+    v = as_matrix(basis, "basis")
+    if v.shape[0] != p.shape[1]:
+        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
+    _check_basis(v)
+    return p, v
+
+
 def subspace_coverage(phi, basis, center: bool = True) -> float:
     """Energy fraction of the (centered) rows captured by the subspace.
 
@@ -71,11 +80,7 @@ def subspace_coverage(phi, basis, center: bool = True) -> float:
     matches how compressed-set quality is reported; kernels themselves are
     never centered.
     """
-    p = _center(as_matrix(phi, "phi"), center)
-    v = as_matrix(basis, "basis")
-    if v.shape[0] != p.shape[1]:
-        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
-    _check_basis(v)
+    p, v = _centered_pair(phi, basis, center)
     total = float((p**2).sum())
     if total == 0.0:
         raise ZeroTrace("zero gradient matrix has no energy to cover")
@@ -85,13 +90,22 @@ def subspace_coverage(phi, basis, center: bool = True) -> float:
 
 def reconstruction_error(phi, basis, center: bool = True) -> float:
     """Mean squared residual per row after projecting onto the subspace."""
-    p = _center(as_matrix(phi, "phi"), center)
-    v = as_matrix(basis, "basis")
-    if v.shape[0] != p.shape[1]:
-        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
-    _check_basis(v)
+    p, v = _centered_pair(phi, basis, center)
     resid = p - (p @ v) @ v.T
     return float((resid**2).sum() / p.shape[0])
+
+
+def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
+    """(subspace_coverage, reconstruction_error) with one centering, one
+    basis check and one projection; each value equals its function's."""
+    p, v = _centered_pair(phi, basis, center)
+    total = float((p**2).sum())
+    if total == 0.0:
+        raise ZeroTrace("zero gradient matrix has no energy to cover")
+    pv = p @ v
+    captured = float((pv**2).sum())
+    resid = p - pv @ v.T
+    return captured / total, float((resid**2).sum() / p.shape[0])
 
 
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:

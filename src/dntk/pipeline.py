@@ -165,8 +165,7 @@ def evaluate_gradient_set(
     for ci in range(c):
         v = metrics.orthonormal_rows_basis(basis[:, :, ci])
         phi = task.train_feats.per_class[ci]
-        coverage[ci] = metrics.subspace_coverage(phi, v)
-        recon[ci] = metrics.reconstruction_error(phi, v)
+        coverage[ci], recon[ci] = metrics.subspace_scores(phi, v)
         condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
     s = basis.shape[0]
     return ReportRow(

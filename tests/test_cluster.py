@@ -5,6 +5,7 @@ from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange
 from dntk.cluster import (
     ClusterPartition,
     _kmeans_pp_init,
+    _sq_dists,
     kmeans_fit,
     restrict_kernel,
     spectral_cluster,
@@ -57,6 +58,20 @@ class TestKmeansFit:
         assign, _, _ = kmeans_fit(pts, 2, seed=3)
         assert len(set(assign[:3].tolist())) == 1
         assert len(set(assign[3:].tolist())) == 1
+
+
+def test_sq_dists_with_precomputed_norms_is_bitwise_the_recomputing_form():
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(40, 9)) * rng.uniform(0.01, 100.0, size=(40, 1))
+    centroids = rng.normal(size=(6, 9))
+    recomputed = np.maximum(
+        (points * points).sum(axis=1)[:, None]
+        - 2.0 * (points @ centroids.T)
+        + (centroids * centroids).sum(axis=1)[None, :],
+        0.0,
+    )
+    sq = (points * points).sum(axis=1)
+    np.testing.assert_array_equal(_sq_dists(points, sq, centroids), recomputed)
 
 
 def subtraction_pp_picks(points, k, rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dntk import io as dio
 from dntk.distill import distill
 from dntk.errors import (
     InputError,
+    IoError,
     ParseError,
     TruncatedFile,
     UnknownField,
@@ -94,6 +96,70 @@ class TestGradientFile:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(TruncatedFile):
             dio.read_gradients(path)
+
+
+def _header(m=2, d=3, c=2, dtype=dio._DTYPE_F64):
+    return dio._HEADER.pack(dio.MAGIC, dio.VERSION, m, d, c, dtype, dio._LABELS_SOFT)
+
+
+def _malformed(tmp_path, case):
+    path = tmp_path / "g.dntk"
+    if case == "empty":
+        path.write_bytes(b"")
+    elif case == "ten_bytes":
+        path.write_bytes(dio.MAGIC + b"\x01\x00\x00\x00")
+    elif case == "header_only":
+        path.write_bytes(_header())
+    elif case == "m_zero":
+        path.write_bytes(_header(m=0))
+    elif case == "bad_dtype":
+        path.write_bytes(_header(dtype=7) + b"\x00" * 8 * (2 * 2 * 3 + 2 * 2 * 2))
+    elif case == "directory":
+        path.mkdir()
+    else:  # "missing": nothing at the path
+        pass
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("empty", TruncatedFile),
+        ("ten_bytes", TruncatedFile),
+        ("header_only", TruncatedFile),
+        ("m_zero", ParseError),
+        ("bad_dtype", ParseError),
+        ("missing", IoError),
+        ("directory", IoError),
+    ],
+)
+def test_malformed_gradient_file(tmp_path, case, error):
+    with pytest.raises(error):
+        dio.read_gradients(_malformed(tmp_path, case))
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_gradient_file_io_holds_one_copy(tmp_path):
+    # 4 classes x 256 rows x 1024 wide: an 8 MiB payload
+    feats = tiny_feats(seed=4, c=4, n=256, d=1024)
+    payload = 8 * (feats.per_class.size + feats.labels.size + feats.model_logits.size)
+    path = tmp_path / "g.dntk"
+    write_peak = _traced_peak(lambda: dio.write_gradients(feats, path))
+    assert path.stat().st_size == dio._HEADER.size + payload
+    read_peak = _traced_peak(lambda: dio.read_gradients(path))
+    assert read_peak <= 1.1 * payload
+    assert write_peak <= 0.05 * payload
 
 
 class TestReport:

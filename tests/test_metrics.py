@@ -18,6 +18,7 @@ from dntk.metrics import (
     orthonormal_rows_basis,
     reconstruction_error,
     subspace_coverage,
+    subspace_scores,
 )
 
 
@@ -145,6 +146,42 @@ class TestReconstructionError:
         err = reconstruction_error(phi, v, center=False)
         total = (phi**2).sum()
         assert err == pytest.approx((1.0 - cov) * total / 8.0, rel=1e-9)
+
+
+def _rank_deficient_basis(rng):
+    # two orthonormal columns of an 8-wide space, drawn from rank-2 rows
+    return orthonormal_rows_basis(rng.normal(size=(5, 2)) @ rng.normal(size=(2, 8)))
+
+
+class TestSubspaceScores:
+    @pytest.mark.parametrize("center", [True, False])
+    @pytest.mark.parametrize(
+        "make_basis",
+        [
+            lambda rng: orthonormal_rows_basis(rng.normal(size=(4, 8))),
+            _rank_deficient_basis,
+            lambda rng: np.zeros((8, 0)),
+        ],
+        ids=["random_rows", "rank_deficient", "empty"],
+    )
+    def test_equals_the_two_functions(self, make_basis, center):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            phi = rng.normal(size=(12, 8)) * rng.uniform(0.1, 10.0)
+            v = make_basis(rng)
+            assert subspace_scores(phi, v, center=center) == (
+                subspace_coverage(phi, v, center=center),
+                reconstruction_error(phi, v, center=center),
+            )
+
+    def test_keeps_the_error_paths(self):
+        phi = np.random.default_rng(12).normal(size=(4, 5))
+        with pytest.raises(NonOrthonormalBasis):
+            subspace_scores(phi, np.ones((5, 2)))
+        with pytest.raises(ShapeMismatch):
+            subspace_scores(phi, np.eye(6)[:, :2])
+        with pytest.raises(ZeroTrace):
+            subspace_scores(np.zeros((2, 3)), np.eye(3)[:, :1], center=False)
 
 
 class TestNystromKernel:
