@@ -27,6 +27,7 @@ from .io import (
     read_gradients,
     read_krr,
     read_model,
+    read_selection,
     read_sketch_meta,
     write_dataset,
     write_distilled,
@@ -34,6 +35,7 @@ from .io import (
     write_krr,
     write_model,
     write_report,
+    write_selection,
     write_sketch_meta,
 )
 from .sketch import project_features, sample_orthonormal
@@ -195,12 +197,7 @@ def cmd_select_baseline(args) -> int:
         sel = baselines.select_kmeans(
             baselines.flatten_rows(feats.per_class), args.budget, seed
         )
-    np.savez(
-        out / f"selected_{args.method}.npz",
-        indices=sel.indices.astype(np.int64),
-        method=np.array(sel.method),
-        seed=np.int64(sel.seed),
-    )
+    write_selection(sel, out / f"selected_{args.method}.npz")
     print(f"selected {sel.indices.size} samples with {args.method}")
     return 0
 
@@ -216,8 +213,7 @@ def cmd_fit_krr(args) -> int:
         basis = krr.features_as_basis(feats)
         targets = feats.model_logits
     else:
-        with np.load(out / f"selected_{args.source}.npz") as z:
-            idx = z["indices"]
+        idx = read_selection(out / f"selected_{args.source}.npz", feats.size)
         basis = krr.features_as_basis(feats)[idx]
         targets = feats.model_logits[idx]
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)

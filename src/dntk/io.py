@@ -4,8 +4,9 @@ Gradient features travel in a little fixed binary format (magic DNTK1,
 version 1, little-endian float64 payload) so staged CLI runs can resume
 from any point. Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
-Everything else (datasets, models, distilled sets) rides in npz archives,
-which numpy writes deterministically.
+Everything else (datasets, models, distilled sets, KRR models, baseline
+selections) rides in npz archives, which numpy writes deterministically and
+one loader reads back without unpickling anything.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ import math
 import numbers
 import os
 import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import METHODS as BASELINE_METHODS
+from .baselines import METHODS as BASELINE_METHODS, SelectionResult
 from .distill import CoverageReport, DistilledGradients
 from .errors import (
     DimMismatch,
     InputError,
+    IndexOutOfRange,
     IoError,
     ParseError,
     TruncatedFile,
@@ -344,6 +347,28 @@ def write_config(cfg: RunConfig, path) -> None:
 
 # ------------------------------------------------------------ npz bundles
 
+def _read_npz(path, build):
+    """Open an npz archive without unpickling and build an object from it.
+
+    A missing or unreadable file raises IoError. A file that is not an npz
+    archive (text, a lone .npy array, a truncated zip), or one whose arrays
+    are missing or of the wrong kind for `build`, raises ParseError.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: not an npz archive ({exc})") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ParseError(f"{path}: not an npz archive")
+    with archive:
+        try:
+            return build(archive)
+        except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: bad contents ({exc})") from exc
+
+
 def write_dataset(data: LabeledDataset, path) -> None:
     np.savez(
         path,
@@ -354,12 +379,11 @@ def write_dataset(data: LabeledDataset, path) -> None:
 
 
 def read_dataset(path) -> LabeledDataset:
-    with np.load(path) as z:
-        return LabeledDataset(
-            inputs=z["inputs"],
-            labels=z["labels"].astype(np.intp),
-            class_count=int(z["class_count"]),
-        )
+    return _read_npz(path, lambda z: LabeledDataset(
+        inputs=z["inputs"],
+        labels=z["labels"].astype(np.intp),
+        class_count=int(z["class_count"]),
+    ))
 
 
 def write_model(params: MlpParams, path) -> None:
@@ -372,12 +396,11 @@ def write_model(params: MlpParams, path) -> None:
 
 
 def read_model(path) -> MlpParams:
-    with np.load(path) as z:
-        return MlpParams(
-            layer_sizes=tuple(int(s) for s in z["layer_sizes"]),
-            theta=z["theta"],
-            activation=str(z["activation"]),
-        )
+    return _read_npz(path, lambda z: MlpParams(
+        layer_sizes=tuple(int(s) for s in z["layer_sizes"]),
+        theta=z["theta"],
+        activation=str(z["activation"]),
+    ))
 
 
 def write_sketch_meta(op: SketchOperator, path) -> None:
@@ -436,26 +459,29 @@ def write_distilled(dg: DistilledGradients, report: CoverageReport, path) -> Non
 
 
 def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
-    with np.load(path) as z:
-        prov = tuple(
-            (_PROV_NAME[int(k)], int(a), int(b)) if int(k) == 0 else (_PROV_NAME[int(k)], int(a))
-            for k, a, b in z["provenance"]
-        )
-        dg = DistilledGradients(
-            phi_hat=z["phi_hat"],
-            y_hat=z["y_hat"],
-            provenance=prov,
-            lifted_basis=z["lifted_basis"],
-            eigenvalues=z["eigenvalues"],
-        )
-        report = CoverageReport(
-            r_global=int(z["r_global"]),
-            local_ranks=tuple(int(r) for r in z["local_ranks"]),
-            coverage=z["coverage"],
-            gap_set=tuple(int(j) for j in z["gap_set"]),
-            tau_v=float(z["tau_v"]),
-            tau_g=float(z["tau_g"]),
-        )
+    return _read_npz(path, _build_distilled)
+
+
+def _build_distilled(z) -> tuple[DistilledGradients, CoverageReport]:
+    prov = tuple(
+        (_PROV_NAME[int(k)], int(a), int(b)) if int(k) == 0 else (_PROV_NAME[int(k)], int(a))
+        for k, a, b in z["provenance"]
+    )
+    dg = DistilledGradients(
+        phi_hat=z["phi_hat"],
+        y_hat=z["y_hat"],
+        provenance=prov,
+        lifted_basis=z["lifted_basis"],
+        eigenvalues=z["eigenvalues"],
+    )
+    report = CoverageReport(
+        r_global=int(z["r_global"]),
+        local_ranks=tuple(int(r) for r in z["local_ranks"]),
+        coverage=z["coverage"],
+        gap_set=tuple(int(j) for j in z["gap_set"]),
+        tau_v=float(z["tau_v"]),
+        tau_g=float(z["tau_g"]),
+    )
     return dg, report
 
 
@@ -474,14 +500,32 @@ def write_krr(model: KrrModel, path) -> None:
 
 
 def read_krr(path) -> KrrModel:
-    with np.load(path) as z:
-        return KrrModel(
-            basis=z["basis"],
-            targets=z["targets"],
-            alpha=z["alpha"],
-            lambda_reg=float(z["lambda_reg"]),
-            rank=int(z["rank"]),
-            scale_kind=str(z["scale_kind"]),
-            eig_values=z["eig_values"],
-            eig_vectors=z["eig_vectors"],
-        )
+    return _read_npz(path, lambda z: KrrModel(
+        basis=z["basis"],
+        targets=z["targets"],
+        alpha=z["alpha"],
+        lambda_reg=float(z["lambda_reg"]),
+        rank=int(z["rank"]),
+        scale_kind=str(z["scale_kind"]),
+        eig_values=z["eig_values"],
+        eig_vectors=z["eig_vectors"],
+    ))
+
+
+def write_selection(sel: SelectionResult, path) -> None:
+    np.savez(
+        path,
+        indices=sel.indices.astype(np.int64),
+        method=np.array(sel.method),
+        seed=np.int64(sel.seed),
+    )
+
+
+def read_selection(path, size: int) -> np.ndarray:
+    """Selected sample ids of a baseline; each must index one of `size` samples."""
+    idx = _read_npz(path, lambda z: z["indices"])
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ParseError(f"{path}: indices must be a 1-d integer array")
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise IndexOutOfRange(f"{path}: indices outside [0, {size})")
+    return idx.astype(np.intp)

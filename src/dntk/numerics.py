@@ -2,10 +2,11 @@
 
 Symmetric eigendecomposition, thin SVD, rank-revealing QR filtering and a
 direct ridge solve. These routines are deliberately boring: they wrap
-LAPACK through numpy/scipy, pin down deterministic ordering and sign
-conventions, and validate their inputs loudly. The direct solve doubles
-as the ground-truth oracle for the eigendecomposition-based regression
-path, so the two must never share code.
+LAPACK through numpy (the QR filter adds a short pivoting loop on top),
+pin down deterministic ordering and sign conventions, and validate their
+inputs loudly. The direct solve doubles as the ground-truth oracle for the
+eigendecomposition-based regression path, so the two must never share
+code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadEps,
@@ -62,14 +62,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def _negative_leads(vectors: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose first entry above _SIGN_EPS in magnitude is negative."""
+    big = np.abs(vectors) > _SIGN_EPS
+    if big.shape[0] == 0:
+        return np.zeros(big.shape[1], dtype=bool)
+    first = big.argmax(axis=0)  # 0 for a column with no such entry
+    cols = np.arange(big.shape[1])
+    return big[first, cols] & (vectors[first, cols] < 0.0)
+
+
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so the first nonzero entry of each column is positive."""
     out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_EPS)
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
+    flip = _negative_leads(out)
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -109,12 +116,9 @@ def thin_svd(a_matrix) -> SvdResult:
         raise EmptyInput("cannot decompose an empty matrix")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     v = vh.T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_EPS)
-        if nz.size and col[nz[0]] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    flip = _negative_leads(u)
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SvdResult(left=u, singulars=s, right=v)
 
 
@@ -130,20 +134,58 @@ def qr_redundancy_filter(columns, eps_rel: float = 1e-6) -> np.ndarray:
     """Indices of a maximal well-conditioned subset of columns.
 
     Runs column-pivoted QR and keeps the pivots whose |R_ii| exceeds
-    eps_rel times the largest diagonal magnitude. The kept index set is
-    mapped back to the original column order and sorted ascending.
+    eps_rel times the largest diagonal magnitude, |R_11|, which is the
+    largest column norm. The kept index set is mapped back to the original
+    column order and sorted ascending.
+
+    The pivoting works on the triangular factor R of an unpivoted
+    Householder QR of the columns: their Q is orthonormal, so R has the same
+    column norms and the same pivoted factor. Every pivoted |R_ii| is at
+    least the smallest singular value, so when there are no more columns
+    than rows and sigma_min(R) clears the threshold, every column is kept
+    and no pivoting runs. Otherwise Businger-Golub pivoting takes the
+    largest remaining column norm and stops at the first pivot at or below
+    the threshold. Norms within max(m, n) * eps * |R_11| of the largest
+    (numpy's matrix_rank tolerance) count as tied and the lowest original
+    column index among them wins, so which copy of duplicate columns is
+    kept does not hang on roundoff.
     """
     a = as_matrix(columns, "columns")
     if a.shape[1] == 0 or a.shape[0] == 0:
         raise EmptyInput("need at least one column to filter")
     if not (0.0 < eps_rel < 1.0):
         raise BadEps(f"eps_rel must lie in (0, 1), got {eps_rel}")
-    _, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.max() <= 0.0:
+    r = np.linalg.qr(a, mode="r")
+    top = np.linalg.norm(r, axis=0).max()
+    if top <= 0.0:
         return np.empty(0, dtype=np.intp)
-    keep = diag > eps_rel * diag.max()
-    return np.sort(piv[: diag.size][keep]).astype(np.intp)
+    cut = eps_rel * top
+    if r.shape[0] >= r.shape[1] and np.linalg.svd(r, compute_uv=False)[-1] > cut:
+        return np.arange(r.shape[1], dtype=np.intp)
+    tie = max(a.shape) * np.finfo(np.float64).eps * top
+    return np.sort(_pivots_above(r, cut, tie))
+
+
+def _pivots_above(r: np.ndarray, cut: float, tie: float) -> np.ndarray:
+    """Column-pivoted Householder QR of r; the pivots taken while |R_kk| > cut."""
+    w = r.copy()
+    perm = np.arange(w.shape[1], dtype=np.intp)
+    steps = min(w.shape)
+    for k in range(steps):
+        norms = np.linalg.norm(w[k:, k:], axis=0)
+        best = norms.max()
+        if best <= cut:
+            return perm[:k]
+        tied = np.flatnonzero(norms >= best - tie)
+        j = k + int(tied[np.argmin(perm[k + tied])])  # lowest original index
+        w[:, [k, j]] = w[:, [j, k]]
+        perm[[k, j]] = perm[[j, k]]
+        # reflect column k onto e_k and apply the reflector to the trailing columns
+        v = w[k:, k].copy()
+        v[0] += np.copysign(norms[j - k], v[0])
+        v /= np.linalg.norm(v)
+        w[k:, k + 1:] -= 2.0 * np.outer(v, v @ w[k:, k + 1:])
+    return perm[:steps]
 
 
 def ridge_solve_direct(kernel, targets, lambda_reg: float) -> np.ndarray:

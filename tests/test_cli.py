@@ -7,10 +7,15 @@ chain. Error-path tests get their own scratch directories.
 
 import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dntk
 from dntk.cli import FILES, main
 from dntk.io import read_report
 
@@ -226,6 +231,67 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert rc == 2
         assert "error_code=SingularSystem" in captured.err
+
+
+def _garbage(path):
+    path.write_bytes(b"this is not an npz archive\n")
+
+
+def _truncated_zip(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _missing_key(path):
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files[1:]}
+    np.savez(path, **arrays)
+
+
+# each npz artifact and a stage that reads it
+NPZ_READERS = {
+    FILES["train"]: ["train-model"],
+    FILES["model"]: ["extract-grads"],
+    FILES["distilled"]: ["fit-krr", "--source", "distilled"],
+    FILES["krr"]: ["evaluate"],
+    "selected_random.npz": ["fit-krr", "--source", "random"],
+}
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("damage", [_garbage, _truncated_zip, _missing_key],
+                             ids=["garbage", "truncated_zip", "missing_key"])
+    @pytest.mark.parametrize("artifact", sorted(NPZ_READERS))
+    def test_malformed_npz_exits_1(self, rundir, tmp_path, capsys, artifact, damage):
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        damage(work / artifact)
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(NPZ_READERS[artifact] + ["--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error_code=ParseError" in captured.err
+
+    def test_selection_out_of_range_exits_1(self, rundir, tmp_path, capsys):
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        np.savez(work / "selected_random.npz", indices=np.array([0, 10**6], dtype=np.int64))
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["fit-krr", "--source", "random", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error_code=IndexOutOfRange" in captured.err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(dntk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, dntk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 class TestOutDirPrecedence:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dntk import io as dio
+from dntk.baselines import SelectionResult
 from dntk.distill import distill
 from dntk.errors import (
+    IndexOutOfRange,
     InputError,
     IoError,
     ParseError,
@@ -136,6 +138,47 @@ def _malformed(tmp_path, case):
 def test_malformed_gradient_file(tmp_path, case, error):
     with pytest.raises(error):
         dio.read_gradients(_malformed(tmp_path, case))
+
+
+NPZ_READERS = {
+    "dataset": dio.read_dataset,
+    "model": dio.read_model,
+    "distilled": dio.read_distilled,
+    "krr": dio.read_krr,
+    "selection": lambda path: dio.read_selection(path, 10),
+}
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [("empty", ParseError), ("npy", ParseError), ("missing", IoError), ("directory", IoError)],
+)
+@pytest.mark.parametrize("reader", sorted(NPZ_READERS))
+def test_malformed_npz_file(tmp_path, reader, case, error):
+    path = tmp_path / "a.npz"
+    if case == "empty":
+        path.write_bytes(b"")
+    elif case == "npy":  # a lone array, not an archive
+        with open(path, "wb") as fh:
+            np.save(fh, np.arange(3))
+    elif case == "directory":
+        path.mkdir()
+    with pytest.raises(error):
+        NPZ_READERS[reader](path)
+
+
+def test_selection_roundtrip_and_checks(tmp_path):
+    path = tmp_path / "sel.npz"
+    dio.write_selection(SelectionResult(np.array([4, 0, 7]), "random", 3), path)
+    np.testing.assert_array_equal(dio.read_selection(path, 8), [4, 0, 7])
+    with pytest.raises(IndexOutOfRange):
+        dio.read_selection(path, 7)
+    np.savez(path, indices=np.array([[0, 1]]))
+    with pytest.raises(ParseError):
+        dio.read_selection(path, 8)
+    np.savez(path, indices=np.array([0.0, 1.0]))
+    with pytest.raises(ParseError):
+        dio.read_selection(path, 8)
 
 
 def _traced_peak(fn):
