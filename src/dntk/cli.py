@@ -14,12 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import baselines, distill as distill_mod, kernel, krr, metrics, pipeline
+from . import baselines, distill as distill_mod, kernel, krr, pipeline
 from .errors import DntkError, NumericalError
 from .io import (
-    ReportRow,
     RunConfig,
     read_config,
     read_dataset,
@@ -28,7 +25,6 @@ from .io import (
     read_krr,
     read_model,
     read_selection,
-    read_sketch_meta,
     write_dataset,
     write_distilled,
     write_gradients,
@@ -228,29 +224,13 @@ def cmd_evaluate(args) -> int:
     model = read_krr(_p(out, "krr"))
     test_feats = read_gradients(_p(out, "sketched_test"), dim_kind=SKETCHED)
     train_feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
-    pred = krr.predict(model, test_feats)
-    labels = test_feats.labels.argmax(axis=1)
-    c = train_feats.class_count
-    coverage = np.empty(c)
-    recon = np.empty(c)
-    condition = np.empty(c)
-    min_eig = np.empty(c)
-    for ci in range(c):
-        v = metrics.orthonormal_rows_basis(model.basis[:, :, ci])
-        coverage[ci], recon[ci] = metrics.subspace_scores(train_feats.per_class[ci], v)
-        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
-    row = ReportRow(
-        method=args.method,
-        seed=cfg.seed,
-        s=model.size,
-        compression=distill_mod.compression_ratio(train_feats.size, model.size),
-        fidelity=metrics.fidelity(pred, test_feats.model_logits),
-        accuracy=metrics.accuracy(pred, labels),
-        mse=metrics.mse(pred, test_feats.model_logits),
-        coverage=float(coverage.mean()),
-        recon_error=float(recon.mean()),
-        condition=float(condition.mean()),
-        min_eig=float(min_eig.min()),
+    row = pipeline.score_krr(
+        model,
+        train_feats,
+        test_feats,
+        test_feats.labels.argmax(axis=1),
+        args.method,
+        cfg.seed,
     )
     path = _p(out, "report")
     write_report([row], path, append=path.exists())
@@ -323,7 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("evaluate", cmd_evaluate, "score the fitted model on the test split")
     p.add_argument("--method", default="distill", help="method tag for the report row")
     p = add("sweep", cmd_sweep, "grid over H, tau_v, tau_g and all methods")
-    p.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="grid cells computed at once in threads (default 1); assumes "
+        "OPENBLAS_NUM_THREADS=1, else BLAS threads oversubscribe the cores",
+    )
     add("verify-theory", cmd_verify_theory, "run the descent/eigenspace check battery")
     return parser
 

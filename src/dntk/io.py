@@ -417,16 +417,34 @@ def write_sketch_meta(op: SketchOperator, path) -> None:
 
 
 def read_sketch_meta(path) -> SketchOperator:
+    """Regenerate the sketch a sketch.json describes.
+
+    A missing or unreadable file raises IoError. Malformed JSON, a top level
+    that is not an object, a missing key, a source_dim, target_dim or seed
+    that is not a nonnegative integer, or an eps_target that is neither null
+    nor a number raises ParseError.
+    """
     try:
         with open(path) as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise IoError(f"cannot read sketch meta {path}: {exc}") from exc
-    op = sample_orthonormal(int(meta["source_dim"]), int(meta["target_dim"]), int(meta["seed"]))
-    if meta.get("eps_target") is not None:
-        op = SketchOperator(
-            q=op.q, scale=op.scale, seed=op.seed, eps_target=float(meta["eps_target"])
-        )
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    for key in ("source_dim", "target_dim", "seed"):
+        if key not in meta:
+            raise ParseError(f"{path}: missing {key!r}")
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ParseError(f"{path}: {key}={value!r} is not a nonnegative integer")
+    eps = meta.get("eps_target")
+    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
+        raise ParseError(f"{path}: eps_target={eps!r} is not a number")
+    op = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
+    if eps is not None:
+        op = SketchOperator(q=op.q, scale=op.scale, seed=op.seed, eps_target=float(eps))
     return op
 
 

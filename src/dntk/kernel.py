@@ -21,7 +21,7 @@ from .errors import (
     ScaleMismatch,
     ZeroTrace,
 )
-from .numerics import EigenSystem, as_matrix, sym_eig
+from .numerics import EigenSystem, as_matrix, rank_tolerance, sym_eig
 from .tangent import GradientFeatures
 
 SCALE_KINDS = ("none", "inv_k")
@@ -123,8 +123,7 @@ def spectrum_conditioning(eigvals, ridge: float = 0.0) -> tuple[float, float]:
     """
     vals = np.asarray(eigvals, dtype=np.float64)
     shifted = vals + ridge
-    tol = shifted.size * np.finfo(np.float64).eps * np.abs(shifted).max()
-    positive = shifted[shifted > tol]
+    positive = shifted[shifted > rank_tolerance(shifted)]
     condition = float(shifted.max() / positive.min()) if positive.size else float("inf")
     return condition, float(vals.min())
 

@@ -138,8 +138,11 @@ def refit_rank(model: KrrModel, rank: int) -> KrrModel:
 def predict(model: KrrModel, test_basis) -> np.ndarray:
     """Predicted logits at test gradient rows, shape (n_test, C).
 
-    Accepts a (t, D, C) array or a GradientFeatures bundle; the cross
-    kernel is built at the model's scale so train and test agree.
+    Accepts a (t, D, C) array or a GradientFeatures bundle. Prediction runs
+    in primal form: per class the dual coefficients fold into one weight
+    vector w_c = factor * B_c^T alpha_c of width D, at the model's scale, and
+    the logits are T_c w_c. That equals the cross-kernel form
+    (factor * T_c B_c^T) alpha_c without building the (t, s) cross kernel.
     """
     if isinstance(test_basis, GradientFeatures):
         t = test_basis.per_class.transpose(1, 2, 0)
@@ -157,8 +160,8 @@ def predict(model: KrrModel, test_basis) -> np.ndarray:
     factor = scale_factor(model.scale_kind, model.width)
     out = np.empty((t.shape[0], model.class_count))
     for ci in range(model.class_count):
-        cross = factor * (t[:, :, ci] @ model.basis[:, :, ci].T)
-        out[:, ci] = cross @ model.alpha[:, ci]
+        weights = factor * (model.basis[:, :, ci].T @ model.alpha[:, ci])
+        out[:, ci] = t[:, :, ci] @ weights
     return out
 
 

@@ -18,7 +18,7 @@ from .errors import (
     ShapeMismatch,
     ZeroTrace,
 )
-from .numerics import as_matrix, thin_svd
+from .numerics import as_matrix, rank_tolerance, thin_svd
 
 
 def _pair(pred, ref) -> tuple[np.ndarray, np.ndarray]:
@@ -56,11 +56,16 @@ def _center(phi: np.ndarray, center: bool) -> np.ndarray:
     return phi - phi.mean(axis=0, keepdims=True) if center else phi
 
 
-def _check_basis(v: np.ndarray) -> None:
-    if v.shape[1] == 0:
-        return  # empty basis spans nothing, trivially orthonormal
-    gram = v.T @ v
-    if np.abs(gram - np.eye(v.shape[1])).max() > 1e-8:
+def _gram_error(gram: np.ndarray) -> float:
+    """max |V^T V - I| from V^T V."""
+    return float(np.abs(gram - np.eye(gram.shape[0])).max()) if gram.size else 0.0
+
+
+def _check_basis(v: np.ndarray, gram: np.ndarray | None = None) -> None:
+    """Raise unless V^T V (given, or formed here) is the identity within 1e-8."""
+    if gram is None:
+        gram = v.T @ v
+    if _gram_error(gram) > 1e-8:
         raise NonOrthonormalBasis("basis columns are not orthonormal within 1e-8")
 
 
@@ -95,10 +100,7 @@ def reconstruction_error(phi, basis, center: bool = True) -> float:
     return float((resid**2).sum() / p.shape[0])
 
 
-def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
-    """(subspace_coverage, reconstruction_error) with one centering, one
-    basis check and one projection; each value equals its function's."""
-    p, v = _centered_pair(phi, basis, center)
+def _scores(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     total = float((p**2).sum())
     if total == 0.0:
         raise ZeroTrace("zero gradient matrix has no energy to cover")
@@ -108,14 +110,72 @@ def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
     return captured / total, float((resid**2).sum() / p.shape[0])
 
 
+def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
+    """(subspace_coverage, reconstruction_error) with one centering, one
+    basis check and one projection; each value equals its function's."""
+    return _scores(*_centered_pair(phi, basis, center))
+
+
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis for the span of a set of row vectors."""
+    """Orthonormal basis for the span of a set of row vectors, by SVD.
+
+    The reference that eig_rows_basis is tested against.
+    """
     r = as_matrix(rows, "rows")
     svd = thin_svd(r.T)
     if svd.singulars.size == 0 or svd.singulars[0] <= 0.0:
         raise ZeroTrace("rows span nothing")
     keep = svd.singulars > eps_rel * svd.singulars[0]
     return svd.left[:, keep]
+
+
+# a basis further than this from V^T V = I gets one CholeskyQR step
+_REORTHO_SLACK = 1e-10
+
+
+def eig_rows_basis(rows, eig_values, eig_vectors, factor: float) -> np.ndarray:
+    """Orthonormal basis for the span of the rows, from their Gram's eigenpairs.
+
+    With factor * rows rows^T = U diag(lam) U^T (as krr.fit caches it per
+    class), V = rows^T U_+ diag(sqrt(factor / lam_+)) holds the left singular
+    vectors of rows^T, where + keeps the eigenvalues above
+    numerics.rank_tolerance: the directions the report's condition column
+    counts as positive. V is orthonormal only to about eps * lam_max / lam_+,
+    so when V^T V is further than 1e-10 from the identity one CholeskyQR
+    step re-orthonormalizes it. On the common path V^T V is formed once and
+    also serves the 1e-8 orthonormality check.
+    """
+    # a class slice of the (s, D, C) basis is strided, which keeps numpy's
+    # matmul off BLAS; one contiguous copy is far cheaper than that
+    r = np.ascontiguousarray(as_matrix(rows, "rows"))
+    lam = np.asarray(eig_values, dtype=np.float64)
+    u = np.asarray(eig_vectors, dtype=np.float64)
+    if lam.shape != (r.shape[0],) or u.shape != (r.shape[0], r.shape[0]):
+        raise ShapeMismatch(
+            f"eigenpairs {lam.shape}, {u.shape} do not match {r.shape[0]} rows"
+        )
+    keep = lam > rank_tolerance(lam)
+    if not keep.any():
+        raise ZeroTrace("rows span nothing")
+    v = r.T @ (u[:, keep] * np.sqrt(factor / lam[keep]))
+    gram = v.T @ v
+    if _gram_error(gram) > _REORTHO_SLACK:
+        # V^T V = L L^T and V L^{-T} spans the same space, orthonormal to
+        # about eps * cond(V)^2 (CholeskyQR)
+        v = np.linalg.solve(np.linalg.cholesky(gram), v.T).T
+        gram = v.T @ v
+    _check_basis(v, gram)
+    return v
+
+
+def span_scores(phi, rows, eig_values, eig_vectors, factor: float) -> tuple[float, float]:
+    """subspace_scores of the centered phi against eig_rows_basis(rows, ...),
+    whose check of V^T V stands in for subspace_scores' own."""
+    p = _center(as_matrix(phi, "phi"), True)
+    v = eig_rows_basis(rows, eig_values, eig_vectors, factor)
+    if v.shape[0] != p.shape[1]:
+        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
+    return _scores(p, v)
 
 
 # ---------------------------------------------------- kernel approximation

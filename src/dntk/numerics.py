@@ -105,6 +105,16 @@ def sym_eig(s_matrix) -> EigenSystem:
     return EigenSystem(values=w[::-1].copy(), vectors=fix_signs(u[:, ::-1]))
 
 
+def rank_tolerance(values) -> float:
+    """numpy's matrix_rank tolerance for a spectrum: len * eps * max |value|.
+
+    Eigenvalues at or below it are indistinguishable from the roundoff of a
+    null space.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    return vals.size * np.finfo(np.float64).eps * np.abs(vals).max()
+
+
 def thin_svd(a_matrix) -> SvdResult:
     """Thin SVD with descending singular values and deterministic signs.
 

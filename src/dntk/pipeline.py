@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, distill, kernel, krr, metrics, theory
-from .errors import DimMismatch, InputError
+from .errors import DimMismatch, InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, jl_dimension, sample_orthonormal
 from .tangent import (
@@ -134,6 +134,59 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
 
 # -------------------------------------------------------------- evaluation
 
+def score_krr(
+    model: krr.KrrModel,
+    train_feats: GradientFeatures,
+    test_feats: GradientFeatures,
+    test_labels,
+    method: str,
+    seed: int,
+) -> ReportRow:
+    """One report row for fitted per-class ridge regressors.
+
+    Fidelity/accuracy/MSE come from test predictions against the base
+    model; coverage and reconstruction error measure how much of the
+    (centered) training gradient energy the fitted set's row span retains,
+    with that span taken from the fit's own eigenpairs
+    (metrics.eig_rows_basis); the conditioning columns summarize the fitted
+    kernels themselves. The sweep and the staged `evaluate` command both
+    score through here.
+    """
+    c = model.class_count
+    if train_feats.class_count != c:
+        raise ShapeMismatch(
+            f"training features have {train_feats.class_count} classes, model has {c}"
+        )
+    pred = krr.predict(model, test_feats)
+    factor = kernel.scale_factor(model.scale_kind, model.width)
+    coverage = np.empty(c)
+    recon = np.empty(c)
+    condition = np.empty(c)
+    min_eig = np.empty(c)
+    for ci in range(c):
+        coverage[ci], recon[ci] = metrics.span_scores(
+            train_feats.per_class[ci],
+            model.basis[:, :, ci],
+            model.eig_values[ci],
+            model.eig_vectors[ci],
+            factor,
+        )
+        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
+    return ReportRow(
+        method=method,
+        seed=seed,
+        s=model.size,
+        compression=distill.compression_ratio(train_feats.size, model.size),
+        fidelity=metrics.fidelity(pred, test_feats.model_logits),
+        accuracy=metrics.accuracy(pred, test_labels),
+        mse=metrics.mse(pred, test_feats.model_logits),
+        coverage=float(coverage.mean()),
+        recon_error=float(recon.mean()),
+        condition=float(condition.mean()),
+        min_eig=float(min_eig.min()),
+    )
+
+
 def evaluate_gradient_set(
     basis: np.ndarray,
     targets: np.ndarray,
@@ -141,45 +194,13 @@ def evaluate_gradient_set(
     method: str,
     seed: int,
 ) -> ReportRow:
-    """Fit per-class ridge regressors on the set and score them on test.
-
-    Fidelity/accuracy/MSE come from test predictions against the base
-    model; coverage and reconstruction error measure how much of the
-    (centered) training gradient energy the set's row span retains; the
-    conditioning columns summarize the fitted kernels themselves.
-    """
+    """Fit per-class ridge regressors on the set and score them on test."""
     cfg = task.cfg
     model = krr.fit(
         basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind
     )
-    pred = krr.predict(model, task.test_feats)
-    fid = metrics.fidelity(pred, task.test_feats.model_logits)
-    acc = metrics.accuracy(pred, task.test.labels)
-    err = metrics.mse(pred, task.test_feats.model_logits)
-
-    c = task.train_feats.class_count
-    coverage = np.empty(c)
-    recon = np.empty(c)
-    condition = np.empty(c)
-    min_eig = np.empty(c)
-    for ci in range(c):
-        v = metrics.orthonormal_rows_basis(basis[:, :, ci])
-        phi = task.train_feats.per_class[ci]
-        coverage[ci], recon[ci] = metrics.subspace_scores(phi, v)
-        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
-    s = basis.shape[0]
-    return ReportRow(
-        method=method,
-        seed=seed,
-        s=s,
-        compression=distill.compression_ratio(task.train_feats.size, s),
-        fidelity=fid,
-        accuracy=acc,
-        mse=err,
-        coverage=float(coverage.mean()),
-        recon_error=float(recon.mean()),
-        condition=float(condition.mean()),
-        min_eig=float(min_eig.min()),
+    return score_krr(
+        model, task.train_feats, task.test_feats, task.test.labels, method, seed
     )
 
 

@@ -16,8 +16,20 @@ import numpy as np
 import pytest
 
 import dntk
+from dntk import pipeline
 from dntk.cli import FILES, main
-from dntk.io import read_report
+from dntk.io import (
+    read_config,
+    read_dataset,
+    read_distilled,
+    read_gradients,
+    read_model,
+    read_report,
+    read_selection,
+    read_sketch_meta,
+)
+from dntk.krr import features_as_basis
+from dntk.tangent import SKETCHED
 
 SMOKE = dict(
     seed=5,
@@ -129,6 +141,38 @@ class TestStageChain:
         capsys.readouterr()
         with np.load(out / FILES["krr"]) as z:
             assert z["basis"].shape[0] == 24
+
+    @pytest.mark.parametrize("source", ["distilled", "random", "full"])
+    def test_evaluate_row_equals_pipeline_row(self, rundir, capsys, source):
+        # the staged fit-krr + evaluate must score a set exactly as the
+        # in-process pipeline scores the same features and the same set
+        out, cfg_path = rundir
+        assert main(["fit-krr", "--source", source, "--config", cfg_path]) == 0
+        assert main(["evaluate", "--method", source, "--config", cfg_path]) == 0
+        capsys.readouterr()
+        staged = read_report(out / FILES["report"])[-1]
+
+        cfg = read_config(cfg_path)
+        train_feats = read_gradients(out / FILES["sketched_train"], dim_kind=SKETCHED)
+        task = pipeline.Task(
+            cfg=cfg,
+            train=read_dataset(out / FILES["train"]),
+            test=read_dataset(out / FILES["test"]),
+            model=read_model(out / FILES["model"]),
+            sketch_op=read_sketch_meta(out / FILES["sketch_meta"]),
+            train_feats=train_feats,
+            test_feats=read_gradients(out / FILES["sketched_test"], dim_kind=SKETCHED),
+        )
+        if source == "distilled":
+            dg, _ = read_distilled(out / FILES["distilled"])
+            basis, targets = dg.phi_hat, dg.y_hat
+        else:
+            idx = (read_selection(out / "selected_random.npz", train_feats.size)
+                   if source == "random" else np.arange(train_feats.size))
+            basis = features_as_basis(train_feats)[idx]
+            targets = train_feats.model_logits[idx]
+        row = pipeline.evaluate_gradient_set(basis, targets, task, source, cfg.seed)
+        assert staged == row
 
     def test_budget_caps_distilled_size(self, rundir, tmp_path, capsys):
         _, cfg = rundir

@@ -329,6 +329,29 @@ class TestNpzRoundtrips:
         np.testing.assert_array_equal(back.q, op.q)
         assert back.scale == op.scale
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"source_dim": 40, "target_dim": 8',
+            '[40, 8, 11]',
+            '{"target_dim": 8, "seed": 11}',
+            '{"source_dim": 40, "seed": 11}',
+            '{"source_dim": 40, "target_dim": 8}',
+            '{"source_dim": "x", "target_dim": 8, "seed": 11}',
+            '{"source_dim": 40, "target_dim": 8.5, "seed": 11}',
+            '{"source_dim": 40, "target_dim": true, "seed": 11}',
+            '{"source_dim": 40, "target_dim": 8, "seed": -1}',
+            '{"source_dim": 40, "target_dim": 8, "seed": 11, "eps_target": "x"}',
+        ],
+        ids=["bad_json", "not_object", "no_source_dim", "no_target_dim", "no_seed",
+             "string_dim", "float_dim", "bool_dim", "negative_seed", "string_eps"],
+    )
+    def test_sketch_meta_malformed_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            dio.read_sketch_meta(path)
+
     def test_distilled(self, tmp_path):
         rng = np.random.default_rng(2)
         feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))

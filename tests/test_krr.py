@@ -85,6 +85,27 @@ class TestPredict:
             np.testing.assert_allclose(pred[:, c], cross @ model.alpha[:, c],
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("as_features", [False, True], ids=["array", "features"])
+    @pytest.mark.parametrize(
+        "s, scale_kind", [(6, "inv_k"), (25, "inv_k"), (6, "none")],
+        ids=["s_lt_d", "s_gt_d", "unscaled"],
+    )
+    def test_primal_equals_cross_kernel_reference(self, as_features, s, scale_kind):
+        basis = random_basis(s, 10, 3, seed=18)
+        test = random_basis(8, 10, 3, seed=19)
+        y = np.random.default_rng(20).normal(size=(s, 3))
+        model = fit(basis, y, lambda_reg=0.01, scale_kind=scale_kind)
+        # reference: the dual form through the (t, s) cross kernel
+        factor = 1.0 / 10.0 if scale_kind == "inv_k" else 1.0
+        ref = np.stack(
+            [factor * (test[:, :, c] @ basis[:, :, c].T) @ model.alpha[:, c]
+             for c in range(3)],
+            axis=1,
+        )
+        arg = feats_from_blocks(test.transpose(2, 0, 1)) if as_features else test
+        np.testing.assert_allclose(predict(model, arg), ref,
+                                   rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+
     def test_accepts_gradient_features(self):
         params = init_params([4, 7, 3], seed=0)
         data = gen_gaussian_mixture(3, 5, 4, 0.4, seed=1)

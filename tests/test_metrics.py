@@ -8,8 +8,10 @@ from dntk.errors import (
     ShapeMismatch,
     ZeroTrace,
 )
+from dntk.krr import fit
 from dntk.metrics import (
     accuracy,
+    eig_rows_basis,
     energy_gap_decomposition,
     fidelity,
     kernel_error_bound_check,
@@ -17,6 +19,7 @@ from dntk.metrics import (
     nystrom_kernel,
     orthonormal_rows_basis,
     reconstruction_error,
+    span_scores,
     subspace_coverage,
     subspace_scores,
 )
@@ -182,6 +185,63 @@ class TestSubspaceScores:
             subspace_scores(phi, np.eye(6)[:, :2])
         with pytest.raises(ZeroTrace):
             subspace_scores(np.zeros((2, 3)), np.eye(3)[:, :1], center=False)
+
+
+def _rows_with_singulars(singulars, width, rng):
+    """Rows whose singular values are exactly `singulars`."""
+    q_left, _ = np.linalg.qr(rng.normal(size=(len(singulars), len(singulars))))
+    q_right, _ = np.linalg.qr(rng.normal(size=(width, len(singulars))))
+    return (q_left * singulars) @ q_right.T
+
+
+ROW_SETS = {
+    "full_rank": lambda rng: rng.normal(size=(6, 15)),
+    "more_rows_than_width": lambda rng: rng.normal(size=(20, 7)),
+    "duplicate_rows": lambda rng: rng.normal(size=(5, 15))[[0, 1, 2, 1, 3, 4, 0]],
+    # lam_min / lam_max = 1e-12: V^T V is off by ~1e-4 until CholeskyQR
+    "sigma_ratio_1e-6": lambda rng: _rows_with_singulars(np.logspace(0, -6, 8), 30, rng),
+}
+
+
+def _fit_eigenpairs(rows, scale_kind):
+    """The eigenpairs krr.fit caches for one class, and its scale factor."""
+    model = fit(rows[:, :, None], np.zeros((rows.shape[0], 1)), scale_kind=scale_kind)
+    factor = 1.0 / rows.shape[1] if scale_kind == "inv_k" else 1.0
+    return model.eig_values[0], model.eig_vectors[0], factor
+
+
+class TestEigRowsBasis:
+    @pytest.mark.parametrize("scale_kind", ["inv_k", "none"])
+    @pytest.mark.parametrize("rows_id", sorted(ROW_SETS))
+    def test_span_equals_svd_reference(self, rows_id, scale_kind):
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            rows = ROW_SETS[rows_id](rng) * rng.uniform(0.1, 10.0)
+            v = eig_rows_basis(rows, *_fit_eigenpairs(rows, scale_kind))
+            ref = orthonormal_rows_basis(rows)
+            assert v.shape == ref.shape
+            assert np.abs(v.T @ v - np.eye(v.shape[1])).max() <= 1e-10
+            assert np.abs(v @ v.T - ref @ ref.T).max() <= 1e-10
+
+    @pytest.mark.parametrize("rows_id", sorted(ROW_SETS))
+    def test_scores_equal_svd_reference(self, rows_id):
+        rng = np.random.default_rng(21)
+        rows = ROW_SETS[rows_id](rng)
+        phi = rng.normal(size=(12, rows.shape[1])) + rows[:1]
+        cov, err = span_scores(phi, rows, *_fit_eigenpairs(rows, "inv_k"))
+        ref_cov, ref_err = subspace_scores(phi, orthonormal_rows_basis(rows))
+        assert cov == pytest.approx(ref_cov, rel=1e-10)
+        assert err == pytest.approx(ref_err, rel=1e-8, abs=1e-10 * (phi**2).sum())
+
+    def test_error_paths(self):
+        rows = np.random.default_rng(22).normal(size=(4, 6))
+        values, vectors, factor = _fit_eigenpairs(rows, "inv_k")
+        with pytest.raises(ZeroTrace):
+            eig_rows_basis(np.zeros((3, 6)), np.zeros(3), np.eye(3), 1.0)
+        with pytest.raises(ShapeMismatch):
+            eig_rows_basis(rows[:3], values, vectors, factor)
+        with pytest.raises(ShapeMismatch):
+            span_scores(np.ones((5, 7)), rows, values, vectors, factor)
 
 
 class TestNystromKernel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dntk import kernel, pipeline
+from dntk import kernel, krr, metrics, pipeline
 from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, ShapeMismatch
 from dntk.io import RunConfig
@@ -217,6 +217,27 @@ class TestRunMethod:
             pairs = [kernel.conditioning(factor * (phi @ phi.T)) for phi in basis]
             assert row.condition == pytest.approx(np.mean([p[0] for p in pairs]), rel=1e-9)
             assert row.min_eig == pytest.approx(min(p[1] for p in pairs), rel=1e-9)
+
+    @pytest.mark.parametrize("method, budget", [("random", 5), ("full", None)])
+    def test_coverage_columns_match_svd_reference(self, task, method, budget):
+        # the row takes each class's span from the fit's eigenpairs; the SVD
+        # of the set's rows must score the same (full: s > k, rank-deficient)
+        row = pipeline.run_method(task, method, seed=3, budget=budget)
+        feats = task.train_feats
+        idx = select_random(feats.size, budget, 3).indices if budget else np.arange(feats.size)
+        ref = np.array([
+            metrics.subspace_scores(phi, metrics.orthonormal_rows_basis(phi[idx]))
+            for phi in feats.per_class
+        ]).mean(axis=0)
+        energy = np.mean([(phi**2).sum() / phi.shape[0] for phi in feats.per_class])
+        assert row.coverage == pytest.approx(ref[0], rel=1e-10)
+        assert row.recon_error == pytest.approx(ref[1], rel=1e-8, abs=1e-12 * energy)
+
+    def test_score_rejects_foreign_class_count(self, task):
+        feats = task.train_feats
+        model = krr.fit(krr.features_as_basis(feats)[:, :, :2], feats.model_logits[:, :2])
+        with pytest.raises(ShapeMismatch):
+            pipeline.score_krr(model, feats, task.test_feats, task.test.labels, "x", 0)
 
     def test_all_selection_methods_produce_rows(self, task):
         for method in ("random", "leverage", "fps", "kmeans"):
