@@ -182,17 +182,7 @@ def cmd_select_baseline(args) -> int:
     out = _out_dir(args, cfg)
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     seed = pipeline.derive_seed(cfg.seed, args.method)
-    if args.method == "random":
-        sel = baselines.select_random(feats.size, args.budget, seed)
-    elif args.method == "leverage":
-        kbar = kernel.average_kernel(kernel.build_stack(feats, cfg.scale_kind))
-        sel = baselines.select_leverage(kbar, args.budget, min(args.budget, feats.size), seed)
-    elif args.method == "fps":
-        sel = baselines.select_fps(baselines.flatten_rows(feats.per_class), args.budget, seed)
-    else:
-        sel = baselines.select_kmeans(
-            baselines.flatten_rows(feats.per_class), args.budget, seed
-        )
+    sel = pipeline.select_baseline(feats, args.method, args.budget, seed, cfg.scale_kind)
     write_selection(sel, out / f"selected_{args.method}.npz")
     print(f"selected {sel.indices.size} samples with {args.method}")
     return 0
@@ -206,12 +196,10 @@ def cmd_fit_krr(args) -> int:
         dg, _ = read_distilled(_p(out, "distilled"))
         basis, targets = dg.phi_hat, dg.y_hat
     elif args.source == "full":
-        basis = krr.features_as_basis(feats)
-        targets = feats.model_logits
+        basis, targets = feats.per_class, feats.model_logits
     else:
         idx = read_selection(out / f"selected_{args.source}.npz", feats.size)
-        basis = krr.features_as_basis(feats)[idx]
-        targets = feats.model_logits[idx]
+        basis, targets = feats.per_class[:, idx], feats.model_logits[idx]
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
     write_krr(model, _p(out, "krr"))
     print(f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}")

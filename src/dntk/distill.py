@@ -5,8 +5,10 @@ local eigenmodes as synthetic gradients, and global eigendirections that no
 cluster's local subspace covers (the gap set) are synthesized from the full
 sample set. Every synthetic gradient is a linear combination of real
 gradient rows, applied with the same combination vector to every class
-slice and to the soft targets. A rank-revealing QR pass drops candidates
-that are linear combinations of earlier ones.
+slice and to the soft targets. Candidates are combination vectors only: a
+rank-revealing QR pass drops those that are linear combinations of earlier
+ones, and the kept vectors L then give the set in one product per array,
+L^T Phi_c for every class and L^T y for the targets.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class CoverageReport:
 
 @dataclass(frozen=True)
 class DistilledGradients:
-    phi_hat: np.ndarray  # (s, D, C)
+    phi_hat: np.ndarray  # (C, s, D)
     y_hat: np.ndarray  # (s, C)
     provenance: tuple  # ("local", cluster, eig index) or ("gap", eig index)
     lifted_basis: np.ndarray  # (m, s) combination vectors over the sample set
@@ -47,14 +49,12 @@ class DistilledGradients:
 
     @property
     def size(self) -> int:
-        return int(self.phi_hat.shape[0])
+        return int(self.phi_hat.shape[1])
 
 
 @dataclass(frozen=True)
 class _Candidate:
-    phi: np.ndarray  # (D, C)
-    y: np.ndarray  # (C,)
-    lifted: np.ndarray  # (m,)
+    lifted: np.ndarray  # (m,) unit combination vector over the sample set
     provenance: tuple
     eigenvalue: float
 
@@ -119,78 +119,30 @@ def gap_directions(coverage: np.ndarray, tau_g: float) -> tuple:
     return tuple(int(j) for j in np.flatnonzero(coverage < tau_g))
 
 
-def _combine(per_class: np.ndarray, targets: np.ndarray, idx, u: np.ndarray):
-    """Contract a combination vector against gradient rows and targets."""
-    phi = np.einsum("i,cid->dc", u, per_class[:, idx, :])
-    y = targets[idx].T @ u
-    return phi, y
-
-
 def synthesize_local(
-    per_class: np.ndarray,
-    targets: np.ndarray,
     partition: ClusterPartition,
     local_systems: list[tuple[EigenSystem, int]],
 ) -> list[_Candidate]:
     """One candidate per kept local eigenmode, lifted by zero-padding."""
-    m = per_class.shape[1]
     out = []
     for h, ((eig, r_h), idx) in enumerate(zip(local_systems, partition.index_sets)):
         for j in range(r_h):
             u = eig.vectors[:, j]
-            u = u / np.linalg.norm(u)
-            phi, y = _combine(per_class, targets, idx, u)
-            lifted = np.zeros(m)
-            lifted[idx] = u
-            out.append(
-                _Candidate(
-                    phi=phi,
-                    y=y,
-                    lifted=lifted,
-                    provenance=(LOCAL, h, j),
-                    eigenvalue=float(eig.values[j]),
-                )
-            )
+            lifted = np.zeros(partition.size)
+            lifted[idx] = u / np.linalg.norm(u)
+            out.append(_Candidate(lifted, (LOCAL, h, j), float(eig.values[j])))
     return out
 
 
-def synthesize_gap(
-    per_class: np.ndarray,
-    targets: np.ndarray,
-    global_eig: EigenSystem,
-    gap_set,
-) -> list[_Candidate]:
+def synthesize_gap(global_eig: EigenSystem, gap_set) -> list[_Candidate]:
     """One candidate per uncovered global direction, built on all samples."""
-    m = per_class.shape[1]
     out = []
     for j in gap_set:
         v = global_eig.vectors[:, j]
-        v = v / np.linalg.norm(v)
-        phi, y = _combine(per_class, targets, np.arange(m), v)
         out.append(
-            _Candidate(
-                phi=phi,
-                y=y,
-                lifted=v.copy(),
-                provenance=(GAP, int(j)),
-                eigenvalue=float(global_eig.values[j]),
-            )
+            _Candidate(v / np.linalg.norm(v), (GAP, int(j)), float(global_eig.values[j]))
         )
     return out
-
-
-def _assemble(candidates: list[_Candidate]) -> DistilledGradients:
-    phi_hat = np.stack([c.phi for c in candidates])  # (s, D, C)
-    y_hat = np.stack([c.y for c in candidates])
-    lifted = np.stack([c.lifted for c in candidates], axis=1)
-    eigs = np.array([c.eigenvalue for c in candidates])
-    return DistilledGradients(
-        phi_hat=phi_hat,
-        y_hat=y_hat,
-        provenance=tuple(c.provenance for c in candidates),
-        lifted_basis=lifted,
-        eigenvalues=eigs,
-    )
 
 
 def distill(
@@ -210,7 +162,8 @@ def distill(
     global eigendirections whose best local coverage is below tau_g, and
     synthesize gradients for both. Redundant candidates are removed by a
     rank-revealing QR on the lifted combination vectors. When max_size is
-    given, surviving candidates are trimmed to the largest eigenvalues.
+    given, surviving candidates are trimmed to the largest eigenvalues. Only
+    the kept vectors are applied to the gradient rows and the targets.
 
     targets defaults to the model logits, matching the regression targets
     used for kernel fits; pass feats.labels to distill hard labels instead.
@@ -241,8 +194,8 @@ def distill(
     coverage = coverage_coefficients(global_eig, r_global, partition, local_systems)
     gaps = gap_directions(coverage, tau_g)
 
-    candidates = synthesize_local(feats.per_class, targets, partition, local_systems)
-    candidates += synthesize_gap(feats.per_class, targets, global_eig, gaps)
+    candidates = synthesize_local(partition, local_systems)
+    candidates += synthesize_gap(global_eig, gaps)
 
     lifted = np.stack([c.lifted for c in candidates], axis=1)
     kept = qr_redundancy_filter(lifted, eps_qr)
@@ -260,7 +213,15 @@ def distill(
         tau_v=tau_v,
         tau_g=tau_g,
     )
-    return _assemble([candidates[i] for i in kept]), report
+    basis = lifted[:, kept]
+    dg = DistilledGradients(
+        phi_hat=basis.T @ feats.per_class,
+        y_hat=basis.T @ targets,
+        provenance=tuple(candidates[i].provenance for i in kept),
+        lifted_basis=basis,
+        eigenvalues=np.array([candidates[i].eigenvalue for i in kept]),
+    )
+    return dg, report
 
 
 def weighted_local_containment(

@@ -25,7 +25,6 @@ import numpy as np
 from .baselines import METHODS as BASELINE_METHODS, SelectionResult
 from .distill import CoverageReport, DistilledGradients
 from .errors import (
-    DimMismatch,
     InputError,
     IndexOutOfRange,
     IoError,
@@ -220,7 +219,6 @@ class RunConfig:
     methods: list = field(
         default_factory=lambda: ["distill", "random", "leverage", "fps", "kmeans"]
     )
-    budgets: list | None = None
     sweep_h: list = field(default_factory=lambda: [5, 10, 15, 20])
     sweep_tau_v: list = field(default_factory=lambda: [0.90, 0.95, 0.99])
     sweep_tau_g: list = field(default_factory=lambda: [0.3, 0.5, 0.7, 0.9])
@@ -267,8 +265,6 @@ class RunConfig:
         _check_real("lambda_reg", self.lambda_reg, low=0.0)
         _check_choice("scale_kind", self.scale_kind, ("none", "inv_k"))
         _check_list("methods", self.methods, _check_choice, choices=_METHODS)
-        if self.budgets is not None:
-            _check_list("budgets", self.budgets, _check_int, low=1)
         _check_list("sweep_h", self.sweep_h, _check_int, low=1)
         _check_list("sweep_tau_v", self.sweep_tau_v, _check_real,
                     low=0.0, high=1.0, low_open=True)
@@ -339,12 +335,6 @@ def config_from_dict(data: dict, source: str = "config") -> RunConfig:
     return RunConfig(**data).validate()
 
 
-def write_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ------------------------------------------------------------ npz bundles
 
 def _read_npz(path, build):
@@ -352,7 +342,8 @@ def _read_npz(path, build):
 
     A missing or unreadable file raises IoError. A file that is not an npz
     archive (text, a lone .npy array, a truncated zip), or one whose arrays
-    are missing or of the wrong kind for `build`, raises ParseError.
+    are missing, of the wrong kind for `build` or of shapes that disagree
+    (`build` raises ValueError), raises ParseError.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -409,7 +400,6 @@ def write_sketch_meta(op: SketchOperator, path) -> None:
         "source_dim": op.source_dim,
         "target_dim": op.target_dim,
         "seed": op.seed,
-        "eps_target": op.eps_target,
     }
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -421,8 +411,7 @@ def read_sketch_meta(path) -> SketchOperator:
 
     A missing or unreadable file raises IoError. Malformed JSON, a top level
     that is not an object, a missing key, a source_dim, target_dim or seed
-    that is not a nonnegative integer, or an eps_target that is neither null
-    nor a number raises ParseError.
+    that is not a nonnegative integer raises ParseError.
     """
     try:
         with open(path) as fh:
@@ -439,13 +428,7 @@ def read_sketch_meta(path) -> SketchOperator:
         value = meta[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ParseError(f"{path}: {key}={value!r} is not a nonnegative integer")
-    eps = meta.get("eps_target")
-    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))):
-        raise ParseError(f"{path}: eps_target={eps!r} is not a number")
-    op = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
-    if eps is not None:
-        op = SketchOperator(q=op.q, scale=op.scale, seed=op.seed, eps_target=float(eps))
-    return op
+    return sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
 
 
 _PROV_KIND = {"local": 0, "gap": 1}
@@ -480,17 +463,41 @@ def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
     return _read_npz(path, _build_distilled)
 
 
+def _check_shapes(**arrays) -> None:
+    """Raise ValueError for the first array whose shape is not as expected.
+
+    Each keyword maps an array name to (array, expected shape); None in an
+    expected shape matches any extent.
+    """
+    for name, (array, shape) in arrays.items():
+        if array.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(array.shape, shape)
+        ):
+            want = "(" + ", ".join("*" if w is None else str(w) for w in shape) + ")"
+            raise ValueError(f"{name} has shape {array.shape}, expected {want}")
+
+
 def _build_distilled(z) -> tuple[DistilledGradients, CoverageReport]:
-    prov = tuple(
-        (_PROV_NAME[int(k)], int(a), int(b)) if int(k) == 0 else (_PROV_NAME[int(k)], int(a))
-        for k, a, b in z["provenance"]
+    phi_hat, y_hat, lifted, eigenvalues, prov = (
+        z[k] for k in ("phi_hat", "y_hat", "lifted_basis", "eigenvalues", "provenance")
+    )
+    _check_shapes(phi_hat=(phi_hat, (None, None, None)))
+    c, s, _ = phi_hat.shape
+    _check_shapes(
+        y_hat=(y_hat, (s, c)),
+        lifted_basis=(lifted, (None, s)),
+        eigenvalues=(eigenvalues, (s,)),
+        provenance=(prov, (s, 3)),
     )
     dg = DistilledGradients(
-        phi_hat=z["phi_hat"],
-        y_hat=z["y_hat"],
-        provenance=prov,
-        lifted_basis=z["lifted_basis"],
-        eigenvalues=z["eigenvalues"],
+        phi_hat=phi_hat,
+        y_hat=y_hat,
+        provenance=tuple(
+            (_PROV_NAME[int(k)], int(a), int(b)) if int(k) == 0 else (_PROV_NAME[int(k)], int(a))
+            for k, a, b in prov
+        ),
+        lifted_basis=lifted,
+        eigenvalues=eigenvalues,
     )
     report = CoverageReport(
         r_global=int(z["r_global"]),
@@ -518,8 +525,15 @@ def write_krr(model: KrrModel, path) -> None:
 
 
 def read_krr(path) -> KrrModel:
-    return _read_npz(path, lambda z: KrrModel(
-        basis=z["basis"],
+    return _read_npz(path, _build_krr)
+
+
+def _build_krr(z) -> KrrModel:
+    basis = z["basis"]
+    _check_shapes(basis=(basis, (None, None, None)))
+    c, s, _ = basis.shape
+    model = KrrModel(
+        basis=basis,
         targets=z["targets"],
         alpha=z["alpha"],
         lambda_reg=float(z["lambda_reg"]),
@@ -527,7 +541,14 @@ def read_krr(path) -> KrrModel:
         scale_kind=str(z["scale_kind"]),
         eig_values=z["eig_values"],
         eig_vectors=z["eig_vectors"],
-    ))
+    )
+    _check_shapes(
+        targets=(model.targets, (s, c)),
+        alpha=(model.alpha, (s, c)),
+        eig_values=(model.eig_values, (c, s)),
+        eig_vectors=(model.eig_vectors, (c, s, s)),
+    )
+    return model
 
 
 def write_selection(sel: SelectionResult, path) -> None:

@@ -3,7 +3,7 @@
 A class kernel is the Gram matrix of one class's gradient rows, optionally
 scaled by 1/width so eigenvalues stay comparable across sketch sizes. The
 class-averaged kernel drives clustering and distillation; the spectral
-summaries back redundancy certificates and the bias/variance diagnostics.
+summaries back the kernel-stats stage and the report's conditioning columns.
 """
 
 from __future__ import annotations
@@ -12,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadEps,
-    BadLambda,
-    ClassOutOfRange,
-    LengthMismatch,
-    NonOrthonormalBasis,
-    ScaleMismatch,
-    ZeroTrace,
-)
-from .numerics import EigenSystem, as_matrix, rank_tolerance, sym_eig
+from .errors import BadEps, BadLambda, ClassOutOfRange, ScaleMismatch, ZeroTrace
+from .numerics import EigenSystem, rank_tolerance, sym_eig
 from .tangent import GradientFeatures
 
 SCALE_KINDS = ("none", "inv_k")
@@ -136,71 +128,9 @@ def conditioning(kernel_matrix, ridge: float = 0.0) -> tuple[float, float]:
     return summary.condition, summary.min_eig
 
 
-def data_redundancy_certificate(
-    kernel_matrix, r_factor: float = 10.0, eps: float = 0.05
-) -> tuple[bool, SpectralSummary]:
-    """Does a 1 - eps trace fraction fit in n / r_factor eigendirections?"""
-    if r_factor <= 0.0:
-        raise BadEps(f"r_factor must be positive, got {r_factor}")
-    summary = spectral_summary(kernel_matrix, eps=eps)
-    n = np.asarray(kernel_matrix).shape[0]
-    return summary.trunc_rank <= n / r_factor, summary
-
-
-def parameter_redundancy_error(phi, basis) -> float:
-    """Relative kernel error from replacing rows with their projection.
-
-    basis columns must be orthonormal; returns
-    ||P P^T - Phi Phi^T||_F / ||Phi Phi^T||_F with P = Phi V V^T.
-    """
-    phi_m = as_matrix(phi, "phi")
-    v = as_matrix(basis, "basis")
-    if v.shape[0] != phi_m.shape[1]:
-        raise LengthMismatch(
-            f"basis lives in dim {v.shape[0]}, rows have width {phi_m.shape[1]}"
-        )
-    gram = v.T @ v
-    if np.abs(gram - np.eye(v.shape[1])).max() > 1e-8:
-        raise NonOrthonormalBasis("basis columns are not orthonormal within 1e-8")
-    full = phi_m @ phi_m.T
-    proj = phi_m @ v
-    approx = proj @ proj.T
-    denom = np.linalg.norm(full)
-    if denom == 0.0:
-        raise ZeroTrace("zero gradient matrix has no kernel to approximate")
-    return float(np.linalg.norm(approx - full) / denom)
-
-
 def effective_dimension(eigvals, lam: float) -> float:
     """sum_j mu_j / (mu_j + lam) over the clamped spectrum."""
     if lam <= 0.0:
         raise BadLambda(f"lambda must be > 0, got {lam}")
     mu = np.maximum(np.asarray(eigvals, dtype=np.float64), 0.0)
     return float((mu / (mu + lam)).sum())
-
-
-def bias_variance_diagnostics(
-    eigvals, coefficients, lam: float, n: int, noise_var: float = 0.0
-) -> tuple[float, float]:
-    """Squared regularization bias and the noise-variance bound.
-
-    coefficients are the target expansion in the kernel eigenbasis. With
-    lam = 0 the bias vanishes and the variance bound uses the numerical
-    rank in place of the effective dimension.
-    """
-    mu = np.maximum(np.asarray(eigvals, dtype=np.float64), 0.0)
-    beta = np.asarray(coefficients, dtype=np.float64)
-    if beta.shape[0] != mu.shape[0]:
-        raise LengthMismatch(f"{beta.shape[0]} coefficients for {mu.shape[0]} eigenvalues")
-    if lam < 0.0:
-        raise BadLambda(f"lambda must be >= 0, got {lam}")
-    if n < 1:
-        raise LengthMismatch(f"sample count must be positive, got {n}")
-    if lam == 0.0:
-        bias_sq = 0.0
-        eff_dim = float((mu > 0.0).sum())
-    else:
-        shrink = lam / (mu + lam)
-        bias_sq = float(((shrink**2) * mu * beta**2).sum())
-        eff_dim = effective_dimension(mu, lam)
-    return bias_sq, noise_var * eff_dim / n

@@ -1,20 +1,21 @@
 """Kernel ridge regression on per-class gradient kernels.
 
-Fitting goes through one eigendecomposition per class kernel, so rank
-truncation and different ridge values reuse the cached spectrum instead of
-re-factorizing. The direct-solve routine in the numerics module is the
-independent oracle this path is tested against.
+Gradient sets come in the (C, s, D) layout of GradientFeatures.per_class,
+so each class's rows are one contiguous block. Fitting goes through one
+eigendecomposition per class kernel; the model keeps those spectra, which
+the report's coverage and conditioning columns read back. The direct-solve
+routine in the numerics module is the independent oracle this path is
+tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadLambda,
-    DimMismatch,
     RankTooLarge,
     ScaleMismatch,
     ShapeMismatch,
@@ -27,7 +28,7 @@ from .tangent import GradientFeatures
 
 @dataclass(frozen=True)
 class KrrModel:
-    basis: np.ndarray  # (s, D, C) gradient rows per class
+    basis: np.ndarray  # (C, s, D) gradient rows per class
     targets: np.ndarray  # (s, C)
     alpha: np.ndarray  # (s, C) dual coefficients per class
     lambda_reg: float
@@ -38,27 +39,25 @@ class KrrModel:
 
     @property
     def size(self) -> int:
-        return int(self.basis.shape[0])
-
-    @property
-    def width(self) -> int:
         return int(self.basis.shape[1])
 
     @property
-    def class_count(self) -> int:
+    def width(self) -> int:
         return int(self.basis.shape[2])
 
+    @property
+    def class_count(self) -> int:
+        return int(self.basis.shape[0])
 
-def _coerce_train(basis, targets):
+
+def _rows(basis, name: str) -> np.ndarray:
+    """A (C, s, D) array from an array or the per_class block of features."""
+    if isinstance(basis, GradientFeatures):
+        basis = basis.per_class
     b = np.asarray(basis, dtype=np.float64)
     if b.ndim != 3:
-        raise ShapeMismatch(f"basis must be (s, D, C), got shape {b.shape}")
-    y = np.asarray(targets, dtype=np.float64)
-    if y.shape != (b.shape[0], b.shape[2]):
-        raise ShapeMismatch(
-            f"targets must be ({b.shape[0]}, {b.shape[2]}), got {y.shape}"
-        )
-    return b, y
+        raise ShapeMismatch(f"{name} must be (C, rows, D), got shape {b.shape}")
+    return b
 
 
 def _solve_alpha(values, vectors, y, lambda_reg, rank):
@@ -87,8 +86,11 @@ def fit(
     act as a hard filter. With lambda_reg = 0 the kept spectrum must be
     positive and well-conditioned or the system is reported singular.
     """
-    b, y = _coerce_train(basis, targets)
-    s, d, c = b.shape
+    b = _rows(basis, "basis")
+    c, s, d = b.shape
+    y = np.asarray(targets, dtype=np.float64)
+    if y.shape != (s, c):
+        raise ShapeMismatch(f"targets must be ({s}, {c}), got {y.shape}")
     if lambda_reg < 0.0:
         raise BadLambda(f"lambda_reg must be >= 0, got {lambda_reg}")
     if rank is None:
@@ -100,8 +102,7 @@ def fit(
     eig_vectors = np.empty((c, s, s))
     alpha = np.empty((s, c))
     for ci in range(c):
-        phi = b[:, :, ci]
-        eig = sym_eig(factor * (phi @ phi.T))
+        eig = sym_eig(factor * (b[ci] @ b[ci].T))
         eig_values[ci] = eig.values
         eig_vectors[ci] = eig.vectors
         alpha[:, ci] = _solve_alpha(
@@ -119,52 +120,29 @@ def fit(
     )
 
 
-def refit_rank(model: KrrModel, rank: int) -> KrrModel:
-    """New coefficients at a different truncation rank from cached spectra."""
-    if not (1 <= rank <= model.size):
-        raise RankTooLarge(f"rank {rank} invalid for {model.size} samples")
-    alpha = np.empty_like(model.alpha)
-    for ci in range(model.class_count):
-        alpha[:, ci] = _solve_alpha(
-            model.eig_values[ci],
-            model.eig_vectors[ci],
-            model.targets[:, ci : ci + 1],
-            model.lambda_reg,
-            rank,
-        ).ravel()
-    return replace(model, alpha=alpha, rank=rank)
-
-
 def predict(model: KrrModel, test_basis) -> np.ndarray:
     """Predicted logits at test gradient rows, shape (n_test, C).
 
-    Accepts a (t, D, C) array or a GradientFeatures bundle. Prediction runs
+    Accepts a (C, t, D) array or a GradientFeatures bundle. Prediction runs
     in primal form: per class the dual coefficients fold into one weight
     vector w_c = factor * B_c^T alpha_c of width D, at the model's scale, and
     the logits are T_c w_c. That equals the cross-kernel form
     (factor * T_c B_c^T) alpha_c without building the (t, s) cross kernel.
     """
-    if isinstance(test_basis, GradientFeatures):
-        t = test_basis.per_class.transpose(1, 2, 0)
-    else:
-        t = np.asarray(test_basis, dtype=np.float64)
-    if t.ndim != 3 or t.shape[2] != model.class_count:
+    t = _rows(test_basis, "test basis")
+    if t.shape[0] != model.class_count:
         raise ShapeMismatch(
-            f"test basis must be (t, D, {model.class_count}), got {t.shape}"
+            f"test basis must be ({model.class_count}, t, D), got {t.shape}"
         )
-    if t.shape[1] != model.width:
+    if t.shape[2] != model.width:
         raise ScaleMismatch(
-            f"test rows have width {t.shape[1]}, model was fit at width "
+            f"test rows have width {t.shape[2]}, model was fit at width "
             f"{model.width}; mixing raw and sketched rows is not allowed"
         )
     factor = scale_factor(model.scale_kind, model.width)
-    out = np.empty((t.shape[0], model.class_count))
+    out = np.empty((t.shape[1], model.class_count))
     for ci in range(model.class_count):
-        weights = factor * (model.basis[:, :, ci].T @ model.alpha[:, ci])
-        out[:, ci] = t[:, :, ci] @ weights
+        weights = factor * (model.basis[ci].T @ model.alpha[:, ci])
+        out[:, ci] = t[ci] @ weights
     return out
 
-
-def features_as_basis(feats: GradientFeatures) -> np.ndarray:
-    """(C, n, D) feature block reordered to the (n, D, C) basis layout."""
-    return feats.per_class.transpose(1, 2, 0).copy()

@@ -145,9 +145,7 @@ def eig_rows_basis(rows, eig_values, eig_vectors, factor: float) -> np.ndarray:
     step re-orthonormalizes it. On the common path V^T V is formed once and
     also serves the 1e-8 orthonormality check.
     """
-    # a class slice of the (s, D, C) basis is strided, which keeps numpy's
-    # matmul off BLAS; one contiguous copy is far cheaper than that
-    r = np.ascontiguousarray(as_matrix(rows, "rows"))
+    r = as_matrix(rows, "rows")
     lam = np.asarray(eig_values, dtype=np.float64)
     u = np.asarray(eig_vectors, dtype=np.float64)
     if lam.shape != (r.shape[0],) or u.shape != (r.shape[0], r.shape[0]):

@@ -132,14 +132,6 @@ def thin_svd(a_matrix) -> SvdResult:
     return SvdResult(left=u, singulars=s, right=v)
 
 
-def svd_rank(singulars: np.ndarray, eps_rel: float) -> int:
-    """Numerical rank: count of singular values above eps_rel * max."""
-    s = np.asarray(singulars, dtype=np.float64)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > eps_rel * s[0]))
-
-
 def qr_redundancy_filter(columns, eps_rel: float = 1e-6) -> np.ndarray:
     """Indices of a maximal well-conditioned subset of columns.
 

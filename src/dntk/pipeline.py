@@ -166,7 +166,7 @@ def score_krr(
     for ci in range(c):
         coverage[ci], recon[ci] = metrics.span_scores(
             train_feats.per_class[ci],
-            model.basis[:, :, ci],
+            model.basis[ci],
             model.eig_values[ci],
             model.eig_vectors[ci],
             factor,
@@ -194,7 +194,7 @@ def evaluate_gradient_set(
     method: str,
     seed: int,
 ) -> ReportRow:
-    """Fit per-class ridge regressors on the set and score them on test."""
+    """Fit per-class ridge regressors on a (C, s, D) set and score them on test."""
     cfg = task.cfg
     model = krr.fit(
         basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind
@@ -204,10 +204,25 @@ def evaluate_gradient_set(
     )
 
 
-def _selection_rows(task: Task, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    basis = krr.features_as_basis(task.train_feats)[indices]
-    targets = task.train_feats.model_logits[indices]
-    return basis, targets
+def select_baseline(
+    feats: GradientFeatures, method: str, budget: int, seed: int, scale_kind: str
+) -> baselines.SelectionResult:
+    """Pick `budget` training samples with one of baselines.METHODS.
+
+    The one place a baseline name maps to its selector; the sweep and the
+    staged select-baseline command both come through here. Leverage scores
+    come from the averaged kernel at scale_kind.
+    """
+    if method == "random":
+        return baselines.select_random(feats.size, budget, seed)
+    if method == "leverage":
+        kbar = kernel.average_kernel(kernel.build_stack(feats, scale_kind))
+        return baselines.select_leverage(kbar, budget, min(budget, feats.size), seed)
+    if method == "fps":
+        return baselines.select_fps(baselines.flatten_rows(feats.per_class), budget, seed)
+    if method == "kmeans":
+        return baselines.select_kmeans(baselines.flatten_rows(feats.per_class), budget, seed)
+    raise InputError(f"unknown method {method!r}")
 
 
 def run_method(
@@ -239,26 +254,12 @@ def run_method(
         )
         basis, targets = dg.phi_hat, dg.y_hat
     elif method == "full":
-        basis = krr.features_as_basis(feats)
-        targets = feats.model_logits
+        basis, targets = feats.per_class, feats.model_logits
     else:
         if budget is None:
             raise InputError(f"method {method!r} needs an explicit budget")
-        if method == "random":
-            sel = baselines.select_random(feats.size, budget, seed)
-        elif method == "leverage":
-            stack = kernel.build_stack(feats, cfg.scale_kind)
-            kbar = kernel.average_kernel(stack)
-            sel = baselines.select_leverage(kbar, budget, min(budget, feats.size), seed)
-        elif method == "fps":
-            sel = baselines.select_fps(baselines.flatten_rows(feats.per_class), budget, seed)
-        elif method == "kmeans":
-            sel = baselines.select_kmeans(
-                baselines.flatten_rows(feats.per_class), budget, seed
-            )
-        else:
-            raise InputError(f"unknown method {method!r}")
-        basis, targets = _selection_rows(task, sel.indices)
+        idx = select_baseline(feats, method, budget, seed, cfg.scale_kind).indices
+        basis, targets = feats.per_class[:, idx], feats.model_logits[idx]
     return evaluate_gradient_set(basis, targets, task, label or method, seed)
 
 

@@ -10,7 +10,7 @@ the usual log-cardinality rule: the smallest integer strictly greater than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class SketchOperator:
     q: np.ndarray
     scale: float
     seed: int
-    eps_target: float | None = None
 
     @property
     def source_dim(self) -> int:
@@ -58,13 +57,6 @@ def sample_orthonormal(p_dim: int, k: int, seed: int) -> SketchOperator:
     gauss = rng.normal(size=(p_dim, k))
     q, _ = np.linalg.qr(gauss)
     return SketchOperator(q=q, scale=math.sqrt(p_dim / k), seed=seed)
-
-
-def project_vector(op: SketchOperator, u) -> np.ndarray:
-    uv = np.asarray(u, dtype=np.float64)
-    if uv.shape != (op.source_dim,):
-        raise DimMismatch(f"expected length-{op.source_dim} vector, got shape {uv.shape}")
-    return op.scale * (uv @ op.q)
 
 
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:

@@ -348,11 +348,6 @@ def cross_entropy(params: MlpParams, data: LabeledDataset) -> float:
     return float(-logp[np.arange(data.size), data.labels].mean())
 
 
-def mean_accuracy(params: MlpParams, data: LabeledDataset) -> float:
-    logits = forward_batch(params, data.inputs)
-    return float((logits.argmax(axis=1) == data.labels).mean())
-
-
 # ---------------------------------------------------------------- datasets
 
 def gen_gaussian_mixture(

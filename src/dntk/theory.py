@@ -146,27 +146,6 @@ def pca_optimality_bruteforce(
     return best, float(margin)
 
 
-def near_optimal_tail_check(second_moment, r: int, delta: float, basis) -> bool:
-    """Residual of a delta-near-optimal subspace is within delta of the tail.
-
-    Requires tr(Pi* G) - tr(Pi G) <= delta as a premise; violating it is a
-    caller error, not a falsification.
-    """
-    g = as_matrix(second_moment, "second_moment")
-    v = as_matrix(basis, "basis")
-    if v.shape[1] != r:
-        raise RankTooLarge(f"basis has {v.shape[1]} columns, expected r={r}")
-    eig = sym_eig(g)
-    captured_star = float(eig.values[:r].sum())
-    captured = float(np.trace(v.T @ g @ v))
-    if captured_star - captured > delta + 1e-10 * max(abs(delta), 1.0):
-        raise PreconditionFailed(
-            f"subspace misses {captured_star - captured:.3e} > delta = {delta:.3e}"
-        )
-    tail = float(eig.values[r:].sum())
-    return projection_residual(g, v) <= tail + delta + 1e-10 * max(tail + delta, 1.0)
-
-
 def residual_two_ways(task_gradients, basis) -> tuple[float, float]:
     """Sample-mean residual vs the trace identity on the empirical moment.
 

@@ -60,17 +60,17 @@ def test_02_krr_matches_direct_solve():
     for trial in range(20):
         n = int(rng.integers(20, 201))
         c = 3
-        basis = rng.normal(size=(n, 2 * n, c))
+        basis = rng.normal(size=(n, 2 * n, c)).transpose(2, 0, 1)
         targets = rng.normal(size=(n, c))
         model = fit(basis, targets, lambda_reg=1e-3, scale_kind="none")
         for ci in range(c):
-            gram = basis[:, :, ci] @ basis[:, :, ci].T
+            gram = basis[ci] @ basis[ci].T
             direct = ridge_solve_direct(gram, targets[:, ci], 1e-3)
             err = np.linalg.norm(model.alpha[:, ci] - direct)
             assert err <= 1e-8 * max(np.linalg.norm(direct), 1e-12)
         interp = fit(basis, targets, lambda_reg=0.0, scale_kind="none")
         conds = [
-            conditioning(basis[:, :, ci] @ basis[:, :, ci].T)[0] for ci in range(c)
+            conditioning(basis[ci] @ basis[ci].T)[0] for ci in range(c)
         ]
         assert max(conds) < 1e8  # 2n features keep the gram well-conditioned
         pred = predict(interp, basis)

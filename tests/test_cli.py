@@ -28,7 +28,6 @@ from dntk.io import (
     read_selection,
     read_sketch_meta,
 )
-from dntk.krr import features_as_basis
 from dntk.tangent import SKETCHED
 
 SMOKE = dict(
@@ -140,13 +139,18 @@ class TestStageChain:
         assert main(["fit-krr", "--source", "full", "--config", cfg]) == 0
         capsys.readouterr()
         with np.load(out / FILES["krr"]) as z:
-            assert z["basis"].shape[0] == 24
+            assert z["basis"].shape == (3, 24, 16)  # (C, s, D)
 
-    @pytest.mark.parametrize("source", ["distilled", "random", "full"])
+    @pytest.mark.parametrize(
+        "source", ["distilled", "random", "full", "leverage", "fps", "kmeans"]
+    )
     def test_evaluate_row_equals_pipeline_row(self, rundir, capsys, source):
         # the staged fit-krr + evaluate must score a set exactly as the
         # in-process pipeline scores the same features and the same set
         out, cfg_path = rundir
+        if source not in ("distilled", "full"):
+            assert main(["select-baseline", "--method", source, "--budget", "6",
+                         "--config", cfg_path]) == 0
         assert main(["fit-krr", "--source", source, "--config", cfg_path]) == 0
         assert main(["evaluate", "--method", source, "--config", cfg_path]) == 0
         capsys.readouterr()
@@ -166,11 +170,16 @@ class TestStageChain:
         if source == "distilled":
             dg, _ = read_distilled(out / FILES["distilled"])
             basis, targets = dg.phi_hat, dg.y_hat
+        elif source == "full":
+            basis, targets = train_feats.per_class, train_feats.model_logits
         else:
-            idx = (read_selection(out / "selected_random.npz", train_feats.size)
-                   if source == "random" else np.arange(train_feats.size))
-            basis = features_as_basis(train_feats)[idx]
-            targets = train_feats.model_logits[idx]
+            # the staged selection is the one pipeline.select_baseline makes
+            idx = read_selection(out / f"selected_{source}.npz", train_feats.size)
+            sel = pipeline.select_baseline(
+                train_feats, source, 6, pipeline.derive_seed(cfg.seed, source), cfg.scale_kind
+            )
+            np.testing.assert_array_equal(idx, sel.indices)
+            basis, targets = train_feats.per_class[:, idx], train_feats.model_logits[idx]
         row = pipeline.evaluate_gradient_set(basis, targets, task, source, cfg.seed)
         assert staged == row
 
@@ -186,7 +195,7 @@ class TestStageChain:
         assert main(["distill-grads", "--config", cfg2, "--budget", "2"]) == 0
         capsys.readouterr()
         with np.load(out2 / FILES["distilled"]) as z:
-            assert z["phi_hat"].shape[0] <= 2
+            assert z["phi_hat"].shape[1] <= 2  # (C, s, D)
 
 
 class TestSweepCommand:
@@ -292,6 +301,30 @@ def _missing_key(path):
     np.savez(path, **arrays)
 
 
+def _edit_arrays(path, **edits):
+    """Rewrite an npz archive with some arrays passed through functions."""
+    with np.load(path) as z:
+        arrays = {k: edits.get(k, lambda a: a)(z[k]) for k in z.files}
+    np.savez(path, **arrays)
+
+
+# npz bundles whose arrays disagree, and a stage that reads each
+INCONSISTENT = {
+    "alpha_one_class_short": (FILES["krr"], ["evaluate"], {"alpha": lambda a: a[:, :-1]}),
+    "eig_vectors_wrong_size": (
+        FILES["krr"], ["evaluate"], {"eig_vectors": lambda a: a[:, :-1, :-1]}
+    ),
+    # the (s, D, C) layout of older builds
+    "basis_old_layout": (
+        FILES["krr"], ["evaluate"], {"basis": lambda a: a.transpose(1, 2, 0)}
+    ),
+    "phi_hat_old_layout": (
+        FILES["distilled"], ["fit-krr", "--source", "distilled"],
+        {"phi_hat": lambda a: a.transpose(1, 2, 0)},
+    ),
+}
+
+
 # each npz artifact and a stage that reads it
 NPZ_READERS = {
     FILES["train"]: ["train-model"],
@@ -316,6 +349,20 @@ class TestMalformedArtifacts:
         captured = capsys.readouterr()
         assert rc == 1
         assert "error_code=ParseError" in captured.err
+
+    @pytest.mark.parametrize("case", sorted(INCONSISTENT))
+    def test_inconsistent_npz_exits_1(self, rundir, tmp_path, capsys, case):
+        artifact, stage, edits = INCONSISTENT[case]
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        _edit_arrays(work / artifact, **edits)
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(stage + ["--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error_code=ParseError" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_selection_out_of_range_exits_1(self, rundir, tmp_path, capsys):
         out, _ = rundir

@@ -14,7 +14,7 @@ from dntk.distill import (
     weighted_local_containment,
 )
 from dntk.errors import BadEps, InputError, RankZeroCluster
-from dntk.kernel import average_kernel, build_stack, truncation_rank
+from dntk.kernel import average_kernel, build_stack
 from dntk.metrics import orthonormal_rows_basis, subspace_coverage
 from dntk.numerics import sym_eig
 
@@ -41,11 +41,11 @@ class TestNormIdentity:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=1.0)
-        cands = synthesize_local(feats.per_class, feats.labels, part, systems)
+        cands = synthesize_local(part, systems)
         for c in cands:
             kind, h, j = c.provenance
             lam = systems[h][0].values[j]
-            amp = np.linalg.norm(c.phi[:, 0]) ** 2
+            amp = np.linalg.norm(c.lifted @ feats.per_class[0]) ** 2
             assert amp == pytest.approx(12.0 * lam, rel=1e-8)
 
 
@@ -139,14 +139,15 @@ class TestSynthesizeLocal:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=1.0)
-        cands = synthesize_local(feats.per_class, feats.labels, part, systems)
+        cands = synthesize_local(part, systems)
         singles = [c for c in cands if c.lifted.astype(bool).sum() == 1]
         assert singles
         cand = singles[0]
         i = int(np.flatnonzero(cand.lifted)[0])
-        np.testing.assert_allclose(np.abs(cand.phi[:, 0]),
+        np.testing.assert_allclose(np.abs(cand.lifted @ feats.per_class[0]),
                                    np.abs(feats.per_class[0, i]), atol=1e-12)
-        np.testing.assert_allclose(np.abs(cand.y), feats.labels[i], atol=1e-12)
+        np.testing.assert_allclose(np.abs(cand.lifted @ feats.labels), feats.labels[i],
+                                   atol=1e-12)
 
     def test_two_point_equal_weight_combination(self):
         phi = np.array([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])  # identical rows
@@ -154,17 +155,18 @@ class TestSynthesizeLocal:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(np.ones((2, 2)), 1, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=0.9)
-        cands = synthesize_local(feats.per_class, feats.labels, part, systems)
+        cands = synthesize_local(part, systems)
         assert len(cands) == 1
         expected = (phi[0, 0] + phi[0, 1]) / np.sqrt(2.0)
-        np.testing.assert_allclose(np.abs(cands[0].phi[:, 0]), expected, atol=1e-12)
+        np.testing.assert_allclose(np.abs(cands[0].lifted @ feats.per_class[0]), expected,
+                                   atol=1e-12)
 
     def test_lifted_zero_outside_cluster(self):
         feats = clustered_feats([4, 5], dim=10, seed=8)
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=0.99)
-        for c in synthesize_local(feats.per_class, feats.labels, part, systems):
+        for c in synthesize_local(part, systems):
             _, h, _ = c.provenance
             outside = np.setdiff1d(np.arange(9), part.index_sets[h])
             np.testing.assert_array_equal(c.lifted[outside], 0.0)
@@ -174,7 +176,7 @@ class TestSynthesizeGap:
     def test_empty_gap_empty_list(self):
         feats = clustered_feats([4], dim=5, seed=9)
         geig = sym_eig(average_kernel(build_stack(feats, "inv_k")))
-        assert synthesize_gap(feats.per_class, feats.labels, geig, ()) == []
+        assert synthesize_gap(geig, ()) == []
 
     def test_rank_one_kernel_regenerates_principal_direction(self):
         rng = np.random.default_rng(10)
@@ -184,9 +186,9 @@ class TestSynthesizeGap:
         feats = feats_from_blocks(phi[None])
         kbar = average_kernel(build_stack(feats, "inv_k"))
         geig = sym_eig(kbar)
-        cands = synthesize_gap(feats.per_class, feats.labels, geig, (0,))
+        cands = synthesize_gap(geig, (0,))
         assert len(cands) == 1
-        phi_hat = cands[0].phi[:, 0]
+        phi_hat = cands[0].lifted @ feats.per_class[0]
         # (1/D) Phi phi_hat must reproduce lam * v
         lhs = phi @ phi_hat / 6.0
         rhs = geig.values[0] * geig.vectors[:, 0]
@@ -220,7 +222,7 @@ class TestDistill:
         feats = clustered_feats([8, 8], dim=16, seed=15, classes=2)
         dg, _ = distill(feats, h=2, tau_v=0.95, tau_g=0.5, seed=0)
         for c in range(2):
-            rows = dg.phi_hat[:, :, c]
+            rows = dg.phi_hat[c]
             gram = rows @ rows.T / 16.0
             assert np.linalg.matrix_rank(gram, tol=1e-10) == dg.size
 
@@ -277,7 +279,7 @@ class TestDistill:
         rows = mix @ basis_rows + 0.01 * rng.normal(size=(24, 20))
         feats = feats_from_blocks(rows[None])
         dg, _ = distill(feats, h=3, tau_v=0.95, tau_g=0.5, seed=0, max_size=3)
-        v_dist = orthonormal_rows_basis(dg.phi_hat[:, :, 0])
+        v_dist = orthonormal_rows_basis(dg.phi_hat[0])
         cov_dist = subspace_coverage(rows, v_dist, center=False)
         for seed in range(5):
             idx = np.random.default_rng(seed).choice(24, size=dg.size, replace=False)

@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from dntk.errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
 from dntk.kernel import (
     average_kernel,
-    bias_variance_diagnostics,
     build_stack,
     class_kernel,
     conditioning,
-    data_redundancy_certificate,
     effective_dimension,
-    parameter_redundancy_error,
     scale_factor,
     spectral_summary,
     truncation_rank,
@@ -154,44 +151,6 @@ class TestSpectralSummary:
         assert s.trace == pytest.approx(np.trace(k))
 
 
-class TestRedundancy:
-    def test_rank_one_certificate(self):
-        v = np.arange(1.0, 11.0)
-        k = np.outer(v, v)
-        ok, summary = data_redundancy_certificate(k, r_factor=10.0, eps=0.05)
-        assert ok
-        assert summary.trunc_rank == 1
-
-    def test_full_rank_not_redundant(self):
-        ok, _ = data_redundancy_certificate(np.eye(10), r_factor=10.0, eps=0.05)
-        assert not ok
-
-    def test_parameter_error_spanning_basis(self):
-        rng = np.random.default_rng(5)
-        phi = rng.normal(size=(4, 10))
-        basis, _ = np.linalg.qr(phi.T)  # spans row space
-        assert parameter_redundancy_error(phi, basis) < 1e-10
-
-    def test_parameter_error_top_d_closed_form(self):
-        # with the top-d right-singular basis the relative Frobenius error
-        # collapses to sqrt(tail sum of sigma^4 / total sum of sigma^4)
-        rng = np.random.default_rng(7)
-        phi = rng.normal(size=(8, 14))
-        _, sing, vt = np.linalg.svd(phi, full_matrices=False)
-        for d in (2, 5, 7):
-            basis = vt[:d].T
-            expected = np.sqrt((sing[d:] ** 4).sum() / (sing**4).sum())
-            got = parameter_redundancy_error(phi, basis)
-            assert got == pytest.approx(expected, abs=1e-10)
-
-    def test_parameter_error_orthogonal_basis(self):
-        phi = np.zeros((3, 6))
-        phi[:, :3] = np.diag([1.0, 2.0, 3.0])
-        basis = np.zeros((6, 3))
-        basis[3:, :] = np.eye(3)  # orthogonal to row space
-        assert parameter_redundancy_error(phi, basis) == pytest.approx(1.0)
-
-
 class TestEffectiveDimension:
     def test_equal_modes(self):
         mu = np.full(8, 0.3)
@@ -209,30 +168,3 @@ class TestEffectiveDimension:
     def test_bad_lambda(self):
         with pytest.raises(BadLambda):
             effective_dimension(np.ones(3), 0.0)
-
-
-class TestBiasVariance:
-    def test_lambda_zero_no_bias(self):
-        mu = np.array([1.0, 0.5])
-        beta = np.array([1.0, 1.0])
-        bias, _ = bias_variance_diagnostics(mu, beta, 0.0, n=10)
-        assert bias == 0.0
-
-    def test_single_mode_frozen(self):
-        bias, _ = bias_variance_diagnostics(np.array([1.0]), np.array([1.0]), 1.0, n=4)
-        assert bias == pytest.approx(0.25)
-
-    def test_term_by_term_oracle(self):
-        rng = np.random.default_rng(6)
-        mu = np.sort(rng.uniform(0.01, 2.0, size=7))[::-1]
-        beta = rng.normal(size=7)
-        lam = 0.3
-        n = 50
-        noise = 0.8
-        bias, var = bias_variance_diagnostics(mu, beta, lam, n=n, noise_var=noise)
-        bias_oracle = sum(
-            (lam / (m + lam)) ** 2 * m * b**2 for m, b in zip(mu, beta)
-        )
-        var_oracle = noise * sum(m / (m + lam) for m in mu) / n
-        assert bias == pytest.approx(bias_oracle, rel=1e-12)
-        assert var == pytest.approx(var_oracle, rel=1e-12)

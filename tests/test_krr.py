@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
-from helpers import clustered_rows, feats_from_blocks
+from helpers import feats_from_blocks
 
-from dntk.errors import RankTooLarge, ScaleMismatch, SingularSystem
-from dntk.krr import features_as_basis, fit, predict, refit_rank
+from dntk.errors import RankTooLarge, ScaleMismatch, ShapeMismatch, SingularSystem
+from dntk.krr import fit, predict
 from dntk.numerics import ridge_solve_direct
 from dntk.tangent import extract_features, gen_gaussian_mixture, init_params
 
 
 def random_basis(s, d, c, seed, rank=None):
+    """(C, s, D) gradient rows per class."""
     rng = np.random.default_rng(seed)
     if rank is None:
-        return rng.normal(size=(s, d, c))
-    out = np.empty((s, d, c))
+        return rng.normal(size=(s, d, c)).transpose(2, 0, 1)
+    out = np.empty((c, s, d))
     for ci in range(c):
-        out[:, :, ci] = rng.normal(size=(s, rank)) @ rng.normal(size=(rank, d))
+        out[ci] = rng.normal(size=(s, rank)) @ rng.normal(size=(rank, d))
     return out
 
 
@@ -23,7 +24,7 @@ class TestFit:
         # orthonormal rows scaled so the class kernel is exactly I
         d, s = 12, 4
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(d, s)))
-        basis = (q * np.sqrt(d))[:, :, None].transpose(1, 0, 2)  # (s, d, 1)
+        basis = (q * np.sqrt(d)).T[None]  # (1, s, d)
         y = np.random.default_rng(1).normal(size=(s, 1))
         model = fit(basis, y, lambda_reg=0.0)
         np.testing.assert_allclose(model.alpha, y, atol=1e-10)
@@ -34,7 +35,7 @@ class TestFit:
         lam = 0.05
         model = fit(basis, y, lambda_reg=lam, scale_kind="inv_k")
         for c in range(3):
-            k = basis[:, :, c] @ basis[:, :, c].T / 20.0
+            k = basis[c] @ basis[c].T / 20.0
             ref = ridge_solve_direct(k, y[:, c:c + 1], lam)
             np.testing.assert_allclose(model.alpha[:, c:c + 1], ref,
                                        rtol=1e-8, atol=1e-10)
@@ -71,7 +72,7 @@ class TestPredict:
         basis = random_basis(5, 9, 2, seed=11)
         y = np.random.default_rng(12).normal(size=(5, 2))
         model = fit(basis, y, lambda_reg=0.1)
-        pred = predict(model, np.zeros((3, 9, 2)))
+        pred = predict(model, np.zeros((2, 3, 9)))
         np.testing.assert_array_equal(pred, np.zeros((3, 2)))
 
     def test_cross_kernel_formula(self):
@@ -81,7 +82,7 @@ class TestPredict:
         model = fit(basis, y, lambda_reg=0.2, scale_kind="inv_k")
         pred = predict(model, test)
         for c in range(2):
-            cross = test[:, :, c] @ basis[:, :, c].T / 10.0
+            cross = test[c] @ basis[c].T / 10.0
             np.testing.assert_allclose(pred[:, c], cross @ model.alpha[:, c],
                                        atol=1e-12)
 
@@ -98,11 +99,11 @@ class TestPredict:
         # reference: the dual form through the (t, s) cross kernel
         factor = 1.0 / 10.0 if scale_kind == "inv_k" else 1.0
         ref = np.stack(
-            [factor * (test[:, :, c] @ basis[:, :, c].T) @ model.alpha[:, c]
+            [factor * (test[c] @ basis[c].T) @ model.alpha[:, c]
              for c in range(3)],
             axis=1,
         )
-        arg = feats_from_blocks(test.transpose(2, 0, 1)) if as_features else test
+        arg = feats_from_blocks(test) if as_features else test
         np.testing.assert_allclose(predict(model, arg), ref,
                                    rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
@@ -110,8 +111,11 @@ class TestPredict:
         params = init_params([4, 7, 3], seed=0)
         data = gen_gaussian_mixture(3, 5, 4, 0.4, seed=1)
         feats = extract_features(params, data.inputs, data.labels)
-        basis = features_as_basis(feats)
-        model = fit(basis, feats.labels.astype(float), lambda_reg=0.1)
+        basis = feats.per_class.copy()
+        model = fit(feats, feats.labels.astype(float), lambda_reg=0.1)
+        np.testing.assert_array_equal(
+            fit(basis, feats.labels.astype(float), lambda_reg=0.1).alpha, model.alpha
+        )
         a = predict(model, feats)
         b = predict(model, basis)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -123,26 +127,28 @@ class TestPredict:
         with pytest.raises(ScaleMismatch):
             predict(model, random_basis(3, 8, 2, seed=17))
 
+    def test_class_count_mismatch(self):
+        # rows of the (s, D, C) layout no longer fit: the class axis leads
+        basis = random_basis(5, 9, 2, seed=16)
+        model = fit(basis, np.zeros((5, 2)), lambda_reg=0.1)
+        with pytest.raises(ShapeMismatch, match=r"\(2, t, D\)"):
+            predict(model, np.zeros((3, 9, 2)))
+        with pytest.raises(ShapeMismatch, match=r"\(C, rows, D\)"):
+            fit(np.zeros((5, 9)), np.zeros((5, 1)))
+
 
 class TestRefitRank:
+    """One basis fit again at each truncation rank."""
+
     def test_training_mse_non_increasing_in_rank(self):
         basis = random_basis(10, 25, 2, seed=18)
         y = np.random.default_rng(19).normal(size=(10, 2))
-        model = fit(basis, y, lambda_reg=1e-6)
         errs = []
         for r in range(1, 11):
-            m = refit_rank(model, r)
+            m = fit(basis, y, lambda_reg=1e-6, rank=r)
             pred = predict(m, basis)
             errs.append(float(((pred - y) ** 2).mean()))
         assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
-
-    def test_reuses_cached_spectra(self):
-        basis = random_basis(8, 12, 1, seed=20)
-        y = np.random.default_rng(21).normal(size=(8, 1))
-        model = fit(basis, y, lambda_reg=0.05)
-        direct = fit(basis, y, lambda_reg=0.05, rank=3)
-        via_refit = refit_rank(model, 3)
-        np.testing.assert_allclose(via_refit.alpha, direct.alpha, atol=1e-12)
 
 
 class TestScaleCoherence:
@@ -170,7 +176,6 @@ class TestOnRealFeatures:
         params = init_params([5, 10, 3], seed=26)
         data = gen_gaussian_mixture(3, 6, 5, 0.4, seed=27)
         feats = extract_features(params, data.inputs, data.labels)
-        basis = features_as_basis(feats)
-        model = fit(basis, feats.model_logits, lambda_reg=1e-8)
+        model = fit(feats.per_class, feats.model_logits, lambda_reg=1e-8)
         pred = predict(model, feats)
         np.testing.assert_allclose(pred, feats.model_logits, atol=1e-4)

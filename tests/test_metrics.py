@@ -205,7 +205,7 @@ ROW_SETS = {
 
 def _fit_eigenpairs(rows, scale_kind):
     """The eigenpairs krr.fit caches for one class, and its scale factor."""
-    model = fit(rows[:, :, None], np.zeros((rows.shape[0], 1)), scale_kind=scale_kind)
+    model = fit(rows[None], np.zeros((rows.shape[0], 1)), scale_kind=scale_kind)
     factor = 1.0 / rows.shape[1] if scale_kind == "inv_k" else 1.0
     return model.eig_values[0], model.eig_vectors[0], factor
 

@@ -8,7 +8,6 @@ from dntk.numerics import (
     fix_signs,
     qr_redundancy_filter,
     ridge_solve_direct,
-    svd_rank,
     sym_eig,
     thin_svd,
 )
@@ -94,20 +93,6 @@ class TestThinSvd:
         res = thin_svd(rng.normal(size=(9, 5)))
         np.testing.assert_allclose(res.left.T @ res.left, np.eye(5), atol=1e-10)
         np.testing.assert_allclose(res.right.T @ res.right, np.eye(5), atol=1e-10)
-
-
-class TestSvdRank:
-    def test_exact_rank(self):
-        a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0]).T  # rank 1
-        res = thin_svd(a)
-        assert svd_rank(res.singulars, 1e-10) == 1
-
-    def test_full_rank(self):
-        res = thin_svd(np.diag([5.0, 2.0, 1.0]))
-        assert svd_rank(res.singulars, 1e-10) == 3
-
-    def test_zero(self):
-        assert svd_rank(np.zeros(4), 1e-10) == 0
 
 
 class TestFixSigns:

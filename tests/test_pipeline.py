@@ -235,7 +235,7 @@ class TestRunMethod:
 
     def test_score_rejects_foreign_class_count(self, task):
         feats = task.train_feats
-        model = krr.fit(krr.features_as_basis(feats)[:, :, :2], feats.model_logits[:, :2])
+        model = krr.fit(feats.per_class[:2], feats.model_logits[:, :2])
         with pytest.raises(ShapeMismatch):
             pipeline.score_krr(model, feats, task.test_feats, task.test.labels, "x", 0)
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dntk.errors import BadEps, DimMismatch, EmptyInput, KTooLarge
-from dntk.sketch import jl_dimension, project_features, project_vector, sample_orthonormal
+from dntk.sketch import jl_dimension, project_features, sample_orthonormal
 from dntk.tangent import RAW_PARAMS, SKETCHED, extract_features, gen_gaussian_mixture, init_params
 
 
@@ -59,6 +60,12 @@ class TestSampleOrthonormal:
         op = sample_orthonormal(15, 15, seed=2)
         np.testing.assert_allclose(op.q @ op.q.T, np.eye(15), atol=1e-10)
         assert op.scale == 1.0
+
+
+def project_vector(op, u):
+    """The sketch of one raw gradient row, through project_features."""
+    feats = feats_from_blocks(np.asarray(u, dtype=np.float64)[None, None])
+    return project_features(feats, op).per_class[0, 0]
 
 
 class TestProjectVector:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from dntk.errors import NonOrthonormalBasis, NotSmooth, PreconditionFailed
+from dntk.errors import NonOrthonormalBasis, NotSmooth
 from dntk.theory import (
     decrease_bound_check,
     make_probe,
-    near_optimal_tail_check,
     pca_optimality_bruteforce,
     projection_residual,
     quadratic_minimizer_check,
@@ -102,32 +101,6 @@ class TestSecondMomentOptimality:
         best, margin = pca_optimality_bruteforce(g, r=2, trials=500, seed=11)
         assert margin >= -1e-10
         assert best >= 0.0
-
-    def test_near_optimal_subspace_passes(self):
-        rng = np.random.default_rng(12)
-        b = rng.normal(size=(7, 7))
-        g = b @ b.T
-        from dntk.numerics import sym_eig
-        eig = sym_eig(g)
-        v = eig.vectors[:, :3]
-        assert near_optimal_tail_check(g, 3, delta=1e-9, basis=v)
-
-    def test_far_subspace_precondition_fails(self):
-        g = np.diag([10.0, 5.0, 1.0, 0.1])
-        v = np.eye(4)[:, 2:]  # bottom eigenvectors: very suboptimal
-        with pytest.raises(PreconditionFailed):
-            near_optimal_tail_check(g, 2, delta=0.01, basis=v)
-
-    def test_random_subspace_holds_with_its_own_delta(self):
-        rng = np.random.default_rng(13)
-        b = rng.normal(size=(6, 6))
-        g = b @ b.T
-        from dntk.numerics import sym_eig
-        eig = sym_eig(g)
-        for _ in range(10):
-            v = ortho_basis(6, 2, rng.integers(10**6))
-            slack = float(eig.values[:2].sum() - np.trace(v.T @ g @ v))
-            assert near_optimal_tail_check(g, 2, delta=slack + 1e-9, basis=v)
 
 
 class TestResidualTwoWays:
