@@ -34,8 +34,8 @@ from .io import (
     write_selection,
     write_sketch_meta,
 )
-from .sketch import project_features, sample_orthonormal
-from .tangent import SKETCHED, extract_features, init_params, train_sgd
+from .sketch import project_features
+from .tangent import SKETCHED, extract_features
 
 FILES = {
     "train": "train.npz",
@@ -89,16 +89,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train_model(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    train = read_dataset(_p(out, "train"))
-    params = init_params(cfg.layer_sizes, pipeline.derive_seed(cfg.seed, "init"), cfg.activation)
-    model = train_sgd(
-        params,
-        train,
-        lr=cfg.train_lr,
-        epochs=cfg.train_epochs,
-        batch=cfg.train_batch,
-        seed=pipeline.derive_seed(cfg.seed, "train"),
-    )
+    model = pipeline.train_model(cfg, read_dataset(_p(out, "train")), cfg.seed)
     write_model(model, _p(out, "model"))
     print(f"trained {model.param_count}-parameter model, saved to {_p(out, 'model')}")
     return 0
@@ -121,11 +112,7 @@ def cmd_project(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     raw = read_gradients(_p(out, "grads_train"))
-    op = sample_orthonormal(
-        raw.width,
-        pipeline.sketch_width(cfg, raw.width),
-        pipeline.derive_seed(cfg.seed, "sketch"),
-    )
+    op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
     write_sketch_meta(op, _p(out, "sketch_meta"))
     write_gradients(project_features(raw, op), _p(out, "sketched_train"))
     del raw  # hold one split's raw rows at a time
@@ -143,8 +130,8 @@ def cmd_kernel_stats(args) -> int:
     path = _p(out, "kernel_stats")
     with open(path, "w") as fh:
         fh.write("class,trace,trunc_rank,condition,min_eig,effective_dim\n")
-        for ci in range(stack.class_count):
-            summary = kernel.spectral_summary(stack.per_class[ci])
+        for ci, class_kernel in enumerate(stack):
+            summary = kernel.spectral_summary(class_kernel)
             eff = kernel.effective_dimension(summary.eig.values, cfg.lambda_reg) \
                 if cfg.lambda_reg > 0 else float((summary.eig.values > 0).sum())
             fh.write(
@@ -159,14 +146,8 @@ def cmd_distill_grads(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
-    dg, report = distill_mod.distill(
-        feats,
-        h=cfg.h,
-        tau_v=cfg.tau_v,
-        tau_g=cfg.tau_g,
-        eps_qr=cfg.eps_qr,
-        seed=pipeline.derive_seed(cfg.seed, "distill"),
-        max_size=args.budget,
+    dg, report = pipeline.distill_features(
+        feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
     write_distilled(dg, report, _p(out, "distilled"))
     ratio = distill_mod.compression_ratio(feats.size, dg.size)
@@ -182,7 +163,7 @@ def cmd_select_baseline(args) -> int:
     out = _out_dir(args, cfg)
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     seed = pipeline.derive_seed(cfg.seed, args.method)
-    sel = pipeline.select_baseline(feats, args.method, args.budget, seed, cfg.scale_kind)
+    sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
     write_selection(sel, out / f"selected_{args.method}.npz")
     print(f"selected {sel.indices.size} samples with {args.method}")
     return 0
@@ -212,14 +193,7 @@ def cmd_evaluate(args) -> int:
     model = read_krr(_p(out, "krr"))
     test_feats = read_gradients(_p(out, "sketched_test"), dim_kind=SKETCHED)
     train_feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
-    row = pipeline.score_krr(
-        model,
-        train_feats,
-        test_feats,
-        test_feats.labels.argmax(axis=1),
-        args.method,
-        cfg.seed,
-    )
+    row = pipeline.score_krr(model, train_feats, test_feats, args.method, cfg.seed)
     path = _p(out, "report")
     write_report([row], path, append=path.exists())
     print(f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})")

@@ -85,10 +85,10 @@ def _sq_dists(points: np.ndarray, sq: np.ndarray, centroids: np.ndarray) -> np.n
     return np.maximum(d2, 0.0)
 
 
-def _lloyd(points: np.ndarray, centroids: np.ndarray, iters: int):
+def _lloyd(points: np.ndarray, centroids: np.ndarray):
     sq = (points * points).sum(axis=1)
     assign = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = _sq_dists(points, sq, centroids)
         new_assign = d2.argmin(axis=1)  # ties resolve to the lowest centroid
         if assign is not None and np.array_equal(new_assign, assign):
@@ -104,9 +104,8 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray, iters: int):
     return assign, centroids, inertia
 
 
-def kmeans_fit(points, k: int, seed: int, restarts: int = KMEANS_RESTARTS,
-               iters: int = KMEANS_ITERS):
-    """Best-of-restarts Lloyd iteration; lowest restart index wins ties.
+def kmeans_fit(points, k: int, seed: int):
+    """Best-of-KMEANS_RESTARTS Lloyd iteration; lowest restart index wins ties.
 
     Returns (assignments, centroids, inertia). Deterministic per seed.
     """
@@ -116,10 +115,10 @@ def kmeans_fit(points, k: int, seed: int, restarts: int = KMEANS_RESTARTS,
     if k < 1 or k > pts.shape[0]:
         raise HTooLarge(f"k={k} invalid for {pts.shape[0]} points")
     best = None
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng((seed, r))
         centroids = _kmeans_pp_init(pts, k, rng)
-        assign, centroids, inertia = _lloyd(pts, centroids.copy(), iters)
+        assign, centroids, inertia = _lloyd(pts, centroids.copy())
         if best is None or inertia < best[2]:
             best = (assign, centroids, inertia)
     return best

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadEps, InputError, RankZeroCluster, ShapeMismatch
+from .errors import BadEps, InputError, RankZeroCluster
 from .cluster import ClusterPartition, restrict_kernel, spectral_cluster
 from .kernel import EIG_FLOOR_REL, average_kernel, build_stack, truncation_rank
 from .numerics import EigenSystem, qr_redundancy_filter, sym_eig
@@ -152,7 +152,6 @@ def distill(
     tau_g: float = 0.5,
     eps_qr: float = 1e-6,
     seed: int = 0,
-    targets: np.ndarray | None = None,
     max_size: int | None = None,
 ) -> tuple[DistilledGradients, CoverageReport]:
     """Distill a gradient feature set into synthetic gradient/target pairs.
@@ -163,10 +162,8 @@ def distill(
     synthesize gradients for both. Redundant candidates are removed by a
     rank-revealing QR on the lifted combination vectors. When max_size is
     given, surviving candidates are trimmed to the largest eigenvalues. Only
-    the kept vectors are applied to the gradient rows and the targets.
-
-    targets defaults to the model logits, matching the regression targets
-    used for kernel fits; pass feats.labels to distill hard labels instead.
+    the kept vectors are applied to the gradient rows and to the model
+    logits, the regression targets of every kernel fit.
     """
     if not (0.0 < tau_v <= 1.0):
         raise BadEps(f"tau_v must lie in (0, 1], got {tau_v}")
@@ -174,16 +171,8 @@ def distill(
         raise BadEps(f"tau_g must lie in [0, 1], got {tau_g}")
     if max_size is not None and max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
-    if targets is None:
-        targets = feats.model_logits
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape[0] != feats.size:
-        raise ShapeMismatch(
-            f"targets have {targets.shape[0]} rows for {feats.size} samples"
-        )
 
-    stack = build_stack(feats, "inv_k")
-    kbar = average_kernel(stack)
+    kbar = average_kernel(build_stack(feats))
     partition = spectral_cluster(kbar, h, seed)
 
     global_eig = sym_eig(kbar)
@@ -216,7 +205,7 @@ def distill(
     basis = lifted[:, kept]
     dg = DistilledGradients(
         phi_hat=basis.T @ feats.per_class,
-        y_hat=basis.T @ targets,
+        y_hat=basis.T @ feats.model_logits,
         provenance=tuple(candidates[i].provenance for i in kept),
         lifted_basis=basis,
         eigenvalues=np.array([candidates[i].eigenvalue for i in kept]),

@@ -49,10 +49,6 @@ class ShapeMismatch(InputError):
     pass
 
 
-class LengthMismatch(InputError):
-    pass
-
-
 class BadEps(InputError):
     pass
 

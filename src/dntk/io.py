@@ -147,7 +147,11 @@ def _fmt(value) -> str:
 
 
 def write_report(rows, path, append: bool = False) -> None:
-    """Fixed-schema CSV; float cells carry 17 significant digits."""
+    """Fixed-schema CSV; float cells carry 17 significant digits.
+
+    The method label is written as is and may hold commas (sweep labels
+    do); no other cell can, so read_report splits rows from the right.
+    """
     mode = "a" if append else "w"
     try:
         with open(path, mode, newline="") as fh:
@@ -170,7 +174,8 @@ def read_report(path) -> list[ReportRow]:
         raise ParseError(f"{path}: missing or wrong header row")
     out = []
     for ln in lines[1:]:
-        cells = ln.split(",")
+        # only the method label can hold a comma (sweep labels do)
+        cells = ln.rsplit(",", len(REPORT_COLUMNS) - 1)
         if len(cells) != len(REPORT_COLUMNS):
             raise ParseError(f"{path}: row has {len(cells)} cells")
         out.append(
@@ -517,7 +522,6 @@ def write_krr(model: KrrModel, path) -> None:
         targets=model.targets,
         alpha=model.alpha,
         lambda_reg=np.float64(model.lambda_reg),
-        rank=np.int64(model.rank),
         scale_kind=np.array(model.scale_kind),
         eig_values=model.eig_values,
         eig_vectors=model.eig_vectors,
@@ -537,7 +541,6 @@ def _build_krr(z) -> KrrModel:
         targets=z["targets"],
         alpha=z["alpha"],
         lambda_reg=float(z["lambda_reg"]),
-        rank=int(z["rank"]),
         scale_kind=str(z["scale_kind"]),
         eig_values=z["eig_values"],
         eig_vectors=z["eig_vectors"],

@@ -22,23 +22,6 @@ EIG_FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
-class KernelStack:
-    """One Gram matrix per class, all built at the same scale."""
-
-    per_class: np.ndarray  # (C, n, n)
-    scale_kind: str
-    source_width: int
-
-    @property
-    def class_count(self) -> int:
-        return int(self.per_class.shape[0])
-
-    @property
-    def size(self) -> int:
-        return int(self.per_class.shape[1])
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     eig: EigenSystem
     trunc_rank: int
@@ -62,16 +45,16 @@ def class_kernel(feats: GradientFeatures, c: int, scale_kind: str = "inv_k") -> 
     return 0.5 * (k + k.T)
 
 
-def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> KernelStack:
-    kernels = np.stack(
+def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarray:
+    """(C, n, n): one Gram matrix per class, all at the same scale."""
+    return np.stack(
         [class_kernel(feats, c, scale_kind) for c in range(feats.class_count)]
     )
-    return KernelStack(per_class=kernels, scale_kind=scale_kind, source_width=feats.width)
 
 
-def average_kernel(stack: KernelStack) -> np.ndarray:
-    """Unweighted mean of the per-class kernels."""
-    mean = stack.per_class.mean(axis=0)
+def average_kernel(stack: np.ndarray) -> np.ndarray:
+    """Unweighted mean of a (C, n, n) stack of per-class kernels."""
+    mean = stack.mean(axis=0)
     return 0.5 * (mean + mean.T)
 
 
@@ -92,9 +75,9 @@ def truncation_rank(eigvals, eps: float) -> int:
     return int(np.searchsorted(cum, 1.0 - eps, side="left")) + 1
 
 
-def spectral_summary(kernel_matrix, eps: float = 0.05, ridge: float = 0.0) -> SpectralSummary:
+def spectral_summary(kernel_matrix, eps: float = 0.05) -> SpectralSummary:
     eig = sym_eig(kernel_matrix)
-    condition, min_eig = spectrum_conditioning(eig.values, ridge)
+    condition, min_eig = spectrum_conditioning(eig.values)
     return SpectralSummary(
         eig=eig,
         trunc_rank=truncation_rank(eig.values, eps),
@@ -104,27 +87,24 @@ def spectral_summary(kernel_matrix, eps: float = 0.05, ridge: float = 0.0) -> Sp
     )
 
 
-def spectrum_conditioning(eigvals, ridge: float = 0.0) -> tuple[float, float]:
-    """(condition number of K + ridge I, raw minimum eigenvalue of K) from K's spectrum.
+def spectrum_conditioning(eigvals) -> tuple[float, float]:
+    """(condition number, minimum eigenvalue) of K from K's spectrum.
 
-    The condition number is the largest shifted eigenvalue over the smallest
-    positive one, inf when none is positive. A shifted eigenvalue counts as
-    positive only above len(vals) * eps * max |shifted| (numpy's matrix_rank
+    The condition number is the largest eigenvalue over the smallest
+    positive one, inf when none is positive. An eigenvalue counts as
+    positive only above len(vals) * eps * max |vals| (numpy's matrix_rank
     tolerance), so on a rank-deficient K the roundoff eigenvalues of its null
     space do not set the ratio.
     """
     vals = np.asarray(eigvals, dtype=np.float64)
-    shifted = vals + ridge
-    positive = shifted[shifted > rank_tolerance(shifted)]
-    condition = float(shifted.max() / positive.min()) if positive.size else float("inf")
+    positive = vals[vals > rank_tolerance(vals)]
+    condition = float(vals.max() / positive.min()) if positive.size else float("inf")
     return condition, float(vals.min())
 
 
-def conditioning(kernel_matrix, ridge: float = 0.0) -> tuple[float, float]:
-    """(condition number of K + ridge I, raw minimum eigenvalue of K)."""
-    if ridge < 0.0:
-        raise BadLambda(f"ridge must be >= 0, got {ridge}")
-    summary = spectral_summary(kernel_matrix, ridge=ridge)
+def conditioning(kernel_matrix) -> tuple[float, float]:
+    """(condition number, minimum eigenvalue) of K."""
+    summary = spectral_summary(kernel_matrix)
     return summary.condition, summary.min_eig
 
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadLambda,
-    RankTooLarge,
-    ScaleMismatch,
-    ShapeMismatch,
-    SingularSystem,
-)
+from .errors import BadLambda, ScaleMismatch, ShapeMismatch, SingularSystem
 from .kernel import scale_factor
 from .numerics import COND_LIMIT, sym_eig
 from .tangent import GradientFeatures
@@ -32,7 +26,6 @@ class KrrModel:
     targets: np.ndarray  # (s, C)
     alpha: np.ndarray  # (s, C) dual coefficients per class
     lambda_reg: float
-    rank: int
     scale_kind: str
     eig_values: np.ndarray  # (C, s) cached per-class spectra, descending
     eig_vectors: np.ndarray  # (C, s, s)
@@ -60,31 +53,26 @@ def _rows(basis, name: str) -> np.ndarray:
     return b
 
 
-def _solve_alpha(values, vectors, y, lambda_reg, rank):
-    """alpha = U_r (S_r + lambda I)^{-1} U_r^T y on the cached spectrum."""
-    w = values[:rank]
-    u = vectors[:, :rank]
-    if lambda_reg == 0.0:
-        w_pos = w[w > 0.0]
-        if w_pos.size < rank or w_pos.max() / w_pos.min() > COND_LIMIT:
-            raise SingularSystem(
-                "lambda_reg = 0 needs a well-conditioned kernel at the kept rank"
-            )
-    return u @ ((u.T @ y) / (w + lambda_reg)[:, None])
+def _solve_alpha(values, vectors, y, lambda_reg):
+    """alpha = U (S + lambda I)^{-1} U^T y on the cached spectrum."""
+    if lambda_reg == 0.0 and not (
+        values.min() > 0.0 and values.max() / values.min() <= COND_LIMIT
+    ):
+        raise SingularSystem("lambda_reg = 0 needs a well-conditioned kernel")
+    return vectors @ ((vectors.T @ y) / (values + lambda_reg)[:, None])
 
 
 def fit(
     basis,
     targets,
     lambda_reg: float = 1e-4,
-    rank: int | None = None,
     scale_kind: str = "inv_k",
 ) -> KrrModel:
     """Fit one ridge regressor per class on that class's gradient kernel.
 
-    rank = None keeps the full spectrum; otherwise the top-rank eigenpairs
-    act as a hard filter. With lambda_reg = 0 the kept spectrum must be
-    positive and well-conditioned or the system is reported singular.
+    basis is (C, s, D) rows or features and targets (s, C). With
+    lambda_reg = 0 every eigenvalue must be positive and the spectrum
+    well-conditioned or the system is reported singular.
     """
     b = _rows(basis, "basis")
     c, s, d = b.shape
@@ -93,10 +81,6 @@ def fit(
         raise ShapeMismatch(f"targets must be ({s}, {c}), got {y.shape}")
     if lambda_reg < 0.0:
         raise BadLambda(f"lambda_reg must be >= 0, got {lambda_reg}")
-    if rank is None:
-        rank = s
-    if not (1 <= rank <= s):
-        raise RankTooLarge(f"rank {rank} invalid for {s} samples")
     factor = scale_factor(scale_kind, d)
     eig_values = np.empty((c, s))
     eig_vectors = np.empty((c, s, s))
@@ -106,14 +90,13 @@ def fit(
         eig_values[ci] = eig.values
         eig_vectors[ci] = eig.vectors
         alpha[:, ci] = _solve_alpha(
-            eig.values, eig.vectors, y[:, ci : ci + 1], lambda_reg, rank
+            eig.values, eig.vectors, y[:, ci : ci + 1], lambda_reg
         ).ravel()
     return KrrModel(
         basis=b,
         targets=y.copy(),
         alpha=alpha,
         lambda_reg=lambda_reg,
-        rank=rank,
         scale_kind=scale_kind,
         eig_values=eig_values,
         eig_vectors=eig_vectors,

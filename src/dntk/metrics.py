@@ -69,37 +69,6 @@ def _check_basis(v: np.ndarray, gram: np.ndarray | None = None) -> None:
         raise NonOrthonormalBasis("basis columns are not orthonormal within 1e-8")
 
 
-def _centered_pair(phi, basis, center: bool) -> tuple[np.ndarray, np.ndarray]:
-    p = _center(as_matrix(phi, "phi"), center)
-    v = as_matrix(basis, "basis")
-    if v.shape[0] != p.shape[1]:
-        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
-    _check_basis(v)
-    return p, v
-
-
-def subspace_coverage(phi, basis, center: bool = True) -> float:
-    """Energy fraction of the (centered) rows captured by the subspace.
-
-    ||Phi V V^T||_F^2 / ||Phi||_F^2 for an orthonormal basis V. Centering
-    matches how compressed-set quality is reported; kernels themselves are
-    never centered.
-    """
-    p, v = _centered_pair(phi, basis, center)
-    total = float((p**2).sum())
-    if total == 0.0:
-        raise ZeroTrace("zero gradient matrix has no energy to cover")
-    captured = float(((p @ v) ** 2).sum())
-    return captured / total
-
-
-def reconstruction_error(phi, basis, center: bool = True) -> float:
-    """Mean squared residual per row after projecting onto the subspace."""
-    p, v = _centered_pair(phi, basis, center)
-    resid = p - (p @ v) @ v.T
-    return float((resid**2).sum() / p.shape[0])
-
-
 def _scores(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     total = float((p**2).sum())
     if total == 0.0:
@@ -111,9 +80,20 @@ def _scores(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 
 def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
-    """(subspace_coverage, reconstruction_error) with one centering, one
-    basis check and one projection; each value equals its function's."""
-    return _scores(*_centered_pair(phi, basis, center))
+    """(coverage, reconstruction error) of the (centered) rows by a subspace.
+
+    Coverage is the captured energy fraction ||Phi V V^T||_F^2 / ||Phi||_F^2
+    for an orthonormal basis V; the reconstruction error is the mean squared
+    residual per row after projecting onto the subspace. Centering matches
+    how compressed-set quality is reported; kernels themselves are never
+    centered.
+    """
+    p = _center(as_matrix(phi, "phi"), center)
+    v = as_matrix(basis, "basis")
+    if v.shape[0] != p.shape[1]:
+        raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
+    _check_basis(v)
+    return _scores(p, v)
 
 
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:

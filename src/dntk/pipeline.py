@@ -1,17 +1,19 @@
 """End-to-end orchestration: task preparation, method evaluation, sweeps.
 
-This is the glue the CLI subcommands and the acceptance harness share. A
-"task" bundles the synthetic classification problem, the trained network,
-and sketched gradient features for train and test splits. Every stage
-draws its seed by hashing (root seed, stage name, cell index), so any
-stage can be re-run in isolation and still line up with a full run.
+This is the glue the CLI subcommands and the acceptance harness share:
+each stage maps the config to its call in one function here, which the
+staged CLI and the in-process task and sweep both run. A "task" bundles
+the synthetic classification problem, the trained network, and sketched
+gradient features for train and test splits. Every stage draws its seed by
+hashing (root seed, stage name, cell index), so any stage can be re-run in
+isolation and still line up with a full run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,11 +106,10 @@ def sketch_width(cfg: RunConfig, param_count: int) -> int:
     return min(int(k), param_count)
 
 
-def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
-    """Data, trained model, and sketched features for one root seed."""
-    train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
+def train_model(cfg: RunConfig, train: LabeledDataset, root_seed: int) -> MlpParams:
+    """The base network: initialized and trained with SGD at the config's settings."""
     params = init_params(cfg.layer_sizes, derive_seed(root_seed, "init"), cfg.activation)
-    model = train_sgd(
+    return train_sgd(
         params,
         train,
         lr=cfg.train_lr,
@@ -116,9 +117,38 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
         batch=cfg.train_batch,
         seed=derive_seed(root_seed, "train"),
     )
-    op = sample_orthonormal(
-        model.param_count, sketch_width(cfg, model.param_count), derive_seed(root_seed, "sketch")
+
+
+def sketch_operator(cfg: RunConfig, param_count: int, root_seed: int) -> SketchOperator:
+    """The orthonormal sketch from param_count parameters to sketch_width."""
+    return sample_orthonormal(
+        param_count, sketch_width(cfg, param_count), derive_seed(root_seed, "sketch")
     )
+
+
+def distill_features(
+    feats: GradientFeatures, cfg: RunConfig, seed: int, budget: int | None = None
+) -> tuple[distill.DistilledGradients, distill.CoverageReport]:
+    """Distill a feature set at the config's H, tau_v, tau_g and eps_qr."""
+    return distill.distill(
+        feats,
+        h=cfg.h,
+        tau_v=cfg.tau_v,
+        tau_g=cfg.tau_g,
+        eps_qr=cfg.eps_qr,
+        seed=seed,
+        max_size=budget,
+    )
+
+
+def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
+    """Data, trained model, and sketched features for one root seed.
+
+    The staged CLI runs the same stage functions, one per subcommand.
+    """
+    train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
+    model = train_model(cfg, train, root_seed)
+    op = sketch_operator(cfg, model.param_count, root_seed)
     train_feats = sketched_features(model, train.inputs, train.labels, op)
     test_feats = sketched_features(model, test.inputs, test.labels, op)
     return Task(
@@ -138,7 +168,6 @@ def score_krr(
     model: krr.KrrModel,
     train_feats: GradientFeatures,
     test_feats: GradientFeatures,
-    test_labels,
     method: str,
     seed: int,
 ) -> ReportRow:
@@ -149,8 +178,8 @@ def score_krr(
     (centered) training gradient energy the fitted set's row span retains,
     with that span taken from the fit's own eigenpairs
     (metrics.eig_rows_basis); the conditioning columns summarize the fitted
-    kernels themselves. The sweep and the staged `evaluate` command both
-    score through here.
+    kernels themselves. Accuracy is against the test features' label ids.
+    The sweep and the staged `evaluate` command both score through here.
     """
     c = model.class_count
     if train_feats.class_count != c:
@@ -178,7 +207,7 @@ def score_krr(
         s=model.size,
         compression=distill.compression_ratio(train_feats.size, model.size),
         fidelity=metrics.fidelity(pred, test_feats.model_logits),
-        accuracy=metrics.accuracy(pred, test_labels),
+        accuracy=metrics.accuracy(pred, test_feats.labels.argmax(axis=1)),
         mse=metrics.mse(pred, test_feats.model_logits),
         coverage=float(coverage.mean()),
         recon_error=float(recon.mean()),
@@ -199,24 +228,24 @@ def evaluate_gradient_set(
     model = krr.fit(
         basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind
     )
-    return score_krr(
-        model, task.train_feats, task.test_feats, task.test.labels, method, seed
-    )
+    return score_krr(model, task.train_feats, task.test_feats, method, seed)
 
 
 def select_baseline(
-    feats: GradientFeatures, method: str, budget: int, seed: int, scale_kind: str
+    feats: GradientFeatures, method: str, budget: int, seed: int
 ) -> baselines.SelectionResult:
     """Pick `budget` training samples with one of baselines.METHODS.
 
     The one place a baseline name maps to its selector; the sweep and the
     staged select-baseline command both come through here. Leverage scores
-    come from the averaged kernel at scale_kind.
+    come from the eigenvectors of the averaged kernel, which no positive
+    scale changes, so it is built at build_stack's default scale, as
+    distill builds it.
     """
     if method == "random":
         return baselines.select_random(feats.size, budget, seed)
     if method == "leverage":
-        kbar = kernel.average_kernel(kernel.build_stack(feats, scale_kind))
+        kbar = kernel.average_kernel(kernel.build_stack(feats))
         return baselines.select_leverage(kbar, budget, min(budget, feats.size), seed)
     if method == "fps":
         return baselines.select_fps(baselines.flatten_rows(feats.per_class), budget, seed)
@@ -230,35 +259,23 @@ def run_method(
     method: str,
     seed: int,
     budget: int | None = None,
-    h: int | None = None,
-    tau_v: float | None = None,
-    tau_g: float | None = None,
     label: str | None = None,
 ) -> ReportRow:
-    """Produce one report row for a method at the given settings.
+    """Produce one report row for a method at the task config's settings.
 
     For "distill" the budget is an optional cap; for the selection
     baselines it is mandatory (they need a target size). "full" ignores it.
     """
-    cfg = task.cfg
     feats = task.train_feats
     if method == "distill":
-        dg, _ = distill.distill(
-            feats,
-            h=h if h is not None else cfg.h,
-            tau_v=tau_v if tau_v is not None else cfg.tau_v,
-            tau_g=tau_g if tau_g is not None else cfg.tau_g,
-            eps_qr=cfg.eps_qr,
-            seed=seed,
-            max_size=budget,
-        )
+        dg, _ = distill_features(feats, task.cfg, seed, budget)
         basis, targets = dg.phi_hat, dg.y_hat
     elif method == "full":
         basis, targets = feats.per_class, feats.model_logits
     else:
         if budget is None:
             raise InputError(f"method {method!r} needs an explicit budget")
-        idx = select_baseline(feats, method, budget, seed, cfg.scale_kind).indices
+        idx = select_baseline(feats, method, budget, seed).indices
         basis, targets = feats.per_class[:, idx], feats.model_logits[idx]
     return evaluate_gradient_set(basis, targets, task, label or method, seed)
 
@@ -287,24 +304,16 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
         def run_cell(args):
             idx, (h, tv, tg) = args
             tag = f"[H={h},tv={tv:g},tg={tg:g}]"
-            cell_rows = [
-                run_method(
-                    task,
-                    "distill",
-                    derive_seed(root_seed, "distill", idx),
-                    h=h,
-                    tau_v=tv,
-                    tau_g=tg,
-                    label=f"distill{tag}",
-                )
-            ]
+            cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg))
+            seed = derive_seed(root_seed, "distill", idx)
+            cell_rows = [run_method(cell, "distill", seed, label=f"distill{tag}")]
             budget = cell_rows[0].s
             for method in cfg.methods:
                 if method in ("distill", "full"):
                     continue
                 cell_rows.append(
                     run_method(
-                        task,
+                        cell,
                         method,
                         derive_seed(root_seed, method, idx),
                         budget=budget,

@@ -385,8 +385,7 @@ def train_sgd(
     epochs: int,
     batch: int,
     seed: int,
-    return_history: bool = False,
-):
+) -> MlpParams:
     """Mini-batch SGD on softmax cross-entropy with seeded shuffling.
 
     epochs = 0 returns an unchanged copy. Raises Divergence as soon as the
@@ -398,7 +397,6 @@ def train_sgd(
         raise InputError("need lr > 0, epochs >= 0, batch >= 1")
     theta = params.theta.copy()
     model = replace(params, theta=theta)
-    history = []
     rng = np.random.default_rng(seed)
     targets = one_hot(data.labels, data.class_count)
     for _ in range(epochs):
@@ -409,11 +407,8 @@ def train_sgd(
         loss = cross_entropy(model, data)
         if not np.isfinite(loss):
             raise Divergence(f"training loss became {loss}")
-        history.append(loss)
     if not np.all(np.isfinite(theta)):
         raise Divergence("parameters became non-finite")
-    if return_history:
-        return model, history
     return model
 
 

@@ -95,6 +95,22 @@ class TestStageChain:
             assert (out / FILES[key]).exists(), key
         assert (out / "selected_random.npz").exists()
 
+    def test_staged_setup_equals_prepare_task(self, rundir):
+        # gen-data .. project run the stage functions prepare_task runs
+        out, cfg_path = rundir
+        cfg = read_config(cfg_path)
+        task = pipeline.prepare_task(cfg, cfg.seed)
+        model = read_model(out / FILES["model"])
+        np.testing.assert_array_equal(model.theta, task.model.theta)
+        op = read_sketch_meta(out / FILES["sketch_meta"])
+        np.testing.assert_array_equal(op.q, task.sketch_op.q)
+        for key, feats in (("sketched_train", task.train_feats),
+                           ("sketched_test", task.test_feats)):
+            staged = read_gradients(out / FILES[key], dim_kind=SKETCHED)
+            np.testing.assert_allclose(staged.per_class, feats.per_class, rtol=1e-12,
+                                       atol=1e-12 * np.abs(feats.per_class).max())
+            np.testing.assert_array_equal(staged.labels, feats.labels)
+
     def test_kernel_stats_csv(self, rundir):
         out, _ = rundir
         lines = (out / FILES["kernel_stats"]).read_text().strip().splitlines()
@@ -176,7 +192,7 @@ class TestStageChain:
             # the staged selection is the one pipeline.select_baseline makes
             idx = read_selection(out / f"selected_{source}.npz", train_feats.size)
             sel = pipeline.select_baseline(
-                train_feats, source, 6, pipeline.derive_seed(cfg.seed, source), cfg.scale_kind
+                train_feats, source, 6, pipeline.derive_seed(cfg.seed, source)
             )
             np.testing.assert_array_equal(idx, sel.indices)
             basis, targets = train_feats.per_class[:, idx], train_feats.model_logits[idx]

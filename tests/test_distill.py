@@ -15,7 +15,7 @@ from dntk.distill import (
 )
 from dntk.errors import BadEps, InputError, RankZeroCluster
 from dntk.kernel import average_kernel, build_stack
-from dntk.metrics import orthonormal_rows_basis, subspace_coverage
+from dntk.metrics import orthonormal_rows_basis, subspace_scores
 from dntk.numerics import sym_eig
 
 
@@ -265,10 +265,11 @@ class TestDistill:
         assert ranks[0] <= ranks[1] <= ranks[2]
 
     def test_targets_default_to_logits(self):
+        # the targets are the model logits, combined like the gradient rows
         feats = clustered_feats([5], dim=6, seed=21)
-        by_default, _ = distill(feats, h=1, seed=0)
-        explicit, _ = distill(feats, h=1, seed=0, targets=feats.model_logits)
-        np.testing.assert_array_equal(by_default.y_hat, explicit.y_hat)
+        dg, _ = distill(feats, h=1, seed=0)
+        np.testing.assert_array_equal(dg.y_hat, dg.lifted_basis.T @ feats.model_logits)
+        np.testing.assert_array_equal(dg.phi_hat, dg.lifted_basis.T @ feats.per_class)
 
     def test_better_than_random_on_planted_low_rank(self):
         # rank-3 row space + noise: distilled basis should capture more
@@ -280,11 +281,11 @@ class TestDistill:
         feats = feats_from_blocks(rows[None])
         dg, _ = distill(feats, h=3, tau_v=0.95, tau_g=0.5, seed=0, max_size=3)
         v_dist = orthonormal_rows_basis(dg.phi_hat[0])
-        cov_dist = subspace_coverage(rows, v_dist, center=False)
+        cov_dist = subspace_scores(rows, v_dist, center=False)[0]
         for seed in range(5):
             idx = np.random.default_rng(seed).choice(24, size=dg.size, replace=False)
             v_rand = orthonormal_rows_basis(rows[idx])
-            cov_rand = subspace_coverage(rows, v_rand, center=False)
+            cov_rand = subspace_scores(rows, v_rand, center=False)[0]
             assert cov_dist >= cov_rand - 1e-9
 
 

@@ -231,6 +231,14 @@ class TestReport:
         back = dio.read_report(path)
         assert back == rows
 
+    def test_roundtrip_sweep_label_with_commas(self, tmp_path):
+        rows = [self.row(method="distill[H=5,tv=0.9,tg=0.5]"),
+                self.row(method="random[H=5,tv=0.9,tg=0.5]", mse=1 / 3)]
+        path = tmp_path / "r.csv"
+        dio.write_report(rows, path)
+        assert path.read_text().splitlines()[1].startswith("distill[H=5,tv=0.9,tg=0.5],3,5,")
+        assert dio.read_report(path) == rows
+
     def test_seventeen_digit_floats(self, tmp_path):
         path = tmp_path / "r.csv"
         dio.write_report([self.row(mse=1 / 3)], path)
@@ -373,13 +381,12 @@ class TestNpzRoundtrips:
         rng = np.random.default_rng(3)
         basis = rng.normal(size=(6, 10, 2)).transpose(2, 0, 1)
         y = rng.normal(size=(6, 2))
-        model = fit(basis, y, lambda_reg=0.01, rank=4, scale_kind="none")
+        model = fit(basis, y, lambda_reg=0.01, scale_kind="none")
         path = tmp_path / "k.npz"
         dio.write_krr(model, path)
         back = dio.read_krr(path)
         np.testing.assert_array_equal(back.alpha, model.alpha)
         np.testing.assert_array_equal(back.basis, model.basis)
-        assert back.rank == 4
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import feats_from_blocks
 
-from dntk.errors import RankTooLarge, ScaleMismatch, ShapeMismatch, SingularSystem
+from dntk.errors import ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.krr import fit, predict
 from dntk.numerics import ridge_solve_direct
 from dntk.tangent import extract_features, gen_gaussian_mixture, init_params
@@ -52,19 +52,6 @@ class TestFit:
         y = np.random.default_rng(7).normal(size=(8, 1))
         with pytest.raises(SingularSystem):
             fit(basis, y, lambda_reg=0.0)
-
-    def test_rank_truncation_validated(self):
-        basis = random_basis(5, 10, 1, seed=8)
-        y = np.zeros((5, 1))
-        with pytest.raises(RankTooLarge):
-            fit(basis, y, lambda_reg=0.1, rank=6)
-
-    def test_full_rank_equals_untruncated(self):
-        basis = random_basis(6, 14, 2, seed=9)
-        y = np.random.default_rng(10).normal(size=(6, 2))
-        a = fit(basis, y, lambda_reg=0.01)
-        b = fit(basis, y, lambda_reg=0.01, rank=6)
-        np.testing.assert_allclose(a.alpha, b.alpha, atol=1e-12)
 
 
 class TestPredict:
@@ -135,20 +122,6 @@ class TestPredict:
             predict(model, np.zeros((3, 9, 2)))
         with pytest.raises(ShapeMismatch, match=r"\(C, rows, D\)"):
             fit(np.zeros((5, 9)), np.zeros((5, 1)))
-
-
-class TestRefitRank:
-    """One basis fit again at each truncation rank."""
-
-    def test_training_mse_non_increasing_in_rank(self):
-        basis = random_basis(10, 25, 2, seed=18)
-        y = np.random.default_rng(19).normal(size=(10, 2))
-        errs = []
-        for r in range(1, 11):
-            m = fit(basis, y, lambda_reg=1e-6, rank=r)
-            pred = predict(m, basis)
-            errs.append(float(((pred - y) ** 2).mean()))
-        assert all(a >= b - 1e-10 for a, b in zip(errs, errs[1:]))
 
 
 class TestScaleCoherence:

@@ -18,9 +18,7 @@ from dntk.metrics import (
     mse,
     nystrom_kernel,
     orthonormal_rows_basis,
-    reconstruction_error,
     span_scores,
-    subspace_coverage,
     subspace_scores,
 )
 
@@ -89,14 +87,14 @@ class TestSubspaceCoverage:
         rng = np.random.default_rng(2)
         phi = rng.normal(size=(5, 8))
         v = orthonormal_rows_basis(phi)
-        assert subspace_coverage(phi, v, center=False) == pytest.approx(1.0)
+        assert subspace_scores(phi, v, center=False)[0] == pytest.approx(1.0)
 
     def test_orthogonal_basis(self):
         phi = np.zeros((4, 6))
         phi[:, :2] = np.random.default_rng(3).normal(size=(4, 2))
         v = np.zeros((6, 2))
         v[4:, :] = np.eye(2)
-        assert subspace_coverage(phi, v, center=False) == 0.0
+        assert subspace_scores(phi, v, center=False)[0] == 0.0
 
     def test_svd_oracle(self):
         # coverage of the top-r right-singular basis = leading sigma^2 mass
@@ -104,7 +102,7 @@ class TestSubspaceCoverage:
         phi = rng.normal(size=(10, 7))
         _, sing, vt = np.linalg.svd(phi, full_matrices=False)
         r = 3
-        cov = subspace_coverage(phi, vt[:r].T, center=False)
+        cov = subspace_scores(phi, vt[:r].T, center=False)[0]
         assert cov == pytest.approx((sing[:r] ** 2).sum() / (sing**2).sum(),
                                     rel=1e-12)
 
@@ -112,19 +110,19 @@ class TestSubspaceCoverage:
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(6, 4)) + 10.0  # big common mean
         v = orthonormal_rows_basis(phi.mean(axis=0, keepdims=True))
-        assert subspace_coverage(phi, v, center=False) > 0.9
-        assert subspace_coverage(phi, v, center=True) < 0.5
+        assert subspace_scores(phi, v, center=False)[0] > 0.9
+        assert subspace_scores(phi, v, center=True)[0] < 0.5
 
     def test_rejects_sloppy_basis(self):
         phi = np.random.default_rng(6).normal(size=(4, 5))
         bad = np.ones((5, 2))
         with pytest.raises(NonOrthonormalBasis):
-            subspace_coverage(phi, bad)
+            subspace_scores(phi, bad)
 
     def test_zero_energy(self):
         v = np.eye(3)[:, :1]
         with pytest.raises(ZeroTrace):
-            subspace_coverage(np.zeros((2, 3)), v, center=False)
+            subspace_scores(np.zeros((2, 3)), v, center=False)
 
 
 class TestReconstructionError:
@@ -132,23 +130,34 @@ class TestReconstructionError:
         rng = np.random.default_rng(7)
         phi = rng.normal(size=(5, 9))
         v = orthonormal_rows_basis(phi)
-        assert reconstruction_error(phi, v, center=False) < 1e-20
+        assert subspace_scores(phi, v, center=False)[1] < 1e-20
 
     def test_empty_basis_full_energy(self):
         rng = np.random.default_rng(8)
         phi = rng.normal(size=(4, 6))
         v = np.zeros((6, 0))
         expected = (phi**2).sum() / 4.0
-        assert reconstruction_error(phi, v, center=False) == pytest.approx(expected)
+        assert subspace_scores(phi, v, center=False)[1] == pytest.approx(expected)
 
     def test_pythagoras_with_coverage(self):
         rng = np.random.default_rng(9)
         phi = rng.normal(size=(8, 10))
         v = orthonormal_rows_basis(phi[:3])
-        cov = subspace_coverage(phi, v, center=False)
-        err = reconstruction_error(phi, v, center=False)
+        cov, err = subspace_scores(phi, v, center=False)
         total = (phi**2).sum()
         assert err == pytest.approx((1.0 - cov) * total / 8.0, rel=1e-9)
+
+
+def _coverage(phi, v, center):
+    """Reference: tr(P^T P V V^T) / tr(P^T P) through the dense projector."""
+    p = phi - phi.mean(axis=0) if center else phi
+    return np.trace(p.T @ p @ (v @ v.T)) / np.trace(p.T @ p)
+
+
+def _reconstruction_error(phi, v, center):
+    """Reference: ||P (I - V V^T)||_F^2 per row through the dense projector."""
+    p = phi - phi.mean(axis=0) if center else phi
+    return np.linalg.norm(p @ (np.eye(v.shape[0]) - v @ v.T)) ** 2 / p.shape[0]
 
 
 def _rank_deficient_basis(rng):
@@ -168,13 +177,14 @@ class TestSubspaceScores:
         ids=["random_rows", "rank_deficient", "empty"],
     )
     def test_equals_the_two_functions(self, make_basis, center):
+        # _coverage and _reconstruction_error, the dense-projector references
         rng = np.random.default_rng(11)
         for _ in range(5):
             phi = rng.normal(size=(12, 8)) * rng.uniform(0.1, 10.0)
             v = make_basis(rng)
-            assert subspace_scores(phi, v, center=center) == (
-                subspace_coverage(phi, v, center=center),
-                reconstruction_error(phi, v, center=center),
+            assert subspace_scores(phi, v, center=center) == pytest.approx(
+                (_coverage(phi, v, center), _reconstruction_error(phi, v, center)),
+                rel=1e-12, abs=1e-12 * (phi**2).sum(),
             )
 
     def test_keeps_the_error_paths(self):

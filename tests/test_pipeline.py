@@ -237,7 +237,7 @@ class TestRunMethod:
         feats = task.train_feats
         model = krr.fit(feats.per_class[:2], feats.model_logits[:, :2])
         with pytest.raises(ShapeMismatch):
-            pipeline.score_krr(model, feats, task.test_feats, task.test.labels, "x", 0)
+            pipeline.score_krr(model, feats, task.test_feats, "x", 0)
 
     def test_all_selection_methods_produce_rows(self, task):
         for method in ("random", "leverage", "fps", "kmeans"):

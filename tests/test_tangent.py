@@ -215,11 +215,14 @@ class TestTrainSgd:
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_loss_mostly_decreasing(self):
+        # one seed, so the runs share a shuffle prefix: each is the longer
+        # runs' state after that many epochs
         data = gen_gaussian_mixture(3, 10, 5, 0.4, seed=2)
         p = init_params([5, 12, 3], seed=3)
-        _, history = train_sgd(p, data, lr=0.05, epochs=40, batch=8, seed=4,
-                               return_history=True)
-        history = np.asarray(history)
+        history = np.array([
+            cross_entropy(train_sgd(p, data, lr=0.05, epochs=e, batch=8, seed=4), data)
+            for e in (0, 10, 20, 40)
+        ])
         # transient upticks allowed, bounded at 5% of the running best
         best = np.minimum.accumulate(history)
         assert np.all(history <= best * 1.05 + 1e-12)
