@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, distill as distill_mod, kernel, krr, pipeline
-from .errors import DntkError, NumericalError
+from .errors import DntkError, InputError, NumericalError
 from .io import (
     RunConfig,
     read_config,
@@ -53,6 +53,7 @@ FILES = {
     "sweep": "sweep.csv",
     "theory": "theory_checks.csv",
 }
+FIT_SOURCES = ("distilled", "full", *baselines.METHODS)
 
 
 def _load_config(args) -> RunConfig:
@@ -170,6 +171,10 @@ def cmd_select_baseline(args) -> int:
 
 
 def cmd_fit_krr(args) -> int:
+    if args.source not in FIT_SOURCES:
+        raise InputError(
+            f"unknown --source {args.source!r}; expected one of {', '.join(FIT_SOURCES)}"
+        )
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--source",
         default="distilled",
-        help="distilled | full | one of " + "|".join(baselines.METHODS),
+        help=" | ".join(FIT_SOURCES),
     )
     p = add("evaluate", cmd_evaluate, "score the fitted model on the test split")
     p.add_argument("--method", default="distill", help="method tag for the report row")

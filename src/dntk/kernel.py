@@ -19,6 +19,8 @@ from .tangent import GradientFeatures
 SCALE_KINDS = ("none", "inv_k")
 # eigenvalues below this fraction of the trace are treated as pure noise
 EIG_FLOOR_REL = 1e-12
+# rows symmetrized per block by _scaled_gram; bounds its temporary
+_SYM_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -40,16 +42,35 @@ def class_kernel(feats: GradientFeatures, c: int, scale_kind: str = "inv_k") -> 
     """Symmetrized Gram matrix of class c's gradient rows."""
     if not (0 <= c < feats.class_count):
         raise ClassOutOfRange(f"class {c} out of range for {feats.class_count} classes")
-    phi = feats.per_class[c]
-    k = scale_factor(scale_kind, feats.width) * (phi @ phi.T)
-    return 0.5 * (k + k.T)
+    out = np.empty((feats.size, feats.size))
+    _scaled_gram(feats.per_class[c], scale_factor(scale_kind, feats.width), out)
+    return out
 
 
 def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarray:
     """(C, n, n): one Gram matrix per class, all at the same scale."""
-    return np.stack(
-        [class_kernel(feats, c, scale_kind) for c in range(feats.class_count)]
-    )
+    scale = scale_factor(scale_kind, feats.width)
+    stack = np.empty((feats.class_count, feats.size, feats.size))
+    for c in range(feats.class_count):
+        _scaled_gram(feats.per_class[c], scale, stack[c])
+    return stack
+
+
+def _scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """out <- (K + K^T) / 2 for K = scale * phi phi^T, in place.
+
+    The symmetrization runs one block row at a time, so its temporary is
+    _SYM_BLOCK_ROWS x n rather than a second n x n matrix.
+    """
+    np.matmul(phi, phi.T, out=out)
+    out *= scale
+    n = out.shape[0]
+    for start in range(0, n, _SYM_BLOCK_ROWS):
+        stop = min(start + _SYM_BLOCK_ROWS, n)
+        avg = out[start:stop, start:] + out[start:, start:stop].T
+        avg *= 0.5
+        out[start:stop, start:] = avg
+        out[start:, start:stop] = avg.T
 
 
 def average_kernel(stack: np.ndarray) -> np.ndarray:

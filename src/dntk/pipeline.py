@@ -290,6 +290,8 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
     in parallel but always emitted in grid order, which keeps the CSV
     byte-stable across runs and worker counts.
     """
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {jobs}")
     rows: list[ReportRow] = []
     for root_seed in cfg.sweep_seeds:
         task = prepare_task(cfg, root_seed)

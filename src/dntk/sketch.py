@@ -1,9 +1,16 @@
 """Seeded random projections for gradient features.
 
-The sketch is a column-orthonormal matrix drawn from a seeded Gaussian via
-QR, applied with a sqrt(P/k) scale so squared norms and inner products are
-preserved in expectation. The target dimension for a tolerance eps follows
-the usual log-cardinality rule: the smallest integer strictly greater than
+The sketch is a column-orthonormal matrix: a seeded Gaussian P x k draw
+orthonormalized in place by shifted CholeskyQR2 (Fukaya et al., SIAM J. Sci.
+Comput. 2020), applied with a sqrt(P/k) scale so squared norms and inner
+products are preserved in expectation. Each of the two passes forms the
+k x k Gram, takes its Cholesky factor R and overwrites the draw with
+draw @ R^-1 one row block at a time, so no second P x k array exists; a
+LAPACK QR would copy the draw several times. The result spans the same
+columns as the draw and is the Q of its QR factorization with a positive
+diagonal R, so it differs from LAPACK's Q only by column signs and
+roundoff. The target dimension for a tolerance eps follows the usual
+log-cardinality rule: the smallest integer strictly greater than
 8 ln(n) / eps^2.
 """
 
@@ -16,6 +23,9 @@ import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, KTooLarge
 from .tangent import RAW_PARAMS, SKETCHED, GradientFeatures
+
+# rows overwritten per block by a CholeskyQR pass; bounds its temporary
+_QR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -48,15 +58,33 @@ def jl_dimension(n: int, eps: float) -> int:
 
 
 def sample_orthonormal(p_dim: int, k: int, seed: int) -> SketchOperator:
-    """QR-orthonormalized Gaussian sketch, deterministic per seed."""
+    """Gaussian sketch orthonormalized in place, deterministic per seed.
+
+    One shifted CholeskyQR pass, with the shift 11 (P k + k (k + 1)) u
+    ||X||_F^2 of Fukaya et al. (u the unit roundoff), brings the draw close
+    to orthonormal whatever its conditioning, square draws included; one
+    plain pass then makes the columns orthonormal to working accuracy.
+    """
     if p_dim < 1 or k < 1:
         raise EmptyInput(f"dimensions must be positive, got P={p_dim}, k={k}")
     if k > p_dim:
         raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p_dim}")
     rng = np.random.default_rng(seed)
-    gauss = rng.normal(size=(p_dim, k))
-    q, _ = np.linalg.qr(gauss)
+    q = rng.normal(size=(p_dim, k))
+    unit_roundoff = np.finfo(np.float64).eps / 2.0
+    _cholesky_qr_pass(q, shift_rel=11.0 * (p_dim * k + k * (k + 1)) * unit_roundoff)
+    _cholesky_qr_pass(q, shift_rel=0.0)
     return SketchOperator(q=q, scale=math.sqrt(p_dim / k), seed=seed)
+
+
+def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
+    """x <- x R^-1 in place, where R^T R = x^T x + shift_rel * ||x||_F^2 I."""
+    gram = x.T @ x
+    gram[np.diag_indices_from(gram)] += shift_rel * np.trace(gram)
+    r_inv = np.linalg.inv(np.linalg.cholesky(gram)).T  # R = L^T
+    for start in range(0, x.shape[0], _QR_BLOCK_ROWS):
+        block = x[start : start + _QR_BLOCK_ROWS]
+        block[...] = block @ r_inv
 
 
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:

@@ -230,17 +230,30 @@ def batch_logit_jacobian(params: MlpParams, x_batch) -> np.ndarray:
     xb = np.asarray(x_batch, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != params.input_dim:
         raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
-    n = xb.shape[0]
-    c = params.class_count
-    grads = np.empty((n, c, params.param_count))
+    grads = np.empty((xb.shape[0], params.class_count, params.param_count))
+    _fill_logit_jacobian(params, xb, grads.transpose(1, 0, 2))
+    return grads
+
+
+def _fill_logit_jacobian(params: MlpParams, xb: np.ndarray, out: np.ndarray) -> None:
+    """Write the per-logit gradients of xb into out (C, n, P), layer by layer.
+
+    Each weight block is the outer product dz x a, multiplied straight into
+    its slice of out, so no (n, C, P) temporary exists. out may be any view
+    whose last axis has unit stride, which keeps the reshape below a view.
+    """
+    c, n = out.shape[:2]
     for pos, dz, a in _logit_backprop(params, xb):
         fan_out, fan_in = dz.shape[2], a.shape[1]
         w_end = pos + fan_out * fan_in
-        # dW[c, o, i] = dz[c, o] * a[i]
-        gw = dz[:, :, :, None] * a[:, None, None, :]
-        grads[:, :, pos:w_end] = gw.reshape(n, c, fan_out * fan_in)
-        grads[:, :, w_end : w_end + fan_out] = dz
-    return grads
+        dz_c = dz.transpose(1, 0, 2)  # (C, n, fan_out)
+        # dW[c, i, o, j] = dz[i, c, o] * a[i, j]
+        np.multiply(
+            dz_c[:, :, :, None],
+            a[None, :, None, :],
+            out=out[:, :, pos:w_end].reshape(c, n, fan_out, fan_in),
+        )
+        out[:, :, w_end : w_end + fan_out] = dz_c
 
 
 def _sketched_logit_jacobian(params: MlpParams, xb: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -461,16 +474,17 @@ def _sample_set(params: MlpParams, inputs, labels):
 def extract_features(params: MlpParams, inputs, labels=None, batch: int = 64) -> GradientFeatures:
     """Per-logit gradients, soft labels, and model logits for a sample set.
 
-    labels may be integer class ids (converted to one-hot), an (n, C) soft
-    target matrix, or None (falls back to the model logits as targets).
+    The (C, n, P) gradient rows are filled in place, batch by batch, with no
+    per-batch copy. labels may be integer class ids (converted to one-hot),
+    an (n, C) soft target matrix, or None (falls back to the model logits
+    as targets).
     """
     xb, soft, logits = _sample_set(params, inputs, labels)
     n = xb.shape[0]
     per_class = np.empty((params.class_count, n, params.param_count))
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        jac = batch_logit_jacobian(params, xb[start:stop])
-        per_class[:, start:stop, :] = jac.transpose(1, 0, 2)
+        _fill_logit_jacobian(params, xb[start:stop], per_class[:, start:stop])
     return GradientFeatures(
         per_class=per_class, labels=soft, dim_kind=RAW_PARAMS, model_logits=logits
     )

@@ -241,6 +241,16 @@ class TestSweepCommand:
         assert lines[1].startswith("full,")
         assert lines[2].startswith("distill[H=2")
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep"
+        cfg = write_cfg(tmp_path / "cfg.json", out)
+        rc = main(["sweep", "--jobs", jobs, "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error_code=InputError" in captured.err
+        assert not (out / FILES["sweep"]).exists()
+
 
 class TestVerifyTheory:
     def test_passes_and_writes_csv(self, tmp_path, capsys):
@@ -288,6 +298,17 @@ class TestErrorPaths:
             captured = capsys.readouterr()
             assert rc == 1, override
             assert "error_code=" in captured.err, override
+
+    def test_unknown_fit_source_exits_1_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        cfg = write_cfg(tmp_path / "cfg.json", out)
+        rc = main(["fit-krr", "--source", "levarage", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error_code=InputError" in captured.err
+        for name in ("distilled", "full", "random", "leverage", "fps", "kmeans"):
+            assert name in captured.err
+        assert not out.exists()
 
     def test_singular_system_exits_2(self, tmp_path, capsys):
         # 24 sketched rows of width 16 make a rank-deficient gram, so an

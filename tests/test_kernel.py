@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,37 @@ class TestClassKernel:
         assert scale_factor("inv_k", 8) == 0.125
         with pytest.raises(ScaleMismatch):
             scale_factor("bogus", 4)
+
+
+class TestBuildStack:
+    def test_layers_equal_class_kernels(self):
+        rng = np.random.default_rng(1)
+        feats = feats_from_blocks(rng.normal(size=(3, 70, 11)))
+        stack = build_stack(feats, "inv_k")
+        for c in range(3):
+            np.testing.assert_array_equal(stack[c], class_kernel(feats, c, "inv_k"))
+            np.testing.assert_array_equal(stack[c], stack[c].T)
+
+    def test_symmetrizes_a_non_symmetric_product(self):
+        # a strided operand takes a general matmul, whose products need not
+        # be exactly symmetric; each layer must still equal (K + K^T) / 2
+        rng = np.random.default_rng(2)
+        blocks = rng.normal(size=(2, 150, 40))[:, :, ::2]
+        stack = build_stack(feats_from_blocks(blocks), "none")
+        for c in range(2):
+            k = blocks[c] @ blocks[c].T
+            np.testing.assert_array_equal(stack[c], 0.5 * (k + k.T))
+
+    def test_peak_memory_is_the_output(self):
+        rng = np.random.default_rng(3)
+        feats = feats_from_blocks(rng.normal(size=(10, 300, 50)))
+        tracemalloc.start()
+        try:
+            stack = build_stack(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * stack.nbytes
 
 
 class TestAverageKernel:

@@ -168,6 +168,17 @@ class TestPrepareTask:
         assert task.train_feats.per_class.shape == (3, 18, 12)
         assert task.test_feats.per_class.shape == (3, 9, 12)
 
+    def test_square_sketch_when_k_reaches_param_count(self):
+        # k_sketch >= P clamps to a P x P sketch, an orthogonal matrix, so
+        # the sketched kernels equal the raw ones
+        task = pipeline.prepare_task(tiny_cfg(k_sketch=10_000), root_seed=5)
+        q = task.sketch_op.q
+        assert q.shape == (83, 83) and task.sketch_op.scale == 1.0
+        assert np.abs(q.T @ q - np.eye(83)).max() <= 1e-12
+        raw = extract_features(task.model, task.train.inputs, task.train.labels)
+        assert_allclose(kernel.build_stack(task.train_feats), kernel.build_stack(raw),
+                        rtol=1e-10, atol=1e-13)
+
 
 @pytest.fixture(scope="module")
 def task():

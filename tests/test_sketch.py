@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dntk
 from dntk.errors import BadEps, DimMismatch, EmptyInput, KTooLarge
 from dntk.sketch import jl_dimension, project_features, sample_orthonormal
 from dntk.tangent import RAW_PARAMS, SKETCHED, extract_features, gen_gaussian_mixture, init_params
@@ -60,6 +65,50 @@ class TestSampleOrthonormal:
         op = sample_orthonormal(15, 15, seed=2)
         np.testing.assert_allclose(op.q @ op.q.T, np.eye(15), atol=1e-10)
         assert op.scale == 1.0
+
+    @pytest.mark.parametrize(
+        "p_dim, k",
+        [
+            (300, 20),  # tall
+            (80, 80),  # square
+            (64, 63),  # k = P - 1
+            (1, 1),
+            (11914, 256),  # accept09's sketch
+            (5898, 553),  # the default config's sketch
+        ],
+    )
+    def test_orthonormal_to_working_accuracy(self, p_dim, k):
+        q = sample_orthonormal(p_dim, k, seed=p_dim + k).q
+        assert q.shape == (p_dim, k)
+        assert np.abs(q.T @ q - np.eye(k)).max() <= 1e-12
+
+    def test_same_span_as_the_gaussian_draw(self):
+        # the sketch is the Q of the seeded draw's QR, up to column signs
+        op = sample_orthonormal(40, 7, seed=3)
+        gauss = np.random.default_rng(3).normal(size=(40, 7))
+        q_ref, _ = np.linalg.qr(gauss)
+        signs = np.sign(np.sum(q_ref * op.q, axis=0))
+        np.testing.assert_allclose(op.q, q_ref * signs, atol=1e-13)
+
+    def test_peak_memory_stays_near_the_sketch(self):
+        # the draw is orthonormalized in place: peak RSS grows by about one
+        # P x k array, where a LAPACK QR copies it several times
+        code = (
+            "import resource, sys\n"
+            "from dntk.sketch import sample_orthonormal\n"
+            "sample_orthonormal(64, 8, seed=0)  # BLAS start-up buffers\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "q = sample_orthonormal(20000, 300, seed=1).q\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "unit = 1 if sys.platform == 'darwin' else 1024\n"
+            "print((after - before) * unit / q.nbytes)\n"
+        )
+        src = str(Path(dntk.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        assert float(done.stdout) <= 1.5
 
 
 def project_vector(op, u):

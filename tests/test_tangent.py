@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from dntk.errors import DimMismatch, Divergence
 from dntk.metrics import accuracy
 from dntk.tangent import (
     LabeledDataset,
+    _logit_backprop,
+    batch_logit_jacobian,
     chain_rule_check,
     cross_entropy,
     extract_features,
@@ -246,7 +250,51 @@ class TestTrainSgd:
                 train_sgd(p, data, lr=0.1, epochs=3, batch=4, seed=10)
 
 
+def reference_logit_jacobian(params, xb):
+    """Per-batch (n, C, P) assembly through an outer-product temporary.
+
+    The layout extract_features used to copy from, batch by batch; it now
+    fills its (C, n, P) rows in place and must match this bitwise.
+    """
+    n, c = xb.shape[0], params.class_count
+    grads = np.empty((n, c, params.param_count))
+    for pos, dz, a in _logit_backprop(params, xb):
+        fan_out, fan_in = dz.shape[2], a.shape[1]
+        w_end = pos + fan_out * fan_in
+        gw = dz[:, :, :, None] * a[:, None, None, :]
+        grads[:, :, pos:w_end] = gw.reshape(n, c, fan_out * fan_in)
+        grads[:, :, w_end : w_end + fan_out] = dz
+    return grads
+
+
 class TestExtractFeatures:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_in_place_fill_matches_reference_bitwise(self, activation):
+        rng = np.random.default_rng(21)
+        p = init_params([5, 9, 7, 4], seed=22, activation=activation)
+        # nonzero biases so relu units sit on both sides of the kink
+        p = p.with_theta(p.theta + 0.3 * rng.normal(size=p.param_count))
+        x = rng.normal(size=(23, 5))
+        feats = extract_features(p, x, rng.integers(0, 4, size=23), batch=5)
+        for start in range(0, 23, 5):  # the last batch holds 3 rows
+            ref = reference_logit_jacobian(p, x[start : start + 5])
+            np.testing.assert_array_equal(
+                feats.per_class[:, start : start + 5], ref.transpose(1, 0, 2))
+        np.testing.assert_array_equal(batch_logit_jacobian(p, x), reference_logit_jacobian(p, x))
+
+    def test_peak_memory_is_the_output(self):
+        p = init_params([8, 40, 30, 5], seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(4 * 32, 8))
+        labels = rng.integers(0, 5, size=4 * 32)
+        tracemalloc.start()
+        try:
+            feats = extract_features(p, x, labels, batch=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * feats.per_class.nbytes
+
     def test_single_point_matches_gradient_rows(self):
         p = init_params([4, 5, 3], seed=10)
         x = np.random.default_rng(11).normal(size=(1, 4))
