@@ -131,8 +131,8 @@ def cmd_kernel_stats(args) -> int:
     path = _p(out, "kernel_stats")
     with open(path, "w") as fh:
         fh.write("class,trace,trunc_rank,condition,min_eig,effective_dim\n")
-        for ci, class_kernel in enumerate(stack):
-            summary = kernel.spectral_summary(class_kernel)
+        for ci, gram in enumerate(stack):
+            summary = kernel.spectral_summary(gram, 1.0 - cfg.tau_v)
             eff = kernel.effective_dimension(summary.eig.values, cfg.lambda_reg) \
                 if cfg.lambda_reg > 0 else float((summary.eig.values > 0).sum())
             fh.write(

@@ -61,10 +61,6 @@ class KTooLarge(InputError):
     pass
 
 
-class ClassOutOfRange(InputError):
-    pass
-
-
 class HTooLarge(InputError):
     pass
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .krr import KrrModel
 from .sketch import SketchOperator, sample_orthonormal
-from .tangent import ACTIVATIONS, GradientFeatures, LabeledDataset, MlpParams, RAW_PARAMS
+from .tangent import ACTIVATIONS, RAW_PARAMS, GradientFeatures, LabeledDataset, MlpParams, param_count
 
 MAGIC = b"DNTK1\0"
 VERSION = 1
@@ -347,8 +347,8 @@ def _read_npz(path, build):
 
     A missing or unreadable file raises IoError. A file that is not an npz
     archive (text, a lone .npy array, a truncated zip), or one whose arrays
-    are missing, of the wrong kind for `build` or of shapes that disagree
-    (`build` raises ValueError), raises ParseError.
+    are missing, of the wrong kind for `build`, of shapes that disagree or
+    of values out of range (`build` raises ValueError), raises ParseError.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -375,11 +375,20 @@ def write_dataset(data: LabeledDataset, path) -> None:
 
 
 def read_dataset(path) -> LabeledDataset:
-    return _read_npz(path, lambda z: LabeledDataset(
-        inputs=z["inputs"],
-        labels=z["labels"].astype(np.intp),
-        class_count=int(z["class_count"]),
-    ))
+    return _read_npz(path, _build_dataset)
+
+
+def _build_dataset(z) -> LabeledDataset:
+    inputs, labels, count = z["inputs"], z["labels"], z["class_count"]
+    _check_shapes(inputs=(inputs, (None, None)), class_count=(count, ()))
+    _check_shapes(labels=(labels, (inputs.shape[0],)))
+    _require(np.all(np.isfinite(inputs)), "inputs hold non-finite values")
+    _require(labels.dtype.kind in "iu" and count.dtype.kind in "iu",
+             f"labels and class_count must be integers, got {labels.dtype}, {count.dtype}")
+    _require(count >= 2, f"class_count must be >= 2, got {count}")
+    _require(labels.size == 0 or (labels.min() >= 0 and labels.max() < count),
+             f"labels outside [0, {count})")
+    return LabeledDataset(inputs, labels.astype(np.intp), int(count))
 
 
 def write_model(params: MlpParams, path) -> None:
@@ -392,11 +401,19 @@ def write_model(params: MlpParams, path) -> None:
 
 
 def read_model(path) -> MlpParams:
-    return _read_npz(path, lambda z: MlpParams(
-        layer_sizes=tuple(int(s) for s in z["layer_sizes"]),
-        theta=z["theta"],
-        activation=str(z["activation"]),
-    ))
+    return _read_npz(path, _build_model)
+
+
+def _build_model(z) -> MlpParams:
+    sizes, theta, activation = z["layer_sizes"], z["theta"], str(z["activation"])
+    _check_shapes(layer_sizes=(sizes, (None,)))
+    _require(sizes.dtype.kind in "iu" and sizes.size >= 2 and sizes.min() >= 1,
+             f"layer_sizes must be >= 2 integer widths >= 1, got {sizes}")
+    _check_shapes(theta=(theta, (param_count(sizes),)))
+    _require(np.all(np.isfinite(theta)), "theta holds non-finite values")
+    _require(activation in ACTIVATIONS,
+             f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    return MlpParams(tuple(int(w) for w in sizes), theta, activation)
 
 
 def write_sketch_meta(op: SketchOperator, path) -> None:
@@ -480,6 +497,12 @@ def _check_shapes(**arrays) -> None:
         ):
             want = "(" + ", ".join("*" if w is None else str(w) for w in shape) + ")"
             raise ValueError(f"{name} has shape {array.shape}, expected {want}")
+
+
+def _require(ok, message: str) -> None:
+    """Raise ValueError(message) unless ok; _read_npz reports it as ParseError."""
+    if not ok:
+        raise ValueError(message)
 
 
 def _build_distilled(z) -> tuple[DistilledGradients, CoverageReport]:

@@ -1,9 +1,10 @@
 """Per-class gradient kernels and their spectral diagnostics.
 
 A class kernel is the Gram matrix of one class's gradient rows, optionally
-scaled by 1/width so eigenvalues stay comparable across sketch sizes. The
-class-averaged kernel drives clustering and distillation; the spectral
-summaries back the kernel-stats stage and the report's conditioning columns.
+scaled by 1/width so eigenvalues stay comparable across sketch sizes.
+scaled_gram, the one routine that forms it, serves build_stack (clustering,
+distillation) and krr.fit alike. The spectral summaries back the
+kernel-stats stage and the report's conditioning columns.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadEps, BadLambda, ClassOutOfRange, ScaleMismatch, ZeroTrace
+from .errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
 from .numerics import EigenSystem, rank_tolerance, sym_eig
 from .tangent import GradientFeatures
 
 SCALE_KINDS = ("none", "inv_k")
 # eigenvalues below this fraction of the trace are treated as pure noise
 EIG_FLOOR_REL = 1e-12
-# rows symmetrized per block by _scaled_gram; bounds its temporary
+# rows symmetrized per block by scaled_gram; bounds its temporary
 _SYM_BLOCK_ROWS = 64
 
 
@@ -38,25 +39,16 @@ def scale_factor(scale_kind: str, width: int) -> float:
     return 1.0 / width if scale_kind == "inv_k" else 1.0
 
 
-def class_kernel(feats: GradientFeatures, c: int, scale_kind: str = "inv_k") -> np.ndarray:
-    """Symmetrized Gram matrix of class c's gradient rows."""
-    if not (0 <= c < feats.class_count):
-        raise ClassOutOfRange(f"class {c} out of range for {feats.class_count} classes")
-    out = np.empty((feats.size, feats.size))
-    _scaled_gram(feats.per_class[c], scale_factor(scale_kind, feats.width), out)
-    return out
-
-
 def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarray:
     """(C, n, n): one Gram matrix per class, all at the same scale."""
     scale = scale_factor(scale_kind, feats.width)
     stack = np.empty((feats.class_count, feats.size, feats.size))
     for c in range(feats.class_count):
-        _scaled_gram(feats.per_class[c], scale, stack[c])
+        scaled_gram(feats.per_class[c], scale, stack[c])
     return stack
 
 
-def _scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
+def scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
     """out <- (K + K^T) / 2 for K = scale * phi phi^T, in place.
 
     The symmetrization runs one block row at a time, so its temporary is
@@ -96,7 +88,8 @@ def truncation_rank(eigvals, eps: float) -> int:
     return int(np.searchsorted(cum, 1.0 - eps, side="left")) + 1
 
 
-def spectral_summary(kernel_matrix, eps: float = 0.05) -> SpectralSummary:
+def spectral_summary(kernel_matrix, eps: float) -> SpectralSummary:
+    """Spectrum, trace, conditioning and the rank holding a 1 - eps trace fraction."""
     eig = sym_eig(kernel_matrix)
     condition, min_eig = spectrum_conditioning(eig.values)
     return SpectralSummary(
@@ -125,8 +118,7 @@ def spectrum_conditioning(eigvals) -> tuple[float, float]:
 
 def conditioning(kernel_matrix) -> tuple[float, float]:
     """(condition number, minimum eigenvalue) of K."""
-    summary = spectral_summary(kernel_matrix)
-    return summary.condition, summary.min_eig
+    return spectrum_conditioning(sym_eig(kernel_matrix).values)
 
 
 def effective_dimension(eigvals, lam: float) -> float:

@@ -1,11 +1,11 @@
 """Kernel ridge regression on per-class gradient kernels.
 
-Gradient sets come in the (C, s, D) layout of GradientFeatures.per_class,
-so each class's rows are one contiguous block. Fitting goes through one
-eigendecomposition per class kernel; the model keeps those spectra, which
-the report's coverage and conditioning columns read back. The direct-solve
-routine in the numerics module is the independent oracle this path is
-tested against.
+Gradient sets are (C, s, D) arrays, each class's rows one contiguous block.
+Fitting forms each class kernel with kernel.scaled_gram, as the kernel stack
+does, and goes through one eigendecomposition per class kernel; the model
+keeps those spectra, which the report's coverage and conditioning columns
+read back. The direct-solve routine in the numerics module is the
+independent oracle this path is tested against.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLambda, ScaleMismatch, ShapeMismatch, SingularSystem
-from .kernel import scale_factor
+from .kernel import scale_factor, scaled_gram
 from .numerics import COND_LIMIT, sym_eig
-from .tangent import GradientFeatures
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,7 @@ class KrrModel:
 
 
 def _rows(basis, name: str) -> np.ndarray:
-    """A (C, s, D) array from an array or the per_class block of features."""
-    if isinstance(basis, GradientFeatures):
-        basis = basis.per_class
+    """basis as a float64 (C, s, D) array."""
     b = np.asarray(basis, dtype=np.float64)
     if b.ndim != 3:
         raise ShapeMismatch(f"{name} must be (C, rows, D), got shape {b.shape}")
@@ -70,9 +67,9 @@ def fit(
 ) -> KrrModel:
     """Fit one ridge regressor per class on that class's gradient kernel.
 
-    basis is (C, s, D) rows or features and targets (s, C). With
-    lambda_reg = 0 every eigenvalue must be positive and the spectrum
-    well-conditioned or the system is reported singular.
+    basis is (C, s, D) rows and targets (s, C). With lambda_reg = 0 every
+    eigenvalue must be positive and the spectrum well-conditioned or the
+    system is reported singular.
     """
     b = _rows(basis, "basis")
     c, s, d = b.shape
@@ -85,8 +82,10 @@ def fit(
     eig_values = np.empty((c, s))
     eig_vectors = np.empty((c, s, s))
     alpha = np.empty((s, c))
+    gram = np.empty((s, s))
     for ci in range(c):
-        eig = sym_eig(factor * (b[ci] @ b[ci].T))
+        scaled_gram(b[ci], factor, gram)
+        eig = sym_eig(gram)
         eig_values[ci] = eig.values
         eig_vectors[ci] = eig.vectors
         alpha[:, ci] = _solve_alpha(
@@ -106,10 +105,10 @@ def fit(
 def predict(model: KrrModel, test_basis) -> np.ndarray:
     """Predicted logits at test gradient rows, shape (n_test, C).
 
-    Accepts a (C, t, D) array or a GradientFeatures bundle. Prediction runs
-    in primal form: per class the dual coefficients fold into one weight
-    vector w_c = factor * B_c^T alpha_c of width D, at the model's scale, and
-    the logits are T_c w_c. That equals the cross-kernel form
+    test_basis is a (C, t, D) array. Prediction runs in primal form: per
+    class the dual coefficients fold into one weight vector
+    w_c = factor * B_c^T alpha_c of width D, at the model's scale, and the
+    logits are T_c w_c. That equals the cross-kernel form
     (factor * T_c B_c^T) alpha_c without building the (t, s) cross kernel.
     """
     t = _rows(test_basis, "test basis")

@@ -186,7 +186,7 @@ def score_krr(
         raise ShapeMismatch(
             f"training features have {train_feats.class_count} classes, model has {c}"
         )
-    pred = krr.predict(model, test_feats)
+    pred = krr.predict(model, test_feats.per_class)
     factor = kernel.scale_factor(model.scale_kind, model.width)
     coverage = np.empty(c)
     recon = np.empty(c)

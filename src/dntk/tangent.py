@@ -1,10 +1,12 @@
 """Small dense network with hand-written reverse-mode differentiation.
 
 The network exists to produce per-logit parameter gradients, the rows of
-the gradient feature matrices everything downstream consumes. The backward
-pass is written out explicitly (no autodiff framework) and is checked in
-the test suite against central finite differences and against the chain
-rule applied to full loss gradients.
+the gradient feature matrices everything downstream consumes. One forward
+trace feeds two backward passes written out explicitly (no autodiff): the
+per-logit one seeds the C x C identity, the loss one seeds the loss
+gradient and serves loss_param_gradient and SGD training alike. Both are
+checked in the test suite against central finite differences and against
+each other through the chain rule.
 """
 
 from __future__ import annotations
@@ -154,24 +156,26 @@ def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
+def _batch(params: MlpParams, x) -> np.ndarray:
+    """x as float64 (n, d_in) inputs; DimMismatch for any other shape."""
+    xb = np.asarray(x, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
+        raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
+    return xb
+
+
+def _one_input(params: MlpParams, x) -> np.ndarray:
+    """A single length-d_in input as a (1, d_in) batch; any other shape fails."""
+    return _batch(params, np.asarray(x, dtype=np.float64)[None])
+
+
 def forward(params: MlpParams, x) -> np.ndarray:
     """Logits (pre-softmax) for a single input."""
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.size != params.input_dim:
-        raise DimMismatch(f"expected input of length {params.input_dim}, got shape {xv.shape}")
-    return forward_batch(params, xv[None, :])[0]
+    return forward_batch(params, _one_input(params, x))[0]
 
 
 def forward_batch(params: MlpParams, x_batch) -> np.ndarray:
-    xb = np.asarray(x_batch, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
-        raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
-    layers = _unpack(params)
-    a = xb
-    for i, (w, b) in enumerate(layers):
-        z = a @ w.T + b
-        a = _act(z, params.activation) if i < len(layers) - 1 else z
-    return a
+    return _forward_trace(params, _batch(params, x_batch))[1][-1]
 
 
 def _forward_trace(params: MlpParams, xb: np.ndarray):
@@ -194,11 +198,9 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     Backpropagates the C x C identity through the network, so a single
     forward pass yields all C gradient rows at once.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.size != params.input_dim:
-        raise DimMismatch(f"expected input of length {params.input_dim}, got shape {xv.shape}")
-    jac = batch_logit_jacobian(params, xv[None, :])
-    return jac[0]
+    jac = np.empty((params.class_count, 1, params.param_count))
+    _fill_logit_jacobian(params, _one_input(params, x), jac)
+    return jac[:, 0]
 
 
 def _logit_backprop(params: MlpParams, xb: np.ndarray):
@@ -225,16 +227,6 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
             dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
 
 
-def batch_logit_jacobian(params: MlpParams, x_batch) -> np.ndarray:
-    """Per-logit gradients for a batch, shape (n, C, P)."""
-    xb = np.asarray(x_batch, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
-        raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
-    grads = np.empty((xb.shape[0], params.class_count, params.param_count))
-    _fill_logit_jacobian(params, xb, grads.transpose(1, 0, 2))
-    return grads
-
-
 def _fill_logit_jacobian(params: MlpParams, xb: np.ndarray, out: np.ndarray) -> None:
     """Write the per-logit gradients of xb into out (C, n, P), layer by layer.
 
@@ -257,7 +249,7 @@ def _fill_logit_jacobian(params: MlpParams, xb: np.ndarray, out: np.ndarray) -> 
 
 
 def _sketched_logit_jacobian(params: MlpParams, xb: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """batch_logit_jacobian(params, xb) @ q, shape (n, C, k), contracted per layer.
+    """The (n, C, P) per-logit Jacobian of xb times q, (n, C, k), contracted per layer.
 
     The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
     and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q).
@@ -318,17 +310,26 @@ def loss_logit_gradient(logits: np.ndarray, y, loss: str) -> np.ndarray:
 
 def loss_param_gradient(params: MlpParams, x, y, loss: str) -> np.ndarray:
     """Gradient of the loss wrt theta via one backward pass seeded with delta."""
-    xv = np.asarray(x, dtype=np.float64)
-    layers, acts, pres = _forward_trace(params, xv[None, :])
-    delta = loss_logit_gradient(acts[-1][0], y, loss)
+    trace = _forward_trace(params, _one_input(params, x))
+    delta = loss_logit_gradient(trace[1][-1][0], y, loss)
+    return _backprop(params, trace, delta[None, :])
+
+
+def _backprop(params: MlpParams, trace, dz: np.ndarray) -> np.ndarray:
+    """(P,) theta-gradient of sum_i dz_i . logits_i over a _forward_trace batch.
+
+    dz (n, C) is the loss gradient at the logits. Bias sums start from -0.0,
+    the exact additive identity, so one row's bias gradient keeps its signed
+    zeros.
+    """
+    layers, acts, pres = trace
     grad = np.empty(params.param_count)
-    dz = delta[None, :]
     pos = params.param_count
     for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
+        w, _ = layers[i]
         fan_out, fan_in = w.shape
         pos -= fan_out
-        grad[pos : pos + fan_out] = dz[0]
+        grad[pos : pos + fan_out] = dz.sum(axis=0, initial=-0.0)
         pos -= fan_out * fan_in
         grad[pos : pos + fan_out * fan_in] = (dz.T @ acts[i]).ravel()
         if i > 0:
@@ -416,31 +417,15 @@ def train_sgd(
         order = rng.permutation(data.size)
         for start in range(0, data.size, batch):
             idx = order[start : start + batch]
-            _sgd_step(model, data.inputs[idx], targets[idx], lr)
+            trace = _forward_trace(model, data.inputs[idx])
+            dz = (_softmax(trace[1][-1]) - targets[idx]) / idx.size
+            theta -= lr * _backprop(model, trace, dz)
         loss = cross_entropy(model, data)
         if not np.isfinite(loss):
             raise Divergence(f"training loss became {loss}")
     if not np.all(np.isfinite(theta)):
         raise Divergence("parameters became non-finite")
     return model
-
-
-def _sgd_step(model: MlpParams, xb: np.ndarray, yb: np.ndarray, lr: float) -> None:
-    """One in-place SGD update on a mini-batch. Mutates model.theta."""
-    layers, acts, pres = _forward_trace(model, xb)
-    dz = (_softmax(acts[-1]) - yb) / xb.shape[0]
-    pos = model.param_count
-    theta = model.theta
-    for i in range(len(layers) - 1, -1, -1):
-        w, b = layers[i]
-        fan_out, fan_in = w.shape
-        pos -= fan_out
-        theta[pos : pos + fan_out] -= lr * dz.sum(axis=0)
-        pos -= fan_out * fan_in
-        gw = dz.T @ acts[i]
-        if i > 0:
-            dz = (dz @ w) * _act_grad(pres[i - 1], model.activation)
-        theta[pos : pos + fan_out * fan_in] -= lr * gw.ravel()
 
 
 # ------------------------------------------------------------- extraction
@@ -451,9 +436,7 @@ def _sample_set(params: MlpParams, inputs, labels):
     labels may be integer class ids (converted to one-hot), an (n, C) soft
     target matrix, or None (falls back to the model logits as targets).
     """
-    xb = np.asarray(inputs, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != params.input_dim:
-        raise DimMismatch(f"expected (n, {params.input_dim}) inputs, got shape {xb.shape}")
+    xb = _batch(params, inputs)
     n = xb.shape[0]
     if n == 0:
         raise EmptyInput("need at least one sample")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dntk
-from dntk import pipeline
+from dntk import kernel, pipeline
 from dntk.cli import FILES, main
 from dntk.io import (
     read_config,
@@ -120,6 +120,23 @@ class TestStageChain:
             cells = line.split(",")
             assert int(cells[0]) == ci
             assert float(cells[1]) > 0  # trace of a nonzero PSD kernel
+
+    def test_kernel_stats_truncates_at_tau_v(self, rundir, tmp_path, capsys):
+        # trunc_rank is the rank distill truncates at: 1 - tau_v of the trace
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        cfg = write_cfg(tmp_path / "cfg.json", work, tau_v=0.99)
+        assert main(["kernel-stats", "--config", cfg]) == 0
+        capsys.readouterr()
+        lines = (work / FILES["kernel_stats"]).read_text().strip().splitlines()
+        feats = read_gradients(work / FILES["sketched_train"], dim_kind=SKETCHED)
+        stack = kernel.build_stack(feats, read_config(cfg).scale_kind)
+        ranks = [int(line.split(",")[2]) for line in lines[1:]]
+        values = [kernel.spectral_summary(k, 0.0).eig.values for k in stack]
+        assert ranks == [kernel.truncation_rank(v, 1.0 - 0.99) for v in values]
+        # the 5 % level would give other ranks here, so the level is read
+        assert ranks != [kernel.truncation_rank(v, 0.05) for v in values]
 
     def test_selected_indices_valid(self, rundir):
         out, _ = rundir
@@ -362,6 +379,39 @@ INCONSISTENT = {
 }
 
 
+def _nan_first(a):
+    a = a.astype(np.float64)
+    a.flat[0] = np.nan
+    return a
+
+
+# model and dataset bundles whose arrays are well-formed npz content but no
+# network or dataset the stages can run on, and a stage that reads each
+_MODEL = (FILES["model"], ["extract-grads"])
+_TRAIN = (FILES["train"], ["train-model"])
+INVALID = {
+    "theta_short": (*_MODEL, {"theta": lambda a: a[:-5]}),
+    "theta_2d": (*_MODEL, {"theta": lambda a: a[None, :]}),
+    "theta_nan": (*_MODEL, {"theta": _nan_first}),
+    "activation_unknown": (*_MODEL, {"activation": lambda a: np.array("sigmoid")}),
+    # [5, 0, 3] has 3 parameters, so only the zero width is wrong
+    "layer_width_zero": (
+        *_MODEL, {"layer_sizes": lambda a: np.array([5, 0, 3]), "theta": lambda a: a[:3]}
+    ),
+    "layer_sizes_float": (*_MODEL, {"layer_sizes": lambda a: a.astype(np.float64)}),
+    "layer_sizes_one": (
+        *_MODEL, {"layer_sizes": lambda a: a[:1], "theta": lambda a: a[:0]}
+    ),
+    "inputs_1d": (*_TRAIN, {"inputs": lambda a: a[:, 0]}),
+    "inputs_nan": (*_TRAIN, {"inputs": _nan_first}),
+    "labels_short": (*_TRAIN, {"labels": lambda a: a[:-1]}),
+    "labels_float": (*_TRAIN, {"labels": lambda a: a.astype(np.float64)}),
+    "labels_out_of_range": (*_TRAIN, {"labels": lambda a: a + 3}),
+    "class_count_one": (*_TRAIN, {"class_count": lambda a: np.int64(1)}),
+    "test_labels_short": (FILES["test"], ["extract-grads"], {"labels": lambda a: a[:-1]}),
+}
+
+
 # each npz artifact and a stage that reads it
 NPZ_READERS = {
     FILES["train"]: ["train-model"],
@@ -389,7 +439,14 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("case", sorted(INCONSISTENT))
     def test_inconsistent_npz_exits_1(self, rundir, tmp_path, capsys, case):
-        artifact, stage, edits = INCONSISTENT[case]
+        self.check_edited_exits_1(rundir, tmp_path, capsys, *INCONSISTENT[case])
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_model_or_dataset_exits_1(self, rundir, tmp_path, capsys, case):
+        self.check_edited_exits_1(rundir, tmp_path, capsys, *INVALID[case])
+
+    @staticmethod
+    def check_edited_exits_1(rundir, tmp_path, capsys, artifact, stage, edits):
         out, _ = rundir
         work = tmp_path / "run"
         shutil.copytree(out, work)

@@ -9,10 +9,10 @@ from dntk.errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
 from dntk.kernel import (
     average_kernel,
     build_stack,
-    class_kernel,
     conditioning,
     effective_dimension,
     scale_factor,
+    scaled_gram,
     spectral_summary,
     truncation_rank,
 )
@@ -30,19 +30,19 @@ def feats_from_blocks(blocks, dim_kind=RAW_PARAMS):
 class TestClassKernel:
     def test_identity_features_scale_none(self):
         feats = feats_from_blocks([np.eye(4)])
-        np.testing.assert_array_equal(class_kernel(feats, 0, "none"), np.eye(4))
+        np.testing.assert_array_equal(build_stack(feats, "none")[0], np.eye(4))
 
     def test_single_row_inv_k(self):
         phi = np.array([[3.0, 4.0]])  # norm^2 = 25, width 2
         feats = feats_from_blocks([phi])
-        k = class_kernel(feats, 0, "inv_k")
+        k = build_stack(feats, "inv_k")[0]
         np.testing.assert_allclose(k, [[12.5]])
 
     def test_symmetry_enforced(self):
         rng = np.random.default_rng(0)
-        feats = feats_from_blocks([rng.normal(size=(6, 9))])
-        k = class_kernel(feats, 0)
-        np.testing.assert_array_equal(k, k.T)
+        feats = feats_from_blocks(rng.normal(size=(2, 6, 9)))
+        for k in build_stack(feats):
+            np.testing.assert_array_equal(k, k.T)
 
     def test_scale_factor(self):
         assert scale_factor("none", 7) == 1.0
@@ -57,8 +57,12 @@ class TestBuildStack:
         feats = feats_from_blocks(rng.normal(size=(3, 70, 11)))
         stack = build_stack(feats, "inv_k")
         for c in range(3):
-            np.testing.assert_array_equal(stack[c], class_kernel(feats, c, "inv_k"))
+            gram = np.empty((70, 70))
+            scaled_gram(feats.per_class[c], 1.0 / 11, gram)
+            np.testing.assert_array_equal(stack[c], gram)
             np.testing.assert_array_equal(stack[c], stack[c].T)
+            ref = feats.per_class[c] @ feats.per_class[c].T / 11
+            np.testing.assert_allclose(stack[c], ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
     def test_symmetrizes_a_non_symmetric_product(self):
         # a strided operand takes a general matmul, whose products need not
@@ -145,7 +149,7 @@ class TestTruncationRank:
 
 class TestSpectralSummary:
     def test_identity(self):
-        s = spectral_summary(np.eye(5))
+        s = spectral_summary(np.eye(5), 0.05)
         assert s.condition == 1.0
         assert s.min_eig == pytest.approx(1.0)
         assert s.trunc_rank == 5  # equal mass: need 95% of 5 -> ceil
@@ -154,6 +158,8 @@ class TestSpectralSummary:
         cond, min_eig = conditioning(np.diag([4.0, 1.0]))
         assert cond == pytest.approx(4.0)
         assert min_eig == pytest.approx(1.0)
+        s = spectral_summary(np.diag([4.0, 1.0]), 0.05)
+        assert (s.condition, s.min_eig) == (cond, min_eig)
 
     def test_rank_deficient_condition_is_stable(self):
         # a rank-3 Gram of 12 rows: the 9 null eigenvalues are roundoff and
@@ -170,7 +176,7 @@ class TestSpectralSummary:
         rng = np.random.default_rng(4)
         b = rng.normal(size=(6, 4))
         k = b @ b.T
-        s = spectral_summary(k)
+        s = spectral_summary(k, 0.05)
         assert s.trace == pytest.approx(np.trace(k))
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from helpers import feats_from_blocks
 
 from dntk.errors import ScaleMismatch, ShapeMismatch, SingularSystem
+from dntk.kernel import build_stack
 from dntk.krr import fit, predict
-from dntk.numerics import ridge_solve_direct
+from dntk.numerics import ridge_solve_direct, sym_eig
 from dntk.tangent import extract_features, gen_gaussian_mixture, init_params
 
 
@@ -73,12 +73,13 @@ class TestPredict:
             np.testing.assert_allclose(pred[:, c], cross @ model.alpha[:, c],
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("as_features", [False, True], ids=["array", "features"])
+    @pytest.mark.parametrize("contiguous", [False, True], ids=["array", "contiguous"])
     @pytest.mark.parametrize(
         "s, scale_kind", [(6, "inv_k"), (25, "inv_k"), (6, "none")],
         ids=["s_lt_d", "s_gt_d", "unscaled"],
     )
-    def test_primal_equals_cross_kernel_reference(self, as_features, s, scale_kind):
+    def test_primal_equals_cross_kernel_reference(self, contiguous, s, scale_kind):
+        # random_basis returns a strided view; its contiguous copy must agree
         basis = random_basis(s, 10, 3, seed=18)
         test = random_basis(8, 10, 3, seed=19)
         y = np.random.default_rng(20).normal(size=(s, 3))
@@ -90,22 +91,28 @@ class TestPredict:
              for c in range(3)],
             axis=1,
         )
-        arg = feats_from_blocks(test) if as_features else test
+        arg = np.ascontiguousarray(test) if contiguous else test
         np.testing.assert_allclose(predict(model, arg), ref,
                                    rtol=1e-10, atol=1e-12 * np.abs(ref).max())
 
-    def test_accepts_gradient_features(self):
+    def test_fits_extracted_rows_on_the_stack_kernels(self):
+        # fit forms each class kernel as build_stack does, so its spectra are
+        # those of the stack's layers; a strided selection of the extracted
+        # rows fits and predicts like its contiguous copy
         params = init_params([4, 7, 3], seed=0)
-        data = gen_gaussian_mixture(3, 5, 4, 0.4, seed=1)
+        data = gen_gaussian_mixture(3, 6, 4, 0.4, seed=1)
         feats = extract_features(params, data.inputs, data.labels)
-        basis = feats.per_class.copy()
-        model = fit(feats, feats.labels.astype(float), lambda_reg=0.1)
-        np.testing.assert_array_equal(
-            fit(basis, feats.labels.astype(float), lambda_reg=0.1).alpha, model.alpha
-        )
-        a = predict(model, feats)
-        b = predict(model, basis)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        model = fit(feats.per_class, feats.labels, lambda_reg=0.1)
+        for c, k in enumerate(build_stack(feats)):
+            eig = sym_eig(k)
+            np.testing.assert_array_equal(model.eig_values[c], eig.values)
+            np.testing.assert_array_equal(model.eig_vectors[c], eig.vectors)
+        strided = feats.per_class[:, ::2]
+        a = fit(strided, feats.labels[::2], lambda_reg=0.1)
+        b = fit(strided.copy(), feats.labels[::2], lambda_reg=0.1)
+        np.testing.assert_allclose(a.alpha, b.alpha, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(predict(a, feats.per_class), predict(b, feats.per_class),
+                                   rtol=1e-12, atol=1e-14)
 
     def test_width_mismatch(self):
         basis = random_basis(5, 9, 2, seed=16)
@@ -150,5 +157,5 @@ class TestOnRealFeatures:
         data = gen_gaussian_mixture(3, 6, 5, 0.4, seed=27)
         feats = extract_features(params, data.inputs, data.labels)
         model = fit(feats.per_class, feats.model_logits, lambda_reg=1e-8)
-        pred = predict(model, feats)
+        pred = predict(model, feats.per_class)
         np.testing.assert_allclose(pred, feats.model_logits, atol=1e-4)

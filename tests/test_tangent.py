@@ -8,7 +8,6 @@ from dntk.metrics import accuracy
 from dntk.tangent import (
     LabeledDataset,
     _logit_backprop,
-    batch_logit_jacobian,
     chain_rule_check,
     cross_entropy,
     extract_features,
@@ -117,6 +116,14 @@ class TestForward:
         p = init_params([4, 3], seed=0)
         with pytest.raises(DimMismatch):
             forward(p, np.ones(5))
+        # one input check serves every entry point
+        for call in (lambda: forward_batch(p, np.ones(4)),
+                     lambda: forward_batch(p, np.ones((2, 5))),
+                     lambda: per_logit_gradient(p, np.ones((1, 4))),
+                     lambda: loss_param_gradient(p, np.ones(5), 0, "squared"),
+                     lambda: extract_features(p, np.ones((2, 3)))):
+            with pytest.raises(DimMismatch):
+                call()
 
 
 class TestPerLogitGradient:
@@ -238,6 +245,24 @@ class TestTrainSgd:
                       epochs=200, batch=6, seed=7)
         assert accuracy(forward_batch(p, data.inputs), data.labels) == 1.0
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_single_batch_epoch_is_mean_loss_gradient_step(self, activation):
+        # training's backward pass against the finite-difference-checked
+        # loss_param_gradient: one epoch in one batch is one step of the mean
+        rng = np.random.default_rng(30)
+        data = gen_gaussian_mixture(3, 4, 5, 0.5, seed=31)
+        p = init_params([5, 9, 7, 3], seed=32, activation=activation)
+        p = p.with_theta(p.theta + 0.3 * rng.normal(size=p.param_count))
+        lr = 0.1
+        out = train_sgd(p, data, lr=lr, epochs=1, batch=data.size, seed=33)
+        mean_grad = np.mean([
+            loss_param_gradient(p, x, y, "cross_entropy")
+            for x, y in zip(data.inputs, data.labels)
+        ], axis=0)
+        step = (p.theta - out.theta) / lr
+        np.testing.assert_allclose(step, mean_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(mean_grad).max())
+
     def test_divergence_detected(self):
         # positive inputs + enormous relu weights overflow the forward pass
         rng = np.random.default_rng(8)
@@ -280,7 +305,8 @@ class TestExtractFeatures:
             ref = reference_logit_jacobian(p, x[start : start + 5])
             np.testing.assert_array_equal(
                 feats.per_class[:, start : start + 5], ref.transpose(1, 0, 2))
-        np.testing.assert_array_equal(batch_logit_jacobian(p, x), reference_logit_jacobian(p, x))
+        whole = extract_features(p, x, rng.integers(0, 4, size=23)).per_class
+        np.testing.assert_array_equal(whole, reference_logit_jacobian(p, x).transpose(1, 0, 2))
 
     def test_peak_memory_is_the_output(self):
         p = init_params([8, 40, 30, 5], seed=23)
