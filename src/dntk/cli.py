@@ -34,6 +34,7 @@ from .io import (
     write_selection,
     write_sketch_meta,
 )
+from .numerics import rank_tolerance
 from .sketch import project_features
 from .tangent import SKETCHED, extract_features
 
@@ -133,8 +134,9 @@ def cmd_kernel_stats(args) -> int:
         fh.write("class,trace,trunc_rank,condition,min_eig,effective_dim\n")
         for ci, gram in enumerate(stack):
             summary = kernel.spectral_summary(gram, 1.0 - cfg.tau_v)
-            eff = kernel.effective_dimension(summary.eig.values, cfg.lambda_reg) \
-                if cfg.lambda_reg > 0 else float((summary.eig.values > 0).sum())
+            values = summary.eig.values
+            eff = kernel.effective_dimension(values, cfg.lambda_reg) if cfg.lambda_reg > 0 \
+                else float((values > rank_tolerance(values)).sum())  # the numerical rank
             fh.write(
                 f"{ci},{summary.trace:.17g},{summary.trunc_rank},"
                 f"{summary.condition:.17g},{summary.min_eig:.17g},{eff:.17g}\n"

@@ -5,8 +5,10 @@ version 1, little-endian float64 payload) so staged CLI runs can resume
 from any point. Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
-selections) rides in npz archives, which numpy writes deterministically and
-one loader reads back without unpickling anything.
+selections) rides in npz archives, which numpy writes deterministically.
+Each archive is declared once as a schema (DATASET, MODEL, DISTILLED, KRR,
+SELECTION) of keys, dtype kinds and symbolic shapes; one loader reads it
+back without unpickling and checks every key, extent and float against it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     VersionMismatch,
 )
 from .krr import KrrModel
-from .sketch import SketchOperator, sample_orthonormal
+from .sketch import SketchOperator
 from .tangent import ACTIVATIONS, RAW_PARAMS, GradientFeatures, LabeledDataset, MlpParams, param_count
 
 MAGIC = b"DNTK1\0"
@@ -342,13 +344,45 @@ def config_from_dict(data: dict, source: str = "config") -> RunConfig:
 
 # ------------------------------------------------------------ npz bundles
 
-def _read_npz(path, build):
-    """Open an npz archive without unpickling and build an object from it.
+_INT, _FLOAT, _STR = "iu", "f", "U"
 
-    A missing or unreadable file raises IoError. A file that is not an npz
-    archive (text, a lone .npy array, a truncated zip), or one whose arrays
-    are missing, of the wrong kind for `build`, of shapes that disagree or
-    of values out of range (`build` raises ValueError), raises ParseError.
+DATASET = {"inputs": (_FLOAT, "n d"), "labels": (_INT, "n"), "class_count": (_INT, "")}
+MODEL = {"layer_sizes": (_INT, "L"), "theta": (_FLOAT, "P"), "activation": (_STR, "")}
+DISTILLED = {
+    "phi_hat": (_FLOAT, "C s D"),
+    "y_hat": (_FLOAT, "s C"),
+    "lifted_basis": (_FLOAT, "m s"),
+    "eigenvalues": (_FLOAT, "s"),
+    "provenance": (_INT, "s 3"),
+    "r_global": (_INT, ""),
+    "local_ranks": (_INT, "h"),
+    "coverage": (_FLOAT, "r"),
+    "gap_set": (_INT, "g"),
+    "tau_v": (_FLOAT, ""),
+    "tau_g": (_FLOAT, ""),
+}
+KRR = {
+    "basis": (_FLOAT, "C s D"),
+    "targets": (_FLOAT, "s C"),
+    "alpha": (_FLOAT, "s C"),
+    "lambda_reg": (_FLOAT, ""),
+    "scale_kind": (_STR, ""),
+    "eig_values": (_FLOAT, "C s"),
+    "eig_vectors": (_FLOAT, "C s s"),
+}
+SELECTION = {"indices": (_INT, "s"), "method": (_STR, ""), "seed": (_INT, "")}
+
+
+def _read_npz(path, schema) -> dict:
+    """The arrays of an npz archive, read without unpickling and checked against schema.
+
+    A schema maps each key to its allowed dtype kinds and its shape as
+    space-separated symbols ("" for a scalar): a symbol is one extent across
+    the archive, a digit a fixed extent. A missing or unreadable file raises
+    IoError. A file that is not an npz archive (text, a lone .npy array, a
+    truncated zip) raises ParseError, as does a key that is missing, of
+    another kind or rank, of an extent its symbol disagrees with, or a float
+    key holding NaN or inf.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -356,13 +390,27 @@ def _read_npz(path, build):
         raise IoError(f"cannot read {path}: {exc}") from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"{path}: not an npz archive ({exc})") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ParseError(f"{path}: not an npz archive")
+    _require(isinstance(archive, np.lib.npyio.NpzFile), path, "not an npz archive")
+    out, extents = {}, {}
     with archive:
-        try:
-            return build(archive)
-        except (KeyError, ValueError, TypeError, zipfile.BadZipFile) as exc:
-            raise ParseError(f"{path}: bad contents ({exc})") from exc
+        for key, (kinds, shape) in schema.items():
+            try:
+                a = archive[key]
+            except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+                raise ParseError(f"{path}: cannot read {key!r} ({exc})") from exc
+            symbols = shape.split()
+            want = tuple(int(t) if t.isdigit() else extents.setdefault(t, n)
+                         for t, n in zip(symbols, a.shape))
+            _require(a.dtype.kind in kinds and a.ndim == len(symbols) and a.shape == want, path,
+                     f"{key} is {a.dtype} {a.shape}, expected {kinds!r} ({shape}), {extents}")
+            _require(kinds != _FLOAT or np.isfinite(a).all(), path, f"{key} holds NaN or inf")
+            out[key] = a
+    return out
+
+
+def _require(ok, path, message: str) -> None:
+    if not ok:
+        raise ParseError(f"{path}: {message}")
 
 
 def write_dataset(data: LabeledDataset, path) -> None:
@@ -375,20 +423,11 @@ def write_dataset(data: LabeledDataset, path) -> None:
 
 
 def read_dataset(path) -> LabeledDataset:
-    return _read_npz(path, _build_dataset)
-
-
-def _build_dataset(z) -> LabeledDataset:
-    inputs, labels, count = z["inputs"], z["labels"], z["class_count"]
-    _check_shapes(inputs=(inputs, (None, None)), class_count=(count, ()))
-    _check_shapes(labels=(labels, (inputs.shape[0],)))
-    _require(np.all(np.isfinite(inputs)), "inputs hold non-finite values")
-    _require(labels.dtype.kind in "iu" and count.dtype.kind in "iu",
-             f"labels and class_count must be integers, got {labels.dtype}, {count.dtype}")
-    _require(count >= 2, f"class_count must be >= 2, got {count}")
-    _require(labels.size == 0 or (labels.min() >= 0 and labels.max() < count),
-             f"labels outside [0, {count})")
-    return LabeledDataset(inputs, labels.astype(np.intp), int(count))
+    z = _read_npz(path, DATASET)
+    labels, count = z["labels"], int(z["class_count"])
+    _require(count >= 2, path, f"class_count must be >= 2, got {count}")
+    _require(((labels >= 0) & (labels < count)).all(), path, f"labels outside [0, {count})")
+    return LabeledDataset(z["inputs"], labels.astype(np.intp), count)
 
 
 def write_model(params: MlpParams, path) -> None:
@@ -401,23 +440,19 @@ def write_model(params: MlpParams, path) -> None:
 
 
 def read_model(path) -> MlpParams:
-    return _read_npz(path, _build_model)
-
-
-def _build_model(z) -> MlpParams:
-    sizes, theta, activation = z["layer_sizes"], z["theta"], str(z["activation"])
-    _check_shapes(layer_sizes=(sizes, (None,)))
-    _require(sizes.dtype.kind in "iu" and sizes.size >= 2 and sizes.min() >= 1,
-             f"layer_sizes must be >= 2 integer widths >= 1, got {sizes}")
-    _check_shapes(theta=(theta, (param_count(sizes),)))
-    _require(np.all(np.isfinite(theta)), "theta holds non-finite values")
-    _require(activation in ACTIVATIONS,
+    z = _read_npz(path, MODEL)
+    sizes, theta, activation = tuple(map(int, z["layer_sizes"])), z["theta"], str(z["activation"])
+    _require(len(sizes) >= 2 and min(sizes) >= 1, path,
+             f"layer_sizes must be >= 2 widths >= 1, got {sizes}")
+    _require(theta.size == param_count(sizes), path,
+             f"theta has {theta.size} entries, layer_sizes {sizes} need {param_count(sizes)}")
+    _require(activation in ACTIVATIONS, path,
              f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    return MlpParams(tuple(int(w) for w in sizes), theta, activation)
+    return MlpParams(sizes, theta, activation)
 
 
 def write_sketch_meta(op: SketchOperator, path) -> None:
-    """Sketches persist as (seed, dims); the matrix regenerates on load."""
+    """Sketches persist as (seed, dims); sample_orthonormal regenerates the matrix."""
     meta = {
         "source_dim": op.source_dim,
         "target_dim": op.target_dim,
@@ -428,33 +463,7 @@ def write_sketch_meta(op: SketchOperator, path) -> None:
         fh.write("\n")
 
 
-def read_sketch_meta(path) -> SketchOperator:
-    """Regenerate the sketch a sketch.json describes.
-
-    A missing or unreadable file raises IoError. Malformed JSON, a top level
-    that is not an object, a missing key, a source_dim, target_dim or seed
-    that is not a nonnegative integer raises ParseError.
-    """
-    try:
-        with open(path) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read sketch meta {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    for key in ("source_dim", "target_dim", "seed"):
-        if key not in meta:
-            raise ParseError(f"{path}: missing {key!r}")
-        value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ParseError(f"{path}: {key}={value!r} is not a nonnegative integer")
-    return sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
-
-
 _PROV_KIND = {"local": 0, "gap": 1}
-_PROV_NAME = {v: k for k, v in _PROV_KIND.items()}
 
 
 def write_distilled(dg: DistilledGradients, report: CoverageReport, path) -> None:
@@ -482,50 +491,16 @@ def write_distilled(dg: DistilledGradients, report: CoverageReport, path) -> Non
 
 
 def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
-    return _read_npz(path, _build_distilled)
-
-
-def _check_shapes(**arrays) -> None:
-    """Raise ValueError for the first array whose shape is not as expected.
-
-    Each keyword maps an array name to (array, expected shape); None in an
-    expected shape matches any extent.
-    """
-    for name, (array, shape) in arrays.items():
-        if array.ndim != len(shape) or any(
-            want is not None and got != want for got, want in zip(array.shape, shape)
-        ):
-            want = "(" + ", ".join("*" if w is None else str(w) for w in shape) + ")"
-            raise ValueError(f"{name} has shape {array.shape}, expected {want}")
-
-
-def _require(ok, message: str) -> None:
-    """Raise ValueError(message) unless ok; _read_npz reports it as ParseError."""
-    if not ok:
-        raise ValueError(message)
-
-
-def _build_distilled(z) -> tuple[DistilledGradients, CoverageReport]:
-    phi_hat, y_hat, lifted, eigenvalues, prov = (
-        z[k] for k in ("phi_hat", "y_hat", "lifted_basis", "eigenvalues", "provenance")
-    )
-    _check_shapes(phi_hat=(phi_hat, (None, None, None)))
-    c, s, _ = phi_hat.shape
-    _check_shapes(
-        y_hat=(y_hat, (s, c)),
-        lifted_basis=(lifted, (None, s)),
-        eigenvalues=(eigenvalues, (s,)),
-        provenance=(prov, (s, 3)),
-    )
+    z = _read_npz(path, DISTILLED)
+    _require(np.isin(z["provenance"][:, 0], (0, 1)).all(), path,
+             f"provenance kinds must be {_PROV_KIND}")
     dg = DistilledGradients(
-        phi_hat=phi_hat,
-        y_hat=y_hat,
-        provenance=tuple(
-            (_PROV_NAME[int(k)], int(a), int(b)) if int(k) == 0 else (_PROV_NAME[int(k)], int(a))
-            for k, a, b in prov
-        ),
-        lifted_basis=lifted,
-        eigenvalues=eigenvalues,
+        phi_hat=z["phi_hat"],
+        y_hat=z["y_hat"],
+        provenance=tuple(("local", int(a), int(b)) if k == 0 else ("gap", int(a))
+                         for k, a, b in z["provenance"]),
+        lifted_basis=z["lifted_basis"],
+        eigenvalues=z["eigenvalues"],
     )
     report = CoverageReport(
         r_global=int(z["r_global"]),
@@ -552,29 +527,9 @@ def write_krr(model: KrrModel, path) -> None:
 
 
 def read_krr(path) -> KrrModel:
-    return _read_npz(path, _build_krr)
-
-
-def _build_krr(z) -> KrrModel:
-    basis = z["basis"]
-    _check_shapes(basis=(basis, (None, None, None)))
-    c, s, _ = basis.shape
-    model = KrrModel(
-        basis=basis,
-        targets=z["targets"],
-        alpha=z["alpha"],
-        lambda_reg=float(z["lambda_reg"]),
-        scale_kind=str(z["scale_kind"]),
-        eig_values=z["eig_values"],
-        eig_vectors=z["eig_vectors"],
-    )
-    _check_shapes(
-        targets=(model.targets, (s, c)),
-        alpha=(model.alpha, (s, c)),
-        eig_values=(model.eig_values, (c, s)),
-        eig_vectors=(model.eig_vectors, (c, s, s)),
-    )
-    return model
+    z = _read_npz(path, KRR)
+    z.update(lambda_reg=float(z["lambda_reg"]), scale_kind=str(z["scale_kind"]))
+    return KrrModel(**z)
 
 
 def write_selection(sel: SelectionResult, path) -> None:
@@ -588,9 +543,7 @@ def write_selection(sel: SelectionResult, path) -> None:
 
 def read_selection(path, size: int) -> np.ndarray:
     """Selected sample ids of a baseline; each must index one of `size` samples."""
-    idx = _read_npz(path, lambda z: z["indices"])
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ParseError(f"{path}: indices must be a 1-d integer array")
+    idx = _read_npz(path, SELECTION)["indices"]
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexOutOfRange(f"{path}: indices outside [0, {size})")
     return idx.astype(np.intp)

@@ -409,6 +409,7 @@ def train_sgd(
         raise DimMismatch("dataset class count does not match the network head")
     if lr <= 0.0 or epochs < 0 or batch < 1:
         raise InputError("need lr > 0, epochs >= 0, batch >= 1")
+    inputs = _batch(params, data.inputs)
     theta = params.theta.copy()
     model = replace(params, theta=theta)
     rng = np.random.default_rng(seed)
@@ -417,7 +418,7 @@ def train_sgd(
         order = rng.permutation(data.size)
         for start in range(0, data.size, batch):
             idx = order[start : start + batch]
-            trace = _forward_trace(model, data.inputs[idx])
+            trace = _forward_trace(model, inputs[idx])
             dz = (_softmax(trace[1][-1]) - targets[idx]) / idx.size
             theta -= lr * _backprop(model, trace, dz)
         loss = cross_entropy(model, data)

@@ -26,8 +26,8 @@ from dntk.io import (
     read_model,
     read_report,
     read_selection,
-    read_sketch_meta,
 )
+from dntk.sketch import sample_orthonormal
 from dntk.tangent import SKETCHED
 
 SMOKE = dict(
@@ -102,8 +102,11 @@ class TestStageChain:
         task = pipeline.prepare_task(cfg, cfg.seed)
         model = read_model(out / FILES["model"])
         np.testing.assert_array_equal(model.theta, task.model.theta)
-        op = read_sketch_meta(out / FILES["sketch_meta"])
-        np.testing.assert_array_equal(op.q, task.sketch_op.q)
+        meta = json.loads((out / FILES["sketch_meta"]).read_text())
+        op = task.sketch_op
+        assert meta == {"source_dim": op.source_dim, "target_dim": op.target_dim, "seed": op.seed}
+        regenerated = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
+        np.testing.assert_array_equal(regenerated.q, op.q)
         for key, feats in (("sketched_train", task.train_feats),
                            ("sketched_test", task.test_feats)):
             staged = read_gradients(out / FILES[key], dim_kind=SKETCHED)
@@ -137,6 +140,20 @@ class TestStageChain:
         assert ranks == [kernel.truncation_rank(v, 1.0 - 0.99) for v in values]
         # the 5 % level would give other ranks here, so the level is read
         assert ranks != [kernel.truncation_rank(v, 0.05) for v in values]
+
+    def test_kernel_stats_effective_dim_at_lambda_zero_is_rank(self, rundir, tmp_path, capsys):
+        # 24 rows sketched to width 16: each class kernel has rank <= 16, and
+        # its roundoff eigenvalues must not count as dimensions
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        cfg = write_cfg(tmp_path / "cfg.json", work, lambda_reg=0.0)
+        assert main(["kernel-stats", "--config", cfg]) == 0
+        capsys.readouterr()
+        lines = (work / FILES["kernel_stats"]).read_text().strip().splitlines()
+        dims = [float(line.split(",")[5]) for line in lines[1:]]
+        assert len(dims) == 3
+        assert all(1 <= d <= 16 for d in dims), dims
 
     def test_selected_indices_valid(self, rundir):
         out, _ = rundir
@@ -191,12 +208,13 @@ class TestStageChain:
 
         cfg = read_config(cfg_path)
         train_feats = read_gradients(out / FILES["sketched_train"], dim_kind=SKETCHED)
+        model = read_model(out / FILES["model"])
         task = pipeline.Task(
             cfg=cfg,
             train=read_dataset(out / FILES["train"]),
             test=read_dataset(out / FILES["test"]),
-            model=read_model(out / FILES["model"]),
-            sketch_op=read_sketch_meta(out / FILES["sketch_meta"]),
+            model=model,
+            sketch_op=pipeline.sketch_operator(cfg, model.param_count, cfg.seed),
             train_feats=train_feats,
             test_feats=read_gradients(out / FILES["sketched_test"], dim_kind=SKETCHED),
         )
@@ -376,13 +394,22 @@ INCONSISTENT = {
         FILES["distilled"], ["fit-krr", "--source", "distilled"],
         {"phi_hat": lambda a: a.transpose(1, 2, 0)},
     ),
+    "alpha_string": (FILES["krr"], ["evaluate"], {"alpha": lambda a: a.astype(str)}),
+    "y_hat_inf": (
+        FILES["distilled"], ["fit-krr", "--source", "distilled"],
+        {"y_hat": lambda a: _first_set(a, np.inf)},
+    ),
 }
 
 
-def _nan_first(a):
+def _first_set(a, value):
     a = a.astype(np.float64)
-    a.flat[0] = np.nan
+    a.flat[0] = value
     return a
+
+
+def _nan_first(a):
+    return _first_set(a, np.nan)
 
 
 # model and dataset bundles whose arrays are well-formed npz content but no
@@ -445,8 +472,14 @@ class TestMalformedArtifacts:
     def test_invalid_model_or_dataset_exits_1(self, rundir, tmp_path, capsys, case):
         self.check_edited_exits_1(rundir, tmp_path, capsys, *INVALID[case])
 
+    def test_train_inputs_of_wrong_width_exits_1(self, rundir, tmp_path, capsys):
+        # a 10-wide train.npz for the 5-input net of the config
+        self.check_edited_exits_1(rundir, tmp_path, capsys, FILES["train"], ["train-model"],
+                                  {"inputs": lambda a: np.hstack([a, a])}, code="DimMismatch")
+
     @staticmethod
-    def check_edited_exits_1(rundir, tmp_path, capsys, artifact, stage, edits):
+    def check_edited_exits_1(rundir, tmp_path, capsys, artifact, stage, edits,
+                             code="ParseError"):
         out, _ = rundir
         work = tmp_path / "run"
         shutil.copytree(out, work)
@@ -455,19 +488,14 @@ class TestMalformedArtifacts:
         rc = main(stage + ["--config", cfg])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "error_code=ParseError" in captured.err
+        assert f"error_code={code}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_selection_out_of_range_exits_1(self, rundir, tmp_path, capsys):
-        out, _ = rundir
-        work = tmp_path / "run"
-        shutil.copytree(out, work)
-        np.savez(work / "selected_random.npz", indices=np.array([0, 10**6], dtype=np.int64))
-        cfg = write_cfg(tmp_path / "cfg.json", work)
-        rc = main(["fit-krr", "--source", "random", "--config", cfg])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "error_code=IndexOutOfRange" in captured.err
+        self.check_edited_exits_1(
+            rundir, tmp_path, capsys, "selected_random.npz", ["fit-krr", "--source", "random"],
+            {"indices": lambda a: np.array([0, 10**6], dtype=np.int64)}, code="IndexOutOfRange",
+        )
 
 
 def test_import_loads_no_scipy():

@@ -334,34 +334,15 @@ class TestNpzRoundtrips:
         assert back.activation == "relu"
 
     def test_sketch_meta_regenerates_operator(self, tmp_path):
+        # sketch.json records (source_dim, target_dim, seed); the matrix is
+        # regenerated from them, not stored
         op = sample_orthonormal(40, 8, seed=11)
         path = tmp_path / "s.json"
         dio.write_sketch_meta(op, path)
-        back = dio.read_sketch_meta(path)
+        meta = json.loads(path.read_text())
+        back = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
         np.testing.assert_array_equal(back.q, op.q)
         assert back.scale == op.scale
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"source_dim": 40, "target_dim": 8',
-            '[40, 8, 11]',
-            '{"target_dim": 8, "seed": 11}',
-            '{"source_dim": 40, "seed": 11}',
-            '{"source_dim": 40, "target_dim": 8}',
-            '{"source_dim": "x", "target_dim": 8, "seed": 11}',
-            '{"source_dim": 40, "target_dim": 8.5, "seed": 11}',
-            '{"source_dim": 40, "target_dim": true, "seed": 11}',
-            '{"source_dim": 40, "target_dim": 8, "seed": -1}',
-        ],
-        ids=["bad_json", "not_object", "no_source_dim", "no_target_dim", "no_seed",
-             "string_dim", "float_dim", "bool_dim", "negative_seed"],
-    )
-    def test_sketch_meta_malformed_is_parse_error(self, tmp_path, text):
-        path = tmp_path / "s.json"
-        path.write_text(text)
-        with pytest.raises(ParseError):
-            dio.read_sketch_meta(path)
 
     def test_distilled(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -389,6 +370,74 @@ class TestNpzRoundtrips:
         np.testing.assert_array_equal(back.basis, model.basis)
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
+
+
+def _valid_bundles(tmp_path):
+    """One file per npz schema, written by its writer, and its typed reader."""
+    rng = np.random.default_rng(5)
+    feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))
+    dg, report = distill(feats, h=2, tau_v=0.95, tau_g=0.5, seed=0)
+    model = fit(feats.per_class, feats.model_logits, lambda_reg=0.01, scale_kind="none")
+    writers = {
+        "DATASET": (lambda p: dio.write_dataset(gen_gaussian_mixture(3, 4, 5, 0.5, seed=0), p),
+                    dio.read_dataset),
+        "MODEL": (lambda p: dio.write_model(init_params([5, 8, 2], seed=1), p), dio.read_model),
+        "DISTILLED": (lambda p: dio.write_distilled(dg, report, p), dio.read_distilled),
+        "KRR": (lambda p: dio.write_krr(model, p), dio.read_krr),
+        "SELECTION": (
+            lambda p: dio.write_selection(SelectionResult(np.array([4, 0, 7]), "random", 3), p),
+            lambda p: dio.read_selection(p, 8),
+        ),
+    }
+    out = {}
+    for name, (write, read) in writers.items():
+        path = tmp_path / f"{name}.npz"
+        write(path)
+        out[name] = (path, read)
+    return out
+
+
+def _retype(a):
+    # string keys become numbers, every other key a string
+    return np.zeros(a.shape) if a.dtype.kind == "U" else a.astype(str)
+
+
+def _nan_first(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+_CORRUPTIONS = {"dropped": None, "retyped": _retype, "extra_axis": lambda a: a[None],
+                "nan": _nan_first}
+_SCHEMA_CASES = [
+    (name, key, how)
+    for name in ("DATASET", "MODEL", "DISTILLED", "KRR", "SELECTION")
+    for key, (kinds, _) in getattr(dio, name).items()
+    for how in _CORRUPTIONS
+    if how != "nan" or kinds == "f"
+]
+
+
+def test_schemas_match_writers(tmp_path):
+    for name, (path, read) in _valid_bundles(tmp_path).items():
+        with np.load(path) as z:
+            assert z.files == list(getattr(dio, name)), name
+        read(path)
+
+
+@pytest.mark.parametrize("name, key, how", _SCHEMA_CASES)
+def test_every_schema_key_is_checked(tmp_path, name, key, how):
+    path, read = _valid_bundles(tmp_path)[name]
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    if how == "dropped":
+        del arrays[key]
+    else:
+        arrays[key] = _CORRUPTIONS[how](arrays[key])
+    np.savez(path, **arrays)
+    with pytest.raises(ParseError):
+        read(path)
 
 
 _SCALARS = st.one_of(

@@ -274,6 +274,13 @@ class TestTrainSgd:
             with pytest.raises(Divergence):
                 train_sgd(p, data, lr=0.1, epochs=3, batch=4, seed=10)
 
+    def test_inputs_of_wrong_width_are_dim_mismatch(self):
+        # 10-wide inputs for a 5-input net are refused before any batch runs
+        data = gen_gaussian_mixture(3, 4, 10, 0.5, seed=11)
+        with pytest.raises(DimMismatch):
+            train_sgd(init_params([5, 12, 3], seed=12), data, lr=0.1,
+                      epochs=1, batch=4, seed=13)
+
 
 def reference_logit_jacobian(params, xb):
     """Per-batch (n, C, P) assembly through an outer-product temporary.
