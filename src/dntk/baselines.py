@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import kmeans_fit
+from .cluster import _sq_dists_to, kmeans_fit
 from .errors import EmptyInput, RankTooLarge, STooLarge, ZeroScores
 from .numerics import as_matrix, sym_eig
 
@@ -79,19 +79,24 @@ def select_fps(rows, s: int, seed: int = 0) -> SelectionResult:
     """Greedy farthest point sampling in Euclidean distance.
 
     Starts from the largest-norm row and repeatedly adds the row farthest
-    from the chosen set; all ties break to the lowest index. Deterministic,
-    the seed is carried only for bookkeeping.
+    from the chosen set; all ties break to the lowest index. Each pick costs
+    one matvec: distances come from the precomputed squared row norms
+    (cluster._sq_dists_to), with values within 1e-12 relative of zero, such
+    as exact duplicates of a chosen row, cleared to zero. Deterministic, the
+    seed is carried only for bookkeeping.
     """
     x = as_matrix(rows, "rows")
     m = x.shape[0]
     _check_budget(m, s)
-    chosen = [int(np.argmax((x**2).sum(axis=1)))]
-    dist = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    sq = (x * x).sum(axis=1)
+    chosen = [int(np.argmax(sq))]
+    dist = _sq_dists_to(x, sq, chosen[0])
+    dist[chosen[0]] = -1.0  # never re-pick; later minima keep it at -1
     while len(chosen) < s:
-        dist[chosen] = -1.0  # never re-pick
         nxt = int(np.argmax(dist))
         chosen.append(nxt)
-        dist = np.minimum(dist, ((x - x[nxt]) ** 2).sum(axis=1))
+        np.minimum(dist, _sq_dists_to(x, sq, nxt), out=dist)
+        dist[nxt] = -1.0
     return SelectionResult(
         indices=np.array(chosen, dtype=np.intp), method="fps", seed=seed
     )

@@ -77,36 +77,31 @@ def _sq_dists_to(points: np.ndarray, sq: np.ndarray, idx: int) -> np.ndarray:
 
 
 def _sq_dists(points: np.ndarray, sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # expansion form keeps memory at (n, k) instead of (n, k, d); sq holds
-    # the rows' squared norms, which stay fixed across Lloyd iterations
-    d2 = sq[:, None] \
-        - 2.0 * (points @ centroids.T) \
-        + (centroids * centroids).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0)
+    """Squared distances of every row to every centroid, clamped at zero.
 
-
-def _lloyd(points: np.ndarray, centroids: np.ndarray):
-    sq = (points * points).sum(axis=1)
-    assign = None
-    for _ in range(KMEANS_ITERS):
-        d2 = _sq_dists(points, sq, centroids)
-        new_assign = d2.argmin(axis=1)  # ties resolve to the lowest centroid
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        for j in range(centroids.shape[0]):
-            members = assign == j
-            if members.any():
-                centroids[j] = points[members].mean(axis=0)
-    d2 = _sq_dists(points, sq, centroids)
-    assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), assign].sum())
-    return assign, centroids, inertia
+    centroids is (k, d) or, for several restarts, (R, k, d), and the result
+    (n, k) or (n, R, k): all centroids go through one points @ C^T product.
+    The expansion form keeps memory at n x (centroid count) instead of
+    (n, k, d); sq holds the rows' squared norms, which stay fixed across
+    Lloyd iterations, and the centroid norms are summed one set at a time.
+    """
+    sets = centroids.reshape(-1, *centroids.shape[-2:])
+    d2 = points @ sets.reshape(-1, sets.shape[-1]).T
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += np.concatenate([(c * c).sum(axis=1) for c in sets])[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    return d2.reshape((points.shape[0],) + centroids.shape[:-1])
 
 
 def kmeans_fit(points, k: int, seed: int):
     """Best-of-KMEANS_RESTARTS Lloyd iteration; lowest restart index wins ties.
 
+    Restart r seeds by k-means++ from rng (seed, r) and runs Lloyd steps
+    until its assignments repeat or KMEANS_ITERS updates have run; a
+    cluster left empty keeps its centroid. The restarts run together: the
+    ones still moving get their distances from one product per step, and
+    each updates its centroids as a (k, n) one-hot matrix times the points.
     Returns (assignments, centroids, inertia). Deterministic per seed.
     """
     pts = as_matrix(points, "points")
@@ -114,14 +109,39 @@ def kmeans_fit(points, k: int, seed: int):
         raise EmptyInput("no points to cluster")
     if k < 1 or k > pts.shape[0]:
         raise HTooLarge(f"k={k} invalid for {pts.shape[0]} points")
-    best = None
-    for r in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng((seed, r))
-        centroids = _kmeans_pp_init(pts, k, rng)
-        assign, centroids, inertia = _lloyd(pts, centroids.copy())
-        if best is None or inertia < best[2]:
-            best = (assign, centroids, inertia)
-    return best
+    sq = (pts * pts).sum(axis=1)
+    # centroids of the restarts still moving, in restart order
+    active = np.stack([
+        _kmeans_pp_init(pts, k, np.random.default_rng((seed, r)))
+        for r in range(KMEANS_RESTARTS)
+    ])
+    moving = np.arange(KMEANS_RESTARTS)
+    assign = np.full((KMEANS_RESTARTS, pts.shape[0]), -1, dtype=np.intp)
+    labels = np.arange(k)[:, None]
+    best = (np.inf, KMEANS_RESTARTS, None)  # (inertia, restart, centroids)
+    for step in range(KMEANS_ITERS + 1):
+        d2 = _sq_dists(pts, sq, active)  # (n, A, k)
+        closest = d2.argmin(axis=2)  # (n, A); ties resolve to the lowest centroid
+        nearest = np.take_along_axis(d2, closest[:, :, None], axis=2)[:, :, 0]
+        del d2  # else it lives on while the next step's product is allocated
+        new = np.ascontiguousarray(closest.T)  # (A, n)
+        done = (new == assign[moving]).all(axis=1) | (step == KMEANS_ITERS)
+        assign[moving] = new
+        if done.any():
+            # contiguous per-restart rows keep each inertia a pairwise sum
+            inertias = np.ascontiguousarray(nearest[:, done].T).sum(axis=1)
+            for r, c, inertia in zip(moving[done], active[done], inertias):
+                if (inertia, r) < best[:2]:
+                    best = (float(inertia), int(r), c)
+            moving, active, new = moving[~done], active[~done], new[~done]
+        if moving.size == 0:
+            break
+        for c, a in zip(active, new):
+            onehot = (a == labels).astype(np.float64)  # (k, n)
+            counts = onehot.sum(axis=1)[:, None]
+            np.divide(onehot @ pts, counts, out=c, where=counts > 0.0)
+    inertia, r, centroids = best
+    return assign[r], centroids, inertia
 
 
 def _repair_empty(assign: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:

@@ -166,6 +166,10 @@ def write_report(rows, path, append: bool = False) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+# cell parsers of REPORT_COLUMNS: method label, seed, s, then the metrics
+_REPORT_KINDS = (str, int, int) + (float,) * (len(REPORT_COLUMNS) - 3)
+
+
 def read_report(path) -> list[ReportRow]:
     try:
         with open(path, newline="") as fh:
@@ -175,23 +179,18 @@ def read_report(path) -> list[ReportRow]:
     if not lines or lines[0].split(",") != list(REPORT_COLUMNS):
         raise ParseError(f"{path}: missing or wrong header row")
     out = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         # only the method label can hold a comma (sweep labels do)
         cells = ln.rsplit(",", len(REPORT_COLUMNS) - 1)
         if len(cells) != len(REPORT_COLUMNS):
-            raise ParseError(f"{path}: row has {len(cells)} cells")
-        out.append(
-            ReportRow(
-                method=cells[0],
-                seed=int(cells[1]),
-                s=int(cells[2]),
-                **{
-                    col: float(cells[i])
-                    for i, col in enumerate(REPORT_COLUMNS)
-                    if i >= 3
-                },
-            )
-        )
+            raise ParseError(f"{path}: row {row} has {len(cells)} cells")
+        values = {}
+        for col, kind, cell in zip(REPORT_COLUMNS, _REPORT_KINDS, cells):
+            try:
+                values[col] = kind(cell)
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {row}: bad {col} cell {cell!r}") from exc
+        out.append(ReportRow(**values))
     return out
 
 

@@ -20,8 +20,6 @@ from .tangent import GradientFeatures
 SCALE_KINDS = ("none", "inv_k")
 # eigenvalues below this fraction of the trace are treated as pure noise
 EIG_FLOOR_REL = 1e-12
-# rows symmetrized per block by scaled_gram; bounds its temporary
-_SYM_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -51,18 +49,17 @@ def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarra
 def scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
     """out <- (K + K^T) / 2 for K = scale * phi phi^T, in place.
 
-    The symmetrization runs one block row at a time, so its temporary is
-    _SYM_BLOCK_ROWS x n rather than a second n x n matrix.
+    numpy hands the product of unit-stride rows at a forward row stride
+    (every caller's layout) with their own transpose to one syrk call and
+    mirrors its triangle, so K is exactly symmetric and is left as it is: no
+    symmetrization pass and no second n x n matrix. Other layouts can take a
+    general product and are symmetrized through one n x n temporary.
     """
     np.matmul(phi, phi.T, out=out)
     out *= scale
-    n = out.shape[0]
-    for start in range(0, n, _SYM_BLOCK_ROWS):
-        stop = min(start + _SYM_BLOCK_ROWS, n)
-        avg = out[start:stop, start:] + out[start:, start:stop].T
-        avg *= 0.5
-        out[start:stop, start:] = avg
-        out[start:, start:stop] = avg.T
+    if phi.strides[-1] != phi.itemsize or phi.strides[0] < phi.itemsize * phi.shape[-1]:
+        out += out.T  # numpy buffers the overlapping operand
+        out *= 0.5
 
 
 def average_kernel(stack: np.ndarray) -> np.ndarray:

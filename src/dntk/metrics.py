@@ -69,14 +69,12 @@ def _check_basis(v: np.ndarray, gram: np.ndarray | None = None) -> None:
         raise NonOrthonormalBasis("basis columns are not orthonormal within 1e-8")
 
 
-def _scores(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def _energies(p: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """(||P||_F^2, ||P V||_F^2) for rows P and an orthonormal basis V."""
     total = float((p**2).sum())
     if total == 0.0:
         raise ZeroTrace("zero gradient matrix has no energy to cover")
-    pv = p @ v
-    captured = float((pv**2).sum())
-    resid = p - pv @ v.T
-    return captured / total, float((resid**2).sum() / p.shape[0])
+    return total, float(((p @ v) ** 2).sum())
 
 
 def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
@@ -93,7 +91,9 @@ def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
     if v.shape[0] != p.shape[1]:
         raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
     _check_basis(v)
-    return _scores(p, v)
+    total, captured = _energies(p, v)
+    resid = p - (p @ v) @ v.T
+    return captured / total, float((resid**2).sum() / p.shape[0])
 
 
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
@@ -122,8 +122,10 @@ def eig_rows_basis(rows, eig_values, eig_vectors, factor: float) -> np.ndarray:
     numerics.rank_tolerance: the directions the report's condition column
     counts as positive. V is orthonormal only to about eps * lam_max / lam_+,
     so when V^T V is further than 1e-10 from the identity one CholeskyQR
-    step re-orthonormalizes it. On the common path V^T V is formed once and
-    also serves the 1e-8 orthonormality check.
+    step re-orthonormalizes it; eigenpairs that do not belong to the rows
+    (say, all-zero vectors) can leave a Gram that is not positive definite,
+    which raises NonOrthonormalBasis. On the common path V^T V is formed once
+    and also serves the 1e-8 orthonormality check.
     """
     r = as_matrix(rows, "rows")
     lam = np.asarray(eig_values, dtype=np.float64)
@@ -140,20 +142,41 @@ def eig_rows_basis(rows, eig_values, eig_vectors, factor: float) -> np.ndarray:
     if _gram_error(gram) > _REORTHO_SLACK:
         # V^T V = L L^T and V L^{-T} spans the same space, orthonormal to
         # about eps * cond(V)^2 (CholeskyQR)
-        v = np.linalg.solve(np.linalg.cholesky(gram), v.T).T
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
+            raise NonOrthonormalBasis(
+                "eigenpairs give a basis whose Gram is not positive definite"
+            ) from exc
+        v = np.linalg.solve(chol, v.T).T
         gram = v.T @ v
     _check_basis(v, gram)
     return v
 
 
+# span_scores reads a residual energy below this fraction of the total as 0
+_RESID_FLOOR = 1e-12
+
+
 def span_scores(phi, rows, eig_values, eig_vectors, factor: float) -> tuple[float, float]:
     """subspace_scores of the centered phi against eig_rows_basis(rows, ...),
-    whose check of V^T V stands in for subspace_scores' own."""
+    whose check of V^T V stands in for subspace_scores' own.
+
+    No residual matrix is formed: for orthonormal V the residual energy is
+    ||P||_F^2 - ||P V||_F^2, so recon_error is that difference over the row
+    count. A difference within _RESID_FLOOR of the total energy is the
+    roundoff of the two sums, not a residual, and reads as exactly zero, as
+    on a row set that spans P.
+    """
     p = _center(as_matrix(phi, "phi"), True)
     v = eig_rows_basis(rows, eig_values, eig_vectors, factor)
     if v.shape[0] != p.shape[1]:
         raise ShapeMismatch(f"basis dim {v.shape[0]} does not match width {p.shape[1]}")
-    return _scores(p, v)
+    total, captured = _energies(p, v)
+    resid = total - captured
+    if resid <= _RESID_FLOOR * total:
+        resid = 0.0
+    return captured / total, resid / p.shape[0]
 
 
 # ---------------------------------------------------- kernel approximation

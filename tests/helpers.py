@@ -35,3 +35,54 @@ def clustered_rows(sizes, dim, seed, noise=0.05, scale=1.0):
         assign[start:start + sz] = b
         start += sz
     return rows, assign
+
+
+def kmeans_restart_loop(points, k, seed):
+    """kmeans_fit's restarts run one after another, each Lloyd update a loop
+    of per-centroid masks and means: the reference the batched form is
+    checked against. Returns (assignments, centroids, inertia)."""
+    from dntk.cluster import KMEANS_ITERS, KMEANS_RESTARTS, _kmeans_pp_init
+
+    def dists(centroids):
+        return np.maximum(
+            sq[:, None]
+            - 2.0 * (points @ centroids.T)
+            + (centroids * centroids).sum(axis=1)[None, :],
+            0.0,
+        )
+
+    points = np.asarray(points, dtype=np.float64)
+    sq = (points * points).sum(axis=1)
+    best = None
+    for r in range(KMEANS_RESTARTS):
+        centroids = _kmeans_pp_init(points, k, np.random.default_rng((seed, r)))
+        assign = None
+        for _ in range(KMEANS_ITERS):
+            new_assign = dists(centroids).argmin(axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for j in range(k):
+                members = assign == j
+                if members.any():
+                    centroids[j] = points[members].mean(axis=0)
+        d2 = dists(centroids)
+        assign = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(points.shape[0]), assign].sum())
+        if best is None or inertia < best[2]:
+            best = (assign, centroids, inertia)
+    return best
+
+
+def fps_subtraction(rows, s):
+    """Farthest point sampling with each distance formed as a difference of
+    rows: the reference select_fps is checked against."""
+    x = np.asarray(rows, dtype=np.float64)
+    chosen = [int(np.argmax((x**2).sum(axis=1)))]
+    dist = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < s:
+        dist[chosen] = -1.0
+        nxt = int(np.argmax(dist))
+        chosen.append(nxt)
+        dist = np.minimum(dist, ((x - x[nxt]) ** 2).sum(axis=1))
+    return np.array(chosen, dtype=np.intp)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import clustered_rows
+from helpers import clustered_rows, fps_subtraction
 
 from dntk.baselines import (
     flatten_rows,
@@ -116,6 +116,26 @@ class TestFps:
         rows = np.array([[2.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
         r = select_fps(rows, 2)
         assert r.indices[0] == 0  # duplicate max norms: lowest index wins
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_subtraction_form_on_random_rows(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        rows = rng.normal(size=(60, 9)) * rng.uniform(0.01, 100.0, size=(60, 1))
+        for s in (1, 2, 17, 60):
+            np.testing.assert_array_equal(select_fps(rows, s).indices,
+                                          fps_subtraction(rows, s))
+
+    def test_matches_subtraction_form_on_duplicate_rows(self):
+        # 6 distinct rows, 5 copies each: s = 6 picks each distinct row once,
+        # after which every distance is exactly 0 and the lowest index wins
+        rng = np.random.default_rng(44)
+        distinct = rng.normal(size=(6, 5)) * np.array([[0.1], [1.0], [3.0], [7.0], [20.0], [0.5]])
+        rows = distinct[rng.permutation(np.repeat(np.arange(6), 5))]
+        for s in (3, 6, 7, 30):
+            picks = select_fps(rows, s).indices
+            np.testing.assert_array_equal(picks, fps_subtraction(rows, s))
+        picks = select_fps(rows, 6).indices
+        assert len({tuple(rows[i]) for i in picks}) == 6
 
     def test_spread_across_clusters(self):
         rows, assign = clustered_rows([5, 5, 5], dim=8, seed=8, noise=0.02)

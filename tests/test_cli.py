@@ -489,7 +489,16 @@ class TestMalformedArtifacts:
         captured = capsys.readouterr()
         assert rc == 1
         assert f"error_code={code}" in captured.err
+        assert captured.err.count("error_code=") == 1
         assert "Traceback" not in captured.err
+
+    def test_zero_eig_vectors_exits_1(self, rundir, tmp_path, capsys):
+        # schema-valid, but the stored eigenvectors are not the basis's: the
+        # scorer's CholeskyQR step finds no positive definite Gram
+        self.check_edited_exits_1(
+            rundir, tmp_path, capsys, FILES["krr"], ["evaluate"],
+            {"eig_vectors": np.zeros_like}, code="NonOrthonormalBasis",
+        )
 
     def test_selection_out_of_range_exits_1(self, rundir, tmp_path, capsys):
         self.check_edited_exits_1(

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from helpers import clustered_rows, kmeans_restart_loop
 
 from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange
 from dntk.cluster import (
+    KMEANS_RESTARTS,
     ClusterPartition,
     _kmeans_pp_init,
     _sq_dists,
@@ -58,6 +60,72 @@ class TestKmeansFit:
         assign, _, _ = kmeans_fit(pts, 2, seed=3)
         assert len(set(assign[:3].tolist())) == 1
         assert len(set(assign[3:].tolist())) == 1
+
+
+def _assert_matches_restart_loop(pts, k, seed):
+    assign, centroids, inertia = kmeans_fit(pts, k, seed)
+    ref_assign, ref_centroids, ref_inertia = kmeans_restart_loop(pts, k, seed)
+    np.testing.assert_array_equal(assign, ref_assign)
+    # relative to the points' energy: on exact duplicates the inertia is
+    # itself roundoff of the norm expansion
+    assert abs(inertia - ref_inertia) <= 1e-12 * max(ref_inertia, (pts**2).sum())
+    np.testing.assert_allclose(centroids, ref_centroids, rtol=1e-12, atol=1e-12)
+    return assign
+
+
+class TestBatchedRestarts:
+    """kmeans_fit runs its restarts together; tests.helpers keeps them one
+    after another, each centroid updated by a mask and a mean."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_blobs(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        sizes = rng.integers(3, 25, size=int(rng.integers(2, 7))).tolist()
+        pts, _ = clustered_rows(sizes, dim=len(sizes) + 3, seed=seed, noise=0.4)
+        for k in (1, 2, len(sizes), len(sizes) + 2):
+            _assert_matches_restart_loop(pts, k, seed)
+
+    def test_exact_duplicate_points(self):
+        rng = np.random.default_rng(31)
+        distinct = rng.normal(size=(5, 4))
+        pts = distinct[rng.integers(5, size=40)]
+        for k in (2, 3, 5):
+            _assert_matches_restart_loop(pts, k, seed=2)
+
+    def test_k_that_leaves_a_cluster_empty(self):
+        # 3 distinct rows, k = 5: k-means++ falls back to uniform picks once
+        # all 3 are taken, so some centroids duplicate others and stay empty
+        rng = np.random.default_rng(32)
+        pts = rng.normal(size=(3, 6))[rng.permutation(np.repeat(np.arange(3), 4))]
+        assign = _assert_matches_restart_loop(pts, 5, seed=4)
+        assert np.unique(assign).size == 3
+
+    def test_exact_ties_go_to_the_lowest_restart(self):
+        # every restart seeds one centroid per group of exact duplicates and
+        # stops at once on the same partition, with the same per-point
+        # distances; only the order of the labels differs between restarts
+        rng = np.random.default_rng(33)
+        pts = (rng.normal(size=(3, 5)) * 10.0)[np.repeat(np.arange(3), 4)]
+
+        def seeded_labels(r):
+            init = _kmeans_pp_init(pts, 3, np.random.default_rng((12, r)))
+            return ((pts[:, None] - init) ** 2).sum(axis=2).argmin(axis=1)
+
+        assert not np.array_equal(seeded_labels(0), seeded_labels(KMEANS_RESTARTS - 1))
+        assign, _, _ = kmeans_fit(pts, 3, seed=12)
+        np.testing.assert_array_equal(assign, seeded_labels(0))
+        np.testing.assert_array_equal(assign, kmeans_restart_loop(pts, 3, 12)[0])
+
+
+def test_sq_dists_batches_centroid_sets():
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(30, 4))
+    sq = (points * points).sum(axis=1)
+    sets = rng.normal(size=(3, 5, 4))
+    batched = _sq_dists(points, sq, sets)
+    assert batched.shape == (30, 3, 5)
+    for r in range(3):
+        np.testing.assert_array_equal(batched[:, r], _sq_dists(points, sq, sets[r]))
 
 
 def test_sq_dists_with_precomputed_norms_is_bitwise_the_recomputing_form():

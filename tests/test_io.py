@@ -244,6 +244,21 @@ class TestReport:
         dio.write_report([self.row(mse=1 / 3)], path)
         assert "0.33333333333333331" in path.read_text()
 
+    @pytest.mark.parametrize("column, cell", [
+        ("seed", "abc"), ("seed", "1.5"), ("s", ""), ("s", "7e2"),
+        ("fidelity", "high"), ("recon_error", "n/a"),
+    ])
+    def test_bad_cell_is_a_parse_error_naming_file_and_row(self, tmp_path, column, cell):
+        path = tmp_path / "r.csv"
+        dio.write_report([self.row(), self.row(seed=9)], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[dio.REPORT_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"r\.csv: row 2\b"):
+            dio.read_report(path)
+
     def test_append(self, tmp_path):
         path = tmp_path / "r.csv"
         dio.write_report([self.row()], path)

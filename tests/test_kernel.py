@@ -74,6 +74,45 @@ class TestBuildStack:
             k = blocks[c] @ blocks[c].T
             np.testing.assert_array_equal(stack[c], 0.5 * (k + k.T))
 
+    # (C, s, D) of the stacks and fits the workloads build: accept09's
+    # n x k, a default-config distilled set, a wide flattened set, a tiny one
+    @pytest.mark.parametrize("shape", [(10, 500, 256), (10, 39, 553), (3, 5, 2560), (2, 7, 3)])
+    @pytest.mark.parametrize("layout", ["class_major", "sample_major"])
+    def test_caller_blocks_give_exactly_symmetric_grams(self, shape, layout):
+        # sample_major is a (C, s, D) view of an (s, C, D) array, whose rows
+        # keep unit stride but are not contiguous with each other
+        c, s, d = shape
+        rng = np.random.default_rng(4)
+        if layout == "class_major":
+            blocks = rng.normal(size=shape)
+        else:
+            blocks = rng.normal(size=(s, c, d)).transpose(1, 0, 2)
+        gram = np.empty((s, s))
+        for ci in range(c):
+            scaled_gram(blocks[ci], 1.0 / d, gram)
+            np.testing.assert_array_equal(gram, gram.T)
+            # no symmetrization pass moves a value of the scaled product
+            np.testing.assert_array_equal(gram, (blocks[ci] @ blocks[ci].T) * (1.0 / d))
+        for k in build_stack(feats_from_blocks(blocks)):
+            np.testing.assert_array_equal(k, k.T)
+
+    @pytest.mark.parametrize("layout", ["reversed_rows", "column_major", "strided_columns"])
+    def test_other_layouts_give_the_symmetrized_product(self, layout):
+        # at this size numpy's general product of reversed or strided rows
+        # with their transpose is not exactly symmetric
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(300, 1106))
+        phi = {
+            "reversed_rows": base[::-1, :553],
+            "column_major": np.asfortranarray(base[:, :553]),
+            "strided_columns": base[:, ::2],
+        }[layout]
+        gram = np.empty((300, 300))
+        scaled_gram(phi, 0.5, gram)
+        k = (phi @ phi.T) * 0.5
+        np.testing.assert_array_equal(gram, 0.5 * (k + k.T))
+        np.testing.assert_array_equal(gram, gram.T)
+
     def test_peak_memory_is_the_output(self):
         rng = np.random.default_rng(3)
         feats = feats_from_blocks(rng.normal(size=(10, 300, 50)))

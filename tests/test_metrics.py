@@ -243,6 +243,38 @@ class TestEigRowsBasis:
         assert cov == pytest.approx(ref_cov, rel=1e-10)
         assert err == pytest.approx(ref_err, rel=1e-8, abs=1e-10 * (phi**2).sum())
 
+    @pytest.mark.parametrize("rows_id", sorted(ROW_SETS))
+    def test_recon_error_is_the_residual_form(self, rows_id):
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            rows = ROW_SETS[rows_id](rng)
+            phi = rng.normal(size=(40, rows.shape[1])) * rng.uniform(0.1, 10.0)
+            cov, err = span_scores(phi, rows, *_fit_eigenpairs(rows, "inv_k"))
+            v = eig_rows_basis(rows, *_fit_eigenpairs(rows, "inv_k"))
+            ref_cov, ref_err = subspace_scores(phi, v)
+            energy = ((phi - phi.mean(axis=0)) ** 2).sum()
+            assert err >= 0.0
+            assert cov == ref_cov
+            assert abs(err - ref_err) <= 1e-12 * energy
+
+    def test_recon_error_is_zero_on_a_full_span(self):
+        rng = np.random.default_rng(24)
+        for n, width in ((30, 8), (12, 12), (50, 20)):
+            phi = rng.normal(size=(n, width)) * rng.uniform(0.1, 100.0)
+            cov, err = span_scores(phi, phi, *_fit_eigenpairs(phi, "inv_k"))
+            assert err == 0.0
+            assert cov == pytest.approx(1.0, rel=1e-12)
+
+    def test_eigenpairs_of_other_rows_raise(self):
+        # all-zero eigenvectors with a positive spectrum: V = 0, so the
+        # CholeskyQR step has no positive definite Gram to factor
+        rows = np.random.default_rng(25).normal(size=(4, 6))
+        values, vectors, factor = _fit_eigenpairs(rows, "inv_k")
+        with pytest.raises(NonOrthonormalBasis):
+            eig_rows_basis(rows, values, np.zeros_like(vectors), factor)
+        with pytest.raises(NonOrthonormalBasis):
+            span_scores(rows, rows, values, np.zeros_like(vectors), factor)
+
     def test_error_paths(self):
         rows = np.random.default_rng(22).normal(size=(4, 6))
         values, vectors, factor = _fit_eigenpairs(rows, "inv_k")
