@@ -115,7 +115,7 @@ def cmd_project(args) -> int:
     out = _out_dir(args, cfg)
     raw = read_gradients(_p(out, "grads_train"))
     op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
-    write_sketch_meta(op, _p(out, "sketch_meta"))
+    write_sketch_meta(op.record, _p(out, "sketch_meta"))
     write_gradients(project_features(raw, op), _p(out, "sketched_train"))
     del raw  # hold one split's raw rows at a time
     raw = read_gradients(_p(out, "grads_test"))

@@ -49,30 +49,40 @@ def _partition_from_assignments(assignments: np.ndarray, h: int) -> ClusterParti
 
 # ----------------------------------------------------------------- k-means
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ seeds for one restart per rng, as an (R, k, d) array.
+
+    Each rng makes the draws a lone seeding would: integers for the first
+    pick, then per pick choice weighted by the squared distance to the
+    nearest earlier pick (integers once no mass is left). The restarts
+    share one (R, d) x (d, n) distance product per pick step.
+    """
     n = points.shape[0]
     sq = (points * points).sum(axis=1)
-    picks = [int(rng.integers(n))]
-    closest = _sq_dists_to(points, sq, picks[0])
-    for _ in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        picks.append(idx)
-        closest = np.minimum(closest, _sq_dists_to(points, sq, idx))
+    picks = np.empty((len(rngs), k), dtype=np.intp)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = _sq_dists_to(points, sq, picks[:, 0])  # (R, n)
+    for j in range(1, k):
+        totals = closest.sum(axis=1)
+        for r, (rng, total) in enumerate(zip(rngs, totals)):
+            if total <= 0.0:
+                picks[r, j] = rng.integers(n)
+            else:
+                picks[r, j] = rng.choice(n, p=closest[r] / total)
+        np.minimum(closest, _sq_dists_to(points, sq, picks[:, j]), out=closest)
     return points[picks]
 
 
-def _sq_dists_to(points: np.ndarray, sq: np.ndarray, idx: int) -> np.ndarray:
-    """Squared distances of every row to row idx: one matvec on the
+def _sq_dists_to(points: np.ndarray, sq: np.ndarray, idx) -> np.ndarray:
+    """Squared distances of every row to row idx, (n,), or for an index
+    array to each row it names, (len(idx), n): one product on the
     precomputed squared norms. Values within roundoff of zero become exactly
     zero (row idx itself always), so picked rows and their exact duplicates
     carry no k-means++ mass."""
-    d2 = sq + sq[idx] - 2.0 * (points @ points[idx])
-    d2[d2 <= _ROUNDOFF * (sq + sq[idx])] = 0.0
-    d2[idx] = 0.0
+    pair = sq[idx, None] + sq
+    d2 = pair - 2.0 * (points[idx] @ points.T)
+    d2[d2 <= _ROUNDOFF * pair] = 0.0
+    d2.reshape(-1, sq.size)[np.arange(np.size(idx)), idx] = 0.0
     return d2
 
 
@@ -111,10 +121,9 @@ def kmeans_fit(points, k: int, seed: int):
         raise HTooLarge(f"k={k} invalid for {pts.shape[0]} points")
     sq = (pts * pts).sum(axis=1)
     # centroids of the restarts still moving, in restart order
-    active = np.stack([
-        _kmeans_pp_init(pts, k, np.random.default_rng((seed, r)))
-        for r in range(KMEANS_RESTARTS)
-    ])
+    active = _kmeans_pp_init(
+        pts, k, [np.random.default_rng((seed, r)) for r in range(KMEANS_RESTARTS)]
+    )
     moving = np.arange(KMEANS_RESTARTS)
     assign = np.full((KMEANS_RESTARTS, pts.shape[0]), -1, dtype=np.intp)
     labels = np.arange(k)[:, None]

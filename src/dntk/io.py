@@ -36,7 +36,7 @@ from .errors import (
     VersionMismatch,
 )
 from .krr import KrrModel
-from .sketch import SketchOperator
+from .sketch import SketchRecord
 from .tangent import ACTIVATIONS, RAW_PARAMS, GradientFeatures, LabeledDataset, MlpParams, param_count
 
 MAGIC = b"DNTK1\0"
@@ -450,15 +450,12 @@ def read_model(path) -> MlpParams:
     return MlpParams(sizes, theta, activation)
 
 
-def write_sketch_meta(op: SketchOperator, path) -> None:
-    """Sketches persist as (seed, dims); sample_orthonormal regenerates the matrix."""
-    meta = {
-        "source_dim": op.source_dim,
-        "target_dim": op.target_dim,
-        "seed": op.seed,
-    }
+def write_sketch_meta(record: SketchRecord, path) -> None:
+    """A sketch persists as its record, one JSON key per field. The matrix
+    is never stored: sample_orthonormal(source_dim, target_dim, seed)
+    redraws it."""
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(record), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

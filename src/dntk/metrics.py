@@ -96,19 +96,6 @@ def subspace_scores(phi, basis, center: bool = True) -> tuple[float, float]:
     return captured / total, float((resid**2).sum() / p.shape[0])
 
 
-def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis for the span of a set of row vectors, by SVD.
-
-    The reference that eig_rows_basis is tested against.
-    """
-    r = as_matrix(rows, "rows")
-    svd = thin_svd(r.T)
-    if svd.singulars.size == 0 or svd.singulars[0] <= 0.0:
-        raise ZeroTrace("rows span nothing")
-    keep = svd.singulars > eps_rel * svd.singulars[0]
-    return svd.left[:, keep]
-
-
 # a basis further than this from V^T V = I gets one CholeskyQR step
 _REORTHO_SLACK = 1e-10
 

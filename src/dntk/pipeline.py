@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines, distill, kernel, krr, metrics, theory
 from .errors import DimMismatch, InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
-from .sketch import SketchOperator, jl_dimension, sample_orthonormal
+from .sketch import SketchOperator, SketchRecord, jl_dimension, sample_orthonormal
 from .tangent import (
     GradientFeatures,
     LabeledDataset,
@@ -42,11 +42,19 @@ def derive_seed(root_seed: int, stage: str, index: int = 0) -> int:
 
 @dataclass
 class Task:
+    """One root seed's problem, network and sketched features.
+
+    sketch_op is the sketch's record, not its P x k matrix: once both splits
+    are sketched nothing reads the matrix, and at wide P it would be the
+    largest array the task holds. sample_orthonormal redraws it from the
+    record when a caller needs it.
+    """
+
     cfg: RunConfig
     train: LabeledDataset
     test: LabeledDataset
     model: MlpParams
-    sketch_op: SketchOperator
+    sketch_op: SketchRecord
     train_feats: GradientFeatures  # sketched
     test_feats: GradientFeatures  # sketched
 
@@ -144,7 +152,9 @@ def distill_features(
 def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
     """Data, trained model, and sketched features for one root seed.
 
-    The staged CLI runs the same stage functions, one per subcommand.
+    The staged CLI runs the same stage functions, one per subcommand. The
+    sketch matrix is drawn once, applied to both splits and dropped; the
+    task keeps its record.
     """
     train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
     model = train_model(cfg, train, root_seed)
@@ -156,7 +166,7 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
         train=train,
         test=test,
         model=model,
-        sketch_op=op,
+        sketch_op=op.record,
         train_feats=train_feats,
         test_feats=test_feats,
     )

@@ -29,12 +29,38 @@ _QR_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
+class SketchRecord:
+    """What identifies a sketch: its two widths and its seed.
+
+    sample_orthonormal(source_dim, target_dim, seed) redraws the matrix bit
+    for bit, so these three fields are all `sketch.json` stores and all the
+    in-process task keeps once its features are sketched. The scale is
+    derived from the widths.
+    """
+
+    source_dim: int
+    target_dim: int
+    seed: int
+
+    @property
+    def scale(self) -> float:
+        return math.sqrt(self.source_dim / self.target_dim)
+
+
+@dataclass(frozen=True)
 class SketchOperator:
-    """Projection u -> scale * q.T u with orthonormal columns q (P x k)."""
+    """Projection u -> scale * q.T u with orthonormal columns q (P x k).
+
+    The P x k matrix is the largest array a sketch has; `record` is all of
+    it that needs to outlive the projection.
+    """
 
     q: np.ndarray
-    scale: float
     seed: int
+
+    @property
+    def record(self) -> SketchRecord:
+        return SketchRecord(int(self.q.shape[0]), int(self.q.shape[1]), self.seed)
 
     @property
     def source_dim(self) -> int:
@@ -43,6 +69,10 @@ class SketchOperator:
     @property
     def target_dim(self) -> int:
         return int(self.q.shape[1])
+
+    @property
+    def scale(self) -> float:
+        return self.record.scale
 
 
 def jl_dimension(n: int, eps: float) -> int:
@@ -74,7 +104,7 @@ def sample_orthonormal(p_dim: int, k: int, seed: int) -> SketchOperator:
     unit_roundoff = np.finfo(np.float64).eps / 2.0
     _cholesky_qr_pass(q, shift_rel=11.0 * (p_dim * k + k * (k + 1)) * unit_roundoff)
     _cholesky_qr_pass(q, shift_rel=0.0)
-    return SketchOperator(q=q, scale=math.sqrt(p_dim / k), seed=seed)
+    return SketchOperator(q=q, seed=seed)
 
 
 def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from dntk.errors import ZeroTrace
+from dntk.numerics import as_matrix, thin_svd
+from dntk.sketch import sample_orthonormal
 from dntk.tangent import RAW_PARAMS, GradientFeatures, one_hot
 
 
@@ -14,6 +17,22 @@ def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
     soft = one_hot(np.asarray(labels), c)
     logits = soft + 0.1  # stand-in logits, distinct from the labels
     return GradientFeatures(per_class, soft, dim_kind, logits)
+
+
+def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis for the span of a set of row vectors, by SVD: the
+    reference metrics.eig_rows_basis is tested against."""
+    r = as_matrix(rows, "rows")
+    svd = thin_svd(r.T)
+    if svd.singulars.size == 0 or svd.singulars[0] <= 0.0:
+        raise ZeroTrace("rows span nothing")
+    keep = svd.singulars > eps_rel * svd.singulars[0]
+    return svd.left[:, keep]
+
+
+def redraw_sketch(record):
+    """The sketch operator a SketchRecord identifies, drawn again."""
+    return sample_orthonormal(record.source_dim, record.target_dim, record.seed)
 
 
 def clustered_rows(sizes, dim, seed, noise=0.05, scale=1.0):
@@ -38,9 +57,10 @@ def clustered_rows(sizes, dim, seed, noise=0.05, scale=1.0):
 
 
 def kmeans_restart_loop(points, k, seed):
-    """kmeans_fit's restarts run one after another, each Lloyd update a loop
-    of per-centroid masks and means: the reference the batched form is
-    checked against. Returns (assignments, centroids, inertia)."""
+    """kmeans_fit's restarts run one after another from the same k-means++
+    seeds, each Lloyd update a loop of per-centroid masks and means: the
+    reference the batched form is checked against. Returns (assignments,
+    centroids, inertia)."""
     from dntk.cluster import KMEANS_ITERS, KMEANS_RESTARTS, _kmeans_pp_init
 
     def dists(centroids):
@@ -53,9 +73,11 @@ def kmeans_restart_loop(points, k, seed):
 
     points = np.asarray(points, dtype=np.float64)
     sq = (points * points).sum(axis=1)
+    seeds = _kmeans_pp_init(
+        points, k, [np.random.default_rng((seed, r)) for r in range(KMEANS_RESTARTS)]
+    )
     best = None
-    for r in range(KMEANS_RESTARTS):
-        centroids = _kmeans_pp_init(points, k, np.random.default_rng((seed, r)))
+    for centroids in seeds:
         assign = None
         for _ in range(KMEANS_ITERS):
             new_assign = dists(centroids).argmin(axis=1)

@@ -27,7 +27,7 @@ from dntk.io import (
     read_report,
     read_selection,
 )
-from dntk.sketch import sample_orthonormal
+from dntk.sketch import SketchRecord
 from dntk.tangent import SKETCHED
 
 SMOKE = dict(
@@ -103,10 +103,7 @@ class TestStageChain:
         model = read_model(out / FILES["model"])
         np.testing.assert_array_equal(model.theta, task.model.theta)
         meta = json.loads((out / FILES["sketch_meta"]).read_text())
-        op = task.sketch_op
-        assert meta == {"source_dim": op.source_dim, "target_dim": op.target_dim, "seed": op.seed}
-        regenerated = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
-        np.testing.assert_array_equal(regenerated.q, op.q)
+        assert SketchRecord(**meta) == task.sketch_op
         for key, feats in (("sketched_train", task.train_feats),
                            ("sketched_test", task.test_feats)):
             staged = read_gradients(out / FILES[key], dim_kind=SKETCHED)
@@ -214,7 +211,7 @@ class TestStageChain:
             train=read_dataset(out / FILES["train"]),
             test=read_dataset(out / FILES["test"]),
             model=model,
-            sketch_op=pipeline.sketch_operator(cfg, model.param_count, cfg.seed),
+            sketch_op=SketchRecord(**json.loads((out / FILES["sketch_meta"]).read_text())),
             train_feats=train_feats,
             test_feats=read_gradients(out / FILES["sketched_test"], dim_kind=SKETCHED),
         )

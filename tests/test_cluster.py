@@ -108,7 +108,7 @@ class TestBatchedRestarts:
         pts = (rng.normal(size=(3, 5)) * 10.0)[np.repeat(np.arange(3), 4)]
 
         def seeded_labels(r):
-            init = _kmeans_pp_init(pts, 3, np.random.default_rng((12, r)))
+            init = _kmeans_pp_init(pts, 3, [np.random.default_rng((12, r))])[0]
             return ((pts[:, None] - init) ** 2).sum(axis=2).argmin(axis=1)
 
         assert not np.array_equal(seeded_labels(0), seeded_labels(KMEANS_RESTARTS - 1))
@@ -158,6 +158,18 @@ def subtraction_pp_picks(points, k, rng):
     return picks
 
 
+def assert_seeds_match_subtraction_form(pts, k, seed):
+    """All restarts seeded together pick, per restart rng, the rows a lone
+    subtraction-form seeding picks from the same rng."""
+    rngs = [np.random.default_rng((seed, r)) for r in range(KMEANS_RESTARTS)]
+    seeds = _kmeans_pp_init(pts, k, rngs)
+    assert seeds.shape == (KMEANS_RESTARTS, k, pts.shape[1])
+    for r in range(KMEANS_RESTARTS):
+        picks = subtraction_pp_picks(pts, k, np.random.default_rng((seed, r)))
+        np.testing.assert_array_equal(seeds[r], pts[picks])
+    return seeds
+
+
 class TestKmeansPlusPlusInit:
     def test_matches_subtraction_form_on_duplicates(self):
         # 3 distinct rows, 4 copies each: once all 3 are picked no mass is
@@ -165,12 +177,33 @@ class TestKmeansPlusPlusInit:
         rng = np.random.default_rng(8)
         distinct = rng.normal(size=(3, 7)) * np.array([[0.3], [1.0], [40.0]])
         pts = distinct[rng.permutation(np.repeat(np.arange(3), 4))]
-        for seed in range(20):
-            picks = subtraction_pp_picks(pts, 6, np.random.default_rng(seed))
-            assert len({tuple(pts[i]) for i in picks[:3]}) == 3
-            np.testing.assert_array_equal(
-                _kmeans_pp_init(pts, 6, np.random.default_rng(seed)), pts[picks]
-            )
+        for seed in range(3):
+            seeds = assert_seeds_match_subtraction_form(pts, 6, seed)
+            for init in seeds:
+                assert len({tuple(row) for row in init[:3]}) == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_subtraction_form_on_blobs(self, seed):
+        pts, _ = clustered_rows([30, 25, 40, 15], dim=6, seed=seed, noise=0.3)
+        assert_seeds_match_subtraction_form(pts, 7, seed)
+
+    def test_k_equal_to_n_picks_every_row(self):
+        # each pick takes a row not picked yet until none is left
+        rng = np.random.default_rng(9)
+        pts = rng.normal(size=(9, 4))
+        seeds = assert_seeds_match_subtraction_form(pts, 9, seed=2)
+        for init in seeds:
+            assert len({tuple(row) for row in init}) == 9
+
+    def test_each_rng_draws_as_a_lone_seeding(self):
+        # seeding restarts together leaves every rng where seeding it alone does
+        pts, _ = clustered_rows([10, 12], dim=3, seed=4)
+        together = [np.random.default_rng((6, r)) for r in range(4)]
+        _kmeans_pp_init(pts, 5, together)
+        for r, rng in enumerate(together):
+            alone = np.random.default_rng((6, r))
+            _kmeans_pp_init(pts, 5, [alone])
+            assert rng.integers(1 << 62) == alone.integers(1 << 62)
 
 
 class TestSpectralCluster:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import clustered_rows, feats_from_blocks
+from helpers import clustered_rows, feats_from_blocks, orthonormal_rows_basis
 
 from dntk.cluster import spectral_cluster
 from dntk.distill import (
@@ -15,7 +15,7 @@ from dntk.distill import (
 )
 from dntk.errors import BadEps, InputError, RankZeroCluster
 from dntk.kernel import average_kernel, build_stack
-from dntk.metrics import orthonormal_rows_basis, subspace_scores
+from dntk.metrics import subspace_scores
 from dntk.numerics import sym_eig
 
 

@@ -21,7 +21,7 @@ from dntk.errors import (
     VersionMismatch,
 )
 from dntk.krr import fit
-from dntk.sketch import sample_orthonormal
+from dntk.sketch import SketchRecord, sample_orthonormal
 from dntk.tangent import SKETCHED, gen_gaussian_mixture, init_params
 
 
@@ -353,8 +353,10 @@ class TestNpzRoundtrips:
         # regenerated from them, not stored
         op = sample_orthonormal(40, 8, seed=11)
         path = tmp_path / "s.json"
-        dio.write_sketch_meta(op, path)
+        dio.write_sketch_meta(op.record, path)
         meta = json.loads(path.read_text())
+        assert meta == {"source_dim": 40, "target_dim": 8, "seed": 11}
+        assert SketchRecord(**meta) == op.record
         back = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
         np.testing.assert_array_equal(back.q, op.q)
         assert back.scale == op.scale

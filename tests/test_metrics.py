@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import orthonormal_rows_basis
 
 from dntk.errors import (
     NonOrthonormalBasis,
@@ -17,7 +18,6 @@ from dntk.metrics import (
     kernel_error_bound_check,
     mse,
     nystrom_kernel,
-    orthonormal_rows_basis,
     span_scores,
     subspace_scores,
 )

@@ -1,14 +1,17 @@
 """Orchestration-layer tests: seeding, task prep, method rows, sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import orthonormal_rows_basis, redraw_sketch
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dntk import kernel, krr, metrics, pipeline
+from dntk import kernel, krr, metrics, pipeline, sketch
 from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, ShapeMismatch
 from dntk.io import RunConfig
-from dntk.sketch import project_features, sample_orthonormal
+from dntk.sketch import SketchRecord, project_features, sample_orthonormal
 from dntk.tangent import extract_features, init_params
 
 
@@ -100,7 +103,7 @@ class TestPrepareTask:
         cfg = tiny_cfg()
         task = pipeline.prepare_task(cfg, root_seed=5)
         raw = extract_features(task.model, task.train.inputs, task.train.labels)
-        two_step = project_features(raw, task.sketch_op)
+        two_step = project_features(raw, redraw_sketch(task.sketch_op))
         assert_allclose(task.train_feats.per_class, two_step.per_class, atol=1e-12)
         assert_allclose(task.train_feats.model_logits, two_step.model_logits, atol=1e-12)
 
@@ -155,6 +158,35 @@ class TestPrepareTask:
         with pytest.raises(DimMismatch):
             pipeline.sketched_features(params, x, np.zeros(5, dtype=int), op)
 
+    def test_task_keeps_no_sketch_matrix(self, monkeypatch):
+        # P = 1803 against 27 samples: the P x 12 sketch would be the task's
+        # largest array, while the features it made are 3 x 27 x 12
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return sample_orthonormal(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sample_orthonormal", counting)
+        monkeypatch.setattr(sketch, "sample_orthonormal", counting)
+        task = pipeline.prepare_task(tiny_cfg(layer_sizes=[5, 200, 3]), root_seed=5)
+        p_dim = task.model.param_count
+        assert p_dim == 1803 and len(draws) == 1
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from arrays(getattr(obj, f.name))
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays(item)
+
+        held = [a for a in arrays(task) if a is not task.model.theta]
+        assert held and all(p_dim not in a.shape for a in held)
+        assert task.sketch_op == SketchRecord(p_dim, 12, pipeline.derive_seed(5, "sketch"))
+
     def test_deterministic(self):
         cfg = tiny_cfg()
         a = pipeline.prepare_task(cfg, root_seed=5)
@@ -172,7 +204,7 @@ class TestPrepareTask:
         # k_sketch >= P clamps to a P x P sketch, an orthogonal matrix, so
         # the sketched kernels equal the raw ones
         task = pipeline.prepare_task(tiny_cfg(k_sketch=10_000), root_seed=5)
-        q = task.sketch_op.q
+        q = redraw_sketch(task.sketch_op).q
         assert q.shape == (83, 83) and task.sketch_op.scale == 1.0
         assert np.abs(q.T @ q - np.eye(83)).max() <= 1e-12
         raw = extract_features(task.model, task.train.inputs, task.train.labels)
@@ -237,7 +269,7 @@ class TestRunMethod:
         feats = task.train_feats
         idx = select_random(feats.size, budget, 3).indices if budget else np.arange(feats.size)
         ref = np.array([
-            metrics.subspace_scores(phi, metrics.orthonormal_rows_basis(phi[idx]))
+            metrics.subspace_scores(phi, orthonormal_rows_basis(phi[idx]))
             for phi in feats.per_class
         ]).mean(axis=0)
         energy = np.mean([(phi**2).sum() / phi.shape[0] for phi in feats.per_class])
