@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands mirror the pipeline stages and exchange files through the io
-module, so a run can stop and resume at any stage. Exit codes: 0 on
-success, 1 on validation problems (bad flags, config, files), 2 when a
-computation is numerically degenerate. Machine-readable failures land on
-stderr as a single `error_code=<Name>` line followed by the message.
+module, so a run can stop and resume at any stage. main parses the
+arguments, loads the config and resolves the output directory once, then
+hands all three to the subcommand. Exit codes: 0 on success, 1 on
+validation problems (bad flags, config, files), 2 when a computation is
+numerically degenerate. Every failure lands on stderr as a single
+`error_code=<Name>` line followed by the message.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ FIT_SOURCES = ("distilled", "full", *baselines.METHODS)
 
 def _load_config(args) -> RunConfig:
     cfg = read_config(args.config) if args.config else RunConfig().validate()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -78,9 +80,7 @@ def _p(out: Path, key: str) -> Path:
 
 # ------------------------------------------------------------------ stages
 
-def cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
     train, test = pipeline.split_mixture(cfg, pipeline.derive_seed(cfg.seed, "gen-data"))
     write_dataset(train, _p(out, "train"))
     write_dataset(test, _p(out, "test"))
@@ -88,18 +88,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_model(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_train_model(cfg: RunConfig, out: Path, args) -> int:
     model = pipeline.train_model(cfg, read_dataset(_p(out, "train")), cfg.seed)
     write_model(model, _p(out, "model"))
     print(f"trained {model.param_count}-parameter model, saved to {_p(out, 'model')}")
     return 0
 
 
-def cmd_extract_grads(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     model = read_model(_p(out, "model"))
     for split, key in (("train", "grads_train"), ("test", "grads_test")):
         data = read_dataset(_p(out, split))
@@ -110,9 +106,7 @@ def cmd_extract_grads(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_project(cfg: RunConfig, out: Path, args) -> int:
     raw = read_gradients(_p(out, "grads_train"))
     op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
@@ -124,9 +118,7 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_kernel_stats(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     stack = kernel.build_stack(feats, cfg.scale_kind)
     path = _p(out, "kernel_stats")
@@ -145,9 +137,7 @@ def cmd_kernel_stats(args) -> int:
     return 0
 
 
-def cmd_distill_grads(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
@@ -161,9 +151,7 @@ def cmd_distill_grads(args) -> int:
     return 0
 
 
-def cmd_select_baseline(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
@@ -172,13 +160,7 @@ def cmd_select_baseline(args) -> int:
     return 0
 
 
-def cmd_fit_krr(args) -> int:
-    if args.source not in FIT_SOURCES:
-        raise InputError(
-            f"unknown --source {args.source!r}; expected one of {', '.join(FIT_SOURCES)}"
-        )
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
     feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
     if args.source == "distilled":
         dg, _ = read_distilled(_p(out, "distilled"))
@@ -194,9 +176,7 @@ def cmd_fit_krr(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
     model = read_krr(_p(out, "krr"))
     test_feats = read_gradients(_p(out, "sketched_test"), dim_kind=SKETCHED)
     train_feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
@@ -207,18 +187,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
     rows = pipeline.sweep_rows(cfg, jobs=args.jobs)
     write_report(rows, _p(out, "sweep"))
     print(f"wrote {len(rows)} rows to {_p(out, 'sweep')}")
     return 0
 
 
-def cmd_verify_theory(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_verify_theory(cfg: RunConfig, out: Path, args) -> int:
     checks = pipeline.theory_battery(cfg.seed)
     path = _p(out, "theory")
     with open(path, "w") as fh:
@@ -238,8 +214,15 @@ def cmd_verify_theory(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through InputError, like every other bad input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dntk",
         description="Tangent-kernel gradient features: sketching, distillation, regression.",
     )
@@ -264,11 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=list(baselines.METHODS))
     p.add_argument("--budget", type=int, required=True)
     p = add("fit-krr", cmd_fit_krr, "fit ridge regressors on a gradient set")
-    p.add_argument(
-        "--source",
-        default="distilled",
-        help=" | ".join(FIT_SOURCES),
-    )
+    p.add_argument("--source", default="distilled", choices=FIT_SOURCES,
+                   help="gradient set to fit on (default distilled)")
     p = add("evaluate", cmd_evaluate, "score the fitted model on the test split")
     p.add_argument("--method", default="distill", help="method tag for the report row")
     p = add("sweep", cmd_sweep, "grid over H, tau_v, tau_g and all methods")
@@ -286,25 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep 2 reserved for numerical
-        # failures and report bad invocations as validation errors instead
-        return 0 if exc.code == 0 else 1
-    try:
-        return args.fn(args)
-    except NumericalError as exc:
-        print(f"error_code={exc.code}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 2
-    except DntkError as exc:
-        print(f"error_code={exc.code}", file=sys.stderr)
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
+        cfg = _load_config(args)
+        return args.fn(cfg, _out_dir(args, cfg), args)
+    except SystemExit as exc:  # --help printed its text
+        return exc.code
+    except (DntkError, OSError) as exc:
         # missing or unreadable stage artifacts are a usage problem, not a bug
-        print("error_code=IoError", file=sys.stderr)
+        code = exc.code if isinstance(exc, DntkError) else "IoError"
+        print(f"error_code={code}", file=sys.stderr)
         print(str(exc), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NumericalError) else 1
 
 
 if __name__ == "__main__":

@@ -101,14 +101,12 @@ def coverage_coefficients(
     """
     coverage = np.zeros(r_global)
     for (eig, r_h), idx in zip(local_systems, partition.index_sets):
-        basis = eig.vectors[:, :r_h]
-        for j in range(r_global):
-            u = global_eig.vectors[idx, j]
-            sq = float(u @ u)
-            if sq < 1e-24:
-                continue
-            captured = basis.T @ u
-            coverage[j] = max(coverage[j], float(captured @ captured) / sq)
+        u = global_eig.vectors[idx, :r_global]  # every restriction at once
+        captured = eig.vectors[:, :r_h].T @ u
+        sq = (u * u).sum(axis=0)
+        held = sq >= 1e-24
+        score = (captured * captured).sum(axis=0)[held] / sq[held]
+        coverage[held] = np.maximum(coverage[held], score)
     return coverage
 
 
@@ -199,8 +197,8 @@ def distill(
         local_ranks=tuple(r for _, r in local_systems),
         coverage=coverage,
         gap_set=gaps,
-        tau_v=tau_v,
-        tau_g=tau_g,
+        tau_v=float(tau_v),
+        tau_g=float(tau_g),
     )
     basis = lifted[:, kept]
     dg = DistilledGradients(

@@ -7,8 +7,9 @@ at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
 selections) rides in npz archives, which numpy writes deterministically.
 Each archive is declared once as a schema (DATASET, MODEL, DISTILLED, KRR,
-SELECTION) of keys, dtype kinds and symbolic shapes; one loader reads it
-back without unpickling and checks every key, extent and float against it.
+SELECTION) of keys, dtype kinds and symbolic shapes. One writer stores
+exactly the schema's keys in schema order, and one loader reads them back
+without unpickling and checks every key, extent and float against it.
 """
 
 from __future__ import annotations
@@ -412,13 +413,13 @@ def _require(ok, path, message: str) -> None:
         raise ParseError(f"{path}: {message}")
 
 
+def _write_npz(path, schema, values) -> None:
+    """Store values[key] for every key of schema, in schema order."""
+    np.savez(path, **{key: values[key] for key in schema})
+
+
 def write_dataset(data: LabeledDataset, path) -> None:
-    np.savez(
-        path,
-        inputs=data.inputs,
-        labels=data.labels.astype(np.int64),
-        class_count=np.int64(data.class_count),
-    )
+    _write_npz(path, DATASET, vars(data))
 
 
 def read_dataset(path) -> LabeledDataset:
@@ -430,12 +431,7 @@ def read_dataset(path) -> LabeledDataset:
 
 
 def write_model(params: MlpParams, path) -> None:
-    np.savez(
-        path,
-        layer_sizes=np.array(params.layer_sizes, dtype=np.int64),
-        theta=params.theta,
-        activation=np.array(params.activation),
-    )
+    _write_npz(path, MODEL, vars(params))
 
 
 def read_model(path) -> MlpParams:
@@ -470,20 +466,14 @@ def write_distilled(dg: DistilledGradients, report: CoverageReport, path) -> Non
         ],
         dtype=np.int64,
     ).reshape(len(dg.provenance), 3)
-    np.savez(
-        path,
-        phi_hat=dg.phi_hat,
-        y_hat=dg.y_hat,
-        lifted_basis=dg.lifted_basis,
-        eigenvalues=dg.eigenvalues,
-        provenance=prov,
-        r_global=np.int64(report.r_global),
-        local_ranks=np.array(report.local_ranks, dtype=np.int64),
-        coverage=report.coverage,
-        gap_set=np.array(report.gap_set, dtype=np.int64),
-        tau_v=np.float64(report.tau_v),
-        tau_g=np.float64(report.tau_g),
-    )
+    _write_npz(path, DISTILLED, {
+        **vars(dg),
+        **vars(report),
+        "provenance": prov,
+        # int64 even when empty: np.array(()) is float
+        "local_ranks": np.array(report.local_ranks, dtype=np.int64),
+        "gap_set": np.array(report.gap_set, dtype=np.int64),
+    })
 
 
 def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
@@ -510,16 +500,7 @@ def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
 
 
 def write_krr(model: KrrModel, path) -> None:
-    np.savez(
-        path,
-        basis=model.basis,
-        targets=model.targets,
-        alpha=model.alpha,
-        lambda_reg=np.float64(model.lambda_reg),
-        scale_kind=np.array(model.scale_kind),
-        eig_values=model.eig_values,
-        eig_vectors=model.eig_vectors,
-    )
+    _write_npz(path, KRR, vars(model))
 
 
 def read_krr(path) -> KrrModel:
@@ -529,12 +510,7 @@ def read_krr(path) -> KrrModel:
 
 
 def write_selection(sel: SelectionResult, path) -> None:
-    np.savez(
-        path,
-        indices=sel.indices.astype(np.int64),
-        method=np.array(sel.method),
-        seed=np.int64(sel.seed),
-    )
+    _write_npz(path, SELECTION, vars(sel))
 
 
 def read_selection(path, size: int) -> np.ndarray:

@@ -63,9 +63,11 @@ def scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
 
 
 def average_kernel(stack: np.ndarray) -> np.ndarray:
-    """Unweighted mean of a (C, n, n) stack of per-class kernels."""
-    mean = stack.mean(axis=0)
-    return 0.5 * (mean + mean.T)
+    """Unweighted mean of a (C, n, n) stack of per-class kernels.
+
+    Each layer from scaled_gram is exactly symmetric, so the mean is too.
+    """
+    return stack.mean(axis=0)
 
 
 def truncation_rank(eigvals, eps: float) -> int:

@@ -95,7 +95,7 @@ def fit(
         basis=b,
         targets=y.copy(),
         alpha=alpha,
-        lambda_reg=lambda_reg,
+        lambda_reg=float(lambda_reg),
         scale_kind=scale_kind,
         eig_values=eig_values,
         eig_vectors=eig_vectors,

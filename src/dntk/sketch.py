@@ -32,10 +32,10 @@ _QR_BLOCK_ROWS = 1024
 class SketchRecord:
     """What identifies a sketch: its two widths and its seed.
 
-    sample_orthonormal(source_dim, target_dim, seed) redraws the matrix bit
-    for bit, so these three fields are all `sketch.json` stores and all the
-    in-process task keeps once its features are sketched. The scale is
-    derived from the widths.
+    sample_orthonormal(**asdict(record)) redraws the matrix bit for bit, so
+    these three fields are all `sketch.json` stores and all the in-process
+    task keeps once its features are sketched. The scale is derived from
+    the widths.
     """
 
     source_dim: int
@@ -47,32 +47,20 @@ class SketchRecord:
         return math.sqrt(self.source_dim / self.target_dim)
 
 
-@dataclass(frozen=True)
-class SketchOperator:
-    """Projection u -> scale * q.T u with orthonormal columns q (P x k).
+@dataclass(frozen=True, eq=False)
+class SketchOperator(SketchRecord):
+    """Projection u -> scale * q.T u with orthonormal columns q
+    (source_dim x target_dim).
 
-    The P x k matrix is the largest array a sketch has; `record` is all of
-    it that needs to outlive the projection.
+    The matrix is the largest array a sketch has; `record` is all of it
+    that needs to outlive the projection.
     """
 
     q: np.ndarray
-    seed: int
 
     @property
     def record(self) -> SketchRecord:
-        return SketchRecord(int(self.q.shape[0]), int(self.q.shape[1]), self.seed)
-
-    @property
-    def source_dim(self) -> int:
-        return int(self.q.shape[0])
-
-    @property
-    def target_dim(self) -> int:
-        return int(self.q.shape[1])
-
-    @property
-    def scale(self) -> float:
-        return self.record.scale
+        return SketchRecord(self.source_dim, self.target_dim, self.seed)
 
 
 def jl_dimension(n: int, eps: float) -> int:
@@ -87,24 +75,26 @@ def jl_dimension(n: int, eps: float) -> int:
     return int(math.floor(8.0 * math.log(n) / eps**2)) + 1
 
 
-def sample_orthonormal(p_dim: int, k: int, seed: int) -> SketchOperator:
-    """Gaussian sketch orthonormalized in place, deterministic per seed.
+def sample_orthonormal(source_dim: int, target_dim: int, seed: int) -> SketchOperator:
+    """Gaussian P x k sketch (P = source_dim, k = target_dim) orthonormalized
+    in place, deterministic per seed.
 
     One shifted CholeskyQR pass, with the shift 11 (P k + k (k + 1)) u
     ||X||_F^2 of Fukaya et al. (u the unit roundoff), brings the draw close
     to orthonormal whatever its conditioning, square draws included; one
     plain pass then makes the columns orthonormal to working accuracy.
     """
-    if p_dim < 1 or k < 1:
-        raise EmptyInput(f"dimensions must be positive, got P={p_dim}, k={k}")
-    if k > p_dim:
-        raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p_dim}")
+    p, k = source_dim, target_dim
+    if p < 1 or k < 1:
+        raise EmptyInput(f"dimensions must be positive, got P={p}, k={k}")
+    if k > p:
+        raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p}")
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(p_dim, k))
+    q = rng.normal(size=(p, k))
     unit_roundoff = np.finfo(np.float64).eps / 2.0
-    _cholesky_qr_pass(q, shift_rel=11.0 * (p_dim * k + k * (k + 1)) * unit_roundoff)
+    _cholesky_qr_pass(q, shift_rel=11.0 * (p * k + k * (k + 1)) * unit_roundoff)
     _cholesky_qr_pass(q, shift_rel=0.0)
-    return SketchOperator(q=q, seed=seed)
+    return SketchOperator(p, k, seed, q)
 
 
 def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:

@@ -4,7 +4,6 @@ import numpy as np
 
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
-from dntk.sketch import sample_orthonormal
 from dntk.tangent import RAW_PARAMS, GradientFeatures, one_hot
 
 
@@ -28,11 +27,6 @@ def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
         raise ZeroTrace("rows span nothing")
     keep = svd.singulars > eps_rel * svd.singulars[0]
     return svd.left[:, keep]
-
-
-def redraw_sketch(record):
-    """The sketch operator a SketchRecord identifies, drawn again."""
-    return sample_orthonormal(record.source_dim, record.target_dim, record.seed)
 
 
 def clustered_rows(sizes, dim, seed, noise=0.05, scale=1.0):

@@ -298,9 +298,19 @@ class TestVerifyTheory:
 
 
 class TestErrorPaths:
-    def test_unknown_subcommand_exits_1(self, capsys):
-        assert main(["frobnicate"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "argv",
+        [["nosuch"], ["gen-data", "--seed", "abc"],
+         ["select-baseline", "--method", "bogus", "--budget", "3"]],
+        ids=["nosuch", "seed-not-int", "method-not-a-choice"],
+    )
+    def test_unknown_subcommand_exits_1(self, argv, capsys):
+        # usage errors leave through error_code= like every other bad input
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines().count("error_code=InputError") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -357,23 +357,40 @@ class TestNpzRoundtrips:
         meta = json.loads(path.read_text())
         assert meta == {"source_dim": 40, "target_dim": 8, "seed": 11}
         assert SketchRecord(**meta) == op.record
-        back = sample_orthonormal(meta["source_dim"], meta["target_dim"], meta["seed"])
+        back = sample_orthonormal(**meta)
         np.testing.assert_array_equal(back.q, op.q)
         assert back.scale == op.scale
 
     def test_distilled(self, tmp_path):
         rng = np.random.default_rng(2)
         feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))
-        dg, report = distill(feats, h=2, tau_v=0.95, tau_g=0.5, seed=0)
-        path = tmp_path / "dg.npz"
-        dio.write_distilled(dg, report, path)
-        dg2, report2 = dio.read_distilled(path)
-        np.testing.assert_array_equal(dg2.phi_hat, dg.phi_hat)
-        np.testing.assert_array_equal(dg2.y_hat, dg.y_hat)
-        assert dg2.provenance == dg.provenance
-        assert report2.gap_set == report.gap_set
-        assert report2.local_ranks == report.local_ranks
-        assert report2.tau_v == report.tau_v
+        dg, report = distill(feats, h=2, tau_v=0.9, tau_g=0.99, seed=0)
+        assert report.gap_set  # the empty case is built from this one below
+        for rep in (report, dataclasses.replace(report, gap_set=())):
+            path = tmp_path / "dg.npz"
+            dio.write_distilled(dg, rep, path)
+            dg2, report2 = dio.read_distilled(path)
+            np.testing.assert_array_equal(dg2.phi_hat, dg.phi_hat)
+            np.testing.assert_array_equal(dg2.y_hat, dg.y_hat)
+            assert dg2.provenance == dg.provenance
+            assert report2.gap_set == rep.gap_set
+            assert report2.local_ranks == rep.local_ranks
+            assert report2.tau_v == rep.tau_v
+
+    def test_integer_valued_reals_stay_float(self, tmp_path):
+        # the config takes tau_v = 1, tau_g = 0 and lambda_reg = 0 as JSON
+        # integers; the archives still store them as the floats their
+        # schemas ask for
+        rng = np.random.default_rng(2)
+        feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))
+        dg, report = distill(feats, h=2, tau_v=1, tau_g=0, seed=0)
+        dio.write_distilled(dg, report, tmp_path / "dg.npz")
+        _, back = dio.read_distilled(tmp_path / "dg.npz")
+        assert (back.tau_v, back.tau_g) == (1.0, 0.0)
+        model = fit(rng.normal(size=(2, 4, 10)), rng.normal(size=(4, 2)),
+                    lambda_reg=0, scale_kind="none")
+        dio.write_krr(model, tmp_path / "k.npz")
+        assert dio.read_krr(tmp_path / "k.npz").lambda_reg == 0.0
 
     def test_krr(self, tmp_path):
         rng = np.random.default_rng(3)

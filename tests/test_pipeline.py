@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import orthonormal_rows_basis, redraw_sketch
+from helpers import orthonormal_rows_basis
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dntk import kernel, krr, metrics, pipeline, sketch
@@ -103,7 +103,7 @@ class TestPrepareTask:
         cfg = tiny_cfg()
         task = pipeline.prepare_task(cfg, root_seed=5)
         raw = extract_features(task.model, task.train.inputs, task.train.labels)
-        two_step = project_features(raw, redraw_sketch(task.sketch_op))
+        two_step = project_features(raw, sample_orthonormal(**vars(task.sketch_op)))
         assert_allclose(task.train_feats.per_class, two_step.per_class, atol=1e-12)
         assert_allclose(task.train_feats.model_logits, two_step.model_logits, atol=1e-12)
 
@@ -204,7 +204,7 @@ class TestPrepareTask:
         # k_sketch >= P clamps to a P x P sketch, an orthogonal matrix, so
         # the sketched kernels equal the raw ones
         task = pipeline.prepare_task(tiny_cfg(k_sketch=10_000), root_seed=5)
-        q = redraw_sketch(task.sketch_op).q
+        q = sample_orthonormal(**vars(task.sketch_op)).q
         assert q.shape == (83, 83) and task.sketch_op.scale == 1.0
         assert np.abs(q.T @ q - np.eye(83)).max() <= 1e-12
         raw = extract_features(task.model, task.train.inputs, task.train.labels)
