@@ -126,7 +126,7 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
         fh.write("class,trace,trunc_rank,condition,min_eig,effective_dim\n")
         for ci, gram in enumerate(stack):
             summary = kernel.spectral_summary(gram, 1.0 - cfg.tau_v)
-            values = summary.eig.values
+            values = summary.values
             eff = kernel.effective_dimension(values, cfg.lambda_reg) if cfg.lambda_reg > 0 \
                 else float((values > rank_tolerance(values)).sum())  # the numerical rank
             fh.write(

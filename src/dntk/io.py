@@ -154,12 +154,19 @@ def write_report(rows, path, append: bool = False) -> None:
 
     The method label is written as is and may hold commas (sweep labels
     do); no other cell can, so read_report splits rows from the right.
+    append adds the rows to an existing report, which must first pass
+    read_report (ParseError otherwise), so no row lands in a file that the
+    reader refuses.
     """
-    mode = "a" if append else "w"
+    head = ",".join(REPORT_COLUMNS) + "\n"
     try:
-        with open(path, mode, newline="") as fh:
-            if not append:
-                fh.write(",".join(REPORT_COLUMNS) + "\n")
+        if append:
+            read_report(path)
+            with open(path, "rb") as fh:  # a last row without its newline
+                fh.seek(-1, os.SEEK_END)  # would swallow the first new one
+                head = "" if fh.read(1) == b"\n" else "\n"
+        with open(path, "a" if append else "w", newline="") as fh:
+            fh.write(head)
             for row in rows:
                 cells = [_fmt(getattr(row, col)) for col in REPORT_COLUMNS]
                 fh.write(",".join(cells) + "\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
-from .numerics import EigenSystem, rank_tolerance, sym_eig
+from .numerics import rank_tolerance, sym_eig, sym_eigvals
 from .tangent import GradientFeatures
 
 SCALE_KINDS = ("none", "inv_k")
@@ -24,7 +24,7 @@ EIG_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    eig: EigenSystem
+    values: np.ndarray  # descending
     trunc_rank: int
     trace: float
     condition: float
@@ -88,13 +88,16 @@ def truncation_rank(eigvals, eps: float) -> int:
 
 
 def spectral_summary(kernel_matrix, eps: float) -> SpectralSummary:
-    """Spectrum, trace, conditioning and the rank holding a 1 - eps trace fraction."""
-    eig = sym_eig(kernel_matrix)
-    condition, min_eig = spectrum_conditioning(eig.values)
+    """Spectrum, trace, conditioning and the rank holding a 1 - eps trace fraction.
+
+    Every field comes from the eigenvalues, so no eigenvectors are computed.
+    """
+    values = sym_eigvals(kernel_matrix)
+    condition, min_eig = spectrum_conditioning(values)
     return SpectralSummary(
-        eig=eig,
-        trunc_rank=truncation_rank(eig.values, eps),
-        trace=float(eig.values.sum()),
+        values=values,
+        trunc_rank=truncation_rank(values, eps),
+        trace=float(values.sum()),
         condition=condition,
         min_eig=min_eig,
     )

@@ -97,12 +97,25 @@ def sym_eig(s_matrix) -> EigenSystem:
     a deterministic sign (first nonzero entry positive), so repeated calls
     on equal inputs are bitwise identical.
     """
+    w, u = np.linalg.eigh(_symmetric_input(s_matrix))
+    return EigenSystem(values=w[::-1].copy(), vectors=fix_signs(u[:, ::-1]))
+
+
+def sym_eigvals(s_matrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, sorted descending.
+
+    The same checks as sym_eig, but LAPACK computes no eigenvectors, which
+    is several times cheaper for a caller that reads the spectrum alone.
+    """
+    return np.linalg.eigvalsh(_symmetric_input(s_matrix))[::-1].copy()
+
+
+def _symmetric_input(s_matrix) -> np.ndarray:
+    """A finite, nonempty, square and symmetric float64 matrix, symmetrized."""
     s = as_matrix(s_matrix, "s_matrix")
     if s.size == 0:
         raise EmptyInput("cannot decompose an empty matrix")
-    sym = _check_square_symmetric(s, "s_matrix")
-    w, u = np.linalg.eigh(sym)
-    return EigenSystem(values=w[::-1].copy(), vectors=fix_signs(u[:, ::-1]))
+    return _check_square_symmetric(s, "s_matrix")
 
 
 def rank_tolerance(values) -> float:

@@ -91,19 +91,28 @@ def sketched_features(
     Equivalent to extract_features followed by project_features but never
     materializes a raw gradient row: the sketch is contracted layer by
     layer inside the backward pass, so the cost per sample has no C * P
-    factor, which matters once P is in the tens of thousands.
+    factor, which matters once P is in the tens of thousands. One
+    workspace, a max(fan_out) x batch x k block and two batch x C x k
+    buffers, serves every batch and layer, so the call's peak memory is its
+    output plus that workspace.
     """
     xb, soft, logits = _sample_set(params, inputs, labels)
     if op.source_dim != params.param_count:
         raise DimMismatch(
             f"sketch expects width {op.source_dim}, model has {params.param_count} parameters"
         )
-    n = xb.shape[0]
-    out = np.empty((params.class_count, n, op.target_dim))
+    n, c, k = xb.shape[0], params.class_count, op.target_dim
+    rows = min(batch, n)
+    work = (
+        np.empty(max(params.layer_sizes[1:]) * rows * k),
+        np.empty((rows, c, k)),
+        np.empty((rows, c, k)),
+    )
+    out = np.empty((c, n, k))
     for start in range(0, n, batch):
         stop = min(start + batch, n)
-        sk = _sketched_logit_jacobian(params, xb[start:stop], op.q)  # (b, C, k)
-        out[:, start:stop, :] = (op.scale * sk).transpose(1, 0, 2)
+        sk = _sketched_logit_jacobian(params, xb[start:stop], op.q, work)  # (b, C, k)
+        np.multiply(sk.transpose(1, 0, 2), op.scale, out=out[:, start:stop])
     return GradientFeatures(
         per_class=out, labels=soft, dim_kind=SKETCHED, model_logits=logits
     )

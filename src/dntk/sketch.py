@@ -5,13 +5,13 @@ orthonormalized in place by shifted CholeskyQR2 (Fukaya et al., SIAM J. Sci.
 Comput. 2020), applied with a sqrt(P/k) scale so squared norms and inner
 products are preserved in expectation. Each of the two passes forms the
 k x k Gram, takes its Cholesky factor R and overwrites the draw with
-draw @ R^-1 one row block at a time, so no second P x k array exists; a
-LAPACK QR would copy the draw several times. The result spans the same
-columns as the draw and is the Q of its QR factorization with a positive
-diagonal R, so it differs from LAPACK's Q only by column signs and
-roundoff. The target dimension for a tolerance eps follows the usual
-log-cardinality rule: the smallest integer strictly greater than
-8 ln(n) / eps^2.
+draw @ R^-1 one row block at a time through one reused block buffer, so no
+second P x k array exists; a LAPACK QR would copy the draw several times.
+The result spans the same columns as the draw and is the Q of its QR
+factorization with a positive diagonal R, so it differs from LAPACK's Q
+only by column signs and roundoff. The target dimension for a tolerance
+eps follows the usual log-cardinality rule: the smallest integer strictly
+greater than 8 ln(n) / eps^2.
 """
 
 from __future__ import annotations
@@ -102,9 +102,12 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
     gram = x.T @ x
     gram[np.diag_indices_from(gram)] += shift_rel * np.trace(gram)
     r_inv = np.linalg.inv(np.linalg.cholesky(gram)).T  # R = L^T
+    buf = np.empty((min(_QR_BLOCK_ROWS, x.shape[0]), x.shape[1]))
     for start in range(0, x.shape[0], _QR_BLOCK_ROWS):
         block = x[start : start + _QR_BLOCK_ROWS]
-        block[...] = block @ r_inv
+        product = buf[: block.shape[0]]
+        np.matmul(block, r_inv, out=product)
+        block[...] = product
 
 
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:

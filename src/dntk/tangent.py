@@ -248,7 +248,9 @@ def _fill_logit_jacobian(params: MlpParams, xb: np.ndarray, out: np.ndarray) -> 
         out[:, :, w_end : w_end + fan_out] = dz_c
 
 
-def _sketched_logit_jacobian(params: MlpParams, xb: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _sketched_logit_jacobian(
+    params: MlpParams, xb: np.ndarray, q: np.ndarray, work: tuple
+) -> np.ndarray:
     """The (n, C, P) per-logit Jacobian of xb times q, (n, C, k), contracted per layer.
 
     The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
@@ -256,16 +258,26 @@ def _sketched_logit_jacobian(params: MlpParams, xb: np.ndarray, q: np.ndarray) -
     T is computed once per sample with no class factor, so a sample costs
     about 2 (P + C * sum(fan_out)) k flops instead of the 2 C P k of
     multiplying its (C, P) Jacobian by q, and no P-wide row is built.
+
+    work = (t, acc, prod) is scratch the caller reuses for every batch: t a
+    flat buffer of at least max(fan_out) * n * k floats and acc, prod two
+    (>= n, C, k) arrays. Every product is written into it, so a call
+    allocates only the backward pass's own small arrays. Returns acc[:n],
+    which the next call overwrites.
     """
-    k = q.shape[1]
-    out = np.zeros((xb.shape[0], params.class_count, k))
+    t_flat, acc, prod = work
+    n, k = xb.shape[0], q.shape[1]
+    acc, prod = acc[:n], prod[:n]
+    acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
     for pos, dz, a in _logit_backprop(params, xb):
         fan_out, fan_in = dz.shape[2], a.shape[1]
         w_end = pos + fan_out * fan_in
-        t = a @ q[pos:w_end].reshape(fan_out, fan_in, k)  # (fan_out, n, k)
+        t = t_flat[: fan_out * n * k].reshape(fan_out, n, k)
+        np.matmul(a, q[pos:w_end].reshape(fan_out, fan_in, k), out=t)
         t += q[w_end : w_end + fan_out, None, :]
-        out += dz @ t.transpose(1, 0, 2)
-    return out
+        np.matmul(dz, t.transpose(1, 0, 2), out=prod)
+        acc += prod
+    return acc
 
 
 # ------------------------------------------------------------------ losses

@@ -4,7 +4,7 @@ import numpy as np
 
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
-from dntk.tangent import RAW_PARAMS, GradientFeatures, one_hot
+from dntk.tangent import RAW_PARAMS, GradientFeatures, _logit_backprop, one_hot
 
 
 def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
@@ -27,6 +27,27 @@ def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
         raise ZeroTrace("rows span nothing")
     keep = svd.singulars > eps_rel * svd.singulars[0]
     return svd.left[:, keep]
+
+
+def fused_sketch_per_batch(params, x, op, batch):
+    """The fused sketch of x's per-logit Jacobian, (C, n, k), with every
+    batch and layer in freshly allocated arrays: a zeroed accumulator, a new
+    T = a Q_l + Q_b per layer and a scaled copy per batch. The reference
+    pipeline.sketched_features is checked against bit for bit."""
+    xb = np.asarray(x, dtype=np.float64)
+    n, k = xb.shape[0], op.target_dim
+    out = np.empty((params.class_count, n, k))
+    for start in range(0, n, batch):
+        rows = xb[start : start + batch]
+        sk = np.zeros((rows.shape[0], params.class_count, k))
+        for pos, dz, a in _logit_backprop(params, rows):
+            fan_out, fan_in = dz.shape[2], a.shape[1]
+            w_end = pos + fan_out * fan_in
+            t = a @ op.q[pos:w_end].reshape(fan_out, fan_in, k)  # (fan_out, b, k)
+            t += op.q[w_end : w_end + fan_out, None, :]
+            sk += dz @ t.transpose(1, 0, 2)
+        out[:, start : start + batch] = (op.scale * sk).transpose(1, 0, 2)
+    return out
 
 
 def clustered_rows(sizes, dim, seed, noise=0.05, scale=1.0):

@@ -5,15 +5,20 @@ inspects the artifacts of a single real run instead of re-running the
 chain. Error-path tests get their own scratch directories.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dntk
 from dntk import kernel, pipeline
@@ -133,7 +138,7 @@ class TestStageChain:
         feats = read_gradients(work / FILES["sketched_train"], dim_kind=SKETCHED)
         stack = kernel.build_stack(feats, read_config(cfg).scale_kind)
         ranks = [int(line.split(",")[2]) for line in lines[1:]]
-        values = [kernel.spectral_summary(k, 0.0).eig.values for k in stack]
+        values = [kernel.spectral_summary(k, 0.0).values for k in stack]
         assert ranks == [kernel.truncation_rank(v, 1.0 - 0.99) for v in values]
         # the 5 % level would give other ranks here, so the level is read
         assert ranks != [kernel.truncation_rank(v, 0.05) for v in values]
@@ -499,6 +504,23 @@ class TestMalformedArtifacts:
         assert captured.err.count("error_code=") == 1
         assert "Traceback" not in captured.err
 
+    def test_evaluate_into_garbage_report_exits_1(self, rundir, tmp_path, capsys):
+        # evaluate appends to report.csv; one that does not read back as a
+        # report is refused and left as it was
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        garbage = b"not,a,report\n1,2,3\n"
+        (work / FILES["report"]).write_bytes(garbage)
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["evaluate", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines().count("error_code=ParseError") == 1
+        assert captured.err.count("error_code=") == 1
+        assert "Traceback" not in captured.err
+        assert (work / FILES["report"]).read_bytes() == garbage
+
     def test_zero_eig_vectors_exits_1(self, rundir, tmp_path, capsys):
         # schema-valid, but the stored eigenvectors are not the basis's: the
         # scorer's CholeskyQR step finds no positive definite Gram
@@ -512,6 +534,52 @@ class TestMalformedArtifacts:
             rundir, tmp_path, capsys, "selected_random.npz", ["fit-krr", "--source", "random"],
             {"indices": lambda a: np.array([0, 10**6], dtype=np.int64)}, code="IndexOutOfRange",
         )
+
+
+# each stage that reads artifacts, and the artifacts it reads; report.csv,
+# which evaluate appends to, has its own test above
+STAGE_INPUTS = {
+    ("train-model",): (FILES["train"],),
+    ("extract-grads",): (FILES["model"], FILES["train"], FILES["test"]),
+    ("project",): (FILES["grads_train"], FILES["grads_test"]),
+    ("kernel-stats",): (FILES["sketched_train"],),
+    ("distill-grads",): (FILES["sketched_train"],),
+    ("select-baseline", "--method", "random", "--budget", "6"): (FILES["sketched_train"],),
+    ("fit-krr", "--source", "distilled"): (FILES["sketched_train"], FILES["distilled"]),
+    ("fit-krr", "--source", "random"): (FILES["sketched_train"], "selected_random.npz"),
+    ("evaluate",): (FILES["krr"], FILES["sketched_test"], FILES["sketched_train"]),
+}
+STAGE_ARTIFACTS = [(stage, name) for stage, names in STAGE_INPUTS.items() for name in names]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "random_bytes", "deleted"])
+@pytest.mark.parametrize(
+    "stage, artifact", STAGE_ARTIFACTS, ids=[f"{s[0]}-{a}" for s, a in STAGE_ARTIFACTS]
+)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_damaged_input_leaves_through_error_code(rundir, stage, artifact, damage, data):
+    # any damage to a stage's input is a bad input: exit 1 or 2 with one
+    # error_code= line, never an exception out of main
+    out, cfg = rundir
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "run"
+        shutil.copytree(out, work)
+        path = work / artifact
+        if damage == "truncated":
+            content = path.read_bytes()
+            path.write_bytes(content[: data.draw(st.integers(0, len(content) - 1))])
+        elif damage == "random_bytes":
+            path.write_bytes(data.draw(st.binary(max_size=512)))
+        else:
+            path.unlink()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*stage, "--config", cfg, "--out", str(work)])
+    lines = err.getvalue().splitlines()
+    assert rc in (1, 2)
+    assert sum(line.startswith("error_code=") for line in lines) == 1
+    assert "Traceback" not in err.getvalue()
 
 
 def test_import_loads_no_scipy():

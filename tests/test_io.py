@@ -266,6 +266,26 @@ class TestReport:
         back = dio.read_report(path)
         assert [r.seed for r in back] == [3, 9]
 
+    def test_append_after_a_row_without_its_newline(self, tmp_path):
+        # the method label may hold commas, so a glued row would read back
+        path = tmp_path / "r.csv"
+        dio.write_report([self.row()], path)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        dio.write_report([self.row(seed=9)], path, append=True)
+        assert dio.read_report(path) == [self.row(), self.row(seed=9)]
+
+    @pytest.mark.parametrize(
+        "content", ["", "seed,method\n", "garbage\n", "{header}\nnot,a,row\n"],
+        ids=["empty", "wrong_header", "no_header", "bad_row"],
+    )
+    def test_append_refuses_a_file_that_does_not_read_back(self, tmp_path, content):
+        path = tmp_path / "r.csv"
+        path.write_text(content.format(header=",".join(dio.REPORT_COLUMNS)))
+        before = path.read_bytes()
+        with pytest.raises(ParseError):
+            dio.write_report([self.row()], path, append=True)
+        assert path.read_bytes() == before
+
 
 class TestRunConfig:
     def test_defaults_from_empty_object(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dntk.errors import NonFinite, NotSquare, NotSymmetric, SingularSystem
+from dntk.errors import EmptyInput, NonFinite, NotSquare, NotSymmetric, SingularSystem
 from dntk.numerics import (
     _SIGN_EPS,
     _pivots_above,
@@ -9,6 +9,7 @@ from dntk.numerics import (
     qr_redundancy_filter,
     ridge_solve_direct,
     sym_eig,
+    sym_eigvals,
     thin_svd,
 )
 
@@ -68,6 +69,29 @@ class TestSymEig:
         a[0, 0] = np.nan
         with pytest.raises(NonFinite):
             sym_eig(a)
+
+
+class TestSymEigvals:
+    def test_matches_sym_eig_values(self):
+        for s in (rand_sym(12, 0), rand_psd(15, 2, rank=4), np.diag([3.0, 1.0, 2.0])):
+            vals = sym_eigvals(s)
+            np.testing.assert_allclose(vals, sym_eig(s).values, rtol=0, atol=1e-12)
+            assert np.all(np.diff(vals) <= 0.0)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.ones((3, 4)), NotSquare),
+            (np.array([[1.0, 2.0], [0.0, 1.0]]), NotSymmetric),
+            (np.diag([1.0, np.nan]), NonFinite),
+            (np.empty((0, 0)), EmptyInput),
+        ],
+    )
+    def test_same_checks_as_sym_eig(self, bad, error):
+        with pytest.raises(error):
+            sym_eigvals(bad)
+        with pytest.raises(error):
+            sym_eig(bad)
 
 
 class TestThinSvd:

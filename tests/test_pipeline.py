@@ -1,10 +1,11 @@
 """Orchestration-layer tests: seeding, task prep, method rows, sweeps."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import orthonormal_rows_basis
+from helpers import fused_sketch_per_batch, orthonormal_rows_basis
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dntk import kernel, krr, metrics, pipeline, sketch
@@ -126,12 +127,33 @@ class TestPrepareTask:
         labels = rng.dirichlet(np.ones(c), size=n) if soft else rng.integers(0, c, size=n)
         op = sample_orthonormal(params.param_count, 9, seed=n)
         fused = pipeline.sketched_features(params, x, labels, op, batch=batch)
+        # the shared workspace keeps every product's shape and summation order
+        assert_array_equal(fused.per_class, fused_sketch_per_batch(params, x, op, batch))
         two_step = project_features(extract_features(params, x, labels), op)
         gap = np.linalg.norm(fused.per_class - two_step.per_class)
         assert gap <= 1e-12 * np.linalg.norm(two_step.per_class)
         assert fused.dim_kind == two_step.dim_kind
         assert_array_equal(fused.labels, two_step.labels)
         assert_array_equal(fused.model_logits, two_step.model_logits)
+
+    def test_fused_sketch_peak_memory_is_output_and_workspace(self):
+        # uneven fan-outs: a fresh T block per layer, made while the previous
+        # one is still held, would add most of a second widest block
+        sizes, batch, k = [8, 40, 30, 5], 32, 256
+        params = init_params(sizes, seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(4 * batch, sizes[0]))
+        labels = rng.integers(0, sizes[-1], size=4 * batch)
+        op = sample_orthonormal(params.param_count, k, seed=25)
+        tracemalloc.start()
+        try:
+            feats = pipeline.sketched_features(params, x, labels, op, batch=batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        itemsize = feats.per_class.itemsize
+        workspace = (max(sizes[1:]) * batch * k + 2 * batch * sizes[-1] * k) * itemsize
+        assert peak <= 1.15 * (feats.per_class.nbytes + workspace)
 
     @pytest.mark.parametrize("path", ["fused", "raw"])
     def test_both_paths_reject_bad_samples(self, path):
