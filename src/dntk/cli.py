@@ -38,7 +38,7 @@ from .io import (
 )
 from .numerics import rank_tolerance
 from .sketch import project_features
-from .tangent import SKETCHED, extract_features
+from .tangent import extract_features
 
 FILES = {
     "train": "train.npz",
@@ -119,7 +119,7 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
+    feats = read_gradients(_p(out, "sketched_train"))
     stack = kernel.build_stack(feats, cfg.scale_kind)
     path = _p(out, "kernel_stats")
     with open(path, "w") as fh:
@@ -138,7 +138,7 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
+    feats = read_gradients(_p(out, "sketched_train"))
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
@@ -152,7 +152,7 @@ def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
+    feats = read_gradients(_p(out, "sketched_train"))
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
     write_selection(sel, out / f"selected_{args.method}.npz")
@@ -161,15 +161,12 @@ def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
+    feats, picked = read_gradients(_p(out, "sketched_train")), None
     if args.source == "distilled":
-        dg, _ = read_distilled(_p(out, "distilled"))
-        basis, targets = dg.phi_hat, dg.y_hat
-    elif args.source == "full":
-        basis, targets = feats.per_class, feats.model_logits
-    else:
-        idx = read_selection(out / f"selected_{args.source}.npz", feats.size)
-        basis, targets = feats.per_class[:, idx], feats.model_logits[idx]
+        picked, _ = read_distilled(_p(out, "distilled"))
+    elif args.source != "full":
+        picked = read_selection(out / f"selected_{args.source}.npz", feats.size)
+    basis, targets = pipeline.gradient_set(feats, picked)
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
     write_krr(model, _p(out, "krr"))
     print(f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}")
@@ -178,8 +175,8 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
     model = read_krr(_p(out, "krr"))
-    test_feats = read_gradients(_p(out, "sketched_test"), dim_kind=SKETCHED)
-    train_feats = read_gradients(_p(out, "sketched_train"), dim_kind=SKETCHED)
+    test_feats = read_gradients(_p(out, "sketched_test"))
+    train_feats = read_gradients(_p(out, "sketched_train"))
     row = pipeline.score_krr(model, train_feats, test_feats, args.method, cfg.seed)
     path = _p(out, "report")
     write_report([row], path, append=path.exists())

@@ -1,8 +1,14 @@
 """Serialization: gradient feature files, CSV reports, JSON run configs.
 
-Gradient features travel in a little fixed binary format (magic DNTK1,
-version 1, little-endian float64 payload) so staged CLI runs can resume
-from any point. Reports are CSV with a fixed column set and floats printed
+Gradient features travel in a little fixed binary format so staged CLI runs
+can resume from any point. Version 2 of it, all little-endian, is a 23-byte
+header (magic DNTK1\0, u32 version 2, u32 extents m, D and C, and a kind
+byte: 0 for raw parameter-space rows, 1 for sketched ones) followed by C
+blocks of m x D float64 rows, the m int64 class ids and the m x C float64
+model logits. The reader returns the recorded kind and refuses ids outside
+[0, C). A version-1 file cannot say its kind and is refused with
+VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
+Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
 selections) rides in npz archives, which numpy writes deterministically.
@@ -38,14 +44,15 @@ from .errors import (
 )
 from .krr import KrrModel
 from .sketch import SketchRecord
-from .tangent import ACTIVATIONS, RAW_PARAMS, GradientFeatures, LabeledDataset, MlpParams, param_count
+from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, GradientFeatures, LabeledDataset,
+                      MlpParams, param_count)
 
 MAGIC = b"DNTK1\0"
-VERSION = 1
-_DTYPE_F64 = 0
-_LABELS_SOFT = 0
-# magic + version + m + D + C + dtype byte + labels byte
-_HEADER = struct.Struct("<6sIIIIBB")
+VERSION = 2
+# the header's kind byte is the index of the features' dim_kind here
+_KINDS = (RAW_PARAMS, SKETCHED)
+# magic + version + m + D + C + kind byte
+_HEADER = struct.Struct("<6sIIIIB")
 
 _METHODS = ("distill", "full") + BASELINE_METHODS
 
@@ -67,59 +74,59 @@ REPORT_COLUMNS = (
 # ------------------------------------------------------- gradient features
 
 def write_gradients(feats: GradientFeatures, path) -> None:
-    """Serialize features; byte-identical output for identical inputs."""
+    """Serialize features with their kind; byte-identical output for identical inputs."""
     m, d, c = feats.size, feats.width, feats.class_count
     try:
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, _DTYPE_F64, _LABELS_SOFT))
+            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, _KINDS.index(feats.dim_kind)))
             for ci in range(c):
                 fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").data)
-            fh.write(np.ascontiguousarray(feats.labels, dtype="<f8").data)
+            fh.write(np.ascontiguousarray(feats.labels, dtype="<i8").data)
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def read_gradients(path, dim_kind: str = RAW_PARAMS) -> GradientFeatures:
+def read_gradients(path) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
-    The format does not record whether rows are raw or sketched, so the
-    caller states it; staged CLI runs know which file is which. The header
+    The features come back with the kind the header records. The header
     and file size are checked first, then the payload is read straight into
-    the returned arrays, so reading holds one copy of it.
+    the returned arrays, so reading holds one copy of it; class ids outside
+    [0, C) are refused after that.
     """
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < _HEADER.size:
                 raise TruncatedFile(f"{path}: {size} bytes is shorter than the header")
-            magic, version, m, d, c, dtype, labels_kind = _HEADER.unpack(fh.read(_HEADER.size))
+            magic, version, m, d, c, kind = _HEADER.unpack(fh.read(_HEADER.size))
             if magic != MAGIC:
                 raise ParseError(f"{path}: bad magic {magic!r}")
             if version != VERSION:
-                raise VersionMismatch(f"{path}: version {version}, expected {VERSION}")
-            if dtype != _DTYPE_F64 or labels_kind != _LABELS_SOFT:
-                raise ParseError(
-                    f"{path}: unsupported dtype/labels tags ({dtype}, {labels_kind})"
+                raise VersionMismatch(
+                    f"{path}: format version {version}, expected {VERSION}; "
+                    "run `dntk extract-grads` and `dntk project` again to rewrite it"
                 )
+            if kind >= len(_KINDS):
+                raise ParseError(f"{path}: unknown kind byte {kind}")
             if min(m, d, c) < 1:
                 raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
-            expected = _HEADER.size + 8 * (c * m * d + 2 * m * c)
+            expected = _HEADER.size + 8 * (c * m * d + m + m * c)
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
-            per_class = _read_f8(fh, (c, m, d), path)
-            labels = _read_f8(fh, (m, c), path)
-            logits = _read_f8(fh, (m, c), path)
+            per_class = _read_array(fh, (c, m, d), "<f8", path)
+            labels = _read_array(fh, (m,), "<i8", path)
+            logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return GradientFeatures(
-        per_class=per_class, labels=labels, dim_kind=dim_kind, model_logits=logits
-    )
+    _require(labels.min() >= 0 and labels.max() < c, path, f"class ids outside [0, {c})")
+    return GradientFeatures(per_class, labels, dim_kind=_KINDS[kind], model_logits=logits)
 
 
-def _read_f8(fh, shape, path) -> np.ndarray:
-    """Fill a new little-endian float64 array of this shape from fh."""
-    out = np.empty(shape, dtype="<f8")
+def _read_array(fh, shape, dtype, path) -> np.ndarray:
+    """Fill a new array of this shape and little-endian dtype from fh."""
+    out = np.empty(shape, dtype=dtype)
     got = fh.readinto(out.data)
     if got != out.nbytes:  # the file shrank after its size was checked
         raise TruncatedFile(f"{path}: payload ended {out.nbytes - got} bytes early")
@@ -153,11 +160,16 @@ def write_report(rows, path, append: bool = False) -> None:
     """Fixed-schema CSV; float cells carry 17 significant digits.
 
     The method label is written as is and may hold commas (sweep labels
-    do); no other cell can, so read_report splits rows from the right.
-    append adds the rows to an existing report, which must first pass
-    read_report (ParseError otherwise), so no row lands in a file that the
-    reader refuses.
+    do); no other cell can, so read_report splits rows from the right. A
+    label that _holds_row is refused with InputError before anything is
+    written, as read_report refuses it. append adds the rows to an existing
+    report, which must first pass read_report (ParseError otherwise), so no
+    row lands in a file that the reader refuses.
     """
+    rows = list(rows)
+    for row in rows:
+        if _holds_row(row.method):
+            raise InputError(f"method label {row.method!r} holds as many commas as a row")
     head = ",".join(REPORT_COLUMNS) + "\n"
     try:
         if append:
@@ -178,6 +190,13 @@ def write_report(rows, path, append: bool = False) -> None:
 _REPORT_KINDS = (str, int, int) + (float,) * (len(REPORT_COLUMNS) - 3)
 
 
+def _holds_row(label: str) -> bool:
+    """Whether a method label has as many commas as a whole row: a row that
+    lost its newline reads back with the next row glued into its label, so
+    neither the reader nor the writer takes such a label."""
+    return label.count(",") >= len(REPORT_COLUMNS) - 1
+
+
 def read_report(path) -> list[ReportRow]:
     try:
         with open(path, newline="") as fh:
@@ -192,6 +211,8 @@ def read_report(path) -> list[ReportRow]:
         cells = ln.rsplit(",", len(REPORT_COLUMNS) - 1)
         if len(cells) != len(REPORT_COLUMNS):
             raise ParseError(f"{path}: row {row} has {len(cells)} cells")
+        if _holds_row(cells[0]):
+            raise ParseError(f"{path}: row {row} holds another row in its label {cells[0]!r}")
         values = {}
         for col, kind, cell in zip(REPORT_COLUMNS, _REPORT_KINDS, cells):
             try:

@@ -67,17 +67,9 @@ def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDat
     """
     c = cfg.class_count
     per_train = cfg.n_train // c
-    per_test = cfg.n_test // c
-    full = gen_gaussian_mixture(c, per_train + per_test, cfg.input_dim, cfg.spread, seed)
-    train_idx = []
-    test_idx = []
-    per_total = per_train + per_test
-    for ci in range(c):
-        start = ci * per_total
-        train_idx.extend(range(start, start + per_train))
-        test_idx.extend(range(start + per_train, start + per_total))
-    tr = np.array(train_idx)
-    te = np.array(test_idx)
+    full = gen_gaussian_mixture(c, per_train + cfg.n_test // c, cfg.input_dim, cfg.spread, seed)
+    ids = np.arange(full.size).reshape(c, -1)  # the mixture's samples come class by class
+    tr, te = ids[:, :per_train].ravel(), ids[:, per_train:].ravel()
     train = LabeledDataset(full.inputs[tr], full.labels[tr], c)
     test = LabeledDataset(full.inputs[te], full.labels[te], c)
     return train, test
@@ -96,7 +88,7 @@ def sketched_features(
     buffers, serves every batch and layer, so the call's peak memory is its
     output plus that workspace.
     """
-    xb, soft, logits = _sample_set(params, inputs, labels)
+    xb, ids, logits = _sample_set(params, inputs, labels)
     if op.source_dim != params.param_count:
         raise DimMismatch(
             f"sketch expects width {op.source_dim}, model has {params.param_count} parameters"
@@ -113,9 +105,7 @@ def sketched_features(
         stop = min(start + batch, n)
         sk = _sketched_logit_jacobian(params, xb[start:stop], op.q, work)  # (b, C, k)
         np.multiply(sk.transpose(1, 0, 2), op.scale, out=out[:, start:stop])
-    return GradientFeatures(
-        per_class=out, labels=soft, dim_kind=SKETCHED, model_logits=logits
-    )
+    return GradientFeatures(out, ids, dim_kind=SKETCHED, model_logits=logits)
 
 
 def sketch_width(cfg: RunConfig, param_count: int) -> int:
@@ -226,7 +216,7 @@ def score_krr(
         s=model.size,
         compression=distill.compression_ratio(train_feats.size, model.size),
         fidelity=metrics.fidelity(pred, test_feats.model_logits),
-        accuracy=metrics.accuracy(pred, test_feats.labels.argmax(axis=1)),
+        accuracy=metrics.accuracy(pred, test_feats.labels),
         mse=metrics.mse(pred, test_feats.model_logits),
         coverage=float(coverage.mean()),
         recon_error=float(recon.mean()),
@@ -273,6 +263,19 @@ def select_baseline(
     raise InputError(f"unknown method {method!r}")
 
 
+def gradient_set(
+    feats: GradientFeatures, picked: distill.DistilledGradients | np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (C, s, D) rows and (s, C) targets a method fits on: a distilled
+    set's own, the rows and model logits of a baseline's sample ids, or all
+    of feats for None. The sweep and the staged fit-krr both come through here."""
+    if isinstance(picked, distill.DistilledGradients):
+        return picked.phi_hat, picked.y_hat
+    if picked is None:
+        return feats.per_class, feats.model_logits
+    return feats.per_class[:, picked], feats.model_logits[picked]
+
+
 def run_method(
     task: Task,
     method: str,
@@ -285,17 +288,14 @@ def run_method(
     For "distill" the budget is an optional cap; for the selection
     baselines it is mandatory (they need a target size). "full" ignores it.
     """
-    feats = task.train_feats
+    feats, picked = task.train_feats, None
     if method == "distill":
-        dg, _ = distill_features(feats, task.cfg, seed, budget)
-        basis, targets = dg.phi_hat, dg.y_hat
-    elif method == "full":
-        basis, targets = feats.per_class, feats.model_logits
-    else:
+        picked, _ = distill_features(feats, task.cfg, seed, budget)
+    elif method != "full":
         if budget is None:
             raise InputError(f"method {method!r} needs an explicit budget")
-        idx = select_baseline(feats, method, budget, seed).indices
-        basis, targets = feats.per_class[:, idx], feats.model_logits[idx]
+        picked = select_baseline(feats, method, budget, seed).indices
+    basis, targets = gradient_set(feats, picked)
     return evaluate_gradient_set(basis, targets, task, label or method, seed)
 
 

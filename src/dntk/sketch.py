@@ -17,7 +17,7 @@ greater than 8 ln(n) / eps^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,17 +111,11 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
 
 
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
-    """Apply the sketch to every gradient row; labels and logits pass through."""
+    """Sketch every raw gradient row; labels and logits pass through."""
     if feats.dim_kind != RAW_PARAMS:
         raise DimMismatch(f"features are already {feats.dim_kind!r}; expected raw rows")
     if feats.width != op.source_dim:
         raise DimMismatch(
             f"features have width {feats.width}, sketch expects {op.source_dim}"
         )
-    projected = op.scale * (feats.per_class @ op.q)
-    return GradientFeatures(
-        per_class=projected,
-        labels=feats.labels.copy(),
-        dim_kind=SKETCHED,
-        model_logits=feats.model_logits.copy(),
-    )
+    return replace(feats, per_class=op.scale * (feats.per_class @ op.q), dim_kind=SKETCHED)

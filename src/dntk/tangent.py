@@ -78,13 +78,14 @@ class LabeledDataset:
 class GradientFeatures:
     """Per-logit gradient rows for a sample set.
 
-    per_class[c] stacks phi^c(x_i) as rows, one n x width matrix per class.
-    dim_kind records whether the rows live in raw parameter space or in a
-    sketched subspace; the two must never be mixed downstream.
+    per_class[c] stacks phi^c(x_i) as rows, one n x width matrix per class;
+    labels are the samples' class ids. dim_kind records whether the rows
+    live in raw parameter space or in a sketched subspace, and gradient
+    files store it in their header; the two must never be mixed downstream.
     """
 
     per_class: np.ndarray  # (C, n, width)
-    labels: np.ndarray  # (n, C) one-hot or soft targets
+    labels: np.ndarray  # (n,) int64 class ids
     dim_kind: str
     model_logits: np.ndarray  # (n, C)
 
@@ -444,43 +445,29 @@ def train_sgd(
 # ------------------------------------------------------------- extraction
 
 def _sample_set(params: MlpParams, inputs, labels):
-    """Checked inputs, (n, C) targets and model logits of a sample set.
-
-    labels may be integer class ids (converted to one-hot), an (n, C) soft
-    target matrix, or None (falls back to the model logits as targets).
-    """
+    """Checked inputs, int64 class ids and model logits of a sample set."""
     xb = _batch(params, inputs)
     n = xb.shape[0]
     if n == 0:
         raise EmptyInput("need at least one sample")
-    c = params.class_count
-    logits = forward_batch(params, xb)
-    if labels is None:
-        return xb, logits.copy(), logits
-    lab = np.asarray(labels)
-    if lab.shape == (n,):
-        soft = one_hot(lab, c)
-    elif lab.shape == (n, c):
-        soft = lab.astype(np.float64)
-    else:
-        raise ShapeMismatch(f"labels must be ({n},) ids or ({n}, {c}) matrix, got {lab.shape}")
-    return xb, soft, logits
+    ids = np.asarray(labels)
+    if ids.shape != (n,) or ids.dtype.kind not in "iu":
+        raise ShapeMismatch(f"labels must be ({n},) integer ids, got {ids.dtype} {ids.shape}")
+    if ids.min() < 0 or ids.max() >= params.class_count:
+        raise DimMismatch(f"class id out of range for {params.class_count} classes")
+    return xb, ids.astype(np.int64), forward_batch(params, xb)
 
 
-def extract_features(params: MlpParams, inputs, labels=None, batch: int = 64) -> GradientFeatures:
-    """Per-logit gradients, soft labels, and model logits for a sample set.
+def extract_features(params: MlpParams, inputs, labels, batch: int = 64) -> GradientFeatures:
+    """Per-logit gradients, class ids and model logits for a sample set.
 
     The (C, n, P) gradient rows are filled in place, batch by batch, with no
-    per-batch copy. labels may be integer class ids (converted to one-hot),
-    an (n, C) soft target matrix, or None (falls back to the model logits
-    as targets).
+    per-batch copy. labels are the (n,) integer class ids of the inputs.
     """
-    xb, soft, logits = _sample_set(params, inputs, labels)
+    xb, ids, logits = _sample_set(params, inputs, labels)
     n = xb.shape[0]
     per_class = np.empty((params.class_count, n, params.param_count))
     for start in range(0, n, batch):
         stop = min(start + batch, n)
         _fill_logit_jacobian(params, xb[start:stop], per_class[:, start:stop])
-    return GradientFeatures(
-        per_class=per_class, labels=soft, dim_kind=RAW_PARAMS, model_logits=logits
-    )
+    return GradientFeatures(per_class, ids, dim_kind=RAW_PARAMS, model_logits=logits)

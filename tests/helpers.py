@@ -11,11 +11,9 @@ def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
     """GradientFeatures from an explicit (C, n, D) array of gradient rows."""
     per_class = np.asarray(blocks, dtype=np.float64)
     c, n, _ = per_class.shape
-    if labels is None:
-        labels = np.zeros(n, dtype=int)
-    soft = one_hot(np.asarray(labels), c)
-    logits = soft + 0.1  # stand-in logits, distinct from the labels
-    return GradientFeatures(per_class, soft, dim_kind, logits)
+    ids = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
+    logits = one_hot(ids, c) + 0.1  # stand-in logits that still carry the labels
+    return GradientFeatures(per_class, ids, dim_kind, logits)
 
 
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:

@@ -33,7 +33,7 @@ from dntk.io import (
     read_selection,
 )
 from dntk.sketch import SketchRecord
-from dntk.tangent import SKETCHED
+from dntk.tangent import RAW_PARAMS, SKETCHED
 
 SMOKE = dict(
     seed=5,
@@ -111,10 +111,16 @@ class TestStageChain:
         assert SketchRecord(**meta) == task.sketch_op
         for key, feats in (("sketched_train", task.train_feats),
                            ("sketched_test", task.test_feats)):
-            staged = read_gradients(out / FILES[key], dim_kind=SKETCHED)
+            staged = read_gradients(out / FILES[key])
             np.testing.assert_allclose(staged.per_class, feats.per_class, rtol=1e-12,
                                        atol=1e-12 * np.abs(feats.per_class).max())
             np.testing.assert_array_equal(staged.labels, feats.labels)
+
+    def test_gradient_files_record_their_kind(self, rundir):
+        out, _ = rundir
+        for key, kind in (("grads_train", RAW_PARAMS), ("grads_test", RAW_PARAMS),
+                          ("sketched_train", SKETCHED), ("sketched_test", SKETCHED)):
+            assert read_gradients(out / FILES[key]).dim_kind == kind, key
 
     def test_kernel_stats_csv(self, rundir):
         out, _ = rundir
@@ -135,7 +141,7 @@ class TestStageChain:
         assert main(["kernel-stats", "--config", cfg]) == 0
         capsys.readouterr()
         lines = (work / FILES["kernel_stats"]).read_text().strip().splitlines()
-        feats = read_gradients(work / FILES["sketched_train"], dim_kind=SKETCHED)
+        feats = read_gradients(work / FILES["sketched_train"])
         stack = kernel.build_stack(feats, read_config(cfg).scale_kind)
         ranks = [int(line.split(",")[2]) for line in lines[1:]]
         values = [kernel.spectral_summary(k, 0.0).values for k in stack]
@@ -209,7 +215,7 @@ class TestStageChain:
         staged = read_report(out / FILES["report"])[-1]
 
         cfg = read_config(cfg_path)
-        train_feats = read_gradients(out / FILES["sketched_train"], dim_kind=SKETCHED)
+        train_feats = read_gradients(out / FILES["sketched_train"])
         model = read_model(out / FILES["model"])
         task = pipeline.Task(
             cfg=cfg,
@@ -218,7 +224,7 @@ class TestStageChain:
             model=model,
             sketch_op=SketchRecord(**json.loads((out / FILES["sketch_meta"]).read_text())),
             train_feats=train_feats,
-            test_feats=read_gradients(out / FILES["sketched_test"], dim_kind=SKETCHED),
+            test_feats=read_gradients(out / FILES["sketched_test"]),
         )
         if source == "distilled":
             dg, _ = read_distilled(out / FILES["distilled"])
@@ -356,6 +362,38 @@ class TestErrorPaths:
         for name in ("distilled", "full", "random", "leverage", "fps", "kmeans"):
             assert name in captured.err
         assert not out.exists()
+
+    def test_project_refuses_sketched_rows_at_square_width(self, tmp_path, capsys):
+        # P = 57 <= k_sketch, so the sketch is square and a sketched file has
+        # the raw width: only the kind its header records tells them apart
+        out = tmp_path / "square"
+        cfg = write_cfg(tmp_path / "cfg.json", out, layer_sizes=[5, 6, 3], k_sketch=64)
+        for stage in (["gen-data"], ["train-model"], ["extract-grads"], ["project"]):
+            assert main(stage + ["--config", cfg]) == 0
+        shutil.copyfile(out / FILES["sketched_train"], out / FILES["grads_train"])
+        capsys.readouterr()
+        rc = main(["project", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=DimMismatch") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+
+    def test_version_one_gradient_file_exits_1(self, rundir, tmp_path, capsys):
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        path = work / FILES["sketched_train"]
+        raw = bytearray(path.read_bytes())
+        raw[6] = 1  # the version field
+        path.write_bytes(bytes(raw))
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["kernel-stats", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=VersionMismatch") == 1
+        assert "extract-grads" in err and "project" in err
+        assert "Traceback" not in err
 
     def test_singular_system_exits_2(self, tmp_path, capsys):
         # 24 sketched rows of width 16 make a rank-deficient gram, so an

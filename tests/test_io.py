@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from dntk.errors import (
 )
 from dntk.krr import fit
 from dntk.sketch import SketchRecord, sample_orthonormal
-from dntk.tangent import SKETCHED, gen_gaussian_mixture, init_params
+from dntk.tangent import RAW_PARAMS, SKETCHED, gen_gaussian_mixture, init_params
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
@@ -33,15 +34,27 @@ def tiny_feats(seed=0, c=2, n=4, d=6):
 
 class TestGradientFile:
     def test_header_size(self):
-        # 6-byte magic, four u32 fields, two u8 flags
-        assert dio._HEADER.size == 24
+        # 6-byte magic, four u32 fields (version, m, D, C), one u8 kind
+        assert dio._HEADER.size == 23
 
     def test_minimal_file_size(self, tmp_path):
         feats = tiny_feats(c=1, n=1, d=1)
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
-        # header + 1 gradient + 1 label + 1 logit, all float64
-        assert path.stat().st_size == 24 + 8 + 8 + 8
+        # header + 1 float64 gradient + 1 int64 class id + 1 float64 logit
+        assert path.stat().st_size == 23 + 8 + 8 + 8
+
+    def test_header_and_payload_layout(self, tmp_path):
+        feats = tiny_feats(seed=5, c=3, n=4, d=2)
+        feats.dim_kind = SKETCHED
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(feats, path)
+        raw = path.read_bytes()
+        assert raw[:23] == b"DNTK1\0" + bytes([2, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1])
+        rows_end = 23 + 8 * 3 * 4 * 2
+        assert raw[23:rows_end] == feats.per_class.astype("<f8").tobytes()
+        assert raw[rows_end : rows_end + 32] == feats.labels.astype("<i8").tobytes()
+        assert raw[rows_end + 32 :] == feats.model_logits.astype("<f8").tobytes()
 
     def test_roundtrip_bitwise(self, tmp_path):
         feats = tiny_feats(seed=1, c=3, n=5, d=7)
@@ -50,6 +63,7 @@ class TestGradientFile:
         back = dio.read_gradients(path)
         np.testing.assert_array_equal(back.per_class, feats.per_class)
         np.testing.assert_array_equal(back.labels, feats.labels)
+        assert back.labels.dtype == np.int64
         np.testing.assert_array_equal(back.model_logits, feats.model_logits)
 
     def test_write_deterministic(self, tmp_path):
@@ -59,12 +73,13 @@ class TestGradientFile:
         dio.write_gradients(feats, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_dim_kind_parameter(self, tmp_path):
+    @pytest.mark.parametrize("kind", [RAW_PARAMS, SKETCHED])
+    def test_dim_kind_recorded(self, tmp_path, kind):
         feats = tiny_feats(seed=3)
+        feats.dim_kind = kind
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
-        assert dio.read_gradients(path).dim_kind == "raw_params"
-        assert dio.read_gradients(path, dim_kind=SKETCHED).dim_kind == "sketched"
+        assert dio.read_gradients(path).dim_kind == kind
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "g.dntk"
@@ -84,6 +99,25 @@ class TestGradientFile:
         with pytest.raises(VersionMismatch):
             dio.read_gradients(path)
 
+    def test_version_one_file_names_the_stages_to_rerun(self, tmp_path):
+        # a version-1 file: 24-byte header with dtype and labels-kind bytes,
+        # then f64 rows, (m, C) f64 labels and (m, C) f64 logits
+        m, d, c = 2, 3, 2
+        path = tmp_path / "g.dntk"
+        path.write_bytes(struct.pack("<6sIIIIBB", dio.MAGIC, 1, m, d, c, 0, 0)
+                         + b"\0" * 8 * (c * m * d + 2 * m * c))
+        with pytest.raises(VersionMismatch, match="extract-grads.*project"):
+            dio.read_gradients(path)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_class_id_outside_class_count(self, tmp_path, label):
+        feats = tiny_feats(c=2, n=4)
+        feats.labels[1] = label
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(feats, path)
+        with pytest.raises(ParseError, match=r"class ids outside \[0, 2\)"):
+            dio.read_gradients(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "g.dntk"
         dio.write_gradients(tiny_feats(), path)
@@ -100,8 +134,8 @@ class TestGradientFile:
             dio.read_gradients(path)
 
 
-def _header(m=2, d=3, c=2, dtype=dio._DTYPE_F64):
-    return dio._HEADER.pack(dio.MAGIC, dio.VERSION, m, d, c, dtype, dio._LABELS_SOFT)
+def _header(m=2, d=3, c=2, kind=0):
+    return dio._HEADER.pack(dio.MAGIC, dio.VERSION, m, d, c, kind)
 
 
 def _malformed(tmp_path, case):
@@ -114,8 +148,8 @@ def _malformed(tmp_path, case):
         path.write_bytes(_header())
     elif case == "m_zero":
         path.write_bytes(_header(m=0))
-    elif case == "bad_dtype":
-        path.write_bytes(_header(dtype=7) + b"\x00" * 8 * (2 * 2 * 3 + 2 * 2 * 2))
+    elif case == "bad_kind":  # kinds are 0 (raw) and 1 (sketched)
+        path.write_bytes(_header(kind=2) + b"\x00" * 8 * (2 * 2 * 3 + 2 + 2 * 2))
     elif case == "directory":
         path.mkdir()
     else:  # "missing": nothing at the path
@@ -130,7 +164,7 @@ def _malformed(tmp_path, case):
         ("ten_bytes", TruncatedFile),
         ("header_only", TruncatedFile),
         ("m_zero", ParseError),
-        ("bad_dtype", ParseError),
+        ("bad_kind", ParseError),
         ("missing", IoError),
         ("directory", IoError),
     ],
@@ -273,6 +307,29 @@ class TestReport:
         path.write_bytes(path.read_bytes().rstrip(b"\n"))
         dio.write_report([self.row(seed=9)], path, append=True)
         assert dio.read_report(path) == [self.row(), self.row(seed=9)]
+
+    def test_glued_row_is_a_parse_error(self, tmp_path):
+        # a row that lost its newline before the next was appended: split from
+        # the right, the first row and the second's label share one label cell
+        path = tmp_path / "r.csv"
+        head = ",".join(dio.REPORT_COLUMNS)
+        path.write_text(f"{head}\na,1,2,1,1,1,1,1,1,1,1a,1,2,1,1,1,1,1,1,1,1\n")
+        with pytest.raises(ParseError, match="row 1"):
+            dio.read_report(path)
+
+    def test_label_with_a_row_of_commas_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "r.csv"
+        dio.write_report([self.row()], path)
+        before = path.read_bytes()
+        glued = "a" + "," * (len(dio.REPORT_COLUMNS) - 1)
+        for append in (False, True):
+            with pytest.raises(InputError):
+                dio.write_report([self.row(seed=9), self.row(method=glued)], path, append=append)
+            assert path.read_bytes() == before
+        # one comma fewer is an ordinary label that reads back
+        label = glued[:-1]
+        dio.write_report([self.row(method=label)], path)
+        assert dio.read_report(path) == [self.row(method=label)]
 
     @pytest.mark.parametrize(
         "content", ["", "seed,method\n", "garbage\n", "{header}\nnot,a,row\n"],

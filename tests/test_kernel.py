@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,15 +17,6 @@ from dntk.kernel import (
     spectral_summary,
     truncation_rank,
 )
-from dntk.tangent import GradientFeatures, RAW_PARAMS, one_hot
-
-
-def feats_from_blocks(blocks, dim_kind=RAW_PARAMS):
-    per_class = np.asarray(blocks, dtype=np.float64)
-    c, n, _ = per_class.shape
-    labels = one_hot(np.zeros(n, dtype=int), c)
-    logits = np.zeros((n, c))
-    return GradientFeatures(per_class, labels, dim_kind, logits)
 
 
 class TestClassKernel:

@@ -5,7 +5,7 @@ from dntk.errors import ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.kernel import build_stack
 from dntk.krr import fit, predict
 from dntk.numerics import ridge_solve_direct, sym_eig
-from dntk.tangent import extract_features, gen_gaussian_mixture, init_params
+from dntk.tangent import extract_features, gen_gaussian_mixture, init_params, one_hot
 
 
 def random_basis(s, d, c, seed, rank=None):
@@ -102,14 +102,15 @@ class TestPredict:
         params = init_params([4, 7, 3], seed=0)
         data = gen_gaussian_mixture(3, 6, 4, 0.4, seed=1)
         feats = extract_features(params, data.inputs, data.labels)
-        model = fit(feats.per_class, feats.labels, lambda_reg=0.1)
+        targets = one_hot(feats.labels, 3)
+        model = fit(feats.per_class, targets, lambda_reg=0.1)
         for c, k in enumerate(build_stack(feats)):
             eig = sym_eig(k)
             np.testing.assert_array_equal(model.eig_values[c], eig.values)
             np.testing.assert_array_equal(model.eig_vectors[c], eig.vectors)
         strided = feats.per_class[:, ::2]
-        a = fit(strided, feats.labels[::2], lambda_reg=0.1)
-        b = fit(strided.copy(), feats.labels[::2], lambda_reg=0.1)
+        a = fit(strided, targets[::2], lambda_reg=0.1)
+        b = fit(strided.copy(), targets[::2], lambda_reg=0.1)
         np.testing.assert_allclose(a.alpha, b.alpha, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(predict(a, feats.per_class), predict(b, feats.per_class),
                                    rtol=1e-12, atol=1e-14)

@@ -116,15 +116,13 @@ class TestPrepareTask:
             ([3, 8, 6, 5], "tanh", 10, 4),  # 3 weight layers, partial last batch
         ],
     )
-    @pytest.mark.parametrize("soft", [False, True])
-    def test_fused_sketch_matches_two_step_per_layer(self, sizes, activation, n, batch, soft):
+    def test_fused_sketch_matches_two_step_per_layer(self, sizes, activation, n, batch):
         rng = np.random.default_rng(len(sizes) + n)
         params = init_params(sizes, seed=n, activation=activation)
         # nonzero biases so relu units sit on both sides of the kink
         params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
         x = rng.normal(size=(n, sizes[0]))
-        c = sizes[-1]
-        labels = rng.dirichlet(np.ones(c), size=n) if soft else rng.integers(0, c, size=n)
+        labels = rng.integers(0, sizes[-1], size=n)
         op = sample_orthonormal(params.param_count, 9, seed=n)
         fused = pipeline.sketched_features(params, x, labels, op, batch=batch)
         # the shared workspace keeps every product's shape and summation order
@@ -166,8 +164,10 @@ class TestPrepareTask:
             return extract_features(params, x, labels)
 
         x = np.random.default_rng(3).normal(size=(5, 4))
+        with pytest.raises(DimMismatch):
+            run(x, np.full(5, 3))  # class id 3, net has 3 classes
         with pytest.raises(ShapeMismatch):
-            run(x, np.full((5, 4), 0.25))  # soft labels for 4 classes, net has 3
+            run(x, np.zeros(5))  # float labels are not class ids
         with pytest.raises(ShapeMismatch):
             run(x, np.zeros(4, dtype=int))  # one label short
         with pytest.raises(EmptyInput):

@@ -121,7 +121,7 @@ class TestForward:
                      lambda: forward_batch(p, np.ones((2, 5))),
                      lambda: per_logit_gradient(p, np.ones((1, 4))),
                      lambda: loss_param_gradient(p, np.ones(5), 0, "squared"),
-                     lambda: extract_features(p, np.ones((2, 3)))):
+                     lambda: extract_features(p, np.ones((2, 3)), np.zeros(2, dtype=int))):
             with pytest.raises(DimMismatch):
                 call()
 
