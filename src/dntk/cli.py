@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import baselines, distill as distill_mod, kernel, krr, pipeline
-from .errors import DntkError, InputError, NumericalError
+from .errors import DimMismatch, DntkError, InputError, NumericalError
 from .io import (
     RunConfig,
     read_config,
@@ -38,7 +38,7 @@ from .io import (
 )
 from .numerics import rank_tolerance
 from .sketch import project_features
-from .tangent import extract_features
+from .tangent import SKETCHED, GradientFeatures, extract_features
 
 FILES = {
     "train": "train.npz",
@@ -78,6 +78,17 @@ def _p(out: Path, key: str) -> Path:
     return out / FILES[key]
 
 
+def _read_sketched(out: Path, key: str) -> GradientFeatures:
+    """The features of a sketched_* file, refused unless its header says sketched."""
+    feats = read_gradients(_p(out, key))
+    if feats.dim_kind != SKETCHED:
+        raise DimMismatch(
+            f"{_p(out, key)} holds {feats.dim_kind!r} rows, expected sketched ones; "
+            "run `dntk project` to write it"
+        )
+    return feats
+
+
 # ------------------------------------------------------------------ stages
 
 def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
@@ -101,7 +112,7 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
         data = read_dataset(_p(out, split))
         feats = extract_features(model, data.inputs, data.labels)
         write_gradients(feats, _p(out, key))
-        del data, feats  # hold one split's raw rows at a time
+        del data, feats  # hold one split's backward-pass factors at a time
     print(f"wrote raw gradient features to {out}")
     return 0
 
@@ -111,7 +122,6 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
     op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
     write_gradients(project_features(raw, op), _p(out, "sketched_train"))
-    del raw  # hold one split's raw rows at a time
     raw = read_gradients(_p(out, "grads_test"))
     write_gradients(project_features(raw, op), _p(out, "sketched_test"))
     print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
@@ -119,7 +129,7 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"))
+    feats = _read_sketched(out, "sketched_train")
     stack = kernel.build_stack(feats, cfg.scale_kind)
     path = _p(out, "kernel_stats")
     with open(path, "w") as fh:
@@ -138,7 +148,7 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"))
+    feats = _read_sketched(out, "sketched_train")
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
@@ -152,7 +162,7 @@ def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
-    feats = read_gradients(_p(out, "sketched_train"))
+    feats = _read_sketched(out, "sketched_train")
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
     write_selection(sel, out / f"selected_{args.method}.npz")
@@ -161,7 +171,7 @@ def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
-    feats, picked = read_gradients(_p(out, "sketched_train")), None
+    feats, picked = _read_sketched(out, "sketched_train"), None
     if args.source == "distilled":
         picked, _ = read_distilled(_p(out, "distilled"))
     elif args.source != "full":
@@ -175,8 +185,8 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
     model = read_krr(_p(out, "krr"))
-    test_feats = read_gradients(_p(out, "sketched_test"))
-    train_feats = read_gradients(_p(out, "sketched_train"))
+    test_feats = _read_sketched(out, "sketched_test")
+    train_feats = _read_sketched(out, "sketched_train")
     row = pipeline.score_krr(model, train_feats, test_feats, args.method, cfg.seed)
     path = _p(out, "report")
     write_report([row], path, append=path.exists())

@@ -6,8 +6,10 @@ header (magic DNTK1\0, u32 version 2, u32 extents m, D and C, and a kind
 byte: 0 for raw parameter-space rows, 1 for sketched ones) followed by C
 blocks of m x D float64 rows, the m int64 class ids and the m x C float64
 model logits. The reader returns the recorded kind and refuses ids outside
-[0, C). A version-1 file cannot say its kind and is refused with
-VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
+[0, C); it reads raw rows one class block at a time, when they are asked
+for, and sketched rows at once. A version-1 file cannot say its kind and
+is refused with VersionMismatch; `dntk extract-grads` and `dntk project`
+write it anew.
 Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
@@ -44,8 +46,8 @@ from .errors import (
 )
 from .krr import KrrModel
 from .sketch import SketchRecord
-from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, GradientFeatures, LabeledDataset,
-                      MlpParams, param_count)
+from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures,
+                      LabeledDataset, MlpParams, param_count)
 
 MAGIC = b"DNTK1\0"
 VERSION = 2
@@ -74,7 +76,11 @@ REPORT_COLUMNS = (
 # ------------------------------------------------------- gradient features
 
 def write_gradients(feats: GradientFeatures, path) -> None:
-    """Serialize features with their kind; byte-identical output for identical inputs."""
+    """Serialize features with their kind; byte-identical output for identical inputs.
+
+    Rows are written one class at a time, so raw rows that come as a
+    ClassRows are never held whole.
+    """
     m, d, c = feats.size, feats.width, feats.class_count
     try:
         with open(path, "wb") as fh:
@@ -91,9 +97,13 @@ def read_gradients(path) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
     The features come back with the kind the header records. The header
-    and file size are checked first, then the payload is read straight into
-    the returned arrays, so reading holds one copy of it; class ids outside
-    [0, C) are refused after that.
+    and file size are checked first; class ids outside [0, C) are refused
+    after the payload is read. Sketched rows are read straight into the
+    returned array, so reading holds one copy of them. Raw rows stay in the
+    file: per_class is a ClassRows whose [c] opens the file again, checks
+    its size and reads class c's (m, D) block, so they come one class at a
+    time. A file that changed size since raises TruncatedFile there, one
+    that cannot be opened any more IoError.
     """
     try:
         with open(path, "rb") as fh:
@@ -115,13 +125,35 @@ def read_gradients(path) -> GradientFeatures:
             expected = _HEADER.size + 8 * (c * m * d + m + m * c)
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
-            per_class = _read_array(fh, (c, m, d), "<f8", path)
+            if _KINDS[kind] == RAW_PARAMS:
+                per_class = ClassRows((c, m, d), _class_reader(path, expected, m, d))
+                fh.seek(8 * c * m * d, os.SEEK_CUR)
+            else:
+                per_class = _read_array(fh, (c, m, d), "<f8", path)
             labels = _read_array(fh, (m,), "<i8", path)
             logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     _require(labels.min() >= 0 and labels.max() < c, path, f"class ids outside [0, {c})")
     return GradientFeatures(per_class, labels, dim_kind=_KINDS[kind], model_logits=logits)
+
+
+def _class_reader(path, size: int, m: int, d: int):
+    """block(c) of a raw gradient file of this size: class c's (m, d) rows."""
+
+    def block(c: int) -> np.ndarray:
+        try:
+            with open(path, "rb") as fh:
+                now = os.fstat(fh.fileno()).st_size
+                if now != size:
+                    raise TruncatedFile(f"{path}: {now} bytes, expected {size}; "
+                                        "the file changed after it was read")
+                fh.seek(_HEADER.size + 8 * c * m * d)
+                return _read_array(fh, (m, d), "<f8", path)
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+
+    return block
 
 
 def _read_array(fh, shape, dtype, path) -> np.ndarray:

@@ -111,11 +111,22 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
 
 
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
-    """Sketch every raw gradient row; labels and logits pass through."""
+    """Sketch every raw gradient row; labels and logits pass through.
+
+    Raw rows are taken one class at a time, as a ClassRows hands them out:
+    each class's (n, P) block is multiplied by q straight into its slice of
+    the (C, n, k) output, which is scaled once at the end. So the sketch
+    holds q, its output and one raw class block, and each block's product
+    is the one a whole (C, n, P) @ q product makes for that class.
+    """
     if feats.dim_kind != RAW_PARAMS:
         raise DimMismatch(f"features are already {feats.dim_kind!r}; expected raw rows")
     if feats.width != op.source_dim:
         raise DimMismatch(
             f"features have width {feats.width}, sketch expects {op.source_dim}"
         )
-    return replace(feats, per_class=op.scale * (feats.per_class @ op.q), dim_kind=SKETCHED)
+    out = np.empty((feats.class_count, feats.size, op.target_dim))
+    for c in range(feats.class_count):
+        np.matmul(feats.per_class[c], op.q, out=out[c])
+    out *= op.scale
+    return replace(feats, per_class=out, dim_kind=SKETCHED)

@@ -11,6 +11,7 @@ each other through the chain rule.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,26 @@ class LabeledDataset:
         return int(self.inputs.shape[0])
 
 
+class ClassRows:
+    """(C, n, width) per-logit rows handed out one class at a time.
+
+    Stands in for a whole (C, n, width) array that would be too large to
+    hold: `shape` is that array's, and rows[c] returns class c's (n, width)
+    float64 block as a new array, made by block(c). An ndarray offers the
+    same `shape` and `[c]`, so a consumer that asks for one class at a time
+    takes either; nothing else of the array interface exists, so no caller
+    can gather every class at once by accident.
+    """
+
+    def __init__(self, shape, block):
+        self.shape = tuple(int(s) for s in shape)
+        self._block = block
+
+    def __getitem__(self, c) -> np.ndarray:
+        # operator.index refuses slices and tuples; range refuses c outside [-C, C)
+        return self._block(range(self.shape[0])[operator.index(c)])
+
+
 @dataclass
 class GradientFeatures:
     """Per-logit gradient rows for a sample set.
@@ -82,9 +103,12 @@ class GradientFeatures:
     labels are the samples' class ids. dim_kind records whether the rows
     live in raw parameter space or in a sketched subspace, and gradient
     files store it in their header; the two must never be mixed downstream.
+    Sketched rows are a (C, n, width) array. Raw rows may be a ClassRows,
+    which makes one class's rows at a time: C * n * P raw floats are
+    written and read, but never held at once.
     """
 
-    per_class: np.ndarray  # (C, n, width)
+    per_class: np.ndarray | ClassRows  # (C, n, width)
     labels: np.ndarray  # (n,) int64 class ids
     dim_kind: str
     model_logits: np.ndarray  # (n, C)
@@ -199,9 +223,8 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     Backpropagates the C x C identity through the network, so a single
     forward pass yields all C gradient rows at once.
     """
-    jac = np.empty((params.class_count, 1, params.param_count))
-    _fill_logit_jacobian(params, _one_input(params, x), jac)
-    return jac[:, 0]
+    rows = _logit_rows(params, _one_input(params, x), batch=1)
+    return np.concatenate([rows[c] for c in range(params.class_count)])
 
 
 def _logit_backprop(params: MlpParams, xb: np.ndarray):
@@ -212,7 +235,8 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
     logit gradients with respect to the layer's pre-activations and a
     (n, fan_in) its inputs. The per-logit weight gradient is the outer
     product dz[:, c] x a and the bias gradient is dz[:, c], so callers can
-    assemble or contract the gradient rows layer by layer. dz is read-only.
+    assemble or contract the gradient rows layer by layer. dz is read-only;
+    each layer's is a new array, so a caller may keep all of them.
     """
     layers, acts, pres = _forward_trace(params, xb)
     n = xb.shape[0]
@@ -228,25 +252,34 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
             dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
 
 
-def _fill_logit_jacobian(params: MlpParams, xb: np.ndarray, out: np.ndarray) -> None:
-    """Write the per-logit gradients of xb into out (C, n, P), layer by layer.
+def _logit_rows(params: MlpParams, xb: np.ndarray, batch: int) -> ClassRows:
+    """The (C, n, P) per-logit gradients of xb, made one class at a time.
 
-    Each weight block is the outer product dz x a, multiplied straight into
-    its slice of out, so no (n, C, P) temporary exists. out may be any view
-    whose last axis has unit stride, which keeps the reshape below a view.
+    The backward pass runs once per batch of rows and its (pos, dz, a)
+    factors are kept: n * C * sum(fan_out) floats, not the C * n * P of the
+    rows. Class c's block is then filled from them layer by layer, each
+    weight block the outer product dz[:, c] x a multiplied straight into
+    its slice, so no Jacobian temporary exists.
     """
-    c, n = out.shape[:2]
-    for pos, dz, a in _logit_backprop(params, xb):
-        fan_out, fan_in = dz.shape[2], a.shape[1]
-        w_end = pos + fan_out * fan_in
-        dz_c = dz.transpose(1, 0, 2)  # (C, n, fan_out)
-        # dW[c, i, o, j] = dz[i, c, o] * a[i, j]
-        np.multiply(
-            dz_c[:, :, :, None],
-            a[None, :, None, :],
-            out=out[:, :, pos:w_end].reshape(c, n, fan_out, fan_in),
-        )
-        out[:, :, w_end : w_end + fan_out] = dz_c
+    n = xb.shape[0]
+    starts = range(0, n, batch)
+    factors = [list(_logit_backprop(params, xb[start : start + batch])) for start in starts]
+
+    def block(c: int) -> np.ndarray:
+        out = np.empty((n, params.param_count))
+        for start, layers in zip(starts, factors):
+            rows = out[start : start + batch]
+            for pos, dz, a in layers:
+                fan_out, fan_in = dz.shape[2], a.shape[1]
+                w_end = pos + fan_out * fan_in
+                # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
+                # unit-stride last axis, so this reshape is a view
+                np.multiply(dz[:, c, :, None], a[:, None, :],
+                            out=rows[:, pos:w_end].reshape(-1, fan_out, fan_in))
+                rows[:, w_end : w_end + fan_out] = dz[:, c]
+        return out
+
+    return ClassRows((params.class_count, n, params.param_count), block)
 
 
 def _sketched_logit_jacobian(
@@ -461,13 +494,11 @@ def _sample_set(params: MlpParams, inputs, labels):
 def extract_features(params: MlpParams, inputs, labels, batch: int = 64) -> GradientFeatures:
     """Per-logit gradients, class ids and model logits for a sample set.
 
-    The (C, n, P) gradient rows are filled in place, batch by batch, with no
-    per-batch copy. labels are the (n,) integer class ids of the inputs.
+    The raw (C, n, P) gradient rows come one class at a time: per_class is
+    a ClassRows whose [c] fills class c's (n, P) block from the backward
+    pass's factors, kept per batch of rows. labels are the (n,) integer
+    class ids of the inputs.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    n = xb.shape[0]
-    per_class = np.empty((params.class_count, n, params.param_count))
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        _fill_logit_jacobian(params, xb[start:stop], per_class[:, start:stop])
+    per_class = _logit_rows(params, xb, batch)
     return GradientFeatures(per_class, ids, dim_kind=RAW_PARAMS, model_logits=logits)

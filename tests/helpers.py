@@ -1,5 +1,7 @@
 """Small constructors shared by the test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 from dntk.errors import ZeroTrace
@@ -14,6 +16,46 @@ def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
     ids = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
     logits = one_hot(ids, c) + 0.1  # stand-in logits that still carry the labels
     return GradientFeatures(per_class, ids, dim_kind, logits)
+
+
+def class_blocks(per_class) -> np.ndarray:
+    """Every class block of per-logit rows stacked into one (C, n, width)
+    array, whether they come as an array or one class at a time (a
+    ClassRows)."""
+    return np.stack([per_class[c] for c in range(per_class.shape[0])])
+
+
+def reference_per_class(params, x, batch=64):
+    """The (C, n, P) per-logit gradients of x filled whole, batch by batch,
+    each layer's weight block one multiply over every class at once: the
+    materializing fill extract_features made before it handed its rows out
+    one class at a time, and the reference those class blocks are checked
+    against bit for bit."""
+    xb = np.asarray(x, dtype=np.float64)
+    c, n = params.class_count, xb.shape[0]
+    out = np.empty((c, n, params.param_count))
+    for start in range(0, n, batch):
+        rows = out[:, start : start + batch]
+        for pos, dz, a in _logit_backprop(params, xb[start : start + batch]):
+            fan_out, fan_in = dz.shape[2], a.shape[1]
+            w_end = pos + fan_out * fan_in
+            dz_c = dz.transpose(1, 0, 2)  # (C, b, fan_out)
+            np.multiply(dz_c[:, :, :, None], a[None, :, None, :],
+                        out=rows[:, :, pos:w_end].reshape(c, -1, fan_out, fan_in))
+            rows[:, :, w_end : w_end + fan_out] = dz_c
+    return out
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:

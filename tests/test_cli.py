@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from dntk.io import (
     read_selection,
 )
 from dntk.sketch import SketchRecord
-from dntk.tangent import RAW_PARAMS, SKETCHED
+from dntk.tangent import RAW_PARAMS, SKETCHED, param_count
 
 SMOKE = dict(
     seed=5,
@@ -257,6 +258,34 @@ class TestStageChain:
             assert z["phi_hat"].shape[1] <= 2  # (C, s, D)
 
 
+class TestBoundedMemory:
+    def test_extract_and_project_hold_one_class_block(self, tmp_path, capsys):
+        # 10 classes x 100 train rows x P = 4810: a raw split is 38 MB, one
+        # class block 3.8 MB. extract-grads holds a block and the backward
+        # factors it is filled from; project a block, q and its output
+        sizes, n, k = [64, 64, 10], 100, 16
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "cfg.json", out, layer_sizes=sizes, n_train=n, n_test=50,
+                        train_epochs=1, k_sketch=k)
+        for stage in ("gen-data", "train-model"):
+            assert main([stage, "--config", cfg]) == 0
+
+        def stage_peak(stage):
+            codes = []
+            peak = traced_peak(lambda: codes.append(main([stage, "--config", cfg])))
+            assert codes == [0], stage
+            return peak
+
+        c, p = sizes[-1], param_count(sizes)
+        block = 8 * n * p
+        factors = 8 * n * (c * sum(sizes[1:]) + sum(sizes[:-1]))
+        extract_bound = 1.25 * (block + factors)
+        project_bound = 1.25 * (block + 8 * p * k + 8 * c * n * k)
+        assert c * block > 5 * max(extract_bound, project_bound)  # a whole split breaks both
+        assert stage_peak("extract-grads") <= extract_bound
+        assert stage_peak("project") <= project_bound
+
+
 class TestSweepCommand:
     def run_sweep(self, tmp_path, name):
         out = tmp_path / name
@@ -377,6 +406,36 @@ class TestErrorPaths:
         assert rc == 1
         assert err.splitlines().count("error_code=DimMismatch") == 1
         assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "stage, key",
+        [
+            (["kernel-stats"], "sketched_train"),
+            (["distill-grads"], "sketched_train"),
+            (["select-baseline", "--method", "random", "--budget", "6"], "sketched_train"),
+            (["fit-krr", "--source", "distilled"], "sketched_train"),
+            (["evaluate"], "sketched_train"),
+            (["evaluate"], "sketched_test"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_sketched_stages_refuse_raw_rows(self, rundir, tmp_path, capsys, stage, key):
+        # a raw file in a sketched file's place is told apart by the kind
+        # its header records, whatever its width
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        raw_key = key.replace("sketched", "grads")
+        shutil.copyfile(work / FILES[raw_key], work / FILES[key])
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        capsys.readouterr()
+        rc = main(stage + ["--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=DimMismatch") == 1
+        assert err.count("error_code=") == 1
+        assert "'raw_params' rows, expected sketched ones" in err
         assert "Traceback" not in err
 
     def test_version_one_gradient_file_exits_1(self, rundir, tmp_path, capsys):

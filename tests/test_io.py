@@ -1,11 +1,10 @@
 import dataclasses
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import feats_from_blocks
+from helpers import class_blocks, feats_from_blocks, reference_per_class, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +21,9 @@ from dntk.errors import (
     VersionMismatch,
 )
 from dntk.krr import fit
-from dntk.sketch import SketchRecord, sample_orthonormal
-from dntk.tangent import RAW_PARAMS, SKETCHED, gen_gaussian_mixture, init_params
+from dntk.sketch import SketchRecord, project_features, sample_orthonormal
+from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures, extract_features,
+                          gen_gaussian_mixture, init_params)
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
@@ -61,7 +61,7 @@ class TestGradientFile:
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         back = dio.read_gradients(path)
-        np.testing.assert_array_equal(back.per_class, feats.per_class)
+        np.testing.assert_array_equal(class_blocks(back.per_class), feats.per_class)
         np.testing.assert_array_equal(back.labels, feats.labels)
         assert back.labels.dtype == np.int64
         np.testing.assert_array_equal(back.model_logits, feats.model_logits)
@@ -132,6 +132,75 @@ class TestGradientFile:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(TruncatedFile):
             dio.read_gradients(path)
+
+
+class TestRawRowsOneClassAtATime:
+    """Raw rows come as a ClassRows, from extraction and from a file; the
+    bytes and products they make must be those of the whole (C, n, P)
+    array filled at once."""
+
+    def net(self, activation):
+        rng = np.random.default_rng(31)
+        params = init_params([8, 33, 29, 5], seed=32, activation=activation)
+        # nonzero biases so relu units sit on both sides of the kink
+        params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
+        # a 64-row batch and a 36-row one; at these widths the backward
+        # pass rounds differently in batches of another size, so the bytes
+        # pin the batches as well as the fill
+        x = rng.normal(size=(100, 8))
+        return params, x, rng.integers(0, 5, size=100)
+
+    def write_reference(self, params, x, labels, path):
+        ref = reference_per_class(params, x)
+        feats = extract_features(params, x, labels)
+        dio.write_gradients(
+            GradientFeatures(ref, feats.labels, RAW_PARAMS, feats.model_logits), path)
+        return ref
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_extracted_rows_write_the_reference_bytes(self, tmp_path, activation):
+        params, x, labels = self.net(activation)
+        dio.write_gradients(extract_features(params, x, labels), tmp_path / "a.dntk")
+        self.write_reference(params, x, labels, tmp_path / "b.dntk")
+        assert (tmp_path / "a.dntk").read_bytes() == (tmp_path / "b.dntk").read_bytes()
+
+    def test_projection_of_a_file_backed_split_is_the_whole_product(self, tmp_path):
+        params, x, labels = self.net("tanh")
+        ref = self.write_reference(params, x, labels, tmp_path / "g.dntk")
+        raw = dio.read_gradients(tmp_path / "g.dntk")
+        assert isinstance(raw.per_class, ClassRows) and raw.per_class.shape == ref.shape
+        op = sample_orthonormal(params.param_count, 9, seed=33)
+        np.testing.assert_array_equal(project_features(raw, op).per_class,
+                                      op.scale * (ref @ op.q))
+
+    def test_class_index_out_of_range(self, tmp_path):
+        dio.write_gradients(tiny_feats(c=2), tmp_path / "g.dntk")
+        rows = dio.read_gradients(tmp_path / "g.dntk").per_class
+        np.testing.assert_array_equal(rows[-1], rows[1])
+        with pytest.raises(IndexError):
+            rows[2]
+        with pytest.raises(TypeError):
+            rows[:, 0]
+
+    @pytest.mark.parametrize("keep", [dio._HEADER.size + 8 * 6, -5],
+                             ids=["in_class_0", "in_logits"])
+    def test_file_truncated_after_read(self, tmp_path, keep):
+        # the file ends inside class 0's block, or inside the logits with
+        # every class block still whole: the size check refuses both
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_feats(c=2, n=4, d=6), path)
+        rows = dio.read_gradients(path).per_class
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(TruncatedFile, match="changed after it was read"):
+            rows[0]
+
+    def test_file_deleted_after_read(self, tmp_path):
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_feats(), path)
+        rows = dio.read_gradients(path).per_class
+        path.unlink()
+        with pytest.raises(IoError):
+            rows[1]
 
 
 def _header(m=2, d=3, c=2, kind=0):
@@ -215,26 +284,18 @@ def test_selection_roundtrip_and_checks(tmp_path):
         dio.read_selection(path, 8)
 
 
-def _traced_peak(fn):
-    """Peak bytes traced while fn runs, above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_gradient_file_io_holds_one_copy(tmp_path):
-    # 4 classes x 256 rows x 1024 wide: an 8 MiB payload
+    # 4 classes x 256 rows x 1024 wide: an 8 MiB payload. Raw rows stay in
+    # the file until a class block is asked for; sketched rows are read whole
     feats = tiny_feats(seed=4, c=4, n=256, d=1024)
     payload = 8 * (feats.per_class.size + feats.labels.size + feats.model_logits.size)
     path = tmp_path / "g.dntk"
-    write_peak = _traced_peak(lambda: dio.write_gradients(feats, path))
+    write_peak = traced_peak(lambda: dio.write_gradients(feats, path))
     assert path.stat().st_size == dio._HEADER.size + payload
-    read_peak = _traced_peak(lambda: dio.read_gradients(path))
+    assert traced_peak(lambda: dio.read_gradients(path)) <= 0.05 * payload
+    feats.dim_kind = SKETCHED
+    dio.write_gradients(feats, path)
+    read_peak = traced_peak(lambda: dio.read_gradients(path))
     assert read_peak <= 1.1 * payload
     assert write_peak <= 0.05 * payload
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import class_blocks
 
 from dntk.errors import ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.kernel import build_stack
@@ -102,17 +103,18 @@ class TestPredict:
         params = init_params([4, 7, 3], seed=0)
         data = gen_gaussian_mixture(3, 6, 4, 0.4, seed=1)
         feats = extract_features(params, data.inputs, data.labels)
+        rows = class_blocks(feats.per_class)
         targets = one_hot(feats.labels, 3)
-        model = fit(feats.per_class, targets, lambda_reg=0.1)
+        model = fit(rows, targets, lambda_reg=0.1)
         for c, k in enumerate(build_stack(feats)):
             eig = sym_eig(k)
             np.testing.assert_array_equal(model.eig_values[c], eig.values)
             np.testing.assert_array_equal(model.eig_vectors[c], eig.vectors)
-        strided = feats.per_class[:, ::2]
+        strided = rows[:, ::2]
         a = fit(strided, targets[::2], lambda_reg=0.1)
         b = fit(strided.copy(), targets[::2], lambda_reg=0.1)
         np.testing.assert_allclose(a.alpha, b.alpha, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(predict(a, feats.per_class), predict(b, feats.per_class),
+        np.testing.assert_allclose(predict(a, rows), predict(b, rows),
                                    rtol=1e-12, atol=1e-14)
 
     def test_width_mismatch(self):
@@ -157,6 +159,7 @@ class TestOnRealFeatures:
         params = init_params([5, 10, 3], seed=26)
         data = gen_gaussian_mixture(3, 6, 5, 0.4, seed=27)
         feats = extract_features(params, data.inputs, data.labels)
-        model = fit(feats.per_class, feats.model_logits, lambda_reg=1e-8)
-        pred = predict(model, feats.per_class)
+        rows = class_blocks(feats.per_class)
+        model = fit(rows, feats.model_logits, lambda_reg=1e-8)
+        pred = predict(model, rows)
         np.testing.assert_allclose(pred, feats.model_logits, atol=1e-4)

@@ -163,7 +163,7 @@ class TestProjectFeatures:
         assert sk.dim_kind == SKETCHED
         assert sk.per_class.shape == (3, 12, 9)
         # row-wise: sketched row = scale * Q^T row
-        expected = op.scale * feats.per_class[1, 3] @ op.q
+        expected = op.scale * feats.per_class[1][3] @ op.q
         np.testing.assert_allclose(sk.per_class[1, 3], expected, atol=1e-12)
 
     def test_labels_and_logits_carried(self):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import class_blocks
 
 from dntk.errors import DimMismatch, Divergence
 from dntk.metrics import accuracy
@@ -308,25 +309,31 @@ class TestExtractFeatures:
         p = p.with_theta(p.theta + 0.3 * rng.normal(size=p.param_count))
         x = rng.normal(size=(23, 5))
         feats = extract_features(p, x, rng.integers(0, 4, size=23), batch=5)
+        rows = class_blocks(feats.per_class)
         for start in range(0, 23, 5):  # the last batch holds 3 rows
             ref = reference_logit_jacobian(p, x[start : start + 5])
-            np.testing.assert_array_equal(
-                feats.per_class[:, start : start + 5], ref.transpose(1, 0, 2))
-        whole = extract_features(p, x, rng.integers(0, 4, size=23)).per_class
+            np.testing.assert_array_equal(rows[:, start : start + 5], ref.transpose(1, 0, 2))
+        whole = class_blocks(extract_features(p, x, rng.integers(0, 4, size=23)).per_class)
         np.testing.assert_array_equal(whole, reference_logit_jacobian(p, x).transpose(1, 0, 2))
 
     def test_peak_memory_is_the_output(self):
-        p = init_params([8, 40, 30, 5], seed=23)
+        # the output is one class block at a time: extraction keeps each
+        # batch's backward-pass factors, dz (n, C, fan_out) and a (n, fan_in)
+        # per layer, and a block is filled from them with no other array
+        sizes = [8, 40, 30, 5]
+        p = init_params(sizes, seed=23)
         rng = np.random.default_rng(24)
         x = rng.normal(size=(4 * 32, 8))
         labels = rng.integers(0, 5, size=4 * 32)
         tracemalloc.start()
         try:
             feats = extract_features(p, x, labels, batch=32)
+            block = feats.per_class[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * feats.per_class.nbytes
+        factors = x.itemsize * x.shape[0] * (sizes[-1] * sum(sizes[1:]) + sum(sizes[:-1]))
+        assert peak <= 1.15 * (block.nbytes + factors)
 
     def test_single_point_matches_gradient_rows(self):
         p = init_params([4, 5, 3], seed=10)
@@ -334,7 +341,7 @@ class TestExtractFeatures:
         feats = extract_features(p, x, np.array([2]))
         jac = per_logit_gradient(p, x[0])
         for c in range(3):
-            np.testing.assert_allclose(feats.per_class[c, 0], jac[c], atol=1e-14)
+            np.testing.assert_allclose(feats.per_class[c][0], jac[c], atol=1e-14)
 
     def test_permutation_equivariance(self):
         p = init_params([3, 5, 2], seed=11)
@@ -379,7 +386,8 @@ class TestExtractFeatures:
         a = extract_features(p, x, y, batch=2)
         b = extract_features(p, x, y, batch=64)
         # BLAS picks different kernels per batch shape; agreement is to roundoff
-        np.testing.assert_allclose(a.per_class, b.per_class, atol=1e-14)
+        np.testing.assert_allclose(class_blocks(a.per_class), class_blocks(b.per_class),
+                                   atol=1e-14)
 
 
 class TestSmallHelpers:
