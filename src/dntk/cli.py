@@ -17,9 +17,10 @@ import sys
 from pathlib import Path
 
 from . import baselines, distill as distill_mod, kernel, krr, pipeline
-from .errors import DimMismatch, DntkError, InputError, NumericalError
+from .errors import DimMismatch, DntkError, InputError, IoError, NumericalError
 from .io import (
     RunConfig,
+    gradient_file_bytes,
     read_config,
     read_dataset,
     read_distilled,
@@ -89,6 +90,19 @@ def _read_sketched(out: Path, key: str) -> GradientFeatures:
     return feats
 
 
+def _require_space(out: Path, sizes: dict) -> None:
+    """IoError, before anything is written, unless files of these sizes fit in out.
+
+    The files they replace give their space back, so a rerun fits wherever
+    the first run did.
+    """
+    st = os.statvfs(out)
+    free = st.f_bavail * st.f_frsize + sum(p.stat().st_size for p in sizes if p.is_file())
+    need = sum(sizes.values())
+    if need > free:
+        raise IoError(f"{out}: the stage needs {need} bytes, {free} bytes are free")
+
+
 # ------------------------------------------------------------------ stages
 
 def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
@@ -108,11 +122,14 @@ def cmd_train_model(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     model = read_model(_p(out, "model"))
-    for split, key in (("train", "grads_train"), ("test", "grads_test")):
-        data = read_dataset(_p(out, split))
+    splits = {_p(out, key): read_dataset(_p(out, split))
+              for split, key in (("train", "grads_train"), ("test", "grads_test"))}
+    p, c = model.param_count, model.class_count
+    _require_space(out, {path: gradient_file_bytes(data.size, p, c) for path, data in splits.items()})
+    for path, data in splits.items():
         feats = extract_features(model, data.inputs, data.labels)
-        write_gradients(feats, _p(out, key))
-        del data, feats  # hold one split's backward-pass factors at a time
+        write_gradients(feats, path)
+        del feats  # hold one split's backward-pass factors at a time
     print(f"wrote raw gradient features to {out}")
     return 0
 
@@ -195,6 +212,8 @@ def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
+    if args.seed is not None:  # --seed N runs root seed N alone
+        cfg.sweep_seeds = [args.seed]
     rows = pipeline.sweep_rows(cfg, jobs=args.jobs)
     write_report(rows, _p(out, "sweep"))
     print(f"wrote {len(rows)} rows to {_p(out, 'sweep')}")

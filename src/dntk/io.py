@@ -75,6 +75,11 @@ REPORT_COLUMNS = (
 
 # ------------------------------------------------------- gradient features
 
+def gradient_file_bytes(m: int, d: int, c: int) -> int:
+    """Size of a gradient file of m samples, C = c classes and width d."""
+    return _HEADER.size + 8 * (c * m * d + m + m * c)
+
+
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
@@ -122,7 +127,7 @@ def read_gradients(path) -> GradientFeatures:
                 raise ParseError(f"{path}: unknown kind byte {kind}")
             if min(m, d, c) < 1:
                 raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
-            expected = _HEADER.size + 8 * (c * m * d + m + m * c)
+            expected = gradient_file_bytes(m, d, c)
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
             if _KINDS[kind] == RAW_PARAMS:

@@ -4,9 +4,10 @@ This is the glue the CLI subcommands and the acceptance harness share:
 each stage maps the config to its call in one function here, which the
 staged CLI and the in-process task and sweep both run. A "task" bundles
 the synthetic classification problem, the trained network, and sketched
-gradient features for train and test splits. Every stage draws its seed by
-hashing (root seed, stage name, cell index), so any stage can be re-run in
-isolation and still line up with a full run.
+gradient features for train and test splits; the sketch module applies the
+sketch on both the in-process and the staged path. Every stage draws its
+seed by hashing (root seed, stage name, cell index), so any stage can be
+re-run in isolation and still line up with a full run.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, distill, kernel, krr, metrics, theory
-from .errors import DimMismatch, InputError, ShapeMismatch
+from .errors import InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
-from .sketch import SketchOperator, SketchRecord, jl_dimension, sample_orthonormal
+from .sketch import SketchOperator, SketchRecord, _fused_sketch, jl_dimension, sample_orthonormal
 from .tangent import (
     GradientFeatures,
     LabeledDataset,
     MlpParams,
     SKETCHED,
     _sample_set,
-    _sketched_logit_jacobian,
     gen_gaussian_mixture,
     init_params,
     train_sgd,
@@ -78,33 +78,14 @@ def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDat
 def sketched_features(
     params: MlpParams, inputs, labels, op: SketchOperator, batch: int = 32
 ) -> GradientFeatures:
-    """Extract per-logit gradients and sketch them batch by batch.
+    """Per-logit gradients of a sample set, sketched batch by batch.
 
     Equivalent to extract_features followed by project_features but never
-    materializes a raw gradient row: the sketch is contracted layer by
-    layer inside the backward pass, so the cost per sample has no C * P
-    factor, which matters once P is in the tens of thousands. One
-    workspace, a max(fan_out) x batch x k block and two batch x C x k
-    buffers, serves every batch and layer, so the call's peak memory is its
-    output plus that workspace.
+    materializes a raw gradient row: sketch._fused_sketch contracts the
+    sketch layer by layer inside the backward pass, in its own workspace.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    if op.source_dim != params.param_count:
-        raise DimMismatch(
-            f"sketch expects width {op.source_dim}, model has {params.param_count} parameters"
-        )
-    n, c, k = xb.shape[0], params.class_count, op.target_dim
-    rows = min(batch, n)
-    work = (
-        np.empty(max(params.layer_sizes[1:]) * rows * k),
-        np.empty((rows, c, k)),
-        np.empty((rows, c, k)),
-    )
-    out = np.empty((c, n, k))
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        sk = _sketched_logit_jacobian(params, xb[start:stop], op.q, work)  # (b, C, k)
-        np.multiply(sk.transpose(1, 0, 2), op.scale, out=out[:, start:stop])
+    out = _fused_sketch(params, xb, op, batch)
     return GradientFeatures(out, ids, dim_kind=SKETCHED, model_logits=logits)
 
 
@@ -364,7 +345,7 @@ class TheoryCheck:
 
 
 def theory_battery(seed: int) -> list[TheoryCheck]:
-    """Seeded battery over the descent and eigenspace guarantees."""
+    """Seeded battery over the descent and eigenspace guarantees; any int seed works."""
     rng = np.random.default_rng(derive_seed(seed, "verify-theory"))
     checks = []
 
@@ -372,7 +353,8 @@ def theory_battery(seed: int) -> list[TheoryCheck]:
     q, _ = np.linalg.qr(rng.normal(size=(p, r)))
     grads = rng.normal(size=(12, p))
     probe = theory.make_probe(grads, smoothness=2.5, step=0.1, basis=q)
-    violation = theory.quadratic_minimizer_check(probe, trials=200, seed=seed)
+    violation = theory.quadratic_minimizer_check(
+        probe, trials=200, seed=derive_seed(seed, "verify-theory", 1))
     checks.append(TheoryCheck("surrogate_minimizer_unimprovable", violation, 1e-12, violation <= 1e-12))
 
     worst_slack = np.inf
@@ -397,7 +379,8 @@ def theory_battery(seed: int) -> list[TheoryCheck]:
 
     g_small = rng.normal(size=(60, 10))
     moment = (g_small.T @ g_small) / 60.0
-    _, margin = theory.pca_optimality_bruteforce(moment, r=3, trials=2000, seed=seed + 1)
+    _, margin = theory.pca_optimality_bruteforce(
+        moment, r=3, trials=2000, seed=derive_seed(seed, "verify-theory", 2))
     checks.append(TheoryCheck("top_eigenspace_optimal", float(margin), -1e-10, margin >= -1e-10))
 
     sample_mean, trace_form = theory.residual_two_ways(g_small, np.linalg.qr(rng.normal(size=(10, 3)))[0])

@@ -12,6 +12,9 @@ factorization with a positive diagonal R, so it differs from LAPACK's Q
 only by column signs and roundoff. The target dimension for a tolerance
 eps follows the usual log-cardinality rule: the smallest integer strictly
 greater than 8 ln(n) / eps^2.
+
+Both paths apply it here behind one width check: project_features to raw
+rows (staged CLI), _fused_sketch inside the backward pass (in-process).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, KTooLarge
-from .tangent import RAW_PARAMS, SKETCHED, GradientFeatures
+from .tangent import RAW_PARAMS, SKETCHED, GradientFeatures, MlpParams, _logit_backprop
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -110,6 +113,11 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
         block[...] = product
 
 
+def _check_width(width: int, op: SketchOperator) -> None:
+    if width != op.source_dim:
+        raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
+
+
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
     """Sketch every raw gradient row; labels and logits pass through.
 
@@ -121,12 +129,49 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     """
     if feats.dim_kind != RAW_PARAMS:
         raise DimMismatch(f"features are already {feats.dim_kind!r}; expected raw rows")
-    if feats.width != op.source_dim:
-        raise DimMismatch(
-            f"features have width {feats.width}, sketch expects {op.source_dim}"
-        )
+    _check_width(feats.width, op)
     out = np.empty((feats.class_count, feats.size, op.target_dim))
     for c in range(feats.class_count):
         np.matmul(feats.per_class[c], op.q, out=out[c])
     out *= op.scale
     return replace(feats, per_class=out, dim_kind=SKETCHED)
+
+
+def _fused_sketch(params: MlpParams, xb: np.ndarray, op: SketchOperator,
+                  batch: int) -> np.ndarray:
+    """The (C, n, k) sketch of xb's per-logit Jacobian, contracted per layer.
+
+    The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
+    and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q).
+    T is computed once per sample with no class factor, so a sample costs
+    about 2 (P + C * sum(fan_out)) k flops instead of the 2 C P k of
+    multiplying its (C, P) Jacobian by q, and no P-wide row is built.
+
+    One workspace serves every batch of rows and every layer: a flat block
+    of max(fan_out) * batch * k floats holds each layer's T, and two
+    (batch, C, k) buffers take dz @ T and its running sum. Every product is
+    written into it, so the call's peak memory is its output plus that
+    workspace, and each product keeps the shape and summation order of
+    freshly allocated per-batch arrays.
+    """
+    _check_width(params.param_count, op)
+    n, k, q = xb.shape[0], op.target_dim, op.q
+    rows = min(batch, n)
+    t_flat = np.empty(max(params.layer_sizes[1:]) * rows * k)
+    acc_full, prod_full = np.empty((2, rows, params.class_count, k))
+    out = np.empty((params.class_count, n, k))
+    for start in range(0, n, batch):
+        xs = xb[start : start + batch]
+        b = xs.shape[0]
+        acc, prod = acc_full[:b], prod_full[:b]
+        acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
+        for pos, dz, a in _logit_backprop(params, xs):
+            fan_out, fan_in = dz.shape[2], a.shape[1]
+            w_end = pos + fan_out * fan_in
+            t = t_flat[: fan_out * b * k].reshape(fan_out, b, k)
+            np.matmul(a, q[pos:w_end].reshape(fan_out, fan_in, k), out=t)
+            t += q[w_end : w_end + fan_out, None, :]
+            np.matmul(dz, t.transpose(1, 0, 2), out=prod)
+            acc += prod
+        np.multiply(acc.transpose(1, 0, 2), op.scale, out=out[:, start : start + b])
+    return out

@@ -6,7 +6,8 @@ trace feeds two backward passes written out explicitly (no autodiff): the
 per-logit one seeds the C x C identity, the loss one seeds the loss
 gradient and serves loss_param_gradient and SGD training alike. Both are
 checked in the test suite against central finite differences and against
-each other through the chain rule.
+each other through the chain rule. The sketch module contracts the
+per-logit pass's factors (_logit_backprop) with its projection.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
     logit gradients with respect to the layer's pre-activations and a
     (n, fan_in) its inputs. The per-logit weight gradient is the outer
     product dz[:, c] x a and the bias gradient is dz[:, c], so callers can
-    assemble or contract the gradient rows layer by layer. dz is read-only;
+    assemble the gradient rows layer by layer (_logit_rows) or contract
+    them with a sketch (sketch._fused_sketch). dz is read-only;
     each layer's is a new array, so a caller may keep all of them.
     """
     layers, acts, pres = _forward_trace(params, xb)
@@ -280,38 +282,6 @@ def _logit_rows(params: MlpParams, xb: np.ndarray, batch: int) -> ClassRows:
         return out
 
     return ClassRows((params.class_count, n, params.param_count), block)
-
-
-def _sketched_logit_jacobian(
-    params: MlpParams, xb: np.ndarray, q: np.ndarray, work: tuple
-) -> np.ndarray:
-    """The (n, C, P) per-logit Jacobian of xb times q, (n, C, k), contracted per layer.
-
-    The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
-    and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q).
-    T is computed once per sample with no class factor, so a sample costs
-    about 2 (P + C * sum(fan_out)) k flops instead of the 2 C P k of
-    multiplying its (C, P) Jacobian by q, and no P-wide row is built.
-
-    work = (t, acc, prod) is scratch the caller reuses for every batch: t a
-    flat buffer of at least max(fan_out) * n * k floats and acc, prod two
-    (>= n, C, k) arrays. Every product is written into it, so a call
-    allocates only the backward pass's own small arrays. Returns acc[:n],
-    which the next call overwrites.
-    """
-    t_flat, acc, prod = work
-    n, k = xb.shape[0], q.shape[1]
-    acc, prod = acc[:n], prod[:n]
-    acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
-    for pos, dz, a in _logit_backprop(params, xb):
-        fan_out, fan_in = dz.shape[2], a.shape[1]
-        w_end = pos + fan_out * fan_in
-        t = t_flat[: fan_out * n * k].reshape(fan_out, n, k)
-        np.matmul(a, q[pos:w_end].reshape(fan_out, fan_in, k), out=t)
-        t += q[w_end : w_end + fan_out, None, :]
-        np.matmul(dz, t.transpose(1, 0, 2), out=prod)
-        acc += prod
-    return acc
 
 
 # ------------------------------------------------------------------ losses

@@ -286,8 +286,43 @@ class TestBoundedMemory:
         assert stage_peak("project") <= project_bound
 
 
+class TestFreeSpace:
+    def test_extract_grads_refuses_splits_larger_than_free_space(
+            self, rundir, tmp_path, capsys, monkeypatch):
+        src, cfg = rundir
+        need = sum((src / FILES[key]).stat().st_size for key in ("grads_train", "grads_test"))
+        n, c, p = SMOKE["n_train"] + SMOKE["n_test"], SMOKE["layer_sizes"][-1], \
+            param_count(SMOKE["layer_sizes"])
+        assert need == 2 * 23 + 8 * (c * n * p + n + n * c)  # the header formula
+        work = tmp_path / "run"
+        work.mkdir()
+        for key in ("model", "train", "test"):
+            shutil.copy(src / FILES[key], work / FILES[key])
+
+        def free(nbytes):
+            monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result(
+                (4096, 1, 0, 0, nbytes, 0, 0, 0, 0, 255)))
+
+        free(need - 1)
+        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error_code=IoError"
+        assert f"needs {need} bytes, {need - 1} bytes are free" in err
+        assert sorted(f.name for f in work.iterdir()) == sorted(
+            FILES[key] for key in ("model", "train", "test"))
+
+        free(need)
+        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 0
+        # files it replaces give their space back: a rerun needs no more
+        free(0)
+        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 0
+        capsys.readouterr()
+        for key in ("grads_train", "grads_test"):
+            assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+
+
 class TestSweepCommand:
-    def run_sweep(self, tmp_path, name):
+    def run_sweep(self, tmp_path, name, *flags, sweep_seeds=(5,)):
         out = tmp_path / name
         cfg = write_cfg(
             tmp_path / f"{name}.json",
@@ -297,10 +332,18 @@ class TestSweepCommand:
             sweep_h=[2, 3],
             sweep_tau_v=[0.9],
             sweep_tau_g=[0.5],
-            sweep_seeds=[5],
+            sweep_seeds=list(sweep_seeds),
         )
-        assert main(["sweep", "--config", cfg]) == 0
+        assert main(["sweep", "--config", cfg, *flags]) == 0
         return (out / FILES["sweep"]).read_bytes()
+
+    def test_seed_flag_runs_that_root_seed_alone(self, tmp_path, capsys):
+        flag7 = self.run_sweep(tmp_path, "flag7", "--seed", "7", sweep_seeds=(5, 6))
+        cfg7 = self.run_sweep(tmp_path, "cfg7", sweep_seeds=(7,))
+        flag5 = self.run_sweep(tmp_path, "flag5", "--seed", "5", sweep_seeds=(5, 6))
+        capsys.readouterr()
+        assert flag7 == cfg7
+        assert flag7 != flag5
 
     def test_grid_rows_and_determinism(self, tmp_path, capsys):
         a = self.run_sweep(tmp_path, "a")
@@ -335,6 +378,15 @@ class TestVerifyTheory:
         assert lines[0] == "check,value,threshold,passed"
         assert len(lines) == 6
         assert all(line.endswith(",1") for line in lines[1:])
+
+    def test_negative_seed_passes(self, tmp_path, capsys):
+        out = tmp_path / "theory"
+        rc = main(["verify-theory", "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "all theory checks passed" in captured.out
+        lines = (out / FILES["theory"]).read_text().strip().splitlines()
+        assert len(lines) == 6 and all(line.endswith(",1") for line in lines[1:])
 
 
 class TestErrorPaths:

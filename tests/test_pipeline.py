@@ -173,12 +173,18 @@ class TestPrepareTask:
         with pytest.raises(EmptyInput):
             run(np.empty((0, 4)), np.empty(0, dtype=int))
 
-    def test_fused_sketch_rejects_foreign_operator(self):
+    @pytest.mark.parametrize("path", ["fused", "staged"])
+    def test_fused_sketch_rejects_foreign_operator(self, path):
+        # both paths refuse a sketch of another width through one check
         params = init_params([4, 6, 3], seed=1)
         op = sample_orthonormal(params.param_count + 1, 5, seed=2)
         x = np.random.default_rng(3).normal(size=(5, 4))
-        with pytest.raises(DimMismatch):
-            pipeline.sketched_features(params, x, np.zeros(5, dtype=int), op)
+        labels = np.zeros(5, dtype=int)
+        with pytest.raises(DimMismatch, match=f"width {params.param_count}, sketch expects"):
+            if path == "fused":
+                pipeline.sketched_features(params, x, labels, op)
+            else:
+                project_features(extract_features(params, x, labels), op)
 
     def test_task_keeps_no_sketch_matrix(self, monkeypatch):
         # P = 1803 against 27 samples: the P x 12 sketch would be the task's
