@@ -5,10 +5,14 @@ local eigenmodes as synthetic gradients, and global eigendirections that no
 cluster's local subspace covers (the gap set) are synthesized from the full
 sample set. Every synthetic gradient is a linear combination of real
 gradient rows, applied with the same combination vector to every class
-slice and to the soft targets. Candidates are combination vectors only: a
-rank-revealing QR pass drops those that are linear combinations of earlier
-ones, and the kept vectors L then give the set in one product per array,
-L^T Phi_c for every class and L^T y for the targets.
+slice and to the soft targets. Candidates are combination vectors only, kept
+as three arrays side by side: the lifted columns, one int64 provenance row
+(kind, a, b) each, (LOCAL, cluster, eig index) or (GAP, eig index, 0), and
+one eigenvalue each. A rank-revealing QR pass drops the columns that are
+linear combinations of earlier ones, and the kept vectors L then give the
+set in one product per array, L^T Phi_c for every class and L^T y for the
+targets. DistilledGradients and CoverageReport hold exactly the arrays
+distilled.npz stores.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ import numpy as np
 
 from .errors import BadEps, InputError, RankZeroCluster
 from .cluster import ClusterPartition, restrict_kernel, spectral_cluster
-from .kernel import EIG_FLOOR_REL, average_kernel, build_stack, truncation_rank
+from .kernel import average_kernel, build_stack, kept_rank
 from .numerics import EigenSystem, qr_redundancy_filter, sym_eig
 from .tangent import GradientFeatures
 
-LOCAL = "local"
-GAP = "gap"
+# provenance kinds, the first entry of each provenance row
+LOCAL = 0
+GAP = 1
 
 
 @dataclass(frozen=True)
@@ -32,9 +37,9 @@ class CoverageReport:
     """How well local subspaces explain the leading global eigendirections."""
 
     r_global: int
-    local_ranks: tuple
+    local_ranks: np.ndarray  # (h,) int64 kept rank of each cluster
     coverage: np.ndarray  # (r_global,) best local coverage per direction
-    gap_set: tuple  # global eigen indices below the coverage threshold
+    gap_set: np.ndarray  # (g,) int64 global eigen indices below the coverage threshold
     tau_v: float
     tau_g: float
 
@@ -43,34 +48,20 @@ class CoverageReport:
 class DistilledGradients:
     phi_hat: np.ndarray  # (C, s, D)
     y_hat: np.ndarray  # (s, C)
-    provenance: tuple  # ("local", cluster, eig index) or ("gap", eig index)
+    provenance: np.ndarray  # (s, 3) int64 (LOCAL, cluster, eig index) or (GAP, eig index, 0)
     lifted_basis: np.ndarray  # (m, s) combination vectors over the sample set
-    eigenvalues: np.ndarray  # (s,) eigenvalue behind each candidate
+    eigenvalues: np.ndarray  # (s,) eigenvalue behind each row
 
     @property
     def size(self) -> int:
         return int(self.phi_hat.shape[1])
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    lifted: np.ndarray  # (m,) unit combination vector over the sample set
-    provenance: tuple
-    eigenvalue: float
-
-
-def _floor_rank(values: np.ndarray, rank: int) -> int:
-    """Cap a truncation rank so degenerate near-zero modes never qualify."""
-    floor = EIG_FLOOR_REL * max(values.sum(), 0.0)
-    above = int(np.sum(values > floor))
-    return min(rank, above)
-
-
 def local_eigensystems(
     kbar: np.ndarray, partition: ClusterPartition, tau_v: float
 ) -> list[tuple[EigenSystem, int]]:
     """Per-cluster eigendecomposition of the restricted kernel plus its
-    truncation rank at the shared variance threshold."""
+    kept rank at the shared variance threshold."""
     systems = []
     for h, idx in enumerate(partition.index_sets):
         sub = restrict_kernel(kbar, idx)
@@ -78,8 +69,7 @@ def local_eigensystems(
         if vals_trace <= 0.0:
             raise RankZeroCluster(f"cluster {h} has a zero restricted kernel")
         eig = sym_eig(sub)
-        clamped = np.maximum(eig.values, 0.0)
-        r_h = _floor_rank(clamped, truncation_rank(clamped, 1.0 - tau_v))
+        r_h = kept_rank(eig.values, 1.0 - tau_v)
         if r_h == 0:
             raise RankZeroCluster(f"cluster {h} has no eigenmode above the noise floor")
         systems.append((eig, r_h))
@@ -110,37 +100,47 @@ def coverage_coefficients(
     return coverage
 
 
-def gap_directions(coverage: np.ndarray, tau_g: float) -> tuple:
-    """Global eigen indices whose best local coverage falls below tau_g."""
+def gap_directions(coverage: np.ndarray, tau_g: float) -> np.ndarray:
+    """int64 global eigen indices whose best local coverage falls below tau_g."""
     if not (0.0 <= tau_g <= 1.0):
         raise BadEps(f"tau_g must lie in [0, 1], got {tau_g}")
-    return tuple(int(j) for j in np.flatnonzero(coverage < tau_g))
+    return np.flatnonzero(coverage < tau_g).astype(np.int64)
 
 
 def synthesize_local(
     partition: ClusterPartition,
     local_systems: list[tuple[EigenSystem, int]],
-) -> list[_Candidate]:
-    """One candidate per kept local eigenmode, lifted by zero-padding."""
-    out = []
-    for h, ((eig, r_h), idx) in enumerate(zip(local_systems, partition.index_sets)):
-        for j in range(r_h):
-            u = eig.vectors[:, j]
-            lifted = np.zeros(partition.size)
-            lifted[idx] = u / np.linalg.norm(u)
-            out.append(_Candidate(lifted, (LOCAL, h, j), float(eig.values[j])))
-    return out
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every kept local eigenmode as a unit column, zero outside its cluster.
+
+    Returns the (m, n) lifted columns, their (n, 3) provenance rows
+    (LOCAL, cluster, eig index) and their n eigenvalues.
+    """
+    provenance = np.array([(LOCAL, h, j) for h, (_, r_h) in enumerate(local_systems)
+                           for j in range(r_h)], dtype=np.int64)
+    lifted = np.zeros((partition.size, len(provenance)))
+    for col, (_, h, j) in enumerate(provenance):
+        u = local_systems[h][0].vectors[:, j]
+        lifted[partition.index_sets[h], col] = u / np.linalg.norm(u)
+    values = np.concatenate([eig.values[:r_h] for eig, r_h in local_systems])
+    return lifted, provenance, values
 
 
-def synthesize_gap(global_eig: EigenSystem, gap_set) -> list[_Candidate]:
-    """One candidate per uncovered global direction, built on all samples."""
-    out = []
-    for j in gap_set:
+def synthesize_gap(
+    global_eig: EigenSystem, gap_set: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every uncovered global direction as a unit column over all samples.
+
+    Returns the (m, g) lifted columns, their (g, 3) provenance rows
+    (GAP, eig index, 0) and their g eigenvalues.
+    """
+    provenance = np.zeros((len(gap_set), 3), dtype=np.int64)
+    provenance[:, 0], provenance[:, 1] = GAP, gap_set
+    lifted = np.empty((global_eig.vectors.shape[0], len(gap_set)))
+    for col, j in enumerate(provenance[:, 1]):
         v = global_eig.vectors[:, j]
-        out.append(
-            _Candidate(v / np.linalg.norm(v), (GAP, int(j)), float(global_eig.values[j]))
-        )
-    return out
+        lifted[:, col] = v / np.linalg.norm(v)
+    return lifted, provenance, global_eig.values[provenance[:, 1]]
 
 
 def distill(
@@ -159,9 +159,10 @@ def distill(
     global eigendirections whose best local coverage is below tau_g, and
     synthesize gradients for both. Redundant candidates are removed by a
     rank-revealing QR on the lifted combination vectors. When max_size is
-    given, surviving candidates are trimmed to the largest eigenvalues. Only
-    the kept vectors are applied to the gradient rows and to the model
-    logits, the regression targets of every kernel fit.
+    given, surviving candidates are trimmed to the largest eigenvalues,
+    ties to the lowest index. Only the kept vectors are applied to the
+    gradient rows and to the model logits, the regression targets of every
+    kernel fit.
     """
     if not (0.0 < tau_v <= 1.0):
         raise BadEps(f"tau_v must lie in (0, 1], got {tau_v}")
@@ -174,27 +175,28 @@ def distill(
     partition = spectral_cluster(kbar, h, seed)
 
     global_eig = sym_eig(kbar)
-    gvals = np.maximum(global_eig.values, 0.0)
-    r_global = _floor_rank(gvals, truncation_rank(gvals, 1.0 - tau_v))
+    r_global = kept_rank(global_eig.values, 1.0 - tau_v)
 
     local_systems = local_eigensystems(kbar, partition, tau_v)
     coverage = coverage_coefficients(global_eig, r_global, partition, local_systems)
     gaps = gap_directions(coverage, tau_g)
 
-    candidates = synthesize_local(partition, local_systems)
-    candidates += synthesize_gap(global_eig, gaps)
+    local_cols, local_prov, local_vals = synthesize_local(partition, local_systems)
+    gap_cols, gap_prov, gap_vals = synthesize_gap(global_eig, gaps)
+    lifted = np.hstack((local_cols, gap_cols))
+    provenance = np.vstack((local_prov, gap_prov))
+    values = np.concatenate((local_vals, gap_vals))
 
-    lifted = np.stack([c.lifted for c in candidates], axis=1)
     kept = qr_redundancy_filter(lifted, eps_qr)
     if kept.size == 0:
         raise RankZeroCluster("every candidate was filtered as redundant")
     if max_size is not None and kept.size > max_size:
-        by_energy = sorted(kept, key=lambda i: (-candidates[i].eigenvalue, i))
-        kept = np.sort(np.array(by_energy[:max_size], dtype=np.intp))
+        by_energy = np.lexsort((kept, -values[kept]))
+        kept = np.sort(kept[by_energy[:max_size]])
 
     report = CoverageReport(
         r_global=r_global,
-        local_ranks=tuple(r for _, r in local_systems),
+        local_ranks=np.array([r for _, r in local_systems], dtype=np.int64),
         coverage=coverage,
         gap_set=gaps,
         tau_v=float(tau_v),
@@ -204,9 +206,9 @@ def distill(
     dg = DistilledGradients(
         phi_hat=basis.T @ feats.per_class,
         y_hat=basis.T @ feats.model_logits,
-        provenance=tuple(candidates[i].provenance for i in kept),
+        provenance=provenance[kept],
         lifted_basis=basis,
-        eigenvalues=np.array([candidates[i].eigenvalue for i in kept]),
+        eigenvalues=values[kept],
     )
     return dg, report
 

@@ -101,6 +101,10 @@ class PreconditionFailed(InputError):
     pass
 
 
+class InsufficientMemory(InputError):
+    """An allocation the machine has no room for, refused before it is tried."""
+
+
 # config / file formats
 
 class UnknownField(InputError):

@@ -17,7 +17,11 @@ selections) rides in npz archives, which numpy writes deterministically.
 Each archive is declared once as a schema (DATASET, MODEL, DISTILLED, KRR,
 SELECTION) of keys, dtype kinds and symbolic shapes. One writer stores
 exactly the schema's keys in schema order, and one loader reads them back
-without unpickling and checks every key, extent and float against it.
+without unpickling and checks every key, extent and float against it. A
+distilled set's two dataclasses hold the DISTILLED arrays as they are: the
+writer stores their fields, the reader builds them back with only its
+scalars cast, and provenance is (s, 3) int64 rows (kind, a, b) in memory as
+on disk.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import METHODS as BASELINE_METHODS, SelectionResult
-from .distill import CoverageReport, DistilledGradients
+from .distill import GAP, LOCAL, CoverageReport, DistilledGradients
 from .errors import (
     InputError,
     IndexOutOfRange,
@@ -44,6 +48,7 @@ from .errors import (
     UnknownField,
     VersionMismatch,
 )
+from .kernel import SCALE_KINDS
 from .krr import KrrModel
 from .sketch import SketchRecord
 from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures,
@@ -335,7 +340,7 @@ class RunConfig:
         _check_real("tau_g", self.tau_g, low=0.0, high=1.0)
         _check_real("eps_qr", self.eps_qr, low=0.0, high=1.0, low_open=True, high_open=True)
         _check_real("lambda_reg", self.lambda_reg, low=0.0)
-        _check_choice("scale_kind", self.scale_kind, ("none", "inv_k"))
+        _check_choice("scale_kind", self.scale_kind, SCALE_KINDS)
         _check_list("methods", self.methods, _check_choice, choices=_METHODS)
         _check_list("sweep_h", self.sweep_h, _check_int, low=1)
         _check_list("sweep_tau_v", self.sweep_tau_v, _check_real,
@@ -520,48 +525,17 @@ def write_sketch_meta(record: SketchRecord, path) -> None:
         fh.write("\n")
 
 
-_PROV_KIND = {"local": 0, "gap": 1}
-
-
 def write_distilled(dg: DistilledGradients, report: CoverageReport, path) -> None:
-    prov = np.array(
-        [
-            (_PROV_KIND[p[0]],) + tuple(p[1:]) + (0,) * (3 - len(p))
-            for p in dg.provenance
-        ],
-        dtype=np.int64,
-    ).reshape(len(dg.provenance), 3)
-    _write_npz(path, DISTILLED, {
-        **vars(dg),
-        **vars(report),
-        "provenance": prov,
-        # int64 even when empty: np.array(()) is float
-        "local_ranks": np.array(report.local_ranks, dtype=np.int64),
-        "gap_set": np.array(report.gap_set, dtype=np.int64),
-    })
+    _write_npz(path, DISTILLED, {**vars(dg), **vars(report)})
 
 
 def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
     z = _read_npz(path, DISTILLED)
-    _require(np.isin(z["provenance"][:, 0], (0, 1)).all(), path,
-             f"provenance kinds must be {_PROV_KIND}")
-    dg = DistilledGradients(
-        phi_hat=z["phi_hat"],
-        y_hat=z["y_hat"],
-        provenance=tuple(("local", int(a), int(b)) if k == 0 else ("gap", int(a))
-                         for k, a, b in z["provenance"]),
-        lifted_basis=z["lifted_basis"],
-        eigenvalues=z["eigenvalues"],
-    )
-    report = CoverageReport(
-        r_global=int(z["r_global"]),
-        local_ranks=tuple(int(r) for r in z["local_ranks"]),
-        coverage=z["coverage"],
-        gap_set=tuple(int(j) for j in z["gap_set"]),
-        tau_v=float(z["tau_v"]),
-        tau_g=float(z["tau_g"]),
-    )
-    return dg, report
+    _require(np.isin(z["provenance"][:, 0], (LOCAL, GAP)).all(), path,
+             f"provenance kinds must be {LOCAL} (local) or {GAP} (gap)")
+    z.update(r_global=int(z["r_global"]), tau_v=float(z["tau_v"]), tau_g=float(z["tau_g"]))
+    return tuple(cls(**{f.name: z[f.name] for f in dataclasses.fields(cls)})
+                 for cls in (DistilledGradients, CoverageReport))
 
 
 def write_krr(model: KrrModel, path) -> None:

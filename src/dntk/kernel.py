@@ -3,7 +3,8 @@
 A class kernel is the Gram matrix of one class's gradient rows, optionally
 scaled by 1/width so eigenvalues stay comparable across sketch sizes.
 scaled_gram, the one routine that forms it, serves build_stack (clustering,
-distillation) and krr.fit alike. The spectral summaries back the
+distillation) and krr.fit alike. kept_rank is the one rule for how many
+eigenmodes a truncation keeps. The spectral summaries back the
 kernel-stats stage and the report's conditioning columns.
 """
 
@@ -87,8 +88,20 @@ def truncation_rank(eigvals, eps: float) -> int:
     return int(np.searchsorted(cum, 1.0 - eps, side="left")) + 1
 
 
+def kept_rank(eigvals, eps: float) -> int:
+    """The rank distill and kernel-stats keep: truncation_rank at eps, capped
+    at the count of eigenvalues above the noise floor EIG_FLOOR_REL * trace,
+    so degenerate near-zero modes never qualify.
+
+    Negative eigenvalues are clamped to zero first, for the trace as well.
+    """
+    vals = np.maximum(np.asarray(eigvals, dtype=np.float64), 0.0)
+    above = int(np.sum(vals > EIG_FLOOR_REL * vals.sum()))
+    return min(truncation_rank(vals, eps), above)
+
+
 def spectral_summary(kernel_matrix, eps: float) -> SpectralSummary:
-    """Spectrum, trace, conditioning and the rank holding a 1 - eps trace fraction.
+    """Spectrum, trace, conditioning and the kept rank (kept_rank) at eps.
 
     Every field comes from the eigenvalues, so no eigenvectors are computed.
     """
@@ -96,7 +109,7 @@ def spectral_summary(kernel_matrix, eps: float) -> SpectralSummary:
     condition, min_eig = spectrum_conditioning(values)
     return SpectralSummary(
         values=values,
-        trunc_rank=truncation_rank(values, eps),
+        trunc_rank=kept_rank(values, eps),
         trace=float(values.sum()),
         condition=condition,
         min_eig=min_eig,

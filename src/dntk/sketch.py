@@ -11,7 +11,8 @@ The result spans the same columns as the draw and is the Q of its QR
 factorization with a positive diagonal R, so it differs from LAPACK's Q
 only by column signs and roundoff. The target dimension for a tolerance
 eps follows the usual log-cardinality rule: the smallest integer strictly
-greater than 8 ln(n) / eps^2.
+greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
+is refused with InsufficientMemory before it is made.
 
 Both paths apply it here behind one width check: project_features to raw
 rows (staged CLI), _fused_sketch inside the backward pass (in-process).
@@ -21,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BadEps, DimMismatch, EmptyInput, KTooLarge
+from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
 from .tangent import RAW_PARAMS, SKETCHED, GradientFeatures, MlpParams, _logit_backprop
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
@@ -86,18 +88,48 @@ def sample_orthonormal(source_dim: int, target_dim: int, seed: int) -> SketchOpe
     ||X||_F^2 of Fukaya et al. (u the unit roundoff), brings the draw close
     to orthonormal whatever its conditioning, square draws included; one
     plain pass then makes the columns orthonormal to working accuracy.
+    A draw whose 8 P k bytes exceed available_memory() is refused with
+    InsufficientMemory before it is made.
     """
     p, k = source_dim, target_dim
     if p < 1 or k < 1:
         raise EmptyInput(f"dimensions must be positive, got P={p}, k={k}")
     if k > p:
         raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p}")
+    need, left = 8 * p * k, available_memory()
+    if left is not None and need > left:
+        raise InsufficientMemory(
+            f"a {p} x {k} sketch needs {need} bytes, {left} bytes of memory are available")
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(p, k))
     unit_roundoff = np.finfo(np.float64).eps / 2.0
     _cholesky_qr_pass(q, shift_rel=11.0 * (p * k + k * (k + 1)) * unit_roundoff)
     _cholesky_qr_pass(q, shift_rel=0.0)
     return SketchOperator(p, k, seed, q)
+
+
+def available_memory() -> int | None:
+    """Bytes of memory left to this process, None when that cannot be read.
+
+    MemAvailable from /proc/meminfo, capped by memory.max - memory.current
+    of the process's cgroup v2 group where those files can be read.
+    """
+    left = []
+    try:
+        meminfo = Path("/proc/meminfo").read_text().splitlines()
+        left += [int(ln.split()[1]) * 1024 for ln in meminfo if ln.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        cgroup = Path("/proc/self/cgroup").read_text().splitlines()
+        own = next(ln[3:] for ln in cgroup if ln.startswith("0::"))  # the v2 entry
+        group = Path("/sys/fs/cgroup", own.lstrip("/"))
+        limit = (group / "memory.max").read_text().strip()
+        if limit != "max":
+            left.append(int(limit) - int((group / "memory.current").read_text()))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(left) if left else None
 
 
 def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:

@@ -321,6 +321,33 @@ class TestFreeSpace:
             assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
 
 
+class TestFreeMemory:
+    def test_project_refuses_a_sketch_larger_than_free_memory(
+            self, rundir, tmp_path, capsys, monkeypatch):
+        src, cfg = rundir
+        k = SketchRecord(**json.loads((src / FILES["sketch_meta"]).read_text())).target_dim
+        need = 8 * param_count(SMOKE["layer_sizes"]) * k
+        work = tmp_path / "run"
+        work.mkdir()
+        kept = ("model", "train", "test", "grads_train", "grads_test")
+        for key in kept:
+            shutil.copy(src / FILES[key], work / FILES[key])
+
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need - 1)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error_code=InsufficientMemory"
+        assert err.count("error_code=") == 1
+        assert f"needs {need} bytes, {need - 1} bytes of memory are available" in err
+        assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
+
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 0
+        capsys.readouterr()
+        for key in ("sketch_meta", "sketched_train", "sketched_test"):
+            assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+
+
 class TestSweepCommand:
     def run_sweep(self, tmp_path, name, *flags, sweep_seeds=(5,)):
         out = tmp_path / name

@@ -4,6 +4,8 @@ from helpers import clustered_rows, feats_from_blocks, orthonormal_rows_basis
 
 from dntk.cluster import spectral_cluster
 from dntk.distill import (
+    GAP,
+    LOCAL,
     compression_ratio,
     coverage_coefficients,
     distill,
@@ -41,11 +43,13 @@ class TestNormIdentity:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=1.0)
-        cands = synthesize_local(part, systems)
-        for c in cands:
-            kind, h, j = c.provenance
+        lifted, prov, values = synthesize_local(part, systems)
+        assert prov.dtype == np.int64 and prov.shape == (lifted.shape[1], 3)
+        for col, (kind, h, j) in enumerate(prov):
+            assert kind == LOCAL
             lam = systems[h][0].values[j]
-            amp = np.linalg.norm(c.lifted @ feats.per_class[0]) ** 2
+            assert values[col] == lam
+            amp = np.linalg.norm(lifted[:, col] @ feats.per_class[0]) ** 2
             assert amp == pytest.approx(12.0 * lam, rel=1e-8)
 
 
@@ -119,14 +123,19 @@ class TestCoverage:
 class TestGapDirections:
     def test_frozen_example(self):
         cov = np.array([0.9, 0.4, 0.95])
-        assert gap_directions(cov, 0.5) == (1,)
+        gaps = gap_directions(cov, 0.5)
+        assert gaps.dtype == np.int64
+        np.testing.assert_array_equal(gaps, [1])
 
     def test_zero_threshold_empty(self):
-        assert gap_directions(np.array([0.2, 0.0]), 0.0) == ()
+        gaps = gap_directions(np.array([0.2, 0.0]), 0.0)
+        assert gaps.dtype == np.int64 and gaps.shape == (0,)
 
     def test_top_threshold_catches_all_imperfect(self):
         cov = np.array([0.99, 0.3, 0.7])
-        assert gap_directions(cov, 1.0) == (0, 1, 2)
+        gaps = gap_directions(cov, 1.0)
+        assert gaps.dtype == np.int64
+        np.testing.assert_array_equal(gaps, [0, 1, 2])
 
     def test_range_checked(self):
         with pytest.raises(BadEps):
@@ -139,14 +148,14 @@ class TestSynthesizeLocal:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=1.0)
-        cands = synthesize_local(part, systems)
-        singles = [c for c in cands if c.lifted.astype(bool).sum() == 1]
-        assert singles
-        cand = singles[0]
-        i = int(np.flatnonzero(cand.lifted)[0])
-        np.testing.assert_allclose(np.abs(cand.lifted @ feats.per_class[0]),
+        lifted, _, _ = synthesize_local(part, systems)
+        singles = np.flatnonzero(lifted.astype(bool).sum(axis=0) == 1)
+        assert singles.size
+        col = lifted[:, singles[0]]
+        i = int(np.flatnonzero(col)[0])
+        np.testing.assert_allclose(np.abs(col @ feats.per_class[0]),
                                    np.abs(feats.per_class[0, i]), atol=1e-12)
-        np.testing.assert_allclose(np.abs(cand.lifted @ feats.labels), feats.labels[i],
+        np.testing.assert_allclose(np.abs(col @ feats.labels), feats.labels[i],
                                    atol=1e-12)
 
     def test_two_point_equal_weight_combination(self):
@@ -155,10 +164,12 @@ class TestSynthesizeLocal:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(np.ones((2, 2)), 1, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=0.9)
-        cands = synthesize_local(part, systems)
-        assert len(cands) == 1
+        lifted, prov, values = synthesize_local(part, systems)
+        assert lifted.shape == (2, 1) and values.shape == (1,)
+        assert prov.dtype == np.int64
+        np.testing.assert_array_equal(prov, [[LOCAL, 0, 0]])
         expected = (phi[0, 0] + phi[0, 1]) / np.sqrt(2.0)
-        np.testing.assert_allclose(np.abs(cands[0].lifted @ feats.per_class[0]), expected,
+        np.testing.assert_allclose(np.abs(lifted[:, 0] @ feats.per_class[0]), expected,
                                    atol=1e-12)
 
     def test_lifted_zero_outside_cluster(self):
@@ -166,17 +177,19 @@ class TestSynthesizeLocal:
         kbar = average_kernel(build_stack(feats, "inv_k"))
         part = spectral_cluster(kbar, 2, seed=0)
         systems = local_eigensystems(kbar, part, tau_v=0.99)
-        for c in synthesize_local(part, systems):
-            _, h, _ = c.provenance
+        lifted, prov, _ = synthesize_local(part, systems)
+        for col, (_, h, _) in enumerate(prov):
             outside = np.setdiff1d(np.arange(9), part.index_sets[h])
-            np.testing.assert_array_equal(c.lifted[outside], 0.0)
+            np.testing.assert_array_equal(lifted[outside, col], 0.0)
 
 
 class TestSynthesizeGap:
     def test_empty_gap_empty_list(self):
         feats = clustered_feats([4], dim=5, seed=9)
         geig = sym_eig(average_kernel(build_stack(feats, "inv_k")))
-        assert synthesize_gap(geig, ()) == []
+        lifted, prov, values = synthesize_gap(geig, np.zeros(0, dtype=np.int64))
+        assert lifted.shape == (4, 0) and values.shape == (0,)
+        assert prov.dtype == np.int64 and prov.shape == (0, 3)
 
     def test_rank_one_kernel_regenerates_principal_direction(self):
         rng = np.random.default_rng(10)
@@ -186,9 +199,12 @@ class TestSynthesizeGap:
         feats = feats_from_blocks(phi[None])
         kbar = average_kernel(build_stack(feats, "inv_k"))
         geig = sym_eig(kbar)
-        cands = synthesize_gap(geig, (0,))
-        assert len(cands) == 1
-        phi_hat = cands[0].lifted @ feats.per_class[0]
+        lifted, prov, values = synthesize_gap(geig, np.array([0]))
+        assert lifted.shape == (5, 1)
+        assert prov.dtype == np.int64
+        np.testing.assert_array_equal(prov, [[GAP, 0, 0]])
+        assert values[0] == geig.values[0]
+        phi_hat = lifted[:, 0] @ feats.per_class[0]
         # (1/D) Phi phi_hat must reproduce lam * v
         lhs = phi @ phi_hat / 6.0
         rhs = geig.values[0] * geig.vectors[:, 0]
@@ -199,14 +215,16 @@ class TestDistill:
     def test_single_cluster_no_gaps(self):
         feats = clustered_feats([10], dim=11, seed=11)
         dg, report = distill(feats, h=1, tau_v=0.95, tau_g=0.0, seed=0)
-        assert report.gap_set == ()
+        assert report.gap_set.dtype == np.int64 and report.gap_set.shape == (0,)
+        assert report.local_ranks.dtype == np.int64
         assert dg.size == report.local_ranks[0]
-        assert all(p[0] == "local" for p in dg.provenance)
+        assert dg.provenance.dtype == np.int64 and dg.provenance.shape == (dg.size, 3)
+        np.testing.assert_array_equal(dg.provenance[:, 0], LOCAL)
 
     def test_matched_blocks_no_gaps(self):
         feats = clustered_feats([6, 6, 6], dim=18, seed=12, noise=0.02)
         dg, report = distill(feats, h=3, tau_v=0.95, tau_g=0.5, seed=0)
-        assert report.gap_set == ()
+        assert report.gap_set.dtype == np.int64 and report.gap_set.shape == (0,)
 
     def test_budget_bound(self):
         feats = clustered_feats([7, 5, 8], dim=20, seed=13, classes=3)
@@ -232,7 +250,8 @@ class TestDistill:
         b, _ = distill(feats, h=3, tau_v=0.95, tau_g=0.5, seed=3)
         np.testing.assert_array_equal(a.phi_hat, b.phi_hat)
         np.testing.assert_array_equal(a.y_hat, b.y_hat)
-        assert a.provenance == b.provenance
+        assert a.provenance.dtype == b.provenance.dtype == np.int64
+        np.testing.assert_array_equal(a.provenance, b.provenance)
 
     def test_max_size_keeps_largest_eigenvalues(self):
         feats = clustered_feats([6, 6, 6], dim=18, seed=17)

@@ -20,6 +20,7 @@ from dntk.errors import (
     UnknownField,
     VersionMismatch,
 )
+from dntk.kernel import SCALE_KINDS, scale_factor
 from dntk.krr import fit
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
 from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures, extract_features,
@@ -462,6 +463,15 @@ class TestRunConfig:
         path.write_text(json.dumps(dataclasses.asdict(cfg)))
         assert dio.read_config(path) == cfg
 
+    def test_scale_kind_takes_what_the_kernel_takes(self):
+        # validate and kernel.scale_factor check the one list, SCALE_KINDS
+        for kind in SCALE_KINDS:
+            assert dio.config_from_dict({"scale_kind": kind}).scale_kind == kind
+            scale_factor(kind, 4)
+        with pytest.raises(InputError) as exc:
+            dio.config_from_dict({"scale_kind": "inv_sqrt_k"})
+        assert str(list(SCALE_KINDS)) in str(exc.value)
+
     def test_budgets_is_unknown_field(self):
         with pytest.raises(UnknownField):
             dio.config_from_dict({"budgets": [5, 10]})
@@ -503,17 +513,41 @@ class TestNpzRoundtrips:
         rng = np.random.default_rng(2)
         feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))
         dg, report = distill(feats, h=2, tau_v=0.9, tau_g=0.99, seed=0)
-        assert report.gap_set  # the empty case is built from this one below
-        for rep in (report, dataclasses.replace(report, gap_set=())):
+        assert report.gap_set.size  # the empty case is built from this one below
+        no_gaps = dataclasses.replace(report, gap_set=np.zeros(0, dtype=np.int64))
+        for rep in (report, no_gaps):
             path = tmp_path / "dg.npz"
             dio.write_distilled(dg, rep, path)
             dg2, report2 = dio.read_distilled(path)
             np.testing.assert_array_equal(dg2.phi_hat, dg.phi_hat)
             np.testing.assert_array_equal(dg2.y_hat, dg.y_hat)
-            assert dg2.provenance == dg.provenance
-            assert report2.gap_set == rep.gap_set
-            assert report2.local_ranks == rep.local_ranks
+            np.testing.assert_array_equal(dg2.provenance, dg.provenance)
+            np.testing.assert_array_equal(report2.gap_set, rep.gap_set)
+            np.testing.assert_array_equal(report2.local_ranks, rep.local_ranks)
+            for a in (dg2.provenance, report2.gap_set, report2.local_ranks):
+                assert a.dtype == np.int64
             assert report2.tau_v == rep.tau_v
+
+    @pytest.mark.parametrize("tau_g", [0.0, 0.99])
+    def test_distilled_roundtrip_is_exact(self, tmp_path, tau_g):
+        # what read_distilled returns is what distill returned, values and
+        # dtypes alike, and writing it again reproduces the file's bytes;
+        # tau_g = 0 leaves no gap directions, 0.99 some
+        rng = np.random.default_rng(2)
+        feats = feats_from_blocks(rng.normal(size=(2, 8, 6)))
+        made = distill(feats, h=2, tau_v=0.9, tau_g=tau_g, seed=0)
+        assert (made[1].gap_set.size > 0) == (tau_g > 0)
+        dio.write_distilled(*made, tmp_path / "a.npz")
+        back = dio.read_distilled(tmp_path / "a.npz")
+        for want, got in zip(made, back):
+            assert vars(got).keys() == vars(want).keys()
+            for name, value in vars(want).items():
+                read = getattr(got, name)
+                assert type(read) is type(value), name
+                assert np.asarray(read).dtype == np.asarray(value).dtype, name
+                np.testing.assert_array_equal(read, value)
+        dio.write_distilled(*back, tmp_path / "b.npz")
+        assert (tmp_path / "b.npz").read_bytes() == (tmp_path / "a.npz").read_bytes()
 
     def test_integer_valued_reals_stay_float(self, tmp_path):
         # the config takes tau_v = 1, tau_g = 0 and lambda_reg = 0 as JSON

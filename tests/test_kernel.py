@@ -6,12 +6,15 @@ from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dntk.cluster import spectral_cluster
+from dntk.distill import local_eigensystems
 from dntk.errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
 from dntk.kernel import (
     average_kernel,
     build_stack,
     conditioning,
     effective_dimension,
+    kept_rank,
     scale_factor,
     scaled_gram,
     spectral_summary,
@@ -176,6 +179,31 @@ class TestTruncationRank:
         assert vals[:r].sum() >= (1 - eps) * vals.sum() - 1e-12
         if r > 1:
             assert vals[: r - 1].sum() < (1 - eps) * vals.sum() + 1e-12
+
+
+class TestKeptRank:
+    def test_noise_floor_binds_for_distill_and_kernel_stats_alike(self):
+        # one unit eigenvalue and ten at 1e-14, below the 1e-12 * trace
+        # floor: at tau_v = 1 the trace fraction alone asks for all 11 modes
+        vals = np.array([1.0] + [1e-14] * 10)
+        tau_v = 1.0
+        assert truncation_rank(vals, 1.0 - tau_v) == 11
+        assert kept_rank(vals, 1.0 - tau_v) == 1
+        assert spectral_summary(np.diag(vals), 1.0 - tau_v).trunc_rank == 1
+        part = spectral_cluster(np.ones((11, 11)), 1, seed=0)
+        [(_, r_h)] = local_eigensystems(np.diag(vals), part, tau_v)
+        assert r_h == 1
+
+    def test_equals_truncation_rank_above_the_floor(self):
+        vals = np.array([0.5, 0.3, 0.15, 0.05])
+        for eps in (0.0, 0.05, 0.3):
+            assert kept_rank(vals, eps) == truncation_rank(vals, eps)
+
+    def test_clamps_negative_roundoff(self):
+        # the floor is taken of the clamped trace; a negative mode never counts
+        assert kept_rank(np.array([2.0, 1.0, -1e-3]), 0.0) == 2
+        with pytest.raises(ZeroTrace):
+            kept_rank(np.array([0.0, -1.0]), 0.05)
 
 
 class TestSpectralSummary:

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dntk
-from dntk.errors import BadEps, DimMismatch, EmptyInput, KTooLarge
-from dntk.sketch import jl_dimension, project_features, sample_orthonormal
+from dntk import sketch
+from dntk.errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
+from dntk.sketch import available_memory, jl_dimension, project_features, sample_orthonormal
 from dntk.tangent import RAW_PARAMS, SKETCHED, extract_features, gen_gaussian_mixture, init_params
 
 
@@ -196,3 +197,43 @@ class TestProjectFeatures:
             k_sk = sk.per_class[c] @ sk.per_class[c].T
             np.testing.assert_allclose(k_sk, k_raw, rtol=1e-9, atol=1e-10)
         assert feats.dim_kind == RAW_PARAMS
+
+
+class TestMemoryRefusal:
+    def test_refuses_a_draw_larger_than_free_memory(self, monkeypatch):
+        need = 8 * 40 * 8
+        ref = sample_orthonormal(40, 8, seed=3)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory,
+                           match=f"needs {need} bytes, {need - 1} bytes of memory"):
+            sample_orthonormal(40, 8, seed=3)
+        # an exact fit is drawn, and so is any draw when no probe can be read
+        for left in (need, None):
+            monkeypatch.setattr(sketch, "available_memory", lambda: left)
+            np.testing.assert_array_equal(sample_orthonormal(40, 8, seed=3).q, ref.q)
+
+    def test_probe_takes_the_tighter_of_meminfo_and_cgroup(self, monkeypatch):
+        files = {
+            "/proc/meminfo": "MemTotal:  100 kB\nMemAvailable:  50 kB\n",
+            "/proc/self/cgroup": "0::/job\n",
+            "/sys/fs/cgroup/job/memory.max": "40000\n",
+            "/sys/fs/cgroup/job/memory.current": "1000\n",
+        }
+
+        def read_text(path, *args, **kwargs):
+            if str(path) not in files:
+                raise FileNotFoundError(str(path))
+            return files[str(path)]
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        assert available_memory() == 39000
+        files["/sys/fs/cgroup/job/memory.max"] = "max\n"
+        assert available_memory() == 50 * 1024
+        del files["/proc/meminfo"]
+        assert available_memory() is None
+        files["/sys/fs/cgroup/job/memory.max"] = "40000\n"
+        assert available_memory() == 39000
+
+    def test_probe_reads_this_machine(self):
+        left = available_memory()
+        assert left is None or isinstance(left, int)
