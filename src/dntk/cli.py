@@ -124,8 +124,9 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     model = read_model(_p(out, "model"))
     splits = {_p(out, key): read_dataset(_p(out, split))
               for split, key in (("train", "grads_train"), ("test", "grads_test"))}
-    p, c = model.param_count, model.class_count
-    _require_space(out, {path: gradient_file_bytes(data.size, p, c) for path, data in splits.items()})
+    p, c, sizes = model.param_count, model.class_count, model.layer_sizes
+    _require_space(out, {path: gradient_file_bytes(data.size, p, c, sizes)
+                         for path, data in splits.items()})
     for path, data in splits.items():
         feats = extract_features(model, data.inputs, data.labels)
         write_gradients(feats, path)

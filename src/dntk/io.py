@@ -1,15 +1,19 @@
 """Serialization: gradient feature files, CSV reports, JSON run configs.
 
 Gradient features travel in a little fixed binary format so staged CLI runs
-can resume from any point. Version 2 of it, all little-endian, is a 23-byte
-header (magic DNTK1\0, u32 version 2, u32 extents m, D and C, and a kind
-byte: 0 for raw parameter-space rows, 1 for sketched ones) followed by C
-blocks of m x D float64 rows, the m int64 class ids and the m x C float64
-model logits. The reader returns the recorded kind and refuses ids outside
-[0, C); it reads raw rows one class block at a time, when they are asked
-for, and sketched rows at once. A version-1 file cannot say its kind and
-is refused with VersionMismatch; `dntk extract-grads` and `dntk project`
-write it anew.
+can resume from any point. Version 3 of it, all little-endian, opens with a
+23-byte header: magic DNTK1\0, u32 version 3, u32 extents m, D and C, and a
+kind byte, 0 for raw parameter-space rows and 1 for sketched ones. A raw
+file then records its network: a u32 count L and L u32 layer widths, whose
+parameter count must equal D and whose last width must equal C. Its
+payload is the backward pass's factors, per layer in network order the
+(m, C, fan_out) float64 logit gradients dz and the (m, fan_in) float64
+layer inputs a, from which every (m, D) class block of rows follows; a
+sketched file's payload is C blocks of m x D float64 rows. Both end with
+the m int64 class ids and the m x C float64 model logits. The reader
+returns the recorded kind, raw rows as a ClassRows of the factors, and
+refuses ids outside [0, C). A file of an earlier version is refused with
+VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
 Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
@@ -52,10 +56,10 @@ from .kernel import SCALE_KINDS
 from .krr import KrrModel
 from .sketch import SketchRecord
 from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures,
-                      LabeledDataset, MlpParams, param_count)
+                      LabeledDataset, MlpParams, _raw_factors, param_count)
 
 MAGIC = b"DNTK1\0"
-VERSION = 2
+VERSION = 3
 # the header's kind byte is the index of the features' dim_kind here
 _KINDS = (RAW_PARAMS, SKETCHED)
 # magic + version + m + D + C + kind byte
@@ -80,23 +84,41 @@ REPORT_COLUMNS = (
 
 # ------------------------------------------------------- gradient features
 
-def gradient_file_bytes(m: int, d: int, c: int) -> int:
-    """Size of a gradient file of m samples, C = c classes and width d."""
-    return _HEADER.size + 8 * (c * m * d + m + m * c)
+def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
+    """Size of a gradient file of m samples, C = c classes and width d.
+
+    Without layer_sizes the file holds sketched rows; with them it holds
+    the backward-pass factors of a network of those widths (d its
+    parameter count).
+    """
+    if layer_sizes is None:
+        return _HEADER.size + 8 * (c * m * d + m + m * c)
+    sizes = tuple(layer_sizes)
+    factors = m * sum(c * fan_out + fan_in for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    return _HEADER.size + 4 * (1 + len(sizes)) + 8 * (factors + m + m * c)
 
 
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
-    Rows are written one class at a time, so raw rows that come as a
-    ClassRows are never held whole.
+    Raw rows are written as their factors, so they must come as a
+    ClassRows (DimMismatch otherwise); sketched rows are written one class
+    block at a time.
     """
     m, d, c = feats.size, feats.width, feats.class_count
+    rows = _raw_factors(feats) if feats.dim_kind == RAW_PARAMS else None
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, _KINDS.index(feats.dim_kind)))
-            for ci in range(c):
-                fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").data)
+            if rows is not None:
+                sizes = rows.layer_sizes
+                fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
+                for dz, a in zip(rows.dz, rows.a):
+                    fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
+                    fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+            else:
+                for ci in range(c):
+                    fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").data)
             fh.write(np.ascontiguousarray(feats.labels, dtype="<i8").data)
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
@@ -106,14 +128,12 @@ def write_gradients(feats: GradientFeatures, path) -> None:
 def read_gradients(path) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
-    The features come back with the kind the header records. The header
-    and file size are checked first; class ids outside [0, C) are refused
-    after the payload is read. Sketched rows are read straight into the
-    returned array, so reading holds one copy of them. Raw rows stay in the
-    file: per_class is a ClassRows whose [c] opens the file again, checks
-    its size and reads class c's (m, D) block, so they come one class at a
-    time. A file that changed size since raises TruncatedFile there, one
-    that cannot be opened any more IoError.
+    The features come back with the kind the header records. The header,
+    a raw file's layer widths and the file size are checked first; class
+    ids outside [0, C) are refused after the payload is read. Every array
+    is read straight into the returned one, so reading holds one copy:
+    sketched rows as a (C, m, D) array, raw rows as their factors in a
+    ClassRows.
     """
     try:
         with open(path, "rb") as fh:
@@ -132,14 +152,17 @@ def read_gradients(path) -> GradientFeatures:
                 raise ParseError(f"{path}: unknown kind byte {kind}")
             if min(m, d, c) < 1:
                 raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
-            expected = gradient_file_bytes(m, d, c)
+            sizes = _read_layer_sizes(fh, size, d, c, path) if _KINDS[kind] == RAW_PARAMS else None
+            expected = gradient_file_bytes(m, d, c, sizes)
             if size != expected:
                 raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
-            if _KINDS[kind] == RAW_PARAMS:
-                per_class = ClassRows((c, m, d), _class_reader(path, expected, m, d))
-                fh.seek(8 * c * m * d, os.SEEK_CUR)
-            else:
+            if sizes is None:
                 per_class = _read_array(fh, (c, m, d), "<f8", path)
+            else:
+                factors = [(_read_array(fh, (m, c, fan_out), "<f8", path),
+                            _read_array(fh, (m, fan_in), "<f8", path))
+                           for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+                per_class = ClassRows(sizes, *zip(*factors))
             labels = _read_array(fh, (m,), "<i8", path)
             logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
@@ -148,22 +171,20 @@ def read_gradients(path) -> GradientFeatures:
     return GradientFeatures(per_class, labels, dim_kind=_KINDS[kind], model_logits=logits)
 
 
-def _class_reader(path, size: int, m: int, d: int):
-    """block(c) of a raw gradient file of this size: class c's (m, d) rows."""
-
-    def block(c: int) -> np.ndarray:
-        try:
-            with open(path, "rb") as fh:
-                now = os.fstat(fh.fileno()).st_size
-                if now != size:
-                    raise TruncatedFile(f"{path}: {now} bytes, expected {size}; "
-                                        "the file changed after it was read")
-                fh.seek(_HEADER.size + 8 * c * m * d)
-                return _read_array(fh, (m, d), "<f8", path)
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-
-    return block
+def _read_layer_sizes(fh, size: int, d: int, c: int, path) -> tuple[int, ...]:
+    """A raw file's layer widths, checked against its width D and class count C."""
+    if size < _HEADER.size + 4:
+        raise TruncatedFile(f"{path}: {size} bytes ends before the layer count")
+    count = int(_read_array(fh, (1,), "<u4", path)[0])
+    if size < _HEADER.size + 4 * (1 + count):
+        raise TruncatedFile(f"{path}: {size} bytes ends inside {count} layer widths")
+    sizes = tuple(int(w) for w in _read_array(fh, (count,), "<u4", path))
+    _require(count >= 2 and min(sizes) >= 1, path,
+             f"need at least 2 layer widths, each >= 1, got {sizes}")
+    _require(param_count(sizes) == d and sizes[-1] == c, path,
+             f"layer widths {sizes} give {param_count(sizes)} parameters and "
+             f"{sizes[-1]} classes, the header says D={d}, C={c}")
+    return sizes
 
 
 def _read_array(fh, shape, dtype, path) -> np.ndarray:

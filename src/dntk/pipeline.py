@@ -23,10 +23,12 @@ from .errors import InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, SketchRecord, _fused_sketch, jl_dimension, sample_orthonormal
 from .tangent import (
+    ROW_BATCH,
     GradientFeatures,
     LabeledDataset,
     MlpParams,
     SKETCHED,
+    _backprop_batches,
     _sample_set,
     gen_gaussian_mixture,
     init_params,
@@ -76,16 +78,19 @@ def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDat
 
 
 def sketched_features(
-    params: MlpParams, inputs, labels, op: SketchOperator, batch: int = 32
+    params: MlpParams, inputs, labels, op: SketchOperator, batch: int = ROW_BATCH
 ) -> GradientFeatures:
     """Per-logit gradients of a sample set, sketched batch by batch.
 
-    Equivalent to extract_features followed by project_features but never
-    materializes a raw gradient row: sketch._fused_sketch contracts the
-    sketch layer by layer inside the backward pass, in its own workspace.
+    The same contraction as extract_features followed by project_features,
+    and at the default batch the same bits, but the factors come straight
+    from the live backward pass and are dropped batch by batch:
+    sketch._fused_sketch contracts them layer by layer in its own
+    workspace.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    out = _fused_sketch(params, xb, op, batch)
+    out = _fused_sketch(params.layer_sizes, xb.shape[0],
+                        _backprop_batches(params, xb, batch), op, batch)
     return GradientFeatures(out, ids, dim_kind=SKETCHED, model_logits=logits)
 
 

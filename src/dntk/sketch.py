@@ -14,8 +14,12 @@ eps follows the usual log-cardinality rule: the smallest integer strictly
 greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
 is refused with InsufficientMemory before it is made.
 
-Both paths apply it here behind one width check: project_features to raw
-rows (staged CLI), _fused_sketch inside the backward pass (in-process).
+One contraction applies it, _fused_sketch, fed by two producers of the
+backward pass's factors: the live backward pass for the in-process task
+(pipeline.sketched_features) and row slices of the factors a raw gradient
+file stores for the staged CLI (project_features). Both run ROW_BATCH rows
+at a time, so the staged sketch equals the in-process one bit for bit, and
+neither builds a P-wide row.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
-from .tangent import RAW_PARAMS, SKETCHED, GradientFeatures, MlpParams, _logit_backprop
+from .tangent import (ROW_BATCH, RAW_PARAMS, SKETCHED, GradientFeatures, _raw_factors,
+                      param_count)
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -108,27 +113,45 @@ def sample_orthonormal(source_dim: int, target_dim: int, seed: int) -> SketchOpe
     return SketchOperator(p, k, seed, q)
 
 
-def available_memory() -> int | None:
+def available_memory(root="/") -> int | None:
     """Bytes of memory left to this process, None when that cannot be read.
 
-    MemAvailable from /proc/meminfo, capped by memory.max - memory.current
-    of the process's cgroup v2 group where those files can be read.
+    The smallest of MemAvailable from /proc/meminfo and, for each memory
+    controller /proc/self/cgroup lists, the room its group has left: the
+    cgroup v2 entry (0::/path) gives memory.max - memory.current, a cgroup
+    v1 one (N:...memory...:/path, as on hybrid hosts) gives
+    memory.limit_in_bytes - memory.usage_in_bytes. Files that cannot be
+    read are skipped. The paths are read under root.
     """
+    root = Path(root)
     left = []
     try:
-        meminfo = Path("/proc/meminfo").read_text().splitlines()
+        meminfo = (root / "proc/meminfo").read_text().splitlines()
         left += [int(ln.split()[1]) * 1024 for ln in meminfo if ln.startswith("MemAvailable:")]
     except (OSError, ValueError, IndexError):
         pass
     try:
-        cgroup = Path("/proc/self/cgroup").read_text().splitlines()
-        own = next(ln[3:] for ln in cgroup if ln.startswith("0::"))  # the v2 entry
-        group = Path("/sys/fs/cgroup", own.lstrip("/"))
-        limit = (group / "memory.max").read_text().strip()
-        if limit != "max":
-            left.append(int(limit) - int((group / "memory.current").read_text()))
-    except (OSError, ValueError, StopIteration):
-        pass
+        cgroup = (root / "proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        cgroup = []
+    for entry in (line.split(":", 2) for line in cgroup):
+        if len(entry) != 3:
+            continue
+        _, controllers, own = entry
+        if controllers == "":
+            group, limit, usage = root / "sys/fs/cgroup", "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            group = root / "sys/fs/cgroup" / controllers
+            limit, usage = "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        group = group / own.lstrip("/")
+        try:
+            cap = (group / limit).read_text().strip()
+            if cap != "max":
+                left.append(int(cap) - int((group / usage).read_text()))
+        except (OSError, ValueError):
+            pass
     return min(left) if left else None
 
 
@@ -153,31 +176,32 @@ def _check_width(width: int, op: SketchOperator) -> None:
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
     """Sketch every raw gradient row; labels and logits pass through.
 
-    Raw rows are taken one class at a time, as a ClassRows hands them out:
-    each class's (n, P) block is multiplied by q straight into its slice of
-    the (C, n, k) output, which is scaled once at the end. So the sketch
-    holds q, its output and one raw class block, and each block's product
-    is the one a whole (C, n, P) @ q product makes for that class.
+    Raw rows are a ClassRows, the backward pass's factors; _fused_sketch
+    contracts their row slices with q in batches of ROW_BATCH rows, the
+    batches the in-process sketch runs the live backward pass in, so both
+    make the same (C, n, k) bits from the same factors. No P-wide row is
+    built. Raw rows held any other way are refused with DimMismatch.
     """
     if feats.dim_kind != RAW_PARAMS:
         raise DimMismatch(f"features are already {feats.dim_kind!r}; expected raw rows")
     _check_width(feats.width, op)
-    out = np.empty((feats.class_count, feats.size, op.target_dim))
-    for c in range(feats.class_count):
-        np.matmul(feats.per_class[c], op.q, out=out[c])
-    out *= op.scale
+    rows = _raw_factors(feats)
+    out = _fused_sketch(rows.layer_sizes, feats.size, rows.batches(ROW_BATCH), op, ROW_BATCH)
     return replace(feats, per_class=out, dim_kind=SKETCHED)
 
 
-def _fused_sketch(params: MlpParams, xb: np.ndarray, op: SketchOperator,
-                  batch: int) -> np.ndarray:
-    """The (C, n, k) sketch of xb's per-logit Jacobian, contracted per layer.
+def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator, batch: int) -> np.ndarray:
+    """The (C, n, k) sketch of n samples' per-logit Jacobian, contracted per layer.
 
-    The weight rows of q belonging to layer l form Q_l (fan_out, fan_in, k),
-    and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q).
-    T is computed once per sample with no class factor, so a sample costs
-    about 2 (P + C * sum(fan_out)) k flops instead of the 2 C P k of
-    multiplying its (C, P) Jacobian by q, and no P-wide row is built.
+    batches yields, per consecutive batch of `batch` rows, the (pos, dz, a)
+    factors of each layer, last layer first: the live backward pass
+    (tangent._backprop_batches) or row slices of stored ones
+    (ClassRows.batches). The weight rows of q belonging to layer l form Q_l
+    (fan_out, fan_in, k), and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o]
+    + (bias row o of q). T is computed once per sample with no class
+    factor, so a sample costs about 2 (P + C * sum(fan_out)) k flops
+    instead of the 2 C P k of multiplying its (C, P) Jacobian by q, and no
+    P-wide row is built.
 
     One workspace serves every batch of rows and every layer: a flat block
     of max(fan_out) * batch * k floats holds each layer's T, and two
@@ -186,18 +210,17 @@ def _fused_sketch(params: MlpParams, xb: np.ndarray, op: SketchOperator,
     workspace, and each product keeps the shape and summation order of
     freshly allocated per-batch arrays.
     """
-    _check_width(params.param_count, op)
-    n, k, q = xb.shape[0], op.target_dim, op.q
+    _check_width(param_count(layer_sizes), op)
+    c, k, q = layer_sizes[-1], op.target_dim, op.q
     rows = min(batch, n)
-    t_flat = np.empty(max(params.layer_sizes[1:]) * rows * k)
-    acc_full, prod_full = np.empty((2, rows, params.class_count, k))
-    out = np.empty((params.class_count, n, k))
-    for start in range(0, n, batch):
-        xs = xb[start : start + batch]
-        b = xs.shape[0]
+    t_flat = np.empty(max(layer_sizes[1:]) * rows * k)
+    acc_full, prod_full = np.empty((2, rows, c, k))
+    out = np.empty((c, n, k))
+    for start, layers in zip(range(0, n, batch), batches):
+        b = min(batch, n - start)
         acc, prod = acc_full[:b], prod_full[:b]
         acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
-        for pos, dz, a in _logit_backprop(params, xs):
+        for pos, dz, a in layers:
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
             t = t_flat[: fan_out * b * k].reshape(fan_out, b, k)

@@ -31,6 +31,10 @@ LOSSES = ("squared", "cross_entropy")
 RAW_PARAMS = "raw_params"
 SKETCHED = "sketched"
 
+# rows per backward pass, for extraction and the fused sketch alike: both
+# then hold the same factors, so a staged sketch equals the in-process one
+ROW_BATCH = 32
+
 
 @dataclass(frozen=True)
 class MlpParams:
@@ -77,23 +81,52 @@ class LabeledDataset:
 
 
 class ClassRows:
-    """(C, n, width) per-logit rows handed out one class at a time.
+    """(C, n, P) per-logit rows held as the backward pass's factors.
 
-    Stands in for a whole (C, n, width) array that would be too large to
-    hold: `shape` is that array's, and rows[c] returns class c's (n, width)
-    float64 block as a new array, made by block(c). An ndarray offers the
-    same `shape` and `[c]`, so a consumer that asks for one class at a time
-    takes either; nothing else of the array interface exists, so no caller
-    can gather every class at once by accident.
+    Layer l's per-logit gradient of sample i for class c is the outer
+    product dz_l[i, c] x a_l[i] (its weight block) followed by dz_l[i, c]
+    (its bias block), so the rows are kept as dz_l (n, C, fan_out) and
+    a_l (n, fan_in) per layer, in network order: n * sum(C * fan_out +
+    fan_in) floats instead of C * n * P. `shape` is the whole array's, and
+    rows[c] fills class c's (n, P) float64 block as a new array. An ndarray
+    offers the same `shape` and `[c]`, so a consumer that asks for one
+    class at a time takes either; nothing else of the array interface
+    exists, so no caller can gather every class at once by accident.
+    batches() hands the factors out per row batch, as the live backward
+    pass makes them, for sketch._fused_sketch to contract.
     """
 
-    def __init__(self, shape, block):
-        self.shape = tuple(int(s) for s in shape)
-        self._block = block
+    def __init__(self, layer_sizes, dz, a):
+        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        self.dz, self.a = tuple(dz), tuple(a)
+        self.shape = (self.layer_sizes[-1], self.a[0].shape[0], param_count(self.layer_sizes))
+
+    def layers(self):
+        """(pos, dz, a) per layer, last layer first, as _logit_backprop yields them."""
+        pos = self.shape[2]
+        for dz, a in zip(reversed(self.dz), reversed(self.a)):
+            pos -= dz.shape[2] * (a.shape[1] + 1)
+            yield pos, dz, a
+
+    def batches(self, batch: int):
+        """Per batch of `batch` rows, the row slices of layers()."""
+        for start in range(0, self.shape[1], batch):
+            yield [(pos, dz[start : start + batch], a[start : start + batch])
+                   for pos, dz, a in self.layers()]
 
     def __getitem__(self, c) -> np.ndarray:
         # operator.index refuses slices and tuples; range refuses c outside [-C, C)
-        return self._block(range(self.shape[0])[operator.index(c)])
+        c = range(self.shape[0])[operator.index(c)]
+        out = np.empty(self.shape[1:])
+        for pos, dz, a in self.layers():
+            fan_out, fan_in = dz.shape[2], a.shape[1]
+            w_end = pos + fan_out * fan_in
+            # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
+            # unit-stride last axis, so this reshape is a view
+            np.multiply(dz[:, c, :, None], a[:, None, :],
+                        out=out[:, pos:w_end].reshape(-1, fan_out, fan_in))
+            out[:, w_end : w_end + fan_out] = dz[:, c]
+        return out
 
 
 @dataclass
@@ -104,9 +137,9 @@ class GradientFeatures:
     labels are the samples' class ids. dim_kind records whether the rows
     live in raw parameter space or in a sketched subspace, and gradient
     files store it in their header; the two must never be mixed downstream.
-    Sketched rows are a (C, n, width) array. Raw rows may be a ClassRows,
-    which makes one class's rows at a time: C * n * P raw floats are
-    written and read, but never held at once.
+    Sketched rows are a (C, n, width) array. Raw rows are a ClassRows,
+    the backward pass's factors, which make one class's rows at a time:
+    C * n * P raw floats are never held, written or read at once.
     """
 
     per_class: np.ndarray | ClassRows  # (C, n, width)
@@ -125,6 +158,14 @@ class GradientFeatures:
     @property
     def width(self) -> int:
         return int(self.per_class.shape[2])
+
+
+def _raw_factors(feats: GradientFeatures) -> ClassRows:
+    """The ClassRows of factors raw rows must be held as; DimMismatch otherwise."""
+    if not isinstance(feats.per_class, ClassRows):
+        raise DimMismatch("raw rows must be held as backward-pass factors (a ClassRows), "
+                          f"got {type(feats.per_class).__name__}")
+    return feats.per_class
 
 
 def param_count(layer_sizes) -> int:
@@ -224,7 +265,7 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     Backpropagates the C x C identity through the network, so a single
     forward pass yields all C gradient rows at once.
     """
-    rows = _logit_rows(params, _one_input(params, x), batch=1)
+    rows = _logit_factors(params, _one_input(params, x), batch=1)
     return np.concatenate([rows[c] for c in range(params.class_count)])
 
 
@@ -236,9 +277,9 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
     logit gradients with respect to the layer's pre-activations and a
     (n, fan_in) its inputs. The per-logit weight gradient is the outer
     product dz[:, c] x a and the bias gradient is dz[:, c], so callers can
-    assemble the gradient rows layer by layer (_logit_rows) or contract
-    them with a sketch (sketch._fused_sketch). dz is read-only;
-    each layer's is a new array, so a caller may keep all of them.
+    keep the factors in place of the rows (_logit_factors) or contract them
+    with a sketch (sketch._fused_sketch). dz is read-only; each layer's is
+    a new array, so a caller may keep all of them.
     """
     layers, acts, pres = _forward_trace(params, xb)
     n = xb.shape[0]
@@ -254,34 +295,26 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
             dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
 
 
-def _logit_rows(params: MlpParams, xb: np.ndarray, batch: int) -> ClassRows:
-    """The (C, n, P) per-logit gradients of xb, made one class at a time.
+def _backprop_batches(params: MlpParams, xb: np.ndarray, batch: int):
+    """_logit_backprop of each batch of `batch` rows of xb, in order."""
+    for start in range(0, xb.shape[0], batch):
+        yield _logit_backprop(params, xb[start : start + batch])
 
-    The backward pass runs once per batch of rows and its (pos, dz, a)
-    factors are kept: n * C * sum(fan_out) floats, not the C * n * P of the
-    rows. Class c's block is then filled from them layer by layer, each
-    weight block the outer product dz[:, c] x a multiplied straight into
-    its slice, so no Jacobian temporary exists.
+
+def _logit_factors(params: MlpParams, xb: np.ndarray, batch: int) -> ClassRows:
+    """The (C, n, P) per-logit gradients of xb, held as their factors.
+
+    The backward pass runs once per batch of rows, and each batch's dz and
+    a are copied into per-layer (n, C, fan_out) and (n, fan_in) arrays.
     """
-    n = xb.shape[0]
-    starts = range(0, n, batch)
-    factors = [list(_logit_backprop(params, xb[start : start + batch])) for start in starts]
-
-    def block(c: int) -> np.ndarray:
-        out = np.empty((n, params.param_count))
-        for start, layers in zip(starts, factors):
-            rows = out[start : start + batch]
-            for pos, dz, a in layers:
-                fan_out, fan_in = dz.shape[2], a.shape[1]
-                w_end = pos + fan_out * fan_in
-                # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
-                # unit-stride last axis, so this reshape is a view
-                np.multiply(dz[:, c, :, None], a[:, None, :],
-                            out=rows[:, pos:w_end].reshape(-1, fan_out, fan_in))
-                rows[:, w_end : w_end + fan_out] = dz[:, c]
-        return out
-
-    return ClassRows((params.class_count, n, params.param_count), block)
+    n, sizes = xb.shape[0], params.layer_sizes
+    dz = [np.empty((n, sizes[-1], fan_out)) for fan_out in sizes[1:]]
+    a = [np.empty((n, fan_in)) for fan_in in sizes[:-1]]
+    for start, layers in zip(range(0, n, batch), _backprop_batches(params, xb, batch)):
+        for i, (_, dz_b, a_b) in zip(range(len(a) - 1, -1, -1), layers):
+            dz[i][start : start + batch] = dz_b
+            a[i][start : start + batch] = a_b
+    return ClassRows(sizes, dz, a)
 
 
 # ------------------------------------------------------------------ losses
@@ -461,14 +494,15 @@ def _sample_set(params: MlpParams, inputs, labels):
     return xb, ids.astype(np.int64), forward_batch(params, xb)
 
 
-def extract_features(params: MlpParams, inputs, labels, batch: int = 64) -> GradientFeatures:
+def extract_features(params: MlpParams, inputs, labels,
+                     batch: int = ROW_BATCH) -> GradientFeatures:
     """Per-logit gradients, class ids and model logits for a sample set.
 
-    The raw (C, n, P) gradient rows come one class at a time: per_class is
-    a ClassRows whose [c] fills class c's (n, P) block from the backward
-    pass's factors, kept per batch of rows. labels are the (n,) integer
+    The raw (C, n, P) gradient rows are held as the backward pass's
+    factors, run per batch of rows: per_class is a ClassRows whose [c]
+    fills class c's (n, P) block from them. labels are the (n,) integer
     class ids of the inputs.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    per_class = _logit_rows(params, xb, batch)
+    per_class = _logit_factors(params, xb, batch)
     return GradientFeatures(per_class, ids, dim_kind=RAW_PARAMS, model_logits=logits)

@@ -6,7 +6,7 @@ import numpy as np
 
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
-from dntk.tangent import RAW_PARAMS, GradientFeatures, _logit_backprop, one_hot
+from dntk.tangent import ROW_BATCH, RAW_PARAMS, GradientFeatures, _logit_backprop, one_hot
 
 
 def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
@@ -25,12 +25,12 @@ def class_blocks(per_class) -> np.ndarray:
     return np.stack([per_class[c] for c in range(per_class.shape[0])])
 
 
-def reference_per_class(params, x, batch=64):
+def reference_per_class(params, x, batch=ROW_BATCH):
     """The (C, n, P) per-logit gradients of x filled whole, batch by batch,
     each layer's weight block one multiply over every class at once: the
-    materializing fill extract_features made before it handed its rows out
-    one class at a time, and the reference those class blocks are checked
-    against bit for bit."""
+    materializing fill extract_features made before it kept its rows as
+    factors, and the reference the class blocks those factors fill are
+    checked against bit for bit at the shared row batch."""
     xb = np.asarray(x, dtype=np.float64)
     c, n = params.class_count, xb.shape[0]
     out = np.empty((c, n, params.param_count))

@@ -12,6 +12,7 @@ from dntk import io as dio
 from dntk.baselines import SelectionResult
 from dntk.distill import distill
 from dntk.errors import (
+    DimMismatch,
     IndexOutOfRange,
     InputError,
     IoError,
@@ -22,15 +23,25 @@ from dntk.errors import (
 )
 from dntk.kernel import SCALE_KINDS, scale_factor
 from dntk.krr import fit
+from dntk.pipeline import sketched_features
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures, extract_features,
-                          gen_gaussian_mixture, init_params)
+from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, extract_features, gen_gaussian_mixture,
+                          init_params)
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
+    """Sketched rows: a (C, n, d) array with its labels and logits."""
     rng = np.random.default_rng(seed)
     return feats_from_blocks(rng.normal(size=(c, n, d)),
-                             labels=rng.integers(0, c, size=n))
+                             labels=rng.integers(0, c, size=n), dim_kind=SKETCHED)
+
+
+def tiny_raw(seed=0, sizes=(3, 4, 2), n=5):
+    """Raw rows as extraction makes them: the backward pass's factors."""
+    rng = np.random.default_rng(seed)
+    params = init_params(list(sizes), seed=seed)
+    return extract_features(params, rng.normal(size=(n, sizes[0])),
+                            rng.integers(0, sizes[-1], size=n))
 
 
 class TestGradientFile:
@@ -51,7 +62,7 @@ class TestGradientFile:
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         raw = path.read_bytes()
-        assert raw[:23] == b"DNTK1\0" + bytes([2, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1])
+        assert raw[:23] == b"DNTK1\0" + bytes([3, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1])
         rows_end = 23 + 8 * 3 * 4 * 2
         assert raw[23:rows_end] == feats.per_class.astype("<f8").tobytes()
         assert raw[rows_end : rows_end + 32] == feats.labels.astype("<i8").tobytes()
@@ -74,10 +85,47 @@ class TestGradientFile:
         dio.write_gradients(feats, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_raw_header_and_payload_layout(self, tmp_path):
+        # after the header: the layer count and widths, then dz (m, C,
+        # fan_out) and a (m, fan_in) per layer in network order
+        feats = tiny_raw(seed=6, sizes=(3, 4, 2), n=5)
+        rows = feats.per_class
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(feats, path)
+        raw = path.read_bytes()
+        assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 3, 5, 26, 2, 0)
+        assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
+        payload = b"".join(dz.astype("<f8").tobytes() + a.astype("<f8").tobytes()
+                           for dz, a in zip(rows.dz, rows.a))
+        assert [dz.shape for dz in rows.dz] == [(5, 2, 4), (5, 2, 2)]
+        assert [a.shape for a in rows.a] == [(5, 3), (5, 4)]
+        assert raw[39 : 39 + len(payload)] == payload
+        assert raw[39 + len(payload) :] == (feats.labels.astype("<i8").tobytes()
+                                            + feats.model_logits.astype("<f8").tobytes())
+        assert len(raw) == dio.gradient_file_bytes(5, 26, 2, (3, 4, 2))
+
+    def test_raw_roundtrip_bitwise(self, tmp_path):
+        feats = tiny_raw(seed=7, sizes=(4, 6, 5, 3), n=9)
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(feats, path)
+        back = dio.read_gradients(path)
+        assert isinstance(back.per_class, ClassRows)
+        assert back.per_class.layer_sizes == (4, 6, 5, 3)
+        np.testing.assert_array_equal(class_blocks(back.per_class), class_blocks(feats.per_class))
+        np.testing.assert_array_equal(back.labels, feats.labels)
+        np.testing.assert_array_equal(back.model_logits, feats.model_logits)
+
+    def test_raw_rows_not_held_as_factors_are_refused(self, tmp_path):
+        feats = tiny_feats()
+        feats.dim_kind = RAW_PARAMS
+        path = tmp_path / "g.dntk"
+        with pytest.raises(DimMismatch, match="backward-pass factors"):
+            dio.write_gradients(feats, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind", [RAW_PARAMS, SKETCHED])
     def test_dim_kind_recorded(self, tmp_path, kind):
-        feats = tiny_feats(seed=3)
-        feats.dim_kind = kind
+        feats = tiny_raw(seed=3) if kind == RAW_PARAMS else tiny_feats(seed=3)
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         assert dio.read_gradients(path).dim_kind == kind
@@ -98,6 +146,29 @@ class TestGradientFile:
         raw[6] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatch):
+            dio.read_gradients(path)
+
+    def test_version_two_file_names_the_stages_to_rerun(self, tmp_path):
+        # a version-2 raw file: the 23-byte header, then C dense (m, D) row
+        # blocks, m int64 class ids and (m, C) f64 logits
+        m, d, c = 2, 3, 2
+        path = tmp_path / "g.dntk"
+        path.write_bytes(dio._HEADER.pack(dio.MAGIC, 2, m, d, c, 0)
+                         + b"\0" * 8 * (c * m * d + m + m * c))
+        with pytest.raises(VersionMismatch, match="version 2.*extract-grads.*project"):
+            dio.read_gradients(path)
+
+    @pytest.mark.parametrize("widths", [(3, 4, 2, 1), (3, 5, 2), (3, 4, 3)],
+                             ids=["extra_layer", "wider_hidden", "other_class_count"])
+    def test_layer_sizes_that_disagree_with_the_header(self, tmp_path, widths):
+        # the header says D = 26 parameters and C = 2 classes, the widths
+        # (3, 4, 2) of the payload; any other widths contradict it
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_raw(sizes=(3, 4, 2)), path)
+        raw = path.read_bytes()
+        layers = struct.pack(f"<{1 + len(widths)}I", len(widths), *widths)
+        path.write_bytes(raw[:23] + layers + raw[39:])
+        with pytest.raises(ParseError, match="layer widths"):
             dio.read_gradients(path)
 
     def test_version_one_file_names_the_stages_to_rerun(self, tmp_path):
@@ -136,46 +207,49 @@ class TestGradientFile:
 
 
 class TestRawRowsOneClassAtATime:
-    """Raw rows come as a ClassRows, from extraction and from a file; the
-    bytes and products they make must be those of the whole (C, n, P)
-    array filled at once."""
+    """Raw rows come as a ClassRows of the backward pass's factors, from
+    extraction and from a file; the class blocks they fill must be those
+    of the whole (C, n, P) array filled at once, and their sketch the
+    in-process one."""
 
     def net(self, activation):
         rng = np.random.default_rng(31)
         params = init_params([8, 33, 29, 5], seed=32, activation=activation)
         # nonzero biases so relu units sit on both sides of the kink
         params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
-        # a 64-row batch and a 36-row one; at these widths the backward
-        # pass rounds differently in batches of another size, so the bytes
-        # pin the batches as well as the fill
+        # three 32-row batches and a 4-row one; at these widths the
+        # backward pass rounds differently in batches of another size, so
+        # the bits pin the batches as well as the fill
         x = rng.normal(size=(100, 8))
         return params, x, rng.integers(0, 5, size=100)
 
-    def write_reference(self, params, x, labels, path):
-        ref = reference_per_class(params, x)
-        feats = extract_features(params, x, labels)
-        dio.write_gradients(
-            GradientFeatures(ref, feats.labels, RAW_PARAMS, feats.model_logits), path)
-        return ref
-
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_extracted_rows_write_the_reference_bytes(self, tmp_path, activation):
+        # a factor-backed [c], extracted or read back from a file, is the
+        # reference fill at the shared batch, bit for bit
         params, x, labels = self.net(activation)
-        dio.write_gradients(extract_features(params, x, labels), tmp_path / "a.dntk")
-        self.write_reference(params, x, labels, tmp_path / "b.dntk")
-        assert (tmp_path / "a.dntk").read_bytes() == (tmp_path / "b.dntk").read_bytes()
+        ref = reference_per_class(params, x)
+        feats = extract_features(params, x, labels)
+        np.testing.assert_array_equal(class_blocks(feats.per_class), ref)
+        dio.write_gradients(feats, tmp_path / "a.dntk")
+        back = dio.read_gradients(tmp_path / "a.dntk")
+        np.testing.assert_array_equal(class_blocks(back.per_class), ref)
 
     def test_projection_of_a_file_backed_split_is_the_whole_product(self, tmp_path):
         params, x, labels = self.net("tanh")
-        ref = self.write_reference(params, x, labels, tmp_path / "g.dntk")
+        ref = reference_per_class(params, x)
+        dio.write_gradients(extract_features(params, x, labels), tmp_path / "g.dntk")
         raw = dio.read_gradients(tmp_path / "g.dntk")
         assert isinstance(raw.per_class, ClassRows) and raw.per_class.shape == ref.shape
         op = sample_orthonormal(params.param_count, 9, seed=33)
-        np.testing.assert_array_equal(project_features(raw, op).per_class,
-                                      op.scale * (ref @ op.q))
+        staged = project_features(raw, op).per_class
+        # the same contraction of the same factors as the in-process sketch
+        np.testing.assert_array_equal(staged, sketched_features(params, x, labels, op).per_class)
+        whole = op.scale * (ref @ op.q)
+        assert np.abs(staged - whole).max() <= 1e-13 * np.abs(whole).max()
 
     def test_class_index_out_of_range(self, tmp_path):
-        dio.write_gradients(tiny_feats(c=2), tmp_path / "g.dntk")
+        dio.write_gradients(tiny_raw(sizes=(3, 4, 2)), tmp_path / "g.dntk")
         rows = dio.read_gradients(tmp_path / "g.dntk").per_class
         np.testing.assert_array_equal(rows[-1], rows[1])
         with pytest.raises(IndexError):
@@ -183,25 +257,14 @@ class TestRawRowsOneClassAtATime:
         with pytest.raises(TypeError):
             rows[:, 0]
 
-    @pytest.mark.parametrize("keep", [dio._HEADER.size + 8 * 6, -5],
-                             ids=["in_class_0", "in_logits"])
-    def test_file_truncated_after_read(self, tmp_path, keep):
-        # the file ends inside class 0's block, or inside the logits with
-        # every class block still whole: the size check refuses both
-        path = tmp_path / "g.dntk"
-        dio.write_gradients(tiny_feats(c=2, n=4, d=6), path)
-        rows = dio.read_gradients(path).per_class
-        path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(TruncatedFile, match="changed after it was read"):
-            rows[0]
-
     def test_file_deleted_after_read(self, tmp_path):
+        # the factors are read whole, so the rows outlive their file
         path = tmp_path / "g.dntk"
-        dio.write_gradients(tiny_feats(), path)
+        dio.write_gradients(tiny_raw(), path)
         rows = dio.read_gradients(path).per_class
+        before = class_blocks(rows)
         path.unlink()
-        with pytest.raises(IoError):
-            rows[1]
+        np.testing.assert_array_equal(class_blocks(rows), before)
 
 
 def _header(m=2, d=3, c=2, kind=0):
@@ -286,18 +349,23 @@ def test_selection_roundtrip_and_checks(tmp_path):
 
 
 def test_gradient_file_io_holds_one_copy(tmp_path):
-    # 4 classes x 256 rows x 1024 wide: an 8 MiB payload. Raw rows stay in
-    # the file until a class block is asked for; sketched rows are read whole
+    # 4 classes x 256 rows x 1024 wide: an 8 MiB payload of sketched rows,
+    # read straight into the returned array and written from it
     feats = tiny_feats(seed=4, c=4, n=256, d=1024)
     payload = 8 * (feats.per_class.size + feats.labels.size + feats.model_logits.size)
     path = tmp_path / "g.dntk"
     write_peak = traced_peak(lambda: dio.write_gradients(feats, path))
     assert path.stat().st_size == dio._HEADER.size + payload
-    assert traced_peak(lambda: dio.read_gradients(path)) <= 0.05 * payload
-    feats.dim_kind = SKETCHED
-    dio.write_gradients(feats, path)
     read_peak = traced_peak(lambda: dio.read_gradients(path))
     assert read_peak <= 1.1 * payload
+    assert write_peak <= 0.05 * payload
+    # raw rows: 256 rows of a [16, 256, 256, 10] net's factors, a 6.1 MiB
+    # payload (their rows would be 146 MiB), read and written the same way
+    raw = tiny_raw(seed=4, sizes=(16, 256, 256, 10), n=256)
+    payload = dio.gradient_file_bytes(256, raw.width, 10, (16, 256, 256, 10))
+    write_peak = traced_peak(lambda: dio.write_gradients(raw, path))
+    assert path.stat().st_size == payload
+    assert traced_peak(lambda: dio.read_gradients(path)) <= 1.1 * payload
     assert write_peak <= 0.05 * payload
 
 

@@ -14,7 +14,8 @@ import dntk
 from dntk import sketch
 from dntk.errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
 from dntk.sketch import available_memory, jl_dimension, project_features, sample_orthonormal
-from dntk.tangent import RAW_PARAMS, SKETCHED, extract_features, gen_gaussian_mixture, init_params
+from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures, extract_features,
+                          gen_gaussian_mixture, init_params)
 
 
 class TestJlDimension:
@@ -112,35 +113,43 @@ class TestSampleOrthonormal:
         assert float(done.stdout) <= 1.5
 
 
-def project_vector(op, u):
-    """The sketch of one raw gradient row, through project_features."""
-    feats = feats_from_blocks(np.asarray(u, dtype=np.float64)[None, None])
-    return project_features(feats, op).per_class[0, 0]
+def raw_rows(sizes, n, seed):
+    """Raw per-logit rows of a seeded network at n random inputs, held as
+    extraction holds them: the backward pass's factors."""
+    rng = np.random.default_rng(seed)
+    params = init_params(sizes, seed=seed)
+    return extract_features(params, rng.normal(size=(n, sizes[0])),
+                            rng.integers(0, sizes[-1], size=n))
 
 
 class TestProjectVector:
+    """The sketch of single raw gradient rows, through project_features."""
+
     def test_isometry_at_full_width(self):
         op = sample_orthonormal(20, 20, seed=3)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            u = rng.normal(size=20)
-            assert abs(np.linalg.norm(project_vector(op, u)) - np.linalg.norm(u)) < 1e-10
+        feats = raw_rows([4, 4], n=5, seed=4)  # P = 20
+        sk = project_features(feats, op).per_class
+        for c in range(4):
+            gap = np.linalg.norm(sk[c], axis=1) - np.linalg.norm(feats.per_class[c], axis=1)
+            assert np.abs(gap).max() < 1e-10
 
     def test_zero_maps_to_zero(self):
         op = sample_orthonormal(25, 6, seed=5)
-        np.testing.assert_array_equal(project_vector(op, np.zeros(25)), np.zeros(6))
+        # factors of a [4, 5] layer (P = 25) whose logit gradients vanish
+        rows = ClassRows((4, 5), [np.zeros((1, 5, 5))], [np.ones((1, 4))])
+        feats = GradientFeatures(rows, np.zeros(1, dtype=np.int64), RAW_PARAMS, np.zeros((1, 5)))
+        np.testing.assert_array_equal(project_features(feats, op).per_class, np.zeros((5, 1, 6)))
 
     def test_unbiased_inner_products(self):
         # E over seeds of <g(u), g(v)> equals <u, v>; scale sqrt(P/k) makes it so
         p_dim, k = 60, 12
-        rng = np.random.default_rng(6)
-        u = rng.normal(size=p_dim)
-        v = rng.normal(size=p_dim)
+        feats = raw_rows([5, 5, 5], n=2, seed=6)  # P = 60; u, v: class 1 of both samples
+        u, v = feats.per_class[1]
         truth = float(u @ v)
-        est = [
-            float(project_vector(op, u) @ project_vector(op, v))
-            for op in (sample_orthonormal(p_dim, k, seed=s) for s in range(400))
-        ]
+        est = []
+        for op in (sample_orthonormal(p_dim, k, seed=s) for s in range(400)):
+            gu, gv = project_features(feats, op).per_class[1]
+            est.append(float(gu @ gv))
         mean = float(np.mean(est))
         sem = float(np.std(est) / math.sqrt(len(est)))
         assert abs(mean - truth) < 4 * sem + 1e-9
@@ -148,7 +157,7 @@ class TestProjectVector:
     def test_dim_mismatch(self):
         op = sample_orthonormal(10, 4, seed=7)
         with pytest.raises(DimMismatch):
-            project_vector(op, np.ones(11))
+            project_features(raw_rows([10, 1], n=1, seed=8), op)  # P = 11
 
 
 class TestProjectFeatures:
@@ -181,6 +190,13 @@ class TestProjectFeatures:
         op2 = sample_orthonormal(6, 3, seed=5)
         with pytest.raises(DimMismatch):
             project_features(sk, op2)
+
+    def test_rejects_raw_rows_not_held_as_factors(self):
+        params, feats = self.make_feats()
+        op = sample_orthonormal(params.param_count, 6, seed=8)
+        dense = feats_from_blocks([feats.per_class[c] for c in range(3)], feats.labels)
+        with pytest.raises(DimMismatch, match="backward-pass factors"):
+            project_features(dense, op)
 
     def test_rejects_wrong_width(self):
         _, feats = self.make_feats()
@@ -233,6 +249,51 @@ class TestMemoryRefusal:
         assert available_memory() is None
         files["/sys/fs/cgroup/job/memory.max"] = "40000\n"
         assert available_memory() == 39000
+
+    @staticmethod
+    def fake_tree(root, cgroup, files):
+        """A /proc and /sys tree under root: MemAvailable 50 kB, the given
+        /proc/self/cgroup lines and cgroup files."""
+        for rel, text in {"proc/meminfo": "MemTotal:  100 kB\nMemAvailable:  50 kB\n",
+                          "proc/self/cgroup": "".join(ln + "\n" for ln in cgroup),
+                          **files}.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+
+    def test_probe_reads_a_cgroup_v1_memory_controller(self, tmp_path):
+        # a hybrid host: the memory controller on v1, an empty v2 group
+        v1 = "sys/fs/cgroup/memory/jobs/a"
+        self.fake_tree(tmp_path, ["4:memory:/jobs/a", "1:cpu:/", "0::/"], {
+            f"{v1}/memory.limit_in_bytes": "30000\n",
+            f"{v1}/memory.usage_in_bytes": "2000\n",
+            # another controller's files are not read
+            "sys/fs/cgroup/cpu/memory.limit_in_bytes": "10\n",
+            "sys/fs/cgroup/cpu/memory.usage_in_bytes": "0\n",
+        })
+        assert available_memory(tmp_path) == 28000
+        # an unlimited v1 group leaves MemAvailable as the bound
+        (tmp_path / v1 / "memory.limit_in_bytes").write_text("9223372036854771712\n")
+        assert available_memory(tmp_path) == 50 * 1024
+        # an unreadable usage file skips the group
+        (tmp_path / v1 / "memory.limit_in_bytes").write_text("30000\n")
+        (tmp_path / v1 / "memory.usage_in_bytes").unlink()
+        assert available_memory(tmp_path) == 50 * 1024
+
+    def test_probe_takes_the_smallest_of_v1_v2_and_meminfo(self, tmp_path):
+        v2 = "sys/fs/cgroup/job"
+        self.fake_tree(tmp_path, ["7:blkio,memory:/job", "0::/job"], {
+            "sys/fs/cgroup/blkio,memory/job/memory.limit_in_bytes": "40000\n",
+            "sys/fs/cgroup/blkio,memory/job/memory.usage_in_bytes": "1000\n",
+            f"{v2}/memory.max": "36000\n",
+            f"{v2}/memory.current": "1000\n",
+        })
+        assert available_memory(tmp_path) == 35000
+        (tmp_path / v2 / "memory.max").write_text("max\n")
+        assert available_memory(tmp_path) == 39000
+        (tmp_path / "proc/self/cgroup").unlink()
+        assert available_memory(tmp_path) == 50 * 1024
+        (tmp_path / "proc/meminfo").unlink()
+        assert available_memory(tmp_path) is None
 
     def test_probe_reads_this_machine(self):
         left = available_memory()
