@@ -24,6 +24,7 @@ from .io import (
     read_config,
     read_dataset,
     read_distilled,
+    read_gradient_extents,
     read_gradients,
     read_krr,
     read_model,
@@ -39,7 +40,7 @@ from .io import (
 )
 from .numerics import rank_tolerance
 from .sketch import project_features
-from .tangent import SKETCHED, GradientFeatures, extract_features
+from .tangent import GradientFeatures, extract_features
 
 FILES = {
     "train": "train.npz",
@@ -82,9 +83,9 @@ def _p(out: Path, key: str) -> Path:
 def _read_sketched(out: Path, key: str) -> GradientFeatures:
     """The features of a sketched_* file, refused unless its header says sketched."""
     feats = read_gradients(_p(out, key))
-    if feats.dim_kind != SKETCHED:
+    if feats.raw:
         raise DimMismatch(
-            f"{_p(out, key)} holds {feats.dim_kind!r} rows, expected sketched ones; "
+            f"{_p(out, key)} holds raw rows, expected sketched ones; "
             "run `dntk project` to write it"
         )
     return feats
@@ -137,6 +138,10 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_project(cfg: RunConfig, out: Path, args) -> int:
     raw = read_gradients(_p(out, "grads_train"))
+    k, c = pipeline.sketch_width(cfg, raw.width), raw.class_count
+    m_test = read_gradient_extents(_p(out, "grads_test"))[0]
+    _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(raw.size, k, c),
+                         _p(out, "sketched_test"): gradient_file_bytes(m_test, k, c)})
     op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
     write_gradients(project_features(raw, op), _p(out, "sketched_train"))

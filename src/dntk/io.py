@@ -3,7 +3,8 @@
 Gradient features travel in a little fixed binary format so staged CLI runs
 can resume from any point. Version 3 of it, all little-endian, opens with a
 23-byte header: magic DNTK1\0, u32 version 3, u32 extents m, D and C, and a
-kind byte, 0 for raw parameter-space rows and 1 for sketched ones. A raw
+kind byte, 0 for raw parameter-space rows (a ClassRows) and 1 for sketched
+ones (an array): the writer takes it from the rows' type. A raw
 file then records its network: a u32 count L and L u32 layer widths, whose
 parameter count must equal D and whose last width must equal C. Its
 payload is the backward pass's factors, per layer in network order the
@@ -11,10 +12,10 @@ payload is the backward pass's factors, per layer in network order the
 layer inputs a, from which every (m, D) class block of rows follows; a
 sketched file's payload is C blocks of m x D float64 rows. Both end with
 the m int64 class ids and the m x C float64 model logits. The reader
-returns the recorded kind, raw rows as a ClassRows of the factors, and
-refuses ids outside [0, C). A file of an earlier version is refused with
-VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
-Reports are CSV with a fixed column set and floats printed
+builds the type the kind byte names, raw rows as a ClassRows of the
+factors, and refuses ids outside [0, C). A file of an earlier version is
+refused with VersionMismatch; `dntk extract-grads` and `dntk project`
+write it anew. Reports are CSV with a fixed column set and floats printed
 at 17 significant digits, which makes repeated runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
 selections) rides in npz archives, which numpy writes deterministically.
@@ -52,17 +53,15 @@ from .errors import (
     UnknownField,
     VersionMismatch,
 )
-from .kernel import SCALE_KINDS
+from .kernel import SCALE_CHOICES
 from .krr import KrrModel
 from .sketch import SketchRecord
-from .tangent import (ACTIVATIONS, RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures,
-                      LabeledDataset, MlpParams, _raw_factors, param_count)
+from .tangent import (ACTIVATIONS, ClassRows, GradientFeatures, LabeledDataset, MlpParams,
+                      param_count)
 
 MAGIC = b"DNTK1\0"
 VERSION = 3
-# the header's kind byte is the index of the features' dim_kind here
-_KINDS = (RAW_PARAMS, SKETCHED)
-# magic + version + m + D + C + kind byte
+# magic + version + m + D + C + kind byte (0 raw rows, 1 sketched rows)
 _HEADER = struct.Struct("<6sIIIIB")
 
 _METHODS = ("distill", "full") + BASELINE_METHODS
@@ -101,16 +100,16 @@ def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
-    Raw rows are written as their factors, so they must come as a
-    ClassRows (DimMismatch otherwise); sketched rows are written one class
-    block at a time.
+    Raw rows (a ClassRows) are written as their factors under kind byte
+    0; sketched rows are written one class block at a time under kind
+    byte 1.
     """
     m, d, c = feats.size, feats.width, feats.class_count
-    rows = _raw_factors(feats) if feats.dim_kind == RAW_PARAMS else None
+    rows = feats.per_class
     try:
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, _KINDS.index(feats.dim_kind)))
-            if rows is not None:
+            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, 0 if feats.raw else 1))
+            if feats.raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
                 for dz, a in zip(rows.dz, rows.a):
@@ -118,7 +117,7 @@ def write_gradients(feats: GradientFeatures, path) -> None:
                     fh.write(np.ascontiguousarray(a, dtype="<f8").data)
             else:
                 for ci in range(c):
-                    fh.write(np.ascontiguousarray(feats.per_class[ci], dtype="<f8").data)
+                    fh.write(np.ascontiguousarray(rows[ci], dtype="<f8").data)
             fh.write(np.ascontiguousarray(feats.labels, dtype="<i8").data)
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
@@ -128,7 +127,7 @@ def write_gradients(feats: GradientFeatures, path) -> None:
 def read_gradients(path) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
-    The features come back with the kind the header records. The header,
+    The features come back as the kind the header records. The header,
     a raw file's layer widths and the file size are checked first; class
     ids outside [0, C) are refused after the payload is read. Every array
     is read straight into the returned one, so reading holds one copy:
@@ -137,25 +136,7 @@ def read_gradients(path) -> GradientFeatures:
     """
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < _HEADER.size:
-                raise TruncatedFile(f"{path}: {size} bytes is shorter than the header")
-            magic, version, m, d, c, kind = _HEADER.unpack(fh.read(_HEADER.size))
-            if magic != MAGIC:
-                raise ParseError(f"{path}: bad magic {magic!r}")
-            if version != VERSION:
-                raise VersionMismatch(
-                    f"{path}: format version {version}, expected {VERSION}; "
-                    "run `dntk extract-grads` and `dntk project` again to rewrite it"
-                )
-            if kind >= len(_KINDS):
-                raise ParseError(f"{path}: unknown kind byte {kind}")
-            if min(m, d, c) < 1:
-                raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
-            sizes = _read_layer_sizes(fh, size, d, c, path) if _KINDS[kind] == RAW_PARAMS else None
-            expected = gradient_file_bytes(m, d, c, sizes)
-            if size != expected:
-                raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
+            m, d, c, sizes = _read_header(fh, path)
             if sizes is None:
                 per_class = _read_array(fh, (c, m, d), "<f8", path)
             else:
@@ -168,7 +149,43 @@ def read_gradients(path) -> GradientFeatures:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     _require(labels.min() >= 0 and labels.max() < c, path, f"class ids outside [0, {c})")
-    return GradientFeatures(per_class, labels, dim_kind=_KINDS[kind], model_logits=logits)
+    return GradientFeatures(per_class, labels, logits)
+
+
+def read_gradient_extents(path) -> tuple[int, int, int]:
+    """(m, D, C) of a gradient file, read without its payload; the header is
+    checked as read_gradients checks it."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_header(fh, path)[:3]
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_header(fh, path):
+    """(m, D, C, layer widths) of an open gradient file, the widths None for
+    sketched rows, with fh left at the payload. The header, a raw file's
+    layer widths and the file size are checked."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < _HEADER.size:
+        raise TruncatedFile(f"{path}: {size} bytes is shorter than the header")
+    magic, version, m, d, c, kind = _HEADER.unpack(fh.read(_HEADER.size))
+    if magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise VersionMismatch(
+            f"{path}: format version {version}, expected {VERSION}; "
+            "run `dntk extract-grads` and `dntk project` again to rewrite it"
+        )
+    if kind > 1:
+        raise ParseError(f"{path}: unknown kind byte {kind}")
+    if min(m, d, c) < 1:
+        raise ParseError(f"{path}: degenerate dims m={m}, D={d}, C={c}")
+    sizes = _read_layer_sizes(fh, size, d, c, path) if kind == 0 else None
+    expected = gradient_file_bytes(m, d, c, sizes)
+    if size != expected:
+        raise TruncatedFile(f"{path}: {size} bytes, expected {expected}")
+    return m, d, c, sizes
 
 
 def _read_layer_sizes(fh, size: int, d: int, c: int, path) -> tuple[int, ...]:
@@ -250,7 +267,7 @@ def write_report(rows, path, append: bool = False) -> None:
 
 
 # cell parsers of REPORT_COLUMNS: method label, seed, s, then the metrics
-_REPORT_KINDS = (str, int, int) + (float,) * (len(REPORT_COLUMNS) - 3)
+_REPORT_TYPES = (str, int, int) + (float,) * (len(REPORT_COLUMNS) - 3)
 
 
 def _holds_row(label: str) -> bool:
@@ -277,7 +294,7 @@ def read_report(path) -> list[ReportRow]:
         if _holds_row(cells[0]):
             raise ParseError(f"{path}: row {row} holds another row in its label {cells[0]!r}")
         values = {}
-        for col, kind, cell in zip(REPORT_COLUMNS, _REPORT_KINDS, cells):
+        for col, kind, cell in zip(REPORT_COLUMNS, _REPORT_TYPES, cells):
             try:
                 values[col] = kind(cell)
             except ValueError as exc:
@@ -361,7 +378,7 @@ class RunConfig:
         _check_real("tau_g", self.tau_g, low=0.0, high=1.0)
         _check_real("eps_qr", self.eps_qr, low=0.0, high=1.0, low_open=True, high_open=True)
         _check_real("lambda_reg", self.lambda_reg, low=0.0)
-        _check_choice("scale_kind", self.scale_kind, SCALE_KINDS)
+        _check_choice("scale_kind", self.scale_kind, SCALE_CHOICES)
         _check_list("methods", self.methods, _check_choice, choices=_METHODS)
         _check_list("sweep_h", self.sweep_h, _check_int, low=1)
         _check_list("sweep_tau_v", self.sweep_tau_v, _check_real,

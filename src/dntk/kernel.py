@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
 from .numerics import rank_tolerance, sym_eig, sym_eigvals
+from .sketch import require_memory
 from .tangent import GradientFeatures
 
-SCALE_KINDS = ("none", "inv_k")
+SCALE_CHOICES = ("none", "inv_k")
 # eigenvalues below this fraction of the trace are treated as pure noise
 EIG_FLOOR_REL = 1e-12
 
@@ -33,17 +34,23 @@ class SpectralSummary:
 
 
 def scale_factor(scale_kind: str, width: int) -> float:
-    if scale_kind not in SCALE_KINDS:
-        raise ScaleMismatch(f"scale_kind must be one of {SCALE_KINDS}, got {scale_kind!r}")
+    if scale_kind not in SCALE_CHOICES:
+        raise ScaleMismatch(f"scale_kind must be one of {SCALE_CHOICES}, got {scale_kind!r}")
     return 1.0 / width if scale_kind == "inv_k" else 1.0
 
 
 def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarray:
-    """(C, n, n): one Gram matrix per class, all at the same scale."""
+    """(C, n, n): one Gram matrix per class, all at the same scale.
+
+    A stack larger than the memory left is refused with InsufficientMemory
+    before it is made.
+    """
     scale = scale_factor(scale_kind, feats.width)
-    stack = np.empty((feats.class_count, feats.size, feats.size))
-    for c in range(feats.class_count):
-        scaled_gram(feats.per_class[c], scale, stack[c])
+    c, n = feats.class_count, feats.size
+    require_memory(8 * c * n * n, f"a {c} x {n} x {n} kernel stack")
+    stack = np.empty((c, n, n))
+    for ci in range(c):
+        scaled_gram(feats.per_class[ci], scale, stack[ci])
     return stack
 
 

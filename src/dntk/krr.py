@@ -17,6 +17,7 @@ import numpy as np
 from .errors import BadLambda, ScaleMismatch, ShapeMismatch, SingularSystem
 from .kernel import scale_factor, scaled_gram
 from .numerics import COND_LIMIT, sym_eig
+from .sketch import require_memory
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ def fit(
 
     basis is (C, s, D) rows and targets (s, C). With lambda_reg = 0 every
     eigenvalue must be positive and the spectrum well-conditioned or the
-    system is reported singular.
+    system is reported singular. (C, s, s) eigenvectors larger than the
+    memory left are refused with InsufficientMemory before they are made.
     """
     b = _rows(basis, "basis")
     c, s, d = b.shape
@@ -79,6 +81,7 @@ def fit(
     if lambda_reg < 0.0:
         raise BadLambda(f"lambda_reg must be >= 0, got {lambda_reg}")
     factor = scale_factor(scale_kind, d)
+    require_memory(8 * c * s * s, f"{c} x {s} x {s} kernel eigenvectors")
     eig_values = np.empty((c, s))
     eig_vectors = np.empty((c, s, s))
     alpha = np.empty((s, c))

@@ -23,11 +23,9 @@ from .errors import InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, SketchRecord, _fused_sketch, jl_dimension, sample_orthonormal
 from .tangent import (
-    ROW_BATCH,
     GradientFeatures,
     LabeledDataset,
     MlpParams,
-    SKETCHED,
     _backprop_batches,
     _sample_set,
     gen_gaussian_mixture,
@@ -77,21 +75,17 @@ def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDat
     return train, test
 
 
-def sketched_features(
-    params: MlpParams, inputs, labels, op: SketchOperator, batch: int = ROW_BATCH
-) -> GradientFeatures:
+def sketched_features(params: MlpParams, inputs, labels, op: SketchOperator) -> GradientFeatures:
     """Per-logit gradients of a sample set, sketched batch by batch.
 
     The same contraction as extract_features followed by project_features,
-    and at the default batch the same bits, but the factors come straight
-    from the live backward pass and are dropped batch by batch:
-    sketch._fused_sketch contracts them layer by layer in its own
-    workspace.
+    and the same bits, but the factors come straight from the live
+    backward pass and are dropped batch by batch: sketch._fused_sketch
+    contracts them layer by layer in its own workspace.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    out = _fused_sketch(params.layer_sizes, xb.shape[0],
-                        _backprop_batches(params, xb, batch), op, batch)
-    return GradientFeatures(out, ids, dim_kind=SKETCHED, model_logits=logits)
+    out = _fused_sketch(params.layer_sizes, xb.shape[0], _backprop_batches(params, xb), op)
+    return GradientFeatures(out, ids, logits)
 
 
 def sketch_width(cfg: RunConfig, param_count: int) -> int:

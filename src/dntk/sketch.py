@@ -12,14 +12,16 @@ factorization with a positive diagonal R, so it differs from LAPACK's Q
 only by column signs and roundoff. The target dimension for a tolerance
 eps follows the usual log-cardinality rule: the smallest integer strictly
 greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
-is refused with InsufficientMemory before it is made.
+is refused with InsufficientMemory before it is made, by require_memory,
+which guards the kernel stack and the ridge eigenvectors the same way.
 
 One contraction applies it, _fused_sketch, fed by two producers of the
 backward pass's factors: the live backward pass for the in-process task
 (pipeline.sketched_features) and row slices of the factors a raw gradient
 file stores for the staged CLI (project_features). Both run ROW_BATCH rows
-at a time, so the staged sketch equals the in-process one bit for bit, and
-neither builds a P-wide row.
+at a time, the only row batch there is, so the staged sketch equals the
+in-process one bit for bit, and neither builds a P-wide row.
+project_features takes raw rows only, which are a ClassRows by type.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
-from .tangent import (ROW_BATCH, RAW_PARAMS, SKETCHED, GradientFeatures, _raw_factors,
-                      param_count)
+from .tangent import ROW_BATCH, GradientFeatures, param_count
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -101,16 +102,22 @@ def sample_orthonormal(source_dim: int, target_dim: int, seed: int) -> SketchOpe
         raise EmptyInput(f"dimensions must be positive, got P={p}, k={k}")
     if k > p:
         raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p}")
-    need, left = 8 * p * k, available_memory()
-    if left is not None and need > left:
-        raise InsufficientMemory(
-            f"a {p} x {k} sketch needs {need} bytes, {left} bytes of memory are available")
+    require_memory(8 * p * k, f"a {p} x {k} sketch")
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(p, k))
     unit_roundoff = np.finfo(np.float64).eps / 2.0
     _cholesky_qr_pass(q, shift_rel=11.0 * (p * k + k * (k + 1)) * unit_roundoff)
     _cholesky_qr_pass(q, shift_rel=0.0)
     return SketchOperator(p, k, seed, q)
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """InsufficientMemory, before an array of nbytes is made, unless it fits
+    in available_memory(); nothing is refused when that cannot be read."""
+    left = available_memory()
+    if left is not None and nbytes > left:
+        raise InsufficientMemory(
+            f"{what} needs {nbytes} bytes, {left} bytes of memory are available")
 
 
 def available_memory(root="/") -> int | None:
@@ -168,11 +175,6 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
         block[...] = product
 
 
-def _check_width(width: int, op: SketchOperator) -> None:
-    if width != op.source_dim:
-        raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
-
-
 def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
     """Sketch every raw gradient row; labels and logits pass through.
 
@@ -180,20 +182,20 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     contracts their row slices with q in batches of ROW_BATCH rows, the
     batches the in-process sketch runs the live backward pass in, so both
     make the same (C, n, k) bits from the same factors. No P-wide row is
-    built. Raw rows held any other way are refused with DimMismatch.
+    built. Rows that are not a ClassRows are sketched already and are
+    refused with DimMismatch.
     """
-    if feats.dim_kind != RAW_PARAMS:
-        raise DimMismatch(f"features are already {feats.dim_kind!r}; expected raw rows")
-    _check_width(feats.width, op)
-    rows = _raw_factors(feats)
-    out = _fused_sketch(rows.layer_sizes, feats.size, rows.batches(ROW_BATCH), op, ROW_BATCH)
-    return replace(feats, per_class=out, dim_kind=SKETCHED)
+    if not feats.raw:
+        raise DimMismatch("features are sketched already; expected raw rows")
+    rows = feats.per_class
+    out = _fused_sketch(rows.layer_sizes, feats.size, rows.batches(), op)
+    return replace(feats, per_class=out)
 
 
-def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator, batch: int) -> np.ndarray:
+def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarray:
     """The (C, n, k) sketch of n samples' per-logit Jacobian, contracted per layer.
 
-    batches yields, per consecutive batch of `batch` rows, the (pos, dz, a)
+    batches yields, per consecutive batch of ROW_BATCH rows, the (pos, dz, a)
     factors of each layer, last layer first: the live backward pass
     (tangent._backprop_batches) or row slices of stored ones
     (ClassRows.batches). The weight rows of q belonging to layer l form Q_l
@@ -204,20 +206,23 @@ def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator, batch: int) 
     P-wide row is built.
 
     One workspace serves every batch of rows and every layer: a flat block
-    of max(fan_out) * batch * k floats holds each layer's T, and two
-    (batch, C, k) buffers take dz @ T and its running sum. Every product is
-    written into it, so the call's peak memory is its output plus that
-    workspace, and each product keeps the shape and summation order of
-    freshly allocated per-batch arrays.
+    of max(fan_out) * ROW_BATCH * k floats holds each layer's T, and two
+    (ROW_BATCH, C, k) buffers take dz @ T and its running sum. Every
+    product is written into it, so the call's peak memory is its output
+    plus that workspace, and each product keeps the shape and summation
+    order of freshly allocated per-batch arrays. A sketch of another
+    source width than the rows' P is refused with DimMismatch.
     """
-    _check_width(param_count(layer_sizes), op)
+    width = param_count(layer_sizes)
+    if width != op.source_dim:
+        raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
     c, k, q = layer_sizes[-1], op.target_dim, op.q
-    rows = min(batch, n)
+    rows = min(ROW_BATCH, n)
     t_flat = np.empty(max(layer_sizes[1:]) * rows * k)
     acc_full, prod_full = np.empty((2, rows, c, k))
     out = np.empty((c, n, k))
-    for start, layers in zip(range(0, n, batch), batches):
-        b = min(batch, n - start)
+    for start, layers in zip(range(0, n, ROW_BATCH), batches):
+        b = min(ROW_BATCH, n - start)
         acc, prod = acc_full[:b], prod_full[:b]
         acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
         for pos, dz, a in layers:

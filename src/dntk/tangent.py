@@ -6,8 +6,12 @@ trace feeds two backward passes written out explicitly (no autodiff): the
 per-logit one seeds the C x C identity, the loss one seeds the loss
 gradient and serves loss_param_gradient and SGD training alike. Both are
 checked in the test suite against central finite differences and against
-each other through the chain rule. The sketch module contracts the
-per-logit pass's factors (_logit_backprop) with its projection.
+each other through the chain rule. The per-logit pass runs ROW_BATCH rows
+at a time, the one row batch of extraction and sketch alike, and its
+factors (_logit_backprop) are either kept as a ClassRows or contracted
+with the sketch module's projection. A GradientFeatures' kind is the type
+of its rows: raw parameter-space rows are a ClassRows, sketched rows an
+array, so raw rows held densely cannot be built.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ from .errors import (
 ACTIVATIONS = ("tanh", "relu")
 LOSSES = ("squared", "cross_entropy")
 
-RAW_PARAMS = "raw_params"
-SKETCHED = "sketched"
-
-# rows per backward pass, for extraction and the fused sketch alike: both
-# then hold the same factors, so a staged sketch equals the in-process one
+# rows per backward pass, for extraction and the fused sketch alike, and
+# the only row batch: both then hold the same factors, so a staged sketch
+# equals the in-process one
 ROW_BATCH = 32
 
 
@@ -92,8 +94,8 @@ class ClassRows:
     offers the same `shape` and `[c]`, so a consumer that asks for one
     class at a time takes either; nothing else of the array interface
     exists, so no caller can gather every class at once by accident.
-    batches() hands the factors out per row batch, as the live backward
-    pass makes them, for sketch._fused_sketch to contract.
+    batches() hands the factors out per ROW_BATCH rows, as the live
+    backward pass makes them, for sketch._fused_sketch to contract.
     """
 
     def __init__(self, layer_sizes, dz, a):
@@ -108,10 +110,10 @@ class ClassRows:
             pos -= dz.shape[2] * (a.shape[1] + 1)
             yield pos, dz, a
 
-    def batches(self, batch: int):
-        """Per batch of `batch` rows, the row slices of layers()."""
-        for start in range(0, self.shape[1], batch):
-            yield [(pos, dz[start : start + batch], a[start : start + batch])
+    def batches(self):
+        """Per batch of ROW_BATCH rows, the row slices of layers()."""
+        for start in range(0, self.shape[1], ROW_BATCH):
+            yield [(pos, dz[start : start + ROW_BATCH], a[start : start + ROW_BATCH])
                    for pos, dz, a in self.layers()]
 
     def __getitem__(self, c) -> np.ndarray:
@@ -134,18 +136,21 @@ class GradientFeatures:
     """Per-logit gradient rows for a sample set.
 
     per_class[c] stacks phi^c(x_i) as rows, one n x width matrix per class;
-    labels are the samples' class ids. dim_kind records whether the rows
-    live in raw parameter space or in a sketched subspace, and gradient
-    files store it in their header; the two must never be mixed downstream.
-    Sketched rows are a (C, n, width) array. Raw rows are a ClassRows,
+    labels are the samples' class ids. The type of per_class is the rows'
+    kind, which gradient files record in their header; the two kinds must
+    never be mixed downstream. Raw parameter-space rows are a ClassRows,
     the backward pass's factors, which make one class's rows at a time:
-    C * n * P raw floats are never held, written or read at once.
+    C * n * P raw floats are never held, written or read at once. Sketched
+    rows are a (C, n, width) array.
     """
 
     per_class: np.ndarray | ClassRows  # (C, n, width)
     labels: np.ndarray  # (n,) int64 class ids
-    dim_kind: str
     model_logits: np.ndarray  # (n, C)
+
+    @property
+    def raw(self) -> bool:
+        return isinstance(self.per_class, ClassRows)
 
     @property
     def class_count(self) -> int:
@@ -158,14 +163,6 @@ class GradientFeatures:
     @property
     def width(self) -> int:
         return int(self.per_class.shape[2])
-
-
-def _raw_factors(feats: GradientFeatures) -> ClassRows:
-    """The ClassRows of factors raw rows must be held as; DimMismatch otherwise."""
-    if not isinstance(feats.per_class, ClassRows):
-        raise DimMismatch("raw rows must be held as backward-pass factors (a ClassRows), "
-                          f"got {type(feats.per_class).__name__}")
-    return feats.per_class
 
 
 def param_count(layer_sizes) -> int:
@@ -265,7 +262,7 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     Backpropagates the C x C identity through the network, so a single
     forward pass yields all C gradient rows at once.
     """
-    rows = _logit_factors(params, _one_input(params, x), batch=1)
+    rows = _logit_factors(params, _one_input(params, x))
     return np.concatenate([rows[c] for c in range(params.class_count)])
 
 
@@ -295,25 +292,25 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
             dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
 
 
-def _backprop_batches(params: MlpParams, xb: np.ndarray, batch: int):
-    """_logit_backprop of each batch of `batch` rows of xb, in order."""
-    for start in range(0, xb.shape[0], batch):
-        yield _logit_backprop(params, xb[start : start + batch])
+def _backprop_batches(params: MlpParams, xb: np.ndarray):
+    """_logit_backprop of each batch of ROW_BATCH rows of xb, in order."""
+    for start in range(0, xb.shape[0], ROW_BATCH):
+        yield _logit_backprop(params, xb[start : start + ROW_BATCH])
 
 
-def _logit_factors(params: MlpParams, xb: np.ndarray, batch: int) -> ClassRows:
+def _logit_factors(params: MlpParams, xb: np.ndarray) -> ClassRows:
     """The (C, n, P) per-logit gradients of xb, held as their factors.
 
-    The backward pass runs once per batch of rows, and each batch's dz and
+    The backward pass runs once per ROW_BATCH rows, and each batch's dz and
     a are copied into per-layer (n, C, fan_out) and (n, fan_in) arrays.
     """
     n, sizes = xb.shape[0], params.layer_sizes
     dz = [np.empty((n, sizes[-1], fan_out)) for fan_out in sizes[1:]]
     a = [np.empty((n, fan_in)) for fan_in in sizes[:-1]]
-    for start, layers in zip(range(0, n, batch), _backprop_batches(params, xb, batch)):
+    for start, layers in zip(range(0, n, ROW_BATCH), _backprop_batches(params, xb)):
         for i, (_, dz_b, a_b) in zip(range(len(a) - 1, -1, -1), layers):
-            dz[i][start : start + batch] = dz_b
-            a[i][start : start + batch] = a_b
+            dz[i][start : start + ROW_BATCH] = dz_b
+            a[i][start : start + ROW_BATCH] = a_b
     return ClassRows(sizes, dz, a)
 
 
@@ -494,15 +491,13 @@ def _sample_set(params: MlpParams, inputs, labels):
     return xb, ids.astype(np.int64), forward_batch(params, xb)
 
 
-def extract_features(params: MlpParams, inputs, labels,
-                     batch: int = ROW_BATCH) -> GradientFeatures:
+def extract_features(params: MlpParams, inputs, labels) -> GradientFeatures:
     """Per-logit gradients, class ids and model logits for a sample set.
 
     The raw (C, n, P) gradient rows are held as the backward pass's
-    factors, run per batch of rows: per_class is a ClassRows whose [c]
+    factors, run per ROW_BATCH rows: per_class is a ClassRows whose [c]
     fills class c's (n, P) block from them. labels are the (n,) integer
     class ids of the inputs.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    per_class = _logit_factors(params, xb, batch)
-    return GradientFeatures(per_class, ids, dim_kind=RAW_PARAMS, model_logits=logits)
+    return GradientFeatures(_logit_factors(params, xb), ids, logits)

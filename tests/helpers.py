@@ -6,16 +6,22 @@ import numpy as np
 
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
-from dntk.tangent import ROW_BATCH, RAW_PARAMS, GradientFeatures, _logit_backprop, one_hot
+from dntk.tangent import ROW_BATCH, GradientFeatures, _logit_backprop, one_hot
+
+# sample counts around ROW_BATCH (32): a lone partial batch (1, 23), one
+# exact batch, a full batch and a one-row last one, and three full batches
+# and a partial last one
+N_AROUND_ROW_BATCH = (1, 23, ROW_BATCH, ROW_BATCH + 1, 100)
 
 
-def feats_from_blocks(blocks, labels=None, dim_kind=RAW_PARAMS):
-    """GradientFeatures from an explicit (C, n, D) array of gradient rows."""
+def feats_from_blocks(blocks, labels=None):
+    """GradientFeatures from an explicit (C, n, D) array of gradient rows,
+    which makes them sketched rows: raw ones are a ClassRows."""
     per_class = np.asarray(blocks, dtype=np.float64)
     c, n, _ = per_class.shape
     ids = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, dtype=np.int64)
     logits = one_hot(ids, c) + 0.1  # stand-in logits that still carry the labels
-    return GradientFeatures(per_class, ids, dim_kind, logits)
+    return GradientFeatures(per_class, ids, logits)
 
 
 def class_blocks(per_class) -> np.ndarray:
@@ -25,18 +31,18 @@ def class_blocks(per_class) -> np.ndarray:
     return np.stack([per_class[c] for c in range(per_class.shape[0])])
 
 
-def reference_per_class(params, x, batch=ROW_BATCH):
+def reference_per_class(params, x):
     """The (C, n, P) per-logit gradients of x filled whole, batch by batch,
     each layer's weight block one multiply over every class at once: the
     materializing fill extract_features made before it kept its rows as
     factors, and the reference the class blocks those factors fill are
-    checked against bit for bit at the shared row batch."""
+    checked against bit for bit at the one row batch, ROW_BATCH."""
     xb = np.asarray(x, dtype=np.float64)
     c, n = params.class_count, xb.shape[0]
     out = np.empty((c, n, params.param_count))
-    for start in range(0, n, batch):
-        rows = out[:, start : start + batch]
-        for pos, dz, a in _logit_backprop(params, xb[start : start + batch]):
+    for start in range(0, n, ROW_BATCH):
+        rows = out[:, start : start + ROW_BATCH]
+        for pos, dz, a in _logit_backprop(params, xb[start : start + ROW_BATCH]):
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
             dz_c = dz.transpose(1, 0, 2)  # (C, b, fan_out)
@@ -69,7 +75,7 @@ def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
     return svd.left[:, keep]
 
 
-def fused_sketch_per_batch(params, x, op, batch):
+def fused_sketch_per_batch(params, x, op):
     """The fused sketch of x's per-logit Jacobian, (C, n, k), with every
     batch and layer in freshly allocated arrays: a zeroed accumulator, a new
     T = a Q_l + Q_b per layer and a scaled copy per batch. The reference
@@ -77,8 +83,8 @@ def fused_sketch_per_batch(params, x, op, batch):
     xb = np.asarray(x, dtype=np.float64)
     n, k = xb.shape[0], op.target_dim
     out = np.empty((params.class_count, n, k))
-    for start in range(0, n, batch):
-        rows = xb[start : start + batch]
+    for start in range(0, n, ROW_BATCH):
+        rows = xb[start : start + ROW_BATCH]
         sk = np.zeros((rows.shape[0], params.class_count, k))
         for pos, dz, a in _logit_backprop(params, rows):
             fan_out, fan_in = dz.shape[2], a.shape[1]
@@ -86,7 +92,7 @@ def fused_sketch_per_batch(params, x, op, batch):
             t = a @ op.q[pos:w_end].reshape(fan_out, fan_in, k)  # (fan_out, b, k)
             t += op.q[w_end : w_end + fan_out, None, :]
             sk += dz @ t.transpose(1, 0, 2)
-        out[:, start : start + batch] = (op.scale * sk).transpose(1, 0, 2)
+        out[:, start : start + ROW_BATCH] = (op.scale * sk).transpose(1, 0, 2)
     return out
 
 

@@ -34,7 +34,7 @@ from dntk.io import (
     read_selection,
 )
 from dntk.sketch import SketchRecord
-from dntk.tangent import RAW_PARAMS, ROW_BATCH, SKETCHED, param_count
+from dntk.tangent import ROW_BATCH, param_count
 
 SMOKE = dict(
     seed=5,
@@ -120,9 +120,10 @@ class TestStageChain:
 
     def test_gradient_files_record_their_kind(self, rundir):
         out, _ = rundir
-        for key, kind in (("grads_train", RAW_PARAMS), ("grads_test", RAW_PARAMS),
-                          ("sketched_train", SKETCHED), ("sketched_test", SKETCHED)):
-            assert read_gradients(out / FILES[key]).dim_kind == kind, key
+        # header byte 22: 0 for raw rows, 1 for sketched ones
+        for key, kind in (("grads_train", 0), ("grads_test", 0),
+                          ("sketched_train", 1), ("sketched_test", 1)):
+            assert (out / FILES[key]).read_bytes()[22] == kind, key
 
     def test_kernel_stats_csv(self, rundir):
         out, _ = rundir
@@ -291,6 +292,14 @@ class TestBoundedMemory:
 
 
 class TestFreeSpace:
+    @staticmethod
+    def free_space(monkeypatch):
+        """A setter of the free bytes os.statvfs reports."""
+        def free(nbytes):
+            monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result(
+                (4096, 1, 0, 0, nbytes, 0, 0, 0, 0, 255)))
+        return free
+
     def test_extract_grads_refuses_splits_larger_than_free_space(
             self, rundir, tmp_path, capsys, monkeypatch):
         src, cfg = rundir
@@ -306,10 +315,7 @@ class TestFreeSpace:
         for key in ("model", "train", "test"):
             shutil.copy(src / FILES[key], work / FILES[key])
 
-        def free(nbytes):
-            monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result(
-                (4096, 1, 0, 0, nbytes, 0, 0, 0, 0, 255)))
-
+        free = self.free_space(monkeypatch)
         free(need - 1)
         assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 1
         err = capsys.readouterr().err
@@ -325,6 +331,42 @@ class TestFreeSpace:
         assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 0
         capsys.readouterr()
         for key in ("grads_train", "grads_test"):
+            assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+
+    def test_project_refuses_splits_larger_than_free_space(
+            self, rundir, tmp_path, capsys, monkeypatch):
+        src, cfg = rundir
+        k = SMOKE["k_sketch"]
+        c = SMOKE["layer_sizes"][-1]
+        sizes = {key: (src / FILES[key]).stat().st_size
+                 for key in ("sketched_train", "sketched_test")}
+        # each file: header, then C blocks of n x k rows, class ids and logits
+        for key, n in (("sketched_train", SMOKE["n_train"]), ("sketched_test", SMOKE["n_test"])):
+            assert sizes[key] == 23 + 8 * (c * n * k + n + n * c)
+        need = sum(sizes.values())
+        work = tmp_path / "run"
+        work.mkdir()
+        kept = ("model", "train", "test", "grads_train", "grads_test")
+        for key in kept:
+            shutil.copy(src / FILES[key], work / FILES[key])
+
+        free = self.free_space(monkeypatch)
+        free(need - 1)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error_code=IoError"
+        assert err.count("error_code=") == 1
+        assert f"needs {need} bytes, {need - 1} bytes are free" in err
+        # refused before anything is written, sketch.json included
+        assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
+
+        free(need)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 0
+        # files it replaces give their space back: a rerun needs no more
+        free(0)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 0
+        capsys.readouterr()
+        for key in ("sketch_meta", "sketched_train", "sketched_test"):
             assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
 
 
@@ -353,6 +395,29 @@ class TestFreeMemory:
         capsys.readouterr()
         for key in ("sketch_meta", "sketched_train", "sketched_test"):
             assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+
+    @pytest.mark.parametrize("stage, what, written", [
+        (["kernel-stats"], "kernel stack", "kernel_stats"),
+        (["fit-krr", "--source", "full"], "kernel eigenvectors", "krr"),
+    ], ids=["kernel-stats", "fit-krr-full"])
+    def test_n_squared_arrays_larger_than_free_memory_exit_1(
+            self, rundir, tmp_path, capsys, monkeypatch, stage, what, written):
+        # the (C, n, n) stack and full's (C, n, n) ridge eigenvectors are
+        # refused before they are made, through the error_code= path
+        src, cfg = rundir
+        c, n = SMOKE["layer_sizes"][-1], SMOKE["n_train"]
+        need = 8 * c * n * n
+        work = tmp_path / "run"
+        shutil.copytree(src, work)
+        (work / FILES[written]).unlink()
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need - 1)
+        assert main(stage + ["--config", cfg, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error_code=InsufficientMemory"
+        assert err.count("error_code=") == 1
+        assert f"{what} needs {need} bytes, {need - 1} bytes of memory are available" in err
+        assert "Traceback" not in err
+        assert not (work / FILES[written]).exists()
 
 
 class TestSweepCommand:
@@ -521,7 +586,7 @@ class TestErrorPaths:
         assert rc == 1
         assert err.splitlines().count("error_code=DimMismatch") == 1
         assert err.count("error_code=") == 1
-        assert "'raw_params' rows, expected sketched ones" in err
+        assert "holds raw rows, expected sketched ones" in err
         assert "Traceback" not in err
 
     def test_version_one_gradient_file_exits_1(self, rundir, tmp_path, capsys):

@@ -12,7 +12,6 @@ from dntk import io as dio
 from dntk.baselines import SelectionResult
 from dntk.distill import distill
 from dntk.errors import (
-    DimMismatch,
     IndexOutOfRange,
     InputError,
     IoError,
@@ -21,19 +20,17 @@ from dntk.errors import (
     UnknownField,
     VersionMismatch,
 )
-from dntk.kernel import SCALE_KINDS, scale_factor
+from dntk.kernel import SCALE_CHOICES, scale_factor
 from dntk.krr import fit
 from dntk.pipeline import sketched_features
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, extract_features, gen_gaussian_mixture,
-                          init_params)
+from dntk.tangent import ClassRows, extract_features, gen_gaussian_mixture, init_params
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
     """Sketched rows: a (C, n, d) array with its labels and logits."""
     rng = np.random.default_rng(seed)
-    return feats_from_blocks(rng.normal(size=(c, n, d)),
-                             labels=rng.integers(0, c, size=n), dim_kind=SKETCHED)
+    return feats_from_blocks(rng.normal(size=(c, n, d)), labels=rng.integers(0, c, size=n))
 
 
 def tiny_raw(seed=0, sizes=(3, 4, 2), n=5):
@@ -58,7 +55,6 @@ class TestGradientFile:
 
     def test_header_and_payload_layout(self, tmp_path):
         feats = tiny_feats(seed=5, c=3, n=4, d=2)
-        feats.dim_kind = SKETCHED
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         raw = path.read_bytes()
@@ -115,20 +111,18 @@ class TestGradientFile:
         np.testing.assert_array_equal(back.labels, feats.labels)
         np.testing.assert_array_equal(back.model_logits, feats.model_logits)
 
-    def test_raw_rows_not_held_as_factors_are_refused(self, tmp_path):
-        feats = tiny_feats()
-        feats.dim_kind = RAW_PARAMS
-        path = tmp_path / "g.dntk"
-        with pytest.raises(DimMismatch, match="backward-pass factors"):
-            dio.write_gradients(feats, path)
-        assert not path.exists()
-
-    @pytest.mark.parametrize("kind", [RAW_PARAMS, SKETCHED])
-    def test_dim_kind_recorded(self, tmp_path, kind):
-        feats = tiny_raw(seed=3) if kind == RAW_PARAMS else tiny_feats(seed=3)
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw", "sketched"])
+    def test_kind_byte_recorded(self, tmp_path, raw):
+        # the rows' type names the kind: byte 22 is 0 for a ClassRows, 1 for
+        # an array, and the reader builds the type the byte names
+        feats = tiny_raw(seed=3) if raw else tiny_feats(seed=3)
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
-        assert dio.read_gradients(path).dim_kind == kind
+        assert path.read_bytes()[22] == (0 if raw else 1)
+        assert dio.read_gradient_extents(path) == (feats.size, feats.width, feats.class_count)
+        back = dio.read_gradients(path)
+        assert back.raw is raw
+        assert type(back.per_class) is (ClassRows if raw else np.ndarray)
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "g.dntk"
@@ -532,13 +526,13 @@ class TestRunConfig:
         assert dio.read_config(path) == cfg
 
     def test_scale_kind_takes_what_the_kernel_takes(self):
-        # validate and kernel.scale_factor check the one list, SCALE_KINDS
-        for kind in SCALE_KINDS:
+        # validate and kernel.scale_factor check the one list, SCALE_CHOICES
+        for kind in SCALE_CHOICES:
             assert dio.config_from_dict({"scale_kind": kind}).scale_kind == kind
             scale_factor(kind, 4)
         with pytest.raises(InputError) as exc:
             dio.config_from_dict({"scale_kind": "inv_sqrt_k"})
-        assert str(list(SCALE_KINDS)) in str(exc.value)
+        assert str(list(SCALE_CHOICES)) in str(exc.value)
 
     def test_budgets_is_unknown_field(self):
         with pytest.raises(UnknownField):

@@ -6,9 +6,10 @@ from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dntk import sketch
 from dntk.cluster import spectral_cluster
 from dntk.distill import local_eigensystems
-from dntk.errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
+from dntk.errors import BadEps, BadLambda, InsufficientMemory, ScaleMismatch, ZeroTrace
 from dntk.kernel import (
     average_kernel,
     build_stack,
@@ -118,6 +119,19 @@ class TestBuildStack:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * stack.nbytes
+
+    def test_refuses_a_stack_larger_than_free_memory(self, monkeypatch):
+        feats = feats_from_blocks(np.random.default_rng(6).normal(size=(3, 20, 5)))
+        need = 8 * 3 * 20 * 20
+        ref = build_stack(feats)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory, match=f"a 3 x 20 x 20 kernel stack needs {need} "
+                                                     f"bytes, {need - 1} bytes of memory"):
+            build_stack(feats)
+        # an exact fit is built, and so is any stack when no probe can be read
+        for left in (need, None):
+            monkeypatch.setattr(sketch, "available_memory", lambda: left)
+            np.testing.assert_array_equal(build_stack(feats), ref)
 
 
 class TestAverageKernel:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from helpers import class_blocks
 
-from dntk.errors import ScaleMismatch, ShapeMismatch, SingularSystem
+from dntk import sketch
+from dntk.errors import InsufficientMemory, ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.kernel import build_stack
 from dntk.krr import fit, predict
 from dntk.numerics import ridge_solve_direct, sym_eig
@@ -53,6 +54,19 @@ class TestFit:
         y = np.random.default_rng(7).normal(size=(8, 1))
         with pytest.raises(SingularSystem):
             fit(basis, y, lambda_reg=0.0)
+
+    def test_refuses_eigenvectors_larger_than_free_memory(self, monkeypatch):
+        basis = random_basis(9, 20, 3, seed=8)
+        y = np.random.default_rng(9).normal(size=(9, 3))
+        need = 8 * 3 * 9 * 9
+        ref = fit(basis, y)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory, match=f"3 x 9 x 9 kernel eigenvectors needs "
+                                                     f"{need} bytes, {need - 1} bytes of memory"):
+            fit(basis, y)
+        for left in (need, None):
+            monkeypatch.setattr(sketch, "available_memory", lambda: left)
+            np.testing.assert_array_equal(fit(basis, y).eig_vectors, ref.eig_vectors)
 
 
 class TestPredict:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import fused_sketch_per_batch, orthonormal_rows_basis
+from helpers import N_AROUND_ROW_BATCH, fused_sketch_per_batch, orthonormal_rows_basis
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dntk import kernel, krr, metrics, pipeline, sketch
@@ -13,7 +13,7 @@ from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, ShapeMismatch
 from dntk.io import RunConfig
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import extract_features, init_params
+from dntk.tangent import ROW_BATCH, extract_features, init_params
 
 
 def tiny_cfg(**overrides):
@@ -110,35 +110,36 @@ class TestPrepareTask:
         assert_array_equal(task.train_feats.model_logits, two_step.model_logits)
 
     @pytest.mark.parametrize(
-        "sizes, activation, n, batch",
+        "sizes, activation",
         [
-            ([4, 10, 3], "tanh", 18, 32),  # one batch, smaller than batch
-            ([5, 9, 7, 6, 4], "relu", 23, 5),  # 4 weight layers, partial last batch
-            ([3, 8, 6, 5], "tanh", 10, 4),  # 3 weight layers, partial last batch
+            ([4, 10, 3], "tanh"),  # 2 weight layers
+            ([5, 9, 7, 6, 4], "relu"),  # 4 weight layers
+            ([3, 8, 6, 5], "tanh"),  # 3 weight layers
         ],
     )
-    def test_fused_sketch_matches_two_step_per_layer(self, sizes, activation, n, batch):
-        rng = np.random.default_rng(len(sizes) + n)
-        params = init_params(sizes, seed=n, activation=activation)
+    def test_fused_sketch_matches_two_step_around_row_batch(self, sizes, activation):
+        rng = np.random.default_rng(len(sizes))
+        params = init_params(sizes, seed=len(sizes), activation=activation)
         # nonzero biases so relu units sit on both sides of the kink
         params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
-        x = rng.normal(size=(n, sizes[0]))
-        labels = rng.integers(0, sizes[-1], size=n)
-        op = sample_orthonormal(params.param_count, 9, seed=n)
-        fused = pipeline.sketched_features(params, x, labels, op, batch=batch)
-        # the shared workspace keeps every product's shape and summation order
-        assert_array_equal(fused.per_class, fused_sketch_per_batch(params, x, op, batch))
-        two_step = project_features(extract_features(params, x, labels), op)
-        gap = np.linalg.norm(fused.per_class - two_step.per_class)
-        assert gap <= 1e-12 * np.linalg.norm(two_step.per_class)
-        assert fused.dim_kind == two_step.dim_kind
-        assert_array_equal(fused.labels, two_step.labels)
-        assert_array_equal(fused.model_logits, two_step.model_logits)
+        op = sample_orthonormal(params.param_count, 9, seed=len(sizes))
+        for n in N_AROUND_ROW_BATCH:  # first or last batch may be partial
+            x = rng.normal(size=(n, sizes[0]))
+            labels = rng.integers(0, sizes[-1], size=n)
+            fused = pipeline.sketched_features(params, x, labels, op)
+            # the shared workspace keeps every product's shape and summation order
+            assert_array_equal(fused.per_class, fused_sketch_per_batch(params, x, op))
+            # both contract the same factors in the same row batches
+            two_step = project_features(extract_features(params, x, labels), op)
+            assert_array_equal(fused.per_class, two_step.per_class)
+            assert not fused.raw and not two_step.raw
+            assert_array_equal(fused.labels, two_step.labels)
+            assert_array_equal(fused.model_logits, two_step.model_logits)
 
     def test_fused_sketch_peak_memory_is_output_and_workspace(self):
         # uneven fan-outs: a fresh T block per layer, made while the previous
         # one is still held, would add most of a second widest block
-        sizes, batch, k = [8, 40, 30, 5], 32, 256
+        sizes, batch, k = [8, 40, 30, 5], ROW_BATCH, 256
         params = init_params(sizes, seed=23)
         rng = np.random.default_rng(24)
         x = rng.normal(size=(4 * batch, sizes[0]))
@@ -146,7 +147,7 @@ class TestPrepareTask:
         op = sample_orthonormal(params.param_count, k, seed=25)
         tracemalloc.start()
         try:
-            feats = pipeline.sketched_features(params, x, labels, op, batch=batch)
+            feats = pipeline.sketched_features(params, x, labels, op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import feats_from_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +13,8 @@ import dntk
 from dntk import sketch
 from dntk.errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
 from dntk.sketch import available_memory, jl_dimension, project_features, sample_orthonormal
-from dntk.tangent import (RAW_PARAMS, SKETCHED, ClassRows, GradientFeatures, extract_features,
-                          gen_gaussian_mixture, init_params)
+from dntk.tangent import (ClassRows, GradientFeatures, extract_features, gen_gaussian_mixture,
+                          init_params)
 
 
 class TestJlDimension:
@@ -137,7 +136,7 @@ class TestProjectVector:
         op = sample_orthonormal(25, 6, seed=5)
         # factors of a [4, 5] layer (P = 25) whose logit gradients vanish
         rows = ClassRows((4, 5), [np.zeros((1, 5, 5))], [np.ones((1, 4))])
-        feats = GradientFeatures(rows, np.zeros(1, dtype=np.int64), RAW_PARAMS, np.zeros((1, 5)))
+        feats = GradientFeatures(rows, np.zeros(1, dtype=np.int64), np.zeros((1, 5)))
         np.testing.assert_array_equal(project_features(feats, op).per_class, np.zeros((5, 1, 6)))
 
     def test_unbiased_inner_products(self):
@@ -170,7 +169,7 @@ class TestProjectFeatures:
         params, feats = self.make_feats()
         op = sample_orthonormal(params.param_count, 9, seed=2)
         sk = project_features(feats, op)
-        assert sk.dim_kind == SKETCHED
+        assert not sk.raw
         assert sk.per_class.shape == (3, 12, 9)
         # row-wise: sketched row = scale * Q^T row
         expected = op.scale * feats.per_class[1][3] @ op.q
@@ -191,13 +190,6 @@ class TestProjectFeatures:
         with pytest.raises(DimMismatch):
             project_features(sk, op2)
 
-    def test_rejects_raw_rows_not_held_as_factors(self):
-        params, feats = self.make_feats()
-        op = sample_orthonormal(params.param_count, 6, seed=8)
-        dense = feats_from_blocks([feats.per_class[c] for c in range(3)], feats.labels)
-        with pytest.raises(DimMismatch, match="backward-pass factors"):
-            project_features(dense, op)
-
     def test_rejects_wrong_width(self):
         _, feats = self.make_feats()
         op = sample_orthonormal(feats.width + 1, 4, seed=6)
@@ -212,7 +204,7 @@ class TestProjectFeatures:
             k_raw = feats.per_class[c] @ feats.per_class[c].T
             k_sk = sk.per_class[c] @ sk.per_class[c].T
             np.testing.assert_allclose(k_sk, k_raw, rtol=1e-9, atol=1e-10)
-        assert feats.dim_kind == RAW_PARAMS
+        assert feats.raw
 
 
 class TestMemoryRefusal:

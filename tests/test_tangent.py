@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import class_blocks
+from helpers import N_AROUND_ROW_BATCH, class_blocks
 
 from dntk.errors import DimMismatch, Divergence
 from dntk.metrics import accuracy
 from dntk.tangent import (
+    ROW_BATCH,
     LabeledDataset,
     _logit_backprop,
     chain_rule_check,
@@ -307,14 +308,13 @@ class TestExtractFeatures:
         p = init_params([5, 9, 7, 4], seed=22, activation=activation)
         # nonzero biases so relu units sit on both sides of the kink
         p = p.with_theta(p.theta + 0.3 * rng.normal(size=p.param_count))
-        x = rng.normal(size=(23, 5))
-        feats = extract_features(p, x, rng.integers(0, 4, size=23), batch=5)
-        rows = class_blocks(feats.per_class)
-        for start in range(0, 23, 5):  # the last batch holds 3 rows
-            ref = reference_logit_jacobian(p, x[start : start + 5])
-            np.testing.assert_array_equal(rows[:, start : start + 5], ref.transpose(1, 0, 2))
-        whole = class_blocks(extract_features(p, x, rng.integers(0, 4, size=23)).per_class)
-        np.testing.assert_array_equal(whole, reference_logit_jacobian(p, x).transpose(1, 0, 2))
+        for n in N_AROUND_ROW_BATCH:
+            x = rng.normal(size=(n, 5))
+            rows = class_blocks(extract_features(p, x, rng.integers(0, 4, size=n)).per_class)
+            for start in range(0, n, ROW_BATCH):  # first or last batch may be partial
+                ref = reference_logit_jacobian(p, x[start : start + ROW_BATCH])
+                np.testing.assert_array_equal(rows[:, start : start + ROW_BATCH],
+                                              ref.transpose(1, 0, 2))
 
     def test_peak_memory_is_the_output(self):
         # the output is one class block at a time: extraction keeps each
@@ -323,11 +323,11 @@ class TestExtractFeatures:
         sizes = [8, 40, 30, 5]
         p = init_params(sizes, seed=23)
         rng = np.random.default_rng(24)
-        x = rng.normal(size=(4 * 32, 8))
-        labels = rng.integers(0, 5, size=4 * 32)
+        x = rng.normal(size=(4 * ROW_BATCH, 8))
+        labels = rng.integers(0, 5, size=4 * ROW_BATCH)
         tracemalloc.start()
         try:
-            feats = extract_features(p, x, labels, batch=32)
+            feats = extract_features(p, x, labels)
             block = feats.per_class[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -377,16 +377,6 @@ class TestExtractFeatures:
         x = np.random.default_rng(14).normal(size=(5, 3))
         feats = extract_features(p, x, np.zeros(5, dtype=int))
         np.testing.assert_allclose(feats.model_logits, forward_batch(p, x),
-                                   atol=1e-14)
-
-    def test_batching_invariant(self):
-        p = init_params([3, 4, 2], seed=14)
-        x = np.random.default_rng(15).normal(size=(9, 3))
-        y = np.zeros(9, dtype=int)
-        a = extract_features(p, x, y, batch=2)
-        b = extract_features(p, x, y, batch=64)
-        # BLAS picks different kernels per batch shape; agreement is to roundoff
-        np.testing.assert_allclose(class_blocks(a.per_class), class_blocks(b.per_class),
                                    atol=1e-14)
 
 
