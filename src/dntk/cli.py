@@ -1,12 +1,14 @@
 """Command line front end.
 
 Subcommands mirror the pipeline stages and exchange files through the io
-module, so a run can stop and resume at any stage. main parses the
-arguments, loads the config and resolves the output directory once, then
-hands all three to the subcommand. Exit codes: 0 on success, 1 on
-validation problems (bad flags, config, files), 2 when a computation is
-numerically degenerate. Every failure lands on stderr as a single
-`error_code=<Name>` line followed by the message.
+module, so a run can stop and resume at any stage. io writes every file a
+stage leaves, its CSV tables included, so this module opens none. `project`
+checks both raw splits' headers before it draws the sketch or writes
+anything. main parses the arguments, loads the config and resolves the
+output directory once, then hands all three to the subcommand. Exit codes:
+0 on success, 1 on validation problems (bad flags, config, files), 2 when a
+computation is numerically degenerate. Every failure lands on stderr as a
+single `error_code=<Name>` line followed by the message.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from pathlib import Path
 from . import baselines, distill as distill_mod, kernel, krr, pipeline
 from .errors import DimMismatch, DntkError, InputError, IoError, NumericalError
 from .io import (
+    KERNEL_STATS_COLUMNS,
+    THEORY_COLUMNS,
     RunConfig,
     gradient_file_bytes,
     read_config,
@@ -37,8 +41,9 @@ from .io import (
     write_report,
     write_selection,
     write_sketch_meta,
+    write_table,
 )
-from .numerics import rank_tolerance
+from .numerics import rank_tolerance, sym_eigvals
 from .sketch import project_features
 from .tangent import GradientFeatures, extract_features
 
@@ -136,36 +141,48 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
+def _raw_header(out: Path, key: str) -> tuple[int, int, int, tuple[int, ...]]:
+    """(m, D, C, layer widths) of a grads_* file, refused unless its header says raw."""
+    m, d, c, sizes = read_gradient_extents(_p(out, key))
+    if sizes is None:
+        raise DimMismatch(
+            f"{_p(out, key)} holds sketched rows, expected raw ones; "
+            "run `dntk extract-grads` to write it"
+        )
+    return m, d, c, sizes
+
+
 def cmd_project(cfg: RunConfig, out: Path, args) -> int:
-    raw = read_gradients(_p(out, "grads_train"))
-    k, c = pipeline.sketch_width(cfg, raw.width), raw.class_count
-    m_test = read_gradient_extents(_p(out, "grads_test"))[0]
-    _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(raw.size, k, c),
+    # both splits' headers are checked before Q is drawn or anything is written
+    m, d, c, sizes = _raw_header(out, "grads_train")
+    m_test, *_, test_sizes = _raw_header(out, "grads_test")
+    if test_sizes != sizes:
+        raise DimMismatch(f"{_p(out, 'grads_test')} holds a network of layer widths "
+                          f"{test_sizes}, {_p(out, 'grads_train')} one of {sizes}")
+    k = pipeline.sketch_width(cfg, d)
+    _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(m, k, c),
                          _p(out, "sketched_test"): gradient_file_bytes(m_test, k, c)})
-    op = pipeline.sketch_operator(cfg, raw.width, cfg.seed)
+    op = pipeline.sketch_operator(cfg, d, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
-    write_gradients(project_features(raw, op), _p(out, "sketched_train"))
-    raw = read_gradients(_p(out, "grads_test"))
-    write_gradients(project_features(raw, op), _p(out, "sketched_test"))
+    for split in ("train", "test"):  # one split's factors at a time
+        raw = read_gradients(_p(out, f"grads_{split}"))
+        write_gradients(project_features(raw, op), _p(out, f"sketched_{split}"))
+        del raw
     print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
     return 0
 
 
 def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
     feats = _read_sketched(out, "sketched_train")
-    stack = kernel.build_stack(feats, cfg.scale_kind)
+    rows = []  # in KERNEL_STATS_COLUMNS order
+    for ci, gram in enumerate(kernel.build_stack(feats, cfg.scale_kind)):
+        values = sym_eigvals(gram)
+        eff = kernel.effective_dimension(values, cfg.lambda_reg) if cfg.lambda_reg > 0 \
+            else float((values > rank_tolerance(values)).sum())  # the numerical rank
+        rows.append((ci, float(values.sum()), kernel.kept_rank(values, 1.0 - cfg.tau_v),
+                     *kernel.spectrum_conditioning(values), eff))
     path = _p(out, "kernel_stats")
-    with open(path, "w") as fh:
-        fh.write("class,trace,trunc_rank,condition,min_eig,effective_dim\n")
-        for ci, gram in enumerate(stack):
-            summary = kernel.spectral_summary(gram, 1.0 - cfg.tau_v)
-            values = summary.values
-            eff = kernel.effective_dimension(values, cfg.lambda_reg) if cfg.lambda_reg > 0 \
-                else float((values > rank_tolerance(values)).sum())  # the numerical rank
-            fh.write(
-                f"{ci},{summary.trace:.17g},{summary.trunc_rank},"
-                f"{summary.condition:.17g},{summary.min_eig:.17g},{eff:.17g}\n"
-            )
+    write_table(rows, path, KERNEL_STATS_COLUMNS)
     print(f"wrote per-class spectra to {path}")
     return 0
 
@@ -228,11 +245,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_verify_theory(cfg: RunConfig, out: Path, args) -> int:
     checks = pipeline.theory_battery(cfg.seed)
-    path = _p(out, "theory")
-    with open(path, "w") as fh:
-        fh.write("check,value,threshold,passed\n")
-        for c in checks:
-            fh.write(f"{c.name},{c.value:.17g},{c.threshold:.17g},{int(c.passed)}\n")
+    write_table([(c.name, c.value, c.threshold, int(c.passed)) for c in checks],
+                _p(out, "theory"), THEORY_COLUMNS)
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "pass" if c.passed else "FAIL"

@@ -15,8 +15,11 @@ the m int64 class ids and the m x C float64 model logits. The reader
 builds the type the kind byte names, raw rows as a ClassRows of the
 factors, and refuses ids outside [0, C). A file of an earlier version is
 refused with VersionMismatch; `dntk extract-grads` and `dntk project`
-write it anew. Reports are CSV with a fixed column set and floats printed
-at 17 significant digits, which makes repeated runs byte-comparable.
+write it anew. The staged tables (report.csv, sweep.csv, kernel_stats.csv,
+theory_checks.csv) are CSV, each declared once here as its columns
+(ReportRow's fields, KERNEL_STATS_COLUMNS, THEORY_COLUMNS) and written by
+the one write_table, floats at 17 significant digits, which makes repeated
+runs byte-comparable.
 Everything else (datasets, models, distilled sets, KRR models, baseline
 selections) rides in npz archives, which numpy writes deterministically.
 Each archive is declared once as a schema (DATASET, MODEL, DISTILLED, KRR,
@@ -65,21 +68,6 @@ VERSION = 3
 _HEADER = struct.Struct("<6sIIIIB")
 
 _METHODS = ("distill", "full") + BASELINE_METHODS
-
-REPORT_COLUMNS = (
-    "method",
-    "seed",
-    "s",
-    "compression",
-    "fidelity",
-    "accuracy",
-    "mse",
-    "coverage",
-    "recon_error",
-    "condition",
-    "min_eig",
-)
-
 
 # ------------------------------------------------------- gradient features
 
@@ -152,12 +140,13 @@ def read_gradients(path) -> GradientFeatures:
     return GradientFeatures(per_class, labels, logits)
 
 
-def read_gradient_extents(path) -> tuple[int, int, int]:
-    """(m, D, C) of a gradient file, read without its payload; the header is
-    checked as read_gradients checks it."""
+def read_gradient_extents(path) -> tuple[int, int, int, tuple[int, ...] | None]:
+    """(m, D, C, layer widths) of a gradient file, the widths None for
+    sketched rows, read without its payload; the header is checked as
+    read_gradients checks it."""
     try:
         with open(path, "rb") as fh:
-            return _read_header(fh, path)[:3]
+            return _read_header(fh, path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -236,8 +225,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(ReportRow))
+# kernel_stats.csv: one row per class kernel
+KERNEL_STATS_COLUMNS = ("class", "trace", "trunc_rank", "condition", "min_eig", "effective_dim")
+# theory_checks.csv: one row per check, passed as 0 or 1
+THEORY_COLUMNS = ("check", "value", "threshold", "passed")
+
+
+def write_table(rows, path, columns, append: bool = False) -> None:
+    """The one CSV writer of the staged tables: a header row of columns, then
+    one line per row of cells in column order, float cells at 17 significant
+    digits and every other cell as str. append adds the rows under the
+    file's header instead, after a newline if its last line lacks one.
+    """
+    head = ",".join(columns) + "\n"
+    try:
+        if append:
+            with open(path, "rb") as fh:  # a last row without its newline
+                fh.seek(-1, os.SEEK_END)  # would swallow the first new one
+                head = "" if fh.read(1) == b"\n" else "\n"
+        with open(path, "a" if append else "w", newline="") as fh:
+            fh.write(head)
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def write_report(rows, path, append: bool = False) -> None:
-    """Fixed-schema CSV; float cells carry 17 significant digits.
+    """report.csv and sweep.csv: ReportRows through write_table.
 
     The method label is written as is and may hold commas (sweep labels
     do); no other cell can, so read_report splits rows from the right. A
@@ -250,20 +266,9 @@ def write_report(rows, path, append: bool = False) -> None:
     for row in rows:
         if _holds_row(row.method):
             raise InputError(f"method label {row.method!r} holds as many commas as a row")
-    head = ",".join(REPORT_COLUMNS) + "\n"
-    try:
-        if append:
-            read_report(path)
-            with open(path, "rb") as fh:  # a last row without its newline
-                fh.seek(-1, os.SEEK_END)  # would swallow the first new one
-                head = "" if fh.read(1) == b"\n" else "\n"
-        with open(path, "a" if append else "w", newline="") as fh:
-            fh.write(head)
-            for row in rows:
-                cells = [_fmt(getattr(row, col)) for col in REPORT_COLUMNS]
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    if append:
+        read_report(path)
+    write_table(map(dataclasses.astuple, rows), path, REPORT_COLUMNS, append)
 
 
 # cell parsers of REPORT_COLUMNS: method label, seed, s, then the metrics

@@ -4,33 +4,24 @@ A class kernel is the Gram matrix of one class's gradient rows, optionally
 scaled by 1/width so eigenvalues stay comparable across sketch sizes.
 scaled_gram, the one routine that forms it, serves build_stack (clustering,
 distillation) and krr.fit alike. kept_rank is the one rule for how many
-eigenmodes a truncation keeps. The spectral summaries back the
-kernel-stats stage and the report's conditioning columns.
+eigenmodes a truncation keeps. It, spectrum_conditioning and
+effective_dimension read a spectrum alone: the kernel-stats stage fills
+kernel_stats.csv's columns from numerics.sym_eigvals through them, and
+spectrum_conditioning fills the report's conditioning columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
-from .numerics import rank_tolerance, sym_eig, sym_eigvals
+from .numerics import rank_tolerance, sym_eig
 from .sketch import require_memory
 from .tangent import GradientFeatures
 
 SCALE_CHOICES = ("none", "inv_k")
 # eigenvalues below this fraction of the trace are treated as pure noise
 EIG_FLOOR_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    values: np.ndarray  # descending
-    trunc_rank: int
-    trace: float
-    condition: float
-    min_eig: float
 
 
 def scale_factor(scale_kind: str, width: int) -> float:
@@ -105,22 +96,6 @@ def kept_rank(eigvals, eps: float) -> int:
     vals = np.maximum(np.asarray(eigvals, dtype=np.float64), 0.0)
     above = int(np.sum(vals > EIG_FLOOR_REL * vals.sum()))
     return min(truncation_rank(vals, eps), above)
-
-
-def spectral_summary(kernel_matrix, eps: float) -> SpectralSummary:
-    """Spectrum, trace, conditioning and the kept rank (kept_rank) at eps.
-
-    Every field comes from the eigenvalues, so no eigenvectors are computed.
-    """
-    values = sym_eigvals(kernel_matrix)
-    condition, min_eig = spectrum_conditioning(values)
-    return SpectralSummary(
-        values=values,
-        trunc_rank=kept_rank(values, eps),
-        trace=float(values.sum()),
-        condition=condition,
-        min_eig=min_eig,
-    )
 
 
 def spectrum_conditioning(eigvals) -> tuple[float, float]:

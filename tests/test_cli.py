@@ -33,6 +33,7 @@ from dntk.io import (
     read_report,
     read_selection,
 )
+from dntk.numerics import sym_eigvals
 from dntk.sketch import SketchRecord
 from dntk.tangent import ROW_BATCH, param_count
 
@@ -126,14 +127,24 @@ class TestStageChain:
             assert (out / FILES[key]).read_bytes()[22] == kind, key
 
     def test_kernel_stats_csv(self, rundir):
-        out, _ = rundir
+        out, cfg_path = rundir
         lines = (out / FILES["kernel_stats"]).read_text().strip().splitlines()
         assert lines[0] == "class,trace,trunc_rank,condition,min_eig,effective_dim"
         assert len(lines) == 1 + 3  # one row per class
-        for ci, line in enumerate(lines[1:]):
+        cfg = read_config(cfg_path)
+        stack = kernel.build_stack(read_gradients(out / FILES["sketched_train"]), cfg.scale_kind)
+        for ci, (line, gram) in enumerate(zip(lines[1:], stack)):
             cells = line.split(",")
+            values = sym_eigvals(gram)
             assert int(cells[0]) == ci
-            assert float(cells[1]) > 0  # trace of a nonzero PSD kernel
+            # the class Gram's trace, its rank kept at 1 - tau_v, and its
+            # conditioning and effective dimension, each read from its
+            # spectrum; 17 digits give every float back exactly
+            assert float(cells[1]) > 0
+            assert float(cells[1]) == pytest.approx(np.trace(gram), rel=1e-12)
+            assert int(cells[2]) == kernel.kept_rank(values, 1.0 - cfg.tau_v)
+            assert (float(cells[3]), float(cells[4])) == kernel.spectrum_conditioning(values)
+            assert float(cells[5]) == kernel.effective_dimension(values, cfg.lambda_reg)
 
     def test_kernel_stats_truncates_at_tau_v(self, rundir, tmp_path, capsys):
         # trunc_rank is the rank distill truncates at: 1 - tau_v of the trace
@@ -147,7 +158,8 @@ class TestStageChain:
         feats = read_gradients(work / FILES["sketched_train"])
         stack = kernel.build_stack(feats, read_config(cfg).scale_kind)
         ranks = [int(line.split(",")[2]) for line in lines[1:]]
-        values = [kernel.spectral_summary(k, 0.0).values for k in stack]
+        values = [sym_eigvals(k) for k in stack]
+        assert ranks == [kernel.kept_rank(v, 1.0 - 0.99) for v in values]
         assert ranks == [kernel.truncation_rank(v, 1.0 - 0.99) for v in values]
         # the 5 % level would give other ranks here, so the level is read
         assert ranks != [kernel.truncation_rank(v, 0.05) for v in values]
@@ -558,6 +570,43 @@ class TestErrorPaths:
         assert err.splitlines().count("error_code=DimMismatch") == 1
         assert err.count("error_code=") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "planted",
+        ["sketched_train", "sketched_test", "other_width", "other_layers"],
+    )
+    def test_project_refuses_a_split_before_writing(self, rundir, tmp_path, capsys, planted):
+        # a sketched split in a raw one's place, or a test split of another
+        # network: both headers are refused before Q is drawn, so a run
+        # directory without sketch.json or sketched_*.dntk gets none
+        out, _ = rundir
+        work = tmp_path / "run"
+        work.mkdir()
+        for key in ("train", "test", "model", "grads_train", "grads_test"):
+            shutil.copyfile(out / FILES[key], work / FILES[key])
+        if planted.startswith("sketched"):
+            raw_key = planted.replace("sketched", "grads")
+            shutil.copyfile(out / FILES[planted], work / FILES[raw_key])
+        else:
+            # [5, 8, 3] has another parameter count; [5, 7, 6, 3] has the
+            # same 111 parameters and 3 classes as [5, 12, 3]
+            sizes = [5, 8, 3] if planted == "other_width" else [5, 7, 6, 3]
+            other = tmp_path / "other"
+            other_cfg = write_cfg(tmp_path / "other.json", other,
+                                  layer_sizes=sizes, train_epochs=0)
+            for stage in ("gen-data", "train-model", "extract-grads"):
+                assert main([stage, "--config", other_cfg]) == 0
+            shutil.copyfile(other / FILES["grads_test"], work / FILES["grads_test"])
+        before = sorted(f.name for f in work.iterdir())
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        capsys.readouterr()
+        rc = main(["project", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=DimMismatch") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+        assert sorted(f.name for f in work.iterdir()) == before
 
     @pytest.mark.parametrize(
         "stage, key",

@@ -119,7 +119,9 @@ class TestGradientFile:
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         assert path.read_bytes()[22] == (0 if raw else 1)
-        assert dio.read_gradient_extents(path) == (feats.size, feats.width, feats.class_count)
+        sizes = (3, 4, 2) if raw else None  # tiny_raw's network
+        assert dio.read_gradient_extents(path) == (
+            feats.size, feats.width, feats.class_count, sizes)
         back = dio.read_gradients(path)
         assert back.raw is raw
         assert type(back.per_class) is (ClassRows if raw else np.ndarray)
@@ -361,6 +363,29 @@ def test_gradient_file_io_holds_one_copy(tmp_path):
     assert path.stat().st_size == payload
     assert traced_peak(lambda: dio.read_gradients(path)) <= 1.1 * payload
     assert write_peak <= 0.05 * payload
+
+
+class TestTable:
+    def test_header_then_cells(self, tmp_path):
+        # floats (numpy's too) at 17 significant digits, every other cell as
+        # str: ints, and labels holding commas as they are
+        path = tmp_path / "t.csv"
+        rows = [(0, 1 / 3, 7, "d[H=5,tv=0.9]", np.float64(0.1)), (1, 2.0, 0, "x", 1e-300)]
+        dio.write_table(rows, path, ("a", "b", "c", "d", "e"))
+        assert path.read_bytes() == (b"a,b,c,d,e\n"
+                                     b"0,0.33333333333333331,7,d[H=5,tv=0.9],0.10000000000000001\n"
+                                     b"1,2,0,x,1e-300\n")
+
+    def test_append_after_a_row_without_its_newline(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dio.write_table([(1, 0.5)], path, ("a", "b"))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        dio.write_table([(2, 0.25)], path, ("a", "b"), append=True)
+        assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
+
+    def test_unwritable_path_is_an_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            dio.write_table([], tmp_path / "missing" / "t.csv", ("a",))
 
 
 class TestReport:
