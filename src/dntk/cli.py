@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages and exchange files through the io
 module, so a run can stop and resume at any stage. io writes every file a
 stage leaves, its CSV tables included, so this module opens none. `project`
-checks both raw splits' headers before it draws the sketch or writes
-anything. main parses the arguments, loads the config and resolves the
+checks both raw splits' headers, the disk space of its outputs and the
+memory of the sketch and its larger output before it draws the sketch or
+writes anything. main parses the arguments, loads the config and resolves the
 output directory once, then hands all three to the subcommand. Exit codes:
 0 on success, 1 on validation problems (bad flags, config, files), 2 when a
 computation is numerically degenerate. Every failure lands on stderr as a
@@ -44,7 +45,7 @@ from .io import (
     write_table,
 )
 from .numerics import rank_tolerance, sym_eigvals
-from .sketch import project_features
+from .sketch import project_features, require_memory, sketch_bytes
 from .tangent import GradientFeatures, extract_features
 
 FILES = {
@@ -162,6 +163,11 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
     k = pipeline.sketch_width(cfg, d)
     _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(m, k, c),
                          _p(out, "sketched_test"): gradient_file_bytes(m_test, k, c)})
+    # Q stays while the splits are sketched one at a time, so it needs room
+    # beside the larger split's sketch
+    rows = max(m, m_test)
+    require_memory(8 * d * k + sketch_bytes(sizes, rows, k),
+                   f"a {d} x {k} sketch and its {c} x {rows} x {k} output")
     op = pipeline.sketch_operator(cfg, d, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
     for split in ("train", "test"):  # one split's factors at a time

@@ -19,9 +19,13 @@ One contraction applies it, _fused_sketch, fed by two producers of the
 backward pass's factors: the live backward pass for the in-process task
 (pipeline.sketched_features) and row slices of the factors a raw gradient
 file stores for the staged CLI (project_features). Both run ROW_BATCH rows
-at a time, the only row batch there is, so the staged sketch equals the
-in-process one bit for bit, and neither builds a P-wide row.
-project_features takes raw rows only, which are a ClassRows by type.
+at a time, the only row batch there is, and contract them COL_BLOCK sketch
+columns at a time, the only column block there is, so the staged sketch
+equals the in-process one bit for bit, and neither builds a P-wide row.
+Besides its (C, n, k) output the contraction holds a workspace that does
+not grow with k; sketch_bytes gives both, and an output the machine's free
+memory cannot hold is refused before it is made. project_features takes
+raw rows only, which are a ClassRows by type.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from .tangent import ROW_BATCH, GradientFeatures, param_count
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
+# sketch columns contracted per block by _fused_sketch; bounds its workspace.
+# A constant, not a setting: BLAS can round the last columns of a narrower
+# product differently, so another width can move the sketch's bits
+COL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,17 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     return replace(feats, per_class=out)
 
 
+def sketch_bytes(layer_sizes, n: int, k: int) -> int:
+    """Bytes _fused_sketch holds to sketch n samples of a network of these
+    layer widths to width k: its (C, n, k) output and its workspace, a T
+    block of max(fan_out) x ROW_BATCH x COL_BLOCK floats and two (ROW_BATCH,
+    C, COL_BLOCK) blocks for dz @ T and its running sum. Only the output
+    grows with k."""
+    c = layer_sizes[-1]
+    rows, cols = min(ROW_BATCH, n), min(COL_BLOCK, k)
+    return 8 * (c * n * k + (max(layer_sizes[1:]) + 2 * c) * rows * cols)
+
+
 def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarray:
     """The (C, n, k) sketch of n samples' per-logit Jacobian, contracted per layer.
 
@@ -205,33 +224,46 @@ def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarra
     instead of the 2 C P k of multiplying its (C, P) Jacobian by q, and no
     P-wide row is built.
 
-    One workspace serves every batch of rows and every layer: a flat block
-    of max(fan_out) * ROW_BATCH * k floats holds each layer's T, and two
-    (ROW_BATCH, C, k) buffers take dz @ T and its running sum. Every
-    product is written into it, so the call's peak memory is its output
-    plus that workspace, and each product keeps the shape and summation
-    order of freshly allocated per-batch arrays. A sketch of another
-    source width than the rows' P is refused with DimMismatch.
+    A batch is sketched COL_BLOCK columns of q at a time, every layer per
+    block: the layer's T block goes into one max(fan_out) * ROW_BATCH *
+    COL_BLOCK workspace, and two (ROW_BATCH, C, COL_BLOCK) blocks take dz @ T
+    and its sum over the layers, which is scaled into the block's output
+    columns. The same three blocks serve every batch, column block and
+    layer, so the call's peak memory is its output plus a workspace that
+    does not grow with k (sketch_bytes), and each product keeps the shape
+    and summation order of freshly allocated per-block arrays. An output
+    and workspace beyond available_memory() are refused with
+    InsufficientMemory before they are made; a sketch of another source
+    width than the rows' P is refused with DimMismatch.
     """
     width = param_count(layer_sizes)
     if width != op.source_dim:
         raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
     c, k, q = layer_sizes[-1], op.target_dim, op.q
-    rows = min(ROW_BATCH, n)
-    t_flat = np.empty(max(layer_sizes[1:]) * rows * k)
-    acc_full, prod_full = np.empty((2, rows, c, k))
+    require_memory(sketch_bytes(layer_sizes, n, k), f"sketching {n} rows to {c} x {k}")
+    rows, block = min(ROW_BATCH, n), min(COL_BLOCK, k)
+    t_flat = np.empty(max(layer_sizes[1:]) * rows * block)
+    acc_full, prod_full = np.empty((2, rows, c, block))
     out = np.empty((c, n, k))
     for start, layers in zip(range(0, n, ROW_BATCH), batches):
         b = min(ROW_BATCH, n - start)
-        acc, prod = acc_full[:b], prod_full[:b]
-        acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
+        # each layer's factors with its weight rows Q_l and bias rows of q
+        parts = []
         for pos, dz, a in layers:
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
-            t = t_flat[: fan_out * b * k].reshape(fan_out, b, k)
-            np.matmul(a, q[pos:w_end].reshape(fan_out, fan_in, k), out=t)
-            t += q[w_end : w_end + fan_out, None, :]
-            np.matmul(dz, t.transpose(1, 0, 2), out=prod)
-            acc += prod
-        np.multiply(acc.transpose(1, 0, 2), op.scale, out=out[:, start : start + b])
+            parts.append((dz, a, q[pos:w_end].reshape(fan_out, fan_in, k),
+                          q[w_end : w_end + fan_out, None, :]))
+        for j0 in range(0, k, COL_BLOCK):
+            cols = slice(j0, min(j0 + COL_BLOCK, k))
+            w = cols.stop - j0
+            acc, prod = acc_full[:b, :, :w], prod_full[:b, :, :w]
+            acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
+            for dz, a, q_w, q_b in parts:
+                t = t_flat[: q_w.shape[0] * b * w].reshape(q_w.shape[0], b, w)
+                np.matmul(a, q_w[:, :, cols], out=t)
+                t += q_b[:, :, cols]
+                np.matmul(dz, t.transpose(1, 0, 2), out=prod)
+                acc += prod
+            np.multiply(acc.transpose(1, 0, 2), op.scale, out=out[:, start : start + b, cols])
     return out

@@ -6,6 +6,7 @@ import numpy as np
 
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
+from dntk.sketch import COL_BLOCK
 from dntk.tangent import ROW_BATCH, GradientFeatures, _logit_backprop, one_hot
 
 # sample counts around ROW_BATCH (32): a lone partial batch (1, 23), one
@@ -77,9 +78,10 @@ def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
 
 def fused_sketch_per_batch(params, x, op):
     """The fused sketch of x's per-logit Jacobian, (C, n, k), with every
-    batch and layer in freshly allocated arrays: a zeroed accumulator, a new
-    T = a Q_l + Q_b per layer and a scaled copy per batch. The reference
-    pipeline.sketched_features is checked against bit for bit."""
+    batch, layer and column block in freshly allocated arrays: a zeroed
+    accumulator per batch, a new T = a Q_l + Q_b and a new dz @ T per layer
+    and block of COL_BLOCK sketch columns, and a scaled copy per batch. The
+    reference pipeline.sketched_features is checked against bit for bit."""
     xb = np.asarray(x, dtype=np.float64)
     n, k = xb.shape[0], op.target_dim
     out = np.empty((params.class_count, n, k))
@@ -89,9 +91,12 @@ def fused_sketch_per_batch(params, x, op):
         for pos, dz, a in _logit_backprop(params, rows):
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
-            t = a @ op.q[pos:w_end].reshape(fan_out, fan_in, k)  # (fan_out, b, k)
-            t += op.q[w_end : w_end + fan_out, None, :]
-            sk += dz @ t.transpose(1, 0, 2)
+            q_l = op.q[pos:w_end].reshape(fan_out, fan_in, k)
+            for j0 in range(0, k, COL_BLOCK):
+                cols = slice(j0, j0 + COL_BLOCK)
+                t = a @ q_l[:, :, cols]  # (fan_out, b, block width)
+                t += op.q[w_end : w_end + fan_out, None, cols]
+                sk[:, :, cols] += dz @ t.transpose(1, 0, 2)
         out[:, start : start + ROW_BATCH] = (op.scale * sk).transpose(1, 0, 2)
     return out
 

@@ -34,8 +34,8 @@ from dntk.io import (
     read_selection,
 )
 from dntk.numerics import sym_eigvals
-from dntk.sketch import SketchRecord
-from dntk.tangent import ROW_BATCH, param_count
+from dntk.sketch import SketchRecord, sketch_bytes
+from dntk.tangent import param_count
 
 SMOKE = dict(
     seed=5,
@@ -278,7 +278,7 @@ class TestBoundedMemory:
         # class block 3.8 MB, its backward-pass factors 0.7 MB. Neither stage
         # holds even one class block: extract-grads holds the factors and
         # the backward pass's temporaries, project the factors, q, its
-        # output and the contraction's workspace
+        # output and the contraction's blocked workspace
         sizes, n, k = [64, 64, 10], 100, 16
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "cfg.json", out, layer_sizes=sizes, n_train=n, n_test=50,
@@ -295,9 +295,8 @@ class TestBoundedMemory:
         c, p = sizes[-1], param_count(sizes)
         block = 8 * n * p
         factors = 8 * n * (c * sum(sizes[1:]) + sum(sizes[:-1]))
-        workspace = 8 * (max(sizes[1:]) * ROW_BATCH * k + 2 * ROW_BATCH * c * k)
         extract_bound = 1.25 * 2 * factors
-        project_bound = 1.25 * (factors + 8 * p * k + 8 * c * n * k + workspace)
+        project_bound = 1.25 * (factors + 8 * p * k + sketch_bytes(sizes, n, k))
         assert block > 1.5 * max(extract_bound, project_bound)
         assert stage_peak("extract-grads") <= extract_bound
         assert stage_peak("project") <= project_bound
@@ -383,16 +382,29 @@ class TestFreeSpace:
 
 
 class TestFreeMemory:
-    def test_project_refuses_a_sketch_larger_than_free_memory(
-            self, rundir, tmp_path, capsys, monkeypatch):
-        src, cfg = rundir
-        k = SketchRecord(**json.loads((src / FILES["sketch_meta"]).read_text())).target_dim
-        need = 8 * param_count(SMOKE["layer_sizes"]) * k
+    @staticmethod
+    def project_run(src, tmp_path):
+        """A run directory holding what `project` reads, and those files' keys."""
         work = tmp_path / "run"
         work.mkdir()
         kept = ("model", "train", "test", "grads_train", "grads_test")
         for key in kept:
             shutil.copy(src / FILES[key], work / FILES[key])
+        return work, kept
+
+    @staticmethod
+    def sketch_need(src):
+        """Bytes of q and of the larger split's sketch, its workspace included."""
+        k = SketchRecord(**json.loads((src / FILES["sketch_meta"]).read_text())).target_dim
+        sizes = SMOKE["layer_sizes"]
+        q = 8 * param_count(sizes) * k
+        return q, q + sketch_bytes(sizes, max(SMOKE["n_train"], SMOKE["n_test"]), k)
+
+    def test_project_refuses_a_sketch_larger_than_free_memory(
+            self, rundir, tmp_path, capsys, monkeypatch):
+        src, cfg = rundir
+        _, need = self.sketch_need(src)
+        work, kept = self.project_run(src, tmp_path)
 
         monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need - 1)
         assert main(["project", "--config", cfg, "--out", str(work)]) == 1
@@ -407,6 +419,22 @@ class TestFreeMemory:
         capsys.readouterr()
         for key in ("sketch_meta", "sketched_train", "sketched_test"):
             assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+
+    def test_project_refuses_an_output_larger_than_free_memory(
+            self, rundir, tmp_path, capsys, monkeypatch):
+        # room for q but not for the sketch it makes: refused before q is
+        # drawn or sketch.json is written, not once the first split is sketched
+        src, cfg = rundir
+        q, need = self.sketch_need(src)
+        work, kept = self.project_run(src, tmp_path)
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: q)
+        assert main(["project", "--config", cfg, "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error_code=InsufficientMemory"
+        assert err.count("error_code=") == 1
+        assert f"needs {need} bytes, {q} bytes of memory are available" in err
+        assert "Traceback" not in err
+        assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
 
     @pytest.mark.parametrize("stage, what, written", [
         (["kernel-stats"], "kernel stack", "kernel_stats"),

@@ -5,14 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import N_AROUND_ROW_BATCH, fused_sketch_per_batch, orthonormal_rows_basis
+from helpers import (
+    N_AROUND_ROW_BATCH,
+    fused_sketch_per_batch,
+    orthonormal_rows_basis,
+    traced_peak,
+)
 from numpy.testing import assert_allclose, assert_array_equal
 
 from dntk import kernel, krr, metrics, pipeline, sketch
 from dntk.baselines import select_random
-from dntk.errors import DimMismatch, EmptyInput, InputError, ShapeMismatch
+from dntk.errors import DimMismatch, EmptyInput, InputError, InsufficientMemory, ShapeMismatch
 from dntk.io import RunConfig
-from dntk.sketch import SketchRecord, project_features, sample_orthonormal
+from dntk.sketch import COL_BLOCK, SketchRecord, project_features, sample_orthonormal
 from dntk.tangent import ROW_BATCH, extract_features, init_params
 
 
@@ -112,9 +117,9 @@ class TestPrepareTask:
     @pytest.mark.parametrize(
         "sizes, activation",
         [
-            ([4, 10, 3], "tanh"),  # 2 weight layers
+            ([4, 24, 3], "tanh"),  # 2 weight layers
             ([5, 9, 7, 6, 4], "relu"),  # 4 weight layers
-            ([3, 8, 6, 5], "tanh"),  # 3 weight layers
+            ([3, 8, 12, 5], "tanh"),  # 3 weight layers
         ],
     )
     def test_fused_sketch_matches_two_step_around_row_batch(self, sizes, activation):
@@ -122,38 +127,72 @@ class TestPrepareTask:
         params = init_params(sizes, seed=len(sizes), activation=activation)
         # nonzero biases so relu units sit on both sides of the kink
         params = params.with_theta(params.theta + 0.3 * rng.normal(size=params.param_count))
-        op = sample_orthonormal(params.param_count, 9, seed=len(sizes))
-        for n in N_AROUND_ROW_BATCH:  # first or last batch may be partial
-            x = rng.normal(size=(n, sizes[0]))
-            labels = rng.integers(0, sizes[-1], size=n)
-            fused = pipeline.sketched_features(params, x, labels, op)
-            # the shared workspace keeps every product's shape and summation order
-            assert_array_equal(fused.per_class, fused_sketch_per_batch(params, x, op))
-            # both contract the same factors in the same row batches
-            two_step = project_features(extract_features(params, x, labels), op)
-            assert_array_equal(fused.per_class, two_step.per_class)
-            assert not fused.raw and not two_step.raw
-            assert_array_equal(fused.labels, two_step.labels)
-            assert_array_equal(fused.model_logits, two_step.model_logits)
+        # one narrow column block, and an odd width over three blocks whose
+        # last holds one column
+        for k in (9, 2 * COL_BLOCK + 1):
+            op = sample_orthonormal(params.param_count, k, seed=len(sizes))
+            for n in N_AROUND_ROW_BATCH:  # first or last batch may be partial
+                x = rng.normal(size=(n, sizes[0]))
+                labels = rng.integers(0, sizes[-1], size=n)
+                fused = pipeline.sketched_features(params, x, labels, op)
+                # the shared workspace keeps every product's shape and summation order
+                assert_array_equal(fused.per_class, fused_sketch_per_batch(params, x, op))
+                # both contract the same factors in the same row and column blocks
+                two_step = project_features(extract_features(params, x, labels), op)
+                assert_array_equal(fused.per_class, two_step.per_class)
+                assert not fused.raw and not two_step.raw
+                assert_array_equal(fused.labels, two_step.labels)
+                assert_array_equal(fused.model_logits, two_step.model_logits)
 
     def test_fused_sketch_peak_memory_is_output_and_workspace(self):
         # uneven fan-outs: a fresh T block per layer, made while the previous
         # one is still held, would add most of a second widest block
-        sizes, batch, k = [8, 40, 30, 5], ROW_BATCH, 256
+        sizes, n, k = [8, 40, 30, 5], 8 * ROW_BATCH, 256
         params = init_params(sizes, seed=23)
         rng = np.random.default_rng(24)
-        x = rng.normal(size=(4 * batch, sizes[0]))
-        labels = rng.integers(0, sizes[-1], size=4 * batch)
+        x = rng.normal(size=(n, sizes[0]))
+        labels = rng.integers(0, sizes[-1], size=n)
         op = sample_orthonormal(params.param_count, k, seed=25)
         tracemalloc.start()
         try:
-            feats = pipeline.sketched_features(params, x, labels, op)
+            pipeline.sketched_features(params, x, labels, op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        itemsize = feats.per_class.itemsize
-        workspace = (max(sizes[1:]) * batch * k + 2 * batch * sizes[-1] * k) * itemsize
-        assert peak <= 1.15 * (feats.per_class.nbytes + workspace)
+        assert peak <= 1.15 * sketch.sketch_bytes(sizes, n, k)
+
+    def test_fused_sketch_workspace_does_not_grow_with_k(self):
+        # what the call holds beyond its output, at k and at 4k: the
+        # workspace is COL_BLOCK columns wide whatever k is
+        sizes, n, k = [8, 40, 30, 5], 4 * ROW_BATCH, 2 * COL_BLOCK + 1
+        params = init_params(sizes, seed=23)
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(n, sizes[0]))
+        labels = rng.integers(0, sizes[-1], size=n)
+
+        def above_output(width):
+            op = sample_orthonormal(params.param_count, width, seed=25)
+            feats = []
+            peak = traced_peak(
+                lambda: feats.append(pipeline.sketched_features(params, x, labels, op)))
+            return peak - feats[0].per_class.nbytes
+
+        workspace = sketch.sketch_bytes(sizes, n, k) - 8 * sizes[-1] * n * k
+        assert abs(above_output(4 * k) - above_output(k)) < 0.15 * workspace
+
+    def test_fused_sketch_refuses_an_output_larger_than_free_memory(self, monkeypatch):
+        sizes, n, k = [4, 6, 3], 40, 5
+        params = init_params(sizes, seed=1)
+        op = sample_orthonormal(params.param_count, k, seed=2)
+        rng = np.random.default_rng(3)
+        x, labels = rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], size=n)
+        need = sketch.sketch_bytes(sizes, n, k)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory,
+                           match=f"sketching {n} rows to 3 x {k} needs {need} bytes"):
+            pipeline.sketched_features(params, x, labels, op)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need)
+        assert pipeline.sketched_features(params, x, labels, op).per_class.shape == (3, n, k)
 
     @pytest.mark.parametrize("path", ["fused", "raw"])
     def test_both_paths_reject_bad_samples(self, path):
