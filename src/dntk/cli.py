@@ -170,10 +170,9 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
                    f"a {d} x {k} sketch and its {c} x {rows} x {k} output")
     op = pipeline.sketch_operator(cfg, d, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
-    for split in ("train", "test"):  # one split's factors at a time
+    for split in ("train", "test"):  # each split's factors read one row batch at a time
         raw = read_gradients(_p(out, f"grads_{split}"))
         write_gradients(project_features(raw, op), _p(out, f"sketched_{split}"))
-        del raw
     print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
     return 0
 

@@ -12,8 +12,9 @@ payload is the backward pass's factors, per layer in network order the
 layer inputs a, from which every (m, D) class block of rows follows; a
 sketched file's payload is C blocks of m x D float64 rows. Both end with
 the m int64 class ids and the m x C float64 model logits. The reader
-builds the type the kind byte names, raw rows as a ClassRows of the
-factors, and refuses ids outside [0, C). A file of an earlier version is
+builds the type the kind byte names and refuses ids outside [0, C). Raw
+rows come as a ClassRows that reads the checked file per row slice, so a
+raw split's factors are never held whole. A file of an earlier version is
 refused with VersionMismatch; `dntk extract-grads` and `dntk project`
 write it anew. The staged tables (report.csv, sweep.csv, kernel_stats.csv,
 theory_checks.csv) are CSV, each declared once here as its columns
@@ -34,7 +35,9 @@ on disk.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -80,17 +83,28 @@ def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
     """
     if layer_sizes is None:
         return _HEADER.size + 8 * (c * m * d + m + m * c)
+    return _factor_offsets(m, c, layer_sizes)[1] + 8 * (m + m * c)
+
+
+def _factor_offsets(m: int, c: int, layer_sizes) -> tuple[list[tuple[int, int]], int]:
+    """Where a raw gradient file of m samples, C = c classes and these
+    layer widths keeps its factors: per layer in network order, the byte
+    offsets of its (m, C, fan_out) dz and its (m, fan_in) a, and the
+    offset where the factors end and the class ids start."""
     sizes = tuple(layer_sizes)
-    factors = m * sum(c * fan_out + fan_in for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-    return _HEADER.size + 4 * (1 + len(sizes)) + 8 * (factors + m + m * c)
+    pos, offsets = _HEADER.size + 4 * (1 + len(sizes)), []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        offsets.append((pos, pos + 8 * m * c * fan_out))
+        pos += 8 * m * (c * fan_out + fan_in)
+    return offsets, pos
 
 
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
-    Raw rows (a ClassRows) are written as their factors under kind byte
-    0; sketched rows are written one class block at a time under kind
-    byte 1.
+    Raw rows (a ClassRows) are written as their factors, read through
+    their layers(), under kind byte 0; sketched rows are written one class
+    block at a time under kind byte 1.
     """
     m, d, c = feats.size, feats.width, feats.class_count
     rows = feats.per_class
@@ -100,7 +114,7 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             if feats.raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
-                for dz, a in zip(rows.dz, rows.a):
+                for _, dz, a in reversed(rows.layers()):  # network order
                     fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
                     fh.write(np.ascontiguousarray(a, dtype="<f8").data)
             else:
@@ -117,10 +131,15 @@ def read_gradients(path) -> GradientFeatures:
 
     The features come back as the kind the header records. The header,
     a raw file's layer widths and the file size are checked first; class
-    ids outside [0, C) are refused after the payload is read. Every array
-    is read straight into the returned one, so reading holds one copy:
-    sketched rows as a (C, m, D) array, raw rows as their factors in a
-    ClassRows.
+    ids outside [0, C) are refused after they are read. Sketched rows are
+    read straight into a (C, m, D) array, so reading holds one copy. Raw
+    rows are not read here: they come as a ClassRows whose reader is the
+    checked file itself, and each pass over them (ClassRows.batches, [c],
+    layers) opens it once, checks its header and size again and reads the
+    row slices it needs at offsets from _factor_offsets. So a file that
+    shrinks or vanishes before its rows are read is refused then, with
+    TruncatedFile or IoError, and the class ids and logits are all that
+    reading holds.
     """
     try:
         with open(path, "rb") as fh:
@@ -128,16 +147,43 @@ def read_gradients(path) -> GradientFeatures:
             if sizes is None:
                 per_class = _read_array(fh, (c, m, d), "<f8", path)
             else:
-                factors = [(_read_array(fh, (m, c, fan_out), "<f8", path),
-                            _read_array(fh, (m, fan_in), "<f8", path))
-                           for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-                per_class = ClassRows(sizes, *zip(*factors))
+                extents = (m, d, c, sizes)
+                per_class = ClassRows(sizes, m, functools.partial(_factor_pass, path, extents))
+                fh.seek(_factor_offsets(m, c, sizes)[1])
             labels = _read_array(fh, (m,), "<i8", path)
             logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     _require(labels.min() >= 0 and labels.max() < c, path, f"class ids outside [0, {c})")
     return GradientFeatures(per_class, labels, logits)
+
+
+@contextlib.contextmanager
+def _factor_pass(path, extents):
+    """One pass over the factors of a raw gradient file whose header read
+    as extents (m, D, C, layer widths): the file is opened once, its header
+    and size are checked again, and read(start, stop) reads rows [start,
+    stop) of each layer's dz and a, in network order, into new arrays."""
+    m, _, c, sizes = extents
+    offsets = _factor_offsets(m, c, sizes)[0]
+    try:
+        with open(path, "rb") as fh:
+            if _read_header(fh, path) != extents:
+                raise ParseError(f"{path}: the header changed after the file was read")
+
+            def read(start, stop):
+                b = min(stop, m) - start
+                factors = []
+                for (dz_at, a_at), fan_in, fan_out in zip(offsets, sizes[:-1], sizes[1:]):
+                    fh.seek(dz_at + 8 * start * c * fan_out)
+                    dz = _read_array(fh, (b, c, fan_out), "<f8", path)
+                    fh.seek(a_at + 8 * start * fan_in)
+                    factors.append((dz, _read_array(fh, (b, fan_in), "<f8", path)))
+                return factors
+
+            yield read
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def read_gradient_extents(path) -> tuple[int, int, int, tuple[int, ...] | None]:

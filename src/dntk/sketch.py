@@ -22,10 +22,10 @@ file stores for the staged CLI (project_features). Both run ROW_BATCH rows
 at a time, the only row batch there is, and contract them COL_BLOCK sketch
 columns at a time, the only column block there is, so the staged sketch
 equals the in-process one bit for bit, and neither builds a P-wide row.
-Besides its (C, n, k) output the contraction holds a workspace that does
-not grow with k; sketch_bytes gives both, and an output the machine's free
-memory cannot hold is refused before it is made. project_features takes
-raw rows only, which are a ClassRows by type.
+Besides its (C, n, k) output the contraction holds one batch of factors and
+a workspace, neither of which grows with k; sketch_bytes gives all three,
+and an output the machine's free memory cannot hold is refused before it is
+made. project_features takes raw rows only, which are a ClassRows by type.
 """
 
 from __future__ import annotations
@@ -189,9 +189,12 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     Raw rows are a ClassRows, the backward pass's factors; _fused_sketch
     contracts their row slices with q in batches of ROW_BATCH rows, the
     batches the in-process sketch runs the live backward pass in, so both
-    make the same (C, n, k) bits from the same factors. No P-wide row is
-    built. Rows that are not a ClassRows are sketched already and are
-    refused with DimMismatch.
+    make the same (C, n, k) bits from the same factors. Rows read from a
+    file are read one batch at a time here, so the call holds q, its
+    output, the workspace and one batch of factors; a file that shrank or
+    vanished since read_gradients raises TruncatedFile or IoError. No
+    P-wide row is built. Rows that are not a ClassRows are sketched already
+    and are refused with DimMismatch.
     """
     if not feats.raw:
         raise DimMismatch("features are sketched already; expected raw rows")
@@ -202,13 +205,16 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
 
 def sketch_bytes(layer_sizes, n: int, k: int) -> int:
     """Bytes _fused_sketch holds to sketch n samples of a network of these
-    layer widths to width k: its (C, n, k) output and its workspace, a T
-    block of max(fan_out) x ROW_BATCH x COL_BLOCK floats and two (ROW_BATCH,
-    C, COL_BLOCK) blocks for dz @ T and its running sum. Only the output
-    grows with k."""
+    layer widths to width k: its (C, n, k) output, the one batch of
+    ROW_BATCH rows' factors either producer hands it (dz and a of every
+    layer), and its workspace, a T block of max(fan_out) x ROW_BATCH x
+    COL_BLOCK floats and two (ROW_BATCH, C, COL_BLOCK) blocks for dz @ T
+    and its running sum. Only the output grows with k."""
     c = layer_sizes[-1]
     rows, cols = min(ROW_BATCH, n), min(COL_BLOCK, k)
-    return 8 * (c * n * k + (max(layer_sizes[1:]) + 2 * c) * rows * cols)
+    factors = sum(c * fan_out + fan_in
+                  for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+    return 8 * (c * n * k + rows * (factors + (max(layer_sizes[1:]) + 2 * c) * cols))
 
 
 def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarray:
@@ -216,25 +222,27 @@ def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarra
 
     batches yields, per consecutive batch of ROW_BATCH rows, the (pos, dz, a)
     factors of each layer, last layer first: the live backward pass
-    (tangent._backprop_batches) or row slices of stored ones
-    (ClassRows.batches). The weight rows of q belonging to layer l form Q_l
-    (fan_out, fan_in, k), and (dz x a) @ Q_l = dz @ T with T[o] = a @ Q_l[o]
-    + (bias row o of q). T is computed once per sample with no class
-    factor, so a sample costs about 2 (P + C * sum(fan_out)) k flops
-    instead of the 2 C P k of multiplying its (C, P) Jacobian by q, and no
-    P-wide row is built.
+    (tangent._backprop_batches) or the row slices a ClassRows reads from
+    its arrays or its file (ClassRows.batches). The weight rows of q
+    belonging to layer l form Q_l (fan_out, fan_in, k), and (dz x a) @ Q_l
+    = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q). T is computed
+    once per sample with no class factor, so a sample costs about 2 (P + C
+    * sum(fan_out)) k flops instead of the 2 C P k of multiplying its (C,
+    P) Jacobian by q, and no P-wide row is built.
 
     A batch is sketched COL_BLOCK columns of q at a time, every layer per
     block: the layer's T block goes into one max(fan_out) * ROW_BATCH *
     COL_BLOCK workspace, and two (ROW_BATCH, C, COL_BLOCK) blocks take dz @ T
     and its sum over the layers, which is scaled into the block's output
     columns. The same three blocks serve every batch, column block and
-    layer, so the call's peak memory is its output plus a workspace that
-    does not grow with k (sketch_bytes), and each product keeps the shape
-    and summation order of freshly allocated per-block arrays. An output
-    and workspace beyond available_memory() are refused with
-    InsufficientMemory before they are made; a sketch of another source
-    width than the rows' P is refused with DimMismatch.
+    layer, so the call's peak memory is its output plus the batch's factors
+    and a workspace, which do not grow with k (sketch_bytes), and each
+    product keeps the shape and summation order of freshly allocated
+    per-block arrays. Each batch is contracted by _sketch_batch, so its
+    factors are dropped before the next batch is read or computed. An
+    output, factors and workspace beyond available_memory() are refused
+    with InsufficientMemory before they are made; a sketch of another
+    source width than the rows' P is refused with DimMismatch.
     """
     width = param_count(layer_sizes)
     if width != op.source_dim:
@@ -245,25 +253,36 @@ def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarra
     t_flat = np.empty(max(layer_sizes[1:]) * rows * block)
     acc_full, prod_full = np.empty((2, rows, c, block))
     out = np.empty((c, n, k))
-    for start, layers in zip(range(0, n, ROW_BATCH), batches):
+    batches = iter(batches)
+    for start in range(0, n, ROW_BATCH):
         b = min(ROW_BATCH, n - start)
-        # each layer's factors with its weight rows Q_l and bias rows of q
-        parts = []
-        for pos, dz, a in layers:
-            fan_out, fan_in = dz.shape[2], a.shape[1]
-            w_end = pos + fan_out * fan_in
-            parts.append((dz, a, q[pos:w_end].reshape(fan_out, fan_in, k),
-                          q[w_end : w_end + fan_out, None, :]))
-        for j0 in range(0, k, COL_BLOCK):
-            cols = slice(j0, min(j0 + COL_BLOCK, k))
-            w = cols.stop - j0
-            acc, prod = acc_full[:b, :, :w], prod_full[:b, :, :w]
-            acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
-            for dz, a, q_w, q_b in parts:
-                t = t_flat[: q_w.shape[0] * b * w].reshape(q_w.shape[0], b, w)
-                np.matmul(a, q_w[:, :, cols], out=t)
-                t += q_b[:, :, cols]
-                np.matmul(dz, t.transpose(1, 0, 2), out=prod)
-                acc += prod
-            np.multiply(acc.transpose(1, 0, 2), op.scale, out=out[:, start : start + b, cols])
+        _sketch_batch(next(batches), q, op.scale, t_flat, acc_full[:b], prod_full[:b],
+                      out[:, start : start + b])
     return out
+
+
+def _sketch_batch(layers, q, scale, t_flat, acc_full, prod_full, out) -> None:
+    """Sketch one batch's (pos, dz, a) layer factors into out (C, b, k), in
+    COL_BLOCK column blocks through _fused_sketch's workspace: t_flat for
+    each layer's T block, and the (b, C, COL_BLOCK) acc_full and prod_full
+    for dz @ T and its running sum."""
+    k, b = q.shape[1], out.shape[1]
+    # each layer's factors with its weight rows Q_l and bias rows of q
+    parts = []
+    for pos, dz, a in layers:
+        fan_out, fan_in = dz.shape[2], a.shape[1]
+        w_end = pos + fan_out * fan_in
+        parts.append((dz, a, q[pos:w_end].reshape(fan_out, fan_in, k),
+                      q[w_end : w_end + fan_out, None, :]))
+    for j0 in range(0, k, COL_BLOCK):
+        cols = slice(j0, min(j0 + COL_BLOCK, k))
+        w = cols.stop - j0
+        acc, prod = acc_full[:, :, :w], prod_full[:, :, :w]
+        acc.fill(0.0)  # summed from zero, like a fresh accumulator: same bits
+        for dz, a, q_w, q_b in parts:
+            t = t_flat[: q_w.shape[0] * b * w].reshape(q_w.shape[0], b, w)
+            np.matmul(a, q_w[:, :, cols], out=t)
+            t += q_b[:, :, cols]
+            np.matmul(dz, t.transpose(1, 0, 2), out=prod)
+            acc += prod
+        np.multiply(acc.transpose(1, 0, 2), scale, out=out[:, :, cols])

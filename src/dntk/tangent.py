@@ -16,6 +16,7 @@ array, so raw rows held densely cannot be built.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from dataclasses import dataclass, replace
 
@@ -94,40 +95,69 @@ class ClassRows:
     offers the same `shape` and `[c]`, so a consumer that asks for one
     class at a time takes either; nothing else of the array interface
     exists, so no caller can gather every class at once by accident.
-    batches() hands the factors out per ROW_BATCH rows, as the live
-    backward pass makes them, for sketch._fused_sketch to contract.
+
+    The factors sit behind one row-slice reader: open_pass() is a context
+    manager that yields read(start, stop), the (dz, a) rows [start, stop)
+    of each layer in network order, for one pass over them. It has two
+    sources: the arrays extract_features holds (ClassRows.of_arrays, whose
+    slices are views) and a raw gradient file io.read_gradients has checked
+    (io._factor_pass, which reads each slice from the file). layers(),
+    batches() and [c] read through it, and io.write_gradients through
+    layers(). batches() hands the factors out per ROW_BATCH rows in one
+    pass, as the live backward pass makes them, for sketch._fused_sketch to
+    contract, so a file's rows are never held whole.
     """
 
-    def __init__(self, layer_sizes, dz, a):
+    def __init__(self, layer_sizes, n: int, open_pass):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.dz, self.a = tuple(dz), tuple(a)
-        self.shape = (self.layer_sizes[-1], self.a[0].shape[0], param_count(self.layer_sizes))
+        self.shape = (self.layer_sizes[-1], int(n), param_count(self.layer_sizes))
+        self._open_pass = open_pass
+
+    @classmethod
+    def of_arrays(cls, layer_sizes, dz, a) -> "ClassRows":
+        """Rows of dz (n, C, fan_out) and a (n, fan_in) per layer in network order."""
+        dz, a = tuple(dz), tuple(a)
+
+        def read(start, stop):
+            return [(d[start:stop], x[start:stop]) for d, x in zip(dz, a)]
+
+        return cls(layer_sizes, a[0].shape[0], lambda: contextlib.nullcontext(read))
+
+    def _positioned(self, factors):
+        """(pos, dz, a) per layer, last layer first, as _logit_backprop yields
+        them, from (dz, a) per layer in network order."""
+        out, pos = [], self.shape[2]
+        for dz, a in reversed(factors):
+            pos -= dz.shape[2] * (a.shape[1] + 1)
+            out.append((pos, dz, a))
+        return out
 
     def layers(self):
-        """(pos, dz, a) per layer, last layer first, as _logit_backprop yields them."""
-        pos = self.shape[2]
-        for dz, a in zip(reversed(self.dz), reversed(self.a)):
-            pos -= dz.shape[2] * (a.shape[1] + 1)
-            yield pos, dz, a
+        """(pos, dz, a) per layer over every row, last layer first."""
+        with self._open_pass() as read:
+            return self._positioned(read(0, self.shape[1]))
 
     def batches(self):
-        """Per batch of ROW_BATCH rows, the row slices of layers()."""
-        for start in range(0, self.shape[1], ROW_BATCH):
-            yield [(pos, dz[start : start + ROW_BATCH], a[start : start + ROW_BATCH])
-                   for pos, dz, a in self.layers()]
+        """Per batch of ROW_BATCH rows, in order, the row slices of layers(),
+        all read in one pass."""
+        with self._open_pass() as read:
+            for start in range(0, self.shape[1], ROW_BATCH):
+                yield self._positioned(read(start, start + ROW_BATCH))
 
     def __getitem__(self, c) -> np.ndarray:
         # operator.index refuses slices and tuples; range refuses c outside [-C, C)
         c = range(self.shape[0])[operator.index(c)]
         out = np.empty(self.shape[1:])
-        for pos, dz, a in self.layers():
-            fan_out, fan_in = dz.shape[2], a.shape[1]
-            w_end = pos + fan_out * fan_in
-            # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
-            # unit-stride last axis, so this reshape is a view
-            np.multiply(dz[:, c, :, None], a[:, None, :],
-                        out=out[:, pos:w_end].reshape(-1, fan_out, fan_in))
-            out[:, w_end : w_end + fan_out] = dz[:, c]
+        for start, layers in zip(range(0, self.shape[1], ROW_BATCH), self.batches()):
+            rows = out[start : start + ROW_BATCH]
+            for pos, dz, a in layers:
+                fan_out, fan_in = dz.shape[2], a.shape[1]
+                w_end = pos + fan_out * fan_in
+                # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
+                # unit-stride last axis, so this reshape is a view
+                np.multiply(dz[:, c, :, None], a[:, None, :],
+                            out=rows[:, pos:w_end].reshape(-1, fan_out, fan_in))
+                rows[:, w_end : w_end + fan_out] = dz[:, c]
         return out
 
 
@@ -311,7 +341,7 @@ def _logit_factors(params: MlpParams, xb: np.ndarray) -> ClassRows:
         for i, (_, dz_b, a_b) in zip(range(len(a) - 1, -1, -1), layers):
             dz[i][start : start + ROW_BATCH] = dz_b
             a[i][start : start + ROW_BATCH] = a_b
-    return ClassRows(sizes, dz, a)
+    return ClassRows.of_arrays(sizes, dz, a)
 
 
 # ------------------------------------------------------------------ losses

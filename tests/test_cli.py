@@ -277,8 +277,8 @@ class TestBoundedMemory:
         # 10 classes x 100 train rows x P = 4810: a raw split is 38 MB, one
         # class block 3.8 MB, its backward-pass factors 0.7 MB. Neither stage
         # holds even one class block: extract-grads holds the factors and
-        # the backward pass's temporaries, project the factors, q, its
-        # output and the contraction's blocked workspace
+        # the backward pass's temporaries, project q, its output, one row
+        # batch of factors and the contraction's blocked workspace
         sizes, n, k = [64, 64, 10], 100, 16
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "cfg.json", out, layer_sizes=sizes, n_train=n, n_test=50,
@@ -296,7 +296,7 @@ class TestBoundedMemory:
         block = 8 * n * p
         factors = 8 * n * (c * sum(sizes[1:]) + sum(sizes[:-1]))
         extract_bound = 1.25 * 2 * factors
-        project_bound = 1.25 * (factors + 8 * p * k + sketch_bytes(sizes, n, k))
+        project_bound = 1.25 * (8 * p * k + sketch_bytes(sizes, n, k))
         assert block > 1.5 * max(extract_bound, project_bound)
         assert stage_peak("extract-grads") <= extract_bound
         assert stage_peak("project") <= project_bound
@@ -598,6 +598,36 @@ class TestErrorPaths:
         assert err.splitlines().count("error_code=DimMismatch") == 1
         assert err.count("error_code=") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, code", [("deleted", "IoError"),
+                                              ("truncated", "TruncatedFile")])
+    def test_project_refuses_a_split_damaged_after_it_is_read(
+            self, rundir, tmp_path, capsys, monkeypatch, damage, code):
+        # read_gradients checks a raw split but leaves its factors in the
+        # file, which project_features reads one row batch at a time: a
+        # file deleted or cut short in between is refused then
+        out, cfg = rundir
+        work = tmp_path / "run"
+        work.mkdir()
+        for key in ("train", "test", "model", "grads_train", "grads_test"):
+            shutil.copyfile(out / FILES[key], work / FILES[key])
+
+        def read_then_damage(path):
+            feats = read_gradients(path)
+            if damage == "deleted":
+                os.remove(path)
+            else:
+                os.truncate(path, os.path.getsize(path) - 8)
+            return feats
+
+        monkeypatch.setattr("dntk.cli.read_gradients", read_then_damage)
+        rc = main(["project", "--config", cfg, "--out", str(work)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[0] == f"error_code={code}"
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+        assert not (work / FILES["sketched_train"]).exists()
 
     @pytest.mark.parametrize(
         "planted",

@@ -24,7 +24,8 @@ from dntk.kernel import SCALE_CHOICES, scale_factor
 from dntk.krr import fit
 from dntk.pipeline import sketched_features
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import ClassRows, extract_features, gen_gaussian_mixture, init_params
+from dntk.tangent import (ROW_BATCH, ClassRows, extract_features, gen_gaussian_mixture,
+                          init_params)
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
@@ -91,10 +92,11 @@ class TestGradientFile:
         raw = path.read_bytes()
         assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 3, 5, 26, 2, 0)
         assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
+        factors = [(dz, a) for _, dz, a in reversed(rows.layers())]  # network order
         payload = b"".join(dz.astype("<f8").tobytes() + a.astype("<f8").tobytes()
-                           for dz, a in zip(rows.dz, rows.a))
-        assert [dz.shape for dz in rows.dz] == [(5, 2, 4), (5, 2, 2)]
-        assert [a.shape for a in rows.a] == [(5, 3), (5, 4)]
+                           for dz, a in factors)
+        assert [dz.shape for dz, _ in factors] == [(5, 2, 4), (5, 2, 2)]
+        assert [a.shape for _, a in factors] == [(5, 3), (5, 4)]
         assert raw[39 : 39 + len(payload)] == payload
         assert raw[39 + len(payload) :] == (feats.labels.astype("<i8").tobytes()
                                             + feats.model_logits.astype("<f8").tobytes())
@@ -244,6 +246,30 @@ class TestRawRowsOneClassAtATime:
         whole = op.scale * (ref @ op.q)
         assert np.abs(staged - whole).max() <= 1e-13 * np.abs(whole).max()
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_per_batch_reads_equal_whole_reads(self, tmp_path, activation):
+        # 70 rows: two full row batches and a 6-row one, so the file's
+        # slices start past row 0 and the last one stops at its last row
+        params, x, labels = self.net(activation)
+        x, labels = x[:70], labels[:70]
+        held = extract_features(params, x, labels)
+        dio.write_gradients(held, tmp_path / "g.dntk")
+        read = dio.read_gradients(tmp_path / "g.dntk")
+        whole = read.per_class.layers()  # every row of each layer in one read
+        batches = list(zip(read.per_class.batches(), held.per_class.batches()))
+        assert [len(from_file[0][1]) for from_file, _ in batches] == [32, 32, 6]
+        for start, (from_file, from_arrays) in zip(range(0, 70, ROW_BATCH), batches):
+            rows = slice(start, start + ROW_BATCH)
+            for (pos, dz, a), (pos_h, dz_h, a_h), (pos_w, dz_w, a_w) in zip(
+                    from_file, from_arrays, whole):
+                assert pos == pos_h == pos_w
+                # bit for bit: the same bytes as the whole read and the held arrays
+                assert dz.tobytes() == dz_w[rows].tobytes() == dz_h.tobytes()
+                assert a.tobytes() == a_w[rows].tobytes() == a_h.tobytes()
+        op = sample_orthonormal(params.param_count, 9, seed=33)
+        np.testing.assert_array_equal(project_features(read, op).per_class,
+                                      sketched_features(params, x, labels, op).per_class)
+
     def test_class_index_out_of_range(self, tmp_path):
         dio.write_gradients(tiny_raw(sizes=(3, 4, 2)), tmp_path / "g.dntk")
         rows = dio.read_gradients(tmp_path / "g.dntk").per_class
@@ -254,13 +280,39 @@ class TestRawRowsOneClassAtATime:
             rows[:, 0]
 
     def test_file_deleted_after_read(self, tmp_path):
-        # the factors are read whole, so the rows outlive their file
+        # the factors stay in their file and are read per row batch, so
+        # rows whose file is gone are refused when they are read, not held
         path = tmp_path / "g.dntk"
         dio.write_gradients(tiny_raw(), path)
-        rows = dio.read_gradients(path).per_class
-        before = class_blocks(rows)
+        feats = dio.read_gradients(path)
         path.unlink()
-        np.testing.assert_array_equal(class_blocks(rows), before)
+        with pytest.raises(IoError):
+            feats.per_class[0]
+        with pytest.raises(IoError):
+            project_features(feats, sample_orthonormal(feats.width, 4, seed=1))
+
+    def test_file_truncated_after_read(self, tmp_path):
+        # each pass checks the size again, so a file that lost even its
+        # last byte (part of a logit) is refused before any row slice is read
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_raw(), path)
+        feats = dio.read_gradients(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedFile):
+            feats.per_class[0]
+        with pytest.raises(TruncatedFile):
+            project_features(feats, sample_orthonormal(feats.width, 4, seed=1))
+
+
+    def test_file_replaced_after_read(self, tmp_path):
+        # a whole file of other extents in its place: the size fits its own
+        # header, but the header is not the one read_gradients checked
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_raw(n=5), path)
+        feats = dio.read_gradients(path)
+        dio.write_gradients(tiny_raw(n=6), path)
+        with pytest.raises(ParseError, match="header changed"):
+            feats.per_class[0]
 
 
 def _header(m=2, d=3, c=2, kind=0):
@@ -356,12 +408,14 @@ def test_gradient_file_io_holds_one_copy(tmp_path):
     assert read_peak <= 1.1 * payload
     assert write_peak <= 0.05 * payload
     # raw rows: 256 rows of a [16, 256, 256, 10] net's factors, a 6.1 MiB
-    # payload (their rows would be 146 MiB), read and written the same way
+    # payload (their rows would be 146 MiB), written from the held factors;
+    # reading leaves the factors in the file and holds the class ids and
+    # logits (22 KiB) and the objects around them
     raw = tiny_raw(seed=4, sizes=(16, 256, 256, 10), n=256)
     payload = dio.gradient_file_bytes(256, raw.width, 10, (16, 256, 256, 10))
     write_peak = traced_peak(lambda: dio.write_gradients(raw, path))
     assert path.stat().st_size == payload
-    assert traced_peak(lambda: dio.read_gradients(path)) <= 1.1 * payload
+    assert traced_peak(lambda: dio.read_gradients(path)) <= 2 * 8 * (256 + 256 * 10)
     assert write_peak <= 0.05 * payload
 
 
