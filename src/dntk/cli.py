@@ -134,10 +134,8 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     p, c, sizes = model.param_count, model.class_count, model.layer_sizes
     _require_space(out, {path: gradient_file_bytes(data.size, p, c, sizes)
                          for path, data in splits.items()})
-    for path, data in splits.items():
-        feats = extract_features(model, data.inputs, data.labels)
-        write_gradients(feats, path)
-        del feats  # hold one split's backward-pass factors at a time
+    for path, data in splits.items():  # the backward pass runs one row batch at a time
+        write_gradients(extract_features(model, data.inputs, data.labels), path)
     print(f"wrote raw gradient features to {out}")
     return 0
 

@@ -13,10 +13,11 @@ layer inputs a, from which every (m, D) class block of rows follows; a
 sketched file's payload is C blocks of m x D float64 rows. Both end with
 the m int64 class ids and the m x C float64 model logits. The reader
 builds the type the kind byte names and refuses ids outside [0, C). Raw
-rows come as a ClassRows that reads the checked file per row slice, so a
-raw split's factors are never held whole. A file of an earlier version is
-refused with VersionMismatch; `dntk extract-grads` and `dntk project`
-write it anew. The staged tables (report.csv, sweep.csv, kernel_stats.csv,
+rows are written per row batch from their ClassRows and come back as one
+that reads the checked file per row slice, so a raw split's factors are
+never held whole. A file of an earlier version is refused with
+VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
+The staged tables (report.csv, sweep.csv, kernel_stats.csv,
 theory_checks.csv) are CSV, each declared once here as its columns
 (ReportRow's fields, KERNEL_STATS_COLUMNS, THEORY_COLUMNS) and written by
 the one write_table, floats at 17 significant digits, which makes repeated
@@ -62,8 +63,8 @@ from .errors import (
 from .kernel import SCALE_CHOICES
 from .krr import KrrModel
 from .sketch import SketchRecord
-from .tangent import (ACTIVATIONS, ClassRows, GradientFeatures, LabeledDataset, MlpParams,
-                      param_count)
+from .tangent import (ACTIVATIONS, ROW_BATCH, ClassRows, GradientFeatures, LabeledDataset,
+                      MlpParams, param_count)
 
 MAGIC = b"DNTK1\0"
 VERSION = 3
@@ -102,21 +103,31 @@ def _factor_offsets(m: int, c: int, layer_sizes) -> tuple[list[tuple[int, int]],
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
-    Raw rows (a ClassRows) are written as their factors, read through
-    their layers(), under kind byte 0; sketched rows are written one class
-    block at a time under kind byte 1.
+    Raw rows (a ClassRows) are written as their factors under kind byte 0,
+    one row batch at a time at the offsets _factor_offsets gives, and are
+    refused with IoError before path is opened if they are read from the
+    file there; sketched rows are written one class block at a time under
+    kind byte 1.
     """
     m, d, c = feats.size, feats.width, feats.class_count
     rows = feats.per_class
+    if feats.raw and _reads_file(rows, path):
+        raise IoError(f"cannot write {path}: its raw rows are read from that file")
     try:
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, 0 if feats.raw else 1))
             if feats.raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
-                for _, dz, a in reversed(rows.layers()):  # network order
-                    fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
-                    fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+                offsets, end = _factor_offsets(m, c, sizes)
+                batches = rows.batches()
+                for start in range(0, m, ROW_BATCH):  # each batch dropped before the next
+                    for (dz_at, a_at), (_, dz, a) in zip(offsets, reversed(next(batches))):
+                        fh.seek(dz_at + 8 * start * dz[0].size)
+                        fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
+                        fh.seek(a_at + 8 * start * a[0].size)
+                        fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+                fh.seek(end)
             else:
                 for ci in range(c):
                     fh.write(np.ascontiguousarray(rows[ci], dtype="<f8").data)
@@ -124,6 +135,16 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _reads_file(rows: ClassRows, path) -> bool:
+    """Whether read_gradients made rows from the file at path, under any name."""
+    opener = rows.open_pass
+    try:
+        return (isinstance(opener, functools.partial) and opener.func is _factor_pass
+                and os.path.samefile(opener.args[0], path))
+    except OSError:  # either file is missing
+        return False
 
 
 def read_gradients(path) -> GradientFeatures:
@@ -134,9 +155,9 @@ def read_gradients(path) -> GradientFeatures:
     ids outside [0, C) are refused after they are read. Sketched rows are
     read straight into a (C, m, D) array, so reading holds one copy. Raw
     rows are not read here: they come as a ClassRows whose reader is the
-    checked file itself, and each pass over them (ClassRows.batches, [c],
-    layers) opens it once, checks its header and size again and reads the
-    row slices it needs at offsets from _factor_offsets. So a file that
+    checked file itself, and each pass over them (ClassRows.batches, [c])
+    opens it once, checks its header and size again and reads the row
+    slices it needs at offsets from _factor_offsets. So a file that
     shrinks or vanishes before its rows are read is refused then, with
     TruncatedFile or IoError, and the class ids and logits are all that
     reading holds.

@@ -5,7 +5,8 @@ each stage maps the config to its call in one function here, which the
 staged CLI and the in-process task and sweep both run. A "task" bundles
 the synthetic classification problem, the trained network, and sketched
 gradient features for train and test splits; the sketch module applies the
-sketch on both the in-process and the staged path. Every stage draws its
+sketch on both the in-process and the staged path, to raw rows from the
+live backward pass or from a raw gradient file. Every stage draws its
 seed by hashing (root seed, stage name, cell index), so any stage can be
 re-run in isolation and still line up with a full run.
 """
@@ -23,10 +24,10 @@ from .errors import InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, SketchRecord, _fused_sketch, jl_dimension, sample_orthonormal
 from .tangent import (
+    ClassRows,
     GradientFeatures,
     LabeledDataset,
     MlpParams,
-    _backprop_batches,
     _sample_set,
     gen_gaussian_mixture,
     init_params,
@@ -78,14 +79,13 @@ def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDat
 def sketched_features(params: MlpParams, inputs, labels, op: SketchOperator) -> GradientFeatures:
     """Per-logit gradients of a sample set, sketched batch by batch.
 
-    The same contraction as extract_features followed by project_features,
-    and the same bits, but the factors come straight from the live
-    backward pass and are dropped batch by batch: sketch._fused_sketch
-    contracts them layer by layer in its own workspace.
+    extract_features followed by project_features, and the same bits, in
+    one call: the live backward pass's ClassRows goes straight to
+    sketch._fused_sketch, which contracts its factors batch by batch, layer
+    by layer, in its own workspace and drops each batch before the next.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    out = _fused_sketch(params.layer_sizes, xb.shape[0], _backprop_batches(params, xb), op)
-    return GradientFeatures(out, ids, logits)
+    return GradientFeatures(_fused_sketch(ClassRows.of_backprop(params, xb), op), ids, logits)
 
 
 def sketch_width(cfg: RunConfig, param_count: int) -> int:

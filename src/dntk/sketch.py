@@ -15,15 +15,16 @@ greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
 is refused with InsufficientMemory before it is made, by require_memory,
 which guards the kernel stack and the ridge eigenvectors the same way.
 
-One contraction applies it, _fused_sketch, fed by two producers of the
-backward pass's factors: the live backward pass for the in-process task
-(pipeline.sketched_features) and row slices of the factors a raw gradient
-file stores for the staged CLI (project_features). Both run ROW_BATCH rows
-at a time, the only row batch there is, and contract them COL_BLOCK sketch
-columns at a time, the only column block there is, so the staged sketch
-equals the in-process one bit for bit, and neither builds a P-wide row.
-Besides its (C, n, k) output the contraction holds one batch of factors and
-a workspace, neither of which grows with k; sketch_bytes gives all three,
+One contraction applies it, _fused_sketch, and it takes the backward
+pass's factors from one producer interface, a ClassRows's batches(): the
+live backward pass for the in-process task (pipeline.sketched_features)
+and row slices of the factors a raw gradient file stores for the staged
+CLI (project_features). Both hand out ROW_BATCH rows at a time, the only
+row batch there is, and the contraction takes COL_BLOCK sketch columns at
+a time, the only column block there is, so the staged sketch equals the
+in-process one bit for bit, and neither builds a P-wide row. Besides its
+(C, n, k) output the contraction holds one batch of factors and a
+workspace, neither of which grows with k; sketch_bytes gives all three,
 and an output the machine's free memory cannot hold is refused before it is
 made. project_features takes raw rows only, which are a ClassRows by type.
 """
@@ -37,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
-from .tangent import ROW_BATCH, GradientFeatures, param_count
+from .tangent import ROW_BATCH, ClassRows, GradientFeatures
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -187,26 +188,24 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     """Sketch every raw gradient row; labels and logits pass through.
 
     Raw rows are a ClassRows, the backward pass's factors; _fused_sketch
-    contracts their row slices with q in batches of ROW_BATCH rows, the
-    batches the in-process sketch runs the live backward pass in, so both
-    make the same (C, n, k) bits from the same factors. Rows read from a
-    file are read one batch at a time here, so the call holds q, its
-    output, the workspace and one batch of factors; a file that shrank or
-    vanished since read_gradients raises TruncatedFile or IoError. No
-    P-wide row is built. Rows that are not a ClassRows are sketched already
-    and are refused with DimMismatch.
+    contracts their row slices with q in batches of ROW_BATCH rows, as the
+    in-process sketch contracts the live backward pass's, so both make the
+    same (C, n, k) bits from the same factors. The rows are read or made
+    one batch at a time, so the call holds q, its output, the workspace and
+    one batch of factors; a file that shrank or vanished since
+    read_gradients raises TruncatedFile or IoError. No P-wide row is built.
+    Rows that are not a ClassRows are sketched already and are refused with
+    DimMismatch.
     """
     if not feats.raw:
         raise DimMismatch("features are sketched already; expected raw rows")
-    rows = feats.per_class
-    out = _fused_sketch(rows.layer_sizes, feats.size, rows.batches(), op)
-    return replace(feats, per_class=out)
+    return replace(feats, per_class=_fused_sketch(feats.per_class, op))
 
 
 def sketch_bytes(layer_sizes, n: int, k: int) -> int:
     """Bytes _fused_sketch holds to sketch n samples of a network of these
     layer widths to width k: its (C, n, k) output, the one batch of
-    ROW_BATCH rows' factors either producer hands it (dz and a of every
+    ROW_BATCH rows' factors a ClassRows hands it (dz and a of every
     layer), and its workspace, a T block of max(fan_out) x ROW_BATCH x
     COL_BLOCK floats and two (ROW_BATCH, C, COL_BLOCK) blocks for dz @ T
     and its running sum. Only the output grows with k."""
@@ -217,13 +216,12 @@ def sketch_bytes(layer_sizes, n: int, k: int) -> int:
     return 8 * (c * n * k + rows * (factors + (max(layer_sizes[1:]) + 2 * c) * cols))
 
 
-def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarray:
-    """The (C, n, k) sketch of n samples' per-logit Jacobian, contracted per layer.
+def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
+    """The (C, n, k) sketch of the raw rows' per-logit Jacobian, contracted per layer.
 
-    batches yields, per consecutive batch of ROW_BATCH rows, the (pos, dz, a)
-    factors of each layer, last layer first: the live backward pass
-    (tangent._backprop_batches) or the row slices a ClassRows reads from
-    its arrays or its file (ClassRows.batches). The weight rows of q
+    raw.batches() yields, per consecutive batch of ROW_BATCH rows, the
+    (pos, dz, a) factors of each layer, last layer first, from the live
+    backward pass (ClassRows.of_backprop) or from a file. The weight rows of q
     belonging to layer l form Q_l (fan_out, fan_in, k), and (dz x a) @ Q_l
     = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q). T is computed
     once per sample with no class factor, so a sample costs about 2 (P + C
@@ -244,16 +242,16 @@ def _fused_sketch(layer_sizes, n: int, batches, op: SketchOperator) -> np.ndarra
     with InsufficientMemory before they are made; a sketch of another
     source width than the rows' P is refused with DimMismatch.
     """
-    width = param_count(layer_sizes)
+    c, n, width = raw.shape
     if width != op.source_dim:
         raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
-    c, k, q = layer_sizes[-1], op.target_dim, op.q
-    require_memory(sketch_bytes(layer_sizes, n, k), f"sketching {n} rows to {c} x {k}")
+    sizes, k, q = raw.layer_sizes, op.target_dim, op.q
+    require_memory(sketch_bytes(sizes, n, k), f"sketching {n} rows to {c} x {k}")
     rows, block = min(ROW_BATCH, n), min(COL_BLOCK, k)
-    t_flat = np.empty(max(layer_sizes[1:]) * rows * block)
+    t_flat = np.empty(max(sizes[1:]) * rows * block)
     acc_full, prod_full = np.empty((2, rows, c, block))
     out = np.empty((c, n, k))
-    batches = iter(batches)
+    batches = raw.batches()
     for start in range(0, n, ROW_BATCH):
         b = min(ROW_BATCH, n - start)
         _sketch_batch(next(batches), q, op.scale, t_flat, acc_full[:b], prod_full[:b],

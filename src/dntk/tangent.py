@@ -8,10 +8,11 @@ gradient and serves loss_param_gradient and SGD training alike. Both are
 checked in the test suite against central finite differences and against
 each other through the chain rule. The per-logit pass runs ROW_BATCH rows
 at a time, the one row batch of extraction and sketch alike, and its
-factors (_logit_backprop) are either kept as a ClassRows or contracted
-with the sketch module's projection. A GradientFeatures' kind is the type
-of its rows: raw parameter-space rows are a ClassRows, sketched rows an
-array, so raw rows held densely cannot be built.
+factors (_logit_backprop) are handed out by a ClassRows, which runs it
+on each row batch as that is read; a raw gradient file is the rows' only
+other source. A GradientFeatures' kind is the type of its rows: raw
+parameter-space rows are a ClassRows, sketched rows an array, so raw rows
+held densely cannot be built.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class ClassRows:
 
     Layer l's per-logit gradient of sample i for class c is the outer
     product dz_l[i, c] x a_l[i] (its weight block) followed by dz_l[i, c]
-    (its bias block), so the rows are kept as dz_l (n, C, fan_out) and
-    a_l (n, fan_in) per layer, in network order: n * sum(C * fan_out +
+    (its bias block), so the rows are handed out as dz_l (n, C, fan_out)
+    and a_l (n, fan_in) per layer, in network order: n * sum(C * fan_out +
     fan_in) floats instead of C * n * P. `shape` is the whole array's, and
     rows[c] fills class c's (n, P) float64 block as a new array. An ndarray
     offers the same `shape` and `[c]`, so a consumer that asks for one
@@ -99,29 +100,32 @@ class ClassRows:
     The factors sit behind one row-slice reader: open_pass() is a context
     manager that yields read(start, stop), the (dz, a) rows [start, stop)
     of each layer in network order, for one pass over them. It has two
-    sources: the arrays extract_features holds (ClassRows.of_arrays, whose
-    slices are views) and a raw gradient file io.read_gradients has checked
-    (io._factor_pass, which reads each slice from the file). layers(),
-    batches() and [c] read through it, and io.write_gradients through
-    layers(). batches() hands the factors out per ROW_BATCH rows in one
-    pass, as the live backward pass makes them, for sketch._fused_sketch to
-    contract, so a file's rows are never held whole.
+    sources, neither of which holds a whole split's factors: the live
+    backward pass (ClassRows.of_backprop, which runs it on the rows of its
+    own copy of the inputs at each read) and a raw gradient file
+    io.read_gradients has checked (io._factor_pass, which reads each slice
+    from the file). batches() and [c] read through it, and batches() is
+    how every consumer takes the factors: per ROW_BATCH rows in one pass,
+    for sketch._fused_sketch to contract and io.write_gradients to write.
     """
 
     def __init__(self, layer_sizes, n: int, open_pass):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.shape = (self.layer_sizes[-1], int(n), param_count(self.layer_sizes))
-        self._open_pass = open_pass
+        self.open_pass = open_pass
 
     @classmethod
-    def of_arrays(cls, layer_sizes, dz, a) -> "ClassRows":
-        """Rows of dz (n, C, fan_out) and a (n, fan_in) per layer in network order."""
-        dz, a = tuple(dz), tuple(a)
+    def of_backprop(cls, params: MlpParams, xb: np.ndarray) -> "ClassRows":
+        """Rows of the per-logit gradients of the (n, d_in) inputs xb, made
+        by _logit_backprop on each slice as it is read. xb and theta are
+        copied, so later changes to the caller's arrays leave the rows as
+        they were."""
+        params, xb = replace(params, theta=params.theta.copy()), xb.copy(order="K")
 
         def read(start, stop):
-            return [(d[start:stop], x[start:stop]) for d, x in zip(dz, a)]
+            return [(dz, a) for _, dz, a in _logit_backprop(params, xb[start:stop])][::-1]
 
-        return cls(layer_sizes, a[0].shape[0], lambda: contextlib.nullcontext(read))
+        return cls(params.layer_sizes, xb.shape[0], lambda: contextlib.nullcontext(read))
 
     def _positioned(self, factors):
         """(pos, dz, a) per layer, last layer first, as _logit_backprop yields
@@ -132,15 +136,10 @@ class ClassRows:
             out.append((pos, dz, a))
         return out
 
-    def layers(self):
-        """(pos, dz, a) per layer over every row, last layer first."""
-        with self._open_pass() as read:
-            return self._positioned(read(0, self.shape[1]))
-
     def batches(self):
-        """Per batch of ROW_BATCH rows, in order, the row slices of layers(),
-        all read in one pass."""
-        with self._open_pass() as read:
+        """Per batch of ROW_BATCH rows, in order, the (pos, dz, a) row slices
+        of each layer, last layer first, all read in one pass."""
+        with self.open_pass() as read:
             for start in range(0, self.shape[1], ROW_BATCH):
                 yield self._positioned(read(start, start + ROW_BATCH))
 
@@ -289,10 +288,11 @@ def _forward_trace(params: MlpParams, xb: np.ndarray):
 def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     """Jacobian of the logits with respect to theta, one row per class.
 
-    Backpropagates the C x C identity through the network, so a single
-    forward pass yields all C gradient rows at once.
+    Backpropagates the C x C identity through the network, so one backward
+    pass holds the factors of all C gradient rows; each row is filled from
+    them as the input's ClassRows fills a class block.
     """
-    rows = _logit_factors(params, _one_input(params, x))
+    rows = ClassRows.of_backprop(params, _one_input(params, x))
     return np.concatenate([rows[c] for c in range(params.class_count)])
 
 
@@ -303,10 +303,10 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
     block in theta (its bias block follows), dz (n, C, fan_out) holds the
     logit gradients with respect to the layer's pre-activations and a
     (n, fan_in) its inputs. The per-logit weight gradient is the outer
-    product dz[:, c] x a and the bias gradient is dz[:, c], so callers can
-    keep the factors in place of the rows (_logit_factors) or contract them
-    with a sketch (sketch._fused_sketch). dz is read-only; each layer's is
-    a new array, so a caller may keep all of them.
+    product dz[:, c] x a and the bias gradient is dz[:, c], so a ClassRows
+    (ClassRows.of_backprop) hands out the factors in place of the rows.
+    dz is read-only; each layer's is a new array, so a caller may keep all
+    of them.
     """
     layers, acts, pres = _forward_trace(params, xb)
     n = xb.shape[0]
@@ -320,28 +320,6 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
         yield pos, dz, acts[i]
         if i > 0:
             dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
-
-
-def _backprop_batches(params: MlpParams, xb: np.ndarray):
-    """_logit_backprop of each batch of ROW_BATCH rows of xb, in order."""
-    for start in range(0, xb.shape[0], ROW_BATCH):
-        yield _logit_backprop(params, xb[start : start + ROW_BATCH])
-
-
-def _logit_factors(params: MlpParams, xb: np.ndarray) -> ClassRows:
-    """The (C, n, P) per-logit gradients of xb, held as their factors.
-
-    The backward pass runs once per ROW_BATCH rows, and each batch's dz and
-    a are copied into per-layer (n, C, fan_out) and (n, fan_in) arrays.
-    """
-    n, sizes = xb.shape[0], params.layer_sizes
-    dz = [np.empty((n, sizes[-1], fan_out)) for fan_out in sizes[1:]]
-    a = [np.empty((n, fan_in)) for fan_in in sizes[:-1]]
-    for start, layers in zip(range(0, n, ROW_BATCH), _backprop_batches(params, xb)):
-        for i, (_, dz_b, a_b) in zip(range(len(a) - 1, -1, -1), layers):
-            dz[i][start : start + ROW_BATCH] = dz_b
-            a[i][start : start + ROW_BATCH] = a_b
-    return ClassRows.of_arrays(sizes, dz, a)
 
 
 # ------------------------------------------------------------------ losses
@@ -524,10 +502,11 @@ def _sample_set(params: MlpParams, inputs, labels):
 def extract_features(params: MlpParams, inputs, labels) -> GradientFeatures:
     """Per-logit gradients, class ids and model logits for a sample set.
 
-    The raw (C, n, P) gradient rows are held as the backward pass's
-    factors, run per ROW_BATCH rows: per_class is a ClassRows whose [c]
-    fills class c's (n, P) block from them. labels are the (n,) integer
-    class ids of the inputs.
+    The raw (C, n, P) gradient rows are a ClassRows of the live backward
+    pass over a copy of the inputs: each pass over them runs it per
+    ROW_BATCH rows, so no split's factors are held whole, and [c] fills
+    class c's (n, P) block from them. labels are the (n,) integer class
+    ids of the inputs.
     """
     xb, ids, logits = _sample_set(params, inputs, labels)
-    return GradientFeatures(_logit_factors(params, xb), ids, logits)
+    return GradientFeatures(ClassRows.of_backprop(params, xb), ids, logits)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -92,7 +93,8 @@ class TestGradientFile:
         raw = path.read_bytes()
         assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 3, 5, 26, 2, 0)
         assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
-        factors = [(dz, a) for _, dz, a in reversed(rows.layers())]  # network order
+        # 5 rows: one row batch holds them all
+        factors = [(dz, a) for _, dz, a in reversed(next(rows.batches()))]  # network order
         payload = b"".join(dz.astype("<f8").tobytes() + a.astype("<f8").tobytes()
                            for dz, a in factors)
         assert [dz.shape for dz, _ in factors] == [(5, 2, 4), (5, 2, 2)]
@@ -252,23 +254,54 @@ class TestRawRowsOneClassAtATime:
         # slices start past row 0 and the last one stops at its last row
         params, x, labels = self.net(activation)
         x, labels = x[:70], labels[:70]
-        held = extract_features(params, x, labels)
-        dio.write_gradients(held, tmp_path / "g.dntk")
+        live = extract_features(params, x, labels)
+        dio.write_gradients(live, tmp_path / "g.dntk")
         read = dio.read_gradients(tmp_path / "g.dntk")
-        whole = read.per_class.layers()  # every row of each layer in one read
-        batches = list(zip(read.per_class.batches(), held.per_class.batches()))
+        with read.per_class.open_pass() as read_rows:
+            whole = read_rows(0, 70)[::-1]  # every row of each layer in one read
+        batches = list(zip(read.per_class.batches(), live.per_class.batches()))
         assert [len(from_file[0][1]) for from_file, _ in batches] == [32, 32, 6]
-        for start, (from_file, from_arrays) in zip(range(0, 70, ROW_BATCH), batches):
+        for start, (from_file, from_live) in zip(range(0, 70, ROW_BATCH), batches):
             rows = slice(start, start + ROW_BATCH)
-            for (pos, dz, a), (pos_h, dz_h, a_h), (pos_w, dz_w, a_w) in zip(
-                    from_file, from_arrays, whole):
-                assert pos == pos_h == pos_w
-                # bit for bit: the same bytes as the whole read and the held arrays
-                assert dz.tobytes() == dz_w[rows].tobytes() == dz_h.tobytes()
-                assert a.tobytes() == a_w[rows].tobytes() == a_h.tobytes()
+            for (pos, dz, a), (pos_l, dz_l, a_l), (dz_w, a_w) in zip(
+                    from_file, from_live, whole):
+                assert pos == pos_l
+                # bit for bit: the same bytes as the whole read and the live backward pass
+                assert dz.tobytes() == dz_w[rows].tobytes() == dz_l.tobytes()
+                assert a.tobytes() == a_w[rows].tobytes() == a_l.tobytes()
         op = sample_orthonormal(params.param_count, 9, seed=33)
         np.testing.assert_array_equal(project_features(read, op).per_class,
                                       sketched_features(params, x, labels, op).per_class)
+
+    def test_live_rows_copy_their_inputs(self, tmp_path):
+        # the live backward pass runs on its own copies of the inputs and
+        # theta, so changing the caller's arrays afterwards moves no row
+        params, x, labels = self.net("tanh")
+        feats = extract_features(params, x, labels)
+        ref = class_blocks(feats.per_class)
+        dio.write_gradients(feats, tmp_path / "before.dntk")
+        x += 1.0
+        params.theta[:] = 0.0
+        np.testing.assert_array_equal(class_blocks(feats.per_class), ref)
+        dio.write_gradients(feats, tmp_path / "after.dntk")
+        assert (tmp_path / "after.dntk").read_bytes() == (tmp_path / "before.dntk").read_bytes()
+
+    def test_raw_rows_are_not_written_over_their_own_file(self, tmp_path):
+        # opening the file for writing would truncate it before its rows
+        # are read, so the write is refused first, under any of its names
+        path = tmp_path / "g.dntk"
+        dio.write_gradients(tiny_raw(), path)
+        before = path.read_bytes()
+        feats = dio.read_gradients(path)
+        (tmp_path / "link.dntk").symlink_to(path)
+        os.link(path, tmp_path / "hard.dntk")
+        for name in ("g.dntk", "./g.dntk", "link.dntk", "hard.dntk"):
+            with pytest.raises(IoError, match="read from that file"):
+                dio.write_gradients(feats, tmp_path / name)
+            assert path.read_bytes() == before
+        # any other file takes them, byte for byte
+        dio.write_gradients(feats, tmp_path / "copy.dntk")
+        assert (tmp_path / "copy.dntk").read_bytes() == before
 
     def test_class_index_out_of_range(self, tmp_path):
         dio.write_gradients(tiny_raw(sizes=(3, 4, 2)), tmp_path / "g.dntk")
@@ -407,16 +440,19 @@ def test_gradient_file_io_holds_one_copy(tmp_path):
     read_peak = traced_peak(lambda: dio.read_gradients(path))
     assert read_peak <= 1.1 * payload
     assert write_peak <= 0.05 * payload
-    # raw rows: 256 rows of a [16, 256, 256, 10] net's factors, a 6.1 MiB
-    # payload (their rows would be 146 MiB), written from the held factors;
+    # raw rows: 256 and 1024 rows of a [16, 256, 256, 10] net's factors,
+    # 11.8 and 47 MB payloads (their rows would be 146 and 585 MiB). The
+    # backward pass runs per row batch as the rows are written, so writing
+    # holds one batch of factors and its forward pass whatever n is;
     # reading leaves the factors in the file and holds the class ids and
-    # logits (22 KiB) and the objects around them
-    raw = tiny_raw(seed=4, sizes=(16, 256, 256, 10), n=256)
-    payload = dio.gradient_file_bytes(256, raw.width, 10, (16, 256, 256, 10))
-    write_peak = traced_peak(lambda: dio.write_gradients(raw, path))
-    assert path.stat().st_size == payload
-    assert traced_peak(lambda: dio.read_gradients(path)) <= 2 * 8 * (256 + 256 * 10)
-    assert write_peak <= 0.05 * payload
+    # logits (22 KiB at 256 rows) and the objects around them
+    sizes, write_peaks = (16, 256, 256, 10), []
+    for n in (256, 1024):
+        raw = tiny_raw(seed=4, sizes=sizes, n=n)
+        write_peaks.append(traced_peak(lambda: dio.write_gradients(raw, path)))
+        assert path.stat().st_size == dio.gradient_file_bytes(n, raw.width, 10, sizes)
+    assert traced_peak(lambda: dio.read_gradients(path)) <= 2 * 8 * (1024 + 1024 * 10)
+    assert write_peaks[1] <= 1.1 * write_peaks[0]
 
 
 class TestTable:

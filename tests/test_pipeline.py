@@ -16,9 +16,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from dntk import kernel, krr, metrics, pipeline, sketch
 from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, InsufficientMemory, ShapeMismatch
-from dntk.io import RunConfig
+from dntk.io import RunConfig, read_gradients, write_gradients
 from dntk.sketch import COL_BLOCK, SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import ROW_BATCH, _backprop_batches, extract_features, init_params
+from dntk.tangent import ROW_BATCH, extract_features, init_params
 
 
 def tiny_cfg(**overrides):
@@ -153,15 +153,18 @@ class TestPrepareTask:
         x = rng.normal(size=(n, sizes[0]))
         labels = rng.integers(0, sizes[-1], size=n)
         op = sample_orthonormal(params.param_count, k, seed=25)
-        tracemalloc.start()
-        try:
-            pipeline.sketched_features(params, x, labels, op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * sketch.sketch_bytes(sizes, n, k)
+        # in one call, and in two through the live backward pass's ClassRows
+        for run in (lambda: pipeline.sketched_features(params, x, labels, op),
+                    lambda: project_features(extract_features(params, x, labels), op)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * sketch.sketch_bytes(sizes, n, k)
 
-    def test_sketch_bytes_counts_output_one_batch_of_factors_and_workspace(self):
+    def test_sketch_bytes_counts_output_one_batch_of_factors_and_workspace(self, tmp_path):
         # [8, 40, 30, 5]: one row's factors are 5 * (40 + 30 + 5) dz and
         # 8 + 40 + 30 a floats, 453 in all; the T block is 40 = max(fan_out)
         # rows of a ROW_BATCH x COL_BLOCK block, beside two (ROW_BATCH, 5,
@@ -171,14 +174,15 @@ class TestPrepareTask:
         assert sketch.sketch_bytes(sizes, n, k) == 8 * (5 * n * k + 32 * (453 + (40 + 10) * 64))
         # below one batch and one block, both shrink to what is there
         assert sketch.sketch_bytes(sizes, 5, 9) == 8 * (5 * 5 * 9 + 5 * (453 + (40 + 10) * 9))
-        # the factors counted are the batch either producer hands the sketch
+        # the factors counted are the batch either source hands the sketch:
+        # the live backward pass and a raw file
         params = init_params(sizes, seed=23)
         x = np.random.default_rng(24).normal(size=(n, sizes[0]))
-        held = extract_features(params, x, np.zeros(n, dtype=int)).per_class
-        first = next(held.batches())
-        assert sum(dz.nbytes + a.nbytes for _, dz, a in first) == 8 * 32 * 453
-        live = next(_backprop_batches(params, x))
-        assert sum(dz.nbytes + a.nbytes for _, dz, a in live) == 8 * 32 * 453
+        live = extract_features(params, x, np.zeros(n, dtype=int))
+        write_gradients(live, tmp_path / "g.dntk")
+        for rows in (live.per_class, read_gradients(tmp_path / "g.dntk").per_class):
+            first = next(rows.batches())
+            assert sum(dz.nbytes + a.nbytes for _, dz, a in first) == 8 * 32 * 453
 
     def test_fused_sketch_workspace_does_not_grow_with_k(self):
         # what the call holds beyond its output, at k and at 4k: the

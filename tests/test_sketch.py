@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -135,7 +136,8 @@ class TestProjectVector:
     def test_zero_maps_to_zero(self):
         op = sample_orthonormal(25, 6, seed=5)
         # factors of a [4, 5] layer (P = 25) whose logit gradients vanish
-        rows = ClassRows.of_arrays((4, 5), [np.zeros((1, 5, 5))], [np.ones((1, 4))])
+        factors = [(np.zeros((1, 5, 5)), np.ones((1, 4)))]
+        rows = ClassRows((4, 5), 1, lambda: contextlib.nullcontext(lambda start, stop: factors))
         feats = GradientFeatures(rows, np.zeros(1, dtype=np.int64), np.zeros((1, 5)))
         np.testing.assert_array_equal(project_features(feats, op).per_class, np.zeros((5, 1, 6)))
 
