@@ -4,7 +4,9 @@ All four return indices of real samples: uniform random, leverage-score
 sampling on the averaged kernel, farthest point sampling on the flattened
 gradient rows, and nearest-to-centroid k-means representatives. Downstream
 fits use the selected rows with the model logits as targets, the same
-targets the distilled sets regress.
+targets the distilled sets regress. Leverage reads the kernel's
+eigensystem from a cluster.KernelSpectra when the caller has one, so the
+distillation and leverage runs of one kernel decompose it once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import _sq_dists_to, kmeans_fit
+from .cluster import KernelSpectra, _sq_dists_to, kmeans_fit
 from .errors import EmptyInput, RankTooLarge, STooLarge, ZeroScores
 from .numerics import as_matrix, sym_eig
 
@@ -43,19 +45,22 @@ def select_random(m: int, s: int, seed: int) -> SelectionResult:
     return SelectionResult(indices=idx.astype(np.intp), method="random", seed=seed)
 
 
-def select_leverage(kernel_matrix, s: int, r: int, seed: int) -> SelectionResult:
+def select_leverage(
+    kernel_matrix, s: int, r: int, seed: int, spectra: KernelSpectra | None = None
+) -> SelectionResult:
     """Sample proportional to rank-r leverage scores, without replacement.
 
     Scores are squared row norms of the top-r eigenvector block, so they
     sum to r exactly. Indices with zero score are only used to top up when
-    fewer than s samples carry positive leverage.
+    fewer than s samples carry positive leverage. The eigensystem comes
+    from spectra when given, else it is computed for this call alone.
     """
     k = as_matrix(kernel_matrix, "kernel")
     m = k.shape[0]
     _check_budget(m, s)
     if r < 1 or r > m:
         raise RankTooLarge(f"rank r={r} invalid for m={m}")
-    eig = sym_eig(k)
+    eig = spectra.eig(k) if spectra is not None else sym_eig(k)
     scores = (eig.vectors[:, :r] ** 2).sum(axis=1)
     total = scores.sum()
     if total <= 0.0:

@@ -4,10 +4,20 @@ Affinity is the clamped kernel, the Laplacian is the symmetric normalized
 one, and the embedding rows are clustered with a fully seeded k-means
 (k-means++ seeding, fixed restart and iteration budget, lowest-index tie
 breaks) so a partition is reproducible bit-for-bit from (kernel, H, seed).
+
+Clustering splits in two. laplacian_spectrum reads the kernel alone: which
+samples have zero affinity to everything, and the eigensystem of the
+Laplacian of the rest. spectral_cluster then does the (H, seed) part:
+slice the bottom eigenvectors, normalize them and run k-means. The kernel
+part and the kernel's own eigensystem, which distillation and the leverage
+baseline read, are held by KernelSpectra, so several clusterings of one
+kernel can share one decomposition of each.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InputError,
 )
-from .numerics import as_matrix, sym_eig
+from .numerics import EigenSystem, as_matrix, sym_eig
 
 KMEANS_RESTARTS = 20
 KMEANS_ITERS = 100
@@ -171,12 +181,86 @@ def _repair_empty(assign: np.ndarray, points: np.ndarray, k: int) -> np.ndarray:
 
 # ------------------------------------------------------------- clustering
 
-def spectral_cluster(kbar, h: int, seed: int) -> ClusterPartition:
+@dataclass(frozen=True)
+class LaplacianSpectrum:
+    """The kernel-only half of spectral clustering."""
+
+    isolated: np.ndarray  # sample ids with zero affinity to everything
+    connected: np.ndarray  # every other sample id, ascending
+    eig: EigenSystem | None  # of the connected block's Laplacian; None if no sample is connected
+
+
+def laplacian_spectrum(kbar) -> LaplacianSpectrum:
+    """Split off the zero-degree samples of the clamped affinity max(kbar, 0)
+    and decompose the symmetric normalized Laplacian of the rest."""
+    affinity = np.maximum(as_matrix(kbar, "kbar"), 0.0)
+    degrees = affinity.sum(axis=1)
+    isolated = np.flatnonzero(degrees <= 0.0)
+    connected = np.flatnonzero(degrees > 0.0)
+    if connected.size == 0:
+        return LaplacianSpectrum(isolated, connected, None)
+    sub = affinity[np.ix_(connected, connected)]
+    inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
+    lap = np.eye(connected.size) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
+    return LaplacianSpectrum(isolated, connected, sym_eig(lap))
+
+
+class KernelSpectra:
+    """The averaged kernel's eigensystem and its Laplacian spectrum, each
+    computed on first use and reused while callers hand in the same kernel.
+
+    "The same" means the same bytes: the key is a digest of the contents,
+    not the array object, since every caller forms its own copy of kbar. A
+    kernel with other bytes drops both and starts again. One lock makes the
+    first use compute once when cells share a holder across threads, and
+    the arrays handed out are read-only, since every caller shares them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._key: tuple | None = None
+        self._held: dict = {}
+
+    def eig(self, kbar) -> EigenSystem:
+        """sym_eig(kbar), computed once per kernel."""
+        return self._get("eig", kbar, sym_eig)
+
+    def laplacian(self, kbar) -> LaplacianSpectrum:
+        """laplacian_spectrum(kbar), computed once per kernel."""
+        return self._get("laplacian", kbar, laplacian_spectrum)
+
+    def _get(self, name: str, kbar, compute):
+        k = np.ascontiguousarray(as_matrix(kbar, "kbar"))
+        key = (k.shape, hashlib.sha256(k).digest())
+        with self._lock:
+            if key != self._key:
+                self._key, self._held = key, {}
+            if name not in self._held:
+                self._held[name] = _read_only(compute(k))
+            return self._held[name]
+
+
+def _read_only(result):
+    """Mark every array of a held result, nested EigenSystems included,
+    read-only."""
+    for arr in vars(result).values():
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+        elif isinstance(arr, EigenSystem):
+            _read_only(arr)
+    return result
+
+
+def spectral_cluster(
+    kbar, h: int, seed: int, spectra: KernelSpectra | None = None
+) -> ClusterPartition:
     """Partition samples by the spectral embedding of the averaged kernel.
 
     Samples with zero affinity to everything (zero-degree rows) are split
     off as singleton clusters before the embedding; if they already use up
-    all H labels the instance is degenerate.
+    all H labels the instance is degenerate. The Laplacian spectrum comes
+    from spectra when given, else it is computed for this call alone; the
+    partition is the same bits either way.
     """
     k = as_matrix(kbar, "kbar")
     n = k.shape[0]
@@ -189,10 +273,8 @@ def spectral_cluster(kbar, h: int, seed: int) -> ClusterPartition:
     if h == 1:
         return _partition_from_assignments(np.zeros(n, dtype=np.intp), 1)
 
-    affinity = np.maximum(k, 0.0)
-    degrees = affinity.sum(axis=1)
-    isolated = np.flatnonzero(degrees <= 0.0)
-    connected = np.flatnonzero(degrees > 0.0)
+    lap = spectra.laplacian(k) if spectra is not None else laplacian_spectrum(k)
+    isolated, connected = lap.isolated, lap.connected
     h_rest = h - isolated.size
     if h_rest < 1 or h_rest > connected.size:
         raise DisconnectedDegenerate(
@@ -204,12 +286,8 @@ def spectral_cluster(kbar, h: int, seed: int) -> ClusterPartition:
     for label, idx in enumerate(isolated):
         assignments[idx] = label
 
-    sub = affinity[np.ix_(connected, connected)]
-    inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
-    lap = np.eye(connected.size) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
-    eig = sym_eig(lap)
     # bottom h_rest eigenvectors: eig is descending, take trailing columns
-    embed = eig.vectors[:, -h_rest:]
+    embed = lap.eig.vectors[:, -h_rest:]
     norms = np.linalg.norm(embed, axis=1, keepdims=True)
     embed = np.where(norms > 1e-300, embed / np.maximum(norms, 1e-300), embed)
 

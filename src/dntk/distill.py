@@ -12,7 +12,11 @@ one eigenvalue each. A rank-revealing QR pass drops the columns that are
 linear combinations of earlier ones, and the kept vectors L then give the
 set in one product per array, L^T Phi_c for every class and L^T y for the
 targets. DistilledGradients and CoverageReport hold exactly the arrays
-distilled.npz stores.
+distilled.npz stores. The two decompositions of the averaged kernel, its
+eigensystem and its Laplacian spectrum, come from a cluster.KernelSpectra
+when the caller passes one, so every distillation of one task's kernel can
+share them; the per-cluster eigensystems depend on the partition and are
+computed in every call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadEps, InputError, RankZeroCluster
-from .cluster import ClusterPartition, restrict_kernel, spectral_cluster
+from .cluster import ClusterPartition, KernelSpectra, restrict_kernel, spectral_cluster
 from .kernel import average_kernel, build_stack, kept_rank
 from .numerics import EigenSystem, qr_redundancy_filter, sym_eig
 from .tangent import GradientFeatures
@@ -151,6 +155,7 @@ def distill(
     eps_qr: float = 1e-6,
     seed: int = 0,
     max_size: int | None = None,
+    spectra: KernelSpectra | None = None,
 ) -> tuple[DistilledGradients, CoverageReport]:
     """Distill a gradient feature set into synthetic gradient/target pairs.
 
@@ -162,7 +167,9 @@ def distill(
     given, surviving candidates are trimmed to the largest eigenvalues,
     ties to the lowest index. Only the kept vectors are applied to the
     gradient rows and to the model logits, the regression targets of every
-    kernel fit.
+    kernel fit. The averaged kernel's eigensystem and Laplacian spectrum
+    come from spectra when given (it checks they belong to this kernel),
+    else they are computed for this call alone.
     """
     if not (0.0 < tau_v <= 1.0):
         raise BadEps(f"tau_v must lie in (0, 1], got {tau_v}")
@@ -172,9 +179,9 @@ def distill(
         raise InputError(f"max_size must be >= 1, got {max_size}")
 
     kbar = average_kernel(build_stack(feats))
-    partition = spectral_cluster(kbar, h, seed)
+    partition = spectral_cluster(kbar, h, seed, spectra)
 
-    global_eig = sym_eig(kbar)
+    global_eig = spectra.eig(kbar) if spectra is not None else sym_eig(kbar)
     r_global = kept_rank(global_eig.values, 1.0 - tau_v)
 
     local_systems = local_eigensystems(kbar, partition, tau_v)

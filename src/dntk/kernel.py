@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadEps, BadLambda, ScaleMismatch, ZeroTrace
-from .numerics import rank_tolerance, sym_eig
+from .numerics import rank_tolerance, sym_eigvals
 from .sketch import require_memory
 from .tangent import GradientFeatures
 
@@ -114,8 +114,8 @@ def spectrum_conditioning(eigvals) -> tuple[float, float]:
 
 
 def conditioning(kernel_matrix) -> tuple[float, float]:
-    """(condition number, minimum eigenvalue) of K."""
-    return spectrum_conditioning(sym_eig(kernel_matrix).values)
+    """(condition number, minimum eigenvalue) of K, from its eigenvalues alone."""
+    return spectrum_conditioning(sym_eigvals(kernel_matrix))
 
 
 def effective_dimension(eigvals, lam: float) -> float:

@@ -8,7 +8,9 @@ gradient features for train and test splits; the sketch module applies the
 sketch on both the in-process and the staged path, to raw rows from the
 live backward pass or from a raw gradient file. Every stage draws its
 seed by hashing (root seed, stage name, cell index), so any stage can be
-re-run in isolation and still line up with a full run.
+re-run in isolation and still line up with a full run. A sweep decomposes
+each root's averaged kernel once: its cells share one cluster.KernelSpectra,
+which distill and the leverage baseline read their eigensystems from.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import baselines, distill, kernel, krr, metrics, theory
+from .cluster import KernelSpectra
 from .errors import InputError, ShapeMismatch
 from .io import ReportRow, RunConfig
 from .sketch import SketchOperator, SketchRecord, _fused_sketch, jl_dimension, sample_orthonormal
@@ -48,7 +51,9 @@ class Task:
     sketch_op is the sketch's record, not its P x k matrix: once both splits
     are sketched nothing reads the matrix, and at wide P it would be the
     largest array the task holds. sample_orthonormal redraws it from the
-    record when a caller needs it.
+    record when a caller needs it. spectra, when set, holds the
+    decompositions of the averaged training kernel for every run_method
+    call on the task; without it each call computes its own.
     """
 
     cfg: RunConfig
@@ -58,6 +63,7 @@ class Task:
     sketch_op: SketchRecord
     train_feats: GradientFeatures  # sketched
     test_feats: GradientFeatures  # sketched
+    spectra: KernelSpectra | None = None
 
 
 def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -114,7 +120,11 @@ def sketch_operator(cfg: RunConfig, param_count: int, root_seed: int) -> SketchO
 
 
 def distill_features(
-    feats: GradientFeatures, cfg: RunConfig, seed: int, budget: int | None = None
+    feats: GradientFeatures,
+    cfg: RunConfig,
+    seed: int,
+    budget: int | None = None,
+    spectra: KernelSpectra | None = None,
 ) -> tuple[distill.DistilledGradients, distill.CoverageReport]:
     """Distill a feature set at the config's H, tau_v, tau_g and eps_qr."""
     return distill.distill(
@@ -125,6 +135,7 @@ def distill_features(
         eps_qr=cfg.eps_qr,
         seed=seed,
         max_size=budget,
+        spectra=spectra,
     )
 
 
@@ -221,7 +232,11 @@ def evaluate_gradient_set(
 
 
 def select_baseline(
-    feats: GradientFeatures, method: str, budget: int, seed: int
+    feats: GradientFeatures,
+    method: str,
+    budget: int,
+    seed: int,
+    spectra: KernelSpectra | None = None,
 ) -> baselines.SelectionResult:
     """Pick `budget` training samples with one of baselines.METHODS.
 
@@ -229,13 +244,15 @@ def select_baseline(
     staged select-baseline command both come through here. Leverage scores
     come from the eigenvectors of the averaged kernel, which no positive
     scale changes, so it is built at build_stack's default scale, as
-    distill builds it.
+    distill builds it, and its eigensystem comes from spectra when given.
     """
     if method == "random":
         return baselines.select_random(feats.size, budget, seed)
     if method == "leverage":
         kbar = kernel.average_kernel(kernel.build_stack(feats))
-        return baselines.select_leverage(kbar, budget, min(budget, feats.size), seed)
+        return baselines.select_leverage(
+            kbar, budget, min(budget, feats.size), seed, spectra
+        )
     if method == "fps":
         return baselines.select_fps(baselines.flatten_rows(feats.per_class), budget, seed)
     if method == "kmeans":
@@ -267,14 +284,16 @@ def run_method(
 
     For "distill" the budget is an optional cap; for the selection
     baselines it is mandatory (they need a target size). "full" ignores it.
+    Kernel decompositions come from task.spectra; a task without one
+    computes them for this call alone.
     """
     feats, picked = task.train_feats, None
     if method == "distill":
-        picked, _ = distill_features(feats, task.cfg, seed, budget)
+        picked, _ = distill_features(feats, task.cfg, seed, budget, task.spectra)
     elif method != "full":
         if budget is None:
             raise InputError(f"method {method!r} needs an explicit budget")
-        picked = select_baseline(feats, method, budget, seed).indices
+        picked = select_baseline(feats, method, budget, seed, task.spectra).indices
     basis, targets = gradient_set(feats, picked)
     return evaluate_gradient_set(basis, targets, task, label or method, seed)
 
@@ -287,13 +306,16 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
     The distill run of a cell fixes the budget its baseline cells use, so
     every method is compared at matched size. Cells are computed possibly
     in parallel but always emitted in grid order, which keeps the CSV
-    byte-stable across runs and worker counts.
+    byte-stable across runs and worker counts. A root's cells share one
+    KernelSpectra, made after its task is prepared, so its averaged kernel
+    and that kernel's Laplacian are decomposed once, not once per cell.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     rows: list[ReportRow] = []
     for root_seed in cfg.sweep_seeds:
         task = prepare_task(cfg, root_seed)
+        spectra = KernelSpectra()
         rows.append(run_method(task, "full", derive_seed(root_seed, "full"), label="full"))
         cells = [
             (h, tv, tg)
@@ -305,7 +327,7 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
         def run_cell(args):
             idx, (h, tv, tg) = args
             tag = f"[H={h},tv={tv:g},tg={tg:g}]"
-            cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg))
+            cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg), spectra=spectra)
             seed = derive_seed(root_seed, "distill", idx)
             cell_rows = [run_method(cell, "distill", seed, label=f"distill{tag}")]
             budget = cell_rows[0].s

@@ -9,6 +9,7 @@ from dntk.baselines import (
     select_leverage,
     select_random,
 )
+from dntk.cluster import KernelSpectra
 from dntk.errors import EmptyInput, STooLarge
 
 
@@ -76,6 +77,17 @@ class TestLeverage:
         rng = np.random.default_rng(4)
         b = rng.normal(size=(9, 5))
         check_valid(select_leverage(b @ b.T, 4, r=3, seed=2), 9, 4)
+
+    def test_shared_spectra_select_the_same(self):
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(12, 6))
+        k = b @ b.T
+        spectra = KernelSpectra()
+        for s in (3, 5, 8):
+            alone = select_leverage(k, s, r=s, seed=s)
+            shared = select_leverage(k.copy(), s, r=s, seed=s, spectra=spectra)
+            np.testing.assert_array_equal(shared.indices, alone.indices)
+            np.testing.assert_array_equal(shared.scores, alone.scores)
 
 
 class TestFps:

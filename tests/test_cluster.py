@@ -1,17 +1,24 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from helpers import clustered_rows, kmeans_restart_loop
 
-from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange
+from dntk import cluster
+from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange, NotSquare
 from dntk.cluster import (
     KMEANS_RESTARTS,
     ClusterPartition,
+    KernelSpectra,
     _kmeans_pp_init,
     _sq_dists,
     kmeans_fit,
+    laplacian_spectrum,
     restrict_kernel,
     spectral_cluster,
 )
+from dntk.numerics import sym_eig
 
 
 def block_kernel(sizes, value=1.0, seed=None):
@@ -263,6 +270,136 @@ class TestSpectralCluster:
     def test_all_rows_disconnected_raises(self):
         with pytest.raises(DisconnectedDegenerate):
             spectral_cluster(np.zeros((4, 4)), 2, seed=0)
+
+    @pytest.mark.parametrize("case", [
+        "blocks", "noisy_gram", "permuted", "zero_degree", "one_cluster", "disconnected",
+    ])
+    def test_precomputed_spectrum_gives_the_same_partition(self, case):
+        # the kernels of the tests above, each clustered once on its own and
+        # once from a holder its Laplacian spectrum was computed into first
+        b = np.random.default_rng(3).normal(size=(14, 6))
+        perm = np.random.default_rng(5).permutation(15)
+        k, h, seed = {
+            "blocks": (block_kernel([5, 7, 6], seed=1), 3, 0),
+            "noisy_gram": (b @ b.T, 4, 9),
+            "permuted": (block_kernel([5, 6, 4], seed=4)[np.ix_(perm, perm)], 3, 2),
+            "zero_degree": (np.pad(block_kernel([5]), ((0, 1), (0, 1))), 2, 0),
+            "one_cluster": (block_kernel([4, 4], seed=0), 1, 0),
+            "disconnected": (np.zeros((4, 4)), 2, 0),
+        }[case]
+        spectra = KernelSpectra()
+        spectra.laplacian(k.copy())
+        if case == "disconnected":
+            with pytest.raises(DisconnectedDegenerate):
+                spectral_cluster(k, h, seed, spectra)
+            return
+        alone = spectral_cluster(k, h, seed)
+        shared = spectral_cluster(k, h, seed, spectra)
+        np.testing.assert_array_equal(shared.assignments, alone.assignments)
+        assert index_sets(shared) == index_sets(alone)
+
+
+class TestKernelSpectra:
+    @staticmethod
+    def counted_sym_eig(monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return sym_eig(matrix)
+
+        monkeypatch.setattr(cluster, "sym_eig", counting)
+        return calls
+
+    def test_equal_bytes_decompose_once(self, monkeypatch):
+        calls = self.counted_sym_eig(monkeypatch)
+        k = block_kernel([4, 5], seed=2)
+        spectra = KernelSpectra()
+        first = spectra.eig(k)
+        lap = spectra.laplacian(k)
+        assert len(calls) == 2
+        # a new array with the same bytes, as every caller forms its own
+        assert spectra.eig(k.copy()) is first
+        assert spectra.laplacian(np.array(k)) is lap
+        assert len(calls) == 2
+
+    def test_other_bytes_recompute(self, monkeypatch):
+        calls = self.counted_sym_eig(monkeypatch)
+        k = block_kernel([4, 5], seed=2)
+        other = k.copy()
+        other[0, 1] = other[1, 0] = other[0, 1] + 1e-9
+        spectra = KernelSpectra()
+        spectra.eig(k)
+        spectra.laplacian(k)
+        got = spectra.eig(other)
+        assert len(calls) == 3
+        fresh = sym_eig(other)
+        np.testing.assert_array_equal(got.values, fresh.values)
+        np.testing.assert_array_equal(got.vectors, fresh.vectors)
+        # the old kernel's Laplacian spectrum went with its key
+        lap = spectra.laplacian(other)
+        assert len(calls) == 4
+        np.testing.assert_array_equal(lap.eig.vectors, laplacian_spectrum(other).eig.vectors)
+
+    def test_same_bytes_in_another_shape_are_another_kernel(self):
+        k = block_kernel([4, 4], seed=2)
+        spectra = KernelSpectra()
+        spectra.eig(k)
+        with pytest.raises(NotSquare):
+            spectra.eig(k.reshape(4, 16))
+
+    def test_held_arrays_are_read_only(self):
+        k = block_kernel([4, 5], seed=2)
+        spectra = KernelSpectra()
+        with pytest.raises(ValueError):
+            spectra.eig(k).vectors[0, 0] = 1.0
+        lap = spectra.laplacian(k)
+        for arr in (lap.isolated, lap.connected, lap.eig.values, lap.eig.vectors):
+            assert not arr.flags.writeable
+
+    @staticmethod
+    def run_threads(work, count=8):
+        # more threads than cores, switching as often as the interpreter can
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_threads_share_one_decomposition(self, monkeypatch):
+        calls = self.counted_sym_eig(monkeypatch)
+        k = block_kernel([6, 6], seed=5)
+        spectra = KernelSpectra()
+        got = []
+        self.run_threads(lambda i: got.append(spectra.eig(k.copy())))
+        assert len(calls) == 1
+        assert len(got) == 8 and all(g is got[0] for g in got)
+
+    def test_threads_get_the_spectra_of_their_own_kernel(self):
+        # threads alternate between two kernels, so the holder keeps
+        # replacing its key: no thread may get the other kernel's result
+        kernels = [block_kernel([6, 6], seed=5), block_kernel([5, 7], seed=6)]
+        expected = [(sym_eig(k).values, laplacian_spectrum(k).eig.values) for k in kernels]
+        spectra = KernelSpectra()
+        wrong = []
+
+        def work(i):
+            for j in range(30):
+                which = (i + j) % 2
+                k = kernels[which].copy()
+                eig_values, lap_values = expected[which]
+                if not (np.array_equal(spectra.eig(k).values, eig_values)
+                        and np.array_equal(spectra.laplacian(k).eig.values, lap_values)):
+                    wrong.append((i, j))
+
+        self.run_threads(work)
+        assert wrong == []
 
 
 class TestRestrictKernel:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from helpers import clustered_rows, feats_from_blocks, orthonormal_rows_basis
 
-from dntk.cluster import spectral_cluster
+from dntk.cluster import KernelSpectra, spectral_cluster
 from dntk.distill import (
     GAP,
     LOCAL,
@@ -212,6 +212,18 @@ class TestSynthesizeGap:
 
 
 class TestDistill:
+    def test_shared_spectra_give_the_same_set(self):
+        # one holder across several H, as a sweep's cells share it
+        feats = clustered_feats([7, 5, 8], dim=20, seed=13, classes=3)
+        spectra = KernelSpectra()
+        for h in (2, 3, 4):
+            alone, report = distill(feats, h=h, tau_v=0.99, tau_g=0.7, seed=h)
+            shared, shared_report = distill(feats, h=h, tau_v=0.99, tau_g=0.7, seed=h,
+                                            spectra=spectra)
+            for field in ("phi_hat", "y_hat", "provenance", "lifted_basis", "eigenvalues"):
+                np.testing.assert_array_equal(getattr(shared, field), getattr(alone, field))
+            np.testing.assert_array_equal(shared_report.coverage, report.coverage)
+
     def test_single_cluster_no_gaps(self):
         feats = clustered_feats([10], dim=11, seed=11)
         dg, report = distill(feats, h=1, tau_v=0.95, tau_g=0.0, seed=0)

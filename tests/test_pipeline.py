@@ -13,10 +13,11 @@ from helpers import (
 )
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dntk import kernel, krr, metrics, pipeline, sketch
+from dntk import baselines, cluster, distill, kernel, krr, metrics, pipeline, sketch
 from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, InsufficientMemory, ShapeMismatch
 from dntk.io import RunConfig, read_gradients, write_gradients
+from dntk.numerics import sym_eig
 from dntk.sketch import COL_BLOCK, SketchRecord, project_features, sample_orthonormal
 from dntk.tangent import ROW_BATCH, extract_features, init_params
 
@@ -413,6 +414,52 @@ class TestSweep:
         a = pipeline.sweep_rows(self.sweep_cfg())
         b = pipeline.sweep_rows(self.sweep_cfg(), jobs=2)
         assert a == b
+
+    @staticmethod
+    def per_cell_rows(cfg, root_seed):
+        """The sweep's rows from one run_method call per row on a task that
+        holds no KernelSpectra, so each call decomposes kbar itself."""
+        derive = pipeline.derive_seed
+        task = pipeline.prepare_task(cfg, root_seed)
+        assert task.spectra is None
+        rows = [pipeline.run_method(task, "full", derive(root_seed, "full"), label="full")]
+        for idx, h in enumerate(cfg.sweep_h):
+            tag = f"[H={h},tv=0.9,tg=0.5]"
+            cell = dataclasses.replace(task, cfg=dataclasses.replace(cfg, h=h))
+            dist = pipeline.run_method(
+                cell, "distill", derive(root_seed, "distill", idx), label=f"distill{tag}")
+            rows.append(dist)
+            for method in ("random", "leverage"):
+                rows.append(pipeline.run_method(
+                    cell, method, derive(root_seed, method, idx), budget=dist.s,
+                    label=f"{method}{tag}"))
+        return rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_spectra_rows_equal_per_cell_rows(self, jobs):
+        cfg = dataclasses.replace(self.sweep_cfg(), methods=["distill", "random", "leverage"])
+        assert pipeline.sweep_rows(cfg, jobs=jobs) == self.per_cell_rows(cfg, 5)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_decomposes_each_root_kernel_once(self, monkeypatch, jobs):
+        # n x n eigensystems outside krr (kbar and its Laplacian; every
+        # cluster is smaller) are taken once per root seed, not once per
+        # cell and method: without sharing, the 2 cells here would take 6
+        n = self.sweep_cfg().n_train
+        calls = []
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return sym_eig(matrix)
+
+        for module in (cluster, distill, baselines):
+            monkeypatch.setattr(module, "sym_eig", counting)
+        cfg = dataclasses.replace(
+            self.sweep_cfg(), methods=["distill", "random", "leverage"], sweep_seeds=[5, 6]
+        )
+        rows = pipeline.sweep_rows(cfg, jobs=jobs)
+        assert len(rows) == 2 * (1 + 2 * 3)
+        assert calls.count((n, n)) == 2 * 2
 
 
 class TestTheoryBattery:
