@@ -1,12 +1,15 @@
 """Subset-selection baselines the distilled sets are compared against.
 
 All four return indices of real samples: uniform random, leverage-score
-sampling on the averaged kernel, farthest point sampling on the flattened
-gradient rows, and nearest-to-centroid k-means representatives. Downstream
-fits use the selected rows with the model logits as targets, the same
-targets the distilled sets regress. Leverage reads the kernel's
-eigensystem from a cluster.KernelSpectra when the caller has one, so the
-distillation and leverage runs of one kernel decompose it once.
+sampling on the averaged kernel, farthest point sampling, and
+nearest-to-centroid k-means representatives. fps and k-means see only
+pairwise distances, so they take points: the caller hands them the
+gradient rows' QR coordinates (cluster.row_coordinates), which keep every
+distance in at most as many columns as there are samples. Downstream fits
+use the selected rows with the model logits as targets, the same targets
+the distilled sets regress. Leverage reads the kernel's eigensystem from a
+cluster.KernelSpectra, so the distillation and leverage runs of one kernel
+decompose it once.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .cluster import KernelSpectra, _sq_dists_to, kmeans_fit
 from .errors import EmptyInput, RankTooLarge, STooLarge, ZeroScores
-from .numerics import as_matrix, sym_eig
+from .numerics import as_matrix
 
 METHODS = ("random", "leverage", "fps", "kmeans")
 
@@ -53,14 +56,14 @@ def select_leverage(
     Scores are squared row norms of the top-r eigenvector block, so they
     sum to r exactly. Indices with zero score are only used to top up when
     fewer than s samples carry positive leverage. The eigensystem comes
-    from spectra when given, else it is computed for this call alone.
+    from spectra, or from a holder for this call alone when it is None.
     """
     k = as_matrix(kernel_matrix, "kernel")
     m = k.shape[0]
     _check_budget(m, s)
     if r < 1 or r > m:
         raise RankTooLarge(f"rank r={r} invalid for m={m}")
-    eig = spectra.eig(k) if spectra is not None else sym_eig(k)
+    eig = (spectra or KernelSpectra()).eig(k)
     scores = (eig.vectors[:, :r] ** 2).sum(axis=1)
     total = scores.sum()
     if total <= 0.0:
@@ -80,17 +83,17 @@ def select_leverage(
     )
 
 
-def select_fps(rows, s: int, seed: int = 0) -> SelectionResult:
+def select_fps(points, s: int, seed: int = 0) -> SelectionResult:
     """Greedy farthest point sampling in Euclidean distance.
 
-    Starts from the largest-norm row and repeatedly adds the row farthest
-    from the chosen set; all ties break to the lowest index. Each pick costs
-    one matvec: distances come from the precomputed squared row norms
-    (cluster._sq_dists_to), with values within 1e-12 relative of zero, such
-    as exact duplicates of a chosen row, cleared to zero. Deterministic, the
-    seed is carried only for bookkeeping.
+    Starts from the largest-norm point and repeatedly adds the point
+    farthest from the chosen set; all ties break to the lowest index. Each
+    pick costs one matvec: distances come from the precomputed squared
+    norms (cluster._sq_dists_to), with values within 1e-12 relative of
+    zero, such as exact duplicates of a chosen point, cleared to zero.
+    Deterministic, the seed is carried only for bookkeeping.
     """
-    x = as_matrix(rows, "rows")
+    x = as_matrix(points, "points")
     m = x.shape[0]
     _check_budget(m, s)
     sq = (x * x).sum(axis=1)
@@ -107,21 +110,20 @@ def select_fps(rows, s: int, seed: int = 0) -> SelectionResult:
     )
 
 
-def select_kmeans(rows, s: int, seed: int) -> SelectionResult:
-    """Nearest real row to each k-means centroid, duplicates pushed to the
-    next-nearest unused row.
+def select_kmeans(points, s: int, seed: int) -> SelectionResult:
+    """Nearest point to each k-means centroid, duplicates pushed to the
+    next-nearest unused point.
 
-    Clustering and the nearest-row picks only see pairwise distances, so
-    they run on the isometric coordinates R^T of a QR factorization
-    x^T = QR, which are at most min(m, D) wide. A centroid can be equally
-    near two rows (a two-member cluster's mean is), so among unused rows
-    within 1e-9 times the largest squared row norm of the nearest one the
-    lowest index wins.
+    Clustering and the nearest-point picks only see pairwise distances, so
+    any isometric image of the points picks the same set; the pipeline
+    passes the gradient rows' QR coordinates. A centroid can be equally
+    near two points (a two-member cluster's mean is), so among unused
+    points within 1e-9 times the largest squared norm of the nearest one
+    the lowest index wins.
     """
-    x = as_matrix(rows, "rows")
-    m = x.shape[0]
+    coords = as_matrix(points, "points")
+    m = coords.shape[0]
     _check_budget(m, s)
-    coords = np.linalg.qr(x.T, mode="r").T
     _, centroids, _ = kmeans_fit(coords, s, seed)
     tol = 1e-9 * (coords * coords).sum(axis=1).max()
     taken: list[int] = []
@@ -133,9 +135,3 @@ def select_kmeans(rows, s: int, seed: int) -> SelectionResult:
         taken.append(pick)
         used[pick] = True
     return SelectionResult(indices=np.array(taken, dtype=np.intp), method="kmeans", seed=seed)
-
-
-def flatten_rows(per_class: np.ndarray) -> np.ndarray:
-    """Concatenate class slices per sample: (C, m, D) -> (m, C * D)."""
-    c, m, d = per_class.shape
-    return per_class.transpose(1, 0, 2).reshape(m, c * d)

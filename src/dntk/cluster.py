@@ -8,10 +8,14 @@ breaks) so a partition is reproducible bit-for-bit from (kernel, H, seed).
 Clustering splits in two. laplacian_spectrum reads the kernel alone: which
 samples have zero affinity to everything, and the eigensystem of the
 Laplacian of the rest. spectral_cluster then does the (H, seed) part:
-slice the bottom eigenvectors, normalize them and run k-means. The kernel
-part and the kernel's own eigensystem, which distillation and the leverage
-baseline read, are held by KernelSpectra, so several clusterings of one
-kernel can share one decomposition of each.
+slice the bottom eigenvectors, normalize them and run k-means.
+
+KernelSpectra holds what a task's methods decompose: the kernel part of
+clustering, the kernel's own eigensystem, which distillation and the
+leverage baseline read, and the rows' QR coordinates (row_coordinates),
+which the fps and k-means baselines pick on. Every caller reads them
+through a holder, the task's own or a fresh one, so each is computed once
+per task.
 """
 
 from __future__ import annotations
@@ -205,49 +209,74 @@ def laplacian_spectrum(kbar) -> LaplacianSpectrum:
     return LaplacianSpectrum(isolated, connected, sym_eig(lap))
 
 
-class KernelSpectra:
-    """The averaged kernel's eigensystem and its Laplacian spectrum, each
-    computed on first use and reused while callers hand in the same kernel.
+def flatten_rows(per_class: np.ndarray) -> np.ndarray:
+    """Concatenate class slices per sample: (C, m, D) -> (m, C * D)."""
+    c, m, d = per_class.shape
+    return per_class.transpose(1, 0, 2).reshape(m, c * d)
 
-    "The same" means the same bytes: the key is a digest of the contents,
-    not the array object, since every caller forms its own copy of kbar. A
-    kernel with other bytes drops both and starts again. One lock makes the
-    first use compute once when cells share a holder across threads, and
-    the arrays handed out are read-only, since every caller shares them.
+
+def row_coordinates(per_class) -> np.ndarray:
+    """(m, min(m, C * D)) coordinates of the samples' flattened gradient rows
+    x with every pairwise distance kept: R^T of the QR factorization
+    x^T = QR. Distance-only selections (fps, k-means) pick the same rows
+    on them as on x, in a space at most m wide."""
+    x = as_matrix(flatten_rows(per_class), "rows")
+    return np.linalg.qr(x.T, mode="r").T
+
+
+class KernelSpectra:
+    """One task's decompositions, each computed on first use and reused
+    while callers hand in the same input: the averaged kernel's eigensystem
+    and Laplacian spectrum, and the gradient rows' QR coordinates.
+
+    "The same" means the same bytes: each entry is keyed by its input's
+    shape and a digest of its contents, not by the array object, since
+    every caller forms its own copy of kbar. An input with other bytes
+    drops the entries computed from the old one and starts again. One lock
+    makes the first use compute once when cells share a holder across
+    threads, and the arrays handed out are read-only, since every caller
+    shares them.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._key: tuple | None = None
-        self._held: dict = {}
+        self._held: dict = {}  # input name -> (key, {entry name: result})
 
     def eig(self, kbar) -> EigenSystem:
         """sym_eig(kbar), computed once per kernel."""
-        return self._get("eig", kbar, sym_eig)
+        return self._get("kbar", "eig", as_matrix(kbar, "kbar"), sym_eig)
 
     def laplacian(self, kbar) -> LaplacianSpectrum:
         """laplacian_spectrum(kbar), computed once per kernel."""
-        return self._get("laplacian", kbar, laplacian_spectrum)
+        return self._get("kbar", "laplacian", as_matrix(kbar, "kbar"), laplacian_spectrum)
 
-    def _get(self, name: str, kbar, compute):
-        k = np.ascontiguousarray(as_matrix(kbar, "kbar"))
-        key = (k.shape, hashlib.sha256(k).digest())
+    def coordinates(self, per_class) -> np.ndarray:
+        """row_coordinates(per_class), computed once per (C, m, D) row set."""
+        return self._get(
+            "rows", "coordinates", np.asarray(per_class, dtype=np.float64), row_coordinates
+        )
+
+    def _get(self, source: str, name: str, arr: np.ndarray, compute):
+        a = np.ascontiguousarray(arr)
+        key = (a.shape, hashlib.sha256(a).digest())
         with self._lock:
-            if key != self._key:
-                self._key, self._held = key, {}
-            if name not in self._held:
-                self._held[name] = _read_only(compute(k))
-            return self._held[name]
+            held_key, entries = self._held.get(source, (None, None))
+            if key != held_key:
+                entries = {}
+                self._held[source] = (key, entries)
+            if name not in entries:
+                entries[name] = _read_only(compute(a))
+            return entries[name]
 
 
 def _read_only(result):
-    """Mark every array of a held result, nested EigenSystems included,
-    read-only."""
-    for arr in vars(result).values():
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
-        elif isinstance(arr, EigenSystem):
-            _read_only(arr)
+    """Mark a held array, or every array of a held result (nested
+    EigenSystems included), read-only."""
+    if isinstance(result, np.ndarray):
+        result.flags.writeable = False
+    elif isinstance(result, (EigenSystem, LaplacianSpectrum)):
+        for part in vars(result).values():
+            _read_only(part)
     return result
 
 
@@ -259,7 +288,7 @@ def spectral_cluster(
     Samples with zero affinity to everything (zero-degree rows) are split
     off as singleton clusters before the embedding; if they already use up
     all H labels the instance is degenerate. The Laplacian spectrum comes
-    from spectra when given, else it is computed for this call alone; the
+    from spectra, or from a holder for this call alone when it is None; the
     partition is the same bits either way.
     """
     k = as_matrix(kbar, "kbar")
@@ -273,7 +302,7 @@ def spectral_cluster(
     if h == 1:
         return _partition_from_assignments(np.zeros(n, dtype=np.intp), 1)
 
-    lap = spectra.laplacian(k) if spectra is not None else laplacian_spectrum(k)
+    lap = (spectra or KernelSpectra()).laplacian(k)
     isolated, connected = lap.isolated, lap.connected
     h_rest = h - isolated.size
     if h_rest < 1 or h_rest > connected.size:

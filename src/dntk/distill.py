@@ -13,10 +13,10 @@ linear combinations of earlier ones, and the kept vectors L then give the
 set in one product per array, L^T Phi_c for every class and L^T y for the
 targets. DistilledGradients and CoverageReport hold exactly the arrays
 distilled.npz stores. The two decompositions of the averaged kernel, its
-eigensystem and its Laplacian spectrum, come from a cluster.KernelSpectra
-when the caller passes one, so every distillation of one task's kernel can
-share them; the per-cluster eigensystems depend on the partition and are
-computed in every call.
+eigensystem and its Laplacian spectrum, come from a cluster.KernelSpectra,
+the task's own when the caller has a task, so every distillation of one
+task's kernel shares them; the per-cluster eigensystems depend on the
+partition and are computed in every call.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def distill(
     ties to the lowest index. Only the kept vectors are applied to the
     gradient rows and to the model logits, the regression targets of every
     kernel fit. The averaged kernel's eigensystem and Laplacian spectrum
-    come from spectra when given (it checks they belong to this kernel),
-    else they are computed for this call alone.
+    come from spectra (it checks they belong to this kernel), or from a
+    holder for this call alone when it is None.
     """
     if not (0.0 < tau_v <= 1.0):
         raise BadEps(f"tau_v must lie in (0, 1], got {tau_v}")
@@ -178,10 +178,11 @@ def distill(
     if max_size is not None and max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
 
+    spectra = spectra or KernelSpectra()
     kbar = average_kernel(build_stack(feats))
     partition = spectral_cluster(kbar, h, seed, spectra)
 
-    global_eig = spectra.eig(kbar) if spectra is not None else sym_eig(kbar)
+    global_eig = spectra.eig(kbar)
     r_global = kept_rank(global_eig.values, 1.0 - tau_v)
 
     local_systems = local_eigensystems(kbar, partition, tau_v)

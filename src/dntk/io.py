@@ -324,8 +324,9 @@ def write_report(rows, path, append: bool = False) -> None:
 
     The method label is written as is and may hold commas (sweep labels
     do); no other cell can, so read_report splits rows from the right. A
-    label that _holds_row is refused with InputError before anything is
-    written, as read_report refuses it. append adds the rows to an existing
+    label that _holds_row, or that holds a line break, which would end its
+    row early, is refused with InputError before anything is written, as
+    read_report refuses such a row. append adds the rows to an existing
     report, which must first pass read_report (ParseError otherwise), so no
     row lands in a file that the reader refuses.
     """
@@ -333,6 +334,8 @@ def write_report(rows, path, append: bool = False) -> None:
     for row in rows:
         if _holds_row(row.method):
             raise InputError(f"method label {row.method!r} holds as many commas as a row")
+        if "\n" in row.method or "\r" in row.method:
+            raise InputError(f"method label {row.method!r} holds a line break")
     if append:
         read_report(path)
     write_table(map(dataclasses.astuple, rows), path, REPORT_COLUMNS, append)

@@ -8,16 +8,18 @@ gradient features for train and test splits; the sketch module applies the
 sketch on both the in-process and the staged path, to raw rows from the
 live backward pass or from a raw gradient file. Every stage draws its
 seed by hashing (root seed, stage name, cell index), so any stage can be
-re-run in isolation and still line up with a full run. A sweep decomposes
-each root's averaged kernel once: its cells share one cluster.KernelSpectra,
-which distill and the leverage baseline read their eigensystems from.
+re-run in isolation and still line up with a full run. Every task holds
+one cluster.KernelSpectra, which distill and the baselines read the
+decompositions of its averaged kernel and the QR coordinates of its rows
+from, so each is computed once per task; a sweep's cells inherit their
+root's holder.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,9 +53,11 @@ class Task:
     sketch_op is the sketch's record, not its P x k matrix: once both splits
     are sketched nothing reads the matrix, and at wide P it would be the
     largest array the task holds. sample_orthonormal redraws it from the
-    record when a caller needs it. spectra, when set, holds the
-    decompositions of the averaged training kernel for every run_method
-    call on the task; without it each call computes its own.
+    record when a caller needs it. spectra holds the decompositions every
+    run_method call on the task reads: the averaged training kernel's
+    eigensystem and Laplacian spectrum and the training rows' QR
+    coordinates. Each task gets its own, and a task made from another by
+    dataclasses.replace shares it.
     """
 
     cfg: RunConfig
@@ -63,7 +67,7 @@ class Task:
     sketch_op: SketchRecord
     train_feats: GradientFeatures  # sketched
     test_feats: GradientFeatures  # sketched
-    spectra: KernelSpectra | None = None
+    spectra: KernelSpectra = field(default_factory=KernelSpectra)
 
 
 def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -126,7 +130,9 @@ def distill_features(
     budget: int | None = None,
     spectra: KernelSpectra | None = None,
 ) -> tuple[distill.DistilledGradients, distill.CoverageReport]:
-    """Distill a feature set at the config's H, tau_v, tau_g and eps_qr."""
+    """Distill a feature set at the config's H, tau_v, tau_g and eps_qr,
+    reading kernel decompositions from spectra (a holder for this call
+    alone when None)."""
     return distill.distill(
         feats,
         h=cfg.h,
@@ -144,7 +150,7 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
 
     The staged CLI runs the same stage functions, one per subcommand. The
     sketch matrix is drawn once, applied to both splits and dropped; the
-    task keeps its record.
+    task keeps its record and starts with an empty KernelSpectra.
     """
     train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
     model = train_model(cfg, train, root_seed)
@@ -244,8 +250,11 @@ def select_baseline(
     staged select-baseline command both come through here. Leverage scores
     come from the eigenvectors of the averaged kernel, which no positive
     scale changes, so it is built at build_stack's default scale, as
-    distill builds it, and its eigensystem comes from spectra when given.
+    distill builds it. fps and k-means pick on the rows' QR coordinates.
+    Both decompositions come from spectra; a caller without a task, such
+    as the staged command, leaves it None for a holder of this call alone.
     """
+    spectra = spectra or KernelSpectra()
     if method == "random":
         return baselines.select_random(feats.size, budget, seed)
     if method == "leverage":
@@ -254,9 +263,9 @@ def select_baseline(
             kbar, budget, min(budget, feats.size), seed, spectra
         )
     if method == "fps":
-        return baselines.select_fps(baselines.flatten_rows(feats.per_class), budget, seed)
+        return baselines.select_fps(spectra.coordinates(feats.per_class), budget, seed)
     if method == "kmeans":
-        return baselines.select_kmeans(baselines.flatten_rows(feats.per_class), budget, seed)
+        return baselines.select_kmeans(spectra.coordinates(feats.per_class), budget, seed)
     raise InputError(f"unknown method {method!r}")
 
 
@@ -284,8 +293,7 @@ def run_method(
 
     For "distill" the budget is an optional cap; for the selection
     baselines it is mandatory (they need a target size). "full" ignores it.
-    Kernel decompositions come from task.spectra; a task without one
-    computes them for this call alone.
+    Kernel decompositions and row coordinates come from task.spectra.
     """
     feats, picked = task.train_feats, None
     if method == "distill":
@@ -306,16 +314,16 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
     The distill run of a cell fixes the budget its baseline cells use, so
     every method is compared at matched size. Cells are computed possibly
     in parallel but always emitted in grid order, which keeps the CSV
-    byte-stable across runs and worker counts. A root's cells share one
-    KernelSpectra, made after its task is prepared, so its averaged kernel
-    and that kernel's Laplacian are decomposed once, not once per cell.
+    byte-stable across runs and worker counts. Each cell is its root's
+    task with another cfg, so the cells share the task's KernelSpectra: the
+    averaged kernel, its Laplacian and the rows are decomposed once per
+    root, not once per cell.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")
     rows: list[ReportRow] = []
     for root_seed in cfg.sweep_seeds:
         task = prepare_task(cfg, root_seed)
-        spectra = KernelSpectra()
         rows.append(run_method(task, "full", derive_seed(root_seed, "full"), label="full"))
         cells = [
             (h, tv, tg)
@@ -327,7 +335,7 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
         def run_cell(args):
             idx, (h, tv, tg) = args
             tag = f"[H={h},tv={tv:g},tg={tg:g}]"
-            cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg), spectra=spectra)
+            cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg))
             seed = derive_seed(root_seed, "distill", idx)
             cell_rows = [run_method(cell, "distill", seed, label=f"distill{tag}")]
             budget = cell_rows[0].s

@@ -242,11 +242,12 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at each pre-activation z, from its
+    output a = _act(z, kind): the same bits as evaluating it at z."""
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return (z > 0.0).astype(np.float64)
+        return 1.0 - a * a
+    return (a > 0.0).astype(np.float64)
 
 
 def _batch(params: MlpParams, x) -> np.ndarray:
@@ -272,17 +273,16 @@ def forward_batch(params: MlpParams, x_batch) -> np.ndarray:
 
 
 def _forward_trace(params: MlpParams, xb: np.ndarray):
-    """Forward pass keeping activations and pre-activations for backprop."""
+    """Forward pass keeping every layer's input, and the logits last, for
+    backprop; a hidden layer's output also gives its activation's slope."""
     layers = _unpack(params)
     acts = [xb]
-    pres = []
     a = xb
     for i, (w, b) in enumerate(layers):
         z = a @ w.T + b
-        pres.append(z)
         a = _act(z, params.activation) if i < len(layers) - 1 else z
         acts.append(a)
-    return layers, acts, pres
+    return layers, acts
 
 
 def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
@@ -308,7 +308,7 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
     dz is read-only; each layer's is a new array, so a caller may keep all
     of them.
     """
-    layers, acts, pres = _forward_trace(params, xb)
+    layers, acts = _forward_trace(params, xb)
     n = xb.shape[0]
     c = params.class_count
     dz = np.broadcast_to(np.eye(c), (n, c, c)).copy()
@@ -319,7 +319,7 @@ def _logit_backprop(params: MlpParams, xb: np.ndarray):
         pos -= fan_out * fan_in + fan_out
         yield pos, dz, acts[i]
         if i > 0:
-            dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)[:, None, :]
+            dz = (dz @ w) * _act_grad(acts[i], params.activation)[:, None, :]
 
 
 # ------------------------------------------------------------------ losses
@@ -376,7 +376,7 @@ def _backprop(params: MlpParams, trace, dz: np.ndarray) -> np.ndarray:
     the exact additive identity, so one row's bias gradient keeps its signed
     zeros.
     """
-    layers, acts, pres = trace
+    layers, acts = trace
     grad = np.empty(params.param_count)
     pos = params.param_count
     for i in range(len(layers) - 1, -1, -1):
@@ -387,7 +387,7 @@ def _backprop(params: MlpParams, trace, dz: np.ndarray) -> np.ndarray:
         pos -= fan_out * fan_in
         grad[pos : pos + fan_out * fan_in] = (dz.T @ acts[i]).ravel()
         if i > 0:
-            dz = (dz @ w) * _act_grad(pres[i - 1], params.activation)
+            dz = (dz @ w) * _act_grad(acts[i], params.activation)
     return grad
 
 

@@ -3,13 +3,12 @@ import pytest
 from helpers import clustered_rows, fps_subtraction
 
 from dntk.baselines import (
-    flatten_rows,
     select_fps,
     select_kmeans,
     select_leverage,
     select_random,
 )
-from dntk.cluster import KernelSpectra
+from dntk.cluster import KernelSpectra, flatten_rows, row_coordinates
 from dntk.errors import EmptyInput, STooLarge
 
 
@@ -185,8 +184,9 @@ class TestKmeansSelect:
         rows = rng.normal(size=(m, d))
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         for s in (3, 7, 12):
-            np.testing.assert_array_equal(select_kmeans(rows @ q, s, seed=s).indices,
-                                          select_kmeans(rows, s, seed=s).indices)
+            np.testing.assert_array_equal(
+                select_kmeans(row_coordinates((rows @ q)[None]), s, seed=s).indices,
+                select_kmeans(row_coordinates(rows[None]), s, seed=s).indices)
 
     def test_two_member_tie_picks_lower_index(self):
         # pairs c ± v: each centroid is equidistant from both members, up to
@@ -201,6 +201,24 @@ class TestKmeansSelect:
         lowest = {int(np.flatnonzero(pair_of == p)[0]) for p in range(pairs)}
         r = select_kmeans(rows, pairs, seed=4)
         assert set(r.indices.tolist()) == lowest
+
+
+class TestRowCoordinates:
+    @pytest.mark.parametrize("c,m,d", [(3, 40, 30), (2, 25, 4)])
+    def test_keep_pairwise_distances(self, c, m, d):
+        per_class = np.random.default_rng(c + m + d).normal(size=(c, m, d))
+        flat = flatten_rows(per_class)
+        coords = row_coordinates(per_class)
+        assert coords.shape == (m, min(m, c * d))
+        gram = flat @ flat.T
+        np.testing.assert_allclose(coords @ coords.T, gram, atol=1e-10 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fps_picks_the_same_rows(self, seed):
+        per_class = np.random.default_rng(seed).normal(size=(4, 60, 45))
+        for s in (5, 10, 25):
+            np.testing.assert_array_equal(select_fps(row_coordinates(per_class), s).indices,
+                                          select_fps(flatten_rows(per_class), s).indices)
 
 
 class TestFlattenRows:

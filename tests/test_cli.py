@@ -543,6 +543,21 @@ class TestErrorPaths:
         assert err.count("error_code=") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_method_label_with_a_line_break_exits_1(self, rundir, capsys, brk):
+        # such a row would end early and leave a report.csv that no later
+        # evaluate can append to
+        out, cfg = rundir
+        report = out / FILES["report"]
+        before = report.read_bytes()
+        rc = main(["evaluate", "--method", f"a{brk}b", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=InputError") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+        assert report.read_bytes() == before
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

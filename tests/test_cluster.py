@@ -16,6 +16,7 @@ from dntk.cluster import (
     kmeans_fit,
     laplacian_spectrum,
     restrict_kernel,
+    row_coordinates,
     spectral_cluster,
 )
 from dntk.numerics import sym_eig
@@ -400,6 +401,70 @@ class TestKernelSpectra:
 
         self.run_threads(work)
         assert wrong == []
+
+
+    @staticmethod
+    def counted_row_coordinates(monkeypatch):
+        calls = []
+
+        def counting(per_class):
+            calls.append(per_class.shape)
+            return row_coordinates(per_class)
+
+        monkeypatch.setattr(cluster, "row_coordinates", counting)
+        return calls
+
+    @staticmethod
+    def rows(seed, shape=(3, 12, 7)):
+        return np.random.default_rng(seed).normal(size=shape)
+
+    def test_coordinates_are_held_read_only(self, monkeypatch):
+        calls = self.counted_row_coordinates(monkeypatch)
+        per_class = self.rows(1)
+        spectra = KernelSpectra()
+        coords = spectra.coordinates(per_class)
+        np.testing.assert_array_equal(coords, row_coordinates(per_class))
+        assert spectra.coordinates(per_class.copy()) is coords
+        assert len(calls) == 1
+        assert not coords.flags.writeable
+        with pytest.raises(ValueError):
+            coords[0, 0] = 1.0
+
+    def test_coordinates_of_other_bytes_recompute(self, monkeypatch):
+        calls = self.counted_row_coordinates(monkeypatch)
+        per_class = self.rows(1)
+        other = per_class.copy()
+        other[1, 4, 2] += 1e-9
+        spectra = KernelSpectra()
+        spectra.coordinates(per_class)
+        got = spectra.coordinates(other)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(got, row_coordinates(other))
+        # the same bytes as another (C, m, D) shape are other rows
+        spectra.coordinates(other.reshape(3, 7, 12))
+        assert len(calls) == 3
+
+    def test_coordinates_have_their_own_key(self, monkeypatch):
+        # the kernel's entries and the rows' entry are keyed apart, so asking
+        # for one never drops the other
+        eig_calls = self.counted_sym_eig(monkeypatch)
+        coord_calls = self.counted_row_coordinates(monkeypatch)
+        k = block_kernel([4, 5], seed=2)
+        spectra = KernelSpectra()
+        first = spectra.eig(k)
+        coords = spectra.coordinates(self.rows(1))
+        assert spectra.eig(k) is first
+        assert spectra.coordinates(self.rows(1)) is coords
+        assert (len(eig_calls), len(coord_calls)) == (1, 1)
+
+    def test_threads_share_one_factorization(self, monkeypatch):
+        calls = self.counted_row_coordinates(monkeypatch)
+        per_class = self.rows(4, (4, 40, 30))
+        spectra = KernelSpectra()
+        got = []
+        self.run_threads(lambda i: got.append(spectra.coordinates(per_class.copy())))
+        assert len(calls) == 1
+        assert len(got) == 8 and all(g is got[0] for g in got)
 
 
 class TestRestrictKernel:

@@ -570,6 +570,20 @@ class TestReport:
         dio.write_report([self.row(method=label)], path)
         assert dio.read_report(path) == [self.row(method=label)]
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_label_with_a_line_break_is_refused_before_writing(self, tmp_path, brk):
+        # a line break ends the row early, and read_report would then refuse
+        # the whole file
+        path = tmp_path / "r.csv"
+        dio.write_report([self.row()], path)
+        before = path.read_bytes()
+        for append in (False, True):
+            with pytest.raises(InputError, match="line break"):
+                dio.write_report([self.row(seed=9), self.row(method=f"a{brk}b")], path,
+                                 append=append)
+            assert path.read_bytes() == before
+        assert dio.read_report(path) == [self.row()]
+
     @pytest.mark.parametrize(
         "content", ["", "seed,method\n", "garbage\n", "{header}\nnot,a,row\n"],
         ids=["empty", "wrong_header", "no_header", "bad_row"],

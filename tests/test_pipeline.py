@@ -13,7 +13,7 @@ from helpers import (
 )
 from numpy.testing import assert_allclose, assert_array_equal
 
-from dntk import baselines, cluster, distill, kernel, krr, metrics, pipeline, sketch
+from dntk import cluster, distill, kernel, krr, metrics, pipeline, sketch
 from dntk.baselines import select_random
 from dntk.errors import DimMismatch, EmptyInput, InputError, InsufficientMemory, ShapeMismatch
 from dntk.io import RunConfig, read_gradients, write_gradients
@@ -381,6 +381,47 @@ class TestRunMethod:
             assert row.s == 5
             assert np.isfinite(row.fidelity)
 
+    @staticmethod
+    def every_method(task_for_call, budgets=(4, 8)):
+        """full, then the five budgeted methods at each budget, as the
+        acceptance run orders them; task_for_call() gives each call's task."""
+        rows = [pipeline.run_method(task_for_call(), "full", seed=0)]
+        for budget in budgets:
+            for method in ("distill", "random", "leverage", "fps", "kmeans"):
+                rows.append(pipeline.run_method(task_for_call(), method, seed=budget,
+                                                budget=budget))
+        return rows
+
+    def test_task_holder_rows_equal_fresh_holder_rows(self, task):
+        fresh = self.every_method(
+            lambda: dataclasses.replace(task, spectra=cluster.KernelSpectra()))
+        assert self.every_method(lambda: task) == fresh
+
+    def test_task_decomposes_its_kernel_and_rows_once(self, monkeypatch):
+        # every call reads the task's holder: kbar's eigensystem, its
+        # Laplacian's and the rows' QR coordinates are each taken once,
+        # where a holder per call would take 6 n x n eigensystems and 4 QRs
+        task = pipeline.prepare_task(tiny_cfg(), root_seed=5)
+        n = task.train_feats.size
+        eig_shapes, coord_calls = [], []
+        row_coordinates = cluster.row_coordinates
+
+        def counting_eig(matrix):
+            eig_shapes.append(np.shape(matrix))
+            return sym_eig(matrix)
+
+        def counting_coords(per_class):
+            coord_calls.append(per_class.shape)
+            return row_coordinates(per_class)
+
+        for module in (cluster, distill):
+            monkeypatch.setattr(module, "sym_eig", counting_eig)
+        monkeypatch.setattr(cluster, "row_coordinates", counting_coords)
+        rows = self.every_method(lambda: task)
+        assert len(rows) == 11
+        assert eig_shapes.count((n, n)) == 2
+        assert coord_calls == [task.train_feats.per_class.shape]
+
 
 class TestSweep:
     def sweep_cfg(self):
@@ -417,21 +458,24 @@ class TestSweep:
 
     @staticmethod
     def per_cell_rows(cfg, root_seed):
-        """The sweep's rows from one run_method call per row on a task that
-        holds no KernelSpectra, so each call decomposes kbar itself."""
+        """The sweep's rows from one run_method call per row, each on a task
+        with a fresh KernelSpectra, so each call decomposes kbar itself."""
         derive = pipeline.derive_seed
         task = pipeline.prepare_task(cfg, root_seed)
-        assert task.spectra is None
-        rows = [pipeline.run_method(task, "full", derive(root_seed, "full"), label="full")]
+
+        def fresh(cell):
+            return dataclasses.replace(cell, spectra=cluster.KernelSpectra())
+
+        rows = [pipeline.run_method(fresh(task), "full", derive(root_seed, "full"), label="full")]
         for idx, h in enumerate(cfg.sweep_h):
             tag = f"[H={h},tv=0.9,tg=0.5]"
             cell = dataclasses.replace(task, cfg=dataclasses.replace(cfg, h=h))
             dist = pipeline.run_method(
-                cell, "distill", derive(root_seed, "distill", idx), label=f"distill{tag}")
+                fresh(cell), "distill", derive(root_seed, "distill", idx), label=f"distill{tag}")
             rows.append(dist)
             for method in ("random", "leverage"):
                 rows.append(pipeline.run_method(
-                    cell, method, derive(root_seed, method, idx), budget=dist.s,
+                    fresh(cell), method, derive(root_seed, method, idx), budget=dist.s,
                     label=f"{method}{tag}"))
         return rows
 
@@ -452,7 +496,7 @@ class TestSweep:
             calls.append(np.shape(matrix))
             return sym_eig(matrix)
 
-        for module in (cluster, distill, baselines):
+        for module in (cluster, distill):
             monkeypatch.setattr(module, "sym_eig", counting)
         cfg = dataclasses.replace(
             self.sweep_cfg(), methods=["distill", "random", "leverage"], sweep_seeds=[5, 6]

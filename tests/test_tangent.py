@@ -9,6 +9,8 @@ from dntk.metrics import accuracy
 from dntk.tangent import (
     ROW_BATCH,
     LabeledDataset,
+    _act,
+    _act_grad,
     _logit_backprop,
     chain_rule_check,
     cross_entropy,
@@ -391,3 +393,18 @@ class TestSmallHelpers:
         acc = accuracy(forward_batch(p, data.inputs), data.labels)
         assert 0.0 <= acc <= 1.0
         assert cross_entropy(p, data) > 0.0
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_act_grad_from_outputs_equals_the_pre_activation_form(self, activation):
+        # backprop reads the slope off the stored activations a = act(z);
+        # it must be the bits the derivative evaluated at z gives
+        z = np.random.default_rng(18).normal(scale=3.0, size=(64, 33))
+        z[0, :6] = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]
+        if activation == "tanh":
+            t = np.tanh(z)
+            at_z = 1.0 - t * t
+        else:
+            at_z = (z > 0.0).astype(np.float64)
+        got = _act_grad(_act(z, activation), activation)
+        assert got.dtype == np.float64
+        assert got.tobytes() == at_z.tobytes()
