@@ -7,9 +7,9 @@ pairwise distances, so they take points: the caller hands them the
 gradient rows' QR coordinates (cluster.row_coordinates), which keep every
 distance in at most as many columns as there are samples. Downstream fits
 use the selected rows with the model logits as targets, the same targets
-the distilled sets regress. Leverage reads the kernel's eigensystem from a
-cluster.KernelSpectra, so the distillation and leverage runs of one kernel
-decompose it once.
+the distilled sets regress. Leverage reads the kernel's eigensystem from
+the cluster.KernelSpectra the kernel came from, when it is passed one, so
+the distillation and leverage runs of one kernel decompose it once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .cluster import KernelSpectra, _sq_dists_to, kmeans_fit
 from .errors import EmptyInput, RankTooLarge, STooLarge, ZeroScores
-from .numerics import as_matrix
+from .numerics import as_matrix, sym_eig
 
 METHODS = ("random", "leverage", "fps", "kmeans")
 
@@ -56,14 +56,14 @@ def select_leverage(
     Scores are squared row norms of the top-r eigenvector block, so they
     sum to r exactly. Indices with zero score are only used to top up when
     fewer than s samples carry positive leverage. The eigensystem comes
-    from spectra, or from a holder for this call alone when it is None.
+    from spectra, the kernel's holder, or is computed here when None.
     """
     k = as_matrix(kernel_matrix, "kernel")
     m = k.shape[0]
     _check_budget(m, s)
     if r < 1 or r > m:
         raise RankTooLarge(f"rank r={r} invalid for m={m}")
-    eig = (spectra or KernelSpectra()).eig(k)
+    eig = spectra.eig(k) if spectra is not None else sym_eig(k)
     scores = (eig.vectors[:, :r] ** 2).sum(axis=1)
     total = scores.sum()
     if total <= 0.0:

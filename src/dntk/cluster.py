@@ -10,17 +10,16 @@ samples have zero affinity to everything, and the eigensystem of the
 Laplacian of the rest. spectral_cluster then does the (H, seed) part:
 slice the bottom eigenvectors, normalize them and run k-means.
 
-KernelSpectra holds what a task's methods decompose: the kernel part of
-clustering, the kernel's own eigensystem, which distillation and the
-leverage baseline read, and the rows' QR coordinates (row_coordinates),
-which the fps and k-means baselines pick on. Every caller reads them
-through a holder, the task's own or a fresh one, so each is computed once
-per task.
+KernelSpectra is made for one sketched training set. It is the one place
+the averaged kernel kbar is formed, and it holds what the set's methods
+decompose: the kernel part of clustering, the kernel's own eigensystem,
+which distillation and the leverage baseline read, and the rows' QR
+coordinates (row_coordinates), which the fps and k-means baselines pick
+on. A task holds one, so each is computed once per task.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass
 
@@ -33,7 +32,9 @@ from .errors import (
     IndexOutOfRange,
     InputError,
 )
+from .kernel import average_kernel, build_stack
 from .numerics import EigenSystem, as_matrix, sym_eig
+from .tangent import GradientFeatures
 
 KMEANS_RESTARTS = 20
 KMEANS_ITERS = 100
@@ -225,48 +226,54 @@ def row_coordinates(per_class) -> np.ndarray:
 
 
 class KernelSpectra:
-    """One task's decompositions, each computed on first use and reused
-    while callers hand in the same input: the averaged kernel's eigensystem
-    and Laplacian spectrum, and the gradient rows' QR coordinates.
-
-    "The same" means the same bytes: each entry is keyed by its input's
-    shape and a digest of its contents, not by the array object, since
-    every caller forms its own copy of kbar. An input with other bytes
-    drops the entries computed from the old one and starts again. One lock
-    makes the first use compute once when cells share a holder across
-    threads, and the arrays handed out are read-only, since every caller
-    shares them.
+    """The decompositions of one sketched training set, feats, each computed
+    on first use and held: the eigensystem and Laplacian spectrum of the
+    first kbar given, which must come from kbar(), and the rows' QR
+    coordinates. kbar() forms the averaged kernel anew on every call. One
+    lock makes the first use compute once when cells share a holder across
+    threads, and the held arrays are read-only, since every caller shares
+    them.
     """
 
-    def __init__(self):
+    def __init__(self, feats: GradientFeatures):
+        self.feats = feats
         self._lock = threading.Lock()
-        self._held: dict = {}  # input name -> (key, {entry name: result})
+        self._held: dict = {}  # entry name -> result
+
+    @classmethod
+    def for_features(cls, feats: GradientFeatures, spectra=None) -> "KernelSpectra":
+        """spectra if it was made for feats, else InputError; a fresh holder when None."""
+        if spectra is not None and spectra.feats is not feats:
+            raise InputError("the kernel holder was made for other features")
+        return cls(feats) if spectra is None else spectra
+
+    def kbar(self) -> np.ndarray:
+        """The class-averaged kernel of feats, at build_stack's default scale."""
+        return average_kernel(build_stack(self.feats))
 
     def eig(self, kbar) -> EigenSystem:
-        """sym_eig(kbar), computed once per kernel."""
-        return self._get("kbar", "eig", as_matrix(kbar, "kbar"), sym_eig)
+        """sym_eig(kbar), computed once."""
+        return self._get("eig", sym_eig, self._square(kbar))
 
     def laplacian(self, kbar) -> LaplacianSpectrum:
-        """laplacian_spectrum(kbar), computed once per kernel."""
-        return self._get("kbar", "laplacian", as_matrix(kbar, "kbar"), laplacian_spectrum)
+        """laplacian_spectrum(kbar), computed once."""
+        return self._get("laplacian", laplacian_spectrum, self._square(kbar))
 
-    def coordinates(self, per_class) -> np.ndarray:
-        """row_coordinates(per_class), computed once per (C, m, D) row set."""
-        return self._get(
-            "rows", "coordinates", np.asarray(per_class, dtype=np.float64), row_coordinates
-        )
+    def coordinates(self) -> np.ndarray:
+        """row_coordinates of feats' rows, computed once."""
+        return self._get("coordinates", row_coordinates, self.feats.per_class)
 
-    def _get(self, source: str, name: str, arr: np.ndarray, compute):
-        a = np.ascontiguousarray(arr)
-        key = (a.shape, hashlib.sha256(a).digest())
+    def _square(self, kbar) -> np.ndarray:
+        k, n = as_matrix(kbar, "kbar"), self.feats.size
+        if k.shape != (n, n):
+            raise InputError(f"kbar of {n} samples must be {n} x {n}, got {k.shape}")
+        return k
+
+    def _get(self, name: str, compute, arg):
         with self._lock:
-            held_key, entries = self._held.get(source, (None, None))
-            if key != held_key:
-                entries = {}
-                self._held[source] = (key, entries)
-            if name not in entries:
-                entries[name] = _read_only(compute(a))
-            return entries[name]
+            if name not in self._held:
+                self._held[name] = _read_only(compute(arg))
+            return self._held[name]
 
 
 def _read_only(result):
@@ -288,8 +295,8 @@ def spectral_cluster(
     Samples with zero affinity to everything (zero-degree rows) are split
     off as singleton clusters before the embedding; if they already use up
     all H labels the instance is degenerate. The Laplacian spectrum comes
-    from spectra, or from a holder for this call alone when it is None; the
-    partition is the same bits either way.
+    from spectra, the holder kbar was formed by, or is computed here when
+    it is None; the partition is the same bits either way.
     """
     k = as_matrix(kbar, "kbar")
     n = k.shape[0]
@@ -302,7 +309,7 @@ def spectral_cluster(
     if h == 1:
         return _partition_from_assignments(np.zeros(n, dtype=np.intp), 1)
 
-    lap = (spectra or KernelSpectra()).laplacian(k)
+    lap = spectra.laplacian(k) if spectra is not None else laplacian_spectrum(k)
     isolated, connected = lap.isolated, lap.connected
     h_rest = h - isolated.size
     if h_rest < 1 or h_rest > connected.size:

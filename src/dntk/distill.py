@@ -12,11 +12,11 @@ one eigenvalue each. A rank-revealing QR pass drops the columns that are
 linear combinations of earlier ones, and the kept vectors L then give the
 set in one product per array, L^T Phi_c for every class and L^T y for the
 targets. DistilledGradients and CoverageReport hold exactly the arrays
-distilled.npz stores. The two decompositions of the averaged kernel, its
-eigensystem and its Laplacian spectrum, come from a cluster.KernelSpectra,
-the task's own when the caller has a task, so every distillation of one
-task's kernel shares them; the per-cluster eigensystems depend on the
-partition and are computed in every call.
+distilled.npz stores. The averaged kernel and its two decompositions, its
+eigensystem and its Laplacian spectrum, come from the cluster.KernelSpectra
+made for the features, the task's own when the caller has a task, so every
+distillation of one task's kernel shares them; the per-cluster
+eigensystems depend on the partition and are computed in every call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BadEps, InputError, RankZeroCluster
 from .cluster import ClusterPartition, KernelSpectra, restrict_kernel, spectral_cluster
-from .kernel import average_kernel, build_stack, kept_rank
+from .kernel import kept_rank
 from .numerics import EigenSystem, qr_redundancy_filter, sym_eig
 from .tangent import GradientFeatures
 
@@ -167,9 +167,9 @@ def distill(
     given, surviving candidates are trimmed to the largest eigenvalues,
     ties to the lowest index. Only the kept vectors are applied to the
     gradient rows and to the model logits, the regression targets of every
-    kernel fit. The averaged kernel's eigensystem and Laplacian spectrum
-    come from spectra (it checks they belong to this kernel), or from a
-    holder for this call alone when it is None.
+    kernel fit. The averaged kernel and its eigensystem and Laplacian
+    spectrum come from spectra, which must be made for feats (InputError
+    otherwise), or from a fresh holder for feats when it is None.
     """
     if not (0.0 < tau_v <= 1.0):
         raise BadEps(f"tau_v must lie in (0, 1], got {tau_v}")
@@ -178,8 +178,8 @@ def distill(
     if max_size is not None and max_size < 1:
         raise InputError(f"max_size must be >= 1, got {max_size}")
 
-    spectra = spectra or KernelSpectra()
-    kbar = average_kernel(build_stack(feats))
+    spectra = KernelSpectra.for_features(feats, spectra)
+    kbar = spectra.kbar()
     partition = spectral_cluster(kbar, h, seed, spectra)
 
     global_eig = spectra.eig(kbar)

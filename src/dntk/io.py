@@ -311,7 +311,7 @@ def write_table(rows, path, columns, append: bool = False) -> None:
             with open(path, "rb") as fh:  # a last row without its newline
                 fh.seek(-1, os.SEEK_END)  # would swallow the first new one
                 head = "" if fh.read(1) == b"\n" else "\n"
-        with open(path, "a" if append else "w", newline="") as fh:
+        with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
             fh.write(head)
             for row in rows:
                 fh.write(",".join(map(_fmt, row)) + "\n")
@@ -324,11 +324,11 @@ def write_report(rows, path, append: bool = False) -> None:
 
     The method label is written as is and may hold commas (sweep labels
     do); no other cell can, so read_report splits rows from the right. A
-    label that _holds_row, or that holds a line break, which would end its
-    row early, is refused with InputError before anything is written, as
-    read_report refuses such a row. append adds the rows to an existing
-    report, which must first pass read_report (ParseError otherwise), so no
-    row lands in a file that the reader refuses.
+    label that _holds_row, holds a line break, which would end its row
+    early, or is not UTF-8 is refused with InputError before anything is
+    written, as read_report refuses such a row. append adds the rows to an
+    existing report, which must first pass read_report (ParseError
+    otherwise), so no row lands in a file that the reader refuses.
     """
     rows = list(rows)
     for row in rows:
@@ -336,6 +336,8 @@ def write_report(rows, path, append: bool = False) -> None:
             raise InputError(f"method label {row.method!r} holds as many commas as a row")
         if "\n" in row.method or "\r" in row.method:
             raise InputError(f"method label {row.method!r} holds a line break")
+        if any("\ud800" <= ch <= "\udfff" for ch in row.method):  # UTF-8 has no surrogates
+            raise InputError(f"method label {row.method!r} is not UTF-8 text")
     if append:
         read_report(path)
     write_table(map(dataclasses.astuple, rows), path, REPORT_COLUMNS, append)
@@ -354,10 +356,12 @@ def _holds_row(label: str) -> bool:
 
 def read_report(path) -> list[ReportRow]:
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines or lines[0].split(",") != list(REPORT_COLUMNS):
         raise ParseError(f"{path}: missing or wrong header row")
     out = []
@@ -506,11 +510,11 @@ def _check_list(name: str, value, check, **limits) -> None:
 def read_config(path) -> RunConfig:
     """Strict JSON config: unknown keys are rejected, missing ones default."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return config_from_dict(data, source=str(path))
 
@@ -633,7 +637,7 @@ def write_sketch_meta(record: SketchRecord, path) -> None:
     """A sketch persists as its record, one JSON key per field. The matrix
     is never stored: sample_orthonormal(source_dim, target_dim, seed)
     redraws it."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(record), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

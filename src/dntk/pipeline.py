@@ -9,17 +9,17 @@ sketch on both the in-process and the staged path, to raw rows from the
 live backward pass or from a raw gradient file. Every stage draws its
 seed by hashing (root seed, stage name, cell index), so any stage can be
 re-run in isolation and still line up with a full run. Every task holds
-one cluster.KernelSpectra, which distill and the baselines read the
-decompositions of its averaged kernel and the QR coordinates of its rows
-from, so each is computed once per task; a sweep's cells inherit their
-root's holder.
+the cluster.KernelSpectra made for its training features, which distill
+and the baselines read the averaged kernel, its decompositions and the QR
+coordinates of the rows from, so each decomposition is computed once per
+task; a sweep's cells inherit their root's holder.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,11 +53,10 @@ class Task:
     sketch_op is the sketch's record, not its P x k matrix: once both splits
     are sketched nothing reads the matrix, and at wide P it would be the
     largest array the task holds. sample_orthonormal redraws it from the
-    record when a caller needs it. spectra holds the decompositions every
-    run_method call on the task reads: the averaged training kernel's
-    eigensystem and Laplacian spectrum and the training rows' QR
-    coordinates. Each task gets its own, and a task made from another by
-    dataclasses.replace shares it.
+    record when a caller needs it. spectra is the holder made for
+    train_feats that every run_method call reads. A task made from another
+    by dataclasses.replace shares it; one whose train_feats were replaced
+    is refused by every method but full.
     """
 
     cfg: RunConfig
@@ -67,7 +66,7 @@ class Task:
     sketch_op: SketchRecord
     train_feats: GradientFeatures  # sketched
     test_feats: GradientFeatures  # sketched
-    spectra: KernelSpectra = field(default_factory=KernelSpectra)
+    spectra: KernelSpectra
 
 
 def split_mixture(cfg: RunConfig, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
@@ -131,8 +130,7 @@ def distill_features(
     spectra: KernelSpectra | None = None,
 ) -> tuple[distill.DistilledGradients, distill.CoverageReport]:
     """Distill a feature set at the config's H, tau_v, tau_g and eps_qr,
-    reading kernel decompositions from spectra (a holder for this call
-    alone when None)."""
+    reading its kernel from spectra, made for feats (fresh when None)."""
     return distill.distill(
         feats,
         h=cfg.h,
@@ -150,7 +148,7 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
 
     The staged CLI runs the same stage functions, one per subcommand. The
     sketch matrix is drawn once, applied to both splits and dropped; the
-    task keeps its record and starts with an empty KernelSpectra.
+    task keeps its record and a KernelSpectra made for its train_feats.
     """
     train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
     model = train_model(cfg, train, root_seed)
@@ -165,6 +163,7 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
         sketch_op=op.record,
         train_feats=train_feats,
         test_feats=test_feats,
+        spectra=KernelSpectra(train_feats),
     )
 
 
@@ -249,23 +248,22 @@ def select_baseline(
     The one place a baseline name maps to its selector; the sweep and the
     staged select-baseline command both come through here. Leverage scores
     come from the eigenvectors of the averaged kernel, which no positive
-    scale changes, so it is built at build_stack's default scale, as
-    distill builds it. fps and k-means pick on the rows' QR coordinates.
-    Both decompositions come from spectra; a caller without a task, such
-    as the staged command, leaves it None for a holder of this call alone.
+    scale changes, so the holder's kbar serves, as for distill. fps and
+    k-means pick on the rows' QR coordinates. spectra must be made for
+    feats; a caller without a task, such as the staged command, leaves it
+    None for a fresh holder.
     """
-    spectra = spectra or KernelSpectra()
+    spectra = KernelSpectra.for_features(feats, spectra)
     if method == "random":
         return baselines.select_random(feats.size, budget, seed)
     if method == "leverage":
-        kbar = kernel.average_kernel(kernel.build_stack(feats))
         return baselines.select_leverage(
-            kbar, budget, min(budget, feats.size), seed, spectra
+            spectra.kbar(), budget, min(budget, feats.size), seed, spectra
         )
     if method == "fps":
-        return baselines.select_fps(spectra.coordinates(feats.per_class), budget, seed)
+        return baselines.select_fps(spectra.coordinates(), budget, seed)
     if method == "kmeans":
-        return baselines.select_kmeans(spectra.coordinates(feats.per_class), budget, seed)
+        return baselines.select_kmeans(spectra.coordinates(), budget, seed)
     raise InputError(f"unknown method {method!r}")
 
 
@@ -338,19 +336,10 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
             cell = replace(task, cfg=replace(cfg, h=h, tau_v=tv, tau_g=tg))
             seed = derive_seed(root_seed, "distill", idx)
             cell_rows = [run_method(cell, "distill", seed, label=f"distill{tag}")]
-            budget = cell_rows[0].s
             for method in cfg.methods:
-                if method in ("distill", "full"):
-                    continue
-                cell_rows.append(
-                    run_method(
-                        cell,
-                        method,
-                        derive_seed(root_seed, method, idx),
-                        budget=budget,
-                        label=f"{method}{tag}",
-                    )
-                )
+                if method not in ("distill", "full"):
+                    cell_rows.append(run_method(cell, method, derive_seed(root_seed, method, idx),
+                                                budget=cell_rows[0].s, label=f"{method}{tag}"))
             return cell_rows
 
         if jobs > 1:

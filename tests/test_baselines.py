@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import clustered_rows, fps_subtraction
+from helpers import clustered_rows, feats_from_blocks, fps_subtraction
 
 from dntk.baselines import (
     select_fps,
@@ -79,12 +79,11 @@ class TestLeverage:
 
     def test_shared_spectra_select_the_same(self):
         rng = np.random.default_rng(5)
-        b = rng.normal(size=(12, 6))
-        k = b @ b.T
-        spectra = KernelSpectra()
+        spectra = KernelSpectra(feats_from_blocks(rng.normal(size=(2, 12, 6))))
+        k = spectra.kbar()
         for s in (3, 5, 8):
             alone = select_leverage(k, s, r=s, seed=s)
-            shared = select_leverage(k.copy(), s, r=s, seed=s, spectra=spectra)
+            shared = select_leverage(spectra.kbar(), s, r=s, seed=s, spectra=spectra)
             np.testing.assert_array_equal(shared.indices, alone.indices)
             np.testing.assert_array_equal(shared.scores, alone.scores)
 

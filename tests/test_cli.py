@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dntk
-from dntk import kernel, pipeline
+from dntk import cluster, kernel, pipeline
 from dntk.cli import FILES, main
 from dntk.io import (
     read_config,
@@ -240,6 +240,7 @@ class TestStageChain:
             sketch_op=SketchRecord(**json.loads((out / FILES["sketch_meta"]).read_text())),
             train_feats=train_feats,
             test_feats=read_gradients(out / FILES["sketched_test"]),
+            spectra=cluster.KernelSpectra(train_feats),
         )
         if source == "distilled":
             dg, _ = read_distilled(out / FILES["distilled"])
@@ -554,6 +555,34 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.splitlines().count("error_code=InputError") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+        assert report.read_bytes() == before
+
+    @pytest.mark.parametrize("case, code", [
+        ("method_label", "InputError"), ("report_label", "ParseError"), ("config", "ParseError"),
+    ])
+    def test_text_that_is_not_utf8_exits_1(self, rundir, tmp_path, capsys, case, code):
+        # every text file is UTF-8: a byte that is not leaves through
+        # error_code=, and report.csv keeps its bytes
+        run = tmp_path / "run"
+        shutil.copytree(rundir[0], run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMOKE, out_dir=str(run))))
+        report = run / FILES["report"]
+        method = "distill"
+        if case == "method_label":
+            method = os.fsdecode(b"bad\xff")  # as argv decodes the byte: "bad\udcff"
+        elif case == "report_label":
+            rows = report.read_bytes().splitlines(True)
+            report.write_bytes(b"".join(rows) + b"\xff\xfe" + rows[-1])
+        else:
+            cfg.write_bytes(cfg.read_bytes().replace(b'"seed"', b'"se\xffed"'))
+        before = report.read_bytes()
+        rc = main(["evaluate", "--method", method, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count(f"error_code={code}") == 1
         assert err.count("error_code=") == 1
         assert "Traceback" not in err
         assert report.read_bytes() == before

@@ -1,12 +1,18 @@
+import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
-from helpers import clustered_rows, kmeans_restart_loop
+from helpers import clustered_rows, feats_from_blocks, kmeans_restart_loop
 
 from dntk import cluster
-from dntk.errors import DisconnectedDegenerate, HTooLarge, IndexOutOfRange, NotSquare
+from dntk.errors import (
+    DisconnectedDegenerate,
+    HTooLarge,
+    IndexOutOfRange,
+    InputError,
+)
 from dntk.cluster import (
     KMEANS_RESTARTS,
     ClusterPartition,
@@ -14,11 +20,11 @@ from dntk.cluster import (
     _kmeans_pp_init,
     _sq_dists,
     kmeans_fit,
-    laplacian_spectrum,
     restrict_kernel,
     row_coordinates,
     spectral_cluster,
 )
+from dntk.kernel import average_kernel, build_stack
 from dntk.numerics import sym_eig
 
 
@@ -35,6 +41,16 @@ def block_kernel(sizes, value=1.0, seed=None):
         noise = 0.01 * rng.normal(size=(n, n))
         k = k + (noise + noise.T) / 2
     return k
+
+
+def block_rows(sizes, seed=None, classes=2):
+    """(C, n, D) rows of block indicators, plus 0.01 noise when seeded: their
+    averaged kernel is a block kernel like block_kernel's."""
+    rows = np.zeros((classes, sum(sizes), len(sizes)))
+    rows[:, np.arange(sum(sizes)), np.repeat(np.arange(len(sizes)), sizes)] = 1.0
+    if seed is not None:
+        rows += 0.01 * np.random.default_rng(seed).normal(size=rows.shape)
+    return rows
 
 
 def index_sets(partition):
@@ -276,20 +292,22 @@ class TestSpectralCluster:
         "blocks", "noisy_gram", "permuted", "zero_degree", "one_cluster", "disconnected",
     ])
     def test_precomputed_spectrum_gives_the_same_partition(self, case):
-        # the kernels of the tests above, each clustered once on its own and
-        # once from a holder its Laplacian spectrum was computed into first
-        b = np.random.default_rng(3).normal(size=(14, 6))
+        # the regimes of the tests above, as the averaged kernels of feature
+        # sets: each clustered once on its own and once from the holder made
+        # for its features, which its Laplacian spectrum was computed into
+        b = np.random.default_rng(3).normal(size=(2, 14, 6))
         perm = np.random.default_rng(5).permutation(15)
-        k, h, seed = {
-            "blocks": (block_kernel([5, 7, 6], seed=1), 3, 0),
-            "noisy_gram": (b @ b.T, 4, 9),
-            "permuted": (block_kernel([5, 6, 4], seed=4)[np.ix_(perm, perm)], 3, 2),
-            "zero_degree": (np.pad(block_kernel([5]), ((0, 1), (0, 1))), 2, 0),
-            "one_cluster": (block_kernel([4, 4], seed=0), 1, 0),
-            "disconnected": (np.zeros((4, 4)), 2, 0),
+        rows, h, seed = {
+            "blocks": (block_rows([5, 7, 6], seed=1), 3, 0),
+            "noisy_gram": (b, 4, 9),
+            "permuted": (block_rows([5, 6, 4], seed=4)[:, perm], 3, 2),
+            "zero_degree": (np.pad(block_rows([5]), ((0, 0), (0, 1), (0, 0))), 2, 0),
+            "one_cluster": (block_rows([4, 4], seed=0), 1, 0),
+            "disconnected": (np.zeros((2, 4, 3)), 2, 0),
         }[case]
-        spectra = KernelSpectra()
-        spectra.laplacian(k.copy())
+        spectra = KernelSpectra(feats_from_blocks(rows))
+        k = spectra.kbar()
+        spectra.laplacian(k)
         if case == "disconnected":
             with pytest.raises(DisconnectedDegenerate):
                 spectral_cluster(k, h, seed, spectra)
@@ -312,51 +330,58 @@ class TestKernelSpectra:
         monkeypatch.setattr(cluster, "sym_eig", counting)
         return calls
 
+    @staticmethod
+    def holder(seed=2, shape=(3, 9, 7)):
+        return KernelSpectra(feats_from_blocks(np.random.default_rng(seed).normal(size=shape)))
+
+    def test_kbar_is_formed_anew_on_every_call(self):
+        spectra = self.holder()
+        expected = average_kernel(build_stack(spectra.feats))
+        first, second = spectra.kbar(), spectra.kbar()
+        assert not np.shares_memory(first, second)
+        for k in (first, second):
+            assert k.tobytes() == expected.tobytes()
+            assert k.flags.writeable
+
     def test_equal_bytes_decompose_once(self, monkeypatch):
         calls = self.counted_sym_eig(monkeypatch)
-        k = block_kernel([4, 5], seed=2)
-        spectra = KernelSpectra()
-        first = spectra.eig(k)
-        lap = spectra.laplacian(k)
+        spectra = self.holder()
+        first = spectra.eig(spectra.kbar())
+        lap = spectra.laplacian(spectra.kbar())
         assert len(calls) == 2
-        # a new array with the same bytes, as every caller forms its own
-        assert spectra.eig(k.copy()) is first
-        assert spectra.laplacian(np.array(k)) is lap
+        # every caller forms its own kbar, a new array with the same bytes
+        assert spectra.eig(spectra.kbar()) is first
+        assert spectra.laplacian(spectra.kbar()) is lap
         assert len(calls) == 2
 
-    def test_other_bytes_recompute(self, monkeypatch):
+    def test_kernel_that_is_not_n_by_n_is_refused(self, monkeypatch):
         calls = self.counted_sym_eig(monkeypatch)
-        k = block_kernel([4, 5], seed=2)
-        other = k.copy()
-        other[0, 1] = other[1, 0] = other[0, 1] + 1e-9
-        spectra = KernelSpectra()
-        spectra.eig(k)
-        spectra.laplacian(k)
-        got = spectra.eig(other)
-        assert len(calls) == 3
-        fresh = sym_eig(other)
-        np.testing.assert_array_equal(got.values, fresh.values)
-        np.testing.assert_array_equal(got.vectors, fresh.vectors)
-        # the old kernel's Laplacian spectrum went with its key
-        lap = spectra.laplacian(other)
-        assert len(calls) == 4
-        np.testing.assert_array_equal(lap.eig.vectors, laplacian_spectrum(other).eig.vectors)
-
-    def test_same_bytes_in_another_shape_are_another_kernel(self):
-        k = block_kernel([4, 4], seed=2)
-        spectra = KernelSpectra()
-        spectra.eig(k)
-        with pytest.raises(NotSquare):
-            spectra.eig(k.reshape(4, 16))
+        spectra = self.holder()
+        k = spectra.kbar()
+        for wrong in (k[:-1, :-1], k[:, :-1], np.pad(k, 1)):
+            with pytest.raises(InputError, match="must be 9 x 9"):
+                spectra.eig(wrong)
+            with pytest.raises(InputError, match="must be 9 x 9"):
+                spectra.laplacian(wrong)
+        assert calls == []
 
     def test_held_arrays_are_read_only(self):
-        k = block_kernel([4, 5], seed=2)
-        spectra = KernelSpectra()
+        spectra = self.holder()
         with pytest.raises(ValueError):
-            spectra.eig(k).vectors[0, 0] = 1.0
-        lap = spectra.laplacian(k)
+            spectra.eig(spectra.kbar()).vectors[0, 0] = 1.0
+        lap = spectra.laplacian(spectra.kbar())
         for arr in (lap.isolated, lap.connected, lap.eig.values, lap.eig.vectors):
             assert not arr.flags.writeable
+
+    def test_holder_is_made_for_one_feature_set(self):
+        feats = self.holder().feats
+        fresh = KernelSpectra.for_features(feats)
+        assert fresh.feats is feats
+        assert KernelSpectra.for_features(feats, fresh) is fresh
+        # other features are refused even with the same bytes
+        for other in (self.holder(3).feats, dataclasses.replace(feats)):
+            with pytest.raises(InputError):
+                KernelSpectra.for_features(other, fresh)
 
     @staticmethod
     def run_threads(work, count=8):
@@ -375,33 +400,11 @@ class TestKernelSpectra:
 
     def test_threads_share_one_decomposition(self, monkeypatch):
         calls = self.counted_sym_eig(monkeypatch)
-        k = block_kernel([6, 6], seed=5)
-        spectra = KernelSpectra()
+        spectra = self.holder(5, (2, 12, 10))
         got = []
-        self.run_threads(lambda i: got.append(spectra.eig(k.copy())))
+        self.run_threads(lambda i: got.append(spectra.eig(spectra.kbar())))
         assert len(calls) == 1
         assert len(got) == 8 and all(g is got[0] for g in got)
-
-    def test_threads_get_the_spectra_of_their_own_kernel(self):
-        # threads alternate between two kernels, so the holder keeps
-        # replacing its key: no thread may get the other kernel's result
-        kernels = [block_kernel([6, 6], seed=5), block_kernel([5, 7], seed=6)]
-        expected = [(sym_eig(k).values, laplacian_spectrum(k).eig.values) for k in kernels]
-        spectra = KernelSpectra()
-        wrong = []
-
-        def work(i):
-            for j in range(30):
-                which = (i + j) % 2
-                k = kernels[which].copy()
-                eig_values, lap_values = expected[which]
-                if not (np.array_equal(spectra.eig(k).values, eig_values)
-                        and np.array_equal(spectra.laplacian(k).eig.values, lap_values)):
-                    wrong.append((i, j))
-
-        self.run_threads(work)
-        assert wrong == []
-
 
     @staticmethod
     def counted_row_coordinates(monkeypatch):
@@ -414,55 +417,22 @@ class TestKernelSpectra:
         monkeypatch.setattr(cluster, "row_coordinates", counting)
         return calls
 
-    @staticmethod
-    def rows(seed, shape=(3, 12, 7)):
-        return np.random.default_rng(seed).normal(size=shape)
-
     def test_coordinates_are_held_read_only(self, monkeypatch):
         calls = self.counted_row_coordinates(monkeypatch)
-        per_class = self.rows(1)
-        spectra = KernelSpectra()
-        coords = spectra.coordinates(per_class)
-        np.testing.assert_array_equal(coords, row_coordinates(per_class))
-        assert spectra.coordinates(per_class.copy()) is coords
+        spectra = self.holder(1, (3, 12, 7))
+        coords = spectra.coordinates()
+        np.testing.assert_array_equal(coords, row_coordinates(spectra.feats.per_class))
+        assert spectra.coordinates() is coords
         assert len(calls) == 1
         assert not coords.flags.writeable
         with pytest.raises(ValueError):
             coords[0, 0] = 1.0
 
-    def test_coordinates_of_other_bytes_recompute(self, monkeypatch):
-        calls = self.counted_row_coordinates(monkeypatch)
-        per_class = self.rows(1)
-        other = per_class.copy()
-        other[1, 4, 2] += 1e-9
-        spectra = KernelSpectra()
-        spectra.coordinates(per_class)
-        got = spectra.coordinates(other)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(got, row_coordinates(other))
-        # the same bytes as another (C, m, D) shape are other rows
-        spectra.coordinates(other.reshape(3, 7, 12))
-        assert len(calls) == 3
-
-    def test_coordinates_have_their_own_key(self, monkeypatch):
-        # the kernel's entries and the rows' entry are keyed apart, so asking
-        # for one never drops the other
-        eig_calls = self.counted_sym_eig(monkeypatch)
-        coord_calls = self.counted_row_coordinates(monkeypatch)
-        k = block_kernel([4, 5], seed=2)
-        spectra = KernelSpectra()
-        first = spectra.eig(k)
-        coords = spectra.coordinates(self.rows(1))
-        assert spectra.eig(k) is first
-        assert spectra.coordinates(self.rows(1)) is coords
-        assert (len(eig_calls), len(coord_calls)) == (1, 1)
-
     def test_threads_share_one_factorization(self, monkeypatch):
         calls = self.counted_row_coordinates(monkeypatch)
-        per_class = self.rows(4, (4, 40, 30))
-        spectra = KernelSpectra()
+        spectra = self.holder(4, (4, 40, 30))
         got = []
-        self.run_threads(lambda i: got.append(spectra.coordinates(per_class.copy())))
+        self.run_threads(lambda i: got.append(spectra.coordinates()))
         assert len(calls) == 1
         assert len(got) == 8 and all(g is got[0] for g in got)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import clustered_rows, feats_from_blocks, orthonormal_rows_basis
@@ -215,7 +217,7 @@ class TestDistill:
     def test_shared_spectra_give_the_same_set(self):
         # one holder across several H, as a sweep's cells share it
         feats = clustered_feats([7, 5, 8], dim=20, seed=13, classes=3)
-        spectra = KernelSpectra()
+        spectra = KernelSpectra(feats)
         for h in (2, 3, 4):
             alone, report = distill(feats, h=h, tau_v=0.99, tau_g=0.7, seed=h)
             shared, shared_report = distill(feats, h=h, tau_v=0.99, tau_g=0.7, seed=h,
@@ -223,6 +225,14 @@ class TestDistill:
             for field in ("phi_hat", "y_hat", "provenance", "lifted_basis", "eigenvalues"):
                 np.testing.assert_array_equal(getattr(shared, field), getattr(alone, field))
             np.testing.assert_array_equal(shared_report.coverage, report.coverage)
+
+    def test_holder_made_for_other_features_is_refused(self):
+        feats = clustered_feats([7, 5], dim=12, seed=13, classes=2)
+        # identity, not bytes: a copy of feats is other features
+        for other in (clustered_feats([7, 5], dim=12, seed=14, classes=2),
+                      dataclasses.replace(feats)):
+            with pytest.raises(InputError, match="other features"):
+                distill(feats, h=2, spectra=KernelSpectra(other))
 
     def test_single_cluster_no_gaps(self):
         feats = clustered_feats([10], dim=11, seed=11)

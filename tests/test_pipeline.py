@@ -394,7 +394,7 @@ class TestRunMethod:
 
     def test_task_holder_rows_equal_fresh_holder_rows(self, task):
         fresh = self.every_method(
-            lambda: dataclasses.replace(task, spectra=cluster.KernelSpectra()))
+            lambda: dataclasses.replace(task, spectra=cluster.KernelSpectra(task.train_feats)))
         assert self.every_method(lambda: task) == fresh
 
     def test_task_decomposes_its_kernel_and_rows_once(self, monkeypatch):
@@ -421,6 +421,26 @@ class TestRunMethod:
         assert len(rows) == 11
         assert eig_shapes.count((n, n)) == 2
         assert coord_calls == [task.train_feats.per_class.shape]
+
+    def test_holder_made_for_other_features_is_refused(self, task):
+        # the holder is made for one training set and knows it by identity:
+        # every method that reads it refuses any other, even a copy with the
+        # same bytes, rather than hand out decompositions of another kernel
+        feats = task.train_feats
+        copy = dataclasses.replace(feats, per_class=feats.per_class.copy())
+        moved = dataclasses.replace(task, train_feats=copy)
+        for method in ("distill", "random", "leverage", "fps", "kmeans"):
+            with pytest.raises(InputError, match="other features"):
+                pipeline.run_method(moved, method, seed=1, budget=5)
+            if method != "distill":
+                with pytest.raises(InputError, match="other features"):
+                    pipeline.select_baseline(copy, method, 5, 1, task.spectra)
+        with pytest.raises(InputError, match="other features"):
+            pipeline.distill_features(copy, task.cfg, 1, spectra=task.spectra)
+        # full reads no holder; a holder made for the copy serves it
+        assert pipeline.run_method(moved, "full", seed=0) == pipeline.run_method(task, "full", 0)
+        ok = dataclasses.replace(moved, spectra=cluster.KernelSpectra(copy))
+        assert pipeline.run_method(ok, "fps", 1, 5) == pipeline.run_method(task, "fps", 1, 5)
 
 
 class TestSweep:
@@ -464,7 +484,7 @@ class TestSweep:
         task = pipeline.prepare_task(cfg, root_seed)
 
         def fresh(cell):
-            return dataclasses.replace(cell, spectra=cluster.KernelSpectra())
+            return dataclasses.replace(cell, spectra=cluster.KernelSpectra(cell.train_feats))
 
         rows = [pipeline.run_method(fresh(task), "full", derive(root_seed, "full"), label="full")]
         for idx, h in enumerate(cfg.sweep_h):
