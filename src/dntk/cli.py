@@ -7,9 +7,9 @@ checks both raw splits' headers, the disk space of its outputs and the
 memory of the sketch and its larger output before it draws the sketch or
 writes anything. main parses the arguments, loads the config and resolves the
 output directory once, then hands all three to the subcommand. Exit codes:
-0 on success, 1 on validation problems (bad flags, config, files), 2 when a
-computation is numerically degenerate. Every failure lands on stderr as a
-single `error_code=<Name>` line followed by the message.
+0 on success, 1 on validation problems (bad flags, config, files, memory),
+2 when a computation is numerically degenerate. Every failure lands on
+stderr as a single `error_code=<Name>` line followed by the message.
 """
 
 from __future__ import annotations
@@ -319,9 +319,11 @@ def main(argv=None) -> int:
         return args.fn(cfg, _out_dir(args, cfg), args)
     except SystemExit as exc:  # --help printed its text
         return exc.code
-    except (DntkError, OSError) as exc:
-        # missing or unreadable stage artifacts are a usage problem, not a bug
-        code = exc.code if isinstance(exc, DntkError) else "IoError"
+    except (DntkError, OSError, MemoryError) as exc:
+        # missing or unreadable stage artifacts are a usage problem, not a bug,
+        # and an array numpy cannot allocate is refused as require_memory refuses one
+        code = (exc.code if isinstance(exc, DntkError)
+                else "InsufficientMemory" if isinstance(exc, MemoryError) else "IoError")
         print(f"error_code={code}", file=sys.stderr)
         print(str(exc), file=sys.stderr)
         return 2 if isinstance(exc, NumericalError) else 1

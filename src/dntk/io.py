@@ -104,7 +104,8 @@ def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
     Raw rows (a ClassRows) are written as their factors under kind byte 0,
-    one row batch at a time at the offsets _factor_offsets gives, and are
+    one row batch at a time at the offsets _factor_offsets gives, both in
+    network order, and are
     refused with IoError before path is opened if they are read from the
     file there; sketched rows are written one class block at a time under
     kind byte 1.
@@ -122,7 +123,7 @@ def write_gradients(feats: GradientFeatures, path) -> None:
                 offsets, end = _factor_offsets(m, c, sizes)
                 batches = rows.batches()
                 for start in range(0, m, ROW_BATCH):  # each batch dropped before the next
-                    for (dz_at, a_at), (_, dz, a) in zip(offsets, reversed(next(batches))):
+                    for (dz_at, a_at), (dz, a) in zip(offsets, next(batches)):
                         fh.seek(dz_at + 8 * start * dz[0].size)
                         fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
                         fh.seek(a_at + 8 * start * a[0].size)
@@ -670,8 +671,10 @@ def write_selection(sel: SelectionResult, path) -> None:
 
 
 def read_selection(path, size: int) -> np.ndarray:
-    """Selected sample ids of a baseline; each must index one of `size` samples."""
+    """Selected sample ids of a baseline: distinct (else ParseError), each
+    indexing one of `size` samples."""
     idx = _read_npz(path, SELECTION)["indices"]
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexOutOfRange(f"{path}: indices outside [0, {size})")
+    _require(np.unique(idx).size == idx.size, path, "sample ids repeat")
     return idx.astype(np.intp)

@@ -16,10 +16,11 @@ is refused with InsufficientMemory before it is made, by require_memory,
 which guards the kernel stack and the ridge eigenvectors the same way.
 
 One contraction applies it, _fused_sketch, and it takes the backward
-pass's factors from one producer interface, a ClassRows's batches(): the
-live backward pass for the in-process task (pipeline.sketched_features)
-and row slices of the factors a raw gradient file stores for the staged
-CLI (project_features). Both hand out ROW_BATCH rows at a time, the only
+pass's factors from one producer interface, a ClassRows's batches(), in
+network order: the live backward pass for the in-process task
+(pipeline.sketched_features) and row slices of the factors a raw gradient
+file stores for the staged CLI (project_features); tangent.param_blocks
+places each layer in q. Both hand out ROW_BATCH rows at a time, the only
 row batch there is, and the contraction takes COL_BLOCK sketch columns at
 a time, the only column block there is, so the staged sketch equals the
 in-process one bit for bit, and neither builds a P-wide row. Besides its
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
-from .tangent import ROW_BATCH, ClassRows, GradientFeatures
+from .tangent import ROW_BATCH, ClassRows, GradientFeatures, param_blocks
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -220,10 +221,10 @@ def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
     """The (C, n, k) sketch of the raw rows' per-logit Jacobian, contracted per layer.
 
     raw.batches() yields, per consecutive batch of ROW_BATCH rows, the
-    (pos, dz, a) factors of each layer, last layer first, from the live
-    backward pass (ClassRows.of_backprop) or from a file. The weight rows of q
-    belonging to layer l form Q_l (fan_out, fan_in, k), and (dz x a) @ Q_l
-    = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q). T is computed
+    (dz, a) factors of each layer in network order, from the live backward
+    pass (ClassRows.of_backprop) or from a file. The rows of q in layer l's
+    param_blocks weight slice form Q_l (fan_out, fan_in, k), and (dz x a)
+    @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q). T is computed
     once per sample with no class factor, so a sample costs about 2 (P + C
     * sum(fan_out)) k flops instead of the 2 C P k of multiplying its (C,
     P) Jacobian by q, and no P-wide row is built.
@@ -251,27 +252,24 @@ def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
     t_flat = np.empty(max(sizes[1:]) * rows * block)
     acc_full, prod_full = np.empty((2, rows, c, block))
     out = np.empty((c, n, k))
-    batches = raw.batches()
+    blocks, batches = param_blocks(sizes), raw.batches()
     for start in range(0, n, ROW_BATCH):
         b = min(ROW_BATCH, n - start)
-        _sketch_batch(next(batches), q, op.scale, t_flat, acc_full[:b], prod_full[:b],
+        _sketch_batch(next(batches), blocks, q, op.scale, t_flat, acc_full[:b], prod_full[:b],
                       out[:, start : start + b])
     return out
 
 
-def _sketch_batch(layers, q, scale, t_flat, acc_full, prod_full, out) -> None:
-    """Sketch one batch's (pos, dz, a) layer factors into out (C, b, k), in
-    COL_BLOCK column blocks through _fused_sketch's workspace: t_flat for
-    each layer's T block, and the (b, C, COL_BLOCK) acc_full and prod_full
-    for dz @ T and its running sum."""
+def _sketch_batch(layers, blocks, q, scale, t_flat, acc_full, prod_full, out) -> None:
+    """Sketch one batch's (dz, a) layer factors, in network order like the
+    param_blocks blocks, into out (C, b, k), in COL_BLOCK column blocks
+    through _fused_sketch's workspace: t_flat for each layer's T block, and
+    the (b, C, COL_BLOCK) acc_full and prod_full for dz @ T and its running
+    sum. The layers are summed last layer first; that order fixes the bits."""
     k, b = q.shape[1], out.shape[1]
-    # each layer's factors with its weight rows Q_l and bias rows of q
-    parts = []
-    for pos, dz, a in layers:
-        fan_out, fan_in = dz.shape[2], a.shape[1]
-        w_end = pos + fan_out * fan_in
-        parts.append((dz, a, q[pos:w_end].reshape(fan_out, fan_in, k),
-                      q[w_end : w_end + fan_out, None, :]))
+    # each layer's factors with its weight rows Q_l and bias rows of q, last layer first
+    parts = [(dz, a, q[w_at].reshape(fan_out, fan_in, k), q[b_at, None, :])
+             for (dz, a), (w_at, b_at, fan_out, fan_in) in zip(layers, blocks)][::-1]
     for j0 in range(0, k, COL_BLOCK):
         cols = slice(j0, min(j0 + COL_BLOCK, k))
         w = cols.stop - j0

@@ -10,7 +10,8 @@ each other through the chain rule. The per-logit pass runs ROW_BATCH rows
 at a time, the one row batch of extraction and sketch alike, and its
 factors (_logit_backprop) are handed out by a ClassRows, which runs it
 on each row batch as that is read; a raw gradient file is the rows' only
-other source. A GradientFeatures' kind is the type of its rows: raw
+other source, both in network order; param_blocks places each layer in
+theta. A GradientFeatures' kind is the type of its rows: raw
 parameter-space rows are a ClassRows, sketched rows an array, so raw rows
 held densely cannot be built.
 """
@@ -44,9 +45,9 @@ ROW_BATCH = 32
 class MlpParams:
     """Flattened parameters of a fully connected network.
 
-    Layout: per layer, weight matrix of shape (fan_out, fan_in) in row-major
-    order followed by the bias vector. The final layer is affine; hidden
-    layers apply the activation element-wise.
+    Layout: param_blocks(layer_sizes), per layer the weight matrix in
+    row-major order followed by the bias vector. The final layer is affine;
+    hidden layers apply the activation element-wise.
     """
 
     layer_sizes: tuple[int, ...]
@@ -106,7 +107,8 @@ class ClassRows:
     io.read_gradients has checked (io._factor_pass, which reads each slice
     from the file). batches() and [c] read through it, and batches() is
     how every consumer takes the factors: per ROW_BATCH rows in one pass,
-    for sketch._fused_sketch to contract and io.write_gradients to write.
+    for sketch._fused_sketch to contract and io.write_gradients to write,
+    each zipping them with param_blocks(layer_sizes) or the file's offsets.
     """
 
     def __init__(self, layer_sizes, n: int, open_pass):
@@ -123,40 +125,29 @@ class ClassRows:
         params, xb = replace(params, theta=params.theta.copy()), xb.copy(order="K")
 
         def read(start, stop):
-            return [(dz, a) for _, dz, a in _logit_backprop(params, xb[start:stop])][::-1]
+            return list(_logit_backprop(params, xb[start:stop]))[::-1]
 
         return cls(params.layer_sizes, xb.shape[0], lambda: contextlib.nullcontext(read))
 
-    def _positioned(self, factors):
-        """(pos, dz, a) per layer, last layer first, as _logit_backprop yields
-        them, from (dz, a) per layer in network order."""
-        out, pos = [], self.shape[2]
-        for dz, a in reversed(factors):
-            pos -= dz.shape[2] * (a.shape[1] + 1)
-            out.append((pos, dz, a))
-        return out
-
     def batches(self):
-        """Per batch of ROW_BATCH rows, in order, the (pos, dz, a) row slices
-        of each layer, last layer first, all read in one pass."""
+        """Per batch of ROW_BATCH rows, in order, the (dz, a) row slices of
+        each layer in network order, all read in one pass."""
         with self.open_pass() as read:
             for start in range(0, self.shape[1], ROW_BATCH):
-                yield self._positioned(read(start, start + ROW_BATCH))
+                yield read(start, start + ROW_BATCH)
 
     def __getitem__(self, c) -> np.ndarray:
         # operator.index refuses slices and tuples; range refuses c outside [-C, C)
         c = range(self.shape[0])[operator.index(c)]
-        out = np.empty(self.shape[1:])
+        out, blocks = np.empty(self.shape[1:]), param_blocks(self.layer_sizes)
         for start, layers in zip(range(0, self.shape[1], ROW_BATCH), self.batches()):
             rows = out[start : start + ROW_BATCH]
-            for pos, dz, a in layers:
-                fan_out, fan_in = dz.shape[2], a.shape[1]
-                w_end = pos + fan_out * fan_in
+            for (w_at, b_at, fan_out, fan_in), (dz, a) in zip(blocks, layers):
                 # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
                 # unit-stride last axis, so this reshape is a view
                 np.multiply(dz[:, c, :, None], a[:, None, :],
-                            out=rows[:, pos:w_end].reshape(-1, fan_out, fan_in))
-                rows[:, w_end : w_end + fan_out] = dz[:, c]
+                            out=rows[:, w_at].reshape(-1, fan_out, fan_in))
+                rows[:, b_at] = dz[:, c]
         return out
 
 
@@ -194,9 +185,23 @@ class GradientFeatures:
         return int(self.per_class.shape[2])
 
 
-def param_count(layer_sizes) -> int:
+def param_blocks(layer_sizes) -> list[tuple[slice, slice, int, int]]:
+    """Theta's layout, the one statement of it: per layer in network order,
+    (weight slice, bias slice, fan_out, fan_in), the row-major weight
+    matrix followed by the bias, tiling [0, P). Every offset into theta,
+    or into the sketch's rows, which follow theta, is read from here."""
     sizes = tuple(int(s) for s in layer_sizes)
-    return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+    blocks, pos = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w_end = pos + fan_out * fan_in
+        blocks.append((slice(pos, w_end), slice(w_end, w_end + fan_out), fan_out, fan_in))
+        pos = w_end + fan_out
+    return blocks
+
+
+def param_count(layer_sizes) -> int:
+    blocks = param_blocks(layer_sizes)
+    return blocks[-1][1].stop if blocks else 0
 
 
 def _validate_layer_sizes(layer_sizes) -> tuple[int, ...]:
@@ -214,26 +219,16 @@ def init_params(layer_sizes, seed: int, activation: str = "tanh") -> MlpParams:
     if activation not in ACTIVATIONS:
         raise InputError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
     rng = np.random.default_rng(seed)
-    chunks = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.uniform(-1.0, 1.0, size=(fan_out, fan_in)) / np.sqrt(fan_in)
-        chunks.append(w.ravel())
-        chunks.append(np.zeros(fan_out))
-    return MlpParams(layer_sizes=sizes, theta=np.concatenate(chunks), activation=activation)
+    theta = np.zeros(param_count(sizes))
+    for w_at, _, fan_out, fan_in in param_blocks(sizes):  # drawn in network order
+        theta[w_at] = (rng.uniform(-1.0, 1.0, size=(fan_out, fan_in)) / np.sqrt(fan_in)).ravel()
+    return MlpParams(layer_sizes=sizes, theta=theta, activation=activation)
 
 
 def _unpack(params: MlpParams):
     """Views of theta as (weight, bias) pairs; no copies."""
-    sizes = params.layer_sizes
-    out = []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = params.theta[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
-        pos += fan_out * fan_in
-        b = params.theta[pos : pos + fan_out]
-        pos += fan_out
-        out.append((w, b))
-    return out
+    return [(params.theta[w_at].reshape(fan_out, fan_in), params.theta[b_at])
+            for w_at, b_at, fan_out, fan_in in param_blocks(params.layer_sizes)]
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -299,27 +294,21 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
 def _logit_backprop(params: MlpParams, xb: np.ndarray):
     """Backpropagate the C x C identity through the network, last layer first.
 
-    Yields (pos, dz, a) per layer: pos is the offset of the layer's weight
-    block in theta (its bias block follows), dz (n, C, fan_out) holds the
-    logit gradients with respect to the layer's pre-activations and a
+    Yields (dz, a) per layer, last layer first: dz (n, C, fan_out) holds
+    the logit gradients with respect to the layer's pre-activations and a
     (n, fan_in) its inputs. The per-logit weight gradient is the outer
     product dz[:, c] x a and the bias gradient is dz[:, c], so a ClassRows
-    (ClassRows.of_backprop) hands out the factors in place of the rows.
-    dz is read-only; each layer's is a new array, so a caller may keep all
-    of them.
+    (ClassRows.of_backprop, which puts them in network order) hands out the
+    factors in place of the rows. dz is read-only; each layer's is a new
+    array, so a caller may keep all of them.
     """
     layers, acts = _forward_trace(params, xb)
-    n = xb.shape[0]
     c = params.class_count
-    dz = np.broadcast_to(np.eye(c), (n, c, c)).copy()
-    pos = params.param_count
+    dz = np.broadcast_to(np.eye(c), (xb.shape[0], c, c)).copy()
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        fan_out, fan_in = w.shape
-        pos -= fan_out * fan_in + fan_out
-        yield pos, dz, acts[i]
+        yield dz, acts[i]
         if i > 0:
-            dz = (dz @ w) * _act_grad(acts[i], params.activation)[:, None, :]
+            dz = (dz @ layers[i][0]) * _act_grad(acts[i], params.activation)[:, None, :]
 
 
 # ------------------------------------------------------------------ losses
@@ -378,16 +367,13 @@ def _backprop(params: MlpParams, trace, dz: np.ndarray) -> np.ndarray:
     """
     layers, acts = trace
     grad = np.empty(params.param_count)
-    pos = params.param_count
+    blocks = param_blocks(params.layer_sizes)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        fan_out, fan_in = w.shape
-        pos -= fan_out
-        grad[pos : pos + fan_out] = dz.sum(axis=0, initial=-0.0)
-        pos -= fan_out * fan_in
-        grad[pos : pos + fan_out * fan_in] = (dz.T @ acts[i]).ravel()
+        w_at, b_at, _, _ = blocks[i]
+        grad[b_at] = dz.sum(axis=0, initial=-0.0)
+        grad[w_at] = (dz.T @ acts[i]).ravel()
         if i > 0:
-            dz = (dz @ w) * _act_grad(acts[i], params.activation)
+            dz = (dz @ layers[i][0]) * _act_grad(acts[i], params.activation)
     return grad
 
 

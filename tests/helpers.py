@@ -32,6 +32,19 @@ def class_blocks(per_class) -> np.ndarray:
     return np.stack([per_class[c] for c in range(per_class.shape[0])])
 
 
+def positioned_backprop(params, xb):
+    """(pos, dz, a) per layer, last layer first, for the (dz, a) factors
+    _logit_backprop yields in that order: pos is the offset of the layer's
+    weight block in theta, its bias block following. The offsets are
+    counted down from theta's size and the factors' widths here, not read
+    from tangent.param_blocks, so a wrong block there fails the references
+    built on these."""
+    pos = params.theta.size
+    for dz, a in _logit_backprop(params, xb):
+        pos -= dz.shape[2] * (a.shape[1] + 1)
+        yield pos, dz, a
+
+
 def reference_per_class(params, x):
     """The (C, n, P) per-logit gradients of x filled whole, batch by batch,
     each layer's weight block one multiply over every class at once: the
@@ -43,7 +56,7 @@ def reference_per_class(params, x):
     out = np.empty((c, n, params.param_count))
     for start in range(0, n, ROW_BATCH):
         rows = out[:, start : start + ROW_BATCH]
-        for pos, dz, a in _logit_backprop(params, xb[start : start + ROW_BATCH]):
+        for pos, dz, a in positioned_backprop(params, xb[start : start + ROW_BATCH]):
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
             dz_c = dz.transpose(1, 0, 2)  # (C, b, fan_out)
@@ -88,7 +101,7 @@ def fused_sketch_per_batch(params, x, op):
     for start in range(0, n, ROW_BATCH):
         rows = xb[start : start + ROW_BATCH]
         sk = np.zeros((rows.shape[0], params.class_count, k))
-        for pos, dz, a in _logit_backprop(params, rows):
+        for pos, dz, a in positioned_backprop(params, rows):
             fan_out, fan_in = dz.shape[2], a.shape[1]
             w_end = pos + fan_out * fan_in
             q_l = op.q[pos:w_end].reshape(fan_out, fan_in, k)

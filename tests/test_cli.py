@@ -587,6 +587,22 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert report.read_bytes() == before
 
+    def test_config_beyond_memory_exits_1(self, tmp_path, capsys):
+        # 10^15 training rows of 16 floats need more than any address space,
+        # so numpy refuses the array at once, whatever the machine, and
+        # gen-data leaves with numpy's message and writes nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_train": 10**15, "n_test": 10, "layer_sizes": [16, 8, 10]}))
+        out = tmp_path / "out"
+        rc = main(["gen-data", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=InsufficientMemory") == 1
+        assert err.count("error_code=") == 1
+        assert "Traceback" not in err
+        assert "Unable to allocate" in err
+        assert not (out / FILES["train"]).exists()
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()

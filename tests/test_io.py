@@ -94,7 +94,7 @@ class TestGradientFile:
         assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 3, 5, 26, 2, 0)
         assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
         # 5 rows: one row batch holds them all
-        factors = [(dz, a) for _, dz, a in reversed(next(rows.batches()))]  # network order
+        factors = next(rows.batches())  # network order, as the file holds them
         payload = b"".join(dz.astype("<f8").tobytes() + a.astype("<f8").tobytes()
                            for dz, a in factors)
         assert [dz.shape for dz, _ in factors] == [(5, 2, 4), (5, 2, 2)]
@@ -258,14 +258,14 @@ class TestRawRowsOneClassAtATime:
         dio.write_gradients(live, tmp_path / "g.dntk")
         read = dio.read_gradients(tmp_path / "g.dntk")
         with read.per_class.open_pass() as read_rows:
-            whole = read_rows(0, 70)[::-1]  # every row of each layer in one read
+            whole = read_rows(0, 70)  # every row of each layer in one read
         batches = list(zip(read.per_class.batches(), live.per_class.batches()))
-        assert [len(from_file[0][1]) for from_file, _ in batches] == [32, 32, 6]
+        assert [len(from_file[0][0]) for from_file, _ in batches] == [32, 32, 6]
         for start, (from_file, from_live) in zip(range(0, 70, ROW_BATCH), batches):
             rows = slice(start, start + ROW_BATCH)
-            for (pos, dz, a), (pos_l, dz_l, a_l), (dz_w, a_w) in zip(
-                    from_file, from_live, whole):
-                assert pos == pos_l
+            # both sources hand out (dz, a) per layer in network order
+            assert [a.shape[1] for _, a in from_file] == list(params.layer_sizes[:-1])
+            for (dz, a), (dz_l, a_l), (dz_w, a_w) in zip(from_file, from_live, whole):
                 # bit for bit: the same bytes as the whole read and the live backward pass
                 assert dz.tobytes() == dz_w[rows].tobytes() == dz_l.tobytes()
                 assert a.tobytes() == a_w[rows].tobytes() == a_l.tobytes()
@@ -426,6 +426,10 @@ def test_selection_roundtrip_and_checks(tmp_path):
         dio.read_selection(path, 8)
     np.savez(path, indices=np.array([0.0, 1.0]))
     with pytest.raises(ParseError):
+        dio.read_selection(path, 8)
+    # a selection is distinct ids: a repeated one would fit a duplicated row
+    dio.write_selection(SelectionResult(np.array([3, 3, 1]), "random", 3), path)
+    with pytest.raises(ParseError, match="repeat"):
         dio.read_selection(path, 8)
 
 

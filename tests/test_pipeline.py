@@ -183,7 +183,7 @@ class TestPrepareTask:
         write_gradients(live, tmp_path / "g.dntk")
         for rows in (live.per_class, read_gradients(tmp_path / "g.dntk").per_class):
             first = next(rows.batches())
-            assert sum(dz.nbytes + a.nbytes for _, dz, a in first) == 8 * 32 * 453
+            assert sum(dz.nbytes + a.nbytes for dz, a in first) == 8 * 32 * 453
 
     def test_fused_sketch_workspace_does_not_grow_with_k(self):
         # what the call holds beyond its output, at k and at 4k: the

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import N_AROUND_ROW_BATCH, class_blocks
+from helpers import N_AROUND_ROW_BATCH, class_blocks, positioned_backprop
 
 from dntk.errors import DimMismatch, Divergence
 from dntk.metrics import accuracy
@@ -11,7 +11,7 @@ from dntk.tangent import (
     LabeledDataset,
     _act,
     _act_grad,
-    _logit_backprop,
+    _unpack,
     chain_rule_check,
     cross_entropy,
     extract_features,
@@ -22,6 +22,7 @@ from dntk.tangent import (
     loss_logit_gradient,
     loss_param_gradient,
     one_hot,
+    param_blocks,
     param_count,
     per_logit_gradient,
     train_sgd,
@@ -71,6 +72,39 @@ class TestParams:
         # P = sum over layers of (in*out + out)
         assert param_count([4, 7, 3]) == 4 * 7 + 7 + 7 * 3 + 3
         assert param_count([5, 2]) == 5 * 2 + 2
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (5, 2), (4, 7, 3), (5, 9, 7, 4), (3, 1, 6, 1, 2)])
+    def test_param_blocks_tile_theta_and_unpack_views_them(self, sizes):
+        # per layer in network order: the row-major weight block, then the
+        # bias block right after it, the blocks covering [0, P) with no gap
+        blocks = param_blocks(sizes)
+        assert len(blocks) == len(sizes) - 1
+        pos = 0
+        for (w_at, b_at, fan_out, fan_in), f_in, f_out in zip(blocks, sizes[:-1], sizes[1:]):
+            assert (fan_out, fan_in) == (f_out, f_in)
+            assert (w_at.start, w_at.stop, w_at.step) == (pos, pos + f_out * f_in, None)
+            assert (b_at.start, b_at.stop, b_at.step) == (w_at.stop, w_at.stop + f_out, None)
+            pos = b_at.stop
+        assert pos == param_count(sizes) == sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+        # theta holding its own indices shows which entries each view reads
+        p = init_params(sizes, seed=0)
+        p = p.with_theta(np.arange(pos, dtype=np.float64))
+        for (w, b), (w_at, b_at, fan_out, fan_in) in zip(_unpack(p), blocks):
+            assert w.base is p.theta and b.base is p.theta  # views, no copies
+            assert w.shape == (fan_out, fan_in) and b.shape == (fan_out,)
+            assert w.ravel().tolist() == list(range(w_at.start, w_at.stop))
+            assert b.tolist() == list(range(b_at.start, b_at.stop))
+
+    def test_init_draws_weights_layer_by_layer(self):
+        # each layer's (fan_out, fan_in) draw in network order, its bias
+        # zero: the bits of one concatenation of per-layer chunks
+        sizes = (5, 9, 7, 4)
+        rng = np.random.default_rng(3)
+        ref = np.concatenate([
+            part for f_in, f_out in zip(sizes[:-1], sizes[1:])
+            for part in ((rng.uniform(-1.0, 1.0, size=(f_out, f_in)) / np.sqrt(f_in)).ravel(),
+                         np.zeros(f_out))])
+        assert init_params(sizes, seed=3).theta.tobytes() == ref.tobytes()
 
     def test_init_shapes_and_determinism(self):
         a = init_params([4, 6, 3], seed=0)
@@ -294,7 +328,7 @@ def reference_logit_jacobian(params, xb):
     """
     n, c = xb.shape[0], params.class_count
     grads = np.empty((n, c, params.param_count))
-    for pos, dz, a in _logit_backprop(params, xb):
+    for pos, dz, a in positioned_backprop(params, xb):
         fan_out, fan_in = dz.shape[2], a.shape[1]
         w_end = pos + fan_out * fan_in
         gw = dz[:, :, :, None] * a[:, None, None, :]
