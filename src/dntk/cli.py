@@ -2,10 +2,14 @@
 
 Subcommands mirror the pipeline stages and exchange files through the io
 module, so a run can stop and resume at any stage. io writes every file a
-stage leaves, its CSV tables included, so this module opens none. `project`
-checks both raw splits' headers, the disk space of its outputs and the
-memory of the sketch and its larger output before it draws the sketch or
-writes anything. main parses the arguments, loads the config and resolves the
+stage leaves, its CSV tables included, so this module opens none. Every
+gradient file is opened through io.read_gradients, and _read_grads refuses
+one whose header records the other kind of rows. `project` reads both raw
+splits (a raw file's header, layer widths, class ids and logits; its factors
+stay in the file) and checks their kinds, widths and class ids, the disk
+space of its outputs and the memory of the sketch and its larger output
+before it draws the sketch or writes anything. `evaluate` holds one sketched
+split at a time. main parses the arguments, loads the config and resolves the
 output directory once, then hands all three to the subcommand. Exit codes:
 0 on success, 1 on validation problems (bad flags, config, files, memory),
 2 when a computation is numerically degenerate. Every failure lands on
@@ -29,7 +33,6 @@ from .io import (
     read_config,
     read_dataset,
     read_distilled,
-    read_gradient_extents,
     read_gradients,
     read_krr,
     read_model,
@@ -86,14 +89,15 @@ def _p(out: Path, key: str) -> Path:
     return out / FILES[key]
 
 
-def _read_sketched(out: Path, key: str) -> GradientFeatures:
-    """The features of a sketched_* file, refused unless its header says sketched."""
+def _read_grads(out: Path, key: str) -> GradientFeatures:
+    """The features of a grads_* or sketched_* file, refused with DimMismatch
+    unless its header records raw or sketched rows, as its key says."""
     feats = read_gradients(_p(out, key))
-    if feats.raw:
-        raise DimMismatch(
-            f"{_p(out, key)} holds raw rows, expected sketched ones; "
-            "run `dntk project` to write it"
-        )
+    if feats.raw != key.startswith("grads"):
+        held, wanted, stage = (("raw", "sketched", "project") if feats.raw
+                               else ("sketched", "raw", "extract-grads"))
+        raise DimMismatch(f"{_p(out, key)} holds {held} rows, expected {wanted} ones; "
+                          f"run `dntk {stage}` to write it")
     return feats
 
 
@@ -140,24 +144,15 @@ def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def _raw_header(out: Path, key: str) -> tuple[int, int, int, tuple[int, ...]]:
-    """(m, D, C, layer widths) of a grads_* file, refused unless its header says raw."""
-    m, d, c, sizes = read_gradient_extents(_p(out, key))
-    if sizes is None:
-        raise DimMismatch(
-            f"{_p(out, key)} holds sketched rows, expected raw ones; "
-            "run `dntk extract-grads` to write it"
-        )
-    return m, d, c, sizes
-
-
 def cmd_project(cfg: RunConfig, out: Path, args) -> int:
-    # both splits' headers are checked before Q is drawn or anything is written
-    m, d, c, sizes = _raw_header(out, "grads_train")
-    m_test, *_, test_sizes = _raw_header(out, "grads_test")
-    if test_sizes != sizes:
+    # both splits are read and checked before Q is drawn or anything is
+    # written; their factors stay in the files until they are sketched
+    train, test = _read_grads(out, "grads_train"), _read_grads(out, "grads_test")
+    (c, m, d), sizes = train.per_class.shape, train.per_class.layer_sizes
+    if test.per_class.layer_sizes != sizes:
         raise DimMismatch(f"{_p(out, 'grads_test')} holds a network of layer widths "
-                          f"{test_sizes}, {_p(out, 'grads_train')} one of {sizes}")
+                          f"{test.per_class.layer_sizes}, {_p(out, 'grads_train')} one of {sizes}")
+    m_test = test.size
     k = pipeline.sketch_width(cfg, d)
     _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(m, k, c),
                          _p(out, "sketched_test"): gradient_file_bytes(m_test, k, c)})
@@ -168,17 +163,17 @@ def cmd_project(cfg: RunConfig, out: Path, args) -> int:
                    f"a {d} x {k} sketch and its {c} x {rows} x {k} output")
     op = pipeline.sketch_operator(cfg, d, cfg.seed)
     write_sketch_meta(op.record, _p(out, "sketch_meta"))
-    for split in ("train", "test"):  # each split's factors read one row batch at a time
-        raw = read_gradients(_p(out, f"grads_{split}"))
+    for split, raw in (("train", train), ("test", test)):  # factors read per row batch
         write_gradients(project_features(raw, op), _p(out, f"sketched_{split}"))
     print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
     return 0
 
 
 def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
-    feats = _read_sketched(out, "sketched_train")
+    # the training rows go once the stack is built
+    stack = kernel.build_stack(_read_grads(out, "sketched_train"), cfg.scale_kind)
     rows = []  # in KERNEL_STATS_COLUMNS order
-    for ci, gram in enumerate(kernel.build_stack(feats, cfg.scale_kind)):
+    for ci, gram in enumerate(stack):
         values = sym_eigvals(gram)
         eff = kernel.effective_dimension(values, cfg.lambda_reg) if cfg.lambda_reg > 0 \
             else float((values > rank_tolerance(values)).sum())  # the numerical rank
@@ -191,7 +186,7 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
-    feats = _read_sketched(out, "sketched_train")
+    feats = _read_grads(out, "sketched_train")
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
@@ -205,7 +200,7 @@ def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
-    feats = _read_sketched(out, "sketched_train")
+    feats = _read_grads(out, "sketched_train")
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
     write_selection(sel, out / f"selected_{args.method}.npz")
@@ -214,7 +209,7 @@ def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
 
 
 def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
-    feats, picked = _read_sketched(out, "sketched_train"), None
+    feats, picked = _read_grads(out, "sketched_train"), None
     if args.source == "distilled":
         picked, _ = read_distilled(_p(out, "distilled"))
     elif args.source != "full":
@@ -228,9 +223,12 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
 
 def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
     model = read_krr(_p(out, "krr"))
-    test_feats = _read_sketched(out, "sketched_test")
-    train_feats = _read_sketched(out, "sketched_train")
-    row = pipeline.score_krr(model, train_feats, test_feats, args.method, cfg.seed)
+    # one sketched split at a time: the test rows go once they are predicted
+    test = _read_grads(out, "sketched_test")
+    pred, labels, logits = krr.predict(model, test.per_class), test.labels, test.model_logits
+    del test
+    train = _read_grads(out, "sketched_train")
+    row = pipeline.score_krr(model, train, pred, labels, logits, args.method, cfg.seed)
     path = _p(out, "report")
     write_report([row], path, append=path.exists())
     print(f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})")

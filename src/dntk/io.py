@@ -208,17 +208,6 @@ def _factor_pass(path, extents):
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def read_gradient_extents(path) -> tuple[int, int, int, tuple[int, ...] | None]:
-    """(m, D, C, layer widths) of a gradient file, the widths None for
-    sketched rows, read without its payload; the header is checked as
-    read_gradients checks it."""
-    try:
-        with open(path, "rb") as fh:
-            return _read_header(fh, path)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_header(fh, path):
     """(m, D, C, layer widths) of an open gradient file, the widths None for
     sketched rows, with fh left at the payload. The header, a raw file's

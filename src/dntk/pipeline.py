@@ -172,26 +172,29 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
 def score_krr(
     model: krr.KrrModel,
     train_feats: GradientFeatures,
-    test_feats: GradientFeatures,
+    pred: np.ndarray,
+    test_labels: np.ndarray,
+    test_logits: np.ndarray,
     method: str,
     seed: int,
 ) -> ReportRow:
     """One report row for fitted per-class ridge regressors.
 
-    Fidelity/accuracy/MSE come from test predictions against the base
-    model; coverage and reconstruction error measure how much of the
+    Fidelity/accuracy/MSE compare pred, the (t, C) krr.predict logits at
+    the test rows, with the base model's test_logits and the test_labels
+    class ids, so the test rows need not be held while the training rows
+    are; coverage and reconstruction error measure how much of the
     (centered) training gradient energy the fitted set's row span retains,
     with that span taken from the fit's own eigenpairs
     (metrics.eig_rows_basis); the conditioning columns summarize the fitted
-    kernels themselves. Accuracy is against the test features' label ids.
-    The sweep and the staged `evaluate` command both score through here.
+    kernels themselves. The sweep and the staged `evaluate` command both
+    score through here.
     """
     c = model.class_count
     if train_feats.class_count != c:
         raise ShapeMismatch(
             f"training features have {train_feats.class_count} classes, model has {c}"
         )
-    pred = krr.predict(model, test_feats.per_class)
     factor = kernel.scale_factor(model.scale_kind, model.width)
     coverage = np.empty(c)
     recon = np.empty(c)
@@ -211,9 +214,9 @@ def score_krr(
         seed=seed,
         s=model.size,
         compression=distill.compression_ratio(train_feats.size, model.size),
-        fidelity=metrics.fidelity(pred, test_feats.model_logits),
-        accuracy=metrics.accuracy(pred, test_feats.labels),
-        mse=metrics.mse(pred, test_feats.model_logits),
+        fidelity=metrics.fidelity(pred, test_logits),
+        accuracy=metrics.accuracy(pred, test_labels),
+        mse=metrics.mse(pred, test_logits),
         coverage=float(coverage.mean()),
         recon_error=float(recon.mean()),
         condition=float(condition.mean()),
@@ -233,7 +236,9 @@ def evaluate_gradient_set(
     model = krr.fit(
         basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind
     )
-    return score_krr(model, task.train_feats, task.test_feats, method, seed)
+    test = task.test_feats
+    pred = krr.predict(model, test.per_class)
+    return score_krr(model, task.train_feats, pred, test.labels, test.model_logits, method, seed)
 
 
 def select_baseline(

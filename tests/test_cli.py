@@ -302,6 +302,22 @@ class TestBoundedMemory:
         assert stage_peak("extract-grads") <= extract_bound
         assert stage_peak("project") <= project_bound
 
+    def test_evaluate_holds_one_sketched_split(self, tmp_path, capsys):
+        # evaluate predicts on the test rows and lets them go before it reads
+        # the training rows: both splits at once would be 2 x split alone
+        c, n, k = 10, 400, 64
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "cfg.json", out, layer_sizes=[16, 32, c], n_train=n,
+                        n_test=n, train_epochs=1, k_sketch=k)
+        for stage in (["gen-data"], ["train-model"], ["extract-grads"], ["project"],
+                      ["select-baseline", "--method", "random", "--budget", "10"],
+                      ["fit-krr", "--source", "random"]):
+            assert main(stage + ["--config", cfg]) == 0
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(["evaluate", "--config", cfg])))
+        assert codes == [0]
+        assert peak <= 1.6 * 8 * c * n * k
+
 
 class TestFreeSpace:
     @staticmethod
@@ -725,6 +741,35 @@ class TestErrorPaths:
         assert err.count("error_code=") == 1
         assert "Traceback" not in err
         assert sorted(f.name for f in work.iterdir()) == before
+
+    @pytest.mark.parametrize("key", ["grads_test", "grads_train"])
+    def test_project_refuses_class_ids_before_writing(self, rundir, tmp_path, capsys, key):
+        # a class id outside [0, C) in either raw split is refused as the
+        # split is read, before Q is drawn: a rerun at another seed, which
+        # would record another sketch, leaves the last run's outputs as they were
+        out, cfg = rundir
+        work = tmp_path / "run"
+        work.mkdir()
+        outputs = ("sketch_meta", "sketched_train", "sketched_test")
+        for k in ("train", "test", "model", "grads_train", "grads_test", *outputs):
+            shutil.copyfile(out / FILES[k], work / FILES[k])
+        n = SMOKE["n_test"] if key == "grads_test" else SMOKE["n_train"]
+        c = SMOKE["layer_sizes"][-1]
+        path = work / FILES[key]
+        data = bytearray(path.read_bytes())
+        ids_at = len(data) - 8 * (n + n * c)  # the class ids, then the logits
+        data[ids_at : ids_at + 8] = np.int64(c).tobytes()
+        path.write_bytes(bytes(data))
+        before = {k: (work / FILES[k]).read_bytes() for k in outputs}
+        capsys.readouterr()
+        rc = main(["project", "--config", cfg, "--out", str(work), "--seed", "6"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=ParseError") == 1
+        assert err.count("error_code=") == 1
+        assert f"class ids outside [0, {c})" in err
+        assert "Traceback" not in err
+        assert {k: (work / FILES[k]).read_bytes() for k in outputs} == before
 
     @pytest.mark.parametrize(
         "stage, key",

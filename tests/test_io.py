@@ -123,12 +123,13 @@ class TestGradientFile:
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         assert path.read_bytes()[22] == (0 if raw else 1)
-        sizes = (3, 4, 2) if raw else None  # tiny_raw's network
-        assert dio.read_gradient_extents(path) == (
-            feats.size, feats.width, feats.class_count, sizes)
         back = dio.read_gradients(path)
         assert back.raw is raw
         assert type(back.per_class) is (ClassRows if raw else np.ndarray)
+        # the extents read back; a raw file records its network's widths too
+        assert back.per_class.shape == (feats.class_count, feats.size, feats.width)
+        if raw:
+            assert back.per_class.layer_sizes == (3, 4, 2)  # tiny_raw's network
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "g.dntk"

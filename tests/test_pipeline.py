@@ -370,10 +370,13 @@ class TestRunMethod:
         assert row.recon_error == pytest.approx(ref[1], rel=1e-8, abs=1e-12 * energy)
 
     def test_score_rejects_foreign_class_count(self, task):
-        feats = task.train_feats
+        # a model of 2 classes, its predictions made on 2 classes of the
+        # test rows, is refused the C-class training rows
+        feats, test = task.train_feats, task.test_feats
         model = krr.fit(feats.per_class[:2], feats.model_logits[:, :2])
+        pred = krr.predict(model, test.per_class[:2])
         with pytest.raises(ShapeMismatch):
-            pipeline.score_krr(model, feats, task.test_feats, "x", 0)
+            pipeline.score_krr(model, feats, pred, test.labels, test.model_logits[:, :2], "x", 0)
 
     def test_all_selection_methods_produce_rows(self, task):
         for method in ("random", "leverage", "fps", "kmeans"):
