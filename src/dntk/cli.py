@@ -2,18 +2,22 @@
 
 Subcommands mirror the pipeline stages and exchange files through the io
 module, so a run can stop and resume at any stage. io writes every file a
-stage leaves, its CSV tables included, so this module opens none. Every
+stage leaves, its CSV tables included, so this module opens none. main runs
+each stage inside io.replacing: a stage reads its inputs through _p and
+writes each output to new(key), and its outputs appear in the output
+directory together once it returns, or not at all when it fails. Every
 gradient file is opened through io.read_gradients, and _read_grads refuses
 one whose header records the other kind of rows. `project` reads both raw
-splits (a raw file's header, layer widths, class ids and logits; its factors
-stay in the file) and checks their kinds, widths and class ids, the disk
-space of its outputs and the memory of the sketch and its larger output
-before it draws the sketch or writes anything. `evaluate` holds one sketched
-split at a time. main parses the arguments, loads the config and resolves the
-output directory once, then hands all three to the subcommand. Exit codes:
-0 on success, 1 on validation problems (bad flags, config, files, memory),
-2 when a computation is numerically degenerate. Every failure lands on
-stderr as a single `error_code=<Name>` line followed by the message.
+splits (a raw file's header, layer widths, class ids and logits; its
+factors stay in the file) and checks their kinds, widths and class ids and
+the memory of the sketch and its larger output before it draws the sketch.
+`evaluate` holds one sketched split at a time, and writes the rows of the
+report.csv it found with its own row after them. main parses the
+arguments, loads the config and resolves the output directory once, then
+hands all three to the subcommand. Exit codes: 0 on success, 1 on
+validation problems (bad flags, config, files, memory, a full disk), 2 when
+a computation is numerically degenerate. Every failure lands on stderr as a
+single `error_code=<Name>` line followed by the message.
 """
 
 from __future__ import annotations
@@ -24,19 +28,20 @@ import sys
 from pathlib import Path
 
 from . import baselines, distill as distill_mod, kernel, krr, pipeline
-from .errors import DimMismatch, DntkError, InputError, IoError, NumericalError
+from .errors import DimMismatch, DntkError, InputError, NumericalError
 from .io import (
     KERNEL_STATS_COLUMNS,
     THEORY_COLUMNS,
     RunConfig,
-    gradient_file_bytes,
     read_config,
     read_dataset,
     read_distilled,
     read_gradients,
     read_krr,
     read_model,
+    read_report,
     read_selection,
+    replacing,
     write_dataset,
     write_distilled,
     write_gradients,
@@ -66,6 +71,7 @@ FILES = {
     "report": "report.csv",
     "sweep": "sweep.csv",
     "theory": "theory_checks.csv",
+    **{f"selected_{m}": f"selected_{m}.npz" for m in baselines.METHODS},
 }
 FIT_SOURCES = ("distilled", "full", *baselines.METHODS)
 
@@ -101,75 +107,53 @@ def _read_grads(out: Path, key: str) -> GradientFeatures:
     return feats
 
 
-def _require_space(out: Path, sizes: dict) -> None:
-    """IoError, before anything is written, unless files of these sizes fit in out.
-
-    The files they replace give their space back, so a rerun fits wherever
-    the first run did.
-    """
-    st = os.statvfs(out)
-    free = st.f_bavail * st.f_frsize + sum(p.stat().st_size for p in sizes if p.is_file())
-    need = sum(sizes.values())
-    if need > free:
-        raise IoError(f"{out}: the stage needs {need} bytes, {free} bytes are free")
-
-
 # ------------------------------------------------------------------ stages
 
-def cmd_gen_data(cfg: RunConfig, out: Path, args) -> int:
+def cmd_gen_data(cfg: RunConfig, out: Path, new, args) -> int:
     train, test = pipeline.split_mixture(cfg, pipeline.derive_seed(cfg.seed, "gen-data"))
-    write_dataset(train, _p(out, "train"))
-    write_dataset(test, _p(out, "test"))
+    write_dataset(train, new("train"))
+    write_dataset(test, new("test"))
     print(f"wrote {train.size} train / {test.size} test samples to {out}")
     return 0
 
 
-def cmd_train_model(cfg: RunConfig, out: Path, args) -> int:
+def cmd_train_model(cfg: RunConfig, out: Path, new, args) -> int:
     model = pipeline.train_model(cfg, read_dataset(_p(out, "train")), cfg.seed)
-    write_model(model, _p(out, "model"))
+    write_model(model, new("model"))
     print(f"trained {model.param_count}-parameter model, saved to {_p(out, 'model')}")
     return 0
 
 
-def cmd_extract_grads(cfg: RunConfig, out: Path, args) -> int:
+def cmd_extract_grads(cfg: RunConfig, out: Path, new, args) -> int:
     model = read_model(_p(out, "model"))
-    splits = {_p(out, key): read_dataset(_p(out, split))
-              for split, key in (("train", "grads_train"), ("test", "grads_test"))}
-    p, c, sizes = model.param_count, model.class_count, model.layer_sizes
-    _require_space(out, {path: gradient_file_bytes(data.size, p, c, sizes)
-                         for path, data in splits.items()})
-    for path, data in splits.items():  # the backward pass runs one row batch at a time
-        write_gradients(extract_features(model, data.inputs, data.labels), path)
+    splits = {split: read_dataset(_p(out, split)) for split in ("train", "test")}
+    for split, data in splits.items():  # the backward pass runs one row batch at a time
+        write_gradients(extract_features(model, data.inputs, data.labels), new(f"grads_{split}"))
     print(f"wrote raw gradient features to {out}")
     return 0
 
 
-def cmd_project(cfg: RunConfig, out: Path, args) -> int:
-    # both splits are read and checked before Q is drawn or anything is
-    # written; their factors stay in the files until they are sketched
+def cmd_project(cfg: RunConfig, out: Path, new, args) -> int:
     train, test = _read_grads(out, "grads_train"), _read_grads(out, "grads_test")
     (c, m, d), sizes = train.per_class.shape, train.per_class.layer_sizes
     if test.per_class.layer_sizes != sizes:
         raise DimMismatch(f"{_p(out, 'grads_test')} holds a network of layer widths "
                           f"{test.per_class.layer_sizes}, {_p(out, 'grads_train')} one of {sizes}")
-    m_test = test.size
     k = pipeline.sketch_width(cfg, d)
-    _require_space(out, {_p(out, "sketched_train"): gradient_file_bytes(m, k, c),
-                         _p(out, "sketched_test"): gradient_file_bytes(m_test, k, c)})
     # Q stays while the splits are sketched one at a time, so it needs room
     # beside the larger split's sketch
-    rows = max(m, m_test)
+    rows = max(m, test.size)
     require_memory(8 * d * k + sketch_bytes(sizes, rows, k),
                    f"a {d} x {k} sketch and its {c} x {rows} x {k} output")
     op = pipeline.sketch_operator(cfg, d, cfg.seed)
-    write_sketch_meta(op.record, _p(out, "sketch_meta"))
+    write_sketch_meta(op.record, new("sketch_meta"))
     for split, raw in (("train", train), ("test", test)):  # factors read per row batch
-        write_gradients(project_features(raw, op), _p(out, f"sketched_{split}"))
+        write_gradients(project_features(raw, op), new(f"sketched_{split}"))
     print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
     return 0
 
 
-def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
+def cmd_kernel_stats(cfg: RunConfig, out: Path, new, args) -> int:
     # the training rows go once the stack is built
     stack = kernel.build_stack(_read_grads(out, "sketched_train"), cfg.scale_kind)
     rows = []  # in KERNEL_STATS_COLUMNS order
@@ -179,18 +163,17 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, args) -> int:
             else float((values > rank_tolerance(values)).sum())  # the numerical rank
         rows.append((ci, float(values.sum()), kernel.kept_rank(values, 1.0 - cfg.tau_v),
                      *kernel.spectrum_conditioning(values), eff))
-    path = _p(out, "kernel_stats")
-    write_table(rows, path, KERNEL_STATS_COLUMNS)
-    print(f"wrote per-class spectra to {path}")
+    write_table(rows, new("kernel_stats"), KERNEL_STATS_COLUMNS)
+    print(f"wrote per-class spectra to {_p(out, 'kernel_stats')}")
     return 0
 
 
-def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
+def cmd_distill_grads(cfg: RunConfig, out: Path, new, args) -> int:
     feats = _read_grads(out, "sketched_train")
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
-    write_distilled(dg, report, _p(out, "distilled"))
+    write_distilled(dg, report, new("distilled"))
     ratio = distill_mod.compression_ratio(feats.size, dg.size)
     print(
         f"distilled {feats.size} -> {dg.size} gradients "
@@ -199,29 +182,35 @@ def cmd_distill_grads(cfg: RunConfig, out: Path, args) -> int:
     return 0
 
 
-def cmd_select_baseline(cfg: RunConfig, out: Path, args) -> int:
+def cmd_select_baseline(cfg: RunConfig, out: Path, new, args) -> int:
     feats = _read_grads(out, "sketched_train")
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
-    write_selection(sel, out / f"selected_{args.method}.npz")
+    write_selection(sel, new(f"selected_{args.method}"))
     print(f"selected {sel.indices.size} samples with {args.method}")
     return 0
 
 
-def cmd_fit_krr(cfg: RunConfig, out: Path, args) -> int:
+def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> int:
     feats, picked = _read_grads(out, "sketched_train"), None
     if args.source == "distilled":
         picked, _ = read_distilled(_p(out, "distilled"))
+        (c, s, d), m = picked.phi_hat.shape, picked.lifted_basis.shape[0]
+        if (c, d, m) != (feats.class_count, feats.width, feats.size):
+            raise DimMismatch(
+                f"{_p(out, 'distilled')} holds {c} classes of width {d} drawn from {m} rows, "
+                f"{_p(out, 'sketched_train')} {feats.class_count} classes of width "
+                f"{feats.width} in {feats.size} rows; run `dntk distill-grads` to write it")
     elif args.source != "full":
-        picked = read_selection(out / f"selected_{args.source}.npz", feats.size)
+        picked = read_selection(_p(out, f"selected_{args.source}"), feats.size)
     basis, targets = pipeline.gradient_set(feats, picked)
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
-    write_krr(model, _p(out, "krr"))
+    write_krr(model, new("krr"))
     print(f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}")
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
+def cmd_evaluate(cfg: RunConfig, out: Path, new, args) -> int:
     model = read_krr(_p(out, "krr"))
     # one sketched split at a time: the test rows go once they are predicted
     test = _read_grads(out, "sketched_test")
@@ -230,24 +219,24 @@ def cmd_evaluate(cfg: RunConfig, out: Path, args) -> int:
     train = _read_grads(out, "sketched_train")
     row = pipeline.score_krr(model, train, pred, labels, logits, args.method, cfg.seed)
     path = _p(out, "report")
-    write_report([row], path, append=path.exists())
+    write_report((read_report(path) if path.exists() else []) + [row], new("report"))
     print(f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})")
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, args) -> int:
+def cmd_sweep(cfg: RunConfig, out: Path, new, args) -> int:
     if args.seed is not None:  # --seed N runs root seed N alone
         cfg.sweep_seeds = [args.seed]
     rows = pipeline.sweep_rows(cfg, jobs=args.jobs)
-    write_report(rows, _p(out, "sweep"))
+    write_report(rows, new("sweep"))
     print(f"wrote {len(rows)} rows to {_p(out, 'sweep')}")
     return 0
 
 
-def cmd_verify_theory(cfg: RunConfig, out: Path, args) -> int:
+def cmd_verify_theory(cfg: RunConfig, out: Path, new, args) -> int:
     checks = pipeline.theory_battery(cfg.seed)
     write_table([(c.name, c.value, c.threshold, int(c.passed)) for c in checks],
-                _p(out, "theory"), THEORY_COLUMNS)
+                new("theory"), THEORY_COLUMNS)
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
@@ -314,7 +303,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
-        return args.fn(cfg, _out_dir(args, cfg), args)
+        out = _out_dir(args, cfg)
+        with replacing(out) as new:  # the stage's outputs appear once it returns
+            return args.fn(cfg, out, lambda key: new(FILES[key]), args)
     except SystemExit as exc:  # --help printed its text
         return exc.code
     except (DntkError, OSError, MemoryError) as exc:

@@ -17,6 +17,10 @@ rows are written per row batch from their ClassRows and come back as one
 that reads the checked file per row slice, so a raw split's factors are
 never held whole. A file of an earlier version is refused with
 VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
+Files that must appear together are written through replacing: into a
+hidden directory first, then renamed into place. write_gradients writes
+its one file that way too, so raw rows read from a file can be written
+back over it.
 The staged tables (report.csv, sweep.csv, kernel_stats.csv,
 theory_checks.csv) are CSV, each declared once here as its columns
 (ReportRow's fields, KERNEL_STATS_COLUMNS, THEORY_COLUMNS) and written by
@@ -43,9 +47,12 @@ import json
 import math
 import numbers
 import os
+import shutil
 import struct
+import tempfile
 import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -72,6 +79,27 @@ VERSION = 3
 _HEADER = struct.Struct("<6sIIIIB")
 
 _METHODS = ("distill", "full") + BASELINE_METHODS
+
+
+@contextlib.contextmanager
+def replacing(directory):
+    """Files that appear in directory together, or not at all.
+
+    Yields new(name), the path of that name inside a fresh hidden .dntk-*
+    directory within directory. When the block exits without an exception,
+    each file written there is renamed over the file of the same name in
+    directory, in sorted order; a name that is a symlink is replaced, not
+    written through. The hidden directory is removed in every case, so a
+    block that fails leaves directory as it found it.
+    """
+    staged = Path(tempfile.mkdtemp(prefix=".dntk-", dir=directory))
+    try:
+        yield staged.joinpath
+        for name in sorted(os.listdir(staged)):
+            os.replace(staged / name, Path(directory) / name)
+    finally:
+        shutil.rmtree(staged, ignore_errors=True)
+
 
 # ------------------------------------------------------- gradient features
 
@@ -105,17 +133,14 @@ def write_gradients(feats: GradientFeatures, path) -> None:
 
     Raw rows (a ClassRows) are written as their factors under kind byte 0,
     one row batch at a time at the offsets _factor_offsets gives, both in
-    network order, and are
-    refused with IoError before path is opened if they are read from the
-    file there; sketched rows are written one class block at a time under
-    kind byte 1.
+    network order; sketched rows are written one class block at a time
+    under kind byte 1. The file is written through replacing, so rows read
+    from the file at path, under any of its names, are written back over it.
     """
     m, d, c = feats.size, feats.width, feats.class_count
-    rows = feats.per_class
-    if feats.raw and _reads_file(rows, path):
-        raise IoError(f"cannot write {path}: its raw rows are read from that file")
+    rows, path = feats.per_class, Path(path)
     try:
-        with open(path, "wb") as fh:
+        with replacing(path.parent) as new, open(new(path.name), "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, 0 if feats.raw else 1))
             if feats.raw:
                 sizes = rows.layer_sizes
@@ -136,16 +161,6 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _reads_file(rows: ClassRows, path) -> bool:
-    """Whether read_gradients made rows from the file at path, under any name."""
-    opener = rows.open_pass
-    try:
-        return (isinstance(opener, functools.partial) and opener.func is _factor_pass
-                and os.path.samefile(opener.args[0], path))
-    except OSError:  # either file is missing
-        return False
 
 
 def read_gradients(path) -> GradientFeatures:
@@ -289,36 +304,30 @@ KERNEL_STATS_COLUMNS = ("class", "trace", "trunc_rank", "condition", "min_eig", 
 THEORY_COLUMNS = ("check", "value", "threshold", "passed")
 
 
-def write_table(rows, path, columns, append: bool = False) -> None:
+def write_table(rows, path, columns) -> None:
     """The one CSV writer of the staged tables: a header row of columns, then
     one line per row of cells in column order, float cells at 17 significant
-    digits and every other cell as str. append adds the rows under the
-    file's header instead, after a newline if its last line lacks one.
+    digits and every other cell as str.
     """
-    head = ",".join(columns) + "\n"
     try:
-        if append:
-            with open(path, "rb") as fh:  # a last row without its newline
-                fh.seek(-1, os.SEEK_END)  # would swallow the first new one
-                head = "" if fh.read(1) == b"\n" else "\n"
-        with open(path, "a" if append else "w", newline="", encoding="utf-8") as fh:
-            fh.write(head)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(map(_fmt, row)) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_report(rows, path, append: bool = False) -> None:
+def write_report(rows, path) -> None:
     """report.csv and sweep.csv: ReportRows through write_table.
 
     The method label is written as is and may hold commas (sweep labels
     do); no other cell can, so read_report splits rows from the right. A
     label that _holds_row, holds a line break, which would end its row
     early, or is not UTF-8 is refused with InputError before anything is
-    written, as read_report refuses such a row. append adds the rows to an
-    existing report, which must first pass read_report (ParseError
-    otherwise), so no row lands in a file that the reader refuses.
+    written, as read_report refuses such a row. Floats at 17 significant
+    digits read back as the same floats, so rows that read_report returns
+    are written back as the same text.
     """
     rows = list(rows)
     for row in rows:
@@ -328,9 +337,7 @@ def write_report(rows, path, append: bool = False) -> None:
             raise InputError(f"method label {row.method!r} holds a line break")
         if any("\ud800" <= ch <= "\udfff" for ch in row.method):  # UTF-8 has no surrogates
             raise InputError(f"method label {row.method!r} is not UTF-8 text")
-    if append:
-        read_report(path)
-    write_table(map(dataclasses.astuple, rows), path, REPORT_COLUMNS, append)
+    write_table(map(dataclasses.astuple, rows), path, REPORT_COLUMNS)
 
 
 # cell parsers of REPORT_COLUMNS: method label, seed, s, then the metrics
@@ -540,7 +547,6 @@ DISTILLED = {
 }
 KRR = {
     "basis": (_FLOAT, "C s D"),
-    "targets": (_FLOAT, "s C"),
     "alpha": (_FLOAT, "s C"),
     "lambda_reg": (_FLOAT, ""),
     "scale_kind": (_STR, ""),

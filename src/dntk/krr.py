@@ -23,7 +23,6 @@ from .sketch import require_memory
 @dataclass(frozen=True)
 class KrrModel:
     basis: np.ndarray  # (C, s, D) gradient rows per class
-    targets: np.ndarray  # (s, C)
     alpha: np.ndarray  # (s, C) dual coefficients per class
     lambda_reg: float
     scale_kind: str
@@ -96,7 +95,6 @@ def fit(
         ).ravel()
     return KrrModel(
         basis=b,
-        targets=y.copy(),
         alpha=alpha,
         lambda_reg=float(lambda_reg),
         scale_kind=scale_kind,

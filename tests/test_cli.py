@@ -6,6 +6,7 @@ chain. Error-path tests get their own scratch directories.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -22,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dntk
+import dntk.cli
 from dntk import cluster, kernel, pipeline
 from dntk.cli import FILES, main
 from dntk.io import (
+    REPORT_COLUMNS,
     read_config,
     read_dataset,
     read_distilled,
@@ -319,83 +322,56 @@ class TestBoundedMemory:
         assert peak <= 1.6 * 8 * c * n * k
 
 
-class TestFreeSpace:
-    @staticmethod
-    def free_space(monkeypatch):
-        """A setter of the free bytes os.statvfs reports."""
-        def free(nbytes):
-            monkeypatch.setattr(os, "statvfs", lambda path: os.statvfs_result(
-                (4096, 1, 0, 0, nbytes, 0, 0, 0, 0, 255)))
-        return free
+# each stage, the writer of its last output, and its outputs in the order it
+# writes them; the stages run on a copy of the chain whose outputs were
+# replaced by other bytes, except report.csv, which evaluate reads
+LAST_WRITES = [
+    (["gen-data"], "write_dataset", ("train", "test")),
+    (["train-model"], "write_model", ("model",)),
+    (["extract-grads"], "write_gradients", ("grads_train", "grads_test")),
+    (["project"], "write_gradients", ("sketch_meta", "sketched_train", "sketched_test")),
+    (["kernel-stats"], "write_table", ("kernel_stats",)),
+    (["distill-grads"], "write_distilled", ("distilled",)),
+    (["select-baseline", "--method", "random", "--budget", "6"], "write_selection",
+     ("selected_random",)),
+    (["fit-krr", "--source", "distilled"], "write_krr", ("krr",)),
+    (["evaluate"], "write_report", ("report",)),
+    (["sweep"], "write_report", ("sweep",)),
+    (["verify-theory"], "write_table", ("theory",)),
+]
 
-    def test_extract_grads_refuses_splits_larger_than_free_space(
-            self, rundir, tmp_path, capsys, monkeypatch):
-        src, cfg = rundir
-        need = sum((src / FILES[key]).stat().st_size for key in ("grads_train", "grads_test"))
-        sizes = SMOKE["layer_sizes"]
-        n, c = SMOKE["n_train"] + SMOKE["n_test"], sizes[-1]
-        # each file: header, layer count and widths, per layer dz (n, C,
-        # fan_out) and a (n, fan_in), then class ids and logits
-        factors = n * sum(c * fan_out + fan_in for fan_in, fan_out in zip(sizes, sizes[1:]))
-        assert need == 2 * (23 + 4 * (1 + len(sizes))) + 8 * (factors + n + n * c)
-        work = tmp_path / "run"
-        work.mkdir()
-        for key in ("model", "train", "test"):
-            shutil.copy(src / FILES[key], work / FILES[key])
 
-        free = self.free_space(monkeypatch)
-        free(need - 1)
-        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[0] == "error_code=IoError"
-        assert f"needs {need} bytes, {need - 1} bytes are free" in err
-        assert sorted(f.name for f in work.iterdir()) == sorted(
-            FILES[key] for key in ("model", "train", "test"))
+@pytest.mark.parametrize("stage, writer, outputs", LAST_WRITES,
+                         ids=[stage[0] for stage, _, _ in LAST_WRITES])
+def test_full_disk_leaves_the_run_directory_unchanged(
+        rundir, tmp_path, capsys, monkeypatch, stage, writer, outputs):
+    # the last output is written whole and then the disk is full: the
+    # stage's outputs appear together or not at all, so none of them does
+    src, _ = rundir
+    work = tmp_path / "run"
+    shutil.copytree(src, work)
+    for key in outputs:
+        if key != "report":
+            (work / FILES[key]).write_bytes(b"stale\n")
+    before = {f.name: f.read_bytes() for f in work.iterdir()}
+    cfg = write_cfg(tmp_path / "cfg.json", work, train_epochs=6, methods=["distill", "random"],
+                    sweep_h=[2, 3], sweep_tau_v=[0.9], sweep_tau_g=[0.5])
+    write, last = getattr(dntk.cli, writer), FILES[outputs[-1]]
 
-        free(need)
-        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 0
-        # files it replaces give their space back: a rerun needs no more
-        free(0)
-        assert main(["extract-grads", "--config", cfg, "--out", str(work)]) == 0
-        capsys.readouterr()
-        for key in ("grads_train", "grads_test"):
-            assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+    def full_disk(*args):
+        write(*args)
+        if any(isinstance(a, Path) and a.name == last for a in args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def test_project_refuses_splits_larger_than_free_space(
-            self, rundir, tmp_path, capsys, monkeypatch):
-        src, cfg = rundir
-        k = SMOKE["k_sketch"]
-        c = SMOKE["layer_sizes"][-1]
-        sizes = {key: (src / FILES[key]).stat().st_size
-                 for key in ("sketched_train", "sketched_test")}
-        # each file: header, then C blocks of n x k rows, class ids and logits
-        for key, n in (("sketched_train", SMOKE["n_train"]), ("sketched_test", SMOKE["n_test"])):
-            assert sizes[key] == 23 + 8 * (c * n * k + n + n * c)
-        need = sum(sizes.values())
-        work = tmp_path / "run"
-        work.mkdir()
-        kept = ("model", "train", "test", "grads_train", "grads_test")
-        for key in kept:
-            shutil.copy(src / FILES[key], work / FILES[key])
-
-        free = self.free_space(monkeypatch)
-        free(need - 1)
-        assert main(["project", "--config", cfg, "--out", str(work)]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[0] == "error_code=IoError"
-        assert err.count("error_code=") == 1
-        assert f"needs {need} bytes, {need - 1} bytes are free" in err
-        # refused before anything is written, sketch.json included
-        assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
-
-        free(need)
-        assert main(["project", "--config", cfg, "--out", str(work)]) == 0
-        # files it replaces give their space back: a rerun needs no more
-        free(0)
-        assert main(["project", "--config", cfg, "--out", str(work)]) == 0
-        capsys.readouterr()
-        for key in ("sketch_meta", "sketched_train", "sketched_test"):
-            assert (work / FILES[key]).read_bytes() == (src / FILES[key]).read_bytes()
+    monkeypatch.setattr(dntk.cli, writer, full_disk)
+    rc = main([*stage, "--config", cfg])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines().count("error_code=IoError") == 1
+    assert err.count("error_code=") == 1
+    assert "Traceback" not in err
+    assert not any(f.name.startswith(".dntk-") for f in work.iterdir())
+    assert {f.name: f.read_bytes() for f in work.iterdir()} == before
 
 
 class TestFreeMemory:
@@ -964,13 +940,19 @@ class TestMalformedArtifacts:
         assert captured.err.count("error_code=") == 1
         assert "Traceback" not in captured.err
 
-    def test_evaluate_into_garbage_report_exits_1(self, rundir, tmp_path, capsys):
-        # evaluate appends to report.csv; one that does not read back as a
-        # report is refused and left as it was
+    @pytest.mark.parametrize(
+        "content", ["not,a,report\n1,2,3\n", "", "seed,method\n", "garbage\n",
+                    "{header}\nnot,a,row\n"],
+        ids=["garbage", "empty", "wrong_header", "no_header", "bad_row"],
+    )
+    def test_evaluate_into_garbage_report_exits_1(self, rundir, tmp_path, capsys, content):
+        # evaluate writes the rows of report.csv back with its own after
+        # them; one that does not read back as a report is refused and left
+        # as it was
         out, _ = rundir
         work = tmp_path / "run"
         shutil.copytree(out, work)
-        garbage = b"not,a,report\n1,2,3\n"
+        garbage = content.format(header=",".join(REPORT_COLUMNS)).encode()
         (work / FILES["report"]).write_bytes(garbage)
         cfg = write_cfg(tmp_path / "cfg.json", work)
         rc = main(["evaluate", "--config", cfg])
@@ -980,6 +962,46 @@ class TestMalformedArtifacts:
         assert captured.err.count("error_code=") == 1
         assert "Traceback" not in captured.err
         assert (work / FILES["report"]).read_bytes() == garbage
+
+    def test_evaluate_after_a_row_without_its_newline(self, rundir, tmp_path, capsys):
+        # the rows read back print to the same text, so the report keeps its
+        # bytes, the lost newline comes back, and the new row follows it
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        report = work / FILES["report"]
+        before = report.read_bytes()
+        report.write_bytes(before.rstrip(b"\n"))
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        assert main(["evaluate", "--method", "again", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert report.read_bytes().startswith(before)
+        rows = read_report(report)
+        assert rows[:-1] == read_report(out / FILES["report"])
+        assert rows[-1].method == "again"
+
+    @pytest.mark.parametrize("edits, held", [
+        ({"phi_hat": lambda a: np.concatenate([a, a[:, :, :1]], axis=2)}, "of width 17"),
+        ({"phi_hat": lambda a: a[:-1], "y_hat": lambda a: a[:, :-1]}, "holds 2 classes"),
+        ({"lifted_basis": lambda a: a[:-1]}, "from 23 rows"),
+    ], ids=["width", "classes", "lifted_rows"])
+    def test_distilled_set_of_other_rows_exits_1(self, rundir, tmp_path, capsys, edits, held):
+        # a distilled set drawn from other training rows than the sketched
+        # ones is refused before the fit, and krr_model.npz keeps its bytes
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        _edit_arrays(work / FILES["distilled"], **edits)
+        before = (work / FILES["krr"]).read_bytes()
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["fit-krr", "--source", "distilled", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines().count("error_code=DimMismatch") == 1
+        assert captured.err.count("error_code=") == 1
+        assert "Traceback" not in captured.err
+        assert held in captured.err
+        assert (work / FILES["krr"]).read_bytes() == before
 
     def test_zero_eig_vectors_exits_1(self, rundir, tmp_path, capsys):
         # schema-valid, but the stored eigenvectors are not the basis's: the

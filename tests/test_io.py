@@ -287,22 +287,22 @@ class TestRawRowsOneClassAtATime:
         dio.write_gradients(feats, tmp_path / "after.dntk")
         assert (tmp_path / "after.dntk").read_bytes() == (tmp_path / "before.dntk").read_bytes()
 
-    def test_raw_rows_are_not_written_over_their_own_file(self, tmp_path):
-        # opening the file for writing would truncate it before its rows
-        # are read, so the write is refused first, under any of its names
+    def test_raw_rows_are_written_back_over_their_own_file(self, tmp_path, monkeypatch):
+        # the file is written aside and renamed into place, so rows read from
+        # it go back over it byte for byte, under any of its names; a symlink
+        # or a hard link is replaced, and g.dntk keeps its bytes
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "g.dntk"
-        dio.write_gradients(tiny_raw(), path)
+        dio.write_gradients(tiny_raw(), "g.dntk")
         before = path.read_bytes()
-        feats = dio.read_gradients(path)
         (tmp_path / "link.dntk").symlink_to(path)
         os.link(path, tmp_path / "hard.dntk")
         for name in ("g.dntk", "./g.dntk", "link.dntk", "hard.dntk"):
-            with pytest.raises(IoError, match="read from that file"):
-                dio.write_gradients(feats, tmp_path / name)
+            dio.write_gradients(dio.read_gradients(name), name)
+            assert (tmp_path / name).read_bytes() == before
             assert path.read_bytes() == before
-        # any other file takes them, byte for byte
-        dio.write_gradients(feats, tmp_path / "copy.dntk")
-        assert (tmp_path / "copy.dntk").read_bytes() == before
+        assert not (tmp_path / "link.dntk").is_symlink()
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["g.dntk", "hard.dntk", "link.dntk"]
 
     def test_class_index_out_of_range(self, tmp_path):
         dio.write_gradients(tiny_raw(sizes=(3, 4, 2)), tmp_path / "g.dntk")
@@ -471,13 +471,6 @@ class TestTable:
                                      b"0,0.33333333333333331,7,d[H=5,tv=0.9],0.10000000000000001\n"
                                      b"1,2,0,x,1e-300\n")
 
-    def test_append_after_a_row_without_its_newline(self, tmp_path):
-        path = tmp_path / "t.csv"
-        dio.write_table([(1, 0.5)], path, ("a", "b"))
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        dio.write_table([(2, 0.25)], path, ("a", "b"), append=True)
-        assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
-
     def test_unwritable_path_is_an_io_error(self, tmp_path):
         with pytest.raises(IoError):
             dio.write_table([], tmp_path / "missing" / "t.csv", ("a",))
@@ -537,21 +530,6 @@ class TestReport:
         with pytest.raises(ParseError, match=rf"r\.csv: row 2\b"):
             dio.read_report(path)
 
-    def test_append(self, tmp_path):
-        path = tmp_path / "r.csv"
-        dio.write_report([self.row()], path)
-        dio.write_report([self.row(seed=9)], path, append=True)
-        back = dio.read_report(path)
-        assert [r.seed for r in back] == [3, 9]
-
-    def test_append_after_a_row_without_its_newline(self, tmp_path):
-        # the method label may hold commas, so a glued row would read back
-        path = tmp_path / "r.csv"
-        dio.write_report([self.row()], path)
-        path.write_bytes(path.read_bytes().rstrip(b"\n"))
-        dio.write_report([self.row(seed=9)], path, append=True)
-        assert dio.read_report(path) == [self.row(), self.row(seed=9)]
-
     def test_glued_row_is_a_parse_error(self, tmp_path):
         # a row that lost its newline before the next was appended: split from
         # the right, the first row and the second's label share one label cell
@@ -566,10 +544,9 @@ class TestReport:
         dio.write_report([self.row()], path)
         before = path.read_bytes()
         glued = "a" + "," * (len(dio.REPORT_COLUMNS) - 1)
-        for append in (False, True):
-            with pytest.raises(InputError):
-                dio.write_report([self.row(seed=9), self.row(method=glued)], path, append=append)
-            assert path.read_bytes() == before
+        with pytest.raises(InputError):
+            dio.write_report([self.row(seed=9), self.row(method=glued)], path)
+        assert path.read_bytes() == before
         # one comma fewer is an ordinary label that reads back
         label = glued[:-1]
         dio.write_report([self.row(method=label)], path)
@@ -582,24 +559,10 @@ class TestReport:
         path = tmp_path / "r.csv"
         dio.write_report([self.row()], path)
         before = path.read_bytes()
-        for append in (False, True):
-            with pytest.raises(InputError, match="line break"):
-                dio.write_report([self.row(seed=9), self.row(method=f"a{brk}b")], path,
-                                 append=append)
-            assert path.read_bytes() == before
-        assert dio.read_report(path) == [self.row()]
-
-    @pytest.mark.parametrize(
-        "content", ["", "seed,method\n", "garbage\n", "{header}\nnot,a,row\n"],
-        ids=["empty", "wrong_header", "no_header", "bad_row"],
-    )
-    def test_append_refuses_a_file_that_does_not_read_back(self, tmp_path, content):
-        path = tmp_path / "r.csv"
-        path.write_text(content.format(header=",".join(dio.REPORT_COLUMNS)))
-        before = path.read_bytes()
-        with pytest.raises(ParseError):
-            dio.write_report([self.row()], path, append=True)
+        with pytest.raises(InputError, match="line break"):
+            dio.write_report([self.row(seed=9), self.row(method=f"a{brk}b")], path)
         assert path.read_bytes() == before
+        assert dio.read_report(path) == [self.row()]
 
 
 class TestRunConfig:
@@ -772,6 +735,19 @@ class TestNpzRoundtrips:
         np.testing.assert_array_equal(back.basis, model.basis)
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
+
+    def test_krr_archive_with_targets_reads_back(self, tmp_path):
+        # older builds also stored the fit's (s, C) targets; the reader
+        # reads only the schema's keys, so such an archive still loads
+        model = fit(np.ones((2, 3, 4)) + np.eye(3, 4), np.ones((3, 2)), lambda_reg=0.01)
+        path = tmp_path / "k.npz"
+        dio.write_krr(model, path)
+        with np.load(path) as z:
+            arrays = dict(z)
+        np.savez(path, **{**arrays, "targets": np.ones((3, 2))})
+        back = dio.read_krr(path)
+        np.testing.assert_array_equal(back.alpha, model.alpha)
+        assert "targets" not in {f.name for f in dataclasses.fields(back)}
 
 
 def _valid_bundles(tmp_path):
