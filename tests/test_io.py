@@ -471,6 +471,15 @@ class TestTable:
                                      b"0,0.33333333333333331,7,d[H=5,tv=0.9],0.10000000000000001\n"
                                      b"1,2,0,x,1e-300\n")
 
+    def test_append_after_a_row_without_its_newline(self, tmp_path):
+        # a row is added by writing the whole table again, so a last row that
+        # lost its newline gets it back and the new row takes a line of its own
+        path = tmp_path / "t.csv"
+        dio.write_table([(1, 0.5)], path, ("a", "b"))
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        dio.write_table([(1, 0.5), (2, 0.25)], path, ("a", "b"))
+        assert path.read_bytes() == b"a,b\n1,0.5\n2,0.25\n"
+
     def test_unwritable_path_is_an_io_error(self, tmp_path):
         with pytest.raises(IoError):
             dio.write_table([], tmp_path / "missing" / "t.csv", ("a",))
@@ -529,6 +538,17 @@ class TestReport:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=rf"r\.csv: row 2\b"):
             dio.read_report(path)
+
+    def test_append_after_a_row_without_its_newline(self, tmp_path):
+        # evaluate adds a row by reading the report back and writing it whole;
+        # the method label may hold commas, so a glued row would read back
+        path = tmp_path / "r.csv"
+        dio.write_report([self.row()], path)
+        before = path.read_bytes()
+        path.write_bytes(before.rstrip(b"\n"))
+        dio.write_report(dio.read_report(path) + [self.row(seed=9)], path)
+        assert path.read_bytes().startswith(before)
+        assert dio.read_report(path) == [self.row(), self.row(seed=9)]
 
     def test_glued_row_is_a_parse_error(self, tmp_path):
         # a row that lost its newline before the next was appended: split from
