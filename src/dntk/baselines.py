@@ -4,10 +4,10 @@ All four return indices of real samples: uniform random, leverage-score
 sampling on the averaged kernel, farthest point sampling, and
 nearest-to-centroid k-means representatives. fps and k-means see only
 pairwise distances, so they take points: the caller hands them the
-gradient rows' QR coordinates (cluster.row_coordinates), which keep every
-distance in at most as many columns as there are samples. Downstream fits
-use the selected rows with the model logits as targets, the same targets
-the distilled sets regress. Leverage reads the kernel's eigensystem from
+averaged kernel's eigen-coordinates (cluster.eigen_coordinates), which keep
+the gradient rows' distances up to one scale, in as many columns as there
+are samples. Downstream fits use the selected rows with the model logits
+as targets, the same targets the distilled sets regress. Leverage reads the kernel's eigensystem from
 the cluster.KernelSpectra the kernel came from, when it is passed one, so
 the distillation and leverage runs of one kernel decompose it once.
 """
@@ -115,11 +115,11 @@ def select_kmeans(points, s: int, seed: int) -> SelectionResult:
     next-nearest unused point.
 
     Clustering and the nearest-point picks only see pairwise distances, so
-    any isometric image of the points picks the same set; the pipeline
-    passes the gradient rows' QR coordinates. A centroid can be equally
-    near two points (a two-member cluster's mean is), so among unused
-    points within 1e-9 times the largest squared norm of the nearest one
-    the lowest index wins.
+    any isometric image of the points, scaled or not, picks the same set;
+    the pipeline passes the averaged kernel's eigen-coordinates. A centroid
+    can be equally near two points (a two-member cluster's mean is), so
+    among unused points within 1e-9 times the largest squared norm of the
+    nearest one the lowest index wins.
     """
     coords = as_matrix(points, "points")
     m = coords.shape[0]

@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages and exchange files through the io
 module, so a run can stop and resume at any stage. io writes every file a
 stage leaves, its CSV tables included, so this module opens none. main runs
 each stage inside io.replacing: a stage reads its inputs through _p and
-writes each output to new(key), and its outputs appear in the output
-directory together once it returns, or not at all when it fails. Every
+writes each output to new(key), and returns its exit code and its text.
+Its outputs appear in the output directory together once it returns, or
+not at all when it fails, and main prints the text only then. Every
 gradient file is opened through io.read_gradients, and _read_grads refuses
 one whose header records the other kind of rows. `project` reads both raw
 splits (a raw file's header, layer widths, class ids and logits; its
@@ -109,31 +110,28 @@ def _read_grads(out: Path, key: str) -> GradientFeatures:
 
 # ------------------------------------------------------------------ stages
 
-def cmd_gen_data(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_gen_data(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     train, test = pipeline.split_mixture(cfg, pipeline.derive_seed(cfg.seed, "gen-data"))
     write_dataset(train, new("train"))
     write_dataset(test, new("test"))
-    print(f"wrote {train.size} train / {test.size} test samples to {out}")
-    return 0
+    return 0, f"wrote {train.size} train / {test.size} test samples to {out}"
 
 
-def cmd_train_model(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_train_model(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     model = pipeline.train_model(cfg, read_dataset(_p(out, "train")), cfg.seed)
     write_model(model, new("model"))
-    print(f"trained {model.param_count}-parameter model, saved to {_p(out, 'model')}")
-    return 0
+    return 0, f"trained {model.param_count}-parameter model, saved to {_p(out, 'model')}"
 
 
-def cmd_extract_grads(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_extract_grads(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     model = read_model(_p(out, "model"))
     splits = {split: read_dataset(_p(out, split)) for split in ("train", "test")}
     for split, data in splits.items():  # the backward pass runs one row batch at a time
         write_gradients(extract_features(model, data.inputs, data.labels), new(f"grads_{split}"))
-    print(f"wrote raw gradient features to {out}")
-    return 0
+    return 0, f"wrote raw gradient features to {out}"
 
 
-def cmd_project(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_project(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     train, test = _read_grads(out, "grads_train"), _read_grads(out, "grads_test")
     (c, m, d), sizes = train.per_class.shape, train.per_class.layer_sizes
     if test.per_class.layer_sizes != sizes:
@@ -149,11 +147,10 @@ def cmd_project(cfg: RunConfig, out: Path, new, args) -> int:
     write_sketch_meta(op.record, new("sketch_meta"))
     for split, raw in (("train", train), ("test", test)):  # factors read per row batch
         write_gradients(project_features(raw, op), new(f"sketched_{split}"))
-    print(f"sketched {op.source_dim} -> {op.target_dim} dimensions")
-    return 0
+    return 0, f"sketched {op.source_dim} -> {op.target_dim} dimensions"
 
 
-def cmd_kernel_stats(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_kernel_stats(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     # the training rows go once the stack is built
     stack = kernel.build_stack(_read_grads(out, "sketched_train"), cfg.scale_kind)
     rows = []  # in KERNEL_STATS_COLUMNS order
@@ -164,34 +161,29 @@ def cmd_kernel_stats(cfg: RunConfig, out: Path, new, args) -> int:
         rows.append((ci, float(values.sum()), kernel.kept_rank(values, 1.0 - cfg.tau_v),
                      *kernel.spectrum_conditioning(values), eff))
     write_table(rows, new("kernel_stats"), KERNEL_STATS_COLUMNS)
-    print(f"wrote per-class spectra to {_p(out, 'kernel_stats')}")
-    return 0
+    return 0, f"wrote per-class spectra to {_p(out, 'kernel_stats')}"
 
 
-def cmd_distill_grads(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_distill_grads(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     feats = _read_grads(out, "sketched_train")
     dg, report = pipeline.distill_features(
         feats, cfg, pipeline.derive_seed(cfg.seed, "distill"), args.budget
     )
     write_distilled(dg, report, new("distilled"))
     ratio = distill_mod.compression_ratio(feats.size, dg.size)
-    print(
-        f"distilled {feats.size} -> {dg.size} gradients "
-        f"(compression {ratio:.1f}x, {len(report.gap_set)} gap directions)"
-    )
-    return 0
+    return 0, (f"distilled {feats.size} -> {dg.size} gradients "
+               f"(compression {ratio:.1f}x, {len(report.gap_set)} gap directions)")
 
 
-def cmd_select_baseline(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_select_baseline(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     feats = _read_grads(out, "sketched_train")
     seed = pipeline.derive_seed(cfg.seed, args.method)
     sel = pipeline.select_baseline(feats, args.method, args.budget, seed)
     write_selection(sel, new(f"selected_{args.method}"))
-    print(f"selected {sel.indices.size} samples with {args.method}")
-    return 0
+    return 0, f"selected {sel.indices.size} samples with {args.method}"
 
 
-def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     feats, picked = _read_grads(out, "sketched_train"), None
     if args.source == "distilled":
         picked, _ = read_distilled(_p(out, "distilled"))
@@ -206,11 +198,10 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> int:
     basis, targets = pipeline.gradient_set(feats, picked)
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
     write_krr(model, new("krr"))
-    print(f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}")
-    return 0
+    return 0, f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}"
 
 
-def cmd_evaluate(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_evaluate(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     model = read_krr(_p(out, "krr"))
     # one sketched split at a time: the test rows go once they are predicted
     test = _read_grads(out, "sketched_test")
@@ -220,32 +211,27 @@ def cmd_evaluate(cfg: RunConfig, out: Path, new, args) -> int:
     row = pipeline.score_krr(model, train, pred, labels, logits, args.method, cfg.seed)
     path = _p(out, "report")
     write_report((read_report(path) if path.exists() else []) + [row], new("report"))
-    print(f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})")
-    return 0
+    return 0, f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})"
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_sweep(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     if args.seed is not None:  # --seed N runs root seed N alone
         cfg.sweep_seeds = [args.seed]
     rows = pipeline.sweep_rows(cfg, jobs=args.jobs)
     write_report(rows, new("sweep"))
-    print(f"wrote {len(rows)} rows to {_p(out, 'sweep')}")
-    return 0
+    return 0, f"wrote {len(rows)} rows to {_p(out, 'sweep')}"
 
 
-def cmd_verify_theory(cfg: RunConfig, out: Path, new, args) -> int:
+def cmd_verify_theory(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
     checks = pipeline.theory_battery(cfg.seed)
     write_table([(c.name, c.value, c.threshold, int(c.passed)) for c in checks],
                 new("theory"), THEORY_COLUMNS)
     width = max(len(c.name) for c in checks)
-    for c in checks:
-        status = "pass" if c.passed else "FAIL"
-        print(f"{c.name:<{width}}  {c.value: .3e}  (limit {c.threshold: .1e})  {status}")
+    lines = [f"{c.name:<{width}}  {c.value: .3e}  (limit {c.threshold: .1e})  "
+             f"{'pass' if c.passed else 'FAIL'}" for c in checks]
     if all(c.passed for c in checks):
-        print("all theory checks passed")
-        return 0
-    print("theory checks FAILED", file=sys.stderr)
-    return 2
+        return 0, "\n".join(lines + ["all theory checks passed"])
+    return 2, "\n".join(lines + ["theory checks FAILED"])
 
 
 # ------------------------------------------------------------------ parser
@@ -299,13 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> tuple[int, str]:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         out = _out_dir(args, cfg)
         with replacing(out) as new:  # the stage's outputs appear once it returns
-            return args.fn(cfg, out, lambda key: new(FILES[key]), args)
+            code, done = args.fn(cfg, out, lambda key: new(FILES[key]), args)
+        print(done)  # only once the outputs are in place
+        return code
     except SystemExit as exc:  # --help printed its text
         return exc.code
     except (DntkError, OSError, MemoryError) as exc:

@@ -13,8 +13,8 @@ slice the bottom eigenvectors, normalize them and run k-means.
 KernelSpectra is made for one sketched training set. It is the one place
 the averaged kernel kbar is formed, and it holds what the set's methods
 decompose: the kernel part of clustering, the kernel's own eigensystem,
-which distillation and the leverage baseline read, and the rows' QR
-coordinates (row_coordinates), which the fps and k-means baselines pick
+which distillation and the leverage baseline read, and the eigen-coordinates
+made from it (eigen_coordinates), which the fps and k-means baselines pick
 on. A task holds one, so each is computed once per task.
 """
 
@@ -210,29 +210,22 @@ def laplacian_spectrum(kbar) -> LaplacianSpectrum:
     return LaplacianSpectrum(isolated, connected, sym_eig(lap))
 
 
-def flatten_rows(per_class: np.ndarray) -> np.ndarray:
-    """Concatenate class slices per sample: (C, m, D) -> (m, C * D)."""
-    c, m, d = per_class.shape
-    return per_class.transpose(1, 0, 2).reshape(m, c * d)
-
-
-def row_coordinates(per_class) -> np.ndarray:
-    """(m, min(m, C * D)) coordinates of the samples' flattened gradient rows
-    x with every pairwise distance kept: R^T of the QR factorization
-    x^T = QR. Distance-only selections (fps, k-means) pick the same rows
-    on them as on x, in a space at most m wide."""
-    x = as_matrix(flatten_rows(per_class), "rows")
-    return np.linalg.qr(x.T, mode="r").T
+def eigen_coordinates(eig: EigenSystem) -> np.ndarray:
+    """W diag(sqrt(max(lam, 0))) for kbar = W diag(lam) W^T: m rows whose
+    Gram is kbar, the flattened (m, C * k) gradient rows' Gram over C * k.
+    So their distances are the rows' over sqrt(C * k), and distance-only
+    selections (fps, k-means) pick the same rows on them, m wide."""
+    return eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))
 
 
 class KernelSpectra:
     """The decompositions of one sketched training set, feats, each computed
     on first use and held: the eigensystem and Laplacian spectrum of the
-    first kbar given, which must come from kbar(), and the rows' QR
-    coordinates. kbar() forms the averaged kernel anew on every call. One
-    lock makes the first use compute once when cells share a holder across
-    threads, and the held arrays are read-only, since every caller shares
-    them.
+    first kbar given, which must come from kbar(), and the eigen-coordinates
+    of that eigensystem. kbar() forms the averaged kernel anew on every
+    call. One lock makes the first use compute once when cells share a
+    holder across threads, and the held arrays are read-only, since every
+    caller shares them.
     """
 
     def __init__(self, feats: GradientFeatures):
@@ -260,8 +253,14 @@ class KernelSpectra:
         return self._get("laplacian", laplacian_spectrum, self._square(kbar))
 
     def coordinates(self) -> np.ndarray:
-        """row_coordinates of feats' rows, computed once."""
-        return self._get("coordinates", row_coordinates, self.feats.per_class)
+        """eigen_coordinates of the held eigensystem, computed once; kbar()
+        is formed only while none is held. eig() takes the lock, which is
+        not reentrant, so the eigensystem is taken before this entry's."""
+        with self._lock:
+            eig = self._held.get("eig")
+        if eig is None:
+            eig = self.eig(self.kbar())
+        return self._get("coordinates", eigen_coordinates, eig)
 
     def _square(self, kbar) -> np.ndarray:
         k, n = as_matrix(kbar, "kbar"), self.feats.size

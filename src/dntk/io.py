@@ -89,13 +89,19 @@ def replacing(directory):
     directory within directory. When the block exits without an exception,
     each file written there is renamed over the file of the same name in
     directory, in sorted order; a name that is a symlink is replaced, not
-    written through. The hidden directory is removed in every case, so a
-    block that fails leaves directory as it found it.
+    written through. Every target is checked before the first rename: a
+    directory in a file's place is refused with IoError, and nothing is
+    renamed. The hidden directory is removed in every case, so a block
+    that fails leaves directory as it found it.
     """
     staged = Path(tempfile.mkdtemp(prefix=".dntk-", dir=directory))
     try:
         yield staged.joinpath
-        for name in sorted(os.listdir(staged)):
+        names = sorted(os.listdir(staged))
+        for target in (Path(directory) / name for name in names):
+            if target.is_dir() and not target.is_symlink():
+                raise IoError(f"cannot write {target}: a directory is in its place")
+        for name in names:
             os.replace(staged / name, Path(directory) / name)
     finally:
         shutil.rmtree(staged, ignore_errors=True)
@@ -550,8 +556,6 @@ KRR = {
     "alpha": (_FLOAT, "s C"),
     "lambda_reg": (_FLOAT, ""),
     "scale_kind": (_STR, ""),
-    "eig_values": (_FLOAT, "C s"),
-    "eig_vectors": (_FLOAT, "C s s"),
 }
 SELECTION = {"indices": (_INT, "s"), "method": (_STR, ""), "seed": (_INT, "")}
 
@@ -567,15 +571,15 @@ def _read_npz(path, schema) -> dict:
     another kind or rank, of an extent its symbol disagrees with, or a float
     key holding NaN or inf.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ParseError(f"{path}: not an npz archive ({exc})") from exc
-    _require(isinstance(archive, np.lib.npyio.NpzFile), path, "not an npz archive")
     out, extents = {}, {}
-    with archive:
+    with contextlib.ExitStack() as opened:  # the file is closed however np.load fails
+        try:
+            archive = np.load(opened.enter_context(open(path, "rb")), allow_pickle=False)
+        except OSError as exc:
+            raise IoError(f"cannot read {path}: {exc}") from exc
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{path}: not an npz archive ({exc})") from exc
+        _require(isinstance(archive, np.lib.npyio.NpzFile), path, "not an npz archive")
         for key, (kinds, shape) in schema.items():
             try:
                 a = archive[key]

@@ -1,11 +1,11 @@
 """Kernel ridge regression on per-class gradient kernels.
 
 Gradient sets are (C, s, D) arrays, each class's rows one contiguous block.
-Fitting forms each class kernel with kernel.scaled_gram, as the kernel stack
-does, and goes through one eigendecomposition per class kernel; the model
-keeps those spectra, which the report's coverage and conditioning columns
-read back. The direct-solve routine in the numerics module is the
-independent oracle this path is tested against.
+class_eigensystems forms each class kernel with kernel.scaled_gram, as the
+kernel stack does, and decomposes it, one class at a time; a fit solves on
+each eigensystem and hands it to its caller, so the model keeps none. The
+direct-solve routine in the numerics module is the independent oracle this
+path is tested against.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class KrrModel:
     alpha: np.ndarray  # (s, C) dual coefficients per class
     lambda_reg: float
     scale_kind: str
-    eig_values: np.ndarray  # (C, s) cached per-class spectra, descending
-    eig_vectors: np.ndarray  # (C, s, s)
 
     @property
     def size(self) -> int:
@@ -51,7 +49,7 @@ def _rows(basis, name: str) -> np.ndarray:
 
 
 def _solve_alpha(values, vectors, y, lambda_reg):
-    """alpha = U (S + lambda I)^{-1} U^T y on the cached spectrum."""
+    """alpha = U (S + lambda I)^{-1} U^T y on one class's spectrum."""
     if lambda_reg == 0.0 and not (
         values.min() > 0.0 and values.max() / values.min() <= COND_LIMIT
     ):
@@ -59,48 +57,50 @@ def _solve_alpha(values, vectors, y, lambda_reg):
     return vectors @ ((vectors.T @ y) / (values + lambda_reg)[:, None])
 
 
+def class_eigensystems(basis, scale_kind: str):
+    """(ci, rows, eig) per class in turn: class ci's (s, D) rows of basis and
+    sym_eig of their Gram at scale_kind's scale. The one s x s kernel and
+    eigenvectors held at a time are refused with InsufficientMemory, before
+    they are made, if they are larger than the memory left."""
+    b = _rows(basis, "basis")
+    c, s, d = b.shape
+    factor = scale_factor(scale_kind, d)
+    require_memory(2 * 8 * s * s, f"a {s} x {s} class kernel and its eigenvectors")
+    gram = np.empty((s, s))
+    for ci in range(c):
+        scaled_gram(b[ci], factor, gram)
+        yield ci, b[ci], sym_eig(gram)
+
+
 def fit(
     basis,
     targets,
     lambda_reg: float = 1e-4,
     scale_kind: str = "inv_k",
+    each=None,
 ) -> KrrModel:
     """Fit one ridge regressor per class on that class's gradient kernel.
 
     basis is (C, s, D) rows and targets (s, C). With lambda_reg = 0 every
     eigenvalue must be positive and the spectrum well-conditioned or the
-    system is reported singular. (C, s, s) eigenvectors larger than the
-    memory left are refused with InsufficientMemory before they are made.
+    system is reported singular. each(ci, rows, eig), when given, gets each
+    class's class_eigensystems entry once it is solved, before it is dropped.
     """
     b = _rows(basis, "basis")
-    c, s, d = b.shape
+    c, s, _ = b.shape
     y = np.asarray(targets, dtype=np.float64)
     if y.shape != (s, c):
         raise ShapeMismatch(f"targets must be ({s}, {c}), got {y.shape}")
     if lambda_reg < 0.0:
         raise BadLambda(f"lambda_reg must be >= 0, got {lambda_reg}")
-    factor = scale_factor(scale_kind, d)
-    require_memory(8 * c * s * s, f"{c} x {s} x {s} kernel eigenvectors")
-    eig_values = np.empty((c, s))
-    eig_vectors = np.empty((c, s, s))
     alpha = np.empty((s, c))
-    gram = np.empty((s, s))
-    for ci in range(c):
-        scaled_gram(b[ci], factor, gram)
-        eig = sym_eig(gram)
-        eig_values[ci] = eig.values
-        eig_vectors[ci] = eig.vectors
+    for ci, rows, eig in class_eigensystems(b, scale_kind):
         alpha[:, ci] = _solve_alpha(
             eig.values, eig.vectors, y[:, ci : ci + 1], lambda_reg
         ).ravel()
-    return KrrModel(
-        basis=b,
-        alpha=alpha,
-        lambda_reg=float(lambda_reg),
-        scale_kind=scale_kind,
-        eig_values=eig_values,
-        eig_vectors=eig_vectors,
-    )
+        if each is not None:
+            each(ci, rows, eig)
+    return KrrModel(b, alpha, float(lambda_reg), scale_kind)
 
 
 def predict(model: KrrModel, test_basis) -> np.ndarray:

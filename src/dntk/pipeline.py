@@ -10,9 +10,9 @@ live backward pass or from a raw gradient file. Every stage draws its
 seed by hashing (root seed, stage name, cell index), so any stage can be
 re-run in isolation and still line up with a full run. Every task holds
 the cluster.KernelSpectra made for its training features, which distill
-and the baselines read the averaged kernel, its decompositions and the QR
-coordinates of the rows from, so each decomposition is computed once per
-task; a sweep's cells inherit their root's holder.
+and the baselines read the averaged kernel, its decompositions and its
+eigen-coordinates from, so each decomposition is computed once per task; a
+sweep's cells inherit their root's holder.
 """
 
 from __future__ import annotations
@@ -169,6 +169,28 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
 
 # -------------------------------------------------------------- evaluation
 
+def class_scorer(train_feats: GradientFeatures, class_count: int, scale_kind: str):
+    """(table, each): each(ci, rows, eig) fills column ci of the (4, C) table
+    with class ci's coverage and reconstruction error of the (centered)
+    training rows by the span of its fitted rows (metrics.span_scores), and
+    the condition and minimum eigenvalue of their kernel, from eig, the
+    eigensystem of their Gram that krr.fit or krr.class_eigensystems hands over.
+    """
+    if train_feats.class_count != class_count:
+        raise ShapeMismatch(f"training features have {train_feats.class_count} classes, "
+                            f"model has {class_count}")
+    table = np.empty((4, class_count))
+
+    def each(ci, rows, eig):
+        factor = kernel.scale_factor(scale_kind, rows.shape[1])
+        table[:2, ci] = metrics.span_scores(
+            train_feats.per_class[ci], rows, eig.values, eig.vectors, factor
+        )
+        table[2:, ci] = kernel.spectrum_conditioning(eig.values)
+
+    return table, each
+
+
 def score_krr(
     model: krr.KrrModel,
     train_feats: GradientFeatures,
@@ -177,38 +199,23 @@ def score_krr(
     test_logits: np.ndarray,
     method: str,
     seed: int,
+    table: np.ndarray | None = None,
 ) -> ReportRow:
     """One report row for fitted per-class ridge regressors.
 
     Fidelity/accuracy/MSE compare pred, the (t, C) krr.predict logits at
     the test rows, with the base model's test_logits and the test_labels
     class ids, so the test rows need not be held while the training rows
-    are; coverage and reconstruction error measure how much of the
-    (centered) training gradient energy the fitted set's row span retains,
-    with that span taken from the fit's own eigenpairs
-    (metrics.eig_rows_basis); the conditioning columns summarize the fitted
-    kernels themselves. The sweep and the staged `evaluate` command both
+    are. The other columns summarize a class_scorer table: the one krr.fit
+    filled, or for None (a model read from a file) one filled here from
+    krr.class_eigensystems of model.basis. Sweep and staged `evaluate` both
     score through here.
     """
-    c = model.class_count
-    if train_feats.class_count != c:
-        raise ShapeMismatch(
-            f"training features have {train_feats.class_count} classes, model has {c}"
-        )
-    factor = kernel.scale_factor(model.scale_kind, model.width)
-    coverage = np.empty(c)
-    recon = np.empty(c)
-    condition = np.empty(c)
-    min_eig = np.empty(c)
-    for ci in range(c):
-        coverage[ci], recon[ci] = metrics.span_scores(
-            train_feats.per_class[ci],
-            model.basis[ci],
-            model.eig_values[ci],
-            model.eig_vectors[ci],
-            factor,
-        )
-        condition[ci], min_eig[ci] = kernel.spectrum_conditioning(model.eig_values[ci])
+    if table is None:
+        table, each = class_scorer(train_feats, model.class_count, model.scale_kind)
+        for args in krr.class_eigensystems(model.basis, model.scale_kind):
+            each(*args)
+    coverage, recon, condition, min_eig = table
     return ReportRow(
         method=method,
         seed=seed,
@@ -231,14 +238,15 @@ def evaluate_gradient_set(
     method: str,
     seed: int,
 ) -> ReportRow:
-    """Fit per-class ridge regressors on a (C, s, D) set and score them on test."""
+    """Fit per-class ridge regressors on a (C, s, D) set and score them on
+    test, each class as the fit decomposes it."""
     cfg = task.cfg
-    model = krr.fit(
-        basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind
-    )
+    table, each = class_scorer(task.train_feats, len(basis), cfg.scale_kind)
+    model = krr.fit(basis, targets, cfg.lambda_reg, cfg.scale_kind, each)
     test = task.test_feats
     pred = krr.predict(model, test.per_class)
-    return score_krr(model, task.train_feats, pred, test.labels, test.model_logits, method, seed)
+    return score_krr(model, task.train_feats, pred, test.labels, test.model_logits,
+                     method, seed, table)
 
 
 def select_baseline(
@@ -254,7 +262,7 @@ def select_baseline(
     staged select-baseline command both come through here. Leverage scores
     come from the eigenvectors of the averaged kernel, which no positive
     scale changes, so the holder's kbar serves, as for distill. fps and
-    k-means pick on the rows' QR coordinates. spectra must be made for
+    k-means pick on kbar's eigen-coordinates. spectra must be made for
     feats; a caller without a task, such as the staged command, leaves it
     None for a fresh holder.
     """
@@ -296,7 +304,7 @@ def run_method(
 
     For "distill" the budget is an optional cap; for the selection
     baselines it is mandatory (they need a target size). "full" ignores it.
-    Kernel decompositions and row coordinates come from task.spectra.
+    Kernel decompositions and eigen-coordinates come from task.spectra.
     """
     feats, picked = task.train_feats, None
     if method == "distill":
@@ -319,8 +327,8 @@ def sweep_rows(cfg: RunConfig, jobs: int = 1) -> list[ReportRow]:
     in parallel but always emitted in grid order, which keeps the CSV
     byte-stable across runs and worker counts. Each cell is its root's
     task with another cfg, so the cells share the task's KernelSpectra: the
-    averaged kernel, its Laplacian and the rows are decomposed once per
-    root, not once per cell.
+    averaged kernel and its Laplacian are decomposed once per root, not
+    once per cell.
     """
     if jobs < 1:
         raise InputError(f"jobs must be at least 1, got {jobs}")

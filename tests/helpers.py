@@ -187,3 +187,18 @@ def fps_subtraction(rows, s):
         chosen.append(nxt)
         dist = np.minimum(dist, ((x - x[nxt]) ** 2).sum(axis=1))
     return np.array(chosen, dtype=np.intp)
+
+
+def flatten_rows(per_class) -> np.ndarray:
+    """Concatenate class slices per sample: (C, m, D) -> (m, C * D)."""
+    c, m, d = per_class.shape
+    return per_class.transpose(1, 0, 2).reshape(m, c * d)
+
+
+def row_coordinates(per_class) -> np.ndarray:
+    """(m, min(m, C * D)) coordinates of the samples' flattened gradient rows
+    x with every pairwise distance kept: R^T of the QR factorization
+    x^T = QR. The reference the averaged kernel's eigen-coordinates are
+    checked against: distance-only selections pick the same rows on both."""
+    x = as_matrix(flatten_rows(per_class), "rows")
+    return np.linalg.qr(x.T, mode="r").T

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import clustered_rows, feats_from_blocks, fps_subtraction
+from helpers import (
+    clustered_rows,
+    feats_from_blocks,
+    flatten_rows,
+    fps_subtraction,
+    row_coordinates,
+)
 
 from dntk.baselines import (
     select_fps,
@@ -8,7 +14,7 @@ from dntk.baselines import (
     select_leverage,
     select_random,
 )
-from dntk.cluster import KernelSpectra, flatten_rows, row_coordinates
+from dntk.cluster import KernelSpectra
 from dntk.errors import EmptyInput, STooLarge
 
 
@@ -218,6 +224,51 @@ class TestRowCoordinates:
         for s in (5, 10, 25):
             np.testing.assert_array_equal(select_fps(row_coordinates(per_class), s).indices,
                                           select_fps(flatten_rows(per_class), s).indices)
+
+
+class TestEigenCoordinates:
+    """fps and k-means on the held kbar's eigen-coordinates pick what they
+    pick on the QR coordinates of the flattened rows."""
+
+    CASES = {
+        "wide": lambda rng: rng.normal(size=(4, 50, 30)),
+        # C * k = 20 < n = 60: kbar has rank 20
+        "rank_deficient": lambda rng: rng.normal(size=(2, 60, 10)),
+        # rows 0-9 repeated exactly at 40-49
+        "duplicates": lambda rng: rng.normal(size=(3, 40, 12))[:, [*range(40), *range(10)]],
+        "clustered": lambda rng: np.stack(
+            [clustered_rows([12, 15, 13], dim=8, seed=c, noise=0.05)[0] for c in range(3)]),
+    }
+
+    @classmethod
+    def case(cls, name, seed):
+        """Both coordinates of a case's rows, and each row's lowest-index
+        exact copy: which of two equal rows a pick lands on is roundoff in
+        any coordinates but the rows themselves, so picks compare as copies."""
+        per_class = cls.CASES[name](np.random.default_rng(seed))
+        _, first, inverse = np.unique(flatten_rows(per_class), axis=0,
+                                      return_index=True, return_inverse=True)
+        return (KernelSpectra(feats_from_blocks(per_class)).coordinates(),
+                row_coordinates(per_class), first[inverse.ravel()])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_fps_picks_the_same_rows(self, name):
+        eig_coords, qr_coords, copy = self.case(name, 31)
+        for s in (3, 10, 25):
+            np.testing.assert_array_equal(copy[select_fps(eig_coords, s).indices],
+                                          copy[select_fps(qr_coords, s).indices])
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_kmeans_picks_the_same_rows(self, name):
+        eig_coords, qr_coords, copy = self.case(name, 32)
+        for s in (3, 10, 25):
+            np.testing.assert_array_equal(copy[select_kmeans(eig_coords, s, seed=s).indices],
+                                          copy[select_kmeans(qr_coords, s, seed=s).indices])
+
+    def test_no_row_is_picked_twice(self):
+        # the 40 distinct rows of 50 are each picked once before any copy
+        eig_coords, _, copy = self.case("duplicates", 33)
+        assert sorted(copy[select_fps(eig_coords, 40).indices]) == list(range(40))
 
 
 class TestFlattenRows:

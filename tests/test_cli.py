@@ -7,6 +7,7 @@ chain. Error-path tests get their own scratch directories.
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -374,6 +375,31 @@ def test_full_disk_leaves_the_run_directory_unchanged(
     assert {f.name: f.read_bytes() for f in work.iterdir()} == before
 
 
+def test_directory_in_an_output_place_renames_nothing(rundir, tmp_path, capsys):
+    # extract-grads for a retrained model, where grads_train.dntk is a
+    # directory: every target is checked before the first rename, so
+    # grads_test.dntk (renamed first) keeps its bytes, and the success line
+    # is printed only once the outputs are in place, so it is not printed
+    src, _ = rundir
+    work = tmp_path / "run"
+    shutil.copytree(src, work)
+    (work / FILES["grads_train"]).unlink()
+    (work / FILES["grads_train"]).mkdir()
+    cfg = write_cfg(tmp_path / "cfg.json", work, train_epochs=6)
+    assert main(["train-model", "--config", cfg]) == 0
+    before = (work / FILES["grads_test"]).read_bytes()
+    capsys.readouterr()
+    rc = main(["extract-grads", "--config", cfg])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines().count("error_code=IoError") == 1
+    assert captured.err.count("error_code=") == 1
+    assert "wrote" not in captured.out
+    assert (work / FILES["grads_test"]).read_bytes() == before
+    assert (work / FILES["grads_train"]).is_dir()
+    assert not any(f.name.startswith(".dntk-") for f in work.iterdir())
+
+
 class TestFreeMemory:
     @staticmethod
     def project_run(src, tmp_path):
@@ -429,17 +455,18 @@ class TestFreeMemory:
         assert "Traceback" not in err
         assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
 
-    @pytest.mark.parametrize("stage, what, written", [
-        (["kernel-stats"], "kernel stack", "kernel_stats"),
-        (["fit-krr", "--source", "full"], "kernel eigenvectors", "krr"),
+    @pytest.mark.parametrize("stage, what, written, arrays", [
+        (["kernel-stats"], "kernel stack", "kernel_stats", SMOKE["layer_sizes"][-1]),
+        (["fit-krr", "--source", "full"], "class kernel and its eigenvectors", "krr", 2),
     ], ids=["kernel-stats", "fit-krr-full"])
     def test_n_squared_arrays_larger_than_free_memory_exit_1(
-            self, rundir, tmp_path, capsys, monkeypatch, stage, what, written):
-        # the (C, n, n) stack and full's (C, n, n) ridge eigenvectors are
-        # refused before they are made, through the error_code= path
+            self, rundir, tmp_path, capsys, monkeypatch, stage, what, written, arrays):
+        # the (C, n, n) stack, and full's n x n class kernel and its
+        # eigenvectors, held one class at a time, are refused before they
+        # are made, through the error_code= path
         src, cfg = rundir
-        c, n = SMOKE["layer_sizes"][-1], SMOKE["n_train"]
-        need = 8 * c * n * n
+        n = SMOKE["n_train"]
+        need = 8 * arrays * n * n
         work = tmp_path / "run"
         shutil.copytree(src, work)
         (work / FILES[written]).unlink()
@@ -831,9 +858,7 @@ def _edit_arrays(path, **edits):
 # npz bundles whose arrays disagree, and a stage that reads each
 INCONSISTENT = {
     "alpha_one_class_short": (FILES["krr"], ["evaluate"], {"alpha": lambda a: a[:, :-1]}),
-    "eig_vectors_wrong_size": (
-        FILES["krr"], ["evaluate"], {"eig_vectors": lambda a: a[:, :-1, :-1]}
-    ),
+    "basis_one_row_short": (FILES["krr"], ["evaluate"], {"basis": lambda a: a[:, :-1]}),
     # the (s, D, C) layout of older builds
     "basis_old_layout": (
         FILES["krr"], ["evaluate"], {"basis": lambda a: a.transpose(1, 2, 0)}
@@ -898,6 +923,10 @@ NPZ_READERS = {
 
 
 class TestMalformedArtifacts:
+    # a file left open warns when it is collected, and the warning, raised
+    # there as an error, reaches pytest as an unraisable exception
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     @pytest.mark.parametrize("damage", [_garbage, _truncated_zip, _missing_key],
                              ids=["garbage", "truncated_zip", "missing_key"])
     @pytest.mark.parametrize("artifact", sorted(NPZ_READERS))
@@ -908,6 +937,7 @@ class TestMalformedArtifacts:
         damage(work / artifact)
         cfg = write_cfg(tmp_path / "cfg.json", work)
         rc = main(NPZ_READERS[artifact] + ["--config", cfg])
+        gc.collect()
         captured = capsys.readouterr()
         assert rc == 1
         assert "error_code=ParseError" in captured.err
@@ -1003,13 +1033,23 @@ class TestMalformedArtifacts:
         assert held in captured.err
         assert (work / FILES["krr"]).read_bytes() == before
 
-    def test_zero_eig_vectors_exits_1(self, rundir, tmp_path, capsys):
-        # schema-valid, but the stored eigenvectors are not the basis's: the
-        # scorer's CholeskyQR step finds no positive definite Gram
-        self.check_edited_exits_1(
-            rundir, tmp_path, capsys, FILES["krr"], ["evaluate"],
-            {"eig_vectors": np.zeros_like}, code="NonOrthonormalBasis",
-        )
+    def test_zero_basis_exits_2(self, rundir, tmp_path, capsys):
+        # schema-valid, but the rows span nothing to score coverage against:
+        # numerically degenerate, as the same set is in-process, and
+        # report.csv keeps its bytes
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        _edit_arrays(work / FILES["krr"], basis=np.zeros_like)
+        before = (work / FILES["report"]).read_bytes()
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["evaluate", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.splitlines().count("error_code=ZeroTrace") == 1
+        assert captured.err.count("error_code=") == 1
+        assert "Traceback" not in captured.err
+        assert (work / FILES["report"]).read_bytes() == before
 
     def test_selection_out_of_range_exits_1(self, rundir, tmp_path, capsys):
         self.check_edited_exits_1(

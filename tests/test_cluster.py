@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import clustered_rows, feats_from_blocks, kmeans_restart_loop
+from helpers import clustered_rows, feats_from_blocks, kmeans_restart_loop, traced_peak
 
 from dntk import cluster
 from dntk.errors import (
@@ -20,8 +20,8 @@ from dntk.cluster import (
     _kmeans_pp_init,
     _sq_dists,
     kmeans_fit,
+    eigen_coordinates,
     restrict_kernel,
-    row_coordinates,
     spectral_cluster,
 )
 from dntk.kernel import average_kernel, build_stack
@@ -407,29 +407,70 @@ class TestKernelSpectra:
         assert len(got) == 8 and all(g is got[0] for g in got)
 
     @staticmethod
-    def counted_row_coordinates(monkeypatch):
+    def counted_eigen_coordinates(monkeypatch):
         calls = []
 
-        def counting(per_class):
-            calls.append(per_class.shape)
-            return row_coordinates(per_class)
+        def counting(eig):
+            calls.append(eig)
+            return eigen_coordinates(eig)
 
-        monkeypatch.setattr(cluster, "row_coordinates", counting)
+        monkeypatch.setattr(cluster, "eigen_coordinates", counting)
         return calls
 
     def test_coordinates_are_held_read_only(self, monkeypatch):
-        calls = self.counted_row_coordinates(monkeypatch)
+        calls = self.counted_eigen_coordinates(monkeypatch)
         spectra = self.holder(1, (3, 12, 7))
         coords = spectra.coordinates()
-        np.testing.assert_array_equal(coords, row_coordinates(spectra.feats.per_class))
+        eig = spectra.eig(spectra.kbar())
+        assert calls == [eig]
+        np.testing.assert_array_equal(coords, eig.vectors * np.sqrt(np.maximum(eig.values, 0.0)))
         assert spectra.coordinates() is coords
         assert len(calls) == 1
         assert not coords.flags.writeable
         with pytest.raises(ValueError):
             coords[0, 0] = 1.0
 
+    def test_coordinates_read_the_held_eigensystem(self, monkeypatch):
+        # kbar is formed only by a holder that holds no eigensystem yet
+        stacks = []
+        monkeypatch.setattr(cluster, "build_stack", lambda feats: stacks.append(1) or
+                            build_stack(feats))
+        spectra = self.holder(3, (2, 10, 6))
+        eig = spectra.eig(spectra.kbar())
+        assert len(stacks) == 1
+        spectra.coordinates()
+        assert len(stacks) == 1
+        fresh = self.holder(3, (2, 10, 6))
+        np.testing.assert_array_equal(fresh.coordinates(), spectra.coordinates())
+        assert len(stacks) == 2
+        assert fresh.eig(fresh.kbar()).values.tobytes() == eig.values.tobytes()
+        assert len(stacks) == 3
+
+    def test_coordinates_keep_the_rows_distances(self):
+        # kbar is the flattened rows' Gram over C * k, so the coordinates'
+        # Gram is kbar and their distances are the rows' over sqrt(C * k)
+        c, m, k = 3, 20, 9
+        spectra = self.holder(6, (c, m, k))
+        coords = spectra.coordinates()
+        assert coords.shape == (m, m)
+        kbar = spectra.kbar()
+        np.testing.assert_allclose(coords @ coords.T, kbar, atol=1e-13 * np.abs(kbar).max())
+        flat = spectra.feats.per_class.transpose(1, 0, 2).reshape(m, c * k)
+        np.testing.assert_allclose(coords @ coords.T, flat @ flat.T / (c * k),
+                                   atol=1e-13 * np.abs(kbar).max())
+
+    def test_coordinates_allocate_less_than_the_flattened_rows(self):
+        # with the eigensystem held, the coordinates need the m x m result
+        # and nothing the size of the (m, C * k) flattened rows
+        c, m, k = 10, 60, 50
+        spectra = self.holder(7, (c, m, k))
+        spectra.eig(spectra.kbar())
+        peak = traced_peak(spectra.coordinates)
+        assert peak < 8 * m * c * k
+        assert peak < 2.5 * 8 * m * m
+
     def test_threads_share_one_factorization(self, monkeypatch):
-        calls = self.counted_row_coordinates(monkeypatch)
+        calls = self.counted_eigen_coordinates(monkeypatch)
         spectra = self.holder(4, (4, 40, 30))
         got = []
         self.run_threads(lambda i: got.append(spectra.coordinates()))

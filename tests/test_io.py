@@ -756,6 +756,21 @@ class TestNpzRoundtrips:
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
 
+    def test_krr_holds_no_eigensystem(self, tmp_path):
+        # each class's eigensystem is rebuilt from the basis when it is
+        # scored, so an archive of a build that stored them (eig_values and
+        # the (C, s, s) eig_vectors) reads back as the same model
+        model = fit(np.ones((2, 3, 4)) + np.eye(3, 4), np.ones((3, 2)), lambda_reg=0.01)
+        path = tmp_path / "k.npz"
+        dio.write_krr(model, path)
+        with np.load(path) as z:
+            assert z.files == ["basis", "alpha", "lambda_reg", "scale_kind"]
+            arrays = dict(z)
+        np.savez(path, **arrays, eig_values=np.ones((2, 3)), eig_vectors=np.ones((2, 3, 3)))
+        back = dio.read_krr(path)
+        np.testing.assert_array_equal(back.basis, model.basis)
+        np.testing.assert_array_equal(back.alpha, model.alpha)
+
     def test_krr_archive_with_targets_reads_back(self, tmp_path):
         # older builds also stored the fit's (s, C) targets; the reader
         # reads only the schema's keys, so such an archive still loads

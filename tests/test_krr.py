@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import class_blocks
@@ -5,7 +7,7 @@ from helpers import class_blocks
 from dntk import sketch
 from dntk.errors import InsufficientMemory, ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.kernel import build_stack
-from dntk.krr import fit, predict
+from dntk.krr import class_eigensystems, fit, predict
 from dntk.numerics import ridge_solve_direct, sym_eig
 from dntk.tangent import extract_features, gen_gaussian_mixture, init_params, one_hot
 
@@ -56,17 +58,36 @@ class TestFit:
             fit(basis, y, lambda_reg=0.0)
 
     def test_refuses_eigenvectors_larger_than_free_memory(self, monkeypatch):
+        # one class's 9 x 9 kernel and eigenvectors are held at a time
         basis = random_basis(9, 20, 3, seed=8)
         y = np.random.default_rng(9).normal(size=(9, 3))
-        need = 8 * 3 * 9 * 9
+        need = 2 * 8 * 9 * 9
         ref = fit(basis, y)
         monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
-        with pytest.raises(InsufficientMemory, match=f"3 x 9 x 9 kernel eigenvectors needs "
-                                                     f"{need} bytes, {need - 1} bytes of memory"):
+        with pytest.raises(InsufficientMemory, match=f"9 x 9 class kernel and its eigenvectors "
+                                                     f"needs {need} bytes, {need - 1} bytes"):
             fit(basis, y)
         for left in (need, None):
             monkeypatch.setattr(sketch, "available_memory", lambda: left)
-            np.testing.assert_array_equal(fit(basis, y).eig_vectors, ref.eig_vectors)
+            np.testing.assert_array_equal(fit(basis, y).alpha, ref.alpha)
+
+    def test_hands_each_class_eigensystem_over(self):
+        # each(ci, rows, eig) sees every class once, in order, with the rows
+        # it fit and the eigensystem class_eigensystems makes of them
+        basis = random_basis(7, 5, 3, seed=4)
+        y = np.random.default_rng(5).normal(size=(7, 3))
+        seen = []
+        model = fit(basis, y, lambda_reg=0.1, scale_kind="none",
+                    each=lambda ci, rows, eig: seen.append((ci, rows, eig)))
+        ref = list(class_eigensystems(basis, "none"))
+        assert [ci for ci, _, _ in seen] == [0, 1, 2]
+        for (ci, rows, eig), (_, ref_rows, ref_eig) in zip(seen, ref):
+            np.testing.assert_array_equal(rows, model.basis[ci])
+            np.testing.assert_array_equal(rows, ref_rows)
+            np.testing.assert_array_equal(eig.values, ref_eig.values)
+            np.testing.assert_array_equal(eig.vectors, ref_eig.vectors)
+        assert {f.name for f in dataclasses.fields(model)} == {
+            "basis", "alpha", "lambda_reg", "scale_kind"}
 
 
 class TestPredict:
@@ -119,11 +140,12 @@ class TestPredict:
         feats = extract_features(params, data.inputs, data.labels)
         rows = class_blocks(feats.per_class)
         targets = one_hot(feats.labels, 3)
-        model = fit(rows, targets, lambda_reg=0.1)
-        for c, k in enumerate(build_stack(feats)):
+        eigs = []
+        fit(rows, targets, lambda_reg=0.1, each=lambda ci, rows, eig: eigs.append(eig))
+        for got, k in zip(eigs, build_stack(feats), strict=True):
             eig = sym_eig(k)
-            np.testing.assert_array_equal(model.eig_values[c], eig.values)
-            np.testing.assert_array_equal(model.eig_vectors[c], eig.vectors)
+            np.testing.assert_array_equal(got.values, eig.values)
+            np.testing.assert_array_equal(got.vectors, eig.vectors)
         strided = rows[:, ::2]
         a = fit(strided, targets[::2], lambda_reg=0.1)
         b = fit(strided.copy(), targets[::2], lambda_reg=0.1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     N_AROUND_ROW_BATCH,
+    feats_from_blocks,
     fused_sketch_per_batch,
     orthonormal_rows_basis,
     traced_peak,
@@ -402,28 +403,45 @@ class TestRunMethod:
 
     def test_task_decomposes_its_kernel_and_rows_once(self, monkeypatch):
         # every call reads the task's holder: kbar's eigensystem, its
-        # Laplacian's and the rows' QR coordinates are each taken once,
-        # where a holder per call would take 6 n x n eigensystems and 4 QRs
+        # Laplacian's and the eigen-coordinates are each taken once, where a
+        # holder per call would take 6 n x n eigensystems and 4 coordinates
         task = pipeline.prepare_task(tiny_cfg(), root_seed=5)
         n = task.train_feats.size
         eig_shapes, coord_calls = [], []
-        row_coordinates = cluster.row_coordinates
+        eigen_coordinates = cluster.eigen_coordinates
 
         def counting_eig(matrix):
             eig_shapes.append(np.shape(matrix))
             return sym_eig(matrix)
 
-        def counting_coords(per_class):
-            coord_calls.append(per_class.shape)
-            return row_coordinates(per_class)
+        def counting_coords(eig):
+            coord_calls.append(eig.vectors.shape)
+            return eigen_coordinates(eig)
 
         for module in (cluster, distill):
             monkeypatch.setattr(module, "sym_eig", counting_eig)
-        monkeypatch.setattr(cluster, "row_coordinates", counting_coords)
+        monkeypatch.setattr(cluster, "eigen_coordinates", counting_coords)
         rows = self.every_method(lambda: task)
         assert len(rows) == 11
         assert eig_shapes.count((n, n)) == 2
-        assert coord_calls == [task.train_feats.per_class.shape]
+        assert coord_calls == [(n, n)]
+
+    def test_evaluation_holds_one_class_eigensystem(self):
+        # full at C = 10, s = n = 200, D = 16: the (C, s, s) eigenvectors of
+        # every class would be 3.2 MB, against the rows' 0.26 MB a split;
+        # scored as the fit decomposes each class, the peak stays below them
+        c, n, d = 10, 200, 16
+        rng = np.random.default_rng(8)
+        train = feats_from_blocks(rng.normal(size=(c, n, d)), rng.integers(0, c, n))
+        test = feats_from_blocks(rng.normal(size=(c, n, d)), rng.integers(0, c, n))
+        task = pipeline.Task(cfg=tiny_cfg(), train=None, test=None, model=None,
+                             sketch_op=None, train_feats=train, test_feats=test,
+                             spectra=None)
+        rows = []
+        peak = traced_peak(lambda: rows.append(pipeline.evaluate_gradient_set(
+            train.per_class, train.model_logits, task, "full", 0)))
+        assert rows[0].s == n
+        assert peak < 8 * c * n * n
 
     def test_holder_made_for_other_features_is_refused(self, task):
         # the holder is made for one training set and knows it by identity:
