@@ -87,24 +87,27 @@ def select_fps(points, s: int, seed: int = 0) -> SelectionResult:
     """Greedy farthest point sampling in Euclidean distance.
 
     Starts from the largest-norm point and repeatedly adds the point
-    farthest from the chosen set; all ties break to the lowest index. Each
-    pick costs one matvec: distances come from the precomputed squared
-    norms (cluster._sq_dists_to), with values within 1e-12 relative of
-    zero, such as exact duplicates of a chosen point, cleared to zero.
-    Deterministic, the seed is carried only for bookkeeping.
+    farthest from the chosen set; ties break to the lowest index among
+    values within 1e-9 times the largest squared norm of the largest, as
+    exact duplicates tie only up to roundoff. Each pick costs one matvec:
+    distances come from the precomputed squared norms (cluster._sq_dists_to),
+    with values within 1e-12 relative of zero, such as exact duplicates of
+    a chosen point, cleared to zero. Deterministic, the seed is carried
+    only for bookkeeping.
     """
     x = as_matrix(points, "points")
     m = x.shape[0]
     _check_budget(m, s)
     sq = (x * x).sum(axis=1)
-    chosen = [int(np.argmax(sq))]
+    tol = 1e-9 * sq.max()
+    chosen = [int(np.flatnonzero(sq >= sq.max() - tol)[0])]
     dist = _sq_dists_to(x, sq, chosen[0])
-    dist[chosen[0]] = -1.0  # never re-pick; later minima keep it at -1
+    dist[chosen[0]] = -np.inf  # never re-pick; later minima keep it there
     while len(chosen) < s:
-        nxt = int(np.argmax(dist))
+        nxt = int(np.flatnonzero(dist >= dist.max() - tol)[0])
         chosen.append(nxt)
         np.minimum(dist, _sq_dists_to(x, sq, nxt), out=dist)
-        dist[nxt] = -1.0
+        dist[nxt] = -np.inf
     return SelectionResult(
         indices=np.array(chosen, dtype=np.intp), method="fps", seed=seed
     )

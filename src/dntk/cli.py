@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> tuple[int, str]:
+def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)

@@ -1,22 +1,24 @@
 """Serialization: gradient feature files, CSV reports, JSON run configs.
 
 Gradient features travel in a little fixed binary format so staged CLI runs
-can resume from any point. Version 3 of it, all little-endian, opens with a
-23-byte header: magic DNTK1\0, u32 version 3, u32 extents m, D and C, and a
+can resume from any point. Version 4 of it, all little-endian, opens with a
+23-byte header: magic DNTK1\0, u32 version 4, u32 extents m, D and C, and a
 kind byte, 0 for raw parameter-space rows (a ClassRows) and 1 for sketched
 ones (an array): the writer takes it from the rows' type. A raw
 file then records its network: a u32 count L and L u32 layer widths, whose
 parameter count must equal D and whose last width must equal C. Its
-payload is the backward pass's factors, per layer in network order the
-(m, C, fan_out) float64 logit gradients dz and the (m, fan_in) float64
-layer inputs a, from which every (m, D) class block of rows follows; a
-sketched file's payload is C blocks of m x D float64 rows. Both end with
-the m int64 class ids and the m x C float64 model logits. The reader
-builds the type the kind byte names and refuses ids outside [0, C). Raw
-rows are written per row batch from their ClassRows and come back as one
-that reads the checked file per row slice, so a raw split's factors are
-never held whole. A file of an earlier version is refused with
-VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
+payload is the backward pass's factors as m fixed-size records, one per
+sample (_factor_record): per layer in network order the (C, fan_out)
+float64 logit gradients dz and the (fan_in,) float64 layer inputs a, from
+which every (m, D) class block of rows follows; a sketched file's payload
+is C blocks of m x D float64 rows. Both end with the m int64 class ids and
+the m x C float64 model logits. The reader builds the type the kind byte
+names and refuses ids outside [0, C). Raw rows are written one row batch
+of records at a time from their ClassRows, in order and with no seek, and
+come back as one whose every pass reads the checked file in order, one row
+batch of records at a time, so a raw split's factors are never held
+whole. A file of an earlier version is refused with VersionMismatch;
+`dntk extract-grads` and `dntk project` write it anew.
 Files that must appear together are written through replacing: into a
 hidden directory first, then renamed into place. write_gradients writes
 its one file that way too, so raw rows read from a file can be written
@@ -74,7 +76,7 @@ from .tangent import (ACTIVATIONS, ROW_BATCH, ClassRows, GradientFeatures, Label
                       MlpParams, param_count)
 
 MAGIC = b"DNTK1\0"
-VERSION = 3
+VERSION = 4
 # magic + version + m + D + C + kind byte (0 raw rows, 1 sketched rows)
 _HEADER = struct.Struct("<6sIIIIB")
 
@@ -118,30 +120,36 @@ def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
     """
     if layer_sizes is None:
         return _HEADER.size + 8 * (c * m * d + m + m * c)
-    return _factor_offsets(m, c, layer_sizes)[1] + 8 * (m + m * c)
+    factors = 4 * (1 + len(layer_sizes)) + m * _factor_record(c, layer_sizes).itemsize
+    return _HEADER.size + factors + 8 * (m + m * c)
 
 
-def _factor_offsets(m: int, c: int, layer_sizes) -> tuple[list[tuple[int, int]], int]:
-    """Where a raw gradient file of m samples, C = c classes and these
-    layer widths keeps its factors: per layer in network order, the byte
-    offsets of its (m, C, fan_out) dz and its (m, fan_in) a, and the
-    offset where the factors end and the class ids start."""
+def _factor_record(c: int, layer_sizes) -> np.dtype:
+    """One sample's record in a raw gradient file of C = c classes: per
+    layer in network order, its logit gradients dz (C, fan_out) and then
+    its inputs a (fan_in,), all little-endian float64 and packed."""
     sizes = tuple(layer_sizes)
-    pos, offsets = _HEADER.size + 4 * (1 + len(sizes)), []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        offsets.append((pos, pos + 8 * m * c * fan_out))
-        pos += 8 * m * (c * fan_out + fan_in)
-    return offsets, pos
+    return np.dtype([field
+                     for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+                     for field in ((f"dz{layer}", "<f8", (c, fan_out)),
+                                   (f"a{layer}", "<f8", (fan_in,)))])
+
+
+def _layers(records: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of a batch of records as the (dz, a) rows of each layer, in network order."""
+    fields = [records[name] for name in records.dtype.names]
+    return list(zip(fields[::2], fields[1::2]))
 
 
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
     Raw rows (a ClassRows) are written as their factors under kind byte 0,
-    one row batch at a time at the offsets _factor_offsets gives, both in
-    network order; sketched rows are written one class block at a time
-    under kind byte 1. The file is written through replacing, so rows read
-    from the file at path, under any of its names, are written back over it.
+    one row batch of _factor_record records at a time, in the order
+    ClassRows.batches hands them out; sketched rows are written one class
+    block at a time under kind byte 1. The file is written through
+    replacing, so rows read from the file at path, under any of its names,
+    are written back over it.
     """
     m, d, c = feats.size, feats.width, feats.class_count
     rows, path = feats.per_class, Path(path)
@@ -151,15 +159,9 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             if feats.raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
-                offsets, end = _factor_offsets(m, c, sizes)
-                batches = rows.batches()
+                record, batches = _factor_record(c, sizes), rows.batches()
                 for start in range(0, m, ROW_BATCH):  # each batch dropped before the next
-                    for (dz_at, a_at), (dz, a) in zip(offsets, next(batches)):
-                        fh.seek(dz_at + 8 * start * dz[0].size)
-                        fh.write(np.ascontiguousarray(dz, dtype="<f8").data)
-                        fh.seek(a_at + 8 * start * a[0].size)
-                        fh.write(np.ascontiguousarray(a, dtype="<f8").data)
-                fh.seek(end)
+                    fh.write(_records(next(batches), record).data)
             else:
                 for ci in range(c):
                     fh.write(np.ascontiguousarray(rows[ci], dtype="<f8").data)
@@ -169,6 +171,14 @@ def write_gradients(feats: GradientFeatures, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _records(layers, record: np.dtype) -> np.ndarray:
+    """One batch's (dz, a) layer factors, in network order, as records."""
+    out = np.empty(len(layers[0][1]), dtype=record)
+    for (dz_out, a_out), (dz, a) in zip(_layers(out), layers):
+        dz_out[...], a_out[...] = dz, a
+    return out
+
+
 def read_gradients(path) -> GradientFeatures:
     """Parse a gradient feature file written by write_gradients.
 
@@ -176,13 +186,12 @@ def read_gradients(path) -> GradientFeatures:
     a raw file's layer widths and the file size are checked first; class
     ids outside [0, C) are refused after they are read. Sketched rows are
     read straight into a (C, m, D) array, so reading holds one copy. Raw
-    rows are not read here: they come as a ClassRows whose reader is the
-    checked file itself, and each pass over them (ClassRows.batches, [c])
-    opens it once, checks its header and size again and reads the row
-    slices it needs at offsets from _factor_offsets. So a file that
-    shrinks or vanishes before its rows are read is refused then, with
-    TruncatedFile or IoError, and the class ids and logits are all that
-    reading holds.
+    rows are not read here: they come as a ClassRows whose passes are
+    _factor_batches over the checked file, each of which opens it once,
+    checks its header and size again and reads one row batch of records
+    at a time. So a file that shrinks or vanishes before its rows are read
+    is refused then, with TruncatedFile or IoError, and the class ids and
+    logits are all that reading holds.
     """
     try:
         with open(path, "rb") as fh:
@@ -191,8 +200,8 @@ def read_gradients(path) -> GradientFeatures:
                 per_class = _read_array(fh, (c, m, d), "<f8", path)
             else:
                 extents = (m, d, c, sizes)
-                per_class = ClassRows(sizes, m, functools.partial(_factor_pass, path, extents))
-                fh.seek(_factor_offsets(m, c, sizes)[1])
+                per_class = ClassRows(sizes, m, functools.partial(_factor_batches, path, extents))
+                fh.seek(m * _factor_record(c, sizes).itemsize, os.SEEK_CUR)
             labels = _read_array(fh, (m,), "<i8", path)
             logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
@@ -201,30 +210,22 @@ def read_gradients(path) -> GradientFeatures:
     return GradientFeatures(per_class, labels, logits)
 
 
-@contextlib.contextmanager
-def _factor_pass(path, extents):
+def _factor_batches(path, extents):
     """One pass over the factors of a raw gradient file whose header read
-    as extents (m, D, C, layer widths): the file is opened once, its header
-    and size are checked again, and read(start, stop) reads rows [start,
-    stop) of each layer's dz and a, in network order, into new arrays."""
+    as extents (m, D, C, layer widths): the file is opened once and its
+    header and size are checked again; then each step reads the next
+    ROW_BATCH records into a new array and yields views of their (dz, a)
+    rows per layer, in network order. The file is closed when the pass
+    ends or is dropped."""
     m, _, c, sizes = extents
-    offsets = _factor_offsets(m, c, sizes)[0]
+    record = _factor_record(c, sizes)
     try:
         with open(path, "rb") as fh:
             if _read_header(fh, path) != extents:
                 raise ParseError(f"{path}: the header changed after the file was read")
-
-            def read(start, stop):
-                b = min(stop, m) - start
-                factors = []
-                for (dz_at, a_at), fan_in, fan_out in zip(offsets, sizes[:-1], sizes[1:]):
-                    fh.seek(dz_at + 8 * start * c * fan_out)
-                    dz = _read_array(fh, (b, c, fan_out), "<f8", path)
-                    fh.seek(a_at + 8 * start * fan_in)
-                    factors.append((dz, _read_array(fh, (b, fan_in), "<f8", path)))
-                return factors
-
-            yield read
+            for start in range(0, m, ROW_BATCH):
+                # no local keeps the batch, so the consumer's drop frees it
+                yield _layers(_read_array(fh, (min(ROW_BATCH, m - start),), record, path))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 

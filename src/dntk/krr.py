@@ -119,8 +119,7 @@ def predict(model: KrrModel, test_basis) -> np.ndarray:
         )
     if t.shape[2] != model.width:
         raise ScaleMismatch(
-            f"test rows have width {t.shape[2]}, model was fit at width "
-            f"{model.width}; mixing raw and sketched rows is not allowed"
+            f"test rows have width {t.shape[2]}, model was fit at width {model.width}"
         )
     factor = scale_factor(model.scale_kind, model.width)
     out = np.empty((t.shape[1], model.class_count))

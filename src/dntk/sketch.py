@@ -18,8 +18,9 @@ which guards the kernel stack and the ridge eigenvectors the same way.
 One contraction applies it, _fused_sketch, and it takes the backward
 pass's factors from one producer interface, a ClassRows's batches(), in
 network order: the live backward pass for the in-process task
-(pipeline.sketched_features) and row slices of the factors a raw gradient
-file stores for the staged CLI (project_features); tangent.param_blocks
+(pipeline.sketched_features) and the per-sample records a raw gradient
+file stores for the staged CLI (project_features), read one row batch at
+a time and handed out as views of their fields; tangent.param_blocks
 places each layer in q. Both hand out ROW_BATCH rows at a time, the only
 row batch there is, and the contraction takes COL_BLOCK sketch columns at
 a time, the only column block there is, so the staged sketch equals the
@@ -189,7 +190,7 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     """Sketch every raw gradient row; labels and logits pass through.
 
     Raw rows are a ClassRows, the backward pass's factors; _fused_sketch
-    contracts their row slices with q in batches of ROW_BATCH rows, as the
+    contracts their factors with q in batches of ROW_BATCH rows, as the
     in-process sketch contracts the live backward pass's, so both make the
     same (C, n, k) bits from the same factors. The rows are read or made
     one batch at a time, so the call holds q, its output, the workspace and

@@ -9,8 +9,8 @@ checked in the test suite against central finite differences and against
 each other through the chain rule. The per-logit pass runs ROW_BATCH rows
 at a time, the one row batch of extraction and sketch alike, and its
 factors (_logit_backprop) are handed out by a ClassRows, which runs it
-on each row batch as that is read; a raw gradient file is the rows' only
-other source, both in network order; param_blocks places each layer in
+on each row batch as a pass asks for it; a raw gradient file is the rows'
+only other source, both in network order; param_blocks places each layer in
 theta. A GradientFeatures' kind is the type of its rows: raw
 parameter-space rows are a ClassRows, sketched rows an array, so raw rows
 held densely cannot be built.
@@ -18,7 +18,6 @@ held densely cannot be built.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 from dataclasses import dataclass, replace
 
@@ -98,43 +97,37 @@ class ClassRows:
     class at a time takes either; nothing else of the array interface
     exists, so no caller can gather every class at once by accident.
 
-    The factors sit behind one row-slice reader: open_pass() is a context
-    manager that yields read(start, stop), the (dz, a) rows [start, stop)
-    of each layer in network order, for one pass over them. It has two
-    sources, neither of which holds a whole split's factors: the live
-    backward pass (ClassRows.of_backprop, which runs it on the rows of its
-    own copy of the inputs at each read) and a raw gradient file
-    io.read_gradients has checked (io._factor_pass, which reads each slice
-    from the file). batches() and [c] read through it, and batches() is
-    how every consumer takes the factors: per ROW_BATCH rows in one pass,
-    for sketch._fused_sketch to contract and io.write_gradients to write,
-    each zipping them with param_blocks(layer_sizes) or the file's offsets.
+    The factors come one pass at a time: batches() returns an iterator
+    that yields, per consecutive ROW_BATCH rows, the (dz, a) rows of each
+    layer in network order, and holds no batch but the one it yields. It
+    has two sources, neither of which holds a whole split's factors: the
+    live backward pass (ClassRows.of_backprop, which runs it on each batch
+    of its own copy of the inputs as the batch is asked for) and a raw
+    gradient file io.read_gradients has checked (io._factor_batches, which
+    reads each batch's records from the file). Every consumer takes the
+    factors this way: sketch._fused_sketch to contract them,
+    io.write_gradients to write them and [c] to fill one class block, each
+    zipping them with param_blocks(layer_sizes) or the file's records.
     """
 
-    def __init__(self, layer_sizes, n: int, open_pass):
+    def __init__(self, layer_sizes, n: int, batches):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
         self.shape = (self.layer_sizes[-1], int(n), param_count(self.layer_sizes))
-        self.open_pass = open_pass
+        self.batches = batches
 
     @classmethod
     def of_backprop(cls, params: MlpParams, xb: np.ndarray) -> "ClassRows":
         """Rows of the per-logit gradients of the (n, d_in) inputs xb, made
-        by _logit_backprop on each slice as it is read. xb and theta are
-        copied, so later changes to the caller's arrays leave the rows as
-        they were."""
+        by _logit_backprop on each batch as it is asked for. xb and theta
+        are copied, so later changes to the caller's arrays leave the rows
+        as they were."""
         params, xb = replace(params, theta=params.theta.copy()), xb.copy(order="K")
 
-        def read(start, stop):
-            return list(_logit_backprop(params, xb[start:stop]))[::-1]
+        def batches():
+            for start in range(0, xb.shape[0], ROW_BATCH):
+                yield list(_logit_backprop(params, xb[start : start + ROW_BATCH]))[::-1]
 
-        return cls(params.layer_sizes, xb.shape[0], lambda: contextlib.nullcontext(read))
-
-    def batches(self):
-        """Per batch of ROW_BATCH rows, in order, the (dz, a) row slices of
-        each layer in network order, all read in one pass."""
-        with self.open_pass() as read:
-            for start in range(0, self.shape[1], ROW_BATCH):
-                yield read(start, start + ROW_BATCH)
+        return cls(params.layer_sizes, xb.shape[0], batches)
 
     def __getitem__(self, c) -> np.ndarray:
         # operator.index refuses slices and tuples; range refuses c outside [-C, C)

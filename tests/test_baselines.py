@@ -265,6 +265,15 @@ class TestEigenCoordinates:
             np.testing.assert_array_equal(copy[select_kmeans(eig_coords, s, seed=s).indices],
                                           copy[select_kmeans(qr_coords, s, seed=s).indices])
 
+    def test_fps_ties_break_to_the_lowest_index(self):
+        # a copy at 40-49 ties its original at 0-9 only up to roundoff in
+        # the eigen-coordinates; the original wins, and a copy comes only
+        # once every distinct row is picked, the lowest copy first
+        eig_coords, _, _ = self.case("duplicates", 31)
+        for s in (3, 10, 25, 40):
+            assert select_fps(eig_coords, s).indices.max() < 40
+        assert list(select_fps(eig_coords, 45).indices[40:]) == [40, 41, 42, 43, 44]
+
     def test_no_row_is_picked_twice(self):
         # the 40 distinct rows of 50 are each picked once before any copy
         eig_coords, _, copy = self.case("duplicates", 33)

@@ -923,10 +923,9 @@ NPZ_READERS = {
 
 
 class TestMalformedArtifacts:
-    # a file left open warns when it is collected, and the warning, raised
-    # there as an error, reaches pytest as an unraisable exception
-    @pytest.mark.filterwarnings("error::ResourceWarning")
-    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+    # a file left open warns when it is collected; the suite's filterwarnings
+    # raise the warning there as an error, which reaches pytest as an
+    # unraisable exception and fails the test
     @pytest.mark.parametrize("damage", [_garbage, _truncated_zip, _missing_key],
                              ids=["garbage", "truncated_zip", "missing_key"])
     @pytest.mark.parametrize("artifact", sorted(NPZ_READERS))

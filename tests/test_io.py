@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -60,7 +61,7 @@ class TestGradientFile:
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         raw = path.read_bytes()
-        assert raw[:23] == b"DNTK1\0" + bytes([3, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1])
+        assert raw[:23] == b"DNTK1\0" + bytes([4, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1])
         rows_end = 23 + 8 * 3 * 4 * 2
         assert raw[23:rows_end] == feats.per_class.astype("<f8").tobytes()
         assert raw[rows_end : rows_end + 32] == feats.labels.astype("<i8").tobytes()
@@ -84,21 +85,23 @@ class TestGradientFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_raw_header_and_payload_layout(self, tmp_path):
-        # after the header: the layer count and widths, then dz (m, C,
-        # fan_out) and a (m, fan_in) per layer in network order
+        # after the header: the layer count and widths, then one record per
+        # sample, per layer in network order its dz (C, fan_out) then its a
+        # (fan_in,)
         feats = tiny_raw(seed=6, sizes=(3, 4, 2), n=5)
         rows = feats.per_class
         path = tmp_path / "g.dntk"
         dio.write_gradients(feats, path)
         raw = path.read_bytes()
-        assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 3, 5, 26, 2, 0)
+        assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 4, 5, 26, 2, 0)
         assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
         # 5 rows: one row batch holds them all
-        factors = next(rows.batches())  # network order, as the file holds them
-        payload = b"".join(dz.astype("<f8").tobytes() + a.astype("<f8").tobytes()
-                           for dz, a in factors)
+        factors = next(rows.batches())  # network order, as each record holds them
         assert [dz.shape for dz, _ in factors] == [(5, 2, 4), (5, 2, 2)]
         assert [a.shape for _, a in factors] == [(5, 3), (5, 4)]
+        payload = b"".join(dz[i].astype("<f8").tobytes() + a[i].astype("<f8").tobytes()
+                           for i in range(5) for dz, a in factors)
+        assert len(payload) == 5 * 8 * (2 * 4 + 3 + 2 * 2 + 4)
         assert raw[39 : 39 + len(payload)] == payload
         assert raw[39 + len(payload) :] == (feats.labels.astype("<i8").tobytes()
                                             + feats.model_logits.astype("<f8").tobytes())
@@ -157,6 +160,18 @@ class TestGradientFile:
         path.write_bytes(dio._HEADER.pack(dio.MAGIC, 2, m, d, c, 0)
                          + b"\0" * 8 * (c * m * d + m + m * c))
         with pytest.raises(VersionMismatch, match="version 2.*extract-grads.*project"):
+            dio.read_gradients(path)
+
+    def test_version_three_file_names_the_stages_to_rerun(self, tmp_path):
+        # a version-3 raw file: the 23-byte header, the layer count and
+        # widths, then per layer the (m, C, fan_out) dz and (m, fan_in) a
+        # blocks, m int64 class ids and (m, C) f64 logits
+        m, sizes = 2, (3, 4, 2)
+        path = tmp_path / "g.dntk"
+        path.write_bytes(dio._HEADER.pack(dio.MAGIC, 3, m, 26, 2, 0)
+                         + struct.pack("<4I", 3, *sizes)
+                         + b"\0" * 8 * m * (2 * 4 + 3 + 2 * 2 + 4 + 1 + 2))
+        with pytest.raises(VersionMismatch, match="version 3.*extract-grads.*project"):
             dio.read_gradients(path)
 
     @pytest.mark.parametrize("widths", [(3, 4, 2, 1), (3, 5, 2), (3, 4, 3)],
@@ -258,8 +273,11 @@ class TestRawRowsOneClassAtATime:
         live = extract_features(params, x, labels)
         dio.write_gradients(live, tmp_path / "g.dntk")
         read = dio.read_gradients(tmp_path / "g.dntk")
-        with read.per_class.open_pass() as read_rows:
-            whole = read_rows(0, 70)  # every row of each layer in one read
+        # every record in one read: the payload after the header and widths
+        record = dio._factor_record(params.class_count, params.layer_sizes)
+        payload_at = dio._HEADER.size + 4 * (1 + len(params.layer_sizes))
+        whole = dio._layers(np.frombuffer((tmp_path / "g.dntk").read_bytes(), record,
+                                          count=70, offset=payload_at))
         batches = list(zip(read.per_class.batches(), live.per_class.batches()))
         assert [len(from_file[0][0]) for from_file, _ in batches] == [32, 32, 6]
         for start, (from_file, from_live) in zip(range(0, 70, ROW_BATCH), batches):
@@ -273,6 +291,25 @@ class TestRawRowsOneClassAtATime:
         op = sample_orthonormal(params.param_count, 9, seed=33)
         np.testing.assert_array_equal(project_features(read, op).per_class,
                                       sketched_features(params, x, labels, op).per_class)
+
+    def test_a_pass_holds_one_batch(self, tmp_path):
+        # each batch is dropped before the next (deque(maxlen=0) keeps none),
+        # so a pass that also held the previous batch while it read or made
+        # the next one would peak a whole record batch higher
+        params, x, labels = self.net("tanh")
+        live = extract_features(params, x, labels)
+        dio.write_gradients(live, tmp_path / "g.dntk")
+        from_file = dio.read_gradients(tmp_path / "g.dntk").per_class
+        one = ROW_BATCH * dio._factor_record(params.class_count, params.layer_sizes).itemsize
+
+        def pass_peak(rows):
+            return traced_peak(lambda: collections.deque(rows.batches(), maxlen=0))
+
+        assert pass_peak(from_file) < 1.5 * one
+        # the backward pass's own temporaries come to about one more batch,
+        # so a live pass over four batches is held to a one-batch pass's peak
+        first = extract_features(params, x[:ROW_BATCH], labels[:ROW_BATCH])
+        assert pass_peak(live.per_class) < pass_peak(first.per_class) + 0.5 * one
 
     def test_live_rows_copy_their_inputs(self, tmp_path):
         # the live backward pass runs on its own copies of the inputs and
