@@ -194,7 +194,7 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
                 f"{_p(out, 'sketched_train')} {feats.class_count} classes of width "
                 f"{feats.width} in {feats.size} rows; run `dntk distill-grads` to write it")
     elif args.source != "full":
-        picked = read_selection(_p(out, f"selected_{args.source}"), feats.size)
+        picked = read_selection(_p(out, f"selected_{args.source}"), feats.size, args.source)
     basis, targets = pipeline.gradient_set(feats, picked)
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
     write_krr(model, new("krr"))

@@ -7,18 +7,17 @@ kind byte, 0 for raw parameter-space rows (a ClassRows) and 1 for sketched
 ones (an array): the writer takes it from the rows' type. A raw
 file then records its network: a u32 count L and L u32 layer widths, whose
 parameter count must equal D and whose last width must equal C. Its
-payload is the backward pass's factors as m fixed-size records, one per
-sample (_factor_record): per layer in network order the (C, fan_out)
-float64 logit gradients dz and the (fan_in,) float64 layer inputs a, from
-which every (m, D) class block of rows follows; a sketched file's payload
-is C blocks of m x D float64 rows. Both end with the m int64 class ids and
-the m x C float64 model logits. The reader builds the type the kind byte
-names and refuses ids outside [0, C). Raw rows are written one row batch
-of records at a time from their ClassRows, in order and with no seek, and
-come back as one whose every pass reads the checked file in order, one row
-batch of records at a time, so a raw split's factors are never held
-whole. A file of an earlier version is refused with VersionMismatch;
-`dntk extract-grads` and `dntk project` write it anew.
+payload is m tangent.factor_record records, one per sample: per layer in
+network order the (C, fan_out) float64 logit gradients dz and the
+(fan_in,) float64 layer inputs a, from which every (m, D) class block of
+rows follows; a sketched file's payload is C blocks of m x D float64 rows.
+Both end with the m int64 class ids and the m x C float64 model logits.
+The reader builds the type the kind byte names and refuses ids outside
+[0, C). A raw ClassRows's batches are arrays of those records, written as
+they are, in order and with no seek; every pass of the one read back reads
+the checked file into one such array per row batch, so a raw split's
+factors are never held whole. A file of an earlier version is refused with
+VersionMismatch; `dntk extract-grads` and `dntk project` write it anew.
 Files that must appear together are written through replacing: into a
 hidden directory first, then renamed into place. write_gradients writes
 its one file that way too, so raw rows read from a file can be written
@@ -73,7 +72,7 @@ from .kernel import SCALE_CHOICES
 from .krr import KrrModel
 from .sketch import SketchRecord
 from .tangent import (ACTIVATIONS, ROW_BATCH, ClassRows, GradientFeatures, LabeledDataset,
-                      MlpParams, param_count)
+                      MlpParams, factor_record, param_count)
 
 MAGIC = b"DNTK1\0"
 VERSION = 4
@@ -120,36 +119,18 @@ def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
     """
     if layer_sizes is None:
         return _HEADER.size + 8 * (c * m * d + m + m * c)
-    factors = 4 * (1 + len(layer_sizes)) + m * _factor_record(c, layer_sizes).itemsize
+    factors = 4 * (1 + len(layer_sizes)) + m * factor_record(layer_sizes).itemsize
     return _HEADER.size + factors + 8 * (m + m * c)
-
-
-def _factor_record(c: int, layer_sizes) -> np.dtype:
-    """One sample's record in a raw gradient file of C = c classes: per
-    layer in network order, its logit gradients dz (C, fan_out) and then
-    its inputs a (fan_in,), all little-endian float64 and packed."""
-    sizes = tuple(layer_sizes)
-    return np.dtype([field
-                     for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
-                     for field in ((f"dz{layer}", "<f8", (c, fan_out)),
-                                   (f"a{layer}", "<f8", (fan_in,)))])
-
-
-def _layers(records: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of a batch of records as the (dz, a) rows of each layer, in network order."""
-    fields = [records[name] for name in records.dtype.names]
-    return list(zip(fields[::2], fields[1::2]))
 
 
 def write_gradients(feats: GradientFeatures, path) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
-    Raw rows (a ClassRows) are written as their factors under kind byte 0,
-    one row batch of _factor_record records at a time, in the order
-    ClassRows.batches hands them out; sketched rows are written one class
-    block at a time under kind byte 1. The file is written through
-    replacing, so rows read from the file at path, under any of its names,
-    are written back over it.
+    Raw rows (a ClassRows) are written under kind byte 0 as the batches of
+    factor records ClassRows.batches hands out, each as it is, in order;
+    sketched rows one class block at a time under kind byte 1. The file is
+    written through replacing, so rows read from the file at path, under
+    any of its names, are written back over it.
     """
     m, d, c = feats.size, feats.width, feats.class_count
     rows, path = feats.per_class, Path(path)
@@ -159,9 +140,9 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             if feats.raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
-                record, batches = _factor_record(c, sizes), rows.batches()
-                for start in range(0, m, ROW_BATCH):  # each batch dropped before the next
-                    fh.write(_records(next(batches), record).data)
+                batches = rows.batches()
+                for _ in range(0, m, ROW_BATCH):  # each batch dropped before the next
+                    fh.write(next(batches).data)
             else:
                 for ci in range(c):
                     fh.write(np.ascontiguousarray(rows[ci], dtype="<f8").data)
@@ -169,14 +150,6 @@ def write_gradients(feats: GradientFeatures, path) -> None:
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _records(layers, record: np.dtype) -> np.ndarray:
-    """One batch's (dz, a) layer factors, in network order, as records."""
-    out = np.empty(len(layers[0][1]), dtype=record)
-    for (dz_out, a_out), (dz, a) in zip(_layers(out), layers):
-        dz_out[...], a_out[...] = dz, a
-    return out
 
 
 def read_gradients(path) -> GradientFeatures:
@@ -201,7 +174,7 @@ def read_gradients(path) -> GradientFeatures:
             else:
                 extents = (m, d, c, sizes)
                 per_class = ClassRows(sizes, m, functools.partial(_factor_batches, path, extents))
-                fh.seek(m * _factor_record(c, sizes).itemsize, os.SEEK_CUR)
+                fh.seek(m * factor_record(sizes).itemsize, os.SEEK_CUR)
             labels = _read_array(fh, (m,), "<i8", path)
             logits = _read_array(fh, (m, c), "<f8", path)
     except OSError as exc:
@@ -214,18 +187,17 @@ def _factor_batches(path, extents):
     """One pass over the factors of a raw gradient file whose header read
     as extents (m, D, C, layer widths): the file is opened once and its
     header and size are checked again; then each step reads the next
-    ROW_BATCH records into a new array and yields views of their (dz, a)
-    rows per layer, in network order. The file is closed when the pass
-    ends or is dropped."""
-    m, _, c, sizes = extents
-    record = _factor_record(c, sizes)
+    ROW_BATCH records into a new array of tangent.factor_record and yields
+    it. The file is closed when the pass ends or is dropped."""
+    m, _, _, sizes = extents
+    record = factor_record(sizes)
     try:
         with open(path, "rb") as fh:
             if _read_header(fh, path) != extents:
                 raise ParseError(f"{path}: the header changed after the file was read")
             for start in range(0, m, ROW_BATCH):
                 # no local keeps the batch, so the consumer's drop frees it
-                yield _layers(_read_array(fh, (min(ROW_BATCH, m - start),), record, path))
+                yield _read_array(fh, (min(ROW_BATCH, m - start),), record, path)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -670,10 +642,14 @@ def write_selection(sel: SelectionResult, path) -> None:
     _write_npz(path, SELECTION, vars(sel))
 
 
-def read_selection(path, size: int) -> np.ndarray:
-    """Selected sample ids of a baseline: distinct (else ParseError), each
-    indexing one of `size` samples."""
-    idx = _read_npz(path, SELECTION)["indices"]
+def read_selection(path, size: int, method: str) -> np.ndarray:
+    """Selected sample ids of the baseline `method`, each indexing one of
+    `size` samples (else IndexOutOfRange); ids that repeat, or a selection
+    another method made, are refused with ParseError."""
+    z = _read_npz(path, SELECTION)
+    idx, held = z["indices"], str(z["method"])
+    _require(held == method, path, f"holds a {held} selection, expected {method}; "
+             f"run `dntk select-baseline --method {method}` to write it")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexOutOfRange(f"{path}: indices outside [0, {size})")
     _require(np.unique(idx).size == idx.size, path, "sample ids repeat")

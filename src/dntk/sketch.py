@@ -15,20 +15,19 @@ greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
 is refused with InsufficientMemory before it is made, by require_memory,
 which guards the kernel stack and the ridge eigenvectors the same way.
 
-One contraction applies it, _fused_sketch, and it takes the backward
-pass's factors from one producer interface, a ClassRows's batches(), in
-network order: the live backward pass for the in-process task
-(pipeline.sketched_features) and the per-sample records a raw gradient
-file stores for the staged CLI (project_features), read one row batch at
-a time and handed out as views of their fields; tangent.param_blocks
-places each layer in q. Both hand out ROW_BATCH rows at a time, the only
-row batch there is, and the contraction takes COL_BLOCK sketch columns at
-a time, the only column block there is, so the staged sketch equals the
-in-process one bit for bit, and neither builds a P-wide row. Besides its
-(C, n, k) output the contraction holds one batch of factors and a
-workspace, neither of which grows with k; sketch_bytes gives all three,
-and an output the machine's free memory cannot hold is refused before it is
-made. project_features takes raw rows only, which are a ClassRows by type.
+One contraction applies it, _fused_sketch, to the one producer interface
+of the backward pass's factors, a ClassRows's batches(): one array of
+tangent.factor_record records per ROW_BATCH rows, the only row batch there
+is, made live for the in-process task (pipeline.sketched_features) or read
+from a raw gradient file for the staged CLI (project_features). Both hand
+it the same bytes in the same layout, and it takes COL_BLOCK sketch
+columns at a time, the only column block there is, so the staged sketch
+equals the in-process one bit for bit by construction, and neither builds
+a P-wide row. Besides its (C, n, k) output the contraction holds one batch
+of factor records and a workspace, neither of which grows with k;
+sketch_bytes gives all three, and an output the machine's free memory
+cannot hold is refused before it is made. project_features takes raw rows
+only, which are a ClassRows by type.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
-from .tangent import ROW_BATCH, ClassRows, GradientFeatures, param_blocks
+from .tangent import (ROW_BATCH, ClassRows, GradientFeatures, factor_record, layer_factors,
+                      param_blocks)
 
 # rows overwritten per block by a CholeskyQR pass; bounds its temporary
 _QR_BLOCK_ROWS = 1024
@@ -207,23 +207,22 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
 def sketch_bytes(layer_sizes, n: int, k: int) -> int:
     """Bytes _fused_sketch holds to sketch n samples of a network of these
     layer widths to width k: its (C, n, k) output, the one batch of
-    ROW_BATCH rows' factors a ClassRows hands it (dz and a of every
-    layer), and its workspace, a T block of max(fan_out) x ROW_BATCH x
-    COL_BLOCK floats and two (ROW_BATCH, C, COL_BLOCK) blocks for dz @ T
-    and its running sum. Only the output grows with k."""
+    ROW_BATCH factor records a ClassRows hands it, and its workspace, a T
+    block of max(fan_out) x ROW_BATCH x COL_BLOCK floats and two
+    (ROW_BATCH, C, COL_BLOCK) blocks for dz @ T and its running sum. Only
+    the output grows with k."""
     c = layer_sizes[-1]
     rows, cols = min(ROW_BATCH, n), min(COL_BLOCK, k)
-    factors = sum(c * fan_out + fan_in
-                  for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    return 8 * (c * n * k + rows * (factors + (max(layer_sizes[1:]) + 2 * c) * cols))
+    workspace = 8 * rows * (max(layer_sizes[1:]) + 2 * c) * cols
+    return 8 * c * n * k + rows * factor_record(layer_sizes).itemsize + workspace
 
 
 def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
     """The (C, n, k) sketch of the raw rows' per-logit Jacobian, contracted per layer.
 
-    raw.batches() yields, per consecutive batch of ROW_BATCH rows, the
-    (dz, a) factors of each layer in network order, from the live backward
-    pass (ClassRows.of_backprop) or from a file. The rows of q in layer l's
+    raw.batches() yields one array of factor records per consecutive
+    ROW_BATCH rows, live (ClassRows.of_backprop) or from a file, whose
+    layer_factors views are each layer's (dz, a). The rows of q in layer l's
     param_blocks weight slice form Q_l (fan_out, fan_in, k), and (dz x a)
     @ Q_l = dz @ T with T[o] = a @ Q_l[o] + (bias row o of q). T is computed
     once per sample with no class factor, so a sample costs about 2 (P + C
@@ -261,8 +260,8 @@ def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
     return out
 
 
-def _sketch_batch(layers, blocks, q, scale, t_flat, acc_full, prod_full, out) -> None:
-    """Sketch one batch's (dz, a) layer factors, in network order like the
+def _sketch_batch(batch, blocks, q, scale, t_flat, acc_full, prod_full, out) -> None:
+    """Sketch one batch of factor records, whose layer_factors follow the
     param_blocks blocks, into out (C, b, k), in COL_BLOCK column blocks
     through _fused_sketch's workspace: t_flat for each layer's T block, and
     the (b, C, COL_BLOCK) acc_full and prod_full for dz @ T and its running
@@ -270,7 +269,7 @@ def _sketch_batch(layers, blocks, q, scale, t_flat, acc_full, prod_full, out) ->
     k, b = q.shape[1], out.shape[1]
     # each layer's factors with its weight rows Q_l and bias rows of q, last layer first
     parts = [(dz, a, q[w_at].reshape(fan_out, fan_in, k), q[b_at, None, :])
-             for (dz, a), (w_at, b_at, fan_out, fan_in) in zip(layers, blocks)][::-1]
+             for (dz, a), (w_at, b_at, fan_out, fan_in) in zip(layer_factors(batch), blocks)][::-1]
     for j0 in range(0, k, COL_BLOCK):
         cols = slice(j0, min(j0 + COL_BLOCK, k))
         w = cols.stop - j0

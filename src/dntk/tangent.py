@@ -6,14 +6,14 @@ trace feeds two backward passes written out explicitly (no autodiff): the
 per-logit one seeds the C x C identity, the loss one seeds the loss
 gradient and serves loss_param_gradient and SGD training alike. Both are
 checked in the test suite against central finite differences and against
-each other through the chain rule. The per-logit pass runs ROW_BATCH rows
-at a time, the one row batch of extraction and sketch alike, and its
-factors (_logit_backprop) are handed out by a ClassRows, which runs it
-on each row batch as a pass asks for it; a raw gradient file is the rows'
-only other source, both in network order; param_blocks places each layer in
-theta. A GradientFeatures' kind is the type of its rows: raw
-parameter-space rows are a ClassRows, sketched rows an array, so raw rows
-held densely cannot be built.
+each other through the chain rule. The per-logit pass (_logit_backprop)
+runs ROW_BATCH rows at a time, the one row batch of extraction and sketch
+alike, and fills one array of factor_record records, one per sample: the
+one form a batch of factors takes, made live by a ClassRows or read from a
+raw gradient file. param_blocks places each layer in theta, layer_factors
+views each in a batch. A GradientFeatures' kind is the type of its rows:
+raw parameter-space rows are a ClassRows, sketched rows an array, so raw
+rows held densely cannot be built.
 """
 
 from __future__ import annotations
@@ -89,25 +89,23 @@ class ClassRows:
 
     Layer l's per-logit gradient of sample i for class c is the outer
     product dz_l[i, c] x a_l[i] (its weight block) followed by dz_l[i, c]
-    (its bias block), so the rows are handed out as dz_l (n, C, fan_out)
-    and a_l (n, fan_in) per layer, in network order: n * sum(C * fan_out +
-    fan_in) floats instead of C * n * P. `shape` is the whole array's, and
+    (its bias block), so the rows are handed out as each sample's factor
+    record, per layer dz_l (C, fan_out) and a_l (fan_in,): sum(C * fan_out
+    + fan_in) floats instead of C * P. `shape` is the whole array's, and
     rows[c] fills class c's (n, P) float64 block as a new array. An ndarray
     offers the same `shape` and `[c]`, so a consumer that asks for one
     class at a time takes either; nothing else of the array interface
     exists, so no caller can gather every class at once by accident.
 
     The factors come one pass at a time: batches() returns an iterator
-    that yields, per consecutive ROW_BATCH rows, the (dz, a) rows of each
-    layer in network order, and holds no batch but the one it yields. It
-    has two sources, neither of which holds a whole split's factors: the
-    live backward pass (ClassRows.of_backprop, which runs it on each batch
-    of its own copy of the inputs as the batch is asked for) and a raw
-    gradient file io.read_gradients has checked (io._factor_batches, which
-    reads each batch's records from the file). Every consumer takes the
-    factors this way: sketch._fused_sketch to contract them,
-    io.write_gradients to write them and [c] to fill one class block, each
-    zipping them with param_blocks(layer_sizes) or the file's records.
+    that yields one new array of factor records per consecutive ROW_BATCH
+    rows and holds no batch but the one it yields. Its two sources yield
+    the same bytes in the same layout, and neither holds a whole split's
+    factors: the live backward pass (ClassRows.of_backprop, run on each
+    batch of its own copy of the inputs when asked) and a raw gradient file
+    io.read_gradients has checked. sketch._fused_sketch contracts the
+    batches, io.write_gradients writes them and [c] fills one class block
+    from them, each dropping a batch before it asks for the next.
     """
 
     def __init__(self, layer_sizes, n: int, batches):
@@ -125,7 +123,7 @@ class ClassRows:
 
         def batches():
             for start in range(0, xb.shape[0], ROW_BATCH):
-                yield list(_logit_backprop(params, xb[start : start + ROW_BATCH]))[::-1]
+                yield _logit_backprop(params, xb[start : start + ROW_BATCH])
 
         return cls(params.layer_sizes, xb.shape[0], batches)
 
@@ -133,15 +131,20 @@ class ClassRows:
         # operator.index refuses slices and tuples; range refuses c outside [-C, C)
         c = range(self.shape[0])[operator.index(c)]
         out, blocks = np.empty(self.shape[1:]), param_blocks(self.layer_sizes)
-        for start, layers in zip(range(0, self.shape[1], ROW_BATCH), self.batches()):
-            rows = out[start : start + ROW_BATCH]
-            for (w_at, b_at, fan_out, fan_in), (dz, a) in zip(blocks, layers):
-                # dW[i, o, j] = dz[i, c, o] * a[i, j]; the row slice has a
-                # unit-stride last axis, so this reshape is a view
-                np.multiply(dz[:, c, :, None], a[:, None, :],
-                            out=rows[:, w_at].reshape(-1, fan_out, fan_in))
-                rows[:, b_at] = dz[:, c]
+        batches = self.batches()
+        for start in range(0, self.shape[1], ROW_BATCH):
+            # no local keeps the batch, so it is dropped before the next is read or made
+            _fill_class(out[start : start + ROW_BATCH], next(batches), blocks, c)
         return out
+
+
+def _fill_class(rows: np.ndarray, batch: np.ndarray, blocks, c: int) -> None:
+    """Fill rows, class c's (b, P) rows of a batch of factor records."""
+    for (w_at, b_at, fan_out, fan_in), (dz, a) in zip(blocks, layer_factors(batch)):
+        # dW[i, o, j] = dz[i, c, o] * a[i, j], into a view of the unit-stride row slice
+        np.multiply(dz[:, c, :, None], a[:, None, :],
+                    out=rows[:, w_at].reshape(-1, fan_out, fan_in))
+        rows[:, b_at] = dz[:, c]
 
 
 @dataclass
@@ -190,6 +193,25 @@ def param_blocks(layer_sizes) -> list[tuple[slice, slice, int, int]]:
         blocks.append((slice(pos, w_end), slice(w_end, w_end + fan_out), fan_out, fan_in))
         pos = w_end + fan_out
     return blocks
+
+
+def factor_record(layer_sizes) -> np.dtype:
+    """One sample's backward-pass factors, the one statement of their
+    layout: per layer in network order, dz<l> its logit gradients (C,
+    fan_out), then a<l> its inputs (fan_in,), little-endian float64, packed.
+    A batch of factors is an array of these, as a raw file's payload is."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    return np.dtype([field
+                     for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+                     for field in ((f"dz{layer}", "<f8", (sizes[-1], fan_out)),
+                                   (f"a{layer}", "<f8", (fan_in,)))])
+
+
+def layer_factors(batch: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of a batch of factor records as the (dz, a) rows of each layer,
+    in network order: dz (b, C, fan_out) and a (b, fan_in)."""
+    names = batch.dtype.names
+    return [(batch[dz], batch[a]) for dz, a in zip(names[::2], names[1::2])]
 
 
 def param_count(layer_sizes) -> int:
@@ -284,24 +306,26 @@ def per_logit_gradient(params: MlpParams, x) -> np.ndarray:
     return np.concatenate([rows[c] for c in range(params.class_count)])
 
 
-def _logit_backprop(params: MlpParams, xb: np.ndarray):
-    """Backpropagate the C x C identity through the network, last layer first.
-
-    Yields (dz, a) per layer, last layer first: dz (n, C, fan_out) holds
-    the logit gradients with respect to the layer's pre-activations and a
-    (n, fan_in) its inputs. The per-logit weight gradient is the outer
-    product dz[:, c] x a and the bias gradient is dz[:, c], so a ClassRows
-    (ClassRows.of_backprop, which puts them in network order) hands out the
-    factors in place of the rows. dz is read-only; each layer's is a new
-    array, so a caller may keep all of them.
-    """
+def _logit_backprop(params: MlpParams, xb: np.ndarray) -> np.ndarray:
+    """Backpropagate the C x C identity through the network, last layer
+    first, into a new array of factor records, one per row of xb: layer l's
+    dz (n, C, fan_out) takes the logit gradients with respect to its
+    pre-activations and its a (n, fan_in) its inputs. Each dz is the next
+    layer's times its weights, written into its field and scaled there one
+    class at a time (numpy copies a whole strided field it scales at once)."""
     layers, acts = _forward_trace(params, xb)
-    c = params.class_count
-    dz = np.broadcast_to(np.eye(c), (xb.shape[0], c, c)).copy()
+    out = np.empty(xb.shape[0], dtype=factor_record(params.layer_sizes))
+    fields = layer_factors(out)
+    fields[-1][0][...] = np.eye(params.class_count)
     for i in range(len(layers) - 1, -1, -1):
-        yield dz, acts[i]
+        dz, a = fields[i]
+        a[...] = acts[i]
         if i > 0:
-            dz = (dz @ layers[i][0]) * _act_grad(acts[i], params.activation)[:, None, :]
+            below, slope = fields[i - 1][0], _act_grad(acts[i], params.activation)
+            np.matmul(dz, layers[i][0], out=below)
+            for c in range(params.class_count):
+                below[:, c] *= slope
+    return out
 
 
 # ------------------------------------------------------------------ losses

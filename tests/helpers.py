@@ -7,7 +7,7 @@ import numpy as np
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
 from dntk.sketch import COL_BLOCK
-from dntk.tangent import ROW_BATCH, GradientFeatures, _logit_backprop, one_hot
+from dntk.tangent import ROW_BATCH, GradientFeatures, _logit_backprop, layer_factors, one_hot
 
 # sample counts around ROW_BATCH (32): a lone partial batch (1, 23), one
 # exact batch, a full batch and a one-row last one, and three full batches
@@ -33,14 +33,14 @@ def class_blocks(per_class) -> np.ndarray:
 
 
 def positioned_backprop(params, xb):
-    """(pos, dz, a) per layer, last layer first, for the (dz, a) factors
-    _logit_backprop yields in that order: pos is the offset of the layer's
-    weight block in theta, its bias block following. The offsets are
-    counted down from theta's size and the factors' widths here, not read
-    from tangent.param_blocks, so a wrong block there fails the references
-    built on these."""
+    """(pos, dz, a) per layer, last layer first, for the (dz, a) factors of
+    the record batch _logit_backprop fills: pos is the offset of the
+    layer's weight block in theta, its bias block following. The offsets
+    are counted down from theta's size and the factors' widths here, not
+    read from tangent.param_blocks, so a wrong block there fails the
+    references built on these."""
     pos = params.theta.size
-    for dz, a in _logit_backprop(params, xb):
+    for dz, a in layer_factors(_logit_backprop(params, xb))[::-1]:
         pos -= dz.shape[2] * (a.shape[1] + 1)
         yield pos, dz, a
 

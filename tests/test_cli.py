@@ -39,7 +39,7 @@ from dntk.io import (
 )
 from dntk.numerics import sym_eigvals
 from dntk.sketch import SketchRecord, sketch_bytes
-from dntk.tangent import param_count
+from dntk.tangent import extract_features, factor_record, param_count
 
 SMOKE = dict(
     seed=5,
@@ -253,7 +253,7 @@ class TestStageChain:
             basis, targets = train_feats.per_class, train_feats.model_logits
         else:
             # the staged selection is the one pipeline.select_baseline makes
-            idx = read_selection(out / f"selected_{source}.npz", train_feats.size)
+            idx = read_selection(out / f"selected_{source}.npz", train_feats.size, source)
             sel = pipeline.select_baseline(
                 train_feats, source, 6, pipeline.derive_seed(cfg.seed, source)
             )
@@ -275,6 +275,27 @@ class TestStageChain:
         capsys.readouterr()
         with np.load(out2 / FILES["distilled"]) as z:
             assert z["phi_hat"].shape[1] <= 2  # (C, s, D)
+
+
+class TestRawPayload:
+    def test_extract_grads_writes_the_live_record_batches_as_they_are(self, tmp_path):
+        # 69 training rows: two full row batches and a 5-row one
+        cfg = write_cfg(tmp_path / "cfg.json", tmp_path, n_train=69)
+        for stage in ("gen-data", "train-model", "extract-grads"):
+            assert main([stage, "--config", cfg]) == 0
+        model = read_model(tmp_path / FILES["model"])
+        train = read_dataset(tmp_path / FILES["train"])
+        live = list(extract_features(model, train.inputs, train.labels).per_class.batches())
+        from_file = list(read_gradients(tmp_path / FILES["grads_train"]).per_class.batches())
+        # both sources hand out arrays of the one record dtype tangent states
+        assert [b.dtype for b in live + from_file] == [factor_record(model.layer_sizes)] * 6
+        assert [len(b) for b in live] == [len(b) for b in from_file] == [32, 32, 5]
+        # after the header and the layer widths: the live batches' bytes, in order
+        raw = (tmp_path / FILES["grads_train"]).read_bytes()
+        at = 23 + 4 * (1 + len(model.layer_sizes))
+        payload = b"".join(b.tobytes() for b in live)
+        assert raw[at : at + len(payload)] == payload
+        assert len(raw) == at + len(payload) + 8 * (69 + 69 * 3)
 
 
 class TestBoundedMemory:
@@ -1055,6 +1076,24 @@ class TestMalformedArtifacts:
             rundir, tmp_path, capsys, "selected_random.npz", ["fit-krr", "--source", "random"],
             {"indices": lambda a: np.array([0, 10**6], dtype=np.int64)}, code="IndexOutOfRange",
         )
+
+    def test_selection_of_another_method_exits_1(self, rundir, tmp_path, capsys):
+        # a random selection in selected_fps.npz's place records its method,
+        # so fitting on fps refuses it and writes no model
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        shutil.copyfile(work / "selected_random.npz", work / "selected_fps.npz")
+        (work / FILES["krr"]).unlink()
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["fit-krr", "--source", "fps", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=ParseError") == 1
+        assert err.count("error_code=") == 1
+        assert "`dntk select-baseline --method fps`" in err
+        assert "Traceback" not in err
+        assert not (work / FILES["krr"]).exists()
 
 
 # each stage that reads artifacts, and the artifacts it reads; report.csv,

@@ -26,8 +26,8 @@ from dntk.kernel import SCALE_CHOICES, scale_factor
 from dntk.krr import fit
 from dntk.pipeline import sketched_features
 from dntk.sketch import SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import (ROW_BATCH, ClassRows, extract_features, gen_gaussian_mixture,
-                          init_params)
+from dntk.tangent import (ROW_BATCH, ClassRows, extract_features, factor_record,
+                          gen_gaussian_mixture, init_params, layer_factors)
 
 
 def tiny_feats(seed=0, c=2, n=4, d=6):
@@ -96,7 +96,7 @@ class TestGradientFile:
         assert raw[:23] == dio._HEADER.pack(dio.MAGIC, 4, 5, 26, 2, 0)
         assert raw[23:39] == struct.pack("<4I", 3, 3, 4, 2)
         # 5 rows: one row batch holds them all
-        factors = next(rows.batches())  # network order, as each record holds them
+        factors = layer_factors(next(rows.batches()))  # network order, as each record holds them
         assert [dz.shape for dz, _ in factors] == [(5, 2, 4), (5, 2, 2)]
         assert [a.shape for _, a in factors] == [(5, 3), (5, 4)]
         payload = b"".join(dz[i].astype("<f8").tobytes() + a[i].astype("<f8").tobytes()
@@ -274,11 +274,12 @@ class TestRawRowsOneClassAtATime:
         dio.write_gradients(live, tmp_path / "g.dntk")
         read = dio.read_gradients(tmp_path / "g.dntk")
         # every record in one read: the payload after the header and widths
-        record = dio._factor_record(params.class_count, params.layer_sizes)
+        record = factor_record(params.layer_sizes)
         payload_at = dio._HEADER.size + 4 * (1 + len(params.layer_sizes))
-        whole = dio._layers(np.frombuffer((tmp_path / "g.dntk").read_bytes(), record,
-                                          count=70, offset=payload_at))
-        batches = list(zip(read.per_class.batches(), live.per_class.batches()))
+        whole = layer_factors(np.frombuffer((tmp_path / "g.dntk").read_bytes(), record,
+                                            count=70, offset=payload_at))
+        batches = [(layer_factors(f), layer_factors(l))
+                   for f, l in zip(read.per_class.batches(), live.per_class.batches())]
         assert [len(from_file[0][0]) for from_file, _ in batches] == [32, 32, 6]
         for start, (from_file, from_live) in zip(range(0, 70, ROW_BATCH), batches):
             rows = slice(start, start + ROW_BATCH)
@@ -300,7 +301,7 @@ class TestRawRowsOneClassAtATime:
         live = extract_features(params, x, labels)
         dio.write_gradients(live, tmp_path / "g.dntk")
         from_file = dio.read_gradients(tmp_path / "g.dntk").per_class
-        one = ROW_BATCH * dio._factor_record(params.class_count, params.layer_sizes).itemsize
+        one = ROW_BATCH * factor_record(params.layer_sizes).itemsize
 
         def pass_peak(rows):
             return traced_peak(lambda: collections.deque(rows.batches(), maxlen=0))
@@ -310,6 +311,24 @@ class TestRawRowsOneClassAtATime:
         # so a live pass over four batches is held to a one-batch pass's peak
         first = extract_features(params, x[:ROW_BATCH], labels[:ROW_BATCH])
         assert pass_peak(live.per_class) < pass_peak(first.per_class) + 0.5 * one
+
+    def test_a_class_block_holds_one_batch(self, tmp_path):
+        # rows[c] drops each batch before it reads or makes the next, so
+        # beside its output it holds what a plain pass holds; one that kept
+        # the previous batch would peak a whole record batch higher. The
+        # default net's widths: at narrower ones the fill's own numpy
+        # temporaries outweigh a record batch
+        rng = np.random.default_rng(31)
+        params = init_params([16, 64, 64, 10], seed=32)
+        x, labels = rng.normal(size=(4 * ROW_BATCH, 16)), rng.integers(0, 10, size=4 * ROW_BATCH)
+        live = extract_features(params, x, labels)
+        dio.write_gradients(live, tmp_path / "g.dntk")
+        from_file = dio.read_gradients(tmp_path / "g.dntk").per_class
+        one = ROW_BATCH * factor_record(params.layer_sizes).itemsize
+        block = 8 * x.shape[0] * params.param_count
+        for rows in (from_file, live.per_class):
+            plain = traced_peak(lambda: collections.deque(rows.batches(), maxlen=0))
+            assert traced_peak(lambda: rows[3]) - block < plain + 0.6 * one
 
     def test_live_rows_copy_their_inputs(self, tmp_path):
         # the live backward pass runs on its own copies of the inputs and
@@ -431,7 +450,7 @@ NPZ_READERS = {
     "model": dio.read_model,
     "distilled": dio.read_distilled,
     "krr": dio.read_krr,
-    "selection": lambda path: dio.read_selection(path, 10),
+    "selection": lambda path: dio.read_selection(path, 10, "random"),
 }
 
 
@@ -456,19 +475,22 @@ def test_malformed_npz_file(tmp_path, reader, case, error):
 def test_selection_roundtrip_and_checks(tmp_path):
     path = tmp_path / "sel.npz"
     dio.write_selection(SelectionResult(np.array([4, 0, 7]), "random", 3), path)
-    np.testing.assert_array_equal(dio.read_selection(path, 8), [4, 0, 7])
+    np.testing.assert_array_equal(dio.read_selection(path, 8, "random"), [4, 0, 7])
     with pytest.raises(IndexOutOfRange):
-        dio.read_selection(path, 7)
+        dio.read_selection(path, 7, "random")
+    # the selection records the method that made it
+    with pytest.raises(ParseError, match="select-baseline --method fps"):
+        dio.read_selection(path, 8, "fps")
     np.savez(path, indices=np.array([[0, 1]]))
     with pytest.raises(ParseError):
-        dio.read_selection(path, 8)
+        dio.read_selection(path, 8, "random")
     np.savez(path, indices=np.array([0.0, 1.0]))
     with pytest.raises(ParseError):
-        dio.read_selection(path, 8)
+        dio.read_selection(path, 8, "random")
     # a selection is distinct ids: a repeated one would fit a duplicated row
     dio.write_selection(SelectionResult(np.array([3, 3, 1]), "random", 3), path)
     with pytest.raises(ParseError, match="repeat"):
-        dio.read_selection(path, 8)
+        dio.read_selection(path, 8, "random")
 
 
 def test_gradient_file_io_holds_one_copy(tmp_path):
@@ -836,7 +858,7 @@ def _valid_bundles(tmp_path):
         "KRR": (lambda p: dio.write_krr(model, p), dio.read_krr),
         "SELECTION": (
             lambda p: dio.write_selection(SelectionResult(np.array([4, 0, 7]), "random", 3), p),
-            lambda p: dio.read_selection(p, 8),
+            lambda p: dio.read_selection(p, 8, "random"),
         ),
     }
     out = {}

@@ -20,7 +20,7 @@ from dntk.errors import DimMismatch, EmptyInput, InputError, InsufficientMemory,
 from dntk.io import RunConfig, read_gradients, write_gradients
 from dntk.numerics import sym_eig
 from dntk.sketch import COL_BLOCK, SketchRecord, project_features, sample_orthonormal
-from dntk.tangent import ROW_BATCH, extract_features, init_params
+from dntk.tangent import ROW_BATCH, extract_features, init_params, layer_factors
 
 
 def tiny_cfg(**overrides):
@@ -184,7 +184,7 @@ class TestPrepareTask:
         write_gradients(live, tmp_path / "g.dntk")
         for rows in (live.per_class, read_gradients(tmp_path / "g.dntk").per_class):
             first = next(rows.batches())
-            assert sum(dz.nbytes + a.nbytes for dz, a in first) == 8 * 32 * 453
+            assert sum(dz.nbytes + a.nbytes for dz, a in layer_factors(first)) == 8 * 32 * 453
 
     def test_fused_sketch_workspace_does_not_grow_with_k(self):
         # what the call holds beyond its output, at k and at 4k: the

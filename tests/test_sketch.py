@@ -13,8 +13,8 @@ import dntk
 from dntk import sketch
 from dntk.errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
 from dntk.sketch import available_memory, jl_dimension, project_features, sample_orthonormal
-from dntk.tangent import (ClassRows, GradientFeatures, extract_features, gen_gaussian_mixture,
-                          init_params)
+from dntk.tangent import (ClassRows, GradientFeatures, extract_features, factor_record,
+                          gen_gaussian_mixture, init_params, layer_factors)
 
 
 class TestJlDimension:
@@ -134,8 +134,9 @@ class TestProjectVector:
 
     def test_zero_maps_to_zero(self):
         op = sample_orthonormal(25, 6, seed=5)
-        # factors of a [4, 5] layer (P = 25) whose logit gradients vanish
-        factors = [(np.zeros((1, 5, 5)), np.ones((1, 4)))]
+        # the factor record of a [4, 5] layer (P = 25) whose logit gradients vanish
+        factors = np.zeros(1, dtype=factor_record((4, 5)))
+        layer_factors(factors)[0][1][...] = 1.0
         rows = ClassRows((4, 5), 1, lambda: iter([factors]))
         feats = GradientFeatures(rows, np.zeros(1, dtype=np.int64), np.zeros((1, 5)))
         np.testing.assert_array_equal(project_features(feats, op).per_class, np.zeros((5, 1, 6)))
