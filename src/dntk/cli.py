@@ -6,14 +6,16 @@ stage leaves, its CSV tables included, so this module opens none. main runs
 each stage inside io.replacing: a stage reads its inputs through _p and
 writes each output to new(key), and returns its exit code and its text.
 Its outputs appear in the output directory together once it returns, or
-not at all when it fails, and main prints the text only then. Every
-gradient file is opened through io.read_gradients, and _read_grads refuses
-one whose header records the other kind of rows. `project` reads both raw
-splits (a raw file's header, layer widths, class ids and logits; its
-factors stay in the file) and checks their kinds, widths and class ids and
-the memory of the sketch and its larger output before it draws the sketch.
+not at all when it fails, and so does any directory made for them; main
+prints the text only then. Every gradient file is opened through
+io.read_gradients, and _read_grads refuses one whose header records the
+other kind of rows. `project` reads both raw splits (a raw file's header,
+layer widths, class ids and logits; its factors stay in the file) and
+checks their kinds, widths and class ids and the memory of the sketch and
+its larger output before it draws the sketch.
 `evaluate` holds one sketched split at a time, and writes the rows of the
-report.csv it found with its own row after them. main parses the
+report.csv it found with its own row after them, tagged with --method or
+else with the set krr_model.npz records it was fit on. main parses the
 arguments, loads the config and resolves the output directory once, then
 hands all three to the subcommand. Exit codes: 0 on success, 1 on
 validation problems (bad flags, config, files, memory, a full disk), 2 when
@@ -86,10 +88,7 @@ def _load_config(args) -> RunConfig:
 
 def _out_dir(args, cfg: RunConfig) -> Path:
     # precedence: --out flag, then DNTK_OUT, then the config value
-    out = args.out or os.environ.get("DNTK_OUT") or cfg.out_dir
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(args.out or os.environ.get("DNTK_OUT") or cfg.out_dir)
 
 
 def _p(out: Path, key: str) -> Path:
@@ -197,21 +196,22 @@ def cmd_fit_krr(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
         picked = read_selection(_p(out, f"selected_{args.source}"), feats.size, args.source)
     basis, targets = pipeline.gradient_set(feats, picked)
     model = krr.fit(basis, targets, lambda_reg=cfg.lambda_reg, scale_kind=cfg.scale_kind)
-    write_krr(model, new("krr"))
+    write_krr(model, "distill" if args.source == "distilled" else args.source, new("krr"))
     return 0, f"fit ridge model on {model.size} gradients at lambda={cfg.lambda_reg:g}"
 
 
 def cmd_evaluate(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
-    model = read_krr(_p(out, "krr"))
+    model, fit_on = read_krr(_p(out, "krr"))
+    method = fit_on if args.method is None else args.method
     # one sketched split at a time: the test rows go once they are predicted
     test = _read_grads(out, "sketched_test")
     pred, labels, logits = krr.predict(model, test.per_class), test.labels, test.model_logits
     del test
     train = _read_grads(out, "sketched_train")
-    row = pipeline.score_krr(model, train, pred, labels, logits, args.method, cfg.seed)
+    row = pipeline.score_krr(model, train, pred, labels, logits, method, cfg.seed)
     path = _p(out, "report")
     write_report((read_report(path) if path.exists() else []) + [row], new("report"))
-    return 0, f"appended {args.method} row to {path} (fidelity {row.fidelity:.4f})"
+    return 0, f"appended {method} row to {path} (fidelity {row.fidelity:.4f})"
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="distilled", choices=FIT_SOURCES,
                    help="gradient set to fit on (default distilled)")
     p = add("evaluate", cmd_evaluate, "score the fitted model on the test split")
-    p.add_argument("--method", default="distill", help="method tag for the report row")
+    p.add_argument("--method", help="method tag for the report row "
+                   "(default: the set krr_model.npz was fit on)")
     p = add("sweep", cmd_sweep, "grid over H, tau_v, tau_g and all methods")
     p.add_argument(
         "--jobs",
@@ -290,7 +291,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args)
         out = _out_dir(args, cfg)
-        with replacing(out) as new:  # the stage's outputs appear once it returns
+        # the stage's outputs, and any directory made for them, appear once it returns
+        with replacing(out) as new:
             code, done = args.fn(cfg, out, lambda key: new(FILES[key]), args)
         print(done)  # only once the outputs are in place
         return code

@@ -86,26 +86,37 @@ _METHODS = ("distill", "full") + BASELINE_METHODS
 def replacing(directory):
     """Files that appear in directory together, or not at all.
 
-    Yields new(name), the path of that name inside a fresh hidden .dntk-*
-    directory within directory. When the block exits without an exception,
-    each file written there is renamed over the file of the same name in
-    directory, in sorted order; a name that is a symlink is replaced, not
-    written through. Every target is checked before the first rename: a
-    directory in a file's place is refused with IoError, and nothing is
-    renamed. The hidden directory is removed in every case, so a block
-    that fails leaves directory as it found it.
+    Makes directory and its missing parents, then yields new(name), the
+    path of that name inside a fresh hidden .dntk-* directory within
+    directory. When the block exits without an exception, each file written
+    there is renamed over the file of the same name in directory, in sorted
+    order; a name that is a symlink is replaced, not written through. Every
+    target is checked before the first rename: a directory in a file's
+    place is refused with IoError, and nothing is renamed. The hidden
+    directory is removed in every case, and when the block fails so is
+    each directory made for it, so a block that fails leaves the file
+    system as it found it.
     """
-    staged = Path(tempfile.mkdtemp(prefix=".dntk-", dir=directory))
+    directory = Path(directory)
+    made = [d for d in (directory, *directory.parents) if not os.path.lexists(d)]
     try:
-        yield staged.joinpath
-        names = sorted(os.listdir(staged))
-        for target in (Path(directory) / name for name in names):
-            if target.is_dir() and not target.is_symlink():
-                raise IoError(f"cannot write {target}: a directory is in its place")
-        for name in names:
-            os.replace(staged / name, Path(directory) / name)
-    finally:
-        shutil.rmtree(staged, ignore_errors=True)
+        directory.mkdir(parents=True, exist_ok=True)
+        staged = Path(tempfile.mkdtemp(prefix=".dntk-", dir=directory))
+        try:
+            yield staged.joinpath
+            names = sorted(os.listdir(staged))
+            for target in (directory / name for name in names):
+                if target.is_dir() and not target.is_symlink():
+                    raise IoError(f"cannot write {target}: a directory is in its place")
+            for name in names:
+                os.replace(staged / name, directory / name)
+        finally:
+            shutil.rmtree(staged, ignore_errors=True)
+    except BaseException:
+        for d in made:  # innermost first; one something else wrote into stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 # ------------------------------------------------------- gradient features
@@ -529,6 +540,7 @@ KRR = {
     "alpha": (_FLOAT, "s C"),
     "lambda_reg": (_FLOAT, ""),
     "scale_kind": (_STR, ""),
+    "method": (_STR, ""),
 }
 SELECTION = {"indices": (_INT, "s"), "method": (_STR, ""), "seed": (_INT, "")}
 
@@ -628,14 +640,23 @@ def read_distilled(path) -> tuple[DistilledGradients, CoverageReport]:
                  for cls in (DistilledGradients, CoverageReport))
 
 
-def write_krr(model: KrrModel, path) -> None:
-    _write_npz(path, KRR, vars(model))
+def write_krr(model: KrrModel, method: str, path) -> None:
+    """The model and `method`, the report tag of the set it was fit on."""
+    _write_npz(path, KRR, {**vars(model), "method": method})
 
 
-def read_krr(path) -> KrrModel:
-    z = _read_npz(path, KRR)
+def read_krr(path) -> tuple[KrrModel, str]:
+    """The model and the report tag of the set it was fit on. An archive
+    that does not read back as both is refused with ParseError naming
+    `dntk fit-krr`."""
+    try:
+        z = _read_npz(path, KRR)
+        method = str(z.pop("method"))
+        _require(method in _METHODS, path, f"method must be one of {_METHODS}, got {method!r}")
+    except ParseError as exc:
+        raise ParseError(f"{exc}; run `dntk fit-krr` to write it") from exc
     z.update(lambda_reg=float(z["lambda_reg"]), scale_kind=str(z["scale_kind"]))
-    return KrrModel(**z)
+    return KrrModel(**z), method
 
 
 def write_selection(sel: SelectionResult, path) -> None:

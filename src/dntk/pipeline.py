@@ -3,16 +3,16 @@
 This is the glue the CLI subcommands and the acceptance harness share:
 each stage maps the config to its call in one function here, which the
 staged CLI and the in-process task and sweep both run. A "task" bundles
-the synthetic classification problem, the trained network, and sketched
-gradient features for train and test splits; the sketch module applies the
-sketch on both the in-process and the staged path, to raw rows from the
-live backward pass or from a raw gradient file. Every stage draws its
-seed by hashing (root seed, stage name, cell index), so any stage can be
-re-run in isolation and still line up with a full run. Every task holds
-the cluster.KernelSpectra made for its training features, which distill
-and the baselines read the averaged kernel, its decompositions and its
-eigen-coordinates from, so each decomposition is computed once per task; a
-sweep's cells inherit their root's holder.
+the trained network and the sketched gradient features of the synthetic
+problem's train and test splits, but not the splits themselves; the sketch
+module applies the sketch on both the in-process and the staged path, to
+raw rows from the live backward pass or from a raw gradient file. Every
+stage draws its seed by hashing (root seed, stage name, cell index), so
+any stage can be re-run in isolation and still line up with a full run.
+Every task holds the cluster.KernelSpectra made for its training features,
+which distill and the baselines read the averaged kernel, its
+decompositions and its eigen-coordinates from, so each decomposition is
+computed once per task; a sweep's cells inherit their root's holder.
 """
 
 from __future__ import annotations
@@ -48,20 +48,20 @@ def derive_seed(root_seed: int, stage: str, index: int = 0) -> int:
 
 @dataclass
 class Task:
-    """One root seed's problem, network and sketched features.
+    """One root seed's network and sketched features.
 
-    sketch_op is the sketch's record, not its P x k matrix: once both splits
-    are sketched nothing reads the matrix, and at wide P it would be the
-    largest array the task holds. sample_orthonormal redraws it from the
-    record when a caller needs it. spectra is the holder made for
+    The features carry all a method reads of the data, the class ids and
+    model logits included, so the task holds no dataset. sketch_op is the
+    sketch's record, not its P x k matrix: once both splits are sketched
+    nothing reads the matrix, and at wide P it would be the largest array
+    the task holds. sample_orthonormal redraws it from the record when a
+    caller needs it. spectra is the holder made for
     train_feats that every run_method call reads. A task made from another
     by dataclasses.replace shares it; one whose train_feats were replaced
     is refused by every method but full.
     """
 
     cfg: RunConfig
-    train: LabeledDataset
-    test: LabeledDataset
     model: MlpParams
     sketch_op: SketchRecord
     train_feats: GradientFeatures  # sketched
@@ -144,11 +144,12 @@ def distill_features(
 
 
 def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
-    """Data, trained model, and sketched features for one root seed.
+    """Trained model and sketched features for one root seed.
 
     The staged CLI runs the same stage functions, one per subcommand. The
-    sketch matrix is drawn once, applied to both splits and dropped; the
-    task keeps its record and a KernelSpectra made for its train_feats.
+    splits are drawn, trained on and sketched, then dropped. The sketch
+    matrix is drawn once, applied to both splits and dropped too; the task
+    keeps its record and a KernelSpectra made for its train_feats.
     """
     train, test = split_mixture(cfg, derive_seed(root_seed, "gen-data"))
     model = train_model(cfg, train, root_seed)
@@ -157,8 +158,6 @@ def prepare_task(cfg: RunConfig, root_seed: int) -> Task:
     test_feats = sketched_features(model, test.inputs, test.labels, op)
     return Task(
         cfg=cfg,
-        train=train,
-        test=test,
         model=model,
         sketch_op=op.record,
         train_feats=train_feats,

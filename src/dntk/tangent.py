@@ -412,13 +412,6 @@ def chain_rule_check(params: MlpParams, x, y, loss: str = "cross_entropy") -> fl
     return float(gap / denom)
 
 
-def cross_entropy(params: MlpParams, data: LabeledDataset) -> float:
-    logits = forward_batch(params, data.inputs)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-logp[np.arange(data.size), data.labels].mean())
-
-
 # ---------------------------------------------------------------- datasets
 
 def gen_gaussian_mixture(
@@ -459,8 +452,10 @@ def train_sgd(
 ) -> MlpParams:
     """Mini-batch SGD on softmax cross-entropy with seeded shuffling.
 
-    epochs = 0 returns an unchanged copy. Raises Divergence as soon as the
-    parameters or the epoch loss stop being finite.
+    One forward trace per batch, and no other pass over the data.
+    epochs = 0 returns an unchanged copy. Raises Divergence when the given
+    parameters are not finite, and at the end of the first epoch after
+    which they are not.
     """
     if data.class_count != params.class_count:
         raise DimMismatch("dataset class count does not match the network head")
@@ -471,18 +466,17 @@ def train_sgd(
     model = replace(params, theta=theta)
     rng = np.random.default_rng(seed)
     targets = one_hot(data.labels, data.class_count)
-    for _ in range(epochs):
+    if not np.isfinite(theta).all():
+        raise Divergence("initial parameters are not finite")
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(data.size)
         for start in range(0, data.size, batch):
             idx = order[start : start + batch]
             trace = _forward_trace(model, inputs[idx])
             dz = (_softmax(trace[1][-1]) - targets[idx]) / idx.size
             theta -= lr * _backprop(model, trace, dz)
-        loss = cross_entropy(model, data)
-        if not np.isfinite(loss):
-            raise Divergence(f"training loss became {loss}")
-    if not np.all(np.isfinite(theta)):
-        raise Divergence("parameters became non-finite")
+        if not np.isfinite(theta).all():
+            raise Divergence(f"parameters became non-finite in epoch {epoch}")
     return model
 
 

@@ -7,7 +7,8 @@ import numpy as np
 from dntk.errors import ZeroTrace
 from dntk.numerics import as_matrix, thin_svd
 from dntk.sketch import COL_BLOCK
-from dntk.tangent import ROW_BATCH, GradientFeatures, _logit_backprop, layer_factors, one_hot
+from dntk.tangent import (ROW_BATCH, GradientFeatures, _logit_backprop, forward_batch,
+                          layer_factors, one_hot)
 
 # sample counts around ROW_BATCH (32): a lone partial batch (1, 23), one
 # exact batch, a full batch and a one-row last one, and three full batches
@@ -64,6 +65,15 @@ def reference_per_class(params, x):
                         out=rows[:, :, pos:w_end].reshape(c, -1, fan_out, fan_in))
             rows[:, :, w_end : w_end + fan_out] = dz_c
     return out
+
+
+def cross_entropy(params, data) -> float:
+    """Mean softmax cross-entropy of the network's logits on a labeled
+    dataset: the loss train_sgd descends, scored on the whole set."""
+    logits = forward_batch(params, data.inputs)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(data.size), data.labels].mean())
 
 
 def traced_peak(fn):

@@ -211,6 +211,23 @@ class TestStageChain:
         assert [r.method for r in rows] == ["distill", "random"]
         assert rows[1].s == 6
 
+    def test_bare_evaluate_tags_the_set_fit_on(self, rundir, tmp_path, capsys):
+        # krr_model.npz records the set it was fit on, so evaluate without
+        # --method tags its row with that set, whichever fit came last
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        for source in ("random", "distilled", "full"):
+            assert main(["fit-krr", "--source", source, "--config", cfg]) == 0
+            assert main(["evaluate", "--config", cfg]) == 0
+        capsys.readouterr()
+        distilled = read_report(out / FILES["report"])[0]
+        rows = read_report(work / FILES["report"])[-3:]
+        assert [(r.method, r.s) for r in rows] == [("random", 6), ("distill", distilled.s),
+                                                   ("full", 24)]
+        assert rows[1] == distilled
+
     def test_fit_full_source(self, rundir, capsys):
         out, cfg = rundir
         assert main(["fit-krr", "--source", "full", "--config", cfg]) == 0
@@ -238,8 +255,6 @@ class TestStageChain:
         model = read_model(out / FILES["model"])
         task = pipeline.Task(
             cfg=cfg,
-            train=read_dataset(out / FILES["train"]),
-            test=read_dataset(out / FILES["test"]),
             model=model,
             sketch_op=SketchRecord(**json.loads((out / FILES["sketch_meta"]).read_text())),
             train_feats=train_feats,
@@ -1095,6 +1110,27 @@ class TestMalformedArtifacts:
         assert "Traceback" not in err
         assert not (work / FILES["krr"]).exists()
 
+    def test_model_without_its_set_exits_1(self, rundir, tmp_path, capsys):
+        # a krr_model.npz that does not record the set it was fit on cannot
+        # tag its row: evaluate refuses it, names the stage that writes it,
+        # and report.csv keeps its bytes
+        out, _ = rundir
+        work = tmp_path / "run"
+        shutil.copytree(out, work)
+        with np.load(work / FILES["krr"]) as z:
+            arrays = {k: z[k] for k in z.files if k != "method"}
+        np.savez(work / FILES["krr"], **arrays)
+        before = (work / FILES["report"]).read_bytes()
+        cfg = write_cfg(tmp_path / "cfg.json", work)
+        rc = main(["evaluate", "--config", cfg])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=ParseError") == 1
+        assert err.count("error_code=") == 1
+        assert "`dntk fit-krr`" in err
+        assert "Traceback" not in err
+        assert (work / FILES["report"]).read_bytes() == before
+
 
 # each stage that reads artifacts, and the artifacts it reads; report.csv,
 # which evaluate appends to, has its own test above
@@ -1181,3 +1217,31 @@ class TestOutDirPrecedence:
         capsys.readouterr()
         with np.load(out_a / FILES["train"]) as za, np.load(out_b / FILES["train"]) as zb:
             assert not np.allclose(za["inputs"], zb["inputs"])
+
+
+class TestStageDirectories:
+    # a stage that fails leaves no directory it made for its outputs
+    @pytest.mark.parametrize("stage, out", [(["train-model"], "newdir"), (["evaluate"], "a/b/c")],
+                             ids=["train-model", "evaluate-nested"])
+    def test_failed_stage_leaves_no_directory(self, tmp_path, capsys, stage, out):
+        cfg = write_cfg(tmp_path / "cfg.json", tmp_path / "cfg_out")
+        rc = main([*stage, "--config", cfg, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines().count("error_code=IoError") == 1
+        assert err.count("error_code=") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_failed_stage_keeps_the_directories_it_found(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        cfg = write_cfg(tmp_path / "cfg.json", tmp_path / "a" / "b")
+        assert main(["train-model", "--config", cfg]) == 1
+        capsys.readouterr()
+        assert [p.name for p in tmp_path.joinpath("a").iterdir()] == []
+
+    def test_gen_data_makes_nested_directories(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.json", tmp_path / "a" / "b" / "c")
+        assert main(["gen-data", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in (tmp_path / "a" / "b" / "c").iterdir()) == [
+            FILES["test"], FILES["train"]]

@@ -799,8 +799,8 @@ class TestNpzRoundtrips:
         assert (back.tau_v, back.tau_g) == (1.0, 0.0)
         model = fit(rng.normal(size=(2, 4, 10)), rng.normal(size=(4, 2)),
                     lambda_reg=0, scale_kind="none")
-        dio.write_krr(model, tmp_path / "k.npz")
-        assert dio.read_krr(tmp_path / "k.npz").lambda_reg == 0.0
+        dio.write_krr(model, "full", tmp_path / "k.npz")
+        assert dio.read_krr(tmp_path / "k.npz")[0].lambda_reg == 0.0
 
     def test_krr(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -808,12 +808,26 @@ class TestNpzRoundtrips:
         y = rng.normal(size=(6, 2))
         model = fit(basis, y, lambda_reg=0.01, scale_kind="none")
         path = tmp_path / "k.npz"
-        dio.write_krr(model, path)
-        back = dio.read_krr(path)
+        dio.write_krr(model, "leverage", path)
+        back, method = dio.read_krr(path)
         np.testing.assert_array_equal(back.alpha, model.alpha)
         np.testing.assert_array_equal(back.basis, model.basis)
         assert back.scale_kind == "none"
         assert back.lambda_reg == 0.01
+        assert method == "leverage"
+
+    @pytest.mark.parametrize("method", [None, "nosuch", "distilled"])
+    def test_krr_without_a_method_it_tags_is_refused(self, tmp_path, method):
+        # the set a model was fit on tags its report row, so it must be one
+        # of the report's methods; `distilled` is fit-krr's source, not a tag
+        model = fit(np.ones((2, 3, 4)) + np.eye(3, 4), np.ones((3, 2)), lambda_reg=0.01)
+        path = tmp_path / "k.npz"
+        dio.write_krr(model, "distill", path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files if k != "method"}
+        np.savez(path, **arrays, **({} if method is None else {"method": np.array(method)}))
+        with pytest.raises(ParseError, match="run `dntk fit-krr`"):
+            dio.read_krr(path)
 
     def test_krr_holds_no_eigensystem(self, tmp_path):
         # each class's eigensystem is rebuilt from the basis when it is
@@ -821,12 +835,12 @@ class TestNpzRoundtrips:
         # the (C, s, s) eig_vectors) reads back as the same model
         model = fit(np.ones((2, 3, 4)) + np.eye(3, 4), np.ones((3, 2)), lambda_reg=0.01)
         path = tmp_path / "k.npz"
-        dio.write_krr(model, path)
+        dio.write_krr(model, "distill", path)
         with np.load(path) as z:
-            assert z.files == ["basis", "alpha", "lambda_reg", "scale_kind"]
+            assert z.files == ["basis", "alpha", "lambda_reg", "scale_kind", "method"]
             arrays = dict(z)
         np.savez(path, **arrays, eig_values=np.ones((2, 3)), eig_vectors=np.ones((2, 3, 3)))
-        back = dio.read_krr(path)
+        back, _ = dio.read_krr(path)
         np.testing.assert_array_equal(back.basis, model.basis)
         np.testing.assert_array_equal(back.alpha, model.alpha)
 
@@ -835,11 +849,11 @@ class TestNpzRoundtrips:
         # reads only the schema's keys, so such an archive still loads
         model = fit(np.ones((2, 3, 4)) + np.eye(3, 4), np.ones((3, 2)), lambda_reg=0.01)
         path = tmp_path / "k.npz"
-        dio.write_krr(model, path)
+        dio.write_krr(model, "distill", path)
         with np.load(path) as z:
             arrays = dict(z)
         np.savez(path, **{**arrays, "targets": np.ones((3, 2))})
-        back = dio.read_krr(path)
+        back, _ = dio.read_krr(path)
         np.testing.assert_array_equal(back.alpha, model.alpha)
         assert "targets" not in {f.name for f in dataclasses.fields(back)}
 
@@ -855,7 +869,7 @@ def _valid_bundles(tmp_path):
                     dio.read_dataset),
         "MODEL": (lambda p: dio.write_model(init_params([5, 8, 2], seed=1), p), dio.read_model),
         "DISTILLED": (lambda p: dio.write_distilled(dg, report, p), dio.read_distilled),
-        "KRR": (lambda p: dio.write_krr(model, p), dio.read_krr),
+        "KRR": (lambda p: dio.write_krr(model, "random", p), dio.read_krr),
         "SELECTION": (
             lambda p: dio.write_selection(SelectionResult(np.array([4, 0, 7]), "random", 3), p),
             lambda p: dio.read_selection(p, 8, "random"),

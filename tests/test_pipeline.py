@@ -110,7 +110,8 @@ class TestPrepareTask:
     def test_fused_sketch_matches_two_step(self):
         cfg = tiny_cfg()
         task = pipeline.prepare_task(cfg, root_seed=5)
-        raw = extract_features(task.model, task.train.inputs, task.train.labels)
+        train, _ = pipeline.split_mixture(cfg, pipeline.derive_seed(5, "gen-data"))
+        raw = extract_features(task.model, train.inputs, train.labels)
         two_step = project_features(raw, sample_orthonormal(**vars(task.sketch_op)))
         # both contract the same factors in the same row batches
         assert_array_equal(task.train_feats.per_class, two_step.per_class)
@@ -297,11 +298,13 @@ class TestPrepareTask:
     def test_square_sketch_when_k_reaches_param_count(self):
         # k_sketch >= P clamps to a P x P sketch, an orthogonal matrix, so
         # the sketched kernels equal the raw ones
-        task = pipeline.prepare_task(tiny_cfg(k_sketch=10_000), root_seed=5)
+        cfg = tiny_cfg(k_sketch=10_000)
+        task = pipeline.prepare_task(cfg, root_seed=5)
         q = sample_orthonormal(**vars(task.sketch_op)).q
         assert q.shape == (83, 83) and task.sketch_op.scale == 1.0
         assert np.abs(q.T @ q - np.eye(83)).max() <= 1e-12
-        raw = extract_features(task.model, task.train.inputs, task.train.labels)
+        train, _ = pipeline.split_mixture(cfg, pipeline.derive_seed(5, "gen-data"))
+        raw = extract_features(task.model, train.inputs, train.labels)
         assert_allclose(kernel.build_stack(task.train_feats), kernel.build_stack(raw),
                         rtol=1e-10, atol=1e-13)
 
@@ -434,9 +437,8 @@ class TestRunMethod:
         rng = np.random.default_rng(8)
         train = feats_from_blocks(rng.normal(size=(c, n, d)), rng.integers(0, c, n))
         test = feats_from_blocks(rng.normal(size=(c, n, d)), rng.integers(0, c, n))
-        task = pipeline.Task(cfg=tiny_cfg(), train=None, test=None, model=None,
-                             sketch_op=None, train_feats=train, test_feats=test,
-                             spectra=None)
+        task = pipeline.Task(cfg=tiny_cfg(), model=None, sketch_op=None,
+                             train_feats=train, test_feats=test, spectra=None)
         rows = []
         peak = traced_peak(lambda: rows.append(pipeline.evaluate_gradient_set(
             train.per_class, train.model_logits, task, "full", 0)))

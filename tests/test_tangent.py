@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import N_AROUND_ROW_BATCH, class_blocks, positioned_backprop
+from helpers import N_AROUND_ROW_BATCH, class_blocks, cross_entropy, positioned_backprop
 
+from dntk import tangent
 from dntk.errors import DimMismatch, Divergence
 from dntk.metrics import accuracy
 from dntk.tangent import (
@@ -13,7 +14,6 @@ from dntk.tangent import (
     _act_grad,
     _unpack,
     chain_rule_check,
-    cross_entropy,
     extract_features,
     forward,
     forward_batch,
@@ -311,6 +311,28 @@ class TestTrainSgd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(Divergence):
                 train_sgd(p, data, lr=0.1, epochs=3, batch=4, seed=10)
+
+    def test_non_finite_start_is_divergence_at_zero_epochs(self):
+        data = gen_gaussian_mixture(2, 4, 4, 0.5, seed=14)
+        p = init_params([4, 6, 2], seed=15)
+        theta = p.theta.copy()
+        theta[3] = np.nan
+        with pytest.raises(Divergence):
+            train_sgd(p.with_theta(theta), data, lr=0.1, epochs=0, batch=4, seed=16)
+
+    def test_one_forward_trace_per_batch(self, monkeypatch):
+        # n = 24 in batches of 8 for 3 epochs: 9 batches, and no other pass
+        # over the data, such as scoring the whole set after each epoch
+        calls, trace = [], tangent._forward_trace
+
+        def counted(params, xb):
+            calls.append(xb.shape[0])
+            return trace(params, xb)
+
+        monkeypatch.setattr(tangent, "_forward_trace", counted)
+        data = gen_gaussian_mixture(3, 8, 5, 0.5, seed=17)
+        train_sgd(init_params([5, 7, 3], seed=18), data, lr=0.1, epochs=3, batch=8, seed=19)
+        assert calls == [8] * 9
 
     def test_inputs_of_wrong_width_are_dim_mismatch(self):
         # 10-wide inputs for a 5-input net are refused before any batch runs
