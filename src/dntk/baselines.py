@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import KernelSpectra, _sq_dists_to, kmeans_fit
+from .cluster import KernelSpectra, _sq_dists_to, kernel_eig, kmeans_fit
 from .errors import EmptyInput, RankTooLarge, STooLarge, ZeroScores
-from .numerics import as_matrix, sym_eig
+from .numerics import as_matrix
 
 METHODS = ("random", "leverage", "fps", "kmeans")
 
@@ -56,14 +56,15 @@ def select_leverage(
     Scores are squared row norms of the top-r eigenvector block, so they
     sum to r exactly. Indices with zero score are only used to top up when
     fewer than s samples carry positive leverage. The eigensystem comes
-    from spectra, the kernel's holder, or is computed here when None.
+    from spectra, the kernel's holder, or is computed here by
+    cluster.kernel_eig when None; either refuses one that does not fit.
     """
     k = as_matrix(kernel_matrix, "kernel")
     m = k.shape[0]
     _check_budget(m, s)
     if r < 1 or r > m:
         raise RankTooLarge(f"rank r={r} invalid for m={m}")
-    eig = spectra.eig(k) if spectra is not None else sym_eig(k)
+    eig = spectra.eig(k) if spectra is not None else kernel_eig(k)
     scores = (eig.vectors[:, :r] ** 2).sum(axis=1)
     total = scores.sum()
     if total <= 0.0:

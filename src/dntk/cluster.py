@@ -32,8 +32,9 @@ from .errors import (
     IndexOutOfRange,
     InputError,
 )
-from .kernel import average_kernel, build_stack
-from .numerics import EigenSystem, as_matrix, sym_eig
+from .kernel import build_stack
+from .numerics import EigenSystem, as_matrix, sym_eig, sym_eig_bytes
+from .sketch import require_memory
 from .tangent import GradientFeatures
 
 KMEANS_RESTARTS = 20
@@ -197,17 +198,46 @@ class LaplacianSpectrum:
 
 def laplacian_spectrum(kbar) -> LaplacianSpectrum:
     """Split off the zero-degree samples of the clamped affinity max(kbar, 0)
-    and decompose the symmetric normalized Laplacian of the rest."""
-    affinity = np.maximum(as_matrix(kbar, "kbar"), 0.0)
-    degrees = affinity.sum(axis=1)
+    and decompose the symmetric normalized Laplacian of the rest.
+
+    The Laplacian I - D^{-1/2} A D^{-1/2} is formed in the affinity's own
+    buffer: scaled by D^{-1/2} from each side, subtracted from 0 and given
+    1 on its diagonal, which is the bits of subtracting the scaled affinity
+    from I. With no zero-degree sample the row sums are the degrees; with
+    some, the connected block is copied out and its rows summed again. The
+    affinity and the Laplacian's eigensystem are refused with
+    InsufficientMemory before they are made if they do not fit.
+    """
+    k = as_matrix(kbar, "kbar")
+    n = k.shape[0]
+    require_memory(8 * n * n + sym_eig_bytes(n),
+                   f"the Laplacian of a {n} x {n} kernel and its eigensystem")
+    lap = np.maximum(k, 0.0)
+    degrees = lap.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0.0)
     connected = np.flatnonzero(degrees > 0.0)
     if connected.size == 0:
         return LaplacianSpectrum(isolated, connected, None)
-    sub = affinity[np.ix_(connected, connected)]
-    inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
-    lap = np.eye(connected.size) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
+    if isolated.size:
+        lap = lap[np.ix_(connected, connected)]
+        degrees = lap.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    np.subtract(0.0, lap, out=lap)  # not a negation: an entry of 0 stays +0
+    diag = np.arange(connected.size)
+    lap[diag, diag] += 1.0
     return LaplacianSpectrum(isolated, connected, sym_eig(lap))
+
+
+def kernel_eig(kernel_matrix) -> EigenSystem:
+    """sym_eig of a square kernel, refused with InsufficientMemory before
+    the decomposition's arrays (numerics.sym_eig_bytes) are made if they
+    are larger than the memory left."""
+    k = as_matrix(kernel_matrix, "kernel")
+    n = k.shape[0]
+    require_memory(sym_eig_bytes(n), f"the eigensystem of a {n} x {n} kernel")
+    return sym_eig(k)
 
 
 def eigen_coordinates(eig: EigenSystem) -> np.ndarray:
@@ -223,9 +253,13 @@ class KernelSpectra:
     on first use and held: the eigensystem and Laplacian spectrum of the
     first kbar given, which must come from kbar(), and the eigen-coordinates
     of that eigensystem. kbar() forms the averaged kernel anew on every
-    call. One lock makes the first use compute once when cells share a
-    holder across threads, and the held arrays are read-only, since every
-    caller shares them.
+    call, through build_stack's averaging mode, which adds the class
+    kernels into one n x n sum through one n x n buffer, so two n x n
+    arrays are made where a stack made C + 1. Each n x n array is refused
+    with InsufficientMemory before it is made if it does not fit. One lock
+    makes the first use compute once when cells share a holder across
+    threads, and the held arrays are read-only, since every caller shares
+    them.
     """
 
     def __init__(self, feats: GradientFeatures):
@@ -241,12 +275,13 @@ class KernelSpectra:
         return cls(feats) if spectra is None else spectra
 
     def kbar(self) -> np.ndarray:
-        """The class-averaged kernel of feats, at build_stack's default scale."""
-        return average_kernel(build_stack(self.feats))
+        """The class-averaged kernel of feats, at build_stack's default scale,
+        summed class by class with no (C, n, n) stack behind it."""
+        return build_stack(self.feats, average=True)
 
     def eig(self, kbar) -> EigenSystem:
-        """sym_eig(kbar), computed once."""
-        return self._get("eig", sym_eig, self._square(kbar))
+        """kernel_eig(kbar), computed once."""
+        return self._get("eig", kernel_eig, self._square(kbar))
 
     def laplacian(self, kbar) -> LaplacianSpectrum:
         """laplacian_spectrum(kbar), computed once."""

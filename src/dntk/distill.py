@@ -28,7 +28,8 @@ import numpy as np
 from .errors import BadEps, InputError, RankZeroCluster
 from .cluster import ClusterPartition, KernelSpectra, restrict_kernel, spectral_cluster
 from .kernel import kept_rank
-from .numerics import EigenSystem, qr_redundancy_filter, sym_eig
+from .numerics import EigenSystem, qr_redundancy_filter, sym_eig, sym_eig_bytes
+from .sketch import require_memory
 from .tangent import GradientFeatures
 
 # provenance kinds, the first entry of each provenance row
@@ -65,7 +66,16 @@ def local_eigensystems(
     kbar: np.ndarray, partition: ClusterPartition, tau_v: float
 ) -> list[tuple[EigenSystem, int]]:
     """Per-cluster eigendecomposition of the restricted kernel plus its
-    kept rank at the shared variance threshold."""
+    kept rank at the shared variance threshold.
+
+    Every cluster's eigenvectors are held, and beside them the largest
+    cluster's kernel and decomposition at most: that is refused with
+    InsufficientMemory before the first is made if it does not fit."""
+    sizes = [idx.size for idx in partition.index_sets]
+    largest = max(sizes)
+    require_memory(8 * sum(m * m for m in sizes) + 8 * largest * largest
+                   + sym_eig_bytes(largest), f"the eigensystems of {len(sizes)} clusters "
+                   f"of at most {largest} samples")
     systems = []
     for h, idx in enumerate(partition.index_sets):
         sub = restrict_kernel(kbar, idx)

@@ -2,9 +2,10 @@
 
 A class kernel is the Gram matrix of one class's gradient rows, optionally
 scaled by 1/width so eigenvalues stay comparable across sketch sizes.
-scaled_gram, the one routine that forms it, serves build_stack (clustering,
-distillation) and krr.fit alike. kept_rank is the one rule for how many
-eigenmodes a truncation keeps. It, spectrum_conditioning and
+scaled_gram, the one routine that forms it, serves build_stack (the staged
+kernel statistics, and the averaged kernel clustering, distillation and the
+leverage baseline read) and krr.fit alike. kept_rank is the one rule for
+how many eigenmodes a truncation keeps. It, spectrum_conditioning and
 effective_dimension read a spectrum alone: the kernel-stats stage fills
 kernel_stats.csv's columns from numerics.sym_eigvals through them, and
 spectrum_conditioning fills the report's conditioning columns.
@@ -30,19 +31,35 @@ def scale_factor(scale_kind: str, width: int) -> float:
     return 1.0 / width if scale_kind == "inv_k" else 1.0
 
 
-def build_stack(feats: GradientFeatures, scale_kind: str = "inv_k") -> np.ndarray:
-    """(C, n, n): one Gram matrix per class, all at the same scale.
+def build_stack(
+    feats: GradientFeatures, scale_kind: str = "inv_k", average: bool = False
+) -> np.ndarray:
+    """(C, n, n): one Gram matrix per class, all at the same scale; with
+    average, their mean, (n, n), with no stack behind it.
 
-    A stack larger than the memory left is refused with InsufficientMemory
-    before it is made.
+    The mean is summed as average_kernel sums a stack, class by class in
+    class order, and divided by C once, so it has average_kernel's bits.
+    Each class kernel after the first is formed in one n x n buffer and
+    added to the sum, so two n x n arrays are held, not C + 1. An array
+    larger than the memory left is refused with InsufficientMemory before
+    it is made.
     """
     scale = scale_factor(scale_kind, feats.width)
     c, n = feats.class_count, feats.size
-    require_memory(8 * c * n * n, f"a {c} x {n} x {n} kernel stack")
-    stack = np.empty((c, n, n))
-    for ci in range(c):
-        scaled_gram(feats.per_class[ci], scale, stack[ci])
-    return stack
+    if not average:
+        require_memory(8 * c * n * n, f"a {c} x {n} x {n} kernel stack")
+        stack = np.empty((c, n, n))
+        for ci in range(c):
+            scaled_gram(feats.per_class[ci], scale, stack[ci])
+        return stack
+    require_memory(2 * 8 * n * n, f"a {n} x {n} averaged kernel and one class kernel")
+    total, gram = np.empty((n, n)), np.empty((n, n))
+    scaled_gram(feats.per_class[0], scale, total)
+    for ci in range(1, c):
+        scaled_gram(feats.per_class[ci], scale, gram)
+        total += gram
+    total /= c
+    return total
 
 
 def scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
@@ -62,11 +79,18 @@ def scaled_gram(phi: np.ndarray, scale: float, out: np.ndarray) -> None:
 
 
 def average_kernel(stack: np.ndarray) -> np.ndarray:
-    """Unweighted mean of a (C, n, n) stack of per-class kernels.
+    """Unweighted mean of a (C, n, n) stack of per-class kernels: the layers
+    summed in class order, then divided by C.
 
-    Each layer from scaled_gram is exactly symmetric, so the mean is too.
+    That is stack.mean(axis=0)'s order at n > 1, and the order
+    build_stack(average=True) sums in at every n. Each layer from
+    scaled_gram is exactly symmetric, so the mean is too.
     """
-    return stack.mean(axis=0)
+    total = stack[0].copy()
+    for layer in stack[1:]:
+        total += layer
+    total /= stack.shape[0]
+    return total
 
 
 def truncation_rank(eigvals, eps: float) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadLambda, ScaleMismatch, ShapeMismatch, SingularSystem
 from .kernel import scale_factor, scaled_gram
-from .numerics import COND_LIMIT, sym_eig
+from .numerics import COND_LIMIT, sym_eig, sym_eig_bytes
 from .sketch import require_memory
 
 
@@ -60,12 +60,14 @@ def _solve_alpha(values, vectors, y, lambda_reg):
 def class_eigensystems(basis, scale_kind: str):
     """(ci, rows, eig) per class in turn: class ci's (s, D) rows of basis and
     sym_eig of their Gram at scale_kind's scale. The one s x s kernel and
-    eigenvectors held at a time are refused with InsufficientMemory, before
-    they are made, if they are larger than the memory left."""
+    its decomposition (numerics.sym_eig_bytes) held at a time are refused
+    with InsufficientMemory, before they are made, if they are larger than
+    the memory left."""
     b = _rows(basis, "basis")
     c, s, d = b.shape
     factor = scale_factor(scale_kind, d)
-    require_memory(2 * 8 * s * s, f"a {s} x {s} class kernel and its eigenvectors")
+    require_memory(8 * s * s + sym_eig_bytes(s),
+                   f"a {s} x {s} class kernel and its eigensystem")
     gram = np.empty((s, s))
     for ci in range(c):
         scaled_gram(b[ci], factor, gram)

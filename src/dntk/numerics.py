@@ -101,6 +101,16 @@ def sym_eig(s_matrix) -> EigenSystem:
     return EigenSystem(values=w[::-1].copy(), vectors=fix_signs(u[:, ::-1]))
 
 
+def sym_eig_bytes(n: int) -> int:
+    """Bytes sym_eig holds beside an n x n input at its peak, inside eigh:
+    the symmetrized copy, LAPACK's copy of it, dsyevd's workspace of
+    2 n^2 + 6 n + 1 floats and 5 n + 3 integers (counted at 8 bytes), and
+    the eigenvectors and eigenvalues. fix_signs' copy and n x n mask are
+    made once LAPACK's arrays and the symmetrized copy are freed, and take
+    less than those did."""
+    return 8 * (5 * n * n + 13 * n + 4)
+
+
 def sym_eigvals(s_matrix) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending.
 

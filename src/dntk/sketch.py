@@ -13,7 +13,8 @@ only by column signs and roundoff. The target dimension for a tolerance
 eps follows the usual log-cardinality rule: the smallest integer strictly
 greater than 8 ln(n) / eps^2. A draw the machine's free memory cannot hold
 is refused with InsufficientMemory before it is made, by require_memory,
-which guards the kernel stack and the ridge eigenvectors the same way.
+which guards the kernel stack, the averaged kernel and every n x n
+eigendecomposition the same way.
 
 One contraction applies it, _fused_sketch, to the one producer interface
 of the backward pass's factors, a ClassRows's batches(): one array of

@@ -88,6 +88,22 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def laplacian_reference(kbar):
+    """(isolated, connected, Laplacian) of the clamped affinity max(kbar, 0)
+    by the textbook formula, each step its own array: the connected block
+    copied out, its rows summed, and I - D^{-1/2} A D^{-1/2} formed from
+    np.eye and two products. The reference cluster.laplacian_spectrum, which
+    forms the Laplacian in the affinity's buffer, is checked against bit
+    for bit."""
+    affinity = np.maximum(as_matrix(kbar, "kbar"), 0.0)
+    degrees = affinity.sum(axis=1)
+    isolated = np.flatnonzero(degrees <= 0.0)
+    connected = np.flatnonzero(degrees > 0.0)
+    sub = affinity[np.ix_(connected, connected)]
+    inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
+    return isolated, connected, np.eye(connected.size) - inv_sqrt[:, None] * sub * inv_sqrt[None, :]
+
+
 def orthonormal_rows_basis(rows, eps_rel: float = 1e-10) -> np.ndarray:
     """Orthonormal basis for the span of a set of row vectors, by SVD: the
     reference metrics.eig_rows_basis is tested against."""

@@ -37,7 +37,7 @@ from dntk.io import (
     read_report,
     read_selection,
 )
-from dntk.numerics import sym_eigvals
+from dntk.numerics import sym_eig_bytes, sym_eigvals
 from dntk.sketch import SketchRecord, sketch_bytes
 from dntk.tangent import extract_features, factor_record, param_count
 
@@ -491,18 +491,21 @@ class TestFreeMemory:
         assert "Traceback" not in err
         assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
 
-    @pytest.mark.parametrize("stage, what, written, arrays", [
-        (["kernel-stats"], "kernel stack", "kernel_stats", SMOKE["layer_sizes"][-1]),
-        (["fit-krr", "--source", "full"], "class kernel and its eigenvectors", "krr", 2),
-    ], ids=["kernel-stats", "fit-krr-full"])
+    @pytest.mark.parametrize("stage, what, written, need", [
+        (["kernel-stats"], "kernel stack", "kernel_stats",
+         8 * SMOKE["layer_sizes"][-1] * SMOKE["n_train"] ** 2),
+        (["distill-grads"], "averaged kernel and one class kernel", "distilled",
+         2 * 8 * SMOKE["n_train"] ** 2),
+        (["fit-krr", "--source", "full"], "class kernel and its eigensystem", "krr",
+         8 * SMOKE["n_train"] ** 2 + sym_eig_bytes(SMOKE["n_train"])),
+    ], ids=["kernel-stats", "distill-grads", "fit-krr-full"])
     def test_n_squared_arrays_larger_than_free_memory_exit_1(
-            self, rundir, tmp_path, capsys, monkeypatch, stage, what, written, arrays):
-        # the (C, n, n) stack, and full's n x n class kernel and its
-        # eigenvectors, held one class at a time, are refused before they
+            self, rundir, tmp_path, capsys, monkeypatch, stage, what, written, need):
+        # the (C, n, n) stack, distill's n x n averaged kernel and the class
+        # kernel added into it, and full's n x n class kernel and its
+        # decomposition, held one class at a time, are refused before they
         # are made, through the error_code= path
         src, cfg = rundir
-        n = SMOKE["n_train"]
-        need = 8 * arrays * n * n
         work = tmp_path / "run"
         shutil.copytree(src, work)
         (work / FILES[written]).unlink()

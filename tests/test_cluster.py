@@ -4,14 +4,16 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import clustered_rows, feats_from_blocks, kmeans_restart_loop, traced_peak
+from helpers import (clustered_rows, feats_from_blocks, kmeans_restart_loop, laplacian_reference,
+                     traced_peak)
 
-from dntk import cluster
+from dntk import cluster, sketch
 from dntk.errors import (
     DisconnectedDegenerate,
     HTooLarge,
     IndexOutOfRange,
     InputError,
+    InsufficientMemory,
 )
 from dntk.cluster import (
     KMEANS_RESTARTS,
@@ -21,11 +23,13 @@ from dntk.cluster import (
     _sq_dists,
     kmeans_fit,
     eigen_coordinates,
+    kernel_eig,
+    laplacian_spectrum,
     restrict_kernel,
     spectral_cluster,
 )
 from dntk.kernel import average_kernel, build_stack
-from dntk.numerics import sym_eig
+from dntk.numerics import sym_eig, sym_eig_bytes
 
 
 def block_kernel(sizes, value=1.0, seed=None):
@@ -318,6 +322,83 @@ class TestSpectralCluster:
         assert index_sets(shared) == index_sets(alone)
 
 
+def gram_with_isolated(n, seed, isolated=(3, 17, 40)):
+    """A Gram matrix with negative entries, which the affinity clamps to
+    exact zeros, and the rows and columns of the isolated samples zeroed."""
+    x = np.random.default_rng(seed).normal(size=(n, 6)) + 0.3
+    k = x @ x.T
+    k[list(isolated), :] = 0.0
+    k[:, list(isolated)] = 0.0
+    return k
+
+
+class TestLaplacianSpectrum:
+    @pytest.mark.parametrize("isolated", [(3, 17, 40), ()], ids=["isolated", "connected"])
+    def test_equals_the_textbook_formula(self, monkeypatch, isolated):
+        # the Laplacian handed to sym_eig has the bits of I - D^-1/2 A D^-1/2
+        # formed step by step, the signs of its zeros included, and with
+        # isolated samples the degrees of the connected block are summed
+        # over its own rows, which rounds apart from the full rows' sums
+        k = gram_with_isolated(120, 5, isolated)
+        seen = []
+        monkeypatch.setattr(cluster, "sym_eig", lambda lap: seen.append(lap.copy()) or sym_eig(lap))
+        got = laplacian_spectrum(k)
+        iso, con, lap = laplacian_reference(k)
+        np.testing.assert_array_equal(got.isolated, iso)
+        np.testing.assert_array_equal(got.connected, con)
+        assert len(seen) == 1 and seen[0].tobytes() == lap.tobytes()
+        ref = sym_eig(lap)
+        assert got.eig.values.tobytes() == ref.values.tobytes()
+        assert got.eig.vectors.tobytes() == ref.vectors.tobytes()
+
+    def test_leaves_the_kernel_as_it_was(self):
+        k = gram_with_isolated(50, 6)
+        before = k.copy()
+        laplacian_spectrum(k)
+        assert k.tobytes() == before.tobytes()
+
+    def test_peak_memory_is_the_affinity_and_its_eigensystem(self, monkeypatch):
+        # about 4.1 n^2 floats, where the copy, np.eye and the product
+        # temporaries of the textbook formula took 6.14 n^2; one byte less
+        # than the traced peak is refused
+        n = 400
+        k = gram_with_isolated(n, 7, ())
+        peak = traced_peak(lambda: laplacian_spectrum(k))
+        assert peak <= 4.2 * 8 * n * n
+        monkeypatch.setattr(sketch, "available_memory", lambda: peak - 1)
+        with pytest.raises(InsufficientMemory):
+            laplacian_spectrum(k)
+
+    def test_refuses_a_laplacian_larger_than_free_memory(self, monkeypatch):
+        k = gram_with_isolated(50, 8)
+        need = 8 * 50 * 50 + sym_eig_bytes(50)
+        ref = laplacian_spectrum(k)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory, match=f"the Laplacian of a 50 x 50 kernel and its "
+                                                     f"eigensystem needs {need} bytes"):
+            laplacian_spectrum(k)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need)
+        assert laplacian_spectrum(k).eig.vectors.tobytes() == ref.eig.vectors.tobytes()
+
+
+class TestKernelEig:
+    def test_is_sym_eig(self):
+        k = gram_with_isolated(30, 9, ())
+        got, ref = kernel_eig(k), sym_eig(k)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.vectors.tobytes() == ref.vectors.tobytes()
+
+    def test_refuses_an_eigensystem_larger_than_free_memory(self, monkeypatch):
+        k = gram_with_isolated(30, 9, ())
+        need = sym_eig_bytes(30)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory,
+                           match=f"the eigensystem of a 30 x 30 kernel needs {need} bytes"):
+            kernel_eig(k)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need)
+        kernel_eig(k)
+
+
 class TestKernelSpectra:
     @staticmethod
     def counted_sym_eig(monkeypatch):
@@ -342,6 +423,35 @@ class TestKernelSpectra:
         for k in (first, second):
             assert k.tobytes() == expected.tobytes()
             assert k.flags.writeable
+
+    def test_kbar_peak_memory_is_two_n_by_n_arrays(self, monkeypatch):
+        # about 2.0 n^2 floats at C = 10 and n = 400, where averaging a
+        # whole stack took 11.0 n^2, and the refusal covers it
+        c, n = 10, 400
+        spectra = self.holder(4, (c, n, 64))
+        peak = traced_peak(spectra.kbar)
+        assert peak <= 2 * 8 * n * n * 1.01
+        # the refusal counts array data, not the array objects' headers
+        monkeypatch.setattr(sketch, "available_memory", lambda: peak - 4096)
+        with pytest.raises(InsufficientMemory):
+            spectra.kbar()
+
+    def test_decompositions_are_refused_before_they_are_made(self, monkeypatch):
+        # with room for kbar but not for a decomposition, each entry is
+        # refused and nothing is held; with room, it is computed
+        calls = self.counted_sym_eig(monkeypatch)
+        spectra = self.holder()
+        k = spectra.kbar()
+        monkeypatch.setattr(sketch, "available_memory", lambda: sym_eig_bytes(9) - 1)
+        with pytest.raises(InsufficientMemory, match="eigensystem of a 9 x 9 kernel"):
+            spectra.eig(k)
+        with pytest.raises(InsufficientMemory, match="Laplacian of a 9 x 9 kernel"):
+            spectra.laplacian(k)
+        assert calls == []
+        monkeypatch.setattr(sketch, "available_memory", lambda: None)
+        spectra.eig(k)
+        spectra.laplacian(k)
+        assert len(calls) == 2
 
     def test_equal_bytes_decompose_once(self, monkeypatch):
         calls = self.counted_sym_eig(monkeypatch)
@@ -433,8 +543,8 @@ class TestKernelSpectra:
     def test_coordinates_read_the_held_eigensystem(self, monkeypatch):
         # kbar is formed only by a holder that holds no eigensystem yet
         stacks = []
-        monkeypatch.setattr(cluster, "build_stack", lambda feats: stacks.append(1) or
-                            build_stack(feats))
+        monkeypatch.setattr(cluster, "build_stack", lambda feats, **kw: stacks.append(1) or
+                            build_stack(feats, **kw))
         spectra = self.holder(3, (2, 10, 6))
         eig = spectra.eig(spectra.kbar())
         assert len(stacks) == 1

@@ -17,10 +17,11 @@ from dntk.distill import (
     synthesize_local,
     weighted_local_containment,
 )
-from dntk.errors import BadEps, InputError, RankZeroCluster
+from dntk import sketch
+from dntk.errors import BadEps, InputError, InsufficientMemory, RankZeroCluster
 from dntk.kernel import average_kernel, build_stack
 from dntk.metrics import subspace_scores
-from dntk.numerics import sym_eig
+from dntk.numerics import sym_eig, sym_eig_bytes
 
 
 def clustered_feats(sizes, dim, seed, classes=1, noise=0.05):
@@ -66,6 +67,22 @@ class TestLocalEigensystems:
             ref = sym_eig(sub)
             np.testing.assert_allclose(eig.values, ref.values, atol=1e-12)
             assert 1 <= r_h <= idx.size
+
+    def test_refuses_eigensystems_larger_than_free_memory(self, monkeypatch):
+        # every cluster's eigenvectors, and the largest cluster's kernel and
+        # decomposition beside them, are refused before the first is made
+        feats = clustered_feats([5, 4], dim=10, seed=2)
+        kbar = average_kernel(build_stack(feats, "inv_k"))
+        part = spectral_cluster(kbar, 2, seed=0)
+        largest = max(idx.size for idx in part.index_sets)
+        need = (8 * sum(idx.size ** 2 for idx in part.index_sets) + 8 * largest ** 2
+                + sym_eig_bytes(largest))
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory, match=f"the eigensystems of 2 clusters of at "
+                                                     f"most {largest} samples needs {need} bytes"):
+            local_eigensystems(kbar, part, tau_v=0.99)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need)
+        assert len(local_eigensystems(kbar, part, tau_v=0.99)) == 2
 
     def test_zero_cluster_raises(self):
         kbar = np.zeros((4, 4))

@@ -135,6 +135,53 @@ class TestBuildStack:
             np.testing.assert_array_equal(build_stack(feats), ref)
 
 
+class TestAveragedStack:
+    LAYOUTS = {
+        "contiguous": lambda blocks: blocks,
+        "reversed_rows": lambda blocks: blocks[:, ::-1],
+        "column_major": lambda blocks: blocks.transpose(0, 2, 1).copy().transpose(0, 2, 1),
+    }
+
+    @pytest.mark.parametrize("shape, scale_kind, layout", [
+        ((1, 7, 5), "inv_k", "contiguous"),
+        ((11, 1, 5), "inv_k", "contiguous"),
+        ((1, 1, 3), "none", "contiguous"),
+        ((3, 37, 11), "none", "contiguous"),
+        ((3, 37, 11), "inv_k", "reversed_rows"),
+        ((4, 30, 12), "inv_k", "column_major"),
+        ((10, 500, 256), "inv_k", "contiguous"),
+        ((10, 500, 553), "inv_k", "contiguous"),
+    ], ids=["one_class", "one_sample", "one_of_each", "scale_none", "reversed_rows",
+            "column_major", "accept09", "default_config"])
+    def test_equals_the_mean_of_the_stack(self, shape, scale_kind, layout):
+        # the mean summed class by class has the bits of the stack's mean,
+        # the last two shapes being the sketched sets of acceptance test 9
+        # and of the default config
+        blocks = np.random.default_rng(sum(shape)).normal(size=shape)
+        feats = feats_from_blocks(self.LAYOUTS[layout](blocks))
+        stack = build_stack(feats, scale_kind)
+        kbar = build_stack(feats, scale_kind, average=True)
+        assert kbar.shape == shape[1:2] * 2
+        assert kbar.tobytes() == average_kernel(stack).tobytes()
+        if shape[1] > 1:
+            # numpy's mean over the class axis of a stack of n x n layers
+            # adds them in the same order; a lone sample's C values it sums
+            # pairwise, by blocks of 8, so at C = 11 it rounds differently
+            assert kbar.tobytes() == stack.mean(axis=0).tobytes()
+
+    def test_refuses_an_average_larger_than_free_memory(self, monkeypatch):
+        feats = feats_from_blocks(np.random.default_rng(6).normal(size=(3, 20, 5)))
+        need = 2 * 8 * 20 * 20
+        ref = build_stack(feats, average=True)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory, match=f"a 20 x 20 averaged kernel and one class "
+                                                     f"kernel needs {need} bytes, {need - 1}"):
+            build_stack(feats, average=True)
+        for left in (need, None):
+            monkeypatch.setattr(sketch, "available_memory", lambda: left)
+            assert build_stack(feats, average=True).tobytes() == ref.tobytes()
+
+
 class TestAverageKernel:
     def test_single_class_is_identity_map(self):
         rng = np.random.default_rng(1)

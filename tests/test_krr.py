@@ -2,13 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import class_blocks
+from helpers import class_blocks, traced_peak
 
 from dntk import sketch
 from dntk.errors import InsufficientMemory, ScaleMismatch, ShapeMismatch, SingularSystem
 from dntk.kernel import build_stack
 from dntk.krr import class_eigensystems, fit, predict
-from dntk.numerics import ridge_solve_direct, sym_eig
+from dntk.numerics import ridge_solve_direct, sym_eig, sym_eig_bytes
 from dntk.tangent import extract_features, gen_gaussian_mixture, init_params, one_hot
 
 
@@ -58,18 +58,31 @@ class TestFit:
             fit(basis, y, lambda_reg=0.0)
 
     def test_refuses_eigenvectors_larger_than_free_memory(self, monkeypatch):
-        # one class's 9 x 9 kernel and eigenvectors are held at a time
+        # one class's 9 x 9 kernel and its decomposition are held at a time
         basis = random_basis(9, 20, 3, seed=8)
         y = np.random.default_rng(9).normal(size=(9, 3))
-        need = 2 * 8 * 9 * 9
+        need = 8 * 9 * 9 + sym_eig_bytes(9)
         ref = fit(basis, y)
         monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
-        with pytest.raises(InsufficientMemory, match=f"9 x 9 class kernel and its eigenvectors "
+        with pytest.raises(InsufficientMemory, match=f"9 x 9 class kernel and its eigensystem "
                                                      f"needs {need} bytes, {need - 1} bytes"):
             fit(basis, y)
         for left in (need, None):
             monkeypatch.setattr(sketch, "available_memory", lambda: left)
             np.testing.assert_array_equal(fit(basis, y).alpha, ref.alpha)
+
+    @pytest.mark.parametrize("s", [200, 500])
+    def test_refusal_covers_what_one_class_holds(self, s, monkeypatch):
+        # one class's Gram, its symmetrized copy, eigh's vectors and
+        # fix_signs' copy and mask: about 4.13 s^2 floats under tracemalloc,
+        # and LAPACK's copy and workspace on top. With one byte less than
+        # the traced peak left, the class is refused before it is made
+        basis = random_basis(s, 40, 1, seed=10)
+        peak = traced_peak(lambda: list(class_eigensystems(basis, "inv_k")))
+        assert peak > 4 * 8 * s * s
+        monkeypatch.setattr(sketch, "available_memory", lambda: peak - 1)
+        with pytest.raises(InsufficientMemory):
+            next(class_eigensystems(basis, "inv_k"))
 
     def test_hands_each_class_eigensystem_over(self):
         # each(ci, rows, eig) sees every class once, in order, with the rows

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 from dntk.errors import EmptyInput, NonFinite, NotSquare, NotSymmetric, SingularSystem
 from dntk.numerics import (
@@ -9,6 +10,7 @@ from dntk.numerics import (
     qr_redundancy_filter,
     ridge_solve_direct,
     sym_eig,
+    sym_eig_bytes,
     sym_eigvals,
     thin_svd,
 )
@@ -69,6 +71,16 @@ class TestSymEig:
         a[0, 0] = np.nan
         with pytest.raises(NonFinite):
             sym_eig(a)
+
+
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_peak_memory_is_within_sym_eig_bytes(self, n):
+        # the symmetrized copy and the eigenvectors, then fix_signs' copy and
+        # mask: about 3.13 n^2 floats under tracemalloc, which does not see
+        # the copy and workspace LAPACK is given; sym_eig_bytes counts those
+        s = rand_psd(n, 3, rank=40)
+        peak = traced_peak(lambda: sym_eig(s))
+        assert 3 * 8 * n * n < peak <= sym_eig_bytes(n)
 
 
 class TestSymEigvals:
