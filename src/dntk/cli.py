@@ -12,7 +12,9 @@ io.read_gradients, and _read_grads refuses one whose header records the
 other kind of rows. `project` reads both raw splits (a raw file's header,
 layer widths, class ids and logits; its factors stay in the file) and
 checks their kinds, widths and class ids and the memory of the sketch and
-its larger output before it draws the sketch.
+one row batch of its output before it draws the sketch; io.write_gradients
+then streams each split's sketch to its file batch by batch, so no
+sketched split is held whole.
 `evaluate` holds one sketched split at a time, and writes the rows of the
 report.csv it found with its own row after them, tagged with --method or
 else with the set krr_model.npz records it was fit on. main parses the
@@ -56,8 +58,8 @@ from .io import (
     write_table,
 )
 from .numerics import rank_tolerance, sym_eigvals
-from .sketch import project_features, require_memory, sketch_bytes
-from .tangent import GradientFeatures, extract_features
+from .sketch import orthonormal_bytes, require_memory, sketch_bytes
+from .tangent import ROW_BATCH, GradientFeatures, extract_features
 
 FILES = {
     "train": "train.npz",
@@ -137,15 +139,16 @@ def cmd_project(cfg: RunConfig, out: Path, new, args) -> tuple[int, str]:
         raise DimMismatch(f"{_p(out, 'grads_test')} holds a network of layer widths "
                           f"{test.per_class.layer_sizes}, {_p(out, 'grads_train')} one of {sizes}")
     k = pipeline.sketch_width(cfg, d)
-    # Q stays while the splits are sketched one at a time, so it needs room
-    # beside the larger split's sketch
-    rows = max(m, test.size)
-    require_memory(8 * d * k + sketch_bytes(sizes, rows, k),
-                   f"a {d} x {k} sketch and its {c} x {rows} x {k} output")
+    # Q stays while the splits are streamed to their files one row batch at
+    # a time, so it needs room beside one (C, b, k) block, or the room its
+    # orthonormalization takes when that is more
+    rows = min(ROW_BATCH, max(m, test.size))
+    require_memory(max(orthonormal_bytes(d, k), 8 * d * k + sketch_bytes(sizes, rows, k)),
+                   f"a {d} x {k} sketch and its {c} x {rows} x {k} output block")
     op = pipeline.sketch_operator(cfg, d, cfg.seed)
     write_sketch_meta(op.record, new("sketch_meta"))
-    for split, raw in (("train", train), ("test", test)):  # factors read per row batch
-        write_gradients(project_features(raw, op), new(f"sketched_{split}"))
+    for split, raw in (("train", train), ("test", test)):  # sketched per row batch
+        write_gradients(raw, new(f"sketched_{split}"), op)
     return 0, f"sketched {op.source_dim} -> {op.target_dim} dimensions"
 
 

@@ -70,7 +70,7 @@ from .errors import (
 )
 from .kernel import SCALE_CHOICES
 from .krr import KrrModel
-from .sketch import SketchRecord
+from .sketch import SketchRecord, project_features
 from .tangent import (ACTIVATIONS, ROW_BATCH, ClassRows, GradientFeatures, LabeledDataset,
                       MlpParams, factor_record, param_count)
 
@@ -134,29 +134,37 @@ def gradient_file_bytes(m: int, d: int, c: int, layer_sizes=None) -> int:
     return _HEADER.size + factors + 8 * (m + m * c)
 
 
-def write_gradients(feats: GradientFeatures, path) -> None:
+def write_gradients(feats: GradientFeatures, path, sketch=None) -> None:
     """Serialize features with their kind; byte-identical output for identical inputs.
 
     Raw rows (a ClassRows) are written under kind byte 0 as the batches of
     factor records ClassRows.batches hands out, each as it is, in order;
-    sketched rows one class block at a time under kind byte 1. The file is
-    written through replacing, so rows read from the file at path, under
-    any of its names, are written back over it.
+    sketched rows under kind byte 1 as C class blocks, and raw rows given
+    the sketch as their sketch, each row batch put in those blocks as it is
+    sketched. The file is written through replacing, so rows read from the
+    file at path, under any of its names, are written back over it.
     """
-    m, d, c = feats.size, feats.width, feats.class_count
-    rows, path = feats.per_class, Path(path)
+    m, c = feats.size, feats.class_count
+    d = feats.width if sketch is None else sketch.target_dim
+    raw, rows, path = feats.raw and sketch is None, feats.per_class, Path(path)
     try:
         with replacing(path.parent) as new, open(new(path.name), "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, 0 if feats.raw else 1))
-            if feats.raw:
+            def put(start, block):  # class ci's row start is payload row ci * m + start
+                for ci in range(c):
+                    fh.seek(_HEADER.size + 8 * d * (ci * m + start))
+                    fh.write(np.ascontiguousarray(block[ci], dtype="<f8").data)
+
+            fh.write(_HEADER.pack(MAGIC, VERSION, m, d, c, 0 if raw else 1))
+            if raw:
                 sizes = rows.layer_sizes
                 fh.write(np.array((len(sizes), *sizes), dtype="<u4").data)
                 batches = rows.batches()
                 for _ in range(0, m, ROW_BATCH):  # each batch dropped before the next
                     fh.write(next(batches).data)
-            else:
-                for ci in range(c):
-                    fh.write(np.ascontiguousarray(rows[ci], dtype="<f8").data)
+            elif sketch is None:
+                put(0, rows)
+            else:  # the last batch's class C - 1 rows end the payload
+                project_features(feats, sketch, put)
             fh.write(np.ascontiguousarray(feats.labels, dtype="<i8").data)
             fh.write(np.ascontiguousarray(feats.model_logits, dtype="<f8").data)
     except OSError as exc:

@@ -24,11 +24,11 @@ from a raw gradient file for the staged CLI (project_features). Both hand
 it the same bytes in the same layout, and it takes COL_BLOCK sketch
 columns at a time, the only column block there is, so the staged sketch
 equals the in-process one bit for bit by construction, and neither builds
-a P-wide row. Besides its (C, n, k) output the contraction holds one batch
-of factor records and a workspace, neither of which grows with k;
-sketch_bytes gives all three, and an output the machine's free memory
-cannot hold is refused before it is made. project_features takes raw rows
-only, which are a ClassRows by type.
+a P-wide row. Besides its output, (C, n, k) or a streamed (C, ROW_BATCH, k)
+block, the contraction holds one batch of factor records and a workspace,
+neither of which grows with k; sketch_bytes gives all three, and an output
+the machine's free memory cannot hold is refused before it is made.
+project_features takes raw rows only, which are a ClassRows by type.
 """
 
 from __future__ import annotations
@@ -106,21 +106,27 @@ def sample_orthonormal(source_dim: int, target_dim: int, seed: int) -> SketchOpe
     ||X||_F^2 of Fukaya et al. (u the unit roundoff), brings the draw close
     to orthonormal whatever its conditioning, square draws included; one
     plain pass then makes the columns orthonormal to working accuracy.
-    A draw whose 8 P k bytes exceed available_memory() is refused with
-    InsufficientMemory before it is made.
+    A draw whose orthonormal_bytes exceed available_memory() is refused
+    with InsufficientMemory before it is made.
     """
     p, k = source_dim, target_dim
     if p < 1 or k < 1:
         raise EmptyInput(f"dimensions must be positive, got P={p}, k={k}")
     if k > p:
         raise KTooLarge(f"sketch width k={k} exceeds source dimension P={p}")
-    require_memory(8 * p * k, f"a {p} x {k} sketch")
+    require_memory(orthonormal_bytes(p, k), f"a {p} x {k} sketch")
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(p, k))
     unit_roundoff = np.finfo(np.float64).eps / 2.0
     _cholesky_qr_pass(q, shift_rel=11.0 * (p * k + k * (k + 1)) * unit_roundoff)
     _cholesky_qr_pass(q, shift_rel=0.0)
     return SketchOperator(p, k, seed, q)
+
+
+def orthonormal_bytes(p: int, k: int) -> int:
+    """Peak bytes of sample_orthonormal: the draw, then 4 k^2 floats to invert
+    the Cholesky factor or k^2 + min(1024, P) k to apply it, if more."""
+    return 8 * (p * k + k * max(4 * k, k + min(_QR_BLOCK_ROWS, p)))
 
 
 def require_memory(nbytes: int, what: str) -> None:
@@ -178,7 +184,10 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
     """x <- x R^-1 in place, where R^T R = x^T x + shift_rel * ||x||_F^2 I."""
     gram = x.T @ x
     gram[np.diag_indices_from(gram)] += shift_rel * np.trace(gram)
-    r_inv = np.linalg.inv(np.linalg.cholesky(gram)).T  # R = L^T
+    lower = np.linalg.cholesky(gram)
+    del gram  # before the inverse is made
+    r_inv = np.linalg.inv(lower).T  # R = L^T
+    del lower
     buf = np.empty((min(_QR_BLOCK_ROWS, x.shape[0]), x.shape[1]))
     for start in range(0, x.shape[0], _QR_BLOCK_ROWS):
         block = x[start : start + _QR_BLOCK_ROWS]
@@ -187,7 +196,8 @@ def _cholesky_qr_pass(x: np.ndarray, shift_rel: float) -> None:
         block[...] = product
 
 
-def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFeatures:
+def project_features(feats: GradientFeatures, op: SketchOperator,
+                     each=None) -> GradientFeatures | None:
     """Sketch every raw gradient row; labels and logits pass through.
 
     Raw rows are a ClassRows, the backward pass's factors; _fused_sketch
@@ -197,12 +207,15 @@ def project_features(feats: GradientFeatures, op: SketchOperator) -> GradientFea
     one batch at a time, so the call holds q, its output, the workspace and
     one batch of factors; a file that shrank or vanished since
     read_gradients raises TruncatedFile or IoError. No P-wide row is built.
+    Given each, each(start, block) gets every batch's (C, b, k) sketch in
+    a block the next batch overwrites, and None is returned.
     Rows that are not a ClassRows are sketched already and are refused with
     DimMismatch.
     """
     if not feats.raw:
         raise DimMismatch("features are sketched already; expected raw rows")
-    return replace(feats, per_class=_fused_sketch(feats.per_class, op))
+    per_class = _fused_sketch(feats.per_class, op, each)
+    return None if each is not None else replace(feats, per_class=per_class)
 
 
 def sketch_bytes(layer_sizes, n: int, k: int) -> int:
@@ -218,7 +231,7 @@ def sketch_bytes(layer_sizes, n: int, k: int) -> int:
     return 8 * c * n * k + rows * factor_record(layer_sizes).itemsize + workspace
 
 
-def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
+def _fused_sketch(raw: ClassRows, op: SketchOperator, each=None) -> np.ndarray | None:
     """The (C, n, k) sketch of the raw rows' per-logit Jacobian, contracted per layer.
 
     raw.batches() yields one array of factor records per consecutive
@@ -239,26 +252,31 @@ def _fused_sketch(raw: ClassRows, op: SketchOperator) -> np.ndarray:
     and a workspace, which do not grow with k (sketch_bytes), and each
     product keeps the shape and summation order of freshly allocated
     per-block arrays. Each batch is contracted by _sketch_batch, so its
-    factors are dropped before the next batch is read or computed. An
-    output, factors and workspace beyond available_memory() are refused
-    with InsufficientMemory before they are made; a sketch of another
-    source width than the rows' P is refused with DimMismatch.
+    factors are dropped before the next batch is read or computed. Given
+    each, the output is one (C, ROW_BATCH, k) block handed to each per
+    batch. An output, factors and workspace beyond available_memory() are
+    refused with InsufficientMemory before they are made; a sketch of
+    another source width than the rows' P is refused with DimMismatch.
     """
     c, n, width = raw.shape
     if width != op.source_dim:
         raise DimMismatch(f"features have width {width}, sketch expects {op.source_dim}")
     sizes, k, q = raw.layer_sizes, op.target_dim, op.q
-    require_memory(sketch_bytes(sizes, n, k), f"sketching {n} rows to {c} x {k}")
     rows, block = min(ROW_BATCH, n), min(COL_BLOCK, k)
+    held = n if each is None else rows
+    require_memory(sketch_bytes(sizes, held, k), f"sketching {n} rows to {c} x {k}")
     t_flat = np.empty(max(sizes[1:]) * rows * block)
     acc_full, prod_full = np.empty((2, rows, c, block))
-    out = np.empty((c, n, k))
+    out = np.empty((c, held, k))
     blocks, batches = param_blocks(sizes), raw.batches()
     for start in range(0, n, ROW_BATCH):
         b = min(ROW_BATCH, n - start)
+        dest = out[:, start : start + b] if each is None else out[:, :b]
         _sketch_batch(next(batches), blocks, q, op.scale, t_flat, acc_full[:b], prod_full[:b],
-                      out[:, start : start + b])
-    return out
+                      dest)
+        if each is not None:
+            each(start, dest)
+    return out if each is None else None
 
 
 def _sketch_batch(batch, blocks, q, scale, t_flat, acc_full, prod_full, out) -> None:

@@ -38,8 +38,8 @@ from dntk.io import (
     read_selection,
 )
 from dntk.numerics import sym_eig_bytes, sym_eigvals
-from dntk.sketch import SketchRecord, sketch_bytes
-from dntk.tangent import extract_features, factor_record, param_count
+from dntk.sketch import SketchRecord, orthonormal_bytes, sketch_bytes
+from dntk.tangent import ROW_BATCH, extract_features, factor_record, param_count
 
 SMOKE = dict(
     seed=5,
@@ -448,12 +448,14 @@ class TestFreeMemory:
         return work, kept
 
     @staticmethod
-    def sketch_need(src):
-        """Bytes of q and of the larger split's sketch, its workspace included."""
+    def sketch_need(src, sizes=SMOKE["layer_sizes"], n=max(SMOKE["n_train"], SMOKE["n_test"])):
+        """Bytes of q, and of what `project` holds at its peak: q and its
+        orthonormalization, or q and one row batch of the larger split's
+        sketch with its workspace, whichever is more."""
         k = SketchRecord(**json.loads((src / FILES["sketch_meta"]).read_text())).target_dim
-        sizes = SMOKE["layer_sizes"]
-        q = 8 * param_count(sizes) * k
-        return q, q + sketch_bytes(sizes, max(SMOKE["n_train"], SMOKE["n_test"]), k)
+        p = param_count(sizes)
+        return 8 * p * k, max(orthonormal_bytes(p, k),
+                              8 * p * k + sketch_bytes(sizes, min(ROW_BATCH, n), k))
 
     def test_project_refuses_a_sketch_larger_than_free_memory(
             self, rundir, tmp_path, capsys, monkeypatch):
@@ -490,6 +492,26 @@ class TestFreeMemory:
         assert f"needs {need} bytes, {q} bytes of memory are available" in err
         assert "Traceback" not in err
         assert sorted(f.name for f in work.iterdir()) == sorted(FILES[key] for key in kept)
+
+    def test_project_needs_room_for_one_output_block(self, tmp_path, capsys, monkeypatch):
+        # 69 train rows, three row batches: each sketched split streams to
+        # its file one (C, 32, k) block at a time, so room for q and one
+        # block, less than q and a whole split, writes the same bytes
+        sizes, work = SMOKE["layer_sizes"], tmp_path / "run"
+        cfg = write_cfg(tmp_path / "cfg.json", work, n_train=69)
+        for stage in ("gen-data", "train-model", "extract-grads", "project"):
+            assert main([stage, "--config", cfg]) == 0
+        unbounded = {key: (work / FILES[key]).read_bytes()
+                     for key in ("sketch_meta", "sketched_train", "sketched_test")}
+        q, need = self.sketch_need(work, sizes, 69)
+        assert need < q + sketch_bytes(sizes, 69, q // (8 * param_count(sizes)))
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need - 1)
+        assert main(["project", "--config", cfg]) == 1
+        assert f"needs {need} bytes, {need - 1} bytes" in capsys.readouterr().err
+        monkeypatch.setattr(dntk.sketch, "available_memory", lambda: need)
+        assert main(["project", "--config", cfg]) == 0
+        for key, before in unbounded.items():
+            assert (work / FILES[key]).read_bytes() == before
 
     @pytest.mark.parametrize("stage, what, written, need", [
         (["kernel-stats"], "kernel stack", "kernel_stats",

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import errno
 import json
 import os
 import struct
@@ -10,10 +11,11 @@ from helpers import class_blocks, feats_from_blocks, reference_per_class, traced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dntk import io as dio
+from dntk import io as dio, sketch
 from dntk.baselines import SelectionResult
 from dntk.distill import distill
 from dntk.errors import (
+    DimMismatch,
     IndexOutOfRange,
     InputError,
     IoError,
@@ -517,6 +519,109 @@ def test_gradient_file_io_holds_one_copy(tmp_path):
         assert path.stat().st_size == dio.gradient_file_bytes(n, raw.width, 10, sizes)
     assert traced_peak(lambda: dio.read_gradients(path)) <= 2 * 8 * (1024 + 1024 * 10)
     assert write_peaks[1] <= 1.1 * write_peaks[0]
+
+
+class TestStreamedSketch:
+    """write_gradients(raw, path, op) writes the file
+    write_gradients(project_features(raw, op), path) writes, from one
+    (C, ROW_BATCH, k) block of sketched rows at a time."""
+
+    @staticmethod
+    def split(sizes, n, seed=41):
+        params = init_params(list(sizes), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        x, labels = rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], size=n)
+        return params, extract_features(params, x, labels)
+
+    @pytest.mark.parametrize("sizes, n, k", [
+        ((5, 8, 3), 1, 9),                  # one row
+        ((5, 8, 3), ROW_BATCH, 9),          # one whole batch
+        ((5, 8, 3), ROW_BATCH + 1, 9),      # a second batch of one row
+        ((5, 8, 1), 2 * ROW_BATCH + 7, 9),  # one class
+        ((5, 12, 3), 3 * ROW_BATCH, 40),    # k below COL_BLOCK, three batches
+        ((5, 6, 3), ROW_BATCH + 5, 57),     # square: k = P
+        ((5, 12, 3), ROW_BATCH + 5, 111),   # square, two column blocks
+    ], ids=["n1", "batch", "batch+1", "c1", "k-lt-block", "square", "square-wide"])
+    def test_streamed_file_is_the_array_forms_bytes(self, tmp_path, sizes, n, k):
+        params, raw = self.split(sizes, n)
+        op = sample_orthonormal(params.param_count, k, seed=43)
+        dio.write_gradients(project_features(raw, op), tmp_path / "array.dntk")
+        dio.write_gradients(raw, tmp_path / "streamed.dntk", op)
+        # and from raw rows read back from a file, as `dntk project` reads them
+        dio.write_gradients(raw, tmp_path / "raw.dntk")
+        dio.write_gradients(dio.read_gradients(tmp_path / "raw.dntk"), tmp_path / "filed.dntk", op)
+        expected = (tmp_path / "array.dntk").read_bytes()
+        assert len(expected) == dio.gradient_file_bytes(n, k, sizes[-1])
+        assert (tmp_path / "streamed.dntk").read_bytes() == expected
+        assert (tmp_path / "filed.dntk").read_bytes() == expected
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "array.dntk", "filed.dntk", "raw.dntk", "streamed.dntk"]
+
+    def test_streamed_write_holds_one_block(self, tmp_path):
+        # 8 batches of a [8, 40, 30, 5] net at k = 256: the array form holds
+        # the (5, 256, 256) sketch, 2.6 MB, the stream one (5, 32, 256)
+        # block of it. Beyond q, drawn before, the stream holds what
+        # sketch_bytes gives for one batch, plus the buffers numpy makes for
+        # a batch's strided operations (0.14 MB here)
+        sizes, n, k = (8, 40, 30, 5), 8 * ROW_BATCH, 256
+        params, live = self.split(sizes, n)
+        dio.write_gradients(live, tmp_path / "raw.dntk")
+        raw = dio.read_gradients(tmp_path / "raw.dntk")
+        op = sample_orthonormal(params.param_count, k, seed=43)
+        streamed = traced_peak(lambda: dio.write_gradients(raw, tmp_path / "s.dntk", op))
+        array = traced_peak(
+            lambda: dio.write_gradients(project_features(raw, op), tmp_path / "a.dntk"))
+        assert streamed <= sketch.sketch_bytes(sizes, ROW_BATCH, k) + 192 * 1024
+        assert array - streamed >= 0.95 * 8 * sizes[-1] * (n - ROW_BATCH) * k
+
+    @pytest.mark.parametrize("before", [None, b"an older file"])
+    def test_full_disk_on_a_middle_batch_leaves_the_old_file(
+            self, tmp_path, monkeypatch, before):
+        # the header is write 1 and batch 0's three class rows writes 2-4,
+        # so write 6 is batch 1's second class: the disk fills mid-stream
+        sizes, n, k = (5, 8, 3), 3 * ROW_BATCH, 9
+        params, raw = self.split(sizes, n)
+        op = sample_orthonormal(params.param_count, k, seed=43)
+        path = tmp_path / "sketched.dntk"
+        if before is not None:
+            path.write_bytes(before)
+        writes = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def seek(self, offset):
+                return self.fh.seek(offset)
+
+            def write(self, data):
+                writes.append(memoryview(data).nbytes)
+                if len(writes) == 6:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(dio, "open", lambda *a: FullDisk(open(*a)), raising=False)
+        with pytest.raises(IoError, match="No space left on device"):
+            dio.write_gradients(raw, path, op)
+        assert len(writes) == 6 and writes[1:] == [8 * ROW_BATCH * k] * 5
+        assert [f.name for f in tmp_path.iterdir()] == ([] if before is None else [path.name])
+        if before is not None:
+            assert path.read_bytes() == before
+
+    def test_sketched_rows_are_refused(self, tmp_path):
+        params, raw = self.split((5, 8, 3), 4)
+        op = sample_orthonormal(params.param_count, 6, seed=43)
+        sketched = project_features(raw, op)
+        with pytest.raises(DimMismatch, match="sketched already"):
+            dio.write_gradients(sketched, tmp_path / "again.dntk",
+                                sample_orthonormal(6, 3, seed=44))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTable:

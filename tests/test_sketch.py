@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ import dntk
 from dntk import sketch
 from dntk.errors import BadEps, DimMismatch, EmptyInput, InsufficientMemory, KTooLarge
 from dntk.sketch import available_memory, jl_dimension, project_features, sample_orthonormal
-from dntk.tangent import (ClassRows, GradientFeatures, extract_features, factor_record,
+from dntk.tangent import (ROW_BATCH, ClassRows, GradientFeatures, extract_features, factor_record,
                           gen_gaussian_mixture, init_params, layer_factors)
 
 
@@ -209,9 +210,45 @@ class TestProjectFeatures:
         assert feats.raw
 
 
+class TestStreamedProjection:
+    def split(self, n, sizes=(5, 8, 3)):
+        params = init_params(list(sizes), seed=11)
+        data = gen_gaussian_mixture(sizes[-1], n // sizes[-1], sizes[0], 0.5, seed=12)
+        return params, extract_features(params, data.inputs, data.labels)
+
+    def test_blocks_are_the_arrays_rows_batch_by_batch(self):
+        # 3 * 23 = 69 rows: batches of 32, 32 and 5
+        params, feats = self.split(69)
+        op = sample_orthonormal(params.param_count, 9, seed=13)
+        whole = project_features(feats, op).per_class
+        seen = []
+        assert project_features(feats, op, lambda start, block: seen.append(
+            (start, block.shape, block.copy()))) is None
+        assert [(start, shape) for start, shape, _ in seen] == [
+            (0, (3, 32, 9)), (32, (3, 32, 9)), (64, (3, 5, 9))]
+        np.testing.assert_array_equal(np.concatenate([b for *_, b in seen], axis=1), whole)
+
+    def test_streamed_sketch_refuses_one_block_beyond_free_memory(self, monkeypatch):
+        sizes, n, k = (5, 8, 3), 69, 9
+        params, feats = self.split(n, sizes)
+        op = sample_orthonormal(params.param_count, k, seed=13)
+        need = sketch.sketch_bytes(sizes, ROW_BATCH, k)
+        assert need < sketch.sketch_bytes(sizes, n, k)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
+        with pytest.raises(InsufficientMemory,
+                           match=f"sketching {n} rows to 3 x {k} needs {need} bytes"):
+            project_features(feats, op, lambda start, block: None)
+        monkeypatch.setattr(sketch, "available_memory", lambda: need)
+        assert project_features(feats, op, lambda start, block: None) is None
+        with pytest.raises(InsufficientMemory):  # the array form holds all n rows
+            project_features(feats, op)
+
+
 class TestMemoryRefusal:
     def test_refuses_a_draw_larger_than_free_memory(self, monkeypatch):
-        need = 8 * 40 * 8
+        # the 40 x 8 draw, then R^-1 (8 x 8) beside the 40-row block buffer
+        need = 8 * (40 * 8 + 8 * 8 + 40 * 8)
+        assert sketch.orthonormal_bytes(40, 8) == need
         ref = sample_orthonormal(40, 8, seed=3)
         monkeypatch.setattr(sketch, "available_memory", lambda: need - 1)
         with pytest.raises(InsufficientMemory,
@@ -221,6 +258,16 @@ class TestMemoryRefusal:
         for left in (need, None):
             monkeypatch.setattr(sketch, "available_memory", lambda: left)
             np.testing.assert_array_equal(sample_orthonormal(40, 8, seed=3).q, ref.q)
+
+    @pytest.mark.parametrize("p, k", [(3000, 100), (1500, 200), (2000, 400), (600, 600)])
+    def test_draw_peak_is_within_orthonormal_bytes(self, p, k):
+        # beyond the draw, a CholeskyQR pass holds the Gram and its factor,
+        # then the factor and its inverse, then the inverse and the block
+        # buffer: the Gram is freed before the inverse is made. 4 KB covers
+        # the generator and the objects around the arrays
+        peak = traced_peak(lambda: sample_orthonormal(p, k, seed=9))
+        assert peak - 8 * p * k <= 8 * max(2 * k * k, k * k + min(1024, p) * k) + 4096
+        assert peak <= sketch.orthonormal_bytes(p, k) + 4096
 
     def test_probe_takes_the_tighter_of_meminfo_and_cgroup(self, monkeypatch):
         files = {
